@@ -39,7 +39,7 @@ func cell(b *testing.B, s string) float64 {
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table1()
+		t := experiments.Table1(experiments.Options{})
 		if len(t.Rows) != 4 {
 			b.Fatal("bad table")
 		}
@@ -121,7 +121,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkSizeInference(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		t := experiments.SizeAccuracy()
+		t := experiments.SizeAccuracy(experiments.Options{})
 		worst = 0
 		for _, row := range t.Rows {
 			if v := cell(b, row[4]); v > worst {
@@ -135,7 +135,7 @@ func BenchmarkSizeInference(b *testing.B) {
 func BenchmarkPolicyInference(b *testing.B) {
 	var correct float64
 	for i := 0; i < b.N; i++ {
-		t := experiments.PolicyAccuracy()
+		t := experiments.PolicyAccuracy(experiments.Options{})
 		correct = 0
 		for _, row := range t.Rows[:4] {
 			if row[2] == "yes" {

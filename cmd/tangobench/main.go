@@ -13,13 +13,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"tango/internal/experiments"
 	"tango/internal/faults"
+	"tango/internal/parallel"
 	"tango/internal/telemetry"
 )
 
@@ -30,9 +31,12 @@ type experiment struct {
 	run  func(runs int) []fmt.Stringer
 }
 
-func catalog(faultSpec string) []experiment {
+func catalog(opts experiments.Options, faultSpec string) []experiment {
 	tab := func(f func() *experiments.Table) func(int) []fmt.Stringer {
 		return func(int) []fmt.Stringer { return []fmt.Stringer{f()} }
+	}
+	sized := func(f func(experiments.Options) *experiments.Table) func(int) []fmt.Stringer {
+		return func(int) []fmt.Stringer { return []fmt.Stringer{f(opts)} }
 	}
 	figs := func(f func(int) []*experiments.Figure) func(int) []fmt.Stringer {
 		return func(runs int) []fmt.Stringer {
@@ -44,7 +48,7 @@ func catalog(faultSpec string) []experiment {
 		}
 	}
 	return []experiment{
-		{"table1", "Table 1: table types and sizes", tab(experiments.Table1)},
+		{"table1", "Table 1: table types and sizes", sized(experiments.Table1)},
 		{"f2", "Figure 2: delay tiers on OVS / Switch#1 / Switch#2", func(int) []fmt.Stringer {
 			var out []fmt.Stringer
 			for _, fg := range experiments.Figure2() {
@@ -67,9 +71,9 @@ func catalog(faultSpec string) []experiment {
 		{"f6", "Figure 6: policy-probe initialization pattern", func(int) []fmt.Stringer {
 			return []fmt.Stringer{experiments.Figure6()}
 		}},
-		{"sizeacc", "Size-inference accuracy (<5% headline)", tab(experiments.SizeAccuracy)},
-		{"policyacc", "Policy-inference accuracy", tab(experiments.PolicyAccuracy)},
-		{"reported", "Switch-reported vs inferred capacity", tab(experiments.ReportedVsInferred)},
+		{"sizeacc", "Size-inference accuracy (<5% headline)", sized(experiments.SizeAccuracy)},
+		{"policyacc", "Policy-inference accuracy", sized(experiments.PolicyAccuracy)},
+		{"reported", "Switch-reported vs inferred capacity", sized(experiments.ReportedVsInferred)},
 		{"qos", "Cache policy × traffic: fast-path hit rates", tab(experiments.CacheHitRates)},
 		{"table2", "Table 2: ClassBench files", tab(experiments.Table2)},
 		{"f8", "Figure 8: OVS scheduling scenarios", figs(experiments.Figure8)},
@@ -82,8 +86,8 @@ func catalog(faultSpec string) []experiment {
 		{"overflow", "Overflow-inference attack scenarios (timing channel + detector)", tab(experiments.Overflow)},
 		{"churn", "Heavy-churn scenarios (inference under timeout expiry)", tab(experiments.ChurnScenarios)},
 		{"altpolicy", "Non-LEX cache policies (classify-or-reject)", tab(experiments.AltPolicy)},
-		{"scale", "B4-wide sharded scale harness (honours -scale-flows, -scale-shards)", tab(experiments.Scale)},
-		{"fleet", "Continuous-inference fleet service (honours -fleet-switches, -fleet-workers)", tab(experiments.Fleet)},
+		{"scale", "B4-wide sharded scale harness (honours -scale-flows)", sized(experiments.Scale)},
+		{"fleet", "Continuous-inference fleet service (honours -fleet-switches)", sized(experiments.Fleet)},
 		{"conformance", "Ground-truth inference conformance harness (honours -faults)", func(int) []fmt.Stringer {
 			t, err := experiments.Conformance(24, 1, faultSpec)
 			if err != nil {
@@ -103,23 +107,13 @@ func main() {
 		out        = flag.String("out", "", "directory to write .dat series files into")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		faultSpec  = flag.String("faults", "", `control-channel fault spec for the conformance experiment, e.g. "drop=0.01,delay=0.05,seed=7" (see internal/faults)`)
-		parallel   = flag.Int("parallel", 1, "run up to this many experiments concurrently (0 = GOMAXPROCS); output order is unchanged")
-		schedWork  = flag.Int("sched-workers", 0, "worker pool size for per-switch batches inside the scheduling experiments (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-		inferWork  = flag.Int("infer-workers", 0, "worker pool size for per-profile cells inside the inference experiments (table1, sizeacc, policyacc, reported) (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
+		workers    = flag.Int("parallel", 1, "run up to this many experiments concurrently (0 = GOMAXPROCS); output order is unchanged")
 		scaleFlows = flag.Int("scale-flows", 0, "resident-flow target for the scale experiment (0 = harness default, 1<<20)")
-		scaleShard = flag.Int("scale-shards", 0, "shard count for the scale experiment (0 = one shard per B4 site); results are identical at any setting")
 		fleetSw    = flag.Int("fleet-switches", 0, "simulated-member count for the fleet experiment (0 = 64)")
-		fleetWork  = flag.Int("fleet-workers", 0, "shard worker-pool size for the fleet experiment (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		tcli       telemetry.CLI
 	)
 	tcli.BindFlags(flag.CommandLine)
 	flag.Parse()
-	experiments.SchedWorkers = *schedWork
-	experiments.InferWorkers = *inferWork
-	experiments.ScaleFlows = *scaleFlows
-	experiments.ScaleShards = *scaleShard
-	experiments.FleetSwitches = *fleetSw
-	experiments.FleetWorkers = *fleetWork
 
 	if _, err := faults.ParseSpec(*faultSpec); err != nil {
 		fmt.Fprintf(os.Stderr, "tangobench: -faults: %v\n", err)
@@ -146,7 +140,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	cat := catalog(*faultSpec)
+	cat := catalog(experiments.Options{ScaleFlows: *scaleFlows, FleetSwitches: *fleetSw}, *faultSpec)
 	if *list {
 		for _, e := range cat {
 			fmt.Printf("%-10s %s\n", e.id, e.desc)
@@ -184,20 +178,34 @@ func main() {
 		}
 		chosen = append(chosen, e)
 	}
-	for i, ch := range launch(chosen, *runs, *parallel) {
-		res := <-ch
-		e := chosen[i]
-		for _, r := range res.results {
-			fmt.Println(r)
-			if *out != "" {
-				if err := writeDat(*out, e.id, r); err != nil {
-					fmt.Fprintf(os.Stderr, "tangobench: %v\n", err)
-					os.Exit(1)
+	// Experiments finish in any order; each is printed once every earlier
+	// one has been, so output streams byte-for-byte as a serial run's does.
+	var (
+		mu      sync.Mutex
+		done    = make([]*expResult, len(chosen))
+		printed int
+	)
+	parallel.ForEach(len(chosen), *workers, func(i int) {
+		start := time.Now()
+		results := chosen[i].run(*runs)
+		elapsed := time.Since(start)
+		mu.Lock()
+		defer mu.Unlock()
+		done[i] = &expResult{results: results, elapsed: elapsed}
+		for ; printed < len(done) && done[printed] != nil; printed++ {
+			e, res := chosen[printed], done[printed]
+			for _, r := range res.results {
+				fmt.Println(r)
+				if *out != "" {
+					if err := writeDat(*out, e.id, r); err != nil {
+						fmt.Fprintf(os.Stderr, "tangobench: %v\n", err)
+						os.Exit(1)
+					}
 				}
 			}
+			fmt.Printf("[%s done in %v]\n\n", e.id, res.elapsed.Round(time.Millisecond))
 		}
-		fmt.Printf("[%s done in %v]\n\n", e.id, res.elapsed.Round(time.Millisecond))
-	}
+	})
 	if err := flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "tangobench: %v\n", err)
 		os.Exit(1)
@@ -208,39 +216,6 @@ func main() {
 type expResult struct {
 	results []fmt.Stringer
 	elapsed time.Duration
-}
-
-// launch starts the chosen experiments across a pool of `parallel` workers
-// (0 selects GOMAXPROCS) and returns one channel per experiment, in input
-// order. Each experiment owns its switches, clocks, and RNGs, so results are
-// identical at any parallelism; the caller drains the channels in order,
-// which keeps the printed output byte-for-byte the same as a serial run.
-func launch(chosen []experiment, runs, parallel int) []chan expResult {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(chosen) {
-		parallel = len(chosen)
-	}
-	done := make([]chan expResult, len(chosen))
-	for i := range chosen {
-		done[i] = make(chan expResult, 1)
-	}
-	next := make(chan int, len(chosen))
-	for i := range chosen {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < parallel; w++ {
-		go func() {
-			for i := range next {
-				start := time.Now()
-				results := chosen[i].run(runs)
-				done[i] <- expResult{results: results, elapsed: time.Since(start)}
-			}
-		}()
-	}
-	return done
 }
 
 // checkWritableDir verifies dir can be created and written into by probing

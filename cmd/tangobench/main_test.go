@@ -17,7 +17,7 @@ func TestSanitize(t *testing.T) {
 
 func TestCatalogIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range catalog("") {
+	for _, e := range catalog(experiments.Options{}, "") {
 		if seen[e.id] {
 			t.Fatalf("duplicate experiment id %q", e.id)
 		}

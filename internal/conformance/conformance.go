@@ -17,14 +17,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"tango/internal/core/infer"
 	"tango/internal/core/probe"
 	"tango/internal/faults"
+	"tango/internal/parallel"
 	"tango/internal/switchsim"
 )
 
@@ -135,13 +134,6 @@ type Options struct {
 	// Workers caps the number of specs recovered concurrently; 0 means
 	// GOMAXPROCS, 1 forces the old sequential behavior.
 	Workers int
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (o Options) tolerance() float64 {
@@ -301,32 +293,9 @@ func runSpecSafe(spec Spec, opts Options) (res Result) {
 // panics surfaces as a SpecPanicError result instead of crashing the pool.
 func Run(specs []Spec, opts Options) []Result {
 	out := make([]Result, len(specs))
-	workers := opts.workers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 {
-		for i, s := range specs {
-			out[i] = runSpecSafe(s, opts)
-		}
-		return out
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = runSpecSafe(specs[i], opts)
-			}
-		}()
-	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	parallel.ForEach(len(specs), opts.Workers, func(i int) {
+		out[i] = runSpecSafe(specs[i], opts)
+	})
 	return out
 }
 

@@ -10,16 +10,15 @@ package sched
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tango/internal/core/pattern"
 	"tango/internal/dag"
+	"tango/internal/parallel"
 	"tango/internal/simclock"
 	"tango/internal/telemetry"
 )
@@ -473,37 +472,6 @@ type batchJob struct {
 	err     error
 }
 
-// runBatches runs fn over every job on at most workers goroutines. Workers
-// claim jobs off a shared index, so the assignment of job to goroutine is
-// arbitrary — all determinism lives in the caller's aggregation pass.
-func runBatches(jobs []*batchJob, workers int, fn func(*batchJob)) {
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, job := range jobs {
-			fn(job)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(jobs) {
-					return
-				}
-				fn(jobs[n])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // Run drains the graph with the given scheduler and executor, returning
 // the simulated network-wide makespan. Each round reads the incremental
 // dependency frontier, orders and executes the per-switch batches on a
@@ -525,10 +493,6 @@ func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, err
 		gMakespan = reg.Gauge("sched.makespan_ns")
 		hBatch    = reg.Histogram("sched.batch_ns")
 	)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Tango defers its pattern-score telemetry to the aggregation pass so
 	// worker interleaving can't reorder histogram samples; other schedulers
 	// record from inside Order and are on their own under Workers > 1.
@@ -575,7 +539,8 @@ func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, err
 
 		// Order and execute the round's batches in parallel. Workers only
 		// read the graph; all mutation and accounting happens below.
-		runBatches(active, workers, func(job *batchJob) {
+		parallel.ForEach(len(active), opts.Workers, func(i int) {
+			job := active[i]
 			job.reqs = job.reqs[:0]
 			job.guards = 0
 			for _, id := range job.ids {

@@ -8,6 +8,7 @@ import (
 	"tango/internal/core/pattern"
 	"tango/internal/core/probe"
 	"tango/internal/dag"
+	"tango/internal/parallel"
 	"tango/internal/switchsim"
 )
 
@@ -303,6 +304,45 @@ func TestRunErrorsOnMissingEngine(t *testing.T) {
 	_, err := Run(g, &Tango{}, EngineExecutor{}, RunOptions{})
 	if err == nil {
 		t.Fatal("expected error for unknown switch")
+	}
+}
+
+// panicOn is an executor with a bug on one switch.
+type panicOn struct {
+	CardExecutor
+	sw string
+}
+
+func (x panicOn) Execute(sw string, ops []pattern.Op) (time.Duration, error) {
+	if sw == x.sw {
+		panic("executor bug on " + sw)
+	}
+	return x.CardExecutor.Execute(sw, ops)
+}
+
+// TestRunBatchPanicReachesCaller: a batch that panics on a pool goroutine
+// used to kill the process from there, past any recover the caller had. It
+// now surfaces on Run's caller, at any worker count, naming the batch.
+func TestRunBatchPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		g := NewGraph()
+		for _, sw := range []string{"s1", "s2", "s3", "s4"} {
+			g.AddNode(&Request{Switch: sw, Op: pattern.OpMod, FlowID: 1, Priority: 1, HasPriority: true})
+		}
+		db := testDB("s1", "s2", "s3", "s4")
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			_, _ = Run(g, &Tango{DB: db}, panicOn{CardExecutor{DB: db}, "s3"}, RunOptions{Workers: workers})
+			return nil
+		}()
+		pe, ok := got.(*parallel.PanicError)
+		if !ok {
+			t.Fatalf("workers=%d: recovered %v, want *parallel.PanicError", workers, got)
+		}
+		// Batches are indexed in sorted switch order.
+		if pe.Index != 2 || pe.Value != "executor bug on s3" {
+			t.Fatalf("workers=%d: job %d panicked with %v, want job 2 (s3)", workers, pe.Index, pe.Value)
+		}
 	}
 }
 

@@ -11,6 +11,24 @@ import (
 	"time"
 )
 
+// Options is what a caller may set for a run of the catalog; cmd/tangobench
+// fills it from its flags. The zero value runs every experiment at its
+// published size on GOMAXPROCS workers.
+type Options struct {
+	// Workers bounds the fan-outs the experiments own: the per-profile
+	// cells of Table1, SizeAccuracy, PolicyAccuracy and ReportedVsInferred,
+	// Scale's shards and Fleet's workers. 0 means GOMAXPROCS (for Scale,
+	// one shard per site). Rows are identical at every value; the
+	// differential tests compare 1 with 8.
+	Workers int
+	// ScaleFlows is Scale's resident-flow target (0 = the harness default,
+	// 1<<20). CI sets a reduced target so the smoke artifact stays fast.
+	ScaleFlows int
+	// FleetSwitches is Fleet's simulated-member count (0 = 64), reduced in
+	// CI for the same reason.
+	FleetSwitches int
+}
+
 // Table is a titled grid of rendered cells.
 type Table struct {
 	Title  string

@@ -17,7 +17,7 @@ func parseSeconds(t *testing.T, cell string) float64 {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tb := Table1()
+	tb := Table1(Options{})
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -195,7 +195,7 @@ func TestSizeAccuracyWithinFivePercent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full probing sweep")
 	}
-	tb := SizeAccuracy()
+	tb := SizeAccuracy(Options{})
 	for _, row := range tb.Rows {
 		errCell := strings.TrimSuffix(row[4], "%")
 		v, err := strconv.ParseFloat(errCell, 64)
@@ -212,7 +212,7 @@ func TestPolicyAccuracyAllCorrect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full probing sweep")
 	}
-	tb := PolicyAccuracy()
+	tb := PolicyAccuracy(Options{})
 	for _, row := range tb.Rows[:5] {
 		if row[2] != "yes" {
 			t.Errorf("policy %s inferred as %s", row[0], row[1])
@@ -352,7 +352,7 @@ func TestReportedVsInferred(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full probing sweep")
 	}
-	tb := ReportedVsInferred()
+	tb := ReportedVsInferred(Options{})
 	want := map[string][3]string{
 		"Switch#1": {"2048", "2047", "-1"},   // default route steals a slot
 		"Switch#2": {"2560", "2560", "none"}, // honest flat design

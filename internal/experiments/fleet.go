@@ -13,18 +13,8 @@ import (
 // switches plus a small real-TCP contingent served through the switchd
 // path, probed and re-inferred over repeated rounds. The fold is
 // bit-identical at any worker count (gated by TestFleetShardedDifferential),
-// so rerunning with -fleet-workers 1 must print the same rows, the rate and
-// wall-clock lines aside.
-
-// FleetSwitches overrides the simulated-member count of the Fleet
-// experiment (0 = 64). cmd/tangobench binds -fleet-switches to it; CI uses
-// a reduced count so the smoke artifact stays fast.
-var FleetSwitches int
-
-// FleetWorkers overrides the shard worker-pool size of the Fleet experiment
-// (0 = GOMAXPROCS). cmd/tangobench binds -fleet-workers to it; results are
-// identical at any setting.
-var FleetWorkers int
+// so rerunning under GOMAXPROCS=1 must print the same rows, the title's
+// worker count and the rate and wall-clock lines aside.
 
 // fleetTCPMembers is the experiment's real-TCP contingent: in-process
 // switchd servers dialed over loopback alongside the simulated members.
@@ -32,7 +22,7 @@ const fleetTCPMembers = 4
 
 // Fleet runs the continuous-inference fleet for two rounds and tabulates
 // the fold.
-func Fleet() *Table {
+func Fleet(o Options) *Table {
 	fail := func(err error) *Table {
 		return &Table{
 			Title:  "Fleet service: error",
@@ -40,7 +30,7 @@ func Fleet() *Table {
 			Rows:   [][]string{{err.Error()}},
 		}
 	}
-	switches := FleetSwitches
+	switches := o.FleetSwitches
 	if switches == 0 {
 		switches = 64
 	}
@@ -51,7 +41,7 @@ func Fleet() *Table {
 	defer tcp.Close()
 	res, err := fleet.Run(fleet.Options{
 		Switches: switches,
-		Workers:  FleetWorkers,
+		Workers:  o.Workers,
 		Rounds:   2,
 		Seed:     1,
 		TCP:      tcp.Fleet,

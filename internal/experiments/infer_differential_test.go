@@ -4,18 +4,15 @@ import "testing"
 
 // TestInferParallelDifferential is the worker-pool determinism gate for the
 // inference experiments: every table that fans per-profile cells across
-// InferWorkers — embedding each profile's SizeResult estimates, census
+// Options.Workers — embedding each profile's SizeResult estimates, census
 // counts, and policy verdicts — must render byte-identical at 1 and 8
 // workers. Each cell owns its seeded switch, engine, and RNG, so any
 // divergence means shared state leaked between cells. CI runs this under
 // the race detector, where the 8-worker pass also shakes out data races.
 func TestInferParallelDifferential(t *testing.T) {
-	old := InferWorkers
-	defer func() { InferWorkers = old }()
-
 	type table struct {
 		name string
-		run  func() *Table
+		run  func(Options) *Table
 	}
 	tables := []table{
 		{"SizeAccuracy", SizeAccuracy},
@@ -23,14 +20,11 @@ func TestInferParallelDifferential(t *testing.T) {
 		{"ReportedVsInferred", ReportedVsInferred},
 		{"Table1", Table1},
 	}
-	// Subtests stay sequential: they all flip the shared InferWorkers knob.
 	for _, tb := range tables {
 		tb := tb
 		t.Run(tb.name, func(t *testing.T) {
-			InferWorkers = 1
-			serial := tb.run().String()
-			InferWorkers = 8
-			parallel := tb.run().String()
+			serial := tb.run(Options{Workers: 1}).String()
+			parallel := tb.run(Options{Workers: 8}).String()
 			if serial != parallel {
 				t.Errorf("%s diverges between 1 and 8 workers:\nserial:\n%s\nparallel:\n%s",
 					tb.name, serial, parallel)

@@ -2,58 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"tango/internal/core/infer"
 	"tango/internal/core/probe"
+	"tango/internal/parallel"
 	"tango/internal/switchsim"
 )
-
-// InferWorkers is the worker-pool size the per-profile inference
-// experiments (Table 1, size/policy accuracy, reported-vs-inferred) fan out
-// across — the conformance harness's Options.Workers pattern applied to the
-// evaluation catalog. Every cell owns its switch, engine, and RNG, and the
-// results fold in deterministic profile order, so output is byte-identical
-// at any setting; 0 means GOMAXPROCS, 1 forces the old serial behaviour.
-// Set from tangobench's -infer-workers flag.
-var InferWorkers int
-
-// runCells invokes fn(i) for every cell index in [0, n), fanning out across
-// InferWorkers goroutines. Cells must be independent and write results only
-// to their own index-addressed slot; callers fold the slots in input order
-// afterwards, which keeps tables identical at any worker count.
-func runCells(n int, fn func(int)) {
-	workers := InferWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
 
 // policyMatrix is the policy sweep of the §7.1 inference evaluation.
 func policyMatrix() []struct {
@@ -92,7 +46,7 @@ func policyMatrixExtended() []struct {
 // within 5% of actual values across switch designs and caching algorithms.
 // Each row is one (design, policy, cache size) cell with the actual TCAM
 // size, the negative-binomial estimate, the census estimate, and errors.
-func SizeAccuracy() *Table {
+func SizeAccuracy(o Options) *Table {
 	t := &Table{
 		Title:  "Size inference accuracy (paper headline: <5% error)",
 		Header: []string{"switch", "policy", "actual", "estimate", "err", "census", "census err"},
@@ -123,7 +77,7 @@ func SizeAccuracy() *Table {
 	// One worker-pool cell per (design, policy) profile; each builds its own
 	// seeded switch and engine, and the rows fold back in catalog order.
 	rows := make([][]string, len(cells))
-	runCells(len(cells), func(i int) {
+	parallel.ForEach(len(cells), o.Workers, func(i int) {
 		c := cells[i]
 		var opts []switchsim.Option
 		opts = append(opts, switchsim.WithSeed(int64(i)))
@@ -166,7 +120,7 @@ func relError(est, actual int) float64 {
 
 // PolicyAccuracy runs Algorithm 2 across the caching-algorithm matrix and
 // reports the inferred policy against ground truth.
-func PolicyAccuracy() *Table {
+func PolicyAccuracy(o Options) *Table {
 	t := &Table{
 		Title:  "Cache-policy inference (Algorithm 2)",
 		Header: []string{"true policy", "inferred", "correct", "rounds"},
@@ -174,7 +128,7 @@ func PolicyAccuracy() *Table {
 	const cache = 100
 	matrix := policyMatrixExtended()
 	rows := make([][]string, len(matrix))
-	runCells(len(matrix), func(i int) {
+	parallel.ForEach(len(matrix), o.Workers, func(i int) {
 		pm := matrix[i]
 		sw := switchsim.New(switchsim.TestSwitch(cache, pm.policy), switchsim.WithSeed(int64(i)))
 		e := probe.NewEngine(probe.SimDevice{S: sw})

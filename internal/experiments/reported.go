@@ -6,6 +6,7 @@ import (
 	"tango/internal/core/infer"
 	"tango/internal/core/probe"
 	"tango/internal/openflow"
+	"tango/internal/parallel"
 	"tango/internal/switchsim"
 )
 
@@ -15,7 +16,7 @@ import (
 // comparing what each switch *reports* through OFPST_TABLE statistics with
 // what Tango *measures* for the rule shape actually in use (double-wide
 // L2+L3 probe rules).
-func ReportedVsInferred() *Table {
+func ReportedVsInferred(o Options) *Table {
 	t := &Table{
 		Title:  "Switch-reported vs. Tango-inferred usable capacity (L2+L3 rules)",
 		Header: []string{"switch", "reported max", "inferred usable", "discrepancy"},
@@ -29,7 +30,7 @@ func ReportedVsInferred() *Table {
 		{switchsim.Switch3(), nil},
 	}
 	rows := make([][]string, len(cases))
-	runCells(len(cases), func(i int) {
+	parallel.ForEach(len(cases), o.Workers, func(i int) {
 		c := cases[i]
 		sw := switchsim.New(c.prof, append(c.opts, switchsim.WithSeed(int64(i)))...)
 		// What the switch reports: OFPST_TABLE max_entries for the TCAM.

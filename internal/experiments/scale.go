@@ -13,26 +13,16 @@ import (
 // re-allocation rounds, a link-failure storm, and size inference running
 // concurrently. The harness is bit-identical at any shard count (gated by
 // TestScaleShardedDifferential), so the table doubles as a determinism
-// demonstration: rerunning with -scale-shards 1 must print the same rows,
+// demonstration: rerunning under GOMAXPROCS=1 must print the same rows,
 // wall-clock lines aside.
 
-// ScaleFlows overrides the resident-flow target of the Scale experiment
-// (0 = the harness default, 1<<20). cmd/tangobench binds -scale-flows to it;
-// CI uses a reduced target so the smoke artifact stays fast.
-var ScaleFlows int
-
-// ScaleShards overrides the shard count of the Scale experiment (0 = one
-// shard per B4 site). cmd/tangobench binds -scale-shards to it.
-var ScaleShards int
-
 // Scale runs the B4-wide scale harness once and tabulates the fold.
-func Scale() *Table {
-	o := scale.Options{
-		Flows:  ScaleFlows,
-		Shards: ScaleShards,
+func Scale(o Options) *Table {
+	res, err := scale.Run(scale.Options{
+		Flows:  o.ScaleFlows,
+		Shards: o.Workers,
 		Seed:   1,
-	}
-	res, err := scale.Run(o)
+	})
 	if err != nil {
 		return &Table{
 			Title:  "Scale harness: error",

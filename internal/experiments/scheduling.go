@@ -19,18 +19,6 @@ import (
 	"tango/internal/update"
 )
 
-// SchedWorkers is the worker-pool size the scheduling experiments pass to
-// sched.RunOptions.Workers: 0 (the default) lets the runner use GOMAXPROCS,
-// 1 forces the serial path. Results are identical either way — the runner
-// aggregates deterministically — so this only trades wall-clock time.
-// cmd/tangobench exposes it as -sched-workers.
-var SchedWorkers int
-
-// schedRunOptions returns the experiments' standard run options.
-func schedRunOptions() sched.RunOptions {
-	return sched.RunOptions{Workers: SchedWorkers}
-}
-
 // Table2 reproduces Table 2: per ClassBench file, the flow count and the
 // sizes of the two priority assignments, plus how many flows install.
 func Table2() *Table {
@@ -361,7 +349,7 @@ func Figure10() *Table {
 		run := func(s sched.Scheduler) time.Duration {
 			g, preload := sc.build(1)
 			ex := ExecutorFor(profiles, preload, 5)
-			res, err := sched.Run(g, s, ex, schedRunOptions())
+			res, err := sched.Run(g, s, ex, sched.RunOptions{})
 			if err != nil {
 				panic(err)
 			}
@@ -404,7 +392,7 @@ func Figure11() *Table {
 		}
 		run := func(s sched.Scheduler, g *sched.Graph, preload map[string]PreloadSpec) time.Duration {
 			ex := ExecutorFor(profiles, preload, 5)
-			res, err := sched.Run(g, s, ex, schedRunOptions())
+			res, err := sched.Run(g, s, ex, sched.RunOptions{})
 			if err != nil {
 				panic(err)
 			}
@@ -547,7 +535,7 @@ func Figure12(flows int) *Table {
 			panic(err)
 		}
 		ex := ExecutorFor(profiles, nil, 9)
-		res, err := sched.Run(gCopy, s, ex, schedRunOptions())
+		res, err := sched.Run(gCopy, s, ex, sched.RunOptions{})
 		if err != nil {
 			panic(err)
 		}

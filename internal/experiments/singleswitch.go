@@ -10,6 +10,7 @@ import (
 	"tango/internal/core/probe"
 	"tango/internal/flowtable"
 	"tango/internal/openflow"
+	"tango/internal/parallel"
 	"tango/internal/switchsim"
 )
 
@@ -18,7 +19,7 @@ import (
 // versus combined L2+L3 matches. Switch #1's TCAM mode is user
 // configurable, so its narrow column uses single-wide mode and its wide
 // column double-wide mode, as in the paper.
-func Table1() *Table {
+func Table1(o Options) *Table {
 	t := &Table{
 		Title:  "Table 1: diversity of tables and table sizes",
 		Header: []string{"switch", "software tables", "TCAM L2/L3", "TCAM L2+L3"},
@@ -35,7 +36,7 @@ func Table1() *Table {
 	}
 	const budget = 6000
 	out := make([][]string, len(rows))
-	runCells(len(rows), func(i int) {
+	parallel.ForEach(len(rows), o.Workers, func(i int) {
 		r := rows[i]
 		nTCAM := tcamResidency(r.narrow, false, budget)
 		wTCAM := tcamResidency(r.wide, true, budget)

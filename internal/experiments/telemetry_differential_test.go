@@ -26,7 +26,7 @@ func TestTelemetryDifferential(t *testing.T) {
 
 	type table struct {
 		name string
-		run  func() *Table
+		run  func(Options) *Table
 		// wantProbes: the run drives probe engines, so the instrumented pass
 		// must show probe counters and flight tracks. Table1 installs rules
 		// directly on the switches, so only the emulator counters move.
@@ -43,14 +43,14 @@ func TestTelemetryDifferential(t *testing.T) {
 		t.Run(tb.name, func(t *testing.T) {
 			telemetry.SetDefault(nil, nil)
 			telemetry.SetDefaultFlight(nil)
-			bare := tb.run().String()
+			bare := tb.run(Options{}).String()
 
 			reg := telemetry.NewRegistry()
 			tr := telemetry.NewTracer(nil)
 			fr := telemetry.NewFlightRecorder(0)
 			telemetry.SetDefault(reg, tr)
 			telemetry.SetDefaultFlight(fr)
-			instrumented := tb.run().String()
+			instrumented := tb.run(Options{}).String()
 
 			if bare != instrumented {
 				t.Errorf("%s diverges with telemetry installed:\nbare:\n%s\ninstrumented:\n%s",

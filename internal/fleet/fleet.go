@@ -8,15 +8,15 @@
 // # Architecture
 //
 // Per-switch state (the probing engine, last inference, probe budget, RTT
-// samples) lives in one member struct owned by exactly one shard worker:
-// members are statically partitioned over a fixed worker pool by index
-// stride, so the hot path takes no global lock — workers touch disjoint
-// members, and cross-member aggregation happens only in the fold, on the
-// caller's goroutine, in member order. Measurement probes stay strictly
-// serial per switch (the invariant RTT clustering depends on: a queued
-// probe would fold queueing delay into the measured RTT), while installs
-// ride the pipelined async flow-mod channel; concurrency comes from
-// multiplexing many switches' serial schedules across the pool.
+// samples) lives in one member struct, and within a round exactly one
+// worker — whichever claimed the member from parallel.ForEach — touches it,
+// so the hot path takes no global lock, and cross-member aggregation happens
+// only in the fold, on the caller's goroutine, in member order. Measurement
+// probes stay strictly serial per switch (the invariant RTT clustering
+// depends on: a queued probe would fold queueing delay into the measured
+// RTT), while installs ride the pipelined async flow-mod channel;
+// concurrency comes from multiplexing many switches' serial schedules
+// across the workers.
 //
 // # Pacing
 //
@@ -47,6 +47,7 @@ import (
 	"tango/internal/core/pattern"
 	"tango/internal/core/probe"
 	"tango/internal/ofconn"
+	"tango/internal/parallel"
 	"tango/internal/simclock"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
@@ -328,29 +329,14 @@ func (r *runner) initMember(m *member) {
 	r.members = append(r.members, m)
 }
 
-// round executes one inference round for every member, shard-parallel when
-// Workers > 1. Members are strided over workers by index, so assignment —
-// and, per the determinism contract, everything else about the results — is
-// independent of scheduling.
+// round executes one inference round for every member on Workers
+// goroutines. A member's results depend only on its index, the round and
+// the seed, so which worker runs it is immaterial (the determinism
+// contract).
 func (r *runner) round(n int) {
-	if r.o.Workers <= 1 {
-		for _, m := range r.members {
-			r.runMember(m, n)
-		}
-		return
-	}
-	done := make(chan struct{}, r.o.Workers)
-	for k := 0; k < r.o.Workers; k++ {
-		go func(k int) {
-			for i := k; i < len(r.members); i += r.o.Workers {
-				r.runMember(r.members[i], n)
-			}
-			done <- struct{}{}
-		}(k)
-	}
-	for k := 0; k < r.o.Workers; k++ {
-		<-done
-	}
+	parallel.ForEach(len(r.members), r.o.Workers, func(i int) {
+		r.runMember(r.members[i], n)
+	})
 }
 
 // runMember is one member's round: budget admission, inference, cost

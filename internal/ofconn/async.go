@@ -1,13 +1,13 @@
 package ofconn
 
-// async.go is the controller's pipelined send path. The synchronous FlowMod
-// pays one conn.Write syscall for the op, another for its barrier, and a
-// full round trip before the next op may start; bulk installs (the doubling
-// phase of size probing, probe-rule teardown) serialize thousands of those.
-// The pipelined path instead queues encoded frames to a single writer
-// goroutine that coalesces every immediately available frame into one
-// conn.Write, and lets a bounded window of ops share one trailing barrier:
-// n ops cost a handful of syscalls and one round trip instead of 2n and n.
+// async.go is the controller's flow-mod send path — the only one: FlowMod
+// is FlowModAsync plus Wait, FlowMods is FlowModBatch plus the first
+// rejection, and no flow-mod byte reaches the connection except from the
+// writer goroutine below. Encoded frames queue to that single writer, which
+// coalesces every immediately available frame into one conn.Write, and a
+// bounded window of ops shares one trailing barrier: n pipelined ops cost a
+// handful of syscalls and one round trip, where confirming each on its own
+// (window 1, or FlowMod in a loop) costs up to 2n and n.
 
 import (
 	"sync"
@@ -105,11 +105,11 @@ func (cp *Completion) Err() (err error, ok bool) {
 // before return, so the caller may immediately reuse or mutate it. The op
 // is confirmed only when a trailing barrier covers it: Completion.Wait (or
 // Flush) reports the outcome, mapping table-full rejections to
-// switchsim.ErrTableFull exactly like the synchronous path. At most
-// ControllerOptions.AsyncWindow ops may be outstanding; issuing past the window first
-// flushes it, and a flush-level (channel) failure surfaces here with
-// nothing left pending. Per-op rejections inside that forced flush do not
-// surface here — they belong to their own completions.
+// switchsim.ErrTableFull. At most ControllerOptions.AsyncWindow ops may be
+// outstanding; issuing past the window first flushes it, and a flush-level
+// (channel) failure surfaces here with nothing left pending. Per-op
+// rejections inside that forced flush do not surface here — they belong to
+// their own completions.
 func (c *Controller) FlowModAsync(fm *openflow.FlowMod) (*Completion, error) {
 	spans := c.tel.spansEnabled()
 	var submit time.Time
@@ -166,9 +166,9 @@ func (c *Controller) Flush() error {
 // resolves every snapshotted completion — on a failed flush, all of them
 // with the failure, so no Wait can hang. err is the flush-level failure
 // only; per-op rejections are reported via reject and the completions.
-// Splitting the two keeps internal flushes (window pressure, the sync-path
-// fence) from misattributing an earlier op's table-full to the current
-// operation.
+// Splitting the two keeps internal flushes (window pressure, the
+// request/reply fence) from misattributing an earlier op's table-full to
+// the current operation.
 func (c *Controller) flushWindow() (reject, err error) {
 	a := &c.async
 	a.mu.Lock()
@@ -194,8 +194,7 @@ func (c *Controller) flushWindow() (reject, err error) {
 		opErr := ferr
 		if ferr == nil {
 			// The agent writes an op's error reply before the barrier reply,
-			// so after the barrier a non-blocking read is race free — same
-			// guarantee the synchronous FlowMod relies on.
+			// so after the barrier a non-blocking read is race free.
 			select {
 			case msg := <-cp.ch:
 				if oe, ok := msg.(*openflow.Error); ok {
@@ -307,13 +306,13 @@ func (c *Controller) FlowModBatch(fms []*openflow.FlowMod) ([]error, error) {
 	return errs, cerr
 }
 
-// fence serialises the synchronous send paths behind the pipelined one: any
-// open window is flushed — completions resolved, barrier done — before a
-// direct write may touch the connection, so a sync op's barrier can never
-// overtake a queued flow-mod. With no window open it costs one mutex probe
-// and performs no writes, keeping pure-sync controllers byte-for-byte
-// identical to the pre-pipelining behaviour. Per-op rejections stay with
-// their completions and do not leak into the fencing op's result.
+// fence serialises the directly written request/reply exchanges (roundTrip)
+// behind the pipelined flow-mods: any open window is flushed — completions
+// resolved, barrier done — before a direct write may touch the connection,
+// so a probe or stats request can never overtake a queued flow-mod. With no
+// window open it costs one mutex probe and performs no writes. Per-op
+// rejections stay with their completions and do not leak into the fencing
+// op's result.
 func (c *Controller) fence() error {
 	c.async.mu.Lock()
 	empty := len(c.async.window) == 0

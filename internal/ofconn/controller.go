@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tango/internal/openflow"
-	"tango/internal/switchsim"
 	"tango/internal/telemetry"
 )
 
@@ -290,18 +289,47 @@ func (c *Controller) await(xid uint32, ch chan openflow.Message) (openflow.Messa
 	}
 }
 
+// request is a message the controller assigns the transaction ID of.
+type request interface {
+	openflow.Message
+	SetXID(uint32)
+}
+
+// roundTrip is the one request/reply exchange every non-flow-mod operation
+// goes through: register an xid, write req, await the reply to it. rtt runs
+// from just before the write to the reply's arrival. The request is written
+// directly, not through the writer goroutine — a probe's RTT must not
+// include a queue hand-off — so any open pipelined window is fenced first,
+// which costs nothing when none is open. A failed write releases the xid; a
+// failed await already has (timeout) or found the table emptied (close).
+func (c *Controller) roundTrip(req request) (reply openflow.Message, rtt time.Duration, _ error) {
+	if err := c.fence(); err != nil {
+		return nil, 0, err
+	}
+	xid, ch, err := c.register()
+	if err != nil {
+		return nil, 0, err
+	}
+	req.SetXID(xid)
+	start := time.Now()
+	if err := c.send(req); err != nil {
+		// A leaked entry stays in pending forever and misroutes a late
+		// reply that happens to reuse the XID after wraparound.
+		c.unregister(xid)
+		return nil, 0, err
+	}
+	reply, err = c.await(xid, ch)
+	if err != nil {
+		return nil, 0, err
+	}
+	return reply, time.Since(start), nil
+}
+
 func (c *Controller) handshake() error {
 	if err := c.send(&openflow.Hello{}); err != nil {
 		return err
 	}
-	xid, ch, err := c.register()
-	if err != nil {
-		return err
-	}
-	if err := c.send(&openflow.FeaturesRequest{Header: openflow.Header{Xid: xid}}); err != nil {
-		return err
-	}
-	msg, err := c.await(xid, ch)
+	msg, _, err := c.roundTrip(&openflow.FeaturesRequest{})
 	if err != nil {
 		return err
 	}
@@ -324,155 +352,50 @@ func (c *Controller) TelemetryLabel() string {
 	return fmt.Sprintf("dpid-%#x", c.features.DatapathID)
 }
 
-// FlowMod sends the flow-mod followed by a barrier and waits for the
-// barrier reply, so the operation is confirmed complete. A switch-side
-// rejection surfaces as the *openflow.Error. The flow-mod's XID is
-// assigned by the controller.
+// FlowMod issues the flow-mod on the pipelined path and waits for the
+// barrier that covers it, so the operation is confirmed complete. A
+// switch-side rejection surfaces as the *openflow.Error (table-full as
+// switchsim.ErrTableFull). Ops still unflushed from earlier FlowModAsync
+// calls ride the same barrier; their rejections stay with their own
+// completions. The flow-mod's XID is assigned by the controller.
 func (c *Controller) FlowMod(fm *openflow.FlowMod) error {
-	if err := c.fence(); err != nil {
-		return err
-	}
-	fmXID, errCh, err := c.register()
+	cp, err := c.FlowModAsync(fm)
 	if err != nil {
 		return err
 	}
-	fm.SetXID(fmXID)
-	barXID, barCh, err := c.register()
-	if err != nil {
-		c.unregister(fmXID)
-		return err
-	}
-	if err := c.send(fm); err != nil {
-		// Both XIDs must be released on every error path: a leaked entry
-		// stays in pending forever and misroutes a late reply that happens
-		// to reuse the XID after wraparound.
-		c.unregister(fmXID)
-		c.unregister(barXID)
-		return err
-	}
-	if err := c.send(&openflow.BarrierRequest{Header: openflow.Header{Xid: barXID}}); err != nil {
-		c.unregister(fmXID)
-		c.unregister(barXID)
-		return err
-	}
-	if _, err := c.await(barXID, barCh); err != nil {
-		// await already unregistered barXID on timeout; unregistering again
-		// is a harmless idempotent delete, and covers the other error paths.
-		c.unregister(fmXID)
-		c.unregister(barXID)
-		return err
-	}
-	// The agent loop writes any error before the barrier reply, so a
-	// non-blocking check is race free.
-	c.unregister(fmXID)
-	select {
-	case msg := <-errCh:
-		if oe, ok := msg.(*openflow.Error); ok {
-			if oe.IsTableFull() {
-				return switchsim.ErrTableFull
-			}
-			return oe
-		}
-		return nil
-	default:
-		return nil
-	}
+	return cp.Wait()
 }
 
-// FlowMods sends a batch of flow-mods followed by a single barrier — the
-// batching shape real controllers (and the Tango scheduler) use, paying one
-// round trip per batch instead of per op. It returns the first switch-side
-// rejection, if any; later ops in the batch still execute (OpenFlow has no
-// transactional abort).
+// FlowMods sends a batch of flow-mods behind one trailing barrier per
+// window — the batching shape real controllers (and the Tango scheduler)
+// use, paying one round trip per window instead of per op. It returns the
+// channel failure if there was one, otherwise the first switch-side
+// rejection; later ops in the batch still execute (OpenFlow has no
+// transactional abort). An empty batch is a bare barrier.
 func (c *Controller) FlowMods(fms []*openflow.FlowMod) error {
-	if err := c.fence(); err != nil {
-		return err
-	}
-	// unwind releases every XID registered so far; called on each error
-	// path so no pending entry outlives the batch.
-	registered := 0
-	unwind := func() {
-		for _, fm := range fms[:registered] {
-			c.unregister(fm.XID())
-		}
-	}
-	errChs := make([]chan openflow.Message, len(fms))
-	for i, fm := range fms {
-		xid, ch, err := c.register()
-		if err != nil {
-			unwind()
-			return err
-		}
-		fm.SetXID(xid)
-		errChs[i] = ch
-		registered++
-		if err := c.send(fm); err != nil {
-			unwind()
-			return err
-		}
-	}
-	barXID, barCh, err := c.register()
+	errs, err := c.FlowModBatch(fms)
 	if err != nil {
-		unwind()
 		return err
 	}
-	if err := c.send(&openflow.BarrierRequest{Header: openflow.Header{Xid: barXID}}); err != nil {
-		unwind()
-		c.unregister(barXID)
-		return err
+	if len(fms) == 0 {
+		return c.barrierAsync()
 	}
-	if _, err := c.await(barXID, barCh); err != nil {
-		unwind()
-		c.unregister(barXID)
-		return err
-	}
-	var first error
-	for i, ch := range errChs {
-		c.unregister(fms[i].XID())
-		select {
-		case msg := <-ch:
-			if oe, ok := msg.(*openflow.Error); ok && first == nil {
-				if oe.IsTableFull() {
-					first = switchsim.ErrTableFull
-				} else {
-					first = oe
-				}
-			}
-		default:
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }
 
 // SendProbe injects a probe frame via PACKET_OUT and measures the wall-time
 // until the reflected PACKET_IN returns. punted reports whether the switch
 // punted the frame (NO_MATCH) rather than forwarding it.
 func (c *Controller) SendProbe(data []byte, inPort uint16) (rtt time.Duration, punted bool, err error) {
-	// Probes measure RTT from the send; an unflushed window would let the
-	// writer's bytes land in front of ours, so fence first. The fence is
-	// free when nothing is pipelined.
-	if err := c.fence(); err != nil {
-		return 0, false, err
-	}
-	xid, ch, err := c.register()
+	msg, rtt, err := c.roundTrip(&openflow.PacketOut{BufferID: 0xffffffff, InPort: inPort, Data: data})
 	if err != nil {
 		return 0, false, err
 	}
-	out := &openflow.PacketOut{
-		Header:   openflow.Header{Xid: xid},
-		BufferID: 0xffffffff,
-		InPort:   inPort,
-		Data:     data,
-	}
-	start := time.Now()
-	if err := c.send(out); err != nil {
-		return 0, false, err
-	}
-	msg, err := c.await(xid, ch)
-	if err != nil {
-		return 0, false, err
-	}
-	rtt = time.Since(start)
 	pin, ok := msg.(*openflow.PacketIn)
 	if !ok {
 		return 0, false, fmt.Errorf("ofconn: probe got %v, want PACKET_IN", msg.Type())
@@ -482,72 +405,41 @@ func (c *Controller) SendProbe(data []byte, inPort uint16) (rtt time.Duration, p
 
 // Echo measures a control-channel round trip.
 func (c *Controller) Echo() (time.Duration, error) {
-	if err := c.fence(); err != nil {
-		return 0, err
-	}
-	xid, ch, err := c.register()
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	if err := c.send(&openflow.EchoRequest{Header: openflow.Header{Xid: xid}, Data: []byte("tango")}); err != nil {
-		return 0, err
-	}
-	if _, err := c.await(xid, ch); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
+	_, rtt, err := c.roundTrip(&openflow.EchoRequest{Data: []byte("tango")})
+	return rtt, err
 }
 
-// TableStats fetches the switch's table statistics.
-func (c *Controller) TableStats() ([]openflow.TableStats, error) {
-	if err := c.fence(); err != nil {
-		return nil, err
-	}
-	xid, ch, err := c.register()
-	if err != nil {
-		return nil, err
-	}
-	req := &openflow.StatsRequest{Header: openflow.Header{Xid: xid}, StatsType: openflow.StatsTypeTable}
-	if err := c.send(req); err != nil {
-		return nil, err
-	}
-	msg, err := c.await(xid, ch)
+// stats runs one stats request and narrows the reply.
+func (c *Controller) stats(req *openflow.StatsRequest) (*openflow.StatsReply, error) {
+	msg, _, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
 	sr, ok := msg.(*openflow.StatsReply)
 	if !ok {
 		return nil, fmt.Errorf("ofconn: got %v, want STATS_REPLY", msg.Type())
+	}
+	return sr, nil
+}
+
+// TableStats fetches the switch's table statistics.
+func (c *Controller) TableStats() ([]openflow.TableStats, error) {
+	sr, err := c.stats(&openflow.StatsRequest{StatsType: openflow.StatsTypeTable})
+	if err != nil {
+		return nil, err
 	}
 	return sr.Tables, nil
 }
 
 // FlowStats fetches flow statistics for all rules.
 func (c *Controller) FlowStats() ([]openflow.FlowStats, error) {
-	if err := c.fence(); err != nil {
-		return nil, err
-	}
-	xid, ch, err := c.register()
-	if err != nil {
-		return nil, err
-	}
-	req := &openflow.StatsRequest{
-		Header:      openflow.Header{Xid: xid},
+	sr, err := c.stats(&openflow.StatsRequest{
 		StatsType:   openflow.StatsTypeFlow,
 		FlowTableID: 0xff,
 		FlowOutPort: openflow.PortNone,
-	}
-	if err := c.send(req); err != nil {
-		return nil, err
-	}
-	msg, err := c.await(xid, ch)
+	})
 	if err != nil {
 		return nil, err
-	}
-	sr, ok := msg.(*openflow.StatsReply)
-	if !ok {
-		return nil, fmt.Errorf("ofconn: got %v, want STATS_REPLY", msg.Type())
 	}
 	return sr.Flows, nil
 }

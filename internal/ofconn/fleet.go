@@ -3,13 +3,13 @@ package ofconn
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
 	"tango/internal/core/infer"
 	"tango/internal/core/pattern"
 	"tango/internal/core/probe"
+	"tango/internal/parallel"
 )
 
 // Fleet manages a controller's OpenFlow connections to a set of switches
@@ -130,43 +130,24 @@ func (f *Fleet) ProbeAllN(db *pattern.DB, opts infer.CostOptions, workers int) e
 	}
 	f.mu.Unlock()
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
 	// One slot per member: workers write disjoint indexes, and the join
 	// below reads them in sorted member order, so the aggregate error is
 	// identical at any worker count.
 	errs := make([]error, len(names))
-	next := make(chan int, len(names))
-	for i := range names {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				c := ctrls[i]
-				if c == nil {
-					continue
-				}
-				e := probe.NewEngine(c)
-				e.SetLabel(names[i])
-				card, err := infer.MeasureCosts(e, names[i], opts)
-				if err != nil {
-					errs[i] = fmt.Errorf("ofconn: probing %s: %w", names[i], err)
-					continue
-				}
-				db.PutScore(card)
-			}
-		}()
-	}
-	wg.Wait()
+	parallel.ForEach(len(names), workers, func(i int) {
+		c := ctrls[i]
+		if c == nil {
+			return
+		}
+		e := probe.NewEngine(c)
+		e.SetLabel(names[i])
+		card, err := infer.MeasureCosts(e, names[i], opts)
+		if err != nil {
+			errs[i] = fmt.Errorf("ofconn: probing %s: %w", names[i], err)
+			return
+		}
+		db.PutScore(card)
+	})
 	var all []error
 	for _, err := range errs {
 		if err != nil {

@@ -74,53 +74,59 @@ func probeAdd(id uint32) *openflow.FlowMod {
 	}
 }
 
-// TestFlowModSendFailureReleasesXIDs pins the regression: a failed send must
-// unregister both the flow-mod and barrier XIDs, on every error path. A
-// leaked entry would sit in pending forever and misroute a late reply that
-// reuses the XID.
+// TestFlowModSendFailureReleasesXIDs pins the regression on the one send
+// path: when the writer's conn.Write fails, FlowMod and FlowMods report it
+// and release every XID they registered — each flow-mod's and the barrier's.
+// A leaked entry would sit in pending forever and misroute a late reply that
+// reuses the XID. (The parent's barrier-write-only and mid-batch cases are
+// gone with the per-message writes they sequenced: the writer coalesces a
+// batch into one write, and a flow-mod on the wire with only its barrier's
+// write failing is TestFlowModAsyncBarrierFailure, which sequences the two
+// writes through the asyncWrites counter.)
 func TestFlowModSendFailureReleasesXIDs(t *testing.T) {
-	c, fc := dialFlaky(t)
-
-	// Fail the flow-mod write itself.
-	fc.arm(0)
-	if err := c.FlowMod(probeAdd(1)); err == nil {
-		t.Fatal("FlowMod with failing send: want error")
-	}
-	if n := c.pendingLen(); n != 0 {
-		t.Fatalf("flow-mod send failure leaked %d pending XIDs", n)
-	}
-
-	// Let the flow-mod through and fail the barrier write.
-	fc.arm(1)
-	if err := c.FlowMod(probeAdd(2)); err == nil {
-		t.Fatal("FlowMod with failing barrier send: want error")
-	}
-	if n := c.pendingLen(); n != 0 {
-		t.Fatalf("barrier send failure leaked %d pending XIDs", n)
+	for _, tc := range []struct {
+		name string
+		call func(c *Controller) error
+	}{
+		{"FlowMod", func(c *Controller) error { return c.FlowMod(probeAdd(1)) }},
+		{"FlowMods", func(c *Controller) error {
+			return c.FlowMods([]*openflow.FlowMod{probeAdd(1), probeAdd(2), probeAdd(3)})
+		}},
+		{"FlowMods(nil)", func(c *Controller) error { return c.FlowMods(nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, fc := dialFlaky(t)
+			fc.arm(0)
+			if err := tc.call(c); err == nil {
+				t.Fatal("want the write failure")
+			}
+			if n := c.pendingLen(); n != 0 {
+				t.Fatalf("send failure leaked %d pending XIDs", n)
+			}
+		})
 	}
 }
 
-// TestFlowModsSendFailureReleasesXIDs covers the batch path: a write failing
-// mid-batch (or at the barrier) must unwind every XID registered so far.
-func TestFlowModsSendFailureReleasesXIDs(t *testing.T) {
+// TestRequestSendFailureReleasesXIDs covers the request/reply exchanges,
+// which write directly: a failed write must release the request's XID. One
+// controller serves all four — a direct write failure poisons nothing.
+func TestRequestSendFailureReleasesXIDs(t *testing.T) {
 	c, fc := dialFlaky(t)
-	batch := []*openflow.FlowMod{probeAdd(1), probeAdd(2), probeAdd(3)}
-
-	// Fail on the third flow-mod write: two XIDs already registered.
-	fc.arm(2)
-	if err := c.FlowMods(batch); err == nil {
-		t.Fatal("FlowMods with failing send: want error")
-	}
-	if n := c.pendingLen(); n != 0 {
-		t.Fatalf("mid-batch send failure leaked %d pending XIDs", n)
-	}
-
-	// Let all flow-mods through and fail the barrier write.
-	fc.arm(3)
-	if err := c.FlowMods(batch); err == nil {
-		t.Fatal("FlowMods with failing barrier send: want error")
-	}
-	if n := c.pendingLen(); n != 0 {
-		t.Fatalf("batch barrier send failure leaked %d pending XIDs", n)
+	fc.arm(0)
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"SendProbe", func() error { _, _, err := c.SendProbe([]byte{0}, 1); return err }},
+		{"Echo", func() error { _, err := c.Echo(); return err }},
+		{"TableStats", func() error { _, err := c.TableStats(); return err }},
+		{"FlowStats", func() error { _, err := c.FlowStats(); return err }},
+	} {
+		if err := tc.call(); err == nil {
+			t.Fatalf("%s with failing send: want error", tc.name)
+		}
+		if n := c.pendingLen(); n != 0 {
+			t.Fatalf("%s send failure leaked %d pending XIDs", tc.name, n)
+		}
 	}
 }

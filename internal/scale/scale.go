@@ -8,7 +8,7 @@
 // test enforces): within an epoch, every event a shard processes is a
 // function of per-site state only — the site's switch, clock, RNG, churn
 // driver, and flight track. Cross-site interaction happens exclusively on
-// the harness goroutine between phases, after a WaitGroup barrier, when
+// the harness goroutine between phases, once parallel.ForEach has returned, when
 // simclock.Group.Align advances every shard-local clock to the fleet
 // frontier. Control-plane interactions (FlowMod storms from TE diffs and
 // link failures, probe measurements, inference rounds) therefore rendezvous
@@ -19,7 +19,6 @@ package scale
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"tango/internal/conformance"
@@ -28,6 +27,7 @@ import (
 	"tango/internal/flowtable"
 	"tango/internal/openflow"
 	"tango/internal/packet"
+	"tango/internal/parallel"
 	"tango/internal/simclock"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
@@ -425,28 +425,12 @@ func (h *harness) buildIngress() {
 	}
 }
 
-// runPhase executes fn once per site — shard-parallel when Shards > 1 —
-// then measures clock spread and aligns every site clock to the frontier.
-// The WaitGroup barrier parks all shards before the harness touches any
-// site state or clock.
+// runPhase executes fn once per site on Shards goroutines, then measures
+// clock spread and aligns every site clock to the frontier. ForEach returns
+// only once every shard has parked, so the harness never touches site state
+// or a clock while a shard is running.
 func (h *harness) runPhase(fn func(*site)) {
-	if h.o.Shards <= 1 {
-		for _, st := range h.sites {
-			fn(st)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for k := 0; k < h.o.Shards; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				for i := k; i < len(h.sites); i += h.o.Shards {
-					fn(h.sites[i])
-				}
-			}(k)
-		}
-		wg.Wait()
-	}
+	parallel.ForEach(len(h.sites), h.o.Shards, func(i int) { fn(h.sites[i]) })
 	if lag := h.group.Lag(); lag > h.res.MaxShardLag {
 		h.res.MaxShardLag = lag
 	}
