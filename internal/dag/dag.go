@@ -22,9 +22,8 @@ type NodeID int
 // Alongside the adjacency lists the graph maintains an incremental Kahn
 // frontier: a live-indegree counter per node and the set of live nodes whose
 // counter is zero. Remove and RemoveBatch update both in O(out-degree), so
-// the scheduler's round loop never rescans the whole graph; IndependentSet
-// recomputes the same set from scratch and is kept as the differential-test
-// reference.
+// the scheduler's round loop never rescans the whole graph. (The from-scratch
+// scan lives in frontier_test.go as the differential test's reference.)
 type Graph[T any] struct {
 	payload []T
 	succ    [][]NodeID
@@ -214,9 +213,9 @@ func (g *Graph[T]) RemoveBatch(ids []NodeID) ([]NodeID, error) {
 }
 
 // Frontier returns the live nodes with no live predecessors in ascending ID
-// order — the same set IndependentSet computes by scanning, maintained
-// incrementally. The returned slice is owned by the graph and valid until
-// the next mutation.
+// order: the requests the scheduler may issue now, maintained incrementally.
+// The returned slice is owned by the graph and valid until the next
+// mutation.
 func (g *Graph[T]) Frontier() []NodeID {
 	if !g.frontierClean {
 		g.compactFrontier()
@@ -285,21 +284,6 @@ func (g *Graph[T]) Predecessors(id NodeID) []NodeID {
 	for _, p := range g.pred[id] {
 		if !g.removed[p] {
 			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// IndependentSet returns all live nodes with no live predecessors, in
-// ascending ID order. These are the requests the scheduler may issue now.
-func (g *Graph[T]) IndependentSet() []NodeID {
-	var out []NodeID
-	for i := range g.payload {
-		if g.removed[i] {
-			continue
-		}
-		if len(g.Predecessors(NodeID(i))) == 0 {
-			out = append(out, NodeID(i))
 		}
 	}
 	return out

@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// IndependentSet recomputes the frontier from scratch: all live nodes with
+// no live predecessors, in ascending ID order. It is the reference the
+// incremental Frontier is checked against.
+func (g *Graph[T]) IndependentSet() []NodeID {
+	var out []NodeID
+	for i := range g.payload {
+		if g.removed[i] {
+			continue
+		}
+		if len(g.Predecessors(NodeID(i))) == 0 {
+			out = append(out, NodeID(i))
+		}
+	}
+	return out
+}
+
 // sameIDs reports whether a and b are identical sequences.
 func sameIDs(a, b []NodeID) bool {
 	if len(a) != len(b) {

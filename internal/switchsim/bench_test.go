@@ -133,44 +133,49 @@ func TestClassifyExactAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkDemoteChurn drives an LRU demote storm: with 192 flows rotating
-// through a 64-slot TCAM, every packet touches the globally least-recent
-// flow, which the policy then promotes — demoting the TCAM's LRU resident.
-// Each iteration is a full promote+demote pair: four heap membership moves
-// plus two table moves, the churn pattern whose GC write barriers dominated
-// the old pointer-heap profiles.
-func BenchmarkDemoteChurn(b *testing.B) {
-	p := TestSwitch(64, PolicyLRU)
-	p.SoftwareCapacity = 256
+// churnFrame is one flow's decoded probe frame and its encoded length.
+type churnFrame struct {
+	f    packet.Frame
+	size int
+}
+
+// churnSwitch installs flows rules on a tcam-slot policy-cache switch and
+// sends one warm rotation, which brings every slice to steady-state
+// capacity.
+func churnSwitch(tb testing.TB, policy Policy, tcam, flows int) (*Switch, []churnFrame) {
+	tb.Helper()
+	p := TestSwitch(tcam, policy)
+	p.SoftwareCapacity = flows + tcam
 	s := New(p)
-	const flows = 192
-	type churnFrame struct {
-		f    packet.Frame
-		size int
-	}
 	frames := make([]churnFrame, flows)
-	for id := uint32(0); id < flows; id++ {
+	for id := range frames {
 		if err := s.FlowMod(&openflow.FlowMod{
-			Command: openflow.FlowAdd, Match: flowtable.ExactProbeMatch(id),
+			Command: openflow.FlowAdd, Match: flowtable.ExactProbeMatch(uint32(id)),
 			Priority: 100, Actions: flowtable.Output(1),
 		}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		raw, err := packet.BuildProbe(packet.ProbeSpec{FlowID: id})
+		raw, err := packet.BuildProbe(packet.ProbeSpec{FlowID: uint32(id)})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := packet.DecodeInto(&frames[id].f, raw); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		frames[id].size = len(raw)
 	}
-	// One warm rotation brings every slice to steady-state capacity.
 	for i := range frames {
 		if _, err := s.SendFrameN(&frames[i].f, 1, frames[i].size, 1); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return s, frames
+}
+
+// benchDemoteChurn rotates 192 flows through a 64-slot TCAM.
+func benchDemoteChurn(b *testing.B, policy Policy) {
+	const flows = 192
+	s, frames := churnSwitch(b, policy, 64, flows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -178,6 +183,72 @@ func BenchmarkDemoteChurn(b *testing.B) {
 		if _, err := s.SendFrameN(&cf.f, 1, cf.size, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDemoteChurn drives an LRU demote storm: with 192 flows rotating
+// through a 64-slot TCAM, every packet touches the globally least-recent
+// flow, which the policy then promotes — demoting the TCAM's LRU resident.
+// Each iteration is a full promote+demote pair: four heap membership moves
+// plus two table moves, the churn pattern whose GC write barriers dominated
+// the old pointer-heap profiles.
+func BenchmarkDemoteChurn(b *testing.B) { benchDemoteChurn(b, PolicyLRU) }
+
+// BenchmarkDemoteChurnCustom sends the same rotation through the two custom
+// policies, whose victims come from the group-representative heaps
+// (dest-aggregate) and the epoch-reheapified heaps (FDRC, here rolling every
+// 4,096 packets).
+func BenchmarkDemoteChurnCustom(b *testing.B) {
+	b.Run("destagg", func(b *testing.B) { benchDemoteChurn(b, PolicyDestAggregate()) })
+	b.Run("fdrc", func(b *testing.B) { benchDemoteChurn(b, PolicyFDRC(0)) })
+}
+
+// TestCustomPolicyAllocFree gates the custom policies' data path at zero
+// allocations per packet on a warmed 256-entry switch: TCAM hits, software
+// hits that promote and so demote a victim, and — FDRC's window is 64
+// packets here — epoch rolls that rebuild both heaps.
+func TestCustomPolicyAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+	}{
+		{"destagg", PolicyDestAggregate()},
+		{"fdrc", PolicyFDRC(64)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const flows = 1024
+			s, frames := churnSwitch(t, tc.policy, 256, flows)
+			// A skewed walk: three packets in four go to the first 128 flows,
+			// which therefore hold TCAM slots; the rest sweeps all flows, and
+			// what it finds in software out-scores some resident soon enough.
+			next := 0
+			send := func() {
+				for i := 0; i < 256; i++ {
+					id := next % 128
+					if next%4 == 3 {
+						id = (next / 4 * 7) % flows
+					}
+					next++
+					cf := &frames[id]
+					if _, err := s.SendFrameN(&cf.f, 1, cf.size, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 64; i++ {
+				send()
+			}
+			before := s.Stats()
+			avg := testing.AllocsPerRun(200, send)
+			after := s.Stats()
+			if avg != 0 {
+				t.Errorf("%v allocations per 256 packets, want 0", avg)
+			}
+			if after.FastHits == before.FastHits || after.SlowHits == before.SlowHits ||
+				after.Promotions == before.Promotions || after.Evictions == before.Evictions {
+				t.Errorf("walk missed a path: before %+v, after %+v", before, after)
+			}
+		})
 	}
 }
 

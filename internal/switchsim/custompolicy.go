@@ -19,25 +19,48 @@ import "tango/internal/flowtable"
 //
 // Both need per-switch mutable scoring state, which Policy.Better — a pure
 // function of two entries — cannot carry. A CustomPolicy therefore supplies
-// a state constructor; the switch instantiates the state in initIndexes and
-// routes every comparison, touch, and removal through it. Group-aggregate
-// and epoch scores shift for many entries at once on a single touch, which
-// would invalidate per-entry heap fixups, so custom policies deliberately
-// run without the eviction/promotion indexes and use the retained naive
-// scans instead.
+// a state constructor; the switch instantiates the state in initIndexes,
+// orders its eviction and promotion heaps (evictindex.go) by the state's
+// comparator, and routes every touch and removal through the state, which
+// repairs the heaps in the same step. A touch here moves more than the
+// touched entry's key, so each state keeps the heaps in a form where that
+// still costs O(log n):
+//
+//   - dest-aggregate scores per group, so it indexes groups, not entries:
+//     the eviction heap holds one representative per group with TCAM
+//     members — its newest one, which is the member the policy would evict
+//     first — and the promotion heap each group's oldest TCAM-eligible
+//     software member. A touch, a removal or a tier move changes one
+//     group's key and re-sifts one representative per heap. (Keeping every
+//     member in the heap and fixing them one by one would be wrong, not
+//     just slow: with several keys stale at once a sift compares against
+//     stale neighbours. Min-heap P=1 → child C=2 → grandchild D=3, raise P
+//     to 10 and C to 11, fix P (stays), fix C (swaps with D): D=3 now sits
+//     under P=10.)
+//   - FDRC scores per entry, and between epoch rolls only the touched
+//     entry's score and use time move, so every resident sits in the heaps
+//     as under a LEX policy and a touch is one fix. When the event count
+//     crosses a window boundary every score may drop at once; both heaps
+//     are then rebuilt bottom-up, O(n) once per window. Heap layout is
+//     unobservable — only the root is — so victims match a full scan's.
 
 // customState is a custom policy's per-switch scoring state. The switch
 // calls better under its lock wherever it would consult the compiled LEX
-// comparator, and the hook methods on every attribute-changing event.
+// comparator, and the hook methods on every attribute-changing event; the
+// hooks reach the heaps and the arena through the switch they are handed.
 type customState interface {
 	// better reports whether a should be kept over b; it must be a total
-	// order (tie-break on insertSeq like Policy.Better).
+	// order (tie-break on insertSeq like Policy.Better) and must not change
+	// the state: a contender is compared before it is admitted anywhere.
 	better(a, b *entry) bool
 	// onTouch accounts n data-plane packets on e (called after e.traffic
-	// has been advanced).
-	onTouch(e *entry, n uint64)
-	// onRemove forgets e (rule deleted or expired).
-	onRemove(e *entry)
+	// and e.useSeq have been advanced) and restores the order of s's
+	// eviction and promotion heaps, reporting whether any heap position had
+	// to be repaired.
+	onTouch(s *Switch, e *entry, n uint64) bool
+	// onRemove forgets e (rule deleted or expired), which the switch has
+	// already untracked.
+	onRemove(s *Switch, e *entry)
 }
 
 // CustomPolicy is a cache-management policy outside the LEX model. Construct
@@ -52,70 +75,242 @@ type CustomPolicy struct {
 	newState func() customState
 }
 
+// growToArena returns per-handle state s extended to cover every handle of
+// arena ar. It sizes to the arena's capacity, so per-handle state reallocates
+// only when the arena itself did.
+func growToArena[T any](s []T, ar []entry) []T {
+	if len(s) >= len(ar) {
+		return s
+	}
+	grown := make([]T, cap(ar))
+	copy(grown, s)
+	return grown
+}
+
 // PolicyDestAggregate returns a destination-based rule-aggregation policy:
 // entries whose destination addresses share a /28 form a group, a group's
-// score is its cumulative matched-packet count, and eviction removes a
-// member of the lowest-scoring group (oldest member first). Rules without
-// an exact IPv4 destination share one residual group.
+// score is its members' cumulative matched-packet count, and eviction removes
+// a member of the lowest-scoring group, youngest member first (equal scores
+// keep the older entry). Rules without an exact IPv4 destination share one
+// residual group.
 func PolicyDestAggregate() Policy {
 	return Policy{Custom: &CustomPolicy{
-		Name: "dest-aggregate(/28)",
-		newState: func() customState {
-			return &destAggState{
-				group: make(map[int32]uint32),
-				score: make(map[uint32]uint64),
-			}
-		},
+		Name:     "dest-aggregate(/28)",
+		newState: func() customState { return &destAggState{groups: make([]destGroup, 1)} },
 	}}
 }
 
+// memberTier says which heap a group member counts towards.
+type memberTier uint8
+
+const (
+	tierNone memberTier = iota // scored only: resident in no indexed table
+	tierTCAM
+	tierSoft // TCAM-eligible software resident
+)
+
+// destMember is one entry's place in its group, indexed by arena handle
+// (handles, unlike *entry, survive arena growth).
+type destMember struct {
+	group      int32 // index into destAggState.groups; 0 = not joined
+	prev, next int32 // older / newer member of the same group
+	tier       memberTier
+}
+
+// destGroup is one destination /28. Its members are linked in join order.
+// An entry that is ever tracked joins during its own add, so among tracked
+// members join order is insertSeq order, and the newest TCAM member and the
+// oldest software member are found by walking from a departing
+// representative to its neighbours.
+type destGroup struct {
+	score      uint64 // Σ members' traffic
+	key        uint32
+	head, tail int32 // oldest / newest member
+	tcamRep    int32 // newest TCAM member: the group's item in the eviction heap
+	softRep    int32 // oldest tierSoft member: its item in the promotion heap
+}
+
 // destAggState scores entries by their destination /28 group's cumulative
-// traffic. State is keyed by arena handle (entry.self), not *entry: arena
-// pointers move when the arena grows, handles never do.
+// traffic and keeps one representative per group in each heap.
 type destAggState struct {
-	group map[int32]uint32  // memoized group key per live entry handle
-	score map[uint32]uint64 // cumulative traffic per group
+	members    []destMember // by arena handle
+	groups     []destGroup  // slot 0 is the reserved "no group"
+	freeGroups []int32
+	byKey      exactIndex // group key → groups index
 }
 
 // residualGroup collects rules whose match has no exact IPv4 destination.
 const residualGroup = ^uint32(0)
 
-func (st *destAggState) key(e *entry) uint32 {
-	if g, ok := st.group[e.self]; ok {
-		return g
-	}
-	g := residualGroup
+func groupKey(e *entry) uint32 {
 	if k, ok := flowtable.ExactKey(&e.rule.Match); ok {
-		g = uint32(k) >> 4 // low word is the destination; aggregate at /28
+		return uint32(k) >> 4 // low word is the destination; aggregate at /28
 	}
-	st.group[e.self] = g
-	return g
+	return residualGroup
+}
+
+// scoreOf reads e's group score. An entry that has not joined its group yet
+// (a contender mid-add) is looked up by key, without creating anything.
+func (st *destAggState) scoreOf(e *entry) uint64 {
+	var g int32
+	if int(e.self) < len(st.members) {
+		g = st.members[e.self].group
+	}
+	if g == 0 {
+		g = st.byKey.get(uint64(groupKey(e)))
+	}
+	return st.groups[g].score // slot 0 scores 0
 }
 
 func (st *destAggState) better(a, b *entry) bool {
-	sa, sb := st.score[st.key(a)], st.score[st.key(b)]
+	sa, sb := st.scoreOf(a), st.scoreOf(b)
 	if sa != sb {
 		return sa > sb
 	}
 	return a.insertSeq < b.insertSeq
 }
 
-func (st *destAggState) onTouch(e *entry, n uint64) {
-	st.score[st.key(e)] += n
+// join resolves e's group, creating the group and linking e as its newest
+// member on first use.
+func (st *destAggState) join(ar []entry, e *entry) (*destMember, *destGroup) {
+	st.members = growToArena(st.members, ar)
+	m := &st.members[e.self]
+	if m.group != 0 {
+		return m, &st.groups[m.group]
+	}
+	key := groupKey(e)
+	gi := st.byKey.get(uint64(key))
+	if gi == 0 {
+		if n := len(st.freeGroups); n > 0 {
+			gi = st.freeGroups[n-1]
+			st.freeGroups = st.freeGroups[:n-1]
+		} else {
+			gi = int32(len(st.groups))
+			st.groups = append(st.groups, destGroup{})
+		}
+		st.groups[gi] = destGroup{key: key}
+		st.byKey.put(uint64(key), gi)
+	}
+	g := &st.groups[gi]
+	m.group, m.prev = gi, g.tail
+	if g.tail != 0 {
+		st.members[g.tail].next = e.self
+	} else {
+		g.head = e.self
+	}
+	g.tail = e.self
+	return m, g
 }
 
-func (st *destAggState) onRemove(e *entry) {
-	g, ok := st.group[e.self]
-	if !ok {
+// setRep replaces a group's representative in heap h: *rep names the old
+// one (0 = the group was absent from h), to the new one (0 = it leaves).
+func setRep(h *handleHeap, ar []entry, rep *int32, to int32) {
+	if *rep != 0 {
+		h.removeEntry(ar, &ar[*rep])
+	}
+	if *rep = to; to != 0 {
+		h.push(ar, &ar[to])
+	}
+}
+
+// trackTCAM counts e towards the eviction heap after it entered the TCAM.
+func (st *destAggState) trackTCAM(s *Switch, e *entry) {
+	m, g := st.join(s.entries, e)
+	m.tier = tierTCAM
+	if g.tcamRep == 0 || e.insertSeq > s.entries[g.tcamRep].insertSeq {
+		setRep(s.evictIdx, s.entries, &g.tcamRep, e.self)
+	}
+}
+
+// trackSoft counts e towards the promotion heap after it entered the
+// software table.
+func (st *destAggState) trackSoft(s *Switch, e *entry) {
+	m, g := st.join(s.entries, e)
+	m.tier = tierSoft
+	if g.softRep == 0 || e.insertSeq < s.entries[g.softRep].insertSeq {
+		setRep(s.promoteIdx, s.entries, &g.softRep, e.self)
+	}
+}
+
+// untrack takes e out of whichever tier counts it, reporting whether one
+// did. A departing representative hands over to the nearest member of its
+// tier: the next older one in the TCAM, the next newer one in software.
+func (st *destAggState) untrack(s *Switch, e *entry) bool {
+	if int(e.self) >= len(st.members) {
+		return false
+	}
+	m := &st.members[e.self]
+	if m.tier == tierNone {
+		return false
+	}
+	g := &st.groups[m.group]
+	tier := m.tier
+	m.tier = tierNone
+	switch {
+	case tier == tierTCAM && g.tcamRep == e.self:
+		h := m.prev
+		for h != 0 && st.members[h].tier != tierTCAM {
+			h = st.members[h].prev
+		}
+		setRep(s.evictIdx, s.entries, &g.tcamRep, h)
+	case tier == tierSoft && g.softRep == e.self:
+		h := m.next
+		for h != 0 && st.members[h].tier != tierSoft {
+			h = st.members[h].next
+		}
+		setRep(s.promoteIdx, s.entries, &g.softRep, h)
+	}
+	return true
+}
+
+// rekey restores heap order around g's representatives after its score
+// changed, reporting whether it had any.
+func (st *destAggState) rekey(s *Switch, g *destGroup) bool {
+	if g.tcamRep != 0 {
+		s.evictIdx.fix(s.entries, &s.entries[g.tcamRep])
+	}
+	if g.softRep != 0 {
+		s.promoteIdx.fix(s.entries, &s.entries[g.softRep])
+	}
+	return g.tcamRep != 0 || g.softRep != 0
+}
+
+func (st *destAggState) onTouch(s *Switch, e *entry, n uint64) bool {
+	_, g := st.join(s.entries, e)
+	g.score += n
+	return st.rekey(s, g)
+}
+
+func (st *destAggState) onRemove(s *Switch, e *entry) {
+	if int(e.self) >= len(st.members) {
+		return
+	}
+	m := &st.members[e.self]
+	if m.group == 0 {
+		return
+	}
+	gi := m.group
+	g := &st.groups[gi]
+	if m.prev != 0 {
+		st.members[m.prev].next = m.next
+	} else {
+		g.head = m.next
+	}
+	if m.next != 0 {
+		st.members[m.next].prev = m.prev
+	} else {
+		g.tail = m.prev
+	}
+	*m = destMember{}
+	if g.head == 0 {
+		st.byKey.del(uint64(g.key))
+		*g = destGroup{}
+		st.freeGroups = append(st.freeGroups, gi)
 		return
 	}
 	// The entry's own lifetime traffic leaves with it.
-	if s := st.score[g]; s > e.traffic {
-		st.score[g] = s - e.traffic
-	} else {
-		delete(st.score, g)
-	}
-	delete(st.group, e.self)
+	g.score -= e.traffic
+	st.rekey(s, g)
 }
 
 // PolicyFDRC returns a flow-driven rule-caching policy: switch-wide
@@ -132,7 +327,7 @@ func PolicyFDRC(window uint64) Policy {
 	return Policy{Custom: &CustomPolicy{
 		Name: "fdrc(window=" + itoa(window) + ")",
 		newState: func() customState {
-			return &fdrcState{window: window, cells: make(map[int32]fdrcCell)}
+			return &fdrcState{window: window}
 		},
 	}}
 }
@@ -152,34 +347,31 @@ func itoa(v uint64) string {
 	return string(buf[i:])
 }
 
-// fdrcCell is one entry's epoch-local activity counters.
+// fdrcCell is one entry's epoch-local activity counters. The zero cell
+// scores zero in every epoch, so it doubles as "never touched".
 type fdrcCell struct {
 	epoch     uint64 // epoch cur was accumulated in
 	cur, prev uint64
 }
 
 // fdrcState scores entries by current-plus-previous-epoch packet counts.
-// Cells are keyed by arena handle for the same reason as destAggState.
 type fdrcState struct {
 	window uint64
-	events uint64 // switch-wide data-plane packets seen
-	cells  map[int32]fdrcCell
+	events uint64     // switch-wide data-plane packets seen
+	epoch  uint64     // events / window, kept so comparisons do not divide
+	cells  []fdrcCell // by arena handle
 }
 
-func (st *fdrcState) epochNow() uint64 { return st.events / st.window }
-
 // scoreOf reads e's score at the current epoch without mutating the cell:
-// rotation is applied as a view, so comparisons during eviction scans are
-// side-effect free.
+// rotation is applied as a view, so comparisons are side-effect free.
 func (st *fdrcState) scoreOf(e *entry) uint64 {
-	c, ok := st.cells[e.self]
-	if !ok {
+	if int(e.self) >= len(st.cells) {
 		return 0
 	}
-	switch ep := st.epochNow(); {
-	case c.epoch == ep:
+	switch c := &st.cells[e.self]; {
+	case c.epoch == st.epoch:
 		return c.cur + c.prev
-	case c.epoch+1 == ep:
+	case c.epoch+1 == st.epoch:
 		return c.cur
 	default:
 		return 0
@@ -197,30 +389,41 @@ func (st *fdrcState) better(a, b *entry) bool {
 	return a.insertSeq < b.insertSeq
 }
 
-func (st *fdrcState) onTouch(e *entry, n uint64) {
+func (st *fdrcState) onTouch(s *Switch, e *entry, n uint64) bool {
 	st.events += n
-	ep := st.epochNow()
-	c := st.cells[e.self]
+	ep := st.events / st.window
+	rolled := ep != st.epoch
+	st.epoch = ep
+	st.cells = growToArena(st.cells, s.entries)
+	c := &st.cells[e.self]
 	switch {
-	case c.epoch == ep:
-	case c.epoch+1 == ep:
-		c.prev, c.cur, c.epoch = c.cur, 0, ep
+	case c.epoch == st.epoch:
+	case c.epoch+1 == st.epoch:
+		c.prev, c.cur, c.epoch = c.cur, 0, st.epoch
 	default:
-		c.prev, c.cur, c.epoch = 0, 0, ep
+		c.prev, c.cur, c.epoch = 0, 0, st.epoch
 	}
 	c.cur += n
-	st.cells[e.self] = c
+	if rolled {
+		// Every entry's view of its cell moved with the epoch.
+		s.evictIdx.heapify(s.entries)
+		s.promoteIdx.heapify(s.entries)
+		return true
+	}
+	return s.evictIdx.fix(s.entries, e) || s.promoteIdx.fix(s.entries, e)
 }
 
-func (st *fdrcState) onRemove(e *entry) {
-	delete(st.cells, e.self)
+func (st *fdrcState) onRemove(_ *Switch, e *entry) {
+	if int(e.self) < len(st.cells) {
+		st.cells[e.self] = fdrcCell{}
+	}
 }
 
-// customTouch routes a data-plane touch to the active custom policy state.
-// Callers hold s.mu.
+// customTouch routes a data-plane touch to the active custom policy state,
+// which also repairs the indexes. Callers hold s.mu.
 func (s *Switch) customTouch(e *entry, n uint64) {
-	if s.customState != nil && e != nil {
-		s.customState.onTouch(e, n)
+	if s.customState != nil && e != nil && s.customState.onTouch(s, e, n) {
+		s.tel.idxFixups.Add(1)
 	}
 }
 
@@ -228,6 +431,6 @@ func (s *Switch) customTouch(e *entry, n uint64) {
 // s.mu.
 func (s *Switch) customRemove(e *entry) {
 	if s.customState != nil && e != nil {
-		s.customState.onRemove(e)
+		s.customState.onRemove(s, e)
 	}
 }

@@ -126,27 +126,27 @@ func TestCustomPolicyResetRebuildsState(t *testing.T) {
 // through onRemove: an expired group member takes its traffic with it.
 func TestCustomPolicyExpiryReleasesState(t *testing.T) {
 	clk := simclock.NewVirtual()
-	s := New(TestSwitch(4, PolicyDestAggregate()), WithClock(clk))
+	s := New(TestSwitch(2, PolicyDestAggregate()), WithClock(clk))
 	addTimedFlow(t, s, 0, 0, 1)
 	for i := 0; i < 5; i++ {
 		sendProbe(t, s, 0)
 	}
 	clk.Advance(2 * time.Second) // past the 1s hard timeout
 	s.ExpireNow()
-	// Flow 0 is gone; its group score must not shield a newcomer contest.
-	addFlow(t, s, 1, 100) // same /28 as flow 0
-	if !s.InTCAM(ptrMatch(1), 100) {
-		t.Fatal("expired flow's rule still resident")
+	checkIndexes(t, s) // score == Σ live members' traffic: nothing is left of flow 0's
+	// Flow 16 is one group over; flow 1, installed after it, shares flow 0's
+	// /28. With flow 0's five packets gone both groups score zero and the
+	// younger flow 1 is the next victim; a score that outlived flow 0 would
+	// shield flow 1 and cost flow 16 its slot instead.
+	addFlow(t, s, 16, 100)
+	addFlow(t, s, 1, 100)
+	addFlow(t, s, 32, 100)
+	sendProbe(t, s, 32) // scores 1: promotes over the zero-score residents
+	if !s.InTCAM(ptrMatch(32), 100) {
+		t.Fatal("scored flow not promoted over zero-score groups")
 	}
-	// onRemove released the expired entry's memo and its group score (the
-	// entry carried all the group's traffic). Flow 1 has not been compared
-	// or touched yet, so both maps must be empty.
-	st, ok := s.customState.(*destAggState)
-	if !ok {
-		t.Fatalf("customState is %T", s.customState)
+	if !s.InTCAM(ptrMatch(16), 100) || s.InTCAM(ptrMatch(1), 100) {
+		t.Fatal("expired flow's traffic still shields its group")
 	}
-	if len(st.group) != 0 || len(st.score) != 0 {
-		t.Fatalf("stale scoring state after expiry: %d memos, %d group scores",
-			len(st.group), len(st.score))
-	}
+	checkIndexes(t, s)
 }

@@ -14,9 +14,13 @@ package switchsim
 // Each entry carries a heap-position back-pointer, so membership moves
 // (insert, evict, promote, delete) and attribute updates under touch-heavy
 // policies (use time, traffic) cost O(log n) instead of the O(n) slice
-// rebuild and rescan the naive scan paid on every insert into a full cache.
-// The naive scans survive as worstTCAMEntryNaive/bestSoftwareEntryNaive,
-// the reference implementations the differential test replays against.
+// rebuild and rescan a full scan paid on every insert into a full cache.
+// The heaps are the only way a victim or a refill is chosen; the full scans
+// live on in evictindex_test.go as the differential test's oracle.
+//
+// Custom policies (custompolicy.go) order the same two heaps by their own
+// stateful comparator and repair them themselves: FDRC keeps every resident
+// in them like a LEX policy, dest-aggregate one representative per group.
 //
 // The heaps hold int32 arena handles, not pointers: a sift writes only
 // integers into items and heapIdx fields, so the GC write barrier never
@@ -133,33 +137,43 @@ func (h *handleHeap) down(ar []entry, i int) bool {
 	}
 }
 
+// heapify restores heap order over all items at once (Floyd's bottom-up
+// build, O(n)) after many keys changed together.
+func (h *handleHeap) heapify(ar []entry) {
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(ar, i)
+	}
+}
+
 // initIndexes builds (or rebuilds, on Reset) the eviction and promotion
 // indexes. Only policy-cache hierarchies pay for index maintenance; the
 // other kinds never consult a cache policy.
 func (s *Switch) initIndexes() {
-	if c := s.profile.CachePolicy.Custom; c != nil && s.profile.Kind == ManagePolicyCache {
-		// Custom policies (custompolicy.go) score through per-switch state
-		// whose values shift for many entries on a single touch — per-entry
-		// heap fixups cannot track that, so the indexes stay nil and every
-		// victim/refill choice takes the naive scans through s.better.
-		st := c.newState()
-		s.customState = st
-		s.better = st.better
-		s.evictIdx, s.promoteIdx = nil, nil
-		s.dynPolicy = false
-		return
+	s.customState, s.groups = nil, nil
+	s.dynPolicy = false
+	policy := s.profile.CachePolicy
+	if policy.Custom != nil && s.profile.Kind == ManagePolicyCache {
+		// Custom policies (custompolicy.go) compare through fresh per-switch
+		// scoring state, so Reset starts clean.
+		s.customState = policy.Custom.newState()
+		s.better = s.customState.better
+	} else {
+		// The compiled comparator serves every policy consumer, indexed or not.
+		s.better = policy.compile()
 	}
-	s.customState = nil
-	// The compiled comparator serves every policy consumer, indexed or not.
-	s.better = s.profile.CachePolicy.compile()
 	if s.profile.Kind != ManagePolicyCache {
 		return
 	}
 	better := s.better
 	s.evictIdx = newHandleHeap(func(a, b *entry) bool { return better(b, a) })
 	s.promoteIdx = newHandleHeap(better)
-	policy := s.profile.CachePolicy
-	s.dynPolicy = false
+	if s.customState != nil {
+		// The state repairs both heaps itself on every touch (customTouch),
+		// so the LEX fixup stays off. A grouping state also decides which
+		// entries sit in the heaps at all.
+		s.groups, _ = s.customState.(*destAggState)
+		return
+	}
 	for _, k := range policy.Keys {
 		if k.Attr == AttrUseTime || k.Attr == AttrTraffic {
 			s.dynPolicy = true
@@ -172,23 +186,39 @@ func (s *Switch) trackTCAM(e *entry) {
 	if s.evictIdx == nil {
 		return
 	}
-	s.evictIdx.push(s.entries, e)
+	if s.groups != nil {
+		s.groups.trackTCAM(s, e)
+	} else {
+		s.evictIdx.push(s.entries, e)
+	}
 	s.tel.idxPushes.Add(1)
 }
 
 // trackSoft registers e in the promotion index after it entered the
 // software table; ineligible widths never become promotion candidates and
-// stay out of the index, exactly as the naive scan skips them.
+// stay out of the index: they can never refill a TCAM slot.
 func (s *Switch) trackSoft(e *entry) {
 	if s.promoteIdx == nil || !s.tcamAdmits(e.rule.Match.Width()) {
 		return
 	}
-	s.promoteIdx.push(s.entries, e)
+	if s.groups != nil {
+		s.groups.trackSoft(s, e)
+	} else {
+		s.promoteIdx.push(s.entries, e)
+	}
 	s.tel.idxPushes.Add(1)
 }
 
 // untrack removes e from whichever index holds it.
 func (s *Switch) untrack(e *entry) {
+	if s.groups != nil {
+		// A group's non-representative members sit in no heap, so heapIdx
+		// says nothing about their membership.
+		if e != nil && s.groups.untrack(s, e) {
+			s.tel.idxRemoves.Add(1)
+		}
+		return
+	}
 	if s.evictIdx == nil || e == nil || e.heapIdx < 0 {
 		return
 	}
@@ -207,38 +237,4 @@ func (s *Switch) indexFix(e *entry) {
 	if s.evictIdx.fix(s.entries, e) || s.promoteIdx.fix(s.entries, e) {
 		s.tel.idxFixups.Add(1)
 	}
-}
-
-// worstTCAMEntryNaive is the retained reference implementation of victim
-// selection: scan the TCAM residents for the policy-worst. The differential
-// test asserts the index always agrees with it. It compares through
-// s.better — identical to Policy.Worst for compiled LEX policies, and the
-// only comparator that can see a custom policy's per-switch state.
-func (s *Switch) worstTCAMEntryNaive() *entry {
-	var worst *entry
-	for _, r := range s.tcam.Rules() {
-		e := s.entryOf(r)
-		if e == nil {
-			continue
-		}
-		if worst == nil || s.better(worst, e) {
-			worst = e
-		}
-	}
-	return worst
-}
-
-// bestSoftwareEntryNaive is the retained reference scan for promotion.
-func (s *Switch) bestSoftwareEntryNaive() *entry {
-	var best *entry
-	for _, r := range s.software.Rules() {
-		e := s.entryOf(r)
-		if e == nil || !s.tcamAdmits(r.Match.Width()) {
-			continue
-		}
-		if best == nil || s.better(e, best) {
-			best = e
-		}
-	}
-	return best
 }

@@ -12,11 +12,44 @@ import (
 	"tango/internal/simclock"
 )
 
-// checkIndexes asserts that both heaps agree with the retained naive scans —
-// same victim, same promotion candidate — and that their memberships are
+// worstTCAMEntryNaive is the oracle for victim selection: scan the TCAM
+// residents for the policy-worst. It compares through s.better — identical
+// to Policy.Worst for compiled LEX policies, and the only comparator that
+// can see a custom policy's per-switch state.
+func (s *Switch) worstTCAMEntryNaive() *entry {
+	var worst *entry
+	for _, r := range s.tcam.Rules() {
+		e := s.entryOf(r)
+		if e == nil {
+			continue
+		}
+		if worst == nil || s.better(worst, e) {
+			worst = e
+		}
+	}
+	return worst
+}
+
+// bestSoftwareEntryNaive is the oracle scan for promotion.
+func (s *Switch) bestSoftwareEntryNaive() *entry {
+	var best *entry
+	for _, r := range s.software.Rules() {
+		e := s.entryOf(r)
+		if e == nil || !s.tcamAdmits(r.Match.Width()) {
+			continue
+		}
+		if best == nil || s.better(e, best) {
+			best = e
+		}
+	}
+	return best
+}
+
+// checkIndexes asserts that both heaps agree with the oracle scans — same
+// victim, same promotion candidate — and that the index's membership is
 // exactly the table residents the scans would consider. Called after every
 // operation of the differential test, it is the property that makes the
-// O(log n) index a pure optimization: Better is a total order, so the heap
+// O(log n) index a pure optimization: better is a total order, so the heap
 // root and the full-scan extreme are the same unique entry.
 func checkIndexes(t *testing.T, s *Switch) {
 	t.Helper()
@@ -30,16 +63,15 @@ func checkIndexes(t *testing.T, s *Switch) {
 		t.Fatalf("bestSoftwareEntry: index picked %+v, naive scan picked %+v", got, want)
 	}
 
-	inEvict := map[int32]bool{}
-	for _, h := range s.evictIdx.items {
-		e := s.entryAt(h)
-		if e == nil {
-			t.Fatalf("eviction index holds dead handle %d", h)
-		}
-		if !s.evictIdx.contains(e) {
-			t.Fatalf("eviction index back-pointer broken for %+v", e)
-		}
-		inEvict[h] = true
+	// Index members: every heap item under an entry-scored policy; under
+	// dest-aggregate the heaps hold one representative per group and the
+	// members are whatever the group lists count towards each tier.
+	inEvict, inPromote := map[int32]bool{}, map[int32]bool{}
+	if s.groups != nil {
+		checkGroups(t, s, inEvict, inPromote)
+	} else {
+		heapMembers(t, s, "eviction", s.evictIdx, inEvict)
+		heapMembers(t, s, "promotion", s.promoteIdx, inPromote)
 	}
 	for _, r := range s.tcam.Rules() {
 		if e := s.entryOf(r); e != nil && !inEvict[e.self] {
@@ -48,18 +80,6 @@ func checkIndexes(t *testing.T, s *Switch) {
 	}
 	if len(inEvict) != s.tcam.Len() {
 		t.Fatalf("eviction index tracks %d entries, TCAM holds %d", len(inEvict), s.tcam.Len())
-	}
-
-	inPromote := map[int32]bool{}
-	for _, h := range s.promoteIdx.items {
-		e := s.entryAt(h)
-		if e == nil {
-			t.Fatalf("promotion index holds dead handle %d", h)
-		}
-		if !s.promoteIdx.contains(e) {
-			t.Fatalf("promotion index back-pointer broken for %+v", e)
-		}
-		inPromote[h] = true
 	}
 	eligible := 0
 	for _, r := range s.software.Rules() {
@@ -76,7 +96,146 @@ func checkIndexes(t *testing.T, s *Switch) {
 		t.Fatalf("promotion index tracks %d entries, software holds %d eligible", len(inPromote), eligible)
 	}
 
+	if st, ok := s.customState.(*fdrcState); ok {
+		for _, h := range s.freeEnts {
+			if int(h) < len(st.cells) && st.cells[h] != (fdrcCell{}) {
+				t.Fatalf("free handle %d keeps FDRC cell %+v", h, st.cells[h])
+			}
+		}
+	}
 	checkArena(t, s)
+}
+
+// heapMembers collects a heap's items into set, checking that each is a
+// live entry whose back-pointer names its slot.
+func heapMembers(t *testing.T, s *Switch, name string, h *handleHeap, set map[int32]bool) {
+	t.Helper()
+	for _, it := range h.items {
+		e := s.entryAt(it)
+		if e == nil {
+			t.Fatalf("%s index holds dead handle %d", name, it)
+		}
+		if !h.contains(e) {
+			t.Fatalf("%s index back-pointer broken for %+v", name, e)
+		}
+		if set[it] {
+			t.Fatalf("%s index holds handle %d twice", name, it)
+		}
+		set[it] = true
+	}
+}
+
+// checkGroups asserts dest-aggregate's state invariants and collects the
+// members it counts towards each tier: every group's list is consistent and
+// its tracked members sit in insertSeq order, its representatives are the
+// newest TCAM and the oldest software member and are exactly the heaps'
+// items, its score is the sum of its live members' traffic, and no freed
+// handle or group keeps state.
+func checkGroups(t *testing.T, s *Switch, inTCAM, inSoft map[int32]bool) {
+	t.Helper()
+	st := s.groups
+	evictReps, promoteReps := map[int32]bool{}, map[int32]bool{}
+	heapMembers(t, s, "eviction", s.evictIdx, evictReps)
+	heapMembers(t, s, "promotion", s.promoteIdx, promoteReps)
+
+	traffic := map[uint32]uint64{} // Σ traffic per group key over every live entry
+	s.forEachTracked(func(r *flowtable.Rule) {
+		e := s.entryOf(r)
+		traffic[groupKey(e)] += e.traffic
+	})
+
+	free := map[int32]bool{}
+	for _, gi := range st.freeGroups {
+		free[gi] = true
+		if st.groups[gi] != (destGroup{}) {
+			t.Fatalf("free group %d keeps state %+v", gi, st.groups[gi])
+		}
+	}
+	if st.groups[0] != (destGroup{}) {
+		t.Fatalf("reserved group 0 was written: %+v", st.groups[0])
+	}
+	liveGroups, joined := 0, 0
+	for i := 1; i < len(st.groups); i++ {
+		gi := int32(i)
+		if free[gi] {
+			continue
+		}
+		liveGroups++
+		g := st.groups[gi]
+		if got := st.byKey.get(uint64(g.key)); got != gi {
+			t.Fatalf("group %d (key %#x) resolves to %d", gi, g.key, got)
+		}
+		if g.score != traffic[g.key] {
+			t.Fatalf("group %#x scores %d, its live members carried %d", g.key, g.score, traffic[g.key])
+		}
+		delete(traffic, g.key)
+		var prev, newestTCAM, oldestSoft int32
+		var lastSeq uint64
+		for h := g.head; h != 0; h = st.members[h].next {
+			m := st.members[h]
+			e := s.entryAt(h)
+			if e == nil || m.group != gi || m.prev != prev || groupKey(e) != g.key {
+				t.Fatalf("group %#x: member %d broken (%+v, entry %+v)", g.key, h, m, e)
+			}
+			joined++
+			if m.tier != tierNone {
+				if e.insertSeq <= lastSeq {
+					t.Fatalf("group %#x: tracked members out of insertSeq order at %d", g.key, h)
+				}
+				lastSeq = e.insertSeq
+			}
+			switch m.tier {
+			case tierTCAM:
+				inTCAM[h] = true
+				newestTCAM = h
+			case tierSoft:
+				inSoft[h] = true
+				if oldestSoft == 0 {
+					oldestSoft = h
+				}
+			}
+			prev = h
+		}
+		if g.head == 0 || g.tail != prev {
+			t.Fatalf("group %#x: head %d, tail %d, list ends at %d", g.key, g.head, g.tail, prev)
+		}
+		if g.tcamRep != newestTCAM || (newestTCAM != 0) != evictReps[newestTCAM] {
+			t.Fatalf("group %#x: TCAM representative %d, newest TCAM member %d (in heap: %v)",
+				g.key, g.tcamRep, newestTCAM, evictReps[newestTCAM])
+		}
+		if g.softRep != oldestSoft || (oldestSoft != 0) != promoteReps[oldestSoft] {
+			t.Fatalf("group %#x: software representative %d, oldest software member %d (in heap: %v)",
+				g.key, g.softRep, oldestSoft, promoteReps[oldestSoft])
+		}
+		delete(evictReps, newestTCAM)
+		delete(promoteReps, oldestSoft)
+	}
+	if len(evictReps) != 0 || len(promoteReps) != 0 {
+		t.Fatalf("heaps hold non-representatives: eviction %v, promotion %v", evictReps, promoteReps)
+	}
+	if st.byKey.used != liveGroups {
+		t.Fatalf("key index holds %d groups, %d are live", st.byKey.used, liveGroups)
+	}
+	for key, sum := range traffic {
+		if sum != 0 {
+			t.Fatalf("group %#x carried %d packets but has no score", key, sum)
+		}
+	}
+	for h := 1; h < len(st.members); h++ {
+		if st.members[h].group != 0 {
+			joined--
+		} else if st.members[h] != (destMember{}) {
+			t.Fatalf("handle %d left its group but keeps %+v", h, st.members[h])
+		}
+	}
+	if joined != 0 {
+		t.Fatalf("%d joined handles are on no group's list", -joined)
+	}
+	for _, h := range s.freeEnts {
+		if int(h) < len(st.members) && st.members[h] != (destMember{}) {
+			t.Fatalf("free handle %d keeps group state %+v", h, st.members[h])
+		}
+	}
 }
 
 // checkArena asserts the flat-arena bookkeeping invariants: every tracked
@@ -117,6 +276,18 @@ func checkArena(t *testing.T, s *Switch) {
 	}
 }
 
+// diffOpts shapes runDifferential's operation mix for the policy under test.
+type diffOpts struct {
+	// idRange > 0 draws flow IDs from [0, idRange) instead of handing out
+	// fresh ones, so destination /28 groups (16 consecutive IDs) keep
+	// several members in both tiers at once.
+	idRange int
+	// wild also installs L2 rules, which have no exact IPv4 destination.
+	wild bool
+	// maxBurst bounds SendPacketN burst sizes.
+	maxBurst int
+}
+
 // runDifferential drives one switch through a randomized insert / touch /
 // burst / delete / re-add sequence — plus the arena's adversarial ops:
 // timeout expiry and Reset (both recycle handles, so later steps probe
@@ -125,7 +296,7 @@ func checkArena(t *testing.T, s *Switch) {
 // index-vs-scan agreement and the arena invariants after every step. Small
 // capacities keep the cache saturated, so evictions, promotions, and
 // refills fire constantly.
-func runDifferential(t *testing.T, policy Policy, seed int64) {
+func runDifferential(t *testing.T, policy Policy, seed int64, o diffOpts) {
 	p := TestSwitch(6, policy)
 	p.SoftwareCapacity = 18
 	clk := simclock.NewVirtual()
@@ -134,17 +305,34 @@ func runDifferential(t *testing.T, policy Policy, seed int64) {
 
 	var live []uint32
 	nextID := uint32(0)
+	newID := func() uint32 {
+		if o.idRange > 0 {
+			return uint32(rng.Intn(o.idRange))
+		}
+		nextID++
+		return nextID - 1
+	}
 	priorities := []uint16{10, 20, 30, 40}
+	install := func() {
+		id, prio := newID(), priorities[rng.Intn(len(priorities))]
+		var err error
+		if o.wild && rng.Intn(5) == 0 {
+			err = s.FlowMod(&openflow.FlowMod{
+				Command: openflow.FlowAdd, Match: flowtable.L2ProbeMatch(id),
+				Priority: prio, Actions: flowtable.Output(1),
+			})
+		} else {
+			err = addFlowErr(s, id, prio)
+		}
+		if err == nil {
+			live = append(live, id)
+		}
+	}
 
 	for step := 0; step < 500; step++ {
 		switch op := rng.Intn(12); {
 		case op < 4: // install a new flow
-			id := nextID
-			nextID++
-			err := addFlowErr(s, id, priorities[rng.Intn(len(priorities))])
-			if err == nil {
-				live = append(live, id)
-			}
+			install()
 		case op < 7: // touch an existing flow with data traffic
 			if len(live) == 0 {
 				continue
@@ -154,7 +342,7 @@ func runDifferential(t *testing.T, policy Policy, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := 1 + rng.Intn(4) // mix single packets and bursts
+			n := 1 + rng.Intn(o.maxBurst) // mix single packets and bursts
 			if _, err := s.SendPacketN(raw, 1, n); err != nil {
 				t.Fatal(err)
 			}
@@ -171,15 +359,19 @@ func runDifferential(t *testing.T, policy Policy, seed int64) {
 			i := rng.Intn(len(live))
 			id := live[i]
 			live = append(live[:i], live[i+1:]...)
-			m := flowtable.ExactProbeMatch(id)
-			for _, prio := range priorities {
-				_ = s.FlowMod(&openflow.FlowMod{
-					Command: openflow.FlowDeleteStrict, Match: m, Priority: prio,
-				})
+			matches := []flowtable.Match{flowtable.ExactProbeMatch(id)}
+			if o.wild {
+				matches = append(matches, flowtable.L2ProbeMatch(id))
+			}
+			for _, m := range matches {
+				for _, prio := range priorities {
+					_ = s.FlowMod(&openflow.FlowMod{
+						Command: openflow.FlowDeleteStrict, Match: m, Priority: prio,
+					})
+				}
 			}
 		case op < 11: // timed install, then sometimes expire: frees recycle handles
-			id := nextID
-			nextID++
+			id := newID()
 			err := s.FlowMod(&openflow.FlowMod{
 				Command:     openflow.FlowAdd,
 				Match:       flowtable.ExactProbeMatch(id),
@@ -201,11 +393,7 @@ func runDifferential(t *testing.T, policy Policy, seed int64) {
 				live = live[:0]
 			} else {
 				for i := 0; i < 30; i++ {
-					id := nextID
-					nextID++
-					if addFlowErr(s, id, priorities[rng.Intn(len(priorities))]) == nil {
-						live = append(live, id)
-					}
+					install()
 				}
 			}
 		}
@@ -214,24 +402,45 @@ func runDifferential(t *testing.T, policy Policy, seed int64) {
 }
 
 // TestEvictionIndexDifferential replays randomized operation sequences
-// against every named policy and a set of random LEX composites, asserting
-// after each operation that the incremental index and the naive full scan
-// agree on the next victim and the next promotion candidate.
+// against every named policy, a set of random LEX composites and both custom
+// policies, asserting after each operation that the incremental index and
+// the naive full scan agree on the next victim and the next promotion
+// candidate.
 func TestEvictionIndexDifferential(t *testing.T) {
+	lex := diffOpts{maxBurst: 4}
+	// 96 flow IDs are six /28 groups over 24 table slots. FDRC's bursts run
+	// past its small windows, so epochs roll between almost every op and
+	// sometimes several within one.
+	grouped := diffOpts{idRange: 96, maxBurst: 4}
+	residual := diffOpts{idRange: 96, maxBurst: 4, wild: true}
+	epochs := diffOpts{maxBurst: 12}
 	named := []struct {
 		name   string
 		policy Policy
+		opts   diffOpts
 	}{
-		{"fifo", PolicyFIFO},
-		{"lru", PolicyLRU},
-		{"lfu", PolicyLFU},
-		{"priority", PolicyPriority},
+		{"fifo", PolicyFIFO, lex},
+		{"lru", PolicyLRU, lex},
+		{"lfu", PolicyLFU, lex},
+		{"priority", PolicyPriority, lex},
+		{"destagg", PolicyDestAggregate(), grouped},
+		{"destagg-residual", PolicyDestAggregate(), residual},
+		{"destagg-sparse", PolicyDestAggregate(), lex},
+		{"fdrc-3", PolicyFDRC(3), epochs},
+		{"fdrc-8", PolicyFDRC(8), epochs},
+		{"fdrc-4096", PolicyFDRC(4096), epochs},
 	}
 	for _, tc := range named {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			runDifferential(t, tc.policy, 1)
+			seeds := int64(1)
+			if tc.policy.Custom != nil {
+				seeds = 4
+			}
+			for seed := int64(1); seed <= seeds; seed++ {
+				runDifferential(t, tc.policy, seed, tc.opts)
+			}
 		})
 	}
 
@@ -243,7 +452,7 @@ func TestEvictionIndexDifferential(t *testing.T) {
 		seed := rng.Int63()
 		t.Run(fmt.Sprintf("lex-%d-%s", i, policy), func(t *testing.T) {
 			t.Parallel()
-			runDifferential(t, policy, seed)
+			runDifferential(t, policy, seed, lex)
 		})
 	}
 }

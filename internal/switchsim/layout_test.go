@@ -16,6 +16,9 @@ func TestHotStructLayouts(t *testing.T) {
 		kernelEntry{},
 		exactIndex{},
 		handleHeap{},
+		destMember{},
+		destGroup{},
+		fdrcCell{},
 	} {
 		if err := structlayout.Check(v); err != nil {
 			t.Error(err)

@@ -169,7 +169,7 @@ type Switch struct {
 
 	// evictIdx and promoteIdx are the policy-ordered indexes over TCAM and
 	// software residents (evictindex.go); nil except for ManagePolicyCache.
-	// dynPolicy records whether the cache policy reads attributes that
+	// dynPolicy records whether the LEX cache policy reads attributes that
 	// change on data-plane touches (use time, traffic), which is what makes
 	// touch paths pay an O(log n) index fixup.
 	evictIdx   *handleHeap
@@ -179,10 +179,11 @@ type Switch struct {
 	// (re)initialisation — hot paths call it instead of Policy.Better.
 	better func(a, b *entry) bool
 	// customState is the per-switch scoring state of a CustomPolicy, nil
-	// for LEX policies. Custom policies run without the heaps above (their
-	// scores shift for many entries at once), so every victim/refill choice
-	// takes the naive scans through s.better.
+	// for LEX policies. It orders the two heaps above through better and
+	// repairs them on every touch; groups is the same state again when it
+	// is the dest-aggregate one, which also picks the heaps' members.
 	customState customState
+	groups      *destAggState
 
 	// detector, when attached via WithDetector, observes every data-plane
 	// classification for the overflow-probing signature.
@@ -628,13 +629,9 @@ func (s *Switch) tcamAdmits(w flowtable.Width) bool {
 }
 
 // worstTCAMEntry returns the policy's eviction candidate among TCAM
-// residents — the root of the eviction index, in O(1) instead of the
-// reference implementation's full scan (worstTCAMEntryNaive).
+// residents: the root of the eviction index, for every cache policy.
 func (s *Switch) worstTCAMEntry() *entry {
-	if s.evictIdx != nil {
-		return s.evictIdx.peek(s.entries)
-	}
-	return s.worstTCAMEntryNaive()
+	return s.evictIdx.peek(s.entries)
 }
 
 // evictUntilFits evicts policy-worst TCAM entries (those worse than the
@@ -868,13 +865,10 @@ func (s *Switch) refillTCAM() {
 	}
 }
 
-// bestSoftwareEntry returns the policy-best TCAM-eligible software entry —
-// the root of the promotion index when one is maintained.
+// bestSoftwareEntry returns the policy-best TCAM-eligible software entry:
+// the root of the promotion index.
 func (s *Switch) bestSoftwareEntry() *entry {
-	if s.promoteIdx != nil {
-		return s.promoteIdx.peek(s.entries)
-	}
-	return s.bestSoftwareEntryNaive()
+	return s.promoteIdx.peek(s.entries)
 }
 
 // invalidateKernel removes microflow cache entries derived from rule r. The

@@ -1,6 +1,7 @@
 package update
 
 import (
+	"slices"
 	"testing"
 
 	"tango/internal/core/pattern"
@@ -21,14 +22,15 @@ func TestPlanRerouteDependencies(t *testing.T) {
 		t.Fatalf("nodes = %d", g.Len())
 	}
 	// The independent set must contain only the destination-side add.
-	indep := g.IndependentSet()
+	indep := g.Frontier()
 	if len(indep) != 1 || g.Payload(indep[0]).Switch != "y" || g.Payload(indep[0]).Op != pattern.OpAdd {
 		t.Fatalf("independent set = %+v", indep)
 	}
 	// Draining the graph respects add → mod → del order.
 	var order []pattern.OpKind
 	for g.Len() > 0 {
-		for _, id := range g.IndependentSet() {
+		// Frontier's slice is the graph's own; Remove mutates it.
+		for _, id := range slices.Clone(g.Frontier()) {
 			order = append(order, g.Payload(id).Op)
 			if err := g.Remove(id); err != nil {
 				t.Fatal(err)
