@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -251,27 +252,38 @@ type CurvePoint struct {
 // delete-before-add orderings score better when deletions target
 // high-priority rules.
 func (c *ScoreCard) EstimateOps(ops []Op, existingHigher func(uint16) int) time.Duration {
-	var e Estimator
+	e := estimators.Get().(*Estimator)
 	e.Begin(c, existingHigher)
 	e.Feed(ops)
-	return e.Total()
+	total := e.Total()
+	e.card, e.existingHigher = nil, nil // the pool must not pin the caller's oracle
+	estimators.Put(e)
+	return total
 }
 
-// countAbove returns how many entries of the ascending-sorted s exceed p.
-func countAbove(s []uint16, p uint16) int {
-	at := sort.Search(len(s), func(i int) bool { return s[i] > p })
-	return len(s) - at
+// estimators recycles the one-shot estimators behind EstimateOps, so pricing
+// a batch reuses grown priority buffers instead of regrowing them from nil.
+var estimators = sync.Pool{New: func() any { return new(Estimator) }}
+
+// upperBound returns the number of entries of the ascending-sorted s that
+// are ≤ p — the index of the first entry above p. From that one lookup an
+// add reads everything it needs: len(s)-at entries exceed p, p is present
+// iff s[at-1] == p, and inserting at at keeps s sorted.
+func upperBound(s []uint16, p uint16) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] <= p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
-// containsPriority reports whether the ascending-sorted s contains p.
-func containsPriority(s []uint16, p uint16) bool {
-	at := sort.Search(len(s), func(i int) bool { return s[i] >= p })
-	return at < len(s) && s[at] == p
-}
-
-// insertSorted inserts p into the ascending-sorted s.
-func insertSorted(s []uint16, p uint16) []uint16 {
-	at := sort.Search(len(s), func(i int) bool { return s[i] >= p })
+// insertAt inserts p at index at of s.
+func insertAt(s []uint16, at int, p uint16) []uint16 {
 	s = append(s, 0)
 	copy(s[at+1:], s[at:])
 	s[at] = p
@@ -281,15 +293,17 @@ func insertSorted(s []uint16, p uint16) []uint16 {
 // Estimator is the streaming form of ScoreCard.EstimateOps: Begin binds a
 // card, Feed folds op groups in, Total reads the running estimate. Feeding
 // a batch group by group prices the concatenated sequence, so a scheduler
-// can score every candidate group ordering without materializing each one
-// as a flat slice. The priority-tracking buffers are retained across Begin
-// calls, making a reused Estimator allocation-free in steady state. An
-// Estimator must not be used from multiple goroutines concurrently.
+// can price a group in the context of the groups fed before it without
+// materializing the sequence as a flat slice. The priority-tracking buffers
+// are retained across Begin calls, making a reused Estimator allocation-free
+// in steady state. An Estimator must not be used from multiple goroutines
+// concurrently.
 type Estimator struct {
 	card           *ScoreCard
 	existingHigher func(uint16) int
 	// prios tracks priorities of adds fed so far; deleted tracks priorities
-	// removed so far. Membership in prios doubles as the seen-priority test:
+	// removed so far, and only when existingHigher is set — nothing reads it
+	// otherwise. Membership in prios doubles as the seen-priority test:
 	// priorities are only ever inserted, never removed.
 	prios, deleted []uint16
 	total          time.Duration
@@ -321,21 +335,24 @@ func (e *Estimator) Feed(ops []Op) {
 			e.total += c.Mod
 		case OpDel:
 			e.total += c.Del
-			e.deleted = insertSorted(e.deleted, op.Priority)
-		case OpAdd:
-			higher := countAbove(e.prios, op.Priority)
 			if e.existingHigher != nil {
-				ex := e.existingHigher(op.Priority) - countAbove(e.deleted, op.Priority)
-				if ex > 0 {
+				e.deleted = insertAt(e.deleted, upperBound(e.deleted, op.Priority), op.Priority)
+			}
+		case OpAdd:
+			at := upperBound(e.prios, op.Priority)
+			higher := len(e.prios) - at
+			if e.existingHigher != nil {
+				freed := len(e.deleted) - upperBound(e.deleted, op.Priority)
+				if ex := e.existingHigher(op.Priority) - freed; ex > 0 {
 					higher += ex
 				}
 			}
 			base := c.AddNewPriority
-			if containsPriority(e.prios, op.Priority) {
+			if at > 0 && e.prios[at-1] == op.Priority {
 				base = c.AddSamePriority
 			}
 			e.total += base + time.Duration(higher)*c.ShiftPerEntry
-			e.prios = insertSorted(e.prios, op.Priority)
+			e.prios = insertAt(e.prios, at, op.Priority)
 		}
 	}
 }
@@ -352,8 +369,8 @@ type DB struct {
 	scores   map[string]*ScoreCard
 	// scoreVersion increments on every PutScore, letting callers that cache
 	// Score lookups (the scheduler memoizes cards per round) cheaply detect
-	// staleness.
-	scoreVersion uint64
+	// staleness. Atomic, so the per-batch staleness check takes no lock.
+	scoreVersion atomic.Uint64
 }
 
 // NewDB returns an empty database.
@@ -396,17 +413,13 @@ func (db *DB) PutScore(card *ScoreCard) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.scores[card.SwitchName] = card
-	db.scoreVersion++
+	db.scoreVersion.Add(1)
 }
 
 // ScoreVersion returns a counter that changes whenever a score card is
 // stored. A cached Score result is valid as long as the version it was
 // taken at still matches.
-func (db *DB) ScoreVersion() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.scoreVersion
-}
+func (db *DB) ScoreVersion() uint64 { return db.scoreVersion.Load() }
 
 // Score returns the score card for a switch.
 func (db *DB) Score(switchName string) (*ScoreCard, bool) {

@@ -1,7 +1,9 @@
 package pattern
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -160,5 +162,115 @@ func TestEstimateMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// naiveEstimate is EstimateOps without the sorted buffers: every add scans
+// all earlier ops of the sequence.
+func naiveEstimate(c *ScoreCard, ops []Op, existingHigher func(uint16) int) time.Duration {
+	var total time.Duration
+	for i, op := range ops {
+		if i > 0 && ops[i-1].Kind != op.Kind {
+			total += c.TypeSwitch
+		}
+		switch op.Kind {
+		case OpMod:
+			total += c.Mod
+		case OpDel:
+			total += c.Del
+		case OpAdd:
+			higher, freed, seen := 0, 0, false
+			for _, prev := range ops[:i] {
+				switch {
+				case prev.Kind == OpAdd && prev.Priority > op.Priority:
+					higher++
+				case prev.Kind == OpAdd && prev.Priority == op.Priority:
+					seen = true
+				case prev.Kind == OpDel && prev.Priority > op.Priority:
+					freed++
+				}
+			}
+			if existingHigher != nil {
+				if ex := existingHigher(op.Priority) - freed; ex > 0 {
+					higher += ex
+				}
+			}
+			base := c.AddNewPriority
+			if seen {
+				base = c.AddSamePriority
+			}
+			total += base + time.Duration(higher)*c.ShiftPerEntry
+		}
+	}
+	return total
+}
+
+// TestEstimateMatchesNaive holds the estimator's one-lookup-per-add
+// bookkeeping to the quadratic definition, on sequences dense in duplicate
+// priorities (including the uint16 extremes), with and without an oracle.
+func TestEstimateMatchesNaive(t *testing.T) {
+	card := &ScoreCard{
+		AddSamePriority: 401 * time.Microsecond,
+		AddNewPriority:  907 * time.Microsecond,
+		ShiftPerEntry:   13 * time.Microsecond,
+		Mod:             6007 * time.Microsecond,
+		Del:             2003 * time.Microsecond,
+		TypeSwitch:      311 * time.Microsecond,
+	}
+	prios := []uint16{0, 1, 2, 7, 7, 100, 65534, 65535}
+	oracle := func(p uint16) int { return int(65535-p) % 5 }
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]Op, rng.Intn(80))
+		for i := range ops {
+			ops[i] = Op{Kind: OpKind(rng.Intn(3)), Priority: prios[rng.Intn(len(prios))]}
+		}
+		for _, existing := range []func(uint16) int{nil, oracle} {
+			if got, want := card.EstimateOps(ops, existing), naiveEstimate(card, ops, existing); got != want {
+				t.Fatalf("seed %d (oracle=%v): estimate %v, want %v", seed, existing != nil, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkEstimatorFeed prices a 512-add group on a reused estimator — the
+// scheduler's inner loop — in ascending order (every insert lands at the
+// tail), in descending order (every insert shifts the buffer), and behind
+// 128 deletes with an ExistingHigher oracle set.
+func BenchmarkEstimatorFeed(b *testing.B) {
+	card := &ScoreCard{AddSamePriority: 400 * time.Microsecond, AddNewPriority: 900 * time.Microsecond,
+		ShiftPerEntry: 14 * time.Microsecond, Del: 2 * time.Millisecond, TypeSwitch: 300 * time.Microsecond}
+	rng := rand.New(rand.NewSource(1))
+	asc := make([]Op, 512)
+	for i := range asc {
+		asc[i] = Op{Kind: OpAdd, Priority: uint16(1000 + rng.Intn(6400))}
+	}
+	slices.SortFunc(asc, func(a, b Op) int { return cmp.Compare(a.Priority, b.Priority) })
+	desc := slices.Clone(asc)
+	slices.Reverse(desc)
+	dels := make([]Op, 128)
+	for i := range dels {
+		dels[i] = Op{Kind: OpDel, Priority: uint16(1000 + rng.Intn(6400))}
+	}
+	oracle := func(p uint16) int { return int(8000-p) / 16 }
+	for _, bc := range []struct {
+		name     string
+		existing func(uint16) int
+		groups   [][]Op
+	}{
+		{"asc", nil, [][]Op{asc}},
+		{"desc", nil, [][]Op{desc}},
+		{"oracle", oracle, [][]Op{dels, asc}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var e Estimator
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.Begin(card, bc.existing)
+				for _, g := range bc.groups {
+					e.Feed(g)
+				}
+			}
+		})
 	}
 }

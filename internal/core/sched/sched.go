@@ -11,7 +11,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -169,51 +168,79 @@ func (t *Tango) observeScores(scores []float64) {
 	}
 }
 
+// The two add orders a candidate can use, as indexes into the scratch's
+// per-order buffers.
+const (
+	ascending = iota
+	descending
+)
+
 // orderScratch holds the buffers one plan call needs: the three op-type
-// groups (adds twice, once per direction), their pattern.Op mirrors, and
-// the streaming estimator. Pooled on the Tango so steady-state ordering
-// allocates nothing.
+// groups (adds once per order), the pattern.Op mirrors of the groups the
+// estimator prices, and the streaming estimator. Pooled on the Tango so
+// steady-state ordering allocates nothing.
 type orderScratch struct {
-	dels, mods, addsAsc, addsDesc         []*Request
-	opsDel, opsMod, opsAddAsc, opsAddDesc []pattern.Op
-	est                                   pattern.Estimator
+	dels, mods []*Request
+	adds       [2][]*Request
+	opsDel     []pattern.Op
+	opsAdd     [2][]pattern.Op
+	est        pattern.Estimator
+
+	// existing is the method value of existingHigher, bound once per scratch
+	// so handing the estimator a per-switch oracle allocates no closure; sw
+	// and oracle are what it reads, set by each plan call.
+	existing func(uint16) int
+	sw       string
+	oracle   func(switchName string, p uint16) int
 }
 
+func (sc *orderScratch) existingHigher(p uint16) int { return sc.oracle(sc.sw, p) }
+
 // groupFor returns the request group for kind under the given add order.
-func (sc *orderScratch) groupFor(kind pattern.OpKind, asc bool) []*Request {
+func (sc *orderScratch) groupFor(kind pattern.OpKind, order int) []*Request {
 	switch kind {
 	case pattern.OpDel:
 		return sc.dels
 	case pattern.OpMod:
 		return sc.mods
 	default:
-		if asc {
-			return sc.addsAsc
-		}
-		return sc.addsDesc
+		return sc.adds[order]
 	}
 }
 
-// opsFor returns the op mirror of groupFor.
-func (sc *orderScratch) opsFor(kind pattern.OpKind, asc bool) []pattern.Op {
-	switch kind {
-	case pattern.OpDel:
-		return sc.opsDel
-	case pattern.OpMod:
-		return sc.opsMod
-	default:
-		if asc {
-			return sc.opsAddAsc
-		}
-		return sc.opsAddDesc
+// addGroupCost prices the add group alone, in the given order, as it costs
+// inside a candidate: after the deletes when delsFirst (which then must be a
+// non-empty group, as must the adds), on an untouched table otherwise. The
+// del→add type switch the estimator charges on the first add belongs to the
+// candidates' fixed term and is taken back out.
+func (sc *orderScratch) addGroupCost(card *pattern.ScoreCard, existing func(uint16) int, adds []pattern.Op, delsFirst bool) time.Duration {
+	sc.est.Begin(card, existing)
+	var before time.Duration
+	if delsFirst {
+		sc.est.Feed(sc.opsDel)
+		before = sc.est.Total() + card.TypeSwitch
 	}
+	sc.est.Feed(adds)
+	return sc.est.Total() - before
+}
+
+// delsBeforeAdds reports whether perm runs its deletes ahead of its adds.
+func delsBeforeAdds(perm [3]pattern.OpKind) bool {
+	for _, kind := range perm {
+		if kind != pattern.OpMod {
+			return kind == pattern.OpDel
+		}
+	}
+	return false
 }
 
 func (t *Tango) getScratch() *orderScratch {
 	if sc, ok := t.scratch.Get().(*orderScratch); ok {
 		return sc
 	}
-	return &orderScratch{}
+	sc := &orderScratch{}
+	sc.existing = sc.existingHigher
+	return sc
 }
 
 // deadlineCmp orders deadline-carrying requests first (earliest deadline
@@ -251,88 +278,120 @@ func addDescCmp(a, b *Request) int {
 
 // plan is the core of Order: it partitions reqs by op type into pooled
 // scratch groups in a single pass, prices the six type-permutations crossed
-// with the add orders against the switch's score card *without
-// materializing any candidate* (the candidates differ only in group
-// concatenation order, which the streaming estimator consumes group by
-// group), then appends the winning ordering to dst. Each candidate's
-// estimated cost is appended to scores for the caller to fold into the
-// pattern-score histogram — deferred so parallel workers can replay them
-// in deterministic order. Returns the extended dst and scores plus the
-// winning cost, -1 when the switch has no score card and the universally
-// safe fallback (deletes, modifies, adds ascending) was used.
+// with the add orders against the switch's score card in closed form, then
+// appends the winning ordering to dst.
+//
+// The candidates differ only in the order the three groups are concatenated
+// in, and every group is homogeneous in kind, so each candidate costs the
+// same fixed term — len(mods)·Mod + len(dels)·Del + one TypeSwitch per
+// boundary between non-empty groups — plus its add group. An add's cost
+// depends on the adds before it (the add order) and, only when an
+// ExistingHigher oracle credits the space deletes free, on whether the
+// deletes ran first. So the estimator prices the add group at most once per
+// (add order, deletes first) — two passes over the adds without an oracle,
+// four with — never the whole batch per candidate, and integer Duration
+// arithmetic makes every composed total exactly what pricing the
+// materialized candidate gives (sched's pricing differential holds the two
+// equal).
+//
+// Each candidate's estimated cost is appended to scores for the caller to
+// fold into the pattern-score histogram — deferred so parallel workers can
+// replay them in deterministic order. Returns the extended dst and scores
+// plus the winning cost, -1 when the switch has no score card and the
+// universally safe fallback (deletes, modifies, adds ascending) was used.
 func (t *Tango) plan(switchName string, reqs []*Request, dst []*Request, scores []float64) ([]*Request, []float64, time.Duration) {
 	card := t.card(switchName)
 	sc := t.getScratch()
 	defer t.scratch.Put(sc)
 
-	sc.dels, sc.mods, sc.addsAsc = sc.dels[:0], sc.mods[:0], sc.addsAsc[:0]
+	dels, mods, adds := sc.dels[:0], sc.mods[:0], sc.adds[ascending][:0]
 	for _, r := range reqs {
 		switch r.Op {
 		case pattern.OpDel:
-			sc.dels = append(sc.dels, r)
+			dels = append(dels, r)
 		case pattern.OpMod:
-			sc.mods = append(sc.mods, r)
+			mods = append(mods, r)
 		default:
-			sc.addsAsc = append(sc.addsAsc, r)
+			adds = append(adds, r)
 		}
 	}
-	slices.SortStableFunc(sc.dels, deadlineCmp)
-	slices.SortStableFunc(sc.mods, deadlineCmp)
-	sortDesc := card != nil && t.SortPriorities
-	if sortDesc {
+	slices.SortStableFunc(dels, deadlineCmp)
+	slices.SortStableFunc(mods, deadlineCmp)
+	addOrders := 1
+	if card != nil && t.SortPriorities {
 		// The descending copy must branch off *before* the ascending sort:
 		// both directions tie-break equal keys by input order.
-		sc.addsDesc = append(sc.addsDesc[:0], sc.addsAsc...)
-		slices.SortStableFunc(sc.addsDesc, addDescCmp)
+		sc.adds[descending] = append(sc.adds[descending][:0], adds...)
+		slices.SortStableFunc(sc.adds[descending], addDescCmp)
+		addOrders = 2
 	}
 	if t.SortPriorities {
-		slices.SortStableFunc(sc.addsAsc, addAscCmp)
+		slices.SortStableFunc(adds, addAscCmp)
 	} else {
-		slices.SortStableFunc(sc.addsAsc, deadlineCmp)
+		slices.SortStableFunc(adds, deadlineCmp)
 	}
+	sc.dels, sc.mods, sc.adds[ascending] = dels, mods, adds
 
 	if card == nil {
 		// No measurements: fall back to the pattern that is never worse on
 		// any switch we have modelled.
-		dst = append(dst, sc.dels...)
-		dst = append(dst, sc.mods...)
-		dst = append(dst, sc.addsAsc...)
+		dst = append(dst, dels...)
+		dst = append(dst, mods...)
+		dst = append(dst, adds...)
 		return dst, scores, -1
 	}
 
-	sc.opsDel = appendOps(sc.opsDel[:0], sc.dels)
-	sc.opsMod = appendOps(sc.opsMod[:0], sc.mods)
-	sc.opsAddAsc = appendOps(sc.opsAddAsc[:0], sc.addsAsc)
-	if sortDesc {
-		sc.opsAddDesc = appendOps(sc.opsAddDesc[:0], sc.addsDesc)
+	fixed := time.Duration(len(mods))*card.Mod + time.Duration(len(dels))*card.Del
+	nonEmpty := 0
+	for _, n := range [3]int{len(dels), len(mods), len(adds)} {
+		if n > 0 {
+			nonEmpty++
+		}
 	}
-
+	if nonEmpty > 1 {
+		fixed += time.Duration(nonEmpty-1) * card.TypeSwitch
+	}
+	for o := 0; o < addOrders; o++ {
+		sc.opsAdd[o] = appendOps(sc.opsAdd[o][:0], sc.adds[o])
+	}
+	// Deletes ahead of the adds change the adds' cost only through the
+	// oracle's credit, and only if there is something on both sides.
 	var existing func(uint16) int
+	delsMatter := false
 	if t.ExistingHigher != nil {
-		existing = func(p uint16) int { return t.ExistingHigher(switchName, p) }
+		sc.sw, sc.oracle = switchName, t.ExistingHigher
+		existing = sc.existing
+		if delsMatter = len(dels) > 0 && len(adds) > 0; delsMatter {
+			sc.opsDel = appendOps(sc.opsDel[:0], dels)
+		}
 	}
-	directions := [2]bool{true, false}
-	addOrders := directions[:1]
-	if t.SortPriorities {
-		addOrders = directions[:]
-	}
+	// addCost[o][d] caches the add group's cost in add order o with (d = 1)
+	// or without the deletes ahead of it.
+	var (
+		addCost [2][2]time.Duration
+		priced  [2][2]bool
+	)
 	bestCost := time.Duration(-1)
-	bestPerm, bestAsc := pattern.Permutations3[0], true
+	bestPerm, bestOrder := pattern.Permutations3[0], ascending
 	for _, perm := range pattern.Permutations3 {
-		for _, asc := range addOrders {
-			sc.est.Begin(card, existing)
-			for _, kind := range perm {
-				sc.est.Feed(sc.opsFor(kind, asc))
+		d := 0
+		if delsMatter && delsBeforeAdds(perm) {
+			d = 1
+		}
+		for o := 0; o < addOrders; o++ {
+			if !priced[o][d] {
+				addCost[o][d] = sc.addGroupCost(card, existing, sc.opsAdd[o], d == 1)
+				priced[o][d] = true
 			}
-			cost := sc.est.Total()
+			cost := fixed + addCost[o][d]
 			scores = append(scores, float64(cost))
 			if bestCost < 0 || cost < bestCost {
-				bestCost, bestPerm, bestAsc = cost, perm, asc
+				bestCost, bestPerm, bestOrder = cost, perm, o
 			}
 		}
 	}
 	for _, kind := range bestPerm {
-		dst = append(dst, sc.groupFor(kind, bestAsc)...)
+		dst = append(dst, sc.groupFor(kind, bestOrder)...)
 	}
 	return dst, scores, bestCost
 }
@@ -352,8 +411,8 @@ func (Dionysus) Order(_ string, reqs []*Request, ids []dag.NodeID, g *Graph) []*
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return lengths[ids[idx[a]]] > lengths[ids[idx[b]]]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return cmp.Compare(lengths[ids[b]], lengths[ids[a]])
 	})
 	out := make([]*Request, len(reqs))
 	for i, j := range idx {
@@ -667,7 +726,7 @@ func nonGreedyBatch(g *Graph, indep []dag.NodeID, est BatchEstimator) []dag.Node
 		}
 		// Estimate in sorted switch order so the score histogram fills
 		// identically on every run.
-		sort.Strings(switches)
+		slices.Sort(switches)
 		var max time.Duration
 		for _, sw := range switches {
 			d, ok := est.EstimateBatch(sw, bySwitch[sw])

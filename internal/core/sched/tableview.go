@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -92,7 +92,7 @@ func (v *TableView) Priorities(sw string) []uint16 {
 	for p := range v.counts[sw] {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 

@@ -7,9 +7,11 @@
 package dag
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // NodeID identifies a node within one Graph. IDs are dense and assigned by
@@ -32,13 +34,30 @@ type Graph[T any] struct {
 	live    int
 
 	// indeg[i] counts live predecessors of live node i (stale for removed
-	// nodes). inFrontier marks nodes with indeg zero; frontier lists them,
-	// possibly with stale or duplicate entries that Frontier() compacts
-	// lazily (membership truth lives in inFrontier).
+	// nodes). inFrontier marks nodes with indeg zero; frontier lists them.
+	// While frontierClean holds, frontier is exactly the inFrontier nodes in
+	// ascending order: AddNode and RemoveBatch preserve that state, so the
+	// scheduler's Frontier → RemoveBatch loop sorts each round's newly
+	// unblocked nodes once and nothing else. AddEdge and single Removes leave
+	// stale or duplicate entries behind (membership truth lives in
+	// inFrontier) and clear the flag; Frontier() then compacts lazily.
 	indeg         []int
 	inFrontier    []bool
 	frontier      []NodeID
 	frontierClean bool
+	// unblocked is RemoveBatch's result buffer, reused across batches.
+	unblocked []NodeID
+
+	// pathLen memoises LongestPathLengths (indexed by NodeID) while pathValid
+	// holds. The longest chain below a live node survives any removal of a
+	// node without live predecessors — no live chain runs through it — so a
+	// frontier drain computes it once; AddNode, AddEdge and removing a node
+	// that still has live predecessors invalidate. pathMu serialises the
+	// lazy fill among concurrent readers; mutators are exclusive by contract
+	// and write pathValid directly.
+	pathMu    sync.Mutex
+	pathLen   []int
+	pathValid bool
 }
 
 // New returns an empty graph.
@@ -57,6 +76,7 @@ func (g *Graph[T]) AddNode(v T) NodeID {
 	// Appending the new maximum ID preserves the compacted (sorted, no
 	// stale entries) state, so frontierClean is left as-is.
 	g.frontier = append(g.frontier, id)
+	g.pathValid = false
 	return id
 }
 
@@ -93,6 +113,7 @@ func (g *Graph[T]) AddEdge(from, to NodeID) error {
 	g.succ[from] = append(g.succ[from], to)
 	g.pred[to] = append(g.pred[to], from)
 	g.indeg[to]++
+	g.pathValid = false
 	if g.inFrontier[to] {
 		// Lazy eviction: the stale slice entry is filtered on the next
 		// Frontier() compaction.
@@ -142,19 +163,23 @@ func (g *Graph[T]) Remove(id NodeID) error {
 	if err := g.check(id); err != nil {
 		return err
 	}
-	g.detach(id, nil)
+	// Promoted successors land on the frontier's tail unsorted, and the
+	// node's own entry goes stale: the next Frontier() compacts.
+	g.detach(id, &g.frontier)
+	g.frontierClean = false
 	return nil
 }
 
 // detach removes a checked-live node, decrements its live successors'
-// indegree counters, and promotes newly-unblocked successors into the
-// frontier. When emit is non-nil, promoted nodes are appended to *emit.
+// indegree counters, marks newly-unblocked successors as frontier members
+// and appends them to *emit.
 func (g *Graph[T]) detach(id NodeID, emit *[]NodeID) {
 	g.removed[id] = true
 	g.live--
-	if g.inFrontier[id] {
-		g.inFrontier[id] = false
-		g.frontierClean = false
+	g.inFrontier[id] = false
+	if g.indeg[id] > 0 {
+		// Chains from its live predecessors ran through this node.
+		g.pathValid = false
 	}
 	for _, s := range g.succ[id] {
 		if g.removed[s] {
@@ -163,11 +188,7 @@ func (g *Graph[T]) detach(id NodeID, emit *[]NodeID) {
 		g.indeg[s]--
 		if g.indeg[s] == 0 {
 			g.inFrontier[s] = true
-			g.frontier = append(g.frontier, s)
-			g.frontierClean = false
-			if emit != nil {
-				*emit = append(*emit, s)
-			}
+			*emit = append(*emit, s)
 		}
 	}
 }
@@ -176,9 +197,12 @@ func (g *Graph[T]) detach(id NodeID, emit *[]NodeID) {
 // rejected as ErrBadNode on the second occurrence) and returns the nodes the
 // batch newly unblocked — live nodes whose last live predecessor was in the
 // batch — in ascending ID order. Nodes removed by the batch itself are never
-// reported, so issuing a frontier slice plus co-issued followers works. Cost
-// is O(Σ out-degree(ids) + k log k) for k unblocked nodes, independent of
-// graph size.
+// reported, so issuing a frontier slice plus co-issued followers works. ids
+// may be the slice Frontier() returned. The result is owned by the graph and
+// valid until the next mutation. Cost is O(Σ out-degree(ids) + k log k + f)
+// for k unblocked nodes and f frontier entries, independent of graph size,
+// and it leaves a compacted frontier compacted: the k nodes are sorted here,
+// once, and merged into the surviving frontier.
 func (g *Graph[T]) RemoveBatch(ids []NodeID) ([]NodeID, error) {
 	for i, id := range ids {
 		err := g.check(id)
@@ -196,20 +220,59 @@ func (g *Graph[T]) RemoveBatch(ids []NodeID) ([]NodeID, error) {
 	for _, id := range ids {
 		g.removed[id] = false
 	}
-	var unblocked []NodeID
+	promoted := g.unblocked[:0]
 	for _, id := range ids {
-		g.detach(id, &unblocked)
+		g.detach(id, &promoted)
 	}
 	// A batch member can be "unblocked" by an earlier member before its own
 	// detach; filter those and sort what remains.
-	out := unblocked[:0]
-	for _, id := range unblocked {
+	out := promoted[:0]
+	for _, id := range promoted {
 		if !g.removed[id] {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
+	g.unblocked = out
+	if g.frontierClean {
+		g.mergeIntoFrontier(out)
+	} else {
+		g.frontier = append(g.frontier, out...)
+	}
 	return out, nil
+}
+
+// mergeIntoFrontier rebuilds a compacted frontier after a batch removal: the
+// surviving entries (still sorted) merged with the sorted, disjoint set of
+// newly unblocked nodes. Runs only after the batch has been fully iterated,
+// so it may overwrite a caller's ids that alias the frontier.
+func (g *Graph[T]) mergeIntoFrontier(unblocked []NodeID) {
+	kept := g.frontierMembers()
+	// Merge from the back so survivors never need a second buffer.
+	i, j := len(kept)-1, len(unblocked)-1
+	merged := slices.Grow(kept, len(unblocked))[:len(kept)+len(unblocked)]
+	for k := len(merged) - 1; j >= 0; k-- {
+		if i >= 0 && merged[i] > unblocked[j] {
+			merged[k] = merged[i]
+			i--
+		} else {
+			merged[k] = unblocked[j]
+			j--
+		}
+	}
+	g.frontier = merged
+}
+
+// frontierMembers filters the frontier slice in place down to the entries
+// that are still members, keeping their order.
+func (g *Graph[T]) frontierMembers() []NodeID {
+	kept := g.frontier[:0]
+	for _, id := range g.frontier {
+		if g.inFrontier[id] {
+			kept = append(kept, id)
+		}
+	}
+	return kept
 }
 
 // Frontier returns the live nodes with no live predecessors in ascending ID
@@ -227,23 +290,11 @@ func (g *Graph[T]) Frontier() []NodeID {
 // O(f log f) for f frontier entries: every entry was appended by exactly one
 // promotion (or AddNode), and compaction consumes them.
 func (g *Graph[T]) compactFrontier() {
-	kept := g.frontier[:0]
-	for _, id := range g.frontier {
-		if g.inFrontier[id] && !g.removed[id] {
-			kept = append(kept, id)
-		}
-	}
-	sort.Slice(kept, func(a, b int) bool { return kept[a] < kept[b] })
-	// Dedupe adjacent entries: a node that left and re-entered the frontier
-	// between compactions appears twice.
-	out := kept[:0]
-	for i, id := range kept {
-		if i > 0 && id == kept[i-1] {
-			continue
-		}
-		out = append(out, id)
-	}
-	g.frontier = out
+	kept := g.frontierMembers()
+	slices.Sort(kept)
+	// A node that left and re-entered the frontier between compactions
+	// appears twice.
+	g.frontier = slices.Compact(kept)
 	g.frontierClean = true
 }
 
@@ -291,38 +342,72 @@ func (g *Graph[T]) Predecessors(id NodeID) []NodeID {
 
 // TopoSort returns the live nodes in a topological order (dependencies
 // first). Ties are broken by ascending node ID so the order is
-// deterministic.
+// deterministic: Kahn's algorithm with the ready set held in a min-heap.
 func (g *Graph[T]) TopoSort() []NodeID {
-	indeg := make(map[NodeID]int, g.live)
-	for _, n := range g.Nodes() {
-		indeg[n] = len(g.Predecessors(n))
-	}
-	var ready []NodeID
-	for n, d := range indeg {
-		if d == 0 {
-			ready = append(ready, n)
-		}
-	}
-	sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
+	indeg := slices.Clone(g.indeg)
+	// The live zero-indegree nodes in ascending order already form a heap.
+	ready := idHeap(g.appendRoots(nil))
 	out := make([]NodeID, 0, g.live)
 	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
+		n := heap.Pop(&ready).(NodeID)
 		out = append(out, n)
-		var promoted []NodeID
-		for _, s := range g.Successors(n) {
+		for _, s := range g.succ[n] {
+			if g.removed[s] {
+				continue
+			}
 			indeg[s]--
 			if indeg[s] == 0 {
-				promoted = append(promoted, s)
+				heap.Push(&ready, s)
 			}
 		}
-		sort.Slice(promoted, func(a, b int) bool { return promoted[a] < promoted[b] })
-		// Merge while keeping determinism; simple append+sort is fine at the
-		// scales the scheduler works with.
-		ready = append(ready, promoted...)
-		sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
 	}
 	return out
+}
+
+// idHeap is a min-heap of node IDs for container/heap.
+type idHeap []NodeID
+
+func (h idHeap) Len() int           { return len(h) }
+func (h idHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h idHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *idHeap) Push(x any)        { *h = append(*h, x.(NodeID)) }
+func (h *idHeap) Pop() any {
+	old := *h
+	n := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return n
+}
+
+// appendRoots appends the live nodes without live predecessors to dst in
+// ascending order by scanning the counters — Frontier() without its lazy
+// compaction, so read-only and safe beside concurrent readers.
+func (g *Graph[T]) appendRoots(dst []NodeID) []NodeID {
+	for i, d := range g.indeg {
+		if d == 0 && !g.removed[i] {
+			dst = append(dst, NodeID(i))
+		}
+	}
+	return dst
+}
+
+// anyTopoOrder returns the live nodes in some topological order in O(n + e):
+// Kahn's algorithm with the output slice doubling as the FIFO ready queue.
+// The dynamic programs below need dependencies first, not TopoSort's tie-break.
+func (g *Graph[T]) anyTopoOrder() []NodeID {
+	indeg := slices.Clone(g.indeg)
+	order := g.appendRoots(make([]NodeID, 0, g.live))
+	for head := 0; head < len(order); head++ {
+		for _, s := range g.succ[order[head]] {
+			if g.removed[s] {
+				continue
+			}
+			indeg[s]--
+			if indeg[s] == 0 {
+				order = append(order, s)
+			}
+		}
+	}
+	return order
 }
 
 // Levels returns the live nodes grouped by dependency depth: level 0 is the
@@ -330,61 +415,72 @@ func (g *Graph[T]) TopoSort() []NodeID {
 // levels ≤ i with at least one in level i. The paper's Figure 11 experiments
 // are parameterised by the number of DAG levels.
 func (g *Graph[T]) Levels() [][]NodeID {
-	depth := make(map[NodeID]int, g.live)
-	for _, n := range g.TopoSort() {
+	depth := make([]int, len(g.payload))
+	maxd := -1
+	for _, n := range g.anyTopoOrder() {
 		d := 0
-		for _, p := range g.Predecessors(n) {
-			if depth[p]+1 > d {
+		for _, p := range g.pred[n] {
+			if !g.removed[p] && depth[p]+1 > d {
 				d = depth[p] + 1
 			}
 		}
 		depth[n] = d
-	}
-	maxd := -1
-	for _, d := range depth {
 		if d > maxd {
 			maxd = d
 		}
 	}
 	levels := make([][]NodeID, maxd+1)
-	for _, n := range g.Nodes() {
-		levels[depth[n]] = append(levels[depth[n]], n)
+	for i, d := range depth {
+		if !g.removed[i] {
+			levels[d] = append(levels[d], NodeID(i))
+		}
 	}
 	return levels
 }
 
-// LongestPathLengths returns, for every live node, the number of nodes on
-// the longest dependency chain starting at that node (counting itself).
-// Critical-path schedulers (Dionysus) prioritise nodes with larger values.
-func (g *Graph[T]) LongestPathLengths() map[NodeID]int {
-	order := g.TopoSort()
-	length := make(map[NodeID]int, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		best := 0
-		for _, s := range g.Successors(n) {
-			if length[s] > best {
-				best = length[s]
+// LongestPathLengths returns, indexed by NodeID, the number of nodes on the
+// longest dependency chain starting at each live node (counting itself);
+// entries of removed nodes are meaningless. Critical-path schedulers
+// (Dionysus) prioritise nodes with larger values. The table is computed once
+// and memoised until a mutation can change it (see Graph.pathLen), so asking
+// once per switch per round costs one lock. It is owned by the graph,
+// read-only, valid until the next mutation, and safe to request from
+// concurrent readers.
+func (g *Graph[T]) LongestPathLengths() []int {
+	g.pathMu.Lock()
+	defer g.pathMu.Unlock()
+	if !g.pathValid {
+		length := slices.Grow(g.pathLen[:0], len(g.payload))[:len(g.payload)]
+		order := g.anyTopoOrder()
+		for i := len(order) - 1; i >= 0; i-- {
+			n := order[i]
+			best := 0
+			for _, s := range g.succ[n] {
+				if !g.removed[s] && length[s] > best {
+					best = length[s]
+				}
 			}
+			length[n] = best + 1
 		}
-		length[n] = best + 1
+		g.pathLen, g.pathValid = length, true
 	}
-	return length
+	return g.pathLen
 }
 
-// WeightedCriticalPath returns, for every live node, the total weight of the
-// heaviest dependency chain starting at that node, where weight(n) is
-// supplied by the caller (e.g. estimated installation latency). Dionysus
-// uses operation counts; Tango's concurrent-dependent extension uses
-// latency estimates from the score database.
-func (g *Graph[T]) WeightedCriticalPath(weight func(NodeID) float64) map[NodeID]float64 {
-	order := g.TopoSort()
-	total := make(map[NodeID]float64, len(order))
+// WeightedCriticalPath returns, indexed by NodeID, the total weight of the
+// heaviest dependency chain starting at each live node (zero for removed
+// nodes), where weight(n) is supplied by the caller (e.g. estimated
+// installation latency). Dionysus uses operation counts; Tango's
+// concurrent-dependent extension uses latency estimates from the score
+// database.
+func (g *Graph[T]) WeightedCriticalPath(weight func(NodeID) float64) []float64 {
+	order := g.anyTopoOrder()
+	total := make([]float64, len(g.payload))
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		best := 0.0
-		for _, s := range g.Successors(n) {
-			if total[s] > best {
+		for _, s := range g.succ[n] {
+			if !g.removed[s] && total[s] > best {
 				best = total[s]
 			}
 		}

@@ -12,13 +12,13 @@ cd "$(dirname "$0")/.."
 
 OUT=${OUT:-BENCH_10.json}
 BASELINE=${BASELINE:-BENCH_9.json}
-BENCH=${BENCH:-'Table1|SizeInference|PolicyInference|Figure3b|Figure3c|SchedRun|TangoOrder|TelemetryVecRecord|Adversarial|ClassifyExact|DemoteChurn|ScaleHarness|VirtualNowParallel|FleetSustained'}
+BENCH=${BENCH:-'Table1|SizeInference|PolicyInference|Figure3b|Figure3c|SchedRun|TangoOrder|TelemetryVecRecord|Adversarial|ClassifyExact|DemoteChurn|ScaleHarness|VirtualNowParallel|FleetSustained|FrontierDrain|EstimatorFeed'}
 COUNT=${COUNT:-3}
 
-# The switchsim and simclock micro-benchmarks (exact-match lookup, LRU
-# demote churn, padded-vs-unpadded virtual clock reads) ride along with the
-# top-level experiment benchmarks; benchjson accepts the concatenated
-# streams.
-go test -run '^$' -bench "$BENCH" -benchmem -count "$COUNT" . ./internal/switchsim ./internal/simclock |
+# The switchsim, simclock, dag and pattern micro-benchmarks (exact-match
+# lookup, LRU demote churn, padded-vs-unpadded virtual clock reads, the
+# frontier drain, the estimator's add pass) ride along with the top-level
+# experiment benchmarks; benchjson accepts the concatenated streams.
+go test -run '^$' -bench "$BENCH" -benchmem -count "$COUNT" . ./internal/switchsim ./internal/simclock ./internal/dag ./internal/core/pattern |
 	go run ./scripts/benchjson ${BASELINE:+-baseline "$BASELINE"} >"$OUT"
 echo "wrote $OUT"
