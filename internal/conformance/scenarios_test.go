@@ -54,9 +54,9 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
-// TestScenarioCatalogShape pins catalog invariants the bench harness and
-// tangobench rely on: unique names, known families, and a deterministic
-// failure (not a panic) for unknown names.
+// TestScenarioCatalogShape pins catalog invariants tangobench relies on:
+// unique names, known families, and a deterministic failure (not a panic)
+// for unknown names.
 func TestScenarioCatalogShape(t *testing.T) {
 	seen := make(map[string]bool)
 	seeds := make(map[int64]string)

@@ -131,20 +131,6 @@ func PriorityInstall(n int, order Order, rng *rand.Rand) Pattern {
 	}
 }
 
-// ModifyAll builds the pattern that modifies flows [0, n) previously
-// installed at the given priority — half of the Figure 3(b) experiment.
-func ModifyAll(n int, priority uint16) Pattern {
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = Op{Kind: OpMod, FlowID: uint32(i), Priority: priority}
-	}
-	return Pattern{
-		Name:        fmt.Sprintf("modify-all/%d", n),
-		Description: fmt.Sprintf("modify %d existing flows", n),
-		Ops:         ops,
-	}
-}
-
 // Permutation builds the Figure 3(a) pattern: nAdd adds, nMod mods, and
 // nDel dels executed in the order given by perm (a permutation of
 // {OpAdd, OpMod, OpDel}). Mods and dels target already-installed flows

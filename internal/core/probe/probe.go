@@ -167,7 +167,7 @@ type Engine struct {
 	// within frameWindow of the first-seen ID live in frameWin, indexed by
 	// offset — one bounds check instead of a map hash per probe. IDs
 	// outside the window (sparse sweeps such as microflow detection) fall
-	// back to frameOver. ResetFrames invalidates both.
+	// back to frameOver.
 	frameWin  []*cachedFrame
 	frameBase uint32
 	frameOver map[uint32]*cachedFrame
@@ -370,14 +370,6 @@ func (e *Engine) frame(id uint32) (*cachedFrame, error) {
 		e.frameOver[id] = cf
 	}
 	return cf, nil
-}
-
-// ResetFrames invalidates the frame cache. Callers that power-cycle or swap
-// the device mid-run (fault injection) use it to drop frames built for the
-// previous incarnation.
-func (e *Engine) ResetFrames() {
-	clear(e.frameWin)
-	clear(e.frameOver)
 }
 
 // Shared action slices for probe flow-mods. Devices retain (but never

@@ -153,9 +153,6 @@ func (g *Graph[T]) Len() int { return g.live }
 // Payload returns the payload attached to id.
 func (g *Graph[T]) Payload(id NodeID) T { return g.payload[id] }
 
-// SetPayload replaces the payload attached to id.
-func (g *Graph[T]) SetPayload(id NodeID, v T) { g.payload[id] = v }
-
 // Remove marks a node finished and detaches it from the graph, potentially
 // promoting its successors into the independent set. The frontier is
 // maintained incrementally in O(out-degree).

@@ -1,8 +1,8 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§3 and §7). Every driver builds its workload, runs it
 // against emulated switches on virtual clocks, and returns the same rows or
-// series the paper reports — cmd/tangobench prints them, bench_test.go
-// wraps them as benchmarks, and EXPERIMENTS.md records paper-vs-measured.
+// series the paper reports — cmd/tangobench prints them, this package's
+// tests assert their shape, and EXPERIMENTS.md records paper-vs-measured.
 package experiments
 
 import (

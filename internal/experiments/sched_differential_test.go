@@ -133,36 +133,46 @@ func TestRunParallelDifferentialEngines(t *testing.T) {
 }
 
 // TestSchedGolden pins makespan and round count for one Tango and one
-// Dionysus run over the seeded benchmark workload, so both scheduler
-// behaviour and its determinism are regression-gated. These values change
-// only if scheduling semantics change — not with worker count, allocation
-// strategy, or frontier implementation.
+// Dionysus run over the seeded benchmark workload — at the differentials'
+// size and at the sched_plan workload's own dimensions — so both scheduler
+// behaviour and its determinism are regression-gated, and asserts the
+// paper's Figure 10 claim on each: Tango is never slower than Dionysus.
+// These values change only if scheduling semantics change — not with worker
+// count, allocation strategy, or frontier implementation.
 func TestSchedGolden(t *testing.T) {
-	_, db := SchedWorkload(8, 800, 10, 7)
-	exec := sched.CardExecutor{DB: db}
-
-	gT, _ := SchedWorkload(8, 800, 10, 7)
-	tango, err := sched.Run(gT, &sched.Tango{DB: db, SortPriorities: true}, exec, sched.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gD, _ := SchedWorkload(8, 800, 10, 7)
-	dio, err := sched.Run(gD, sched.Dionysus{}, exec, sched.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("tango: makespan=%v rounds=%d; dionysus: makespan=%v rounds=%d",
-		tango.Makespan, tango.Rounds, dio.Makespan, dio.Rounds)
-	const (
-		wantTangoMakespan = 349625 * time.Microsecond
-		wantTangoRounds   = 10
-		wantDioMakespan   = 362344250 * time.Nanosecond
-		wantDioRounds     = 10
-	)
-	if tango.Makespan != wantTangoMakespan || tango.Rounds != wantTangoRounds {
-		t.Errorf("tango run: makespan=%v rounds=%d, want %v/%d", tango.Makespan, tango.Rounds, wantTangoMakespan, wantTangoRounds)
-	}
-	if dio.Makespan != wantDioMakespan || dio.Rounds != wantDioRounds {
-		t.Errorf("dionysus run: makespan=%v rounds=%d, want %v/%d", dio.Makespan, dio.Rounds, wantDioMakespan, wantDioRounds)
+	for _, c := range []struct {
+		switches, total, levels int
+		seed                    int64
+		tangoMakespan           time.Duration
+		tangoRounds             int
+		dioMakespan             time.Duration
+		dioRounds               int
+	}{
+		{8, 800, 10, 7, 349625 * time.Microsecond, 10, 362344250 * time.Nanosecond, 10},
+		{32, 6400, 40, 11, 1012363 * time.Microsecond, 40, 1022931750 * time.Nanosecond, 40},
+	} {
+		run := func(s sched.Scheduler) *sched.RunResult {
+			g, db := SchedWorkload(c.switches, c.total, c.levels, c.seed)
+			res, err := sched.Run(g, s, sched.CardExecutor{DB: db}, sched.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		_, db := SchedWorkload(c.switches, c.total, c.levels, c.seed)
+		tango := run(&sched.Tango{DB: db, SortPriorities: true})
+		dio := run(sched.Dionysus{})
+		label := fmt.Sprintf("%dx%dx%d seed %d", c.switches, c.total, c.levels, c.seed)
+		t.Logf("%s: tango makespan=%v rounds=%d; dionysus makespan=%v rounds=%d",
+			label, tango.Makespan, tango.Rounds, dio.Makespan, dio.Rounds)
+		if tango.Makespan != c.tangoMakespan || tango.Rounds != c.tangoRounds {
+			t.Errorf("%s: tango run: makespan=%v rounds=%d, want %v/%d", label, tango.Makespan, tango.Rounds, c.tangoMakespan, c.tangoRounds)
+		}
+		if dio.Makespan != c.dioMakespan || dio.Rounds != c.dioRounds {
+			t.Errorf("%s: dionysus run: makespan=%v rounds=%d, want %v/%d", label, dio.Makespan, dio.Rounds, c.dioMakespan, c.dioRounds)
+		}
+		if tango.Makespan > dio.Makespan {
+			t.Errorf("%s: tango makespan %v exceeds dionysus %v (dio/tango ratio below 1)", label, tango.Makespan, dio.Makespan)
+		}
 	}
 }

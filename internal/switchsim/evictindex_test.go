@@ -14,7 +14,7 @@ import (
 
 // worstTCAMEntryNaive is the oracle for victim selection: scan the TCAM
 // residents for the policy-worst. It compares through s.better — identical
-// to Policy.Worst for compiled LEX policies, and the only comparator that
+// to Policy.Better for compiled LEX policies, and the only comparator that
 // can see a custom policy's per-switch state.
 func (s *Switch) worstTCAMEntryNaive() *entry {
 	var worst *entry

@@ -72,8 +72,8 @@ func (k SortKey) String() string {
 //
 // Custom, when set, replaces the LEX composite with a policy outside the
 // paper's model (custompolicy.go); Keys is ignored. Custom policies score
-// entries through per-switch state, so the pure Policy.Better/Worst helpers
-// cannot evaluate them and degenerate to insertion order — switches route
+// entries through per-switch state, so the pure Policy.Better helper
+// cannot evaluate them and degenerates to insertion order — switches route
 // every comparison through their instantiated state instead.
 type Policy struct {
 	Keys   []SortKey
@@ -224,16 +224,4 @@ func (p Policy) compile() func(a, b *entry) bool {
 		}
 	}
 	return p.Better
-}
-
-// Worst returns the entry that orders last under the policy — the eviction
-// victim — among the given entries. It returns nil for an empty slice.
-func (p Policy) Worst(entries []*entry) *entry {
-	var worst *entry
-	for _, e := range entries {
-		if worst == nil || p.Better(worst, e) {
-			worst = e
-		}
-	}
-	return worst
 }

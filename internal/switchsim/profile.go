@@ -1,10 +1,6 @@
 package switchsim
 
-import (
-	"time"
-
-	"tango/internal/flowtable"
-)
+import "tango/internal/flowtable"
 
 // TableKind identifies the management style of a switch's table hierarchy.
 type TableKind int
@@ -278,16 +274,4 @@ func FigureFiveSwitch() Profile {
 	p.MidPath = LatencyDist{Mean: ms(0.55), StdDev: ms(0.015)}
 	p.SlowPath = LatencyDist{Mean: ms(1.40), StdDev: ms(0.06)}
 	return p
-}
-
-// EffectiveAddLatency returns the deterministic mean cost of adding a rule
-// with the given number of higher-priority entries present and whether the
-// priority differs from the previous add. Exposed for calibrating scheduler
-// score tables in tests.
-func (p Profile) EffectiveAddLatency(higher int, newBand bool) time.Duration {
-	c := p.Costs.AddBase + time.Duration(higher)*p.Costs.ShiftUnit
-	if newBand {
-		c += p.Costs.AddPriorityDelta
-	}
-	return c
 }

@@ -1253,14 +1253,3 @@ func (s *Switch) InTCAM(m *flowtable.Match, priority uint16) bool {
 	e := s.entryOf(r)
 	return e != nil && e.inTCAM
 }
-
-// TCAMCapacityNow returns how many more entries of width w the hardware
-// table can hold — ground truth for size-inference accuracy.
-func (s *Switch) TCAMCapacityNow(w flowtable.Width) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tcam == nil {
-		return 0
-	}
-	return s.tcam.EffectiveCapacity(w)
-}

@@ -117,18 +117,3 @@ func (c *CLI) Setup() (flush func() error, err error) {
 		return nil
 	}, nil
 }
-
-// Setup installs a new Registry and Tracer as the process defaults when
-// metricsPath or tracePath is non-empty, so components constructed afterwards
-// (engines, switches, scheduler runs) bind to them automatically. The
-// returned flush writes the requested files; it is never nil. When both
-// paths are empty nothing is installed and flush is a no-op.
-//
-// It is the file-only predecessor of CLI.Setup, kept for embedders that do
-// not want the flag block.
-func Setup(metricsPath, tracePath string) (flush func() error) {
-	c := CLI{MetricsOut: metricsPath, TraceOut: tracePath}
-	// No Addr means no listener, so CLI.Setup cannot fail.
-	flush, _ = c.Setup()
-	return flush
-}

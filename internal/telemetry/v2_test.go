@@ -76,9 +76,12 @@ func TestVecWithHitPathDoesNotAllocate(t *testing.T) {
 	hv := r.HistogramVec("h", "switch")
 	cv.With("sw1")
 	hv.With("sw1")
+	tr := NewFlightRecorder(1024).Track("sw1")
+	now := time.Now()
 	if n := testing.AllocsPerRun(200, func() {
 		cv.With("sw1").Add(1)
 		hv.With("sw1").Observe(1)
+		tr.Record(now, now, time.Millisecond, 7, false)
 	}); n != 0 {
 		t.Fatalf("labeled record path allocates %v objects/op, want 0", n)
 	}
