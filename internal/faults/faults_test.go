@@ -42,10 +42,10 @@ func TestParseSpecRoundTrip(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"drop",            // no value
-		"drop=x",          // bad rate
-		"bogus=0.1",       // unknown kind
-		"seed=notanumber", // bad seed
+		"drop",               // no value
+		"drop=x",             // bad rate
+		"bogus=0.1",          // unknown kind
+		"seed=notanumber",    // bad seed
 		"drop=0.8,delay=0.8", // rates sum > 1
 		"drop=-0.1",          // negative rate
 	} {

@@ -40,8 +40,13 @@ type wireFrame struct {
 // from Controller.mu (the xid table): the two are never held together.
 type asyncState struct {
 	mu sync.Mutex
-	// window holds the issued-but-unflushed completions, in issue order.
+	// window holds the issued-but-unflushed completions, in issue order. They
+	// share one done channel, made with the window's first op: whichever
+	// flush snapshots the window resolves them all and closes it once.
 	window []*Completion
+	// frame is where FlowModAsync marshals, so the frame handed to the writer
+	// is one exact-size copy and not a slice grown from nil.
+	frame []byte
 	// queue feeds the writer goroutine, started lazily on first use.
 	queue   chan wireFrame
 	started bool
@@ -50,12 +55,14 @@ type asyncState struct {
 }
 
 // Completion is the handle for one asynchronous flow-mod. It resolves when
-// a flush's trailing barrier covers the op; err is written exactly once
-// before done is closed.
+// a flush's trailing barrier covers the op. err is final once done — shared
+// by every op of the window — is closed; before that readLoop may store the
+// switch's rejection in it (under Controller.mu, while the op's xid is still
+// registered) and the flush that resolves the window may overwrite it with
+// the channel failure (after unregistering the xid under the same mutex).
 type Completion struct {
 	c    *Controller
 	xid  uint32
-	ch   chan openflow.Message
 	done chan struct{}
 	err  error
 
@@ -125,21 +132,27 @@ func (c *Controller) FlowModAsync(fm *openflow.FlowMod) (*Completion, error) {
 			return nil, err
 		}
 	}
-	xid, ch, err := c.register()
+	cp := &Completion{c: c, submit: submit}
+	xid, err := c.register(pendingReply{cp: cp})
 	if err != nil {
 		return nil, err
 	}
+	cp.xid = xid
 	fm.SetXID(xid)
-	data := fm.Marshal(nil)
-	cp := &Completion{c: c, xid: xid, ch: ch, done: make(chan struct{}), submit: submit}
 	a.mu.Lock()
-	if err := c.enqueueLocked(wireFrame{data: data, cp: cp}); err != nil {
+	a.frame = fm.Marshal(a.frame[:0])
+	if err := c.enqueueLocked(wireFrame{data: append([]byte(nil), a.frame...), cp: cp}); err != nil {
 		a.mu.Unlock()
 		c.unregister(xid)
 		return nil, err
 	}
 	if spans {
 		cp.enqueued = time.Now()
+	}
+	if len(a.window) == 0 {
+		cp.done = make(chan struct{})
+	} else {
+		cp.done = a.window[0].done
 	}
 	a.window = append(a.window, cp)
 	a.mu.Unlock()
@@ -186,34 +199,36 @@ func (c *Controller) flushWindow() (reject, err error) {
 		// every op at the same instant.
 		resolve = time.Now()
 	}
+	// Releasing the xids under mu is also what makes the completions safe to
+	// touch: readLoop stores a rejection only while it holds mu and finds the
+	// xid registered. On a successful flush every rejection is already there
+	// — the agent writes an op's error reply before the barrier reply.
+	c.mu.Lock()
 	for _, cp := range window {
-		c.unregister(cp.xid)
+		delete(c.pending, cp.xid)
+	}
+	c.mu.Unlock()
+	for _, cp := range window {
 		if !resolve.IsZero() {
 			c.noteOpSpans(cp, resolve)
 		}
-		opErr := ferr
-		if ferr == nil {
-			// The agent writes an op's error reply before the barrier reply,
-			// so after the barrier a non-blocking read is race free.
-			select {
-			case msg := <-cp.ch:
-				if oe, ok := msg.(*openflow.Error); ok {
-					if oe.IsTableFull() {
-						opErr = switchsim.ErrTableFull
-					} else {
-						opErr = oe
-					}
-				}
-			default:
-			}
+		if ferr != nil {
+			cp.err = ferr
 		}
-		cp.err = opErr
-		close(cp.done)
-		if opErr != nil && reject == nil {
-			reject = opErr
+		if cp.err != nil && reject == nil {
+			reject = cp.err
 		}
 	}
+	close(window[0].done)
 	return reject, ferr
+}
+
+// rejection maps a switch's error reply to the error the op reports.
+func rejection(oe *openflow.Error) error {
+	if oe.IsTableFull() {
+		return switchsim.ErrTableFull
+	}
+	return oe
 }
 
 // noteOpSpans records one resolved op's xid-level segments: submit→enqueue
@@ -247,7 +262,7 @@ func (c *Controller) noteOpSpans(cp *Completion, resolve time.Time) {
 // the writer guarantees the barrier's bytes (and everything queued before
 // it) reached the wire before the await starts.
 func (c *Controller) barrierAsync() error {
-	xid, ch, err := c.register()
+	xid, ch, err := c.registerRequest()
 	if err != nil {
 		return err
 	}

@@ -20,9 +20,14 @@ type Controller struct {
 
 	mu      sync.Mutex
 	nextXID uint32
-	pending map[uint32]chan openflow.Message
+	pending map[uint32]pendingReply
 	readErr error
 	closed  chan struct{}
+
+	// sendMu serialises the directly written requests (send) and guards the
+	// buffer they are marshalled into.
+	sendMu  sync.Mutex
+	sendBuf []byte
 
 	// notify buffers unsolicited switch messages (FLOW_REMOVED,
 	// PORT_STATUS, async PACKET_IN). When full, the oldest notification is
@@ -45,8 +50,8 @@ type Controller struct {
 // ControllerOptions configures DialOptions / NewControllerOptions.
 type ControllerOptions struct {
 	// Metrics receives the controller counters (ofconn.controller.msgs_in,
-	// msgs_out, notify_dropped) and the handshake-latency histogram. Nil
-	// falls back to the process default.
+	// msgs_out, notify_dropped, stale_replies) and the handshake-latency
+	// histogram. Nil falls back to the process default.
 	Metrics *telemetry.Registry
 	// Tracer receives controller lifecycle instants (ofconn.dial,
 	// ofconn.controller.close). Nil falls back to the process default.
@@ -73,6 +78,7 @@ type ctrlTelemetry struct {
 	msgsIn       *telemetry.Counter
 	msgsOut      *telemetry.Counter
 	notifyDrop   *telemetry.Counter
+	staleReplies *telemetry.Counter
 	asyncQueued  *telemetry.Counter
 	asyncFlushes *telemetry.Counter
 	asyncWrites  *telemetry.Counter
@@ -100,6 +106,7 @@ func (t *ctrlTelemetry) init(opts ControllerOptions) {
 	t.msgsIn = reg.Counter("ofconn.controller.msgs_in")
 	t.msgsOut = reg.Counter("ofconn.controller.msgs_out")
 	t.notifyDrop = reg.Counter("ofconn.controller.notify_dropped")
+	t.staleReplies = reg.Counter("ofconn.controller.stale_replies")
 	t.asyncQueued = reg.Counter("ofconn.controller.async_queued")
 	t.asyncFlushes = reg.Counter("ofconn.controller.async_flushes")
 	t.asyncWrites = reg.Counter("ofconn.controller.async_writes")
@@ -166,7 +173,7 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 	}
 	c := &Controller{
 		conn:    conn,
-		pending: make(map[uint32]chan openflow.Message),
+		pending: make(map[uint32]pendingReply),
 		closed:  make(chan struct{}),
 		notify:  make(chan openflow.Message, 256),
 		timeout: opts.Timeout,
@@ -185,14 +192,27 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 	return c, nil
 }
 
+// pendingReply is one xid-table entry: where readLoop routes the message
+// that answers the xid. Exactly one field is set. A request/reply exchange
+// (roundTrip, the flush barrier) waits on ch. A pipelined flow-mod has nobody
+// waiting — its only possible answer is a rejection — so its entry points at
+// the op's Completion and readLoop stores the rejection there.
+type pendingReply struct {
+	ch chan openflow.Message
+	cp *Completion
+}
+
 func (c *Controller) readLoop() {
+	rd := openflow.NewReader(c.conn)
 	for {
-		msg, err := openflow.ReadMessage(c.conn)
+		msg, err := rd.ReadMessage()
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
-			for xid, ch := range c.pending {
-				close(ch)
+			for xid, p := range c.pending {
+				if p.ch != nil {
+					close(p.ch)
+				}
 				delete(c.pending, xid)
 			}
 			c.mu.Unlock()
@@ -204,29 +224,58 @@ func (c *Controller) readLoop() {
 			continue // connection-opening pleasantry, not awaited
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[msg.XID()]
+		p, ok := c.pending[msg.XID()]
 		if ok {
 			delete(c.pending, msg.XID())
+			if oe, isErr := msg.(*openflow.Error); isErr && p.cp != nil {
+				// Stored under mu, which flushWindow takes (to unregister the
+				// xid) before it reads the completion: the write is ordered
+				// before that read whether the flush succeeded — the barrier
+				// reply follows this message on the wire — or timed out.
+				p.cp.err = rejection(oe)
+			}
 		}
 		c.mu.Unlock()
-		if ok {
-			ch <- msg
-			continue
+		switch {
+		case p.ch != nil:
+			p.ch <- msg
+		case ok:
+			// A flow-mod's answer, recorded above.
+		case solicitedOnly(msg.Type()):
+			// The reply to an exchange that gave up waiting (await timed out
+			// and released the xid). Nobody asked for it any more, and it is
+			// not something the switch volunteered.
+			c.tel.staleReplies.Add(1)
+		default:
+			c.notifyUnsolicited(msg)
 		}
-		// Unsolicited messages (FLOW_REMOVED, PORT_STATUS, async PacketIn)
-		// go to the notification queue; the oldest is dropped when full.
-		for {
-			select {
-			case c.notify <- msg:
-			default:
-				select {
-				case <-c.notify:
-					c.tel.notifyDrop.Add(1)
-				default:
-				}
-				continue
-			}
-			break
+	}
+}
+
+// solicitedOnly reports whether a message of type t can only be the answer
+// to a request, never something a switch sends of its own accord.
+func solicitedOnly(t openflow.MsgType) bool {
+	switch t {
+	case openflow.TypeBarrierReply, openflow.TypeEchoReply, openflow.TypeStatsReply,
+		openflow.TypeFeaturesReply, openflow.TypeGetConfigReply:
+		return true
+	}
+	return false
+}
+
+// notifyUnsolicited queues a message the switch sent unprompted (PACKET_IN,
+// FLOW_REMOVED, PORT_STATUS, ERROR); the oldest is dropped when full.
+func (c *Controller) notifyUnsolicited(msg openflow.Message) {
+	for {
+		select {
+		case c.notify <- msg:
+			return
+		default:
+		}
+		select {
+		case <-c.notify:
+			c.tel.notifyDrop.Add(1)
+		default:
 		}
 	}
 }
@@ -234,18 +283,24 @@ func (c *Controller) readLoop() {
 // Notifications returns the stream of unsolicited switch messages.
 func (c *Controller) Notifications() <-chan openflow.Message { return c.notify }
 
-// register allocates an xid and a 1-buffered reply channel for it.
-func (c *Controller) register() (uint32, chan openflow.Message, error) {
+// register allocates an xid and routes its answer to p.
+func (c *Controller) register(p pendingReply) (uint32, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.readErr != nil {
-		return 0, nil, ErrClosed
+		return 0, ErrClosed
 	}
 	c.nextXID++
-	xid := c.nextXID
+	c.pending[c.nextXID] = p
+	return c.nextXID, nil
+}
+
+// registerRequest is register for a request/reply exchange: the answer
+// arrives on the returned 1-buffered channel.
+func (c *Controller) registerRequest() (uint32, chan openflow.Message, error) {
 	ch := make(chan openflow.Message, 1)
-	c.pending[xid] = ch
-	return xid, ch, nil
+	xid, err := c.register(pendingReply{ch: ch})
+	return xid, ch, err
 }
 
 // unregister abandons a pending xid (used when no reply is expected after
@@ -256,8 +311,14 @@ func (c *Controller) unregister(xid uint32) {
 	c.mu.Unlock()
 }
 
+// send marshals m into the controller's send buffer and writes it as one
+// frame.
 func (c *Controller) send(m openflow.Message) error {
-	if err := openflow.WriteMessage(c.conn, m); err != nil {
+	c.sendMu.Lock()
+	c.sendBuf = m.Marshal(c.sendBuf[:0])
+	_, err := c.conn.Write(c.sendBuf)
+	c.sendMu.Unlock()
+	if err != nil {
 		return err
 	}
 	c.tel.msgsOut.Add(1)
@@ -265,8 +326,10 @@ func (c *Controller) send(m openflow.Message) error {
 }
 
 // await blocks for the reply to xid on ch, bounded by the configured
-// timeout (when set). On timeout the xid is unregistered; a straggler reply
-// arriving later lands in the 1-buffered channel and is garbage-collected.
+// timeout (when set). On timeout the xid is unregistered. A straggler that
+// readLoop had already matched lands in the 1-buffered channel and is
+// garbage-collected with it; one that arrives after the unregister finds no
+// entry and is dropped as a stale reply (see readLoop).
 func (c *Controller) await(xid uint32, ch chan openflow.Message) (openflow.Message, error) {
 	if c.timeout <= 0 {
 		msg, ok := <-ch
@@ -306,7 +369,7 @@ func (c *Controller) roundTrip(req request) (reply openflow.Message, rtt time.Du
 	if err := c.fence(); err != nil {
 		return nil, 0, err
 	}
-	xid, ch, err := c.register()
+	xid, ch, err := c.registerRequest()
 	if err != nil {
 		return nil, 0, err
 	}

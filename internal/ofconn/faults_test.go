@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"tango/internal/flowtable"
 	"tango/internal/openflow"
 	"tango/internal/switchsim"
+	"tango/internal/telemetry"
 )
 
 // startFaultySwitch serves sw through the injector and returns its address.
@@ -57,6 +59,81 @@ func TestTimeoutWhenServerDropsReplies(t *testing.T) {
 	var tr interface{ Transient() bool }
 	if !errors.As(err, &tr) || !tr.Transient() {
 		t.Fatal("ErrTimeout must be transient so the probe engine retries it")
+	}
+}
+
+// TestLateReplyIsNotANotification: a reply that arrives after its exchange
+// timed out (and released the xid) is nobody's — it must not surface on
+// Notifications() as if the switch had volunteered it, where a consumer that
+// expects only PORT_STATUS (examples/failover) would trip over it. It is
+// dropped and counted instead.
+func TestLateReplyIsNotANotification(t *testing.T) {
+	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
+	inj := faults.NewInjector(faults.Config{Seed: 1, Delay: 1.0, DelayMean: 60 * time.Millisecond})
+	addr := startFaultySwitch(t, sw, inj)
+	c, err := DialOptions(addr, ControllerOptions{Timeout: 10 * time.Millisecond, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if _, err := c.Echo(); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Echo = %v, want ErrTimeout (the reply is held for 60 ms)", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.tel.staleReplies.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the late ECHO_REPLY never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := c.tel.staleReplies.Value(); n != 1 {
+		t.Fatalf("stale_replies = %d, want 1", n)
+	}
+	select {
+	case msg := <-c.Notifications():
+		t.Fatalf("late reply surfaced as a notification: %T", msg)
+	default:
+	}
+	if n := c.pendingLen(); n != 0 {
+		t.Fatalf("%d XIDs left pending", n)
+	}
+}
+
+// TestRejectionRacesTimeout drives the two writers of a completion's outcome
+// at each other: readLoop storing a switch rejection, and a flush whose
+// barrier timed out overwriting it with ErrTimeout. The agent delays a fifth
+// of the messages by a millisecond or so against a 3 ms timeout while four
+// goroutines flush concurrently, which splits the ops about evenly between
+// rejected and timed out, with rejections landing on either side of a flush
+// giving up. Every op must resolve with one of the three possible outcomes,
+// no xid may stay registered, and the race detector must stay quiet.
+func TestRejectionRacesTimeout(t *testing.T) {
+	sw := switchsim.New(switchsim.Switch2().WithTCAMCapacity(4), switchsim.WithClock(fastClock()))
+	inj := faults.NewInjector(faults.Config{Seed: 3, Delay: 0.2, DelayMean: time.Millisecond, DelayStdDev: time.Millisecond})
+	addr := startFaultySwitch(t, sw, inj)
+	c, err := DialOptions(addr, ControllerOptions{Timeout: 3 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				err := c.FlowMod(testAdd(uint32(g*100 + i)))
+				if err != nil && !errors.Is(err, switchsim.ErrTableFull) && !errors.Is(err, ErrTimeout) {
+					t.Errorf("goroutine %d op %d: %v", g, i, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := c.pendingLen(); n != 0 {
+		t.Fatalf("%d XIDs left pending", n)
 	}
 }
 

@@ -52,8 +52,9 @@ func (c *tapConn) drain(t *testing.T) (writes int, replies []openflow.Message) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	rd := openflow.NewReader(&c.read)
 	for {
-		msg, err := openflow.ReadMessage(&c.read)
+		msg, err := rd.ReadMessage()
 		if err == io.EOF {
 			return c.writes, replies
 		}

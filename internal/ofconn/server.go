@@ -76,13 +76,13 @@ func ServeWith(ln net.Listener, sw *switchsim.Switch, opts ServeOptions) error {
 // the fleet service's in-process TCP members need. Construct with
 // NewServer, run Serve on its own goroutine, stop with Shutdown.
 type Server struct {
-	ln   net.Listener
-	sw   *switchsim.Switch
-	lg   *log.Logger
-	tel  serverTelemetry
-	inj  *faults.Injector
-	wg   sync.WaitGroup
-	mu   sync.Mutex
+	ln      net.Listener
+	sw      *switchsim.Switch
+	lg      *log.Logger
+	tel     serverTelemetry
+	inj     *faults.Injector
+	wg      sync.WaitGroup
+	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	closing bool
 }
@@ -238,15 +238,19 @@ func handshakeMsg(msg openflow.Message) bool {
 // non-nil injector draws one fault decision per inbound message and
 // perturbs the cycle accordingly.
 func handleConn(conn net.Conn, sw *switchsim.Switch, tel serverTelemetry, inj *faults.Injector) error {
-	if err := openflow.WriteMessage(conn, &openflow.Hello{}); err != nil {
+	// out is the connection's write buffer: the opening HELLO, then every
+	// reply one request draws, marshalled together and written once.
+	out := (&openflow.Hello{}).Marshal(nil)
+	if _, err := conn.Write(out); err != nil {
 		return err
 	}
 	tel.msgsOut.Add(1)
+	rd := openflow.NewReader(conn)
 	// held carries replies deferred by a reorder fault; they go out after
 	// the next message's replies, swapping the two on the wire.
 	var held []openflow.Message
 	for {
-		msg, err := openflow.ReadMessage(conn)
+		msg, err := rd.ReadMessage()
 		if err != nil {
 			return err
 		}
@@ -285,7 +289,7 @@ func handleConn(conn net.Conn, sw *switchsim.Switch, tel serverTelemetry, inj *f
 			}
 		}
 		if apply {
-			replies = append(replies, sw.Handle(msg)...)
+			replies = sw.Handle(msg) // nothing was put in replies above
 		}
 		if dec.Fire && dec.Kind == faults.KindDuplicate {
 			replies = append(replies, replies...)
@@ -296,11 +300,16 @@ func handleConn(conn net.Conn, sw *switchsim.Switch, tel serverTelemetry, inj *f
 		}
 		replies = append(replies, held...)
 		held = nil
-		for _, reply := range replies {
-			if err := openflow.WriteMessage(conn, reply); err != nil {
-				return err
-			}
-			tel.msgsOut.Add(1)
+		if len(replies) == 0 {
+			continue
 		}
+		out = out[:0]
+		for _, reply := range replies {
+			out = reply.Marshal(out)
+		}
+		if _, err := conn.Write(out); err != nil {
+			return err
+		}
+		tel.msgsOut.Add(int64(len(replies)))
 	}
 }

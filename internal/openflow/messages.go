@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"tango/internal/flowtable"
 )
@@ -12,8 +11,9 @@ import (
 // headerLen is the size of every OpenFlow message header.
 const headerLen = 8
 
-// MaxMessageLen bounds accepted messages, protecting the decoder against
-// hostile or corrupt length fields.
+// MaxMessageLen bounds a message: no 16-bit length field can announce a
+// longer frame, so a Reader's buffer of this size holds whatever a hostile or
+// corrupt header claims.
 const MaxMessageLen = 1 << 16
 
 // Message is any OpenFlow protocol message. Marshal appends the full wire
@@ -351,8 +351,10 @@ func (m *Error) IsTableFull() bool {
 // ErrTruncated reports a message shorter than its header claims.
 var ErrTruncated = errors.New("openflow: truncated message")
 
-// Decode parses a single complete message from data (which must contain
-// exactly one message, as returned by ReadMessage).
+// Decode parses a single complete message from data, which must contain
+// exactly one message. The result shares no memory with data: every byte a
+// message keeps is copied, which is what lets Reader decode out of a buffer
+// it goes on to refill.
 func Decode(data []byte) (Message, error) {
 	if len(data) < headerLen {
 		return nil, ErrTruncated
@@ -499,28 +501,4 @@ func decodePacketOut(xid uint32, body []byte) (Message, error) {
 		Actions:  actions,
 		Data:     cloneBytes(body[8+alen:]),
 	}, nil
-}
-
-// WriteMessage marshals m and writes it to w as one frame.
-func WriteMessage(w io.Writer, m Message) error {
-	_, err := w.Write(m.Marshal(nil))
-	return err
-}
-
-// ReadMessage reads exactly one message from r and decodes it.
-func ReadMessage(r io.Reader) (Message, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	length := int(binary.BigEndian.Uint16(hdr[2:4]))
-	if length < headerLen || length > MaxMessageLen {
-		return nil, fmt.Errorf("openflow: implausible message length %d", length)
-	}
-	buf := make([]byte, length)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
-		return nil, err
-	}
-	return Decode(buf)
 }

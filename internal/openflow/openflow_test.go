@@ -3,6 +3,7 @@ package openflow
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -296,28 +297,27 @@ func TestReadWriteMessageStream(t *testing.T) {
 		&EchoRequest{Header{4}, []byte("x")},
 	}
 	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(m.Marshal(nil))
 	}
+	rd := NewReader(&buf)
 	for i, want := range msgs {
-		got, err := ReadMessage(&buf)
+		got, err := rd.ReadMessage()
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
-		if got.Type() != want.Type() || got.XID() != want.XID() {
-			t.Fatalf("message %d: got %v/%d want %v/%d", i, got.Type(), got.XID(), want.Type(), want.XID())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("message %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadMessage(&buf); err == nil {
-		t.Fatal("read past end succeeded")
+	if _, err := rd.ReadMessage(); err != io.EOF {
+		t.Fatalf("read past end = %v, want io.EOF", err)
 	}
 }
 
 func TestReadMessageRejectsBadLength(t *testing.T) {
 	// Header claiming a 4-byte total length is impossible.
 	bad := []byte{Version, byte(TypeHello), 0, 4, 0, 0, 0, 0}
-	if _, err := ReadMessage(bytes.NewReader(bad)); err == nil {
+	if _, err := NewReader(bytes.NewReader(bad)).ReadMessage(); err == nil {
 		t.Fatal("accepted length < header size")
 	}
 }
@@ -351,7 +351,7 @@ func TestFlowModRoundTripProperty(t *testing.T) {
 }
 
 // Property: the decoder never panics on arbitrary bytes with a plausible
-// header, and ReadMessage never over-reads.
+// header.
 func TestDecodeFuzzProperty(t *testing.T) {
 	f := func(body []byte, typ uint8) bool {
 		raw := make([]byte, 0, len(body)+8)

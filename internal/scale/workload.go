@@ -16,10 +16,10 @@ import (
 // resident flows are blocked per ordered site pair at pair*flowStride,
 // churn and inference mint from dedicated high bases.
 const (
-	flowStride         = 1 << 16
-	residentBase       = uint32(1)
-	churnFlowBase      = uint32(12 << 20)
-	inferFlowBase      = uint32(14 << 20)
+	flowStride    = 1 << 16
+	residentBase  = uint32(1)
+	churnFlowBase = uint32(12 << 20)
+	inferFlowBase = uint32(14 << 20)
 	// rulePriority is shared by resident rules, churn installs, and
 	// inference probe rules. One priority keeps every install an O(1)
 	// append into the sorted software table (no memmove at the front of a

@@ -59,10 +59,10 @@ func TestNegBinomialMLEExact(t *testing.T) {
 		trials []int
 		want   float64
 	}{
-		{[]int{0, 0, 0}, 0},               // all immediate misses: p̂ = 0
-		{[]int{1}, 0.5},                   // 1/(1+1)
-		{[]int{3, 1}, 2.0 / 3.0},          // 4/(2+4)
-		{[]int{9, 9, 9, 9}, 0.9},          // 36/(4+36)
+		{[]int{0, 0, 0}, 0},                     // all immediate misses: p̂ = 0
+		{[]int{1}, 0.5},                         // 1/(1+1)
+		{[]int{3, 1}, 2.0 / 3.0},                // 4/(2+4)
+		{[]int{9, 9, 9, 9}, 0.9},                // 36/(4+36)
 		{[]int{1000000}, 1000000.0 / 1000001.0}, // long runs approach 1
 	}
 	for _, c := range cases {
