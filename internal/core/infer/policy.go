@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"tango/internal/cluster"
 	"tango/internal/core/probe"
@@ -145,8 +146,22 @@ func ProbePolicy(e *probe.Engine, opts PolicyOptions) (*PolicyResult, error) {
 	return res, nil
 }
 
-// probeRound performs one initialization + measurement + correlation round.
-func probeRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase uint32, fixed map[switchsim.Attribute]bool) (*Round, error) {
+// probeBlock is one initialised block of Algorithm 2's probe flows: the
+// 2×CacheSize rules at base, flow i holding value rank perm[attr][i] of each
+// attribute.
+type probeBlock struct {
+	base       uint32
+	priorities []uint16
+	// perm maps every attribute to its value permutation over the flows.
+	// Insertion is the identity by construction: flows install in index
+	// order.
+	perm map[switchsim.Attribute][]int
+}
+
+// initBlock is Algorithm 2's initialisation, shared by the correlation round
+// and hypothesis verification: install the block's flows, then drive each
+// free attribute to its permuted value. Fixed attributes are held constant.
+func initBlock(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, base uint32, fixed map[switchsim.Attribute]bool) (*probeBlock, error) {
 	s := 2 * opts.CacheSize
 
 	// Pairwise-decorrelated value permutations for the free attributes.
@@ -155,38 +170,39 @@ func probeRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase ui
 	// pair correlates above 0.15 — ensuring "no subset of flows satisfies
 	// the half-above/half-below condition for more than one attribute".
 	prioPerm, trafPerm, usePerm := decorrelatedPerms(rng, s)
-
-	priorities := make([]uint16, s)
-	for i := range priorities {
-		if fixed[switchsim.AttrPriority] {
-			priorities[i] = opts.BasePriority
-		} else {
-			priorities[i] = opts.BasePriority + uint16(prioPerm[i])
+	b := &probeBlock{
+		base:       base,
+		priorities: make([]uint16, s),
+		perm: map[switchsim.Attribute][]int{
+			switchsim.AttrInsertion: make([]int, s),
+			switchsim.AttrUseTime:   usePerm,
+			switchsim.AttrTraffic:   trafPerm,
+			switchsim.AttrPriority:  prioPerm,
+		},
+	}
+	for i := range b.priorities {
+		b.perm[switchsim.AttrInsertion][i] = i
+		b.priorities[i] = opts.BasePriority
+		if !fixed[switchsim.AttrPriority] {
+			b.priorities[i] += uint16(prioPerm[i])
 		}
 	}
 
 	// Install phase (insertion attribute = install order).
-	for i := 0; i < s; i++ {
-		if err := e.Install(flowBase+uint32(i), priorities[i]); err != nil {
+	for i, p := range b.priorities {
+		if err := e.Install(base+uint32(i), p); err != nil {
 			return nil, fmt.Errorf("infer: policy probe install %d: %w", i, err)
 		}
 	}
 
 	// Traffic phase: counts spaced TrafficGap apart, sent in ascending
 	// target order so the cache converges to the top-traffic flows under
-	// frequency policies. Skipped when traffic is held constant.
+	// frequency policies. Skipped when traffic is held constant. Bursts go
+	// through the engine's batched traffic path, which keeps the quadratic
+	// total packet count affordable even for multi-thousand entry caches.
 	if !fixed[switchsim.AttrTraffic] {
-		order := make([]int, s)
-		for i := range order {
-			order[i] = i
-		}
-		// Ascending target count == ascending trafPerm rank. Bursts go
-		// through the engine's batched traffic path, which keeps the
-		// quadratic total packet count affordable even for multi-thousand
-		// entry caches.
-		for _, i := range sortByRank(order, trafPerm) {
-			count := opts.TrafficGap * (trafPerm[i] + 1)
-			if err := e.SendTraffic(flowBase+uint32(i), count); err != nil {
+		for _, i := range inversePerm(trafPerm) {
+			if err := e.SendTraffic(base+uint32(i), opts.TrafficGap*(trafPerm[i]+1)); err != nil {
 				return nil, err
 			}
 		}
@@ -194,21 +210,58 @@ func probeRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase ui
 
 	// Use-time phase: one packet per flow in usePerm order; the flow with
 	// usePerm rank s-1 ends up most recently used.
-	useRank := make([]int, s) // useRank[i] = recency rank of flow i
-	orderByUse := make([]int, s)
-	for i := 0; i < s; i++ {
-		orderByUse[usePerm[i]] = i
-	}
-	for rank, i := range orderByUse {
-		useRank[i] = rank
-		if _, _, err := e.Probe(flowBase + uint32(i)); err != nil {
+	for _, i := range inversePerm(usePerm) {
+		if _, _, err := e.Probe(base + uint32(i)); err != nil {
 			return nil, err
 		}
+	}
+	return b, nil
+}
+
+// clear removes the block's probe rules so the next block starts from a
+// clean cache.
+func (b *probeBlock) clear(e *probe.Engine) {
+	for i, p := range b.priorities {
+		_ = e.Delete(b.base+uint32(i), p)
+	}
+}
+
+// keepOrder lists the block's flows in the order a cache ordered by hyp
+// would keep them, best-kept first. The attribute's values are a permutation
+// of the flows, so sorting the flows by value is inverting it: ascending for
+// keep-low, reversed for keep-high.
+func (b *probeBlock) keepOrder(hyp switchsim.SortKey) []int {
+	order := inversePerm(b.perm[hyp.Attr])
+	if hyp.HighIsBetter {
+		slices.Reverse(order)
+	}
+	return order
+}
+
+// inversePerm returns the inverse of a permutation of [0, len(perm)):
+// out[perm[i]] = i. Read as a list it is the indices sorted ascending by
+// perm — which is how Algorithm 2 orders flows by an attribute, every
+// attribute's values being a permutation of the flows.
+func inversePerm(perm []int) []int {
+	out := make([]int, len(perm))
+	for i, r := range perm {
+		out[r] = i
+	}
+	return out
+}
+
+// probeRound performs one initialization + measurement + correlation round.
+func probeRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase uint32, fixed map[switchsim.Attribute]bool) (*Round, error) {
+	s := 2 * opts.CacheSize
+	b, err := initBlock(e, opts, rng, flowBase, fixed)
+	if err != nil {
+		return nil, err
 	}
 
 	// Measurement phase: most-recently-used first, so each flow's
 	// classification reflects the pre-measurement cache state.
 	rtts := make([]float64, s)
+	orderByUse := inversePerm(b.perm[switchsim.AttrUseTime])
 	for rank := s - 1; rank >= 0; rank-- {
 		i := orderByUse[rank]
 		rtt, _, err := e.Probe(flowBase + uint32(i))
@@ -242,17 +295,8 @@ func probeRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase ui
 	// Correlate each free attribute's value vector with residency.
 	values := func(attr switchsim.Attribute) []float64 {
 		v := make([]float64, s)
-		for i := 0; i < s; i++ {
-			switch attr {
-			case switchsim.AttrInsertion:
-				v[i] = float64(i)
-			case switchsim.AttrUseTime:
-				v[i] = float64(useRank[i])
-			case switchsim.AttrTraffic:
-				v[i] = float64(trafPerm[i])
-			case switchsim.AttrPriority:
-				v[i] = float64(prioPerm[i])
-			}
+		for i, r := range b.perm[attr] {
+			v[i] = float64(r)
 		}
 		return v
 	}
@@ -277,11 +321,7 @@ func probeRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase ui
 		round.Accepted = true
 	}
 
-	// Cleanup: remove this round's probe rules so the next round starts
-	// from a clean cache.
-	for i := 0; i < s; i++ {
-		_ = e.Delete(flowBase+uint32(i), priorities[i])
-	}
+	b.clear(e)
 	return round, nil
 }
 
@@ -347,67 +387,12 @@ func absFloat(v float64) float64 {
 func verifyHypothesis(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase uint32, fixed map[switchsim.Attribute]bool, hyp switchsim.SortKey) (float64, error) {
 	s := 2 * opts.CacheSize
 	n := opts.CacheSize
-	prioPerm, trafPerm, usePerm := decorrelatedPerms(rng, s)
-
-	priorities := make([]uint16, s)
-	for i := range priorities {
-		if fixed[switchsim.AttrPriority] {
-			priorities[i] = opts.BasePriority
-		} else {
-			priorities[i] = opts.BasePriority + uint16(prioPerm[i])
-		}
-	}
-	for i := 0; i < s; i++ {
-		if err := e.Install(flowBase+uint32(i), priorities[i]); err != nil {
-			return 0, fmt.Errorf("infer: verify install %d: %w", i, err)
-		}
-	}
-	if !fixed[switchsim.AttrTraffic] {
-		order := make([]int, s)
-		for i := range order {
-			order[i] = i
-		}
-		for _, i := range sortByRank(order, trafPerm) {
-			if err := e.SendTraffic(flowBase+uint32(i), opts.TrafficGap*(trafPerm[i]+1)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	orderByUse := make([]int, s)
-	for i := 0; i < s; i++ {
-		orderByUse[usePerm[i]] = i
-	}
-	for _, i := range orderByUse {
-		if _, _, err := e.Probe(flowBase + uint32(i)); err != nil {
-			return 0, err
-		}
+	b, err := initBlock(e, opts, rng, flowBase, fixed)
+	if err != nil {
+		return 0, err
 	}
 
-	// Hypothesis value per flow.
-	value := func(i int) float64 {
-		switch hyp.Attr {
-		case switchsim.AttrInsertion:
-			return float64(i)
-		case switchsim.AttrUseTime:
-			return float64(usePerm[i])
-		case switchsim.AttrTraffic:
-			return float64(trafPerm[i])
-		default:
-			return float64(prioPerm[i])
-		}
-	}
-	// Keep-order: best-kept first.
-	order := make([]int, s)
-	for i := range order {
-		order[i] = i
-	}
-	sortBy(order, func(a, b int) bool {
-		if hyp.HighIsBetter {
-			return value(a) > value(b)
-		}
-		return value(a) < value(b)
-	})
-
+	order := b.keepOrder(hyp)
 	rtts := make([]float64, s)
 	for _, i := range order {
 		rtt, _, err := e.Probe(flowBase + uint32(i))
@@ -416,9 +401,7 @@ func verifyHypothesis(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowB
 		}
 		rtts[i] = float64(rtt)
 	}
-	for i := 0; i < s; i++ {
-		_ = e.Delete(flowBase+uint32(i), priorities[i])
-	}
+	b.clear(e)
 
 	cl, err := cluster.Find(rtts, cluster.Options{})
 	if err != nil {
@@ -436,15 +419,6 @@ func verifyHypothesis(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowB
 		}
 	}
 	return float64(correct) / float64(s), nil
-}
-
-// sortBy is a small insertion sort over ints with a custom less.
-func sortBy(xs []int, less func(a, b int) bool) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && less(xs[j], xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // decorrelatedPerms draws three permutations of [0,s) whose pairwise
@@ -486,17 +460,6 @@ func decorrelatedPerms(rng *rand.Rand, s int) (prio, traf, use []int) {
 	traf = draw(prio)
 	use = draw(prio, traf)
 	return prio, traf, use
-}
-
-// sortByRank returns idxs sorted ascending by rank[idx].
-func sortByRank(idxs []int, rank []int) []int {
-	out := append([]int(nil), idxs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && rank[out[j]] < rank[out[j-1]]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // InitPattern is the post-initialization attribute state Algorithm 2 sets

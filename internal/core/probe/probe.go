@@ -23,7 +23,9 @@ import (
 // those measurements.
 type Device interface {
 	// FlowMod applies the operation and returns once it has completed
-	// (barrier semantics). Table-full rejections must return an error.
+	// (barrier semantics). Table-full rejections must return an error. fm is
+	// the caller's to overwrite once the call returns: a device copies what
+	// it keeps (the action slice excepted, which is shared and immutable).
 	FlowMod(fm *openflow.FlowMod) error
 	// SendProbe injects the frame and reports its round-trip time and
 	// whether it was punted to the controller rather than forwarded.
@@ -118,16 +120,6 @@ func (d SimDevice) SendFrameN(f *packet.Frame, inPort uint16, size, n int) (time
 	return res.RTT, res.Path == switchsim.PathControl, nil
 }
 
-// cachedFrame is one frame-cache slot: the encoded probe frame plus its
-// decoded form for devices that accept pre-parsed frames.
-type cachedFrame struct {
-	data  []byte
-	frame packet.Frame
-	// buf backs data for payload-less probes, making each cache slot a
-	// single allocation; frames with payloads spill to the heap.
-	buf [64]byte
-}
-
 // EngineStats is the engine's deterministic op ledger: plain counters
 // incremented at the same points as the probe.* telemetry counters, but
 // owned by the engine rather than a shared registry, so a caller that owns
@@ -162,21 +154,17 @@ type Engine struct {
 	// Retry bounds recovery from transient channel failures; the zero
 	// value keeps the engine single-attempt.
 	Retry Retry
-	// The frame cache: probing re-sends the same flows thousands of times,
-	// and flow IDs run densely upward from a pattern's FlowIDBase. Slots
-	// within frameWindow of the first-seen ID live in frameWin, indexed by
-	// offset — one bounds check instead of a map hash per probe. IDs
-	// outside the window (sparse sweeps such as microflow detection) fall
-	// back to frameOver.
-	frameWin  []*cachedFrame
-	frameBase uint32
-	frameOver map[uint32]*cachedFrame
-	// frameSlab is the allocation arena behind both caches: slots are
-	// carved from slabs of frameSlabSize so a size sweep's thousands of
-	// cache fills cost dozens of allocations instead of one per flow,
-	// and the GC scans a handful of large objects instead of a swarm.
-	frameSlab []cachedFrame
-	// opScratch is the flow-mod TimeOps reuses across a batch's ops.
+	// frame is the engine's one probe frame, built once and retargeted in
+	// place to each flow probed: a probe frame is a pure function of its flow
+	// ID and a FrameDevice may not retain it past the call, so there is
+	// nothing to keep per flow. buf backs the encoded form devices without
+	// the pre-decoded path (and retrying engines) are sent instead.
+	frame packet.Frame
+	buf   [64]byte
+	// opScratch is the flow-mod every serial op path (Install, Modify,
+	// Delete, Run, TimeOps) fills in place: the device send is synchronous
+	// and devices copy what they keep, so a flow-mod per op would be pure
+	// collector load.
 	opScratch openflow.FlowMod
 
 	// Telemetry handles. All nil-safe: an engine built with no registry
@@ -189,8 +177,6 @@ type Engine struct {
 	mTraffic   *telemetry.Counter
 	mRetries   *telemetry.Counter
 	mExhausted *telemetry.Counter
-	mFrameHits *telemetry.Counter
-	mFrameMiss *telemetry.Counter
 	hRTT       *telemetry.Histogram
 	// hRTTSw is the per-switch probe.rtt_ns{switch=...} child, bound by
 	// SetLabel; nil on unlabeled engines, so the fleet aggregate hRTT keeps
@@ -217,6 +203,7 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // without any caller wiring.
 func NewEngine(dev Device) *Engine {
 	e := &Engine{dev: dev, InPort: 1}
+	packet.BuildProbeFrame(&e.frame, packet.ProbeSpec{})
 	e.frameDev, _ = dev.(FrameDevice)
 	e.pipeDev, _ = dev.(PipelinedDevice)
 	e.flightRec = telemetry.DefaultFlight()
@@ -239,8 +226,6 @@ func (e *Engine) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	e.mTraffic = reg.Counter("probe.traffic_packets")
 	e.mRetries = reg.Counter("probe.retries")
 	e.mExhausted = reg.Counter("probe.retry_exhausted")
-	e.mFrameHits = reg.Counter("probe.frame_cache_hits")
-	e.mFrameMiss = reg.Counter("probe.frame_cache_misses")
 	e.hRTT = reg.Histogram("probe.rtt_ns")
 	e.hRTTSw = nil
 	if e.label != "" {
@@ -314,62 +299,11 @@ func (e *Engine) flowMod(fm *openflow.FlowMod) error {
 	return e.withRetry("flowmod", func() error { return e.dev.FlowMod(fm) }, scrub)
 }
 
-// frameSlabSize is the frame-cache arena's slab length (cache slots per
-// allocation).
-const frameSlabSize = 256
-
-// frameWindow bounds how far past the first-seen flow ID the dense cache
-// window extends. 32Ki slots cover every doubling phase the default MaxRules
-// budget can reach while keeping the worst-case window at 256KiB of slots.
-const frameWindow = 1 << 15
-
-// frame returns (building if needed) the cached probe frame for flow id, in
-// both encoded and decoded form.
-func (e *Engine) frame(id uint32) (*cachedFrame, error) {
-	// id < frameBase wraps the offset to a huge value and falls through to
-	// the overflow map, as intended.
-	if off := id - e.frameBase; e.frameWin != nil && off < uint32(len(e.frameWin)) {
-		if cf := e.frameWin[off]; cf != nil {
-			e.mFrameHits.Add(1)
-			return cf, nil
-		}
-	} else if cf, ok := e.frameOver[id]; ok {
-		e.mFrameHits.Add(1)
-		return cf, nil
-	}
-	e.mFrameMiss.Add(1)
-	if len(e.frameSlab) == cap(e.frameSlab) {
-		// Full (or nil) slab: start a fresh one. Slots already handed out
-		// keep their addresses — the old backing array stays reachable
-		// through frameWin/frameOver.
-		e.frameSlab = make([]cachedFrame, 0, frameSlabSize)
-	}
-	e.frameSlab = append(e.frameSlab, cachedFrame{})
-	cf := &e.frameSlab[len(e.frameSlab)-1]
-	data, err := packet.AppendBuildProbe(cf.buf[:0], packet.ProbeSpec{FlowID: id})
-	if err != nil {
-		return nil, err
-	}
-	cf.data = data
-	if err := packet.DecodeInto(&cf.frame, data); err != nil {
-		return nil, err
-	}
-	if e.frameWin == nil {
-		e.frameBase = id
-		e.frameWin = make([]*cachedFrame, 1, 256)
-	}
-	if off := id - e.frameBase; off < frameWindow {
-		for uint32(len(e.frameWin)) <= off {
-			e.frameWin = append(e.frameWin, nil)
-		}
-		e.frameWin[off] = cf
-	} else {
-		if e.frameOver == nil {
-			e.frameOver = make(map[uint32]*cachedFrame)
-		}
-		e.frameOver[id] = cf
-	}
-	return cf, nil
+// encoded mints flow id's wire bytes into the engine's buffer, for the
+// devices and retry paths that take an encoded packet. The result is only
+// valid until the next call.
+func (e *Engine) encoded(id uint32) ([]byte, error) {
+	return packet.AppendBuildProbe(e.buf[:0], packet.ProbeSpec{FlowID: id})
 }
 
 // Shared action slices for probe flow-mods. Devices retain (but never
@@ -401,16 +335,7 @@ func fillFlowMod(fm *openflow.FlowMod, op pattern.Op) {
 	}
 }
 
-// flowMod builds the flow-mod for one pattern op.
-func flowMod(op pattern.Op) *openflow.FlowMod {
-	fm := &openflow.FlowMod{}
-	fillFlowMod(fm, op)
-	return fm
-}
-
-// Install adds the probe rule for flow id at the given priority. Like the
-// other single-op helpers it reuses the engine's scratch flow-mod: devices
-// copy what they keep, so per-op allocation would be pure collector load.
+// Install adds the probe rule for flow id at the given priority.
 func (e *Engine) Install(id uint32, priority uint16) error {
 	fillFlowMod(&e.opScratch, pattern.Op{Kind: pattern.OpAdd, FlowID: id, Priority: priority})
 	return e.flowMod(&e.opScratch)
@@ -431,26 +356,24 @@ func (e *Engine) Delete(id uint32, priority uint16) error {
 // Probe sends flow id's frame and returns its RTT and whether it punted.
 // Transient send failures retry under the engine's Retry policy.
 func (e *Engine) Probe(id uint32) (time.Duration, bool, error) {
-	cf, err := e.frame(id)
-	if err != nil {
-		return 0, false, err
-	}
 	var (
 		rtt    time.Duration
 		punted bool
+		err    error
 	)
-	if !e.Retry.enabled() {
+	if e.frameDev != nil && !e.Retry.enabled() {
 		// Single-attempt fast path: no retry closure, and devices that take
-		// pre-decoded frames skip the per-probe packet parse.
-		if e.frameDev != nil {
-			rtt, punted, err = e.frameDev.SendFrameN(&cf.frame, e.InPort, len(cf.data), 1)
-		} else {
-			rtt, punted, err = e.dev.SendProbe(cf.data, e.InPort)
-		}
+		// pre-decoded frames skip the per-probe encode and parse.
+		packet.RetargetProbeFrame(&e.frame, id)
+		rtt, punted, err = e.frameDev.SendFrameN(&e.frame, e.InPort, packet.ProbeFrameLen, 1)
+	} else if data, berr := e.encoded(id); berr != nil {
+		return 0, false, berr
+	} else if !e.Retry.enabled() {
+		rtt, punted, err = e.dev.SendProbe(data, e.InPort)
 	} else {
 		err = e.withRetry("probe", func() error {
 			var aerr error
-			rtt, punted, aerr = e.dev.SendProbe(cf.data, e.InPort)
+			rtt, punted, aerr = e.dev.SendProbe(data, e.InPort)
 			return aerr
 		}, nil)
 	}
@@ -481,21 +404,22 @@ func (e *Engine) SendTraffic(id uint32, count int) error {
 	if count <= 0 {
 		return nil
 	}
-	cf, err := e.frame(id)
-	if err != nil {
-		return err
-	}
 	if e.frameDev != nil && !e.Retry.enabled() {
-		if _, _, err := e.frameDev.SendFrameN(&cf.frame, e.InPort, len(cf.data), count); err != nil {
+		packet.RetargetProbeFrame(&e.frame, id)
+		if _, _, err := e.frameDev.SendFrameN(&e.frame, e.InPort, packet.ProbeFrameLen, count); err != nil {
 			return err
 		}
 		e.mTraffic.Add(int64(count))
 		e.stats.Traffic += int64(count)
 		return nil
 	}
+	data, err := e.encoded(id)
+	if err != nil {
+		return err
+	}
 	if ts, ok := e.dev.(TrafficSender); ok {
 		if err := e.withRetry("traffic", func() error {
-			return ts.SendTraffic(cf.data, e.InPort, count)
+			return ts.SendTraffic(data, e.InPort, count)
 		}, nil); err != nil {
 			return err
 		}
@@ -505,7 +429,7 @@ func (e *Engine) SendTraffic(id uint32, count int) error {
 	}
 	for i := 0; i < count; i++ {
 		if err := e.withRetry("traffic", func() error {
-			_, _, aerr := e.dev.SendProbe(cf.data, e.InPort)
+			_, _, aerr := e.dev.SendProbe(data, e.InPort)
 			return aerr
 		}, nil); err != nil {
 			return err
@@ -539,7 +463,8 @@ func (e *Engine) Run(p pattern.Pattern) (pattern.Result, error) {
 	start := e.dev.Now()
 	for _, op := range p.Ops {
 		opStart := e.dev.Now()
-		if err := e.flowMod(flowMod(op)); err != nil {
+		fillFlowMod(&e.opScratch, op)
+		if err := e.flowMod(&e.opScratch); err != nil {
 			return res, fmt.Errorf("probe: op %s flow %d: %w", op.Kind, op.FlowID, err)
 		}
 		res.Ops = append(res.Ops, pattern.OpTiming{Op: op, Latency: e.dev.Now().Sub(opStart)})
@@ -569,9 +494,6 @@ func (e *Engine) Run(p pattern.Pattern) (pattern.Result, error) {
 func (e *Engine) TimeOps(ops []pattern.Op) (time.Duration, error) {
 	start := e.dev.Now()
 	for _, op := range ops {
-		// One scratch flow-mod for the whole batch: the device send path is
-		// synchronous and devices copy what they keep, so per-op allocation
-		// would be pure garbage-collector load.
 		fillFlowMod(&e.opScratch, op)
 		if err := e.flowMod(&e.opScratch); err != nil {
 			return e.dev.Now().Sub(start), err
@@ -604,13 +526,9 @@ func (e *Engine) InstallBatch(ids []uint32, p uint16) (int, error) {
 		}
 		return len(ids), nil
 	}
-	fms := make([]*openflow.FlowMod, len(ids))
-	for i, id := range ids {
-		fms[i] = flowMod(pattern.Op{Kind: pattern.OpAdd, FlowID: id, Priority: p})
-	}
-	e.mFlowMods.Add(int64(len(ids)))
-	e.stats.FlowMods += int64(len(ids))
-	errs, err := e.pipeDev.FlowModBatch(fms)
+	errs, err := e.pipeline(len(ids), func(i int) pattern.Op {
+		return pattern.Op{Kind: pattern.OpAdd, FlowID: ids[i], Priority: p}
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -633,13 +551,25 @@ func (e *Engine) ClearBatch(base, n uint32, p uint16) {
 		}
 		return
 	}
+	_, _ = e.pipeline(int(n), func(i int) pattern.Op {
+		return pattern.Op{Kind: pattern.OpDel, FlowID: base + uint32(i), Priority: p}
+	})
+}
+
+// pipeline counts and sends the n flow-mods op yields down the pipelined
+// path. FlowModBatch takes the batch whole, so its ops cannot share the
+// serial scratch; each is its own allocation, because carving all n from one
+// slice — a large-object allocation per batch — measured 4% slower on
+// channel_tcp than n small ones.
+func (e *Engine) pipeline(n int, op func(i int) pattern.Op) ([]error, error) {
 	fms := make([]*openflow.FlowMod, n)
 	for i := range fms {
-		fms[i] = flowMod(pattern.Op{Kind: pattern.OpDel, FlowID: base + uint32(i), Priority: p})
+		fms[i] = new(openflow.FlowMod)
+		fillFlowMod(fms[i], op(i))
 	}
 	e.mFlowMods.Add(int64(n))
 	e.stats.FlowMods += int64(n)
-	_, _ = e.pipeDev.FlowModBatch(fms)
+	return e.pipeDev.FlowModBatch(fms)
 }
 
 // ClearProbeRules removes the probe rules for flows [base, base+n) at

@@ -178,3 +178,46 @@ func TestBenchmarkChannel(t *testing.T) {
 		t.Fatal("empty report string")
 	}
 }
+
+// TestProbeAllocFree gates the engine's send paths at zero allocations over a
+// walk of flows it has never sent before: the engine owns one frame and one
+// scratch flow-mod, so neither a probe, a traffic burst nor a pattern op has
+// anything to allocate per flow. A per-flow frame cache fails the probe walk
+// (a slab every 256 new flows); a flow-mod per pattern op fails the Run walk.
+func TestProbeAllocFree(t *testing.T) {
+	const flows = 1024
+	e, _ := newEngine(switchsim.Switch2())
+	for id := uint32(0); id < 2*flows; id++ {
+		if err := e.Install(id, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun calls the function once to warm up and once to count;
+	// each call walks the next `flows` IDs.
+	next := uint32(0)
+	if n := testing.AllocsPerRun(1, func() {
+		for end := next + flows; next < end; next++ {
+			if _, punted, err := e.Probe(next); err != nil || punted {
+				t.Fatalf("probe %d: punted=%v err=%v", next, punted, err)
+			}
+			if err := e.SendTraffic(next, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("%v allocations in %d probes and bursts of new flows, want 0", n, flows)
+	}
+
+	// Run allocates its result's timing slice and nothing per op.
+	p := pattern.Pattern{Name: "mods", Ops: make([]pattern.Op, flows)}
+	for i := range p.Ops {
+		p.Ops[i] = pattern.Op{Kind: pattern.OpMod, FlowID: uint32(i), Priority: 100}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := e.Run(p); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("%v allocations in a %d-op pattern run, want 1 (the timings)", n, flows)
+	}
+}

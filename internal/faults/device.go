@@ -34,7 +34,9 @@ type Device struct {
 
 	mu sync.Mutex
 	// held is a flow-mod deferred by a reorder fault; it applies after the
-	// next operation, swapping the two on the wire.
+	// next operation, swapping the two on the wire. It is the device's own
+	// copy: callers reuse one flow-mod across ops (probe.Engine's scratch),
+	// so the caller's would read as the next op by the time it is flushed.
 	held *openflow.FlowMod
 
 	lateErrs *telemetry.Counter
@@ -136,7 +138,8 @@ func (d *Device) FlowMod(fm *openflow.FlowMod) error {
 		d.mu.Lock()
 		free := d.held == nil
 		if free {
-			d.held = fm
+			cp := *fm // the action slice is shared and immutable by contract
+			d.held = &cp
 		}
 		d.mu.Unlock()
 		if free {

@@ -142,6 +142,18 @@ func TestReorderDelaysFlowModsOneSlot(t *testing.T) {
 	if got := sw.Stats().FlowMods; got != n {
 		t.Fatalf("FlowMods = %d after probe flush, want %d", got, n)
 	}
+	// The engine fills one scratch flow-mod for every op, so a device that
+	// held the caller's pointer would apply each add as its successor: flow 0
+	// never installed, flow n-1 applied twice. Every flow must be resident
+	// and forwarding.
+	if tcam, _, soft := sw.RuleCount(); tcam+soft != n {
+		t.Fatalf("%d rules resident after the flush, want %d", tcam+soft, n)
+	}
+	for i := uint32(0); i < n; i++ {
+		if _, punted, err := e.Probe(i); err != nil || punted {
+			t.Fatalf("probe of flow %d: punted=%v err=%v, want forwarded", i, punted, err)
+		}
+	}
 }
 
 func TestDelayChargesClock(t *testing.T) {

@@ -143,27 +143,23 @@ type ProbeSpec struct {
 // 10.83.0.0/16 block is private and unlikely to collide with pre-installed
 // rules on a device under test.
 var (
-	probeBaseSrc = netip.AddrFrom4([4]byte{10, 83, 0, 0})
-	probeBaseDst = netip.AddrFrom4([4]byte{10, 84, 0, 0})
+	probeBaseSrc = [4]byte{10, 83, 0, 0}
+	probeBaseDst = [4]byte{10, 84, 0, 0}
 )
 
-// ProbeSrcIP returns the source address assigned to flow id.
-func ProbeSrcIP(id uint32) netip.Addr {
-	b := probeBaseSrc.As4()
-	b[2] = byte(id >> 8)
-	b[3] = byte(id)
-	b[1] += byte(id >> 16) // spill into the second octet past 65536 flows
-	return netip.AddrFrom4(b)
+// probeIP4 offsets flow id into base's address block.
+func probeIP4(base [4]byte, id uint32) [4]byte {
+	base[1] += byte(id >> 16) // spill into the second octet past 65536 flows
+	base[2] = byte(id >> 8)
+	base[3] = byte(id)
+	return base
 }
 
+// ProbeSrcIP returns the source address assigned to flow id.
+func ProbeSrcIP(id uint32) netip.Addr { return netip.AddrFrom4(probeIP4(probeBaseSrc, id)) }
+
 // ProbeDstIP returns the destination address assigned to flow id.
-func ProbeDstIP(id uint32) netip.Addr {
-	b := probeBaseDst.As4()
-	b[2] = byte(id >> 8)
-	b[3] = byte(id)
-	b[1] += byte(id >> 16)
-	return netip.AddrFrom4(b)
-}
+func ProbeDstIP(id uint32) netip.Addr { return netip.AddrFrom4(probeIP4(probeBaseDst, id)) }
 
 // BuildProbe mints the wire bytes of the probe frame for spec. Frames for
 // the same FlowID are always byte-identical except for the payload.
@@ -179,49 +175,64 @@ func AppendBuildProbe(b []byte, spec ProbeSpec) ([]byte, error) {
 	return f.AppendSerialize(b)
 }
 
+// ProbeFrameLen is the encoded length of a payload-less TCP probe frame
+// (Ethernet 14 + IPv4 20 + TCP 20): the size argument in-process senders
+// give FrameDevice.SendFrameN for a frame they never serialize.
+const ProbeFrameLen = ethernetHeaderLen + ipv4HeaderLen + tcpHeaderLen
+
 // BuildProbeFrame fills f in place with the decoded form of the probe frame
 // for spec — the same Frame a DecodeInto of BuildProbe's wire bytes would
 // yield, including the derived IPv4 length and the packed address word the
-// exact-match fast path keys on. In-process senders (FrameDevice, the scale
-// harness' pooled per-shard frames) mint frames this way and skip the
-// encode/decode round trip entirely.
+// exact-match fast path keys on. In-process senders (the probing engine over
+// a FrameDevice, the scale harness' pooled per-shard frames) build one frame
+// this way and skip the encode/decode round trip entirely. The fields that
+// depend on the flow ID are RetargetProbeFrame's; the ones set here are the
+// same for every ID.
 func BuildProbeFrame(f *Frame, spec ProbeSpec) {
 	proto := spec.Proto
 	if proto == 0 {
 		proto = IPProtocolTCP
 	}
 	*f = Frame{
-		Eth: Ethernet{
-			Dst:       MACFromUint64(0x0200_0000_0000 | uint64(spec.FlowID)),
-			Src:       MACFromUint64(0x0200_0100_0000 | uint64(spec.FlowID)),
-			EtherType: EtherTypeIPv4,
-		},
+		Eth:     Ethernet{EtherType: EtherTypeIPv4},
 		HasIPv4: true,
-		IP: IPv4{
-			Src:      ProbeSrcIP(spec.FlowID),
-			Dst:      ProbeDstIP(spec.FlowID),
-			Protocol: proto,
-			TTL:      64,
-			ID:       uint16(spec.FlowID),
-		},
+		IP:      IPv4{Protocol: proto, TTL: 64},
 		Payload: spec.Payload,
 	}
 	l4len := len(spec.Payload)
 	switch proto {
 	case IPProtocolTCP:
 		f.HasTCP = true
-		f.TCP = TCP{SrcPort: 1024 + uint16(spec.FlowID%50000), DstPort: 80, Window: 65535}
+		f.TCP = TCP{DstPort: 80, Window: 65535}
 		l4len += tcpHeaderLen
 	case IPProtocolUDP:
 		f.HasUDP = true
-		f.UDP = UDP{
-			SrcPort: 1024 + uint16(spec.FlowID%50000),
-			DstPort: 53,
-			Length:  uint16(udpHeaderLen + len(spec.Payload)),
-		}
+		f.UDP = UDP{DstPort: 53, Length: uint16(udpHeaderLen + len(spec.Payload))}
 		l4len += udpHeaderLen
 	}
 	f.IP.Length = uint16(ipv4HeaderLen + l4len)
-	src, dst := f.IP.Src.As4(), f.IP.Dst.As4()
+	RetargetProbeFrame(f, spec.FlowID)
+}
+
+// RetargetProbeFrame rewrites a frame built by BuildProbeFrame to be flow
+// id's frame of the same protocol and payload. It touches exactly the fields
+// minted from the ID — both MACs, both addresses and their packed word, the
+// IP identification and the L4 source port — so a sender that owns one frame
+// walks it across flows without rebuilding the constant fields, and the
+// ID → header mapping still lives in one place.
+func RetargetProbeFrame(f *Frame, id uint32) {
+	f.Eth.Dst = MACFromUint64(0x0200_0000_0000 | uint64(id))
+	f.Eth.Src = MACFromUint64(0x0200_0100_0000 | uint64(id))
+	src, dst := probeIP4(probeBaseSrc, id), probeIP4(probeBaseDst, id)
+	f.IP.Src = netip.AddrFrom4(src)
+	f.IP.Dst = netip.AddrFrom4(dst)
+	f.IP.ID = uint16(id)
 	f.IP.addrWord = uint64(binary.BigEndian.Uint32(src[:]))<<32 | uint64(binary.BigEndian.Uint32(dst[:]))
+	port := 1024 + uint16(id%50000)
+	switch {
+	case f.HasTCP:
+		f.TCP.SrcPort = port
+	case f.HasUDP:
+		f.UDP.SrcPort = port
+	}
 }

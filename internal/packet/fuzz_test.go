@@ -46,3 +46,20 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzProbeFrame holds the three ways of minting a probe frame to one answer
+// for any flow ID reached from any other: built, retargeted, and decoded from
+// the encoding.
+func FuzzProbeFrame(f *testing.F) {
+	f.Add(uint32(0), uint32(1))
+	f.Add(uint32(65536), uint32(65535))
+	f.Add(uint32(1<<20), uint32(9<<20))
+	f.Add(uint32(1<<32-1), uint32(1<<24-1))
+	f.Fuzz(func(t *testing.T, id, prev uint32) {
+		for _, proto := range []IPProtocol{IPProtocolTCP, IPProtocolUDP} {
+			if msg := probeFrameMismatch(id, prev, proto, nil); msg != "" {
+				t.Fatalf("flow %d, proto %d: %s", id, proto, msg)
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -279,33 +280,70 @@ func TestDecodeRobustness(t *testing.T) {
 	}
 }
 
+// probeFrameMismatch mints flow id's frame three ways — BuildProbeFrame,
+// RetargetProbeFrame from flow prev's frame, and a decode of AppendBuildProbe's
+// bytes in a buffer that held prev's — and describes the first disagreement
+// ("" when all three agree). The engine and the scale harness send whichever
+// is cheapest, so any divergence would break the encode-path/decode-path
+// equivalence the differential gates rely on.
+func probeFrameMismatch(id, prev uint32, proto IPProtocol, payload []byte) string {
+	spec := ProbeSpec{FlowID: id, Proto: proto, Payload: payload}
+	prevSpec := ProbeSpec{FlowID: prev, Proto: proto, Payload: payload}
+	var built, walked, decoded Frame
+	BuildProbeFrame(&built, spec)
+	BuildProbeFrame(&walked, prevSpec)
+	RetargetProbeFrame(&walked, id)
+	if !reflect.DeepEqual(&built, &walked) {
+		return fmt.Sprintf("retargeted from %d: %+v, built: %+v", prev, walked, built)
+	}
+	var buf [64]byte
+	if _, err := AppendBuildProbe(buf[:0], prevSpec); err != nil {
+		return err.Error()
+	}
+	raw, err := AppendBuildProbe(buf[:0], spec)
+	if err != nil {
+		return err.Error()
+	}
+	if len(raw) <= len(buf) && &raw[0] != &buf[0] {
+		return fmt.Sprintf("a %d-byte frame left the 64-byte buffer", len(raw))
+	}
+	if err := DecodeInto(&decoded, raw); err != nil {
+		return err.Error()
+	}
+	if len(payload) == 0 {
+		// Decode represents an absent payload as an empty non-nil slice.
+		decoded.Payload = built.Payload
+	}
+	if !reflect.DeepEqual(&built, &decoded) {
+		return fmt.Sprintf("decoded: %+v, built: %+v", decoded, built)
+	}
+	return ""
+}
+
 // Property: BuildProbeFrame's in-place decoded form is exactly what decoding
-// BuildProbe's wire bytes yields — the scale harness pools these frames and
-// feeds them straight to SendFrameN, so any divergence would break the
-// encode-path/decode-path equivalence the differential gates rely on.
+// BuildProbe's wire bytes yields, and retargeting any other flow's frame
+// lands on it too.
 func TestBuildProbeFrameMatchesDecode(t *testing.T) {
-	f := func(id uint32, udp bool, payload []byte) bool {
-		spec := ProbeSpec{FlowID: id % 2_000_000, Payload: payload}
-		if len(payload) == 0 {
-			// Decode represents an absent payload as an empty non-nil
-			// slice; pin a canonical non-empty payload instead of testing
-			// nil-vs-empty representation.
-			spec.Payload = []byte{0xab}
+	// The IDs where a header field carries into the next byte, the policy
+	// and microflow probes' bases, and the ends of the address and ID space.
+	ids := []uint32{0, 255, 256, 65535, 65536, 1 << 20, 9 << 20, 1<<24 - 1, 1<<32 - 1}
+	for _, proto := range []IPProtocol{IPProtocolTCP, IPProtocolUDP} {
+		for _, payload := range [][]byte{nil, []byte("probe")} {
+			for _, id := range ids {
+				for _, prev := range ids {
+					if msg := probeFrameMismatch(id, prev, proto, payload); msg != "" {
+						t.Fatalf("flow %d, proto %d, payload %q: %s", id, proto, payload, msg)
+					}
+				}
+			}
 		}
+	}
+	f := func(id, prev uint32, udp bool, payload []byte) bool {
+		proto := IPProtocolTCP
 		if udp {
-			spec.Proto = IPProtocolUDP
+			proto = IPProtocolUDP
 		}
-		raw, err := BuildProbe(spec)
-		if err != nil {
-			return false
-		}
-		decoded, err := Decode(raw)
-		if err != nil {
-			return false
-		}
-		var built Frame
-		BuildProbeFrame(&built, spec)
-		return reflect.DeepEqual(&built, decoded)
+		return probeFrameMismatch(id, prev, proto, payload) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -6,18 +6,13 @@ import "tango/internal/packet"
 // frames: each shard owns one framePool, so Get/Put never contend, and the
 // frames themselves come from append-only slabs — stable addresses, no
 // per-frame allocation after warm-up. Sites draw their scratch frames from
-// their shard's pool once at setup; steady-state event processing then
-// mints every data-plane and probe frame in place with
-// packet.BuildProbeFrame and hands it to SendFrameN, so the hot loop is
-// allocation-free end to end.
+// their shard's pool and build them once at setup; steady-state event
+// processing then retargets the frame in place to every data-plane and
+// probe flow with packet.RetargetProbeFrame and hands it to SendFrameN, so
+// the hot loop is allocation-free end to end.
 
-// frameSlabSize is the frame-slab allocation unit.
-const frameSlabSize = 64
-
-// probeWireLen is the encoded length of a payloadless TCP probe frame
-// (Ethernet 14 + IPv4 20 + TCP 20); SendFrameN wants the wire size for
-// byte counters even though the frame never gets serialized.
-const probeWireLen = 54
+// poolSlabSize is the frame-slab allocation unit.
+const poolSlabSize = 64
 
 // framePool hands out decoded-frame records from slabs with a free list.
 // It is single-goroutine (per shard) by design.
@@ -36,7 +31,7 @@ func (p *framePool) Get() *packet.Frame {
 		return f
 	}
 	if p.used == len(p.slab) {
-		p.slab = make([]packet.Frame, frameSlabSize)
+		p.slab = make([]packet.Frame, poolSlabSize)
 		p.used = 0
 	}
 	f := &p.slab[p.used]

@@ -381,6 +381,7 @@ func (h *harness) build() {
 			acts:  map[uint16][]flowtable.Action{},
 			frame: h.pools[i%h.o.Shards].Get(),
 		}
+		packet.BuildProbeFrame(st.frame, packet.ProbeSpec{})
 		for pi, nb := range h.g.Neighbors(name) {
 			st.ports[nb] = uint16(pi + 1)
 		}
@@ -511,15 +512,15 @@ func (st *site) runData(h *harness) {
 				p = st.hot[st.rng.Intn(len(st.hot))]
 			}
 			f := flowBase(int(p)) + uint32(st.rng.Intn(int(h.counts[p])))
-			packet.BuildProbeFrame(st.frame, packet.ProbeSpec{FlowID: f})
+			packet.RetargetProbeFrame(st.frame, f)
 			burst := 1 + st.rng.Intn(h.o.BurstMax)
-			if _, _, err := st.fdev.SendFrameN(st.frame, st.hostPort, probeWireLen, burst); err != nil {
+			if _, _, err := st.fdev.SendFrameN(st.frame, st.hostPort, packet.ProbeFrameLen, burst); err != nil {
 				st.tally.errs++
 				continue
 			}
 			st.tally.packets += uint64(burst)
 			if j%h.probeStride == 0 {
-				rtt, punted, err := st.fdev.SendFrameN(st.frame, st.hostPort, probeWireLen, 1)
+				rtt, punted, err := st.fdev.SendFrameN(st.frame, st.hostPort, packet.ProbeFrameLen, 1)
 				if err != nil {
 					st.tally.errs++
 					continue

@@ -133,6 +133,42 @@ func TestClassifyExactAllocFree(t *testing.T) {
 	}
 }
 
+// TestStrictDeleteAllocFree gates a strict delete of an exact probe rule at
+// zero allocations: clearing a switch between probing rounds is one delete
+// per rule, and a victim list allocated per delete was once most of an
+// inspection's allocations. On the policy-cache switch a delete of a TCAM
+// resident also refills the slot from software. (What the arena's free lists
+// and the tables' maps allocate as they resize is a handful per thousand
+// deletes, which AllocsPerRun's integer average reads as zero.)
+func TestStrictDeleteAllocFree(t *testing.T) {
+	const rules = 512
+	p := TestSwitch(rules/4, PolicyFIFO)
+	p.SoftwareCapacity = rules
+	s := New(p)
+	fm := &openflow.FlowMod{Command: openflow.FlowAdd, Priority: 100, Actions: flowtable.Output(1)}
+	for id := uint32(0); id < rules; id++ {
+		fm.Match = flowtable.ExactProbeMatch(id)
+		if err := s.FlowMod(fm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One warm-up call and rules-1 counted ones: each deletes the next rule.
+	next := uint32(0)
+	fm.Command = openflow.FlowDeleteStrict
+	if avg := testing.AllocsPerRun(rules-1, func() {
+		fm.Match = flowtable.ExactProbeMatch(next)
+		next++
+		if err := s.FlowMod(fm); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("a strict delete allocates %v times, want 0", avg)
+	}
+	if tcam, _, soft := s.RuleCount(); tcam+soft != 0 {
+		t.Errorf("%d rules left after deleting all", tcam+soft)
+	}
+}
+
 // churnFrame is one flow's decoded probe frame and its encoded length.
 type churnFrame struct {
 	f    packet.Frame

@@ -193,6 +193,11 @@ type Switch struct {
 	// the data-plane hot loop does not allocate per packet.
 	frame packet.Frame
 
+	// victims is delete's scratch list of matched rules, empty between
+	// calls: bulk rule churn is one delete per rule, and a slice per delete
+	// was most of an inspection's allocations.
+	victims []*flowtable.Rule
+
 	// defaultRule is the pre-installed table-miss punt rule, when present.
 	// Although it occupies a TCAM slot, it is logically the last resort of
 	// the whole pipeline: a frame matching only the default rule must still
@@ -767,7 +772,7 @@ func (s *Switch) modify(fm *openflow.FlowMod) error {
 
 func (s *Switch) delete(fm *openflow.FlowMod) error {
 	strict := fm.Command == openflow.FlowDeleteStrict
-	var victims []*flowtable.Rule
+	victims := s.victims[:0]
 	if k, ok := flowtable.ExactKey(&fm.Match); ok {
 		// An exact (src/32, dst/32) delete match can only hit rules pinning
 		// the same address pair — strict by definition, non-strict because
@@ -812,6 +817,8 @@ func (s *Switch) delete(fm *openflow.FlowMod) error {
 		s.removeRule(r)
 		s.clock.Sleep(s.profile.Costs.opCost(s.rng, s.profile.Costs.DelBase))
 	}
+	clear(victims)
+	s.victims = victims[:0]
 	return nil
 }
 
