@@ -22,116 +22,70 @@ import (
 // operation; implementations apply whatever schedule entries are due and
 // return. Step must not retain dev.
 type Background interface {
-	Step(dev probe.Device)
+	Step(dev probe.FrameDevice)
 }
 
 // WrapBackground returns a device that steps bg before every foreground
-// operation. A nil bg returns dev unchanged. The wrapper forwards the
-// optional TrafficSender, FrameDevice, Sleeper, Resetter, and LabeledDevice
-// capabilities so the probe engine resolves the exact same fast paths as on
-// the bare device — that equivalence is what the no-observer-effect
-// differential test pins down.
-func WrapBackground(dev probe.Device, bg Background) probe.Device {
-	if bg == nil {
+// operation. A nil bg returns dev unchanged, and so does the nil *ChurnDriver
+// NewChurnDriver returns for an empty schedule: stored in a Background it is
+// a non-nil interface, and stepping it would dereference nil.
+func WrapBackground(dev probe.SimDevice, bg Background) probe.FrameDevice {
+	if cd, ok := bg.(*ChurnDriver); bg == nil || ok && cd == nil {
 		return dev
 	}
-	b := &backgroundDevice{dev: dev, bg: bg}
-	if f, ok := dev.(probe.FrameDevice); ok {
-		return &backgroundFrameDevice{backgroundDevice: b, frames: f}
-	}
-	return b
+	return &backgroundDevice{dev: dev, bg: bg}
 }
 
-// backgroundDevice steps the background source before each operation.
+// backgroundDevice steps the background source before each operation. Like
+// faults.Device it is typed on the emulator's device, the only one ever
+// wrapped, holds it in a named field and implements exactly
+// probe.FrameDevice: the engine resolves the same send path as on the bare
+// device, which the wrapper-transparency differential pins.
 type backgroundDevice struct {
-	dev probe.Device
+	dev probe.SimDevice
 	bg  Background
 }
 
-func (d *backgroundDevice) step() { d.bg.Step(d.dev) }
+var _ probe.FrameDevice = (*backgroundDevice)(nil)
 
 // FlowMod implements probe.Device.
 func (d *backgroundDevice) FlowMod(fm *openflow.FlowMod) error {
-	d.step()
+	d.bg.Step(d.dev)
 	return d.dev.FlowMod(fm)
 }
 
 // SendProbe implements probe.Device.
 func (d *backgroundDevice) SendProbe(data []byte, inPort uint16) (time.Duration, bool, error) {
-	d.step()
+	d.bg.Step(d.dev)
 	return d.dev.SendProbe(data, inPort)
 }
 
+// SendFrameN implements probe.FrameDevice.
+func (d *backgroundDevice) SendFrameN(f *packet.Frame, inPort uint16, size, n int) (time.Duration, bool, error) {
+	d.bg.Step(d.dev)
+	return d.dev.SendFrameN(f, inPort, size, n)
+}
+
 // Now implements probe.Device. Reading the clock is not a foreground
-// operation and does not advance the schedule.
+// operation and does not advance the schedule; nor are Sleep and the label.
 func (d *backgroundDevice) Now() time.Time { return d.dev.Now() }
 
-// SendTraffic implements probe.TrafficSender, delegating when the inner
-// device can burst natively and degrading to per-packet sends otherwise —
-// the same fallback the engine itself would apply.
-func (d *backgroundDevice) SendTraffic(data []byte, inPort uint16, count int) error {
-	d.step()
-	if ts, ok := d.dev.(probe.TrafficSender); ok {
-		return ts.SendTraffic(data, inPort, count)
-	}
-	for i := 0; i < count; i++ {
-		if _, _, err := d.dev.SendProbe(data, inPort); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Sleep implements probe.Device.
+func (d *backgroundDevice) Sleep(dur time.Duration) { d.dev.Sleep(dur) }
 
-// Sleep delegates to the inner device's clock when it has one.
-func (d *backgroundDevice) Sleep(dur time.Duration) {
-	if s, ok := d.dev.(interface{ Sleep(time.Duration) }); ok {
-		s.Sleep(dur)
-	}
-}
+// TelemetryLabel implements probe.Device.
+func (d *backgroundDevice) TelemetryLabel() string { return d.dev.TelemetryLabel() }
 
-// Reset delegates to the inner device when it supports resets.
-func (d *backgroundDevice) Reset() {
-	if r, ok := d.dev.(interface{ Reset() }); ok {
-		r.Reset()
+// touch sends one packet of flow id: f is the calling driver's one frame,
+// built on first use (drivers are also made as struct literals) and
+// retargeted in place from then on.
+func touch(dev probe.FrameDevice, f *packet.Frame, id uint32) error {
+	if !f.HasIPv4 {
+		packet.BuildProbeFrame(f, packet.ProbeSpec{})
 	}
-}
-
-// TelemetryLabel forwards the inner device's label.
-func (d *backgroundDevice) TelemetryLabel() string {
-	if l, ok := d.dev.(probe.LabeledDevice); ok {
-		return l.TelemetryLabel()
-	}
-	return ""
-}
-
-// backgroundFrameDevice adds the FrameDevice fast path when the inner
-// device has it, so wrapping never changes which send path the engine
-// resolves.
-type backgroundFrameDevice struct {
-	*backgroundDevice
-	frames probe.FrameDevice
-}
-
-// SendFrameN implements probe.FrameDevice.
-func (d *backgroundFrameDevice) SendFrameN(f *packet.Frame, inPort uint16, size, n int) (time.Duration, bool, error) {
-	d.step()
-	return d.frames.SendFrameN(f, inPort, size, n)
-}
-
-// frameFor builds (and memoizes) the probe frame for a flow ID.
-func frameFor(cache *map[uint32][]byte, id uint32) []byte {
-	if *cache == nil {
-		*cache = make(map[uint32][]byte)
-	}
-	if b, ok := (*cache)[id]; ok {
-		return b
-	}
-	b, err := packet.BuildProbe(packet.ProbeSpec{FlowID: id})
-	if err != nil {
-		return nil
-	}
-	(*cache)[id] = b
-	return b
+	packet.RetargetProbeFrame(f, id)
+	_, _, err := dev.SendFrameN(f, 1, packet.ProbeFrameLen, 1)
+	return err
 }
 
 // ChurnDriver replays a workload.Churn schedule against the device: events
@@ -148,7 +102,7 @@ type ChurnDriver struct {
 	started bool
 	start   time.Time
 	next    int
-	frames  map[uint32][]byte
+	frame   packet.Frame
 
 	installs, touches, errs int
 }
@@ -163,7 +117,7 @@ func NewChurnDriver(events []workload.ChurnEvent) *ChurnDriver {
 }
 
 // Step implements Background.
-func (c *ChurnDriver) Step(dev probe.Device) {
+func (c *ChurnDriver) Step(dev probe.FrameDevice) {
 	if !c.started {
 		c.started, c.start = true, dev.Now()
 	}
@@ -174,7 +128,7 @@ func (c *ChurnDriver) Step(dev probe.Device) {
 	}
 }
 
-func (c *ChurnDriver) apply(dev probe.Device, ev workload.ChurnEvent) {
+func (c *ChurnDriver) apply(dev probe.FrameDevice, ev workload.ChurnEvent) {
 	switch ev.Kind {
 	case workload.ChurnInstall:
 		prio := c.Priority
@@ -195,12 +149,7 @@ func (c *ChurnDriver) apply(dev probe.Device, ev workload.ChurnEvent) {
 		}
 		c.installs++
 	case workload.ChurnTouch:
-		data := frameFor(&c.frames, ev.Flow)
-		if data == nil {
-			c.errs++
-			return
-		}
-		if _, _, err := dev.SendProbe(data, 1); err != nil {
+		if err := touch(dev, &c.frame, ev.Flow); err != nil {
 			c.errs++
 			return
 		}
@@ -238,13 +187,13 @@ type AttackDriver struct {
 	Priority uint16
 
 	calls, next int
-	frames      map[uint32][]byte
+	frame       packet.Frame
 
 	installs, probes, errs int
 }
 
 // Step implements Background.
-func (a *AttackDriver) Step(dev probe.Device) {
+func (a *AttackDriver) Step(dev probe.FrameDevice) {
 	if a.next >= len(a.Ops) {
 		return
 	}
@@ -267,7 +216,7 @@ func (a *AttackDriver) Step(dev probe.Device) {
 	}
 }
 
-func (a *AttackDriver) apply(dev probe.Device, op workload.AttackOp) {
+func (a *AttackDriver) apply(dev probe.FrameDevice, op workload.AttackOp) {
 	switch op.Kind {
 	case workload.AttackInstall:
 		prio := a.Priority
@@ -286,12 +235,7 @@ func (a *AttackDriver) apply(dev probe.Device, op workload.AttackOp) {
 		}
 		a.installs++
 	case workload.AttackProbe:
-		data := frameFor(&a.frames, op.Flow)
-		if data == nil {
-			a.errs++
-			return
-		}
-		if _, _, err := dev.SendProbe(data, 1); err != nil {
+		if err := touch(dev, &a.frame, op.Flow); err != nil {
 			a.errs++
 			return
 		}

@@ -2,7 +2,9 @@ package conformance
 
 import (
 	"errors"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tango/internal/core/probe"
@@ -117,6 +119,50 @@ func TestFaultRunDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].String() != b[i].String() {
 			t.Fatalf("run %d diverged:\n  first:  %s\n  second: %s", i, a[i], b[i])
+		}
+	}
+}
+
+// TestFaultGolden pins the fault path the way the root package's
+// TestInspectGolden pins the clean one: Result.String() of twelve specs under
+// eight fault mixes, 96 rows, recorded on the commit before faults.Device and
+// the engine's retry loop were rewritten around one send path (PR 20's
+// parent). A change to either must reproduce every row, or say which fault
+// kind's semantics it moved and re-record testdata/fault_golden.txt.
+func TestFaultGolden(t *testing.T) {
+	mixes := []faults.Config{
+		{Seed: 7, Drop: .02, Delay: .03, Duplicate: .01},
+		{Seed: 11, Drop: .02},
+		{Seed: 12, Delay: .05},
+		{Seed: 13, Duplicate: .02},
+		{Seed: 14, Reorder: .02},
+		{Seed: 15, Reset: .0005},
+		{Seed: 16, Overflow: .01},
+		{Seed: 21, Drop: .01, Delay: .02, Duplicate: .01, Reorder: .01, Overflow: .005},
+	}
+	specs := GenerateSpecs(12, 20140101)
+	var got []string
+	for _, cfg := range mixes {
+		got = append(got, "# "+cfg.String())
+		for _, r := range Run(specs, Options{Faults: cfg}) {
+			got = append(got, r.String())
+		}
+	}
+	data, err := os.ReadFile("testdata/fault_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d lines, golden has %d", len(got), len(want))
+	}
+	mix := ""
+	for i := range want {
+		if strings.HasPrefix(want[i], "#") {
+			mix = want[i]
+		}
+		if got[i] != want[i] {
+			t.Errorf("%s:\n got %s\nwant %s", mix, got[i], want[i])
 		}
 	}
 }

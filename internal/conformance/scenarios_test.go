@@ -7,6 +7,7 @@ import (
 
 	"tango/internal/core/infer"
 	"tango/internal/core/probe"
+	"tango/internal/faults"
 	"tango/internal/switchsim"
 	"tango/internal/workload"
 )
@@ -81,84 +82,113 @@ func TestScenarioCatalogShape(t *testing.T) {
 	}
 }
 
-// TestChurnRateZeroDifferential is the no-observer-effect gate: inference
-// through a background wrapper whose churn schedule is empty must be
-// byte-identical to inference on the bare device. Two layers are pinned:
-// the generator contract (rate 0 → nil driver → WrapBackground returns the
-// device unchanged) and the wrapper itself (an active wrapper with zero
-// events resolves the exact same device fast paths, so size and policy
-// results stay deeply equal).
-func TestChurnRateZeroDifferential(t *testing.T) {
+// TestWrapperTransparency is the no-observer-effect gate for everything that
+// can sit between an engine and the emulator: a wrapper that has nothing to do
+// — a live injector that never fires, a background driver with no events —
+// and a retry policy that never has to retry must leave the inference, the
+// switch (counters and virtual clock) and the engine (op ledger and telemetry
+// label) exactly as the bare single-attempt run leaves them. Size inference
+// runs on an LRU cache, policy inference — the SendTraffic path — on an LFU.
+func TestWrapperTransparency(t *testing.T) {
 	if NewChurnDriver(workload.Churn(workload.ChurnOptions{Rate: 0})) != nil {
 		t.Fatal("rate-0 churn schedule must produce a nil driver")
 	}
+	quiet := func(dev probe.SimDevice) probe.Device {
+		return faults.WrapDevice(dev, faults.NewInjector(faults.Config{Seed: 1, Drop: 1e-300}))
+	}
+	rows := []struct {
+		name  string
+		wrap  func(probe.SimDevice) probe.Device
+		retry probe.Retry
+	}{
+		{"bare", func(dev probe.SimDevice) probe.Device { return dev }, probe.Retry{}},
+		{"bare+retry", func(dev probe.SimDevice) probe.Device { return dev }, probe.DefaultRetry},
+		{"faults", quiet, probe.Retry{}},
+		{"faults+retry", quiet, probe.DefaultRetry},
+		{"background", func(dev probe.SimDevice) probe.Device { return WrapBackground(dev, &ChurnDriver{}) }, probe.Retry{}},
+	}
 
+	// stage is everything one inference leaves behind.
+	type stage struct {
+		name   string
+		result any // *infer.SizeResult, *infer.PolicyResult
+		sw     switchsim.Stats
+		now    time.Time
+		eng    probe.EngineStats
+		label  string
+	}
 	const seed = 411
-	run := func(wrap bool) (*infer.SizeResult, *infer.PolicyResult) {
+	run := func(t *testing.T, wrap func(probe.SimDevice) probe.Device, retry probe.Retry) (out [2]stage) {
 		t.Helper()
-		p := switchsim.TestSwitch(64, switchsim.PolicyLRU)
-		p.Name = "diff-churn0"
-		sw := switchsim.New(p, switchsim.WithSeed(seed))
-		var dev probe.Device = probe.SimDevice{S: sw}
-		if wrap {
-			// An explicitly constructed empty driver: the wrapper is live
-			// (every op steps it) but no event ever applies.
-			dev = WrapBackground(dev, &ChurnDriver{})
+		for i, policy := range []switchsim.Policy{switchsim.PolicyLRU, switchsim.PolicyLFU} {
+			p := switchsim.TestSwitch(64, policy)
+			p.Name = "transparent"
+			sw := switchsim.New(p, switchsim.WithSeed(seed+int64(i)))
+			e := probe.NewEngine(wrap(probe.SimDevice{S: sw}))
+			e.Retry = retry
+			st := &out[i]
+			var err error
+			if i == 0 {
+				st.name = "size"
+				st.result, err = infer.ProbeSizes(e, infer.SizeOptions{Seed: seed + 2, MaxRules: 256})
+			} else {
+				st.name = "policy"
+				st.result, err = infer.ProbePolicy(e, infer.PolicyOptions{CacheSize: 64, Seed: seed + 3})
+			}
+			if err != nil {
+				t.Fatalf("%s stage: %v", st.name, err)
+			}
+			st.sw, st.now, st.eng, st.label = sw.Stats(), sw.Now(), e.Stats(), e.Label()
 		}
-		e := probe.NewEngine(dev)
-		sres, err := infer.ProbeSizes(e, infer.SizeOptions{Seed: seed + 1, MaxRules: 256})
-		if err != nil {
-			t.Fatalf("size stage (wrap=%v): %v", wrap, err)
-		}
-		p2 := switchsim.TestSwitch(64, switchsim.PolicyLRU)
-		p2.Name = "diff-churn0"
-		sw2 := switchsim.New(p2, switchsim.WithSeed(seed+2))
-		var dev2 probe.Device = probe.SimDevice{S: sw2}
-		if wrap {
-			dev2 = WrapBackground(dev2, &ChurnDriver{})
-		}
-		pres, err := infer.ProbePolicy(probe.NewEngine(dev2), infer.PolicyOptions{CacheSize: 64, Seed: seed + 3})
-		if err != nil {
-			t.Fatalf("policy stage (wrap=%v): %v", wrap, err)
-		}
-		return sres, pres
+		return out
 	}
 
-	bareSize, barePol := run(false)
-	wrapSize, wrapPol := run(true)
-	if !reflect.DeepEqual(bareSize, wrapSize) {
-		t.Errorf("size inference diverged under empty background wrapper:\n bare: %+v\n wrap: %+v", bareSize, wrapSize)
+	want := run(t, rows[0].wrap, rows[0].retry)
+	if want[0].label != "transparent" || want[1].eng.Traffic == 0 {
+		t.Fatalf("bare run is vacuous: label %q, %d traffic packets", want[0].label, want[1].eng.Traffic)
 	}
-	if !reflect.DeepEqual(barePol, wrapPol) {
-		t.Errorf("policy inference diverged under empty background wrapper:\n bare: %+v\n wrap: %+v", barePol, wrapPol)
+	for _, row := range rows[1:] {
+		t.Run(row.name, func(t *testing.T) {
+			for i, got := range run(t, row.wrap, row.retry) {
+				for _, f := range []struct {
+					what      string
+					got, want any
+				}{
+					{"inferred result", got.result, want[i].result},
+					{"switch counters", got.sw, want[i].sw},
+					{"switch clock", got.now, want[i].now},
+					{"engine ledger", got.eng, want[i].eng},
+					{"engine label", got.label, want[i].label},
+				} {
+					if !reflect.DeepEqual(f.got, f.want) {
+						t.Errorf("%s stage, %s: got %+v, bare run %+v", got.name, f.what, f.got, f.want)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestWrapBackgroundNil pins that a nil Background is the identity.
+// TestWrapBackgroundNil pins that no background is the identity, whether it
+// arrives as a nil interface or as the nil driver an empty schedule yields.
 func TestWrapBackgroundNil(t *testing.T) {
 	sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyLRU))
 	dev := probe.SimDevice{S: sw}
 	if got := WrapBackground(dev, nil); got != probe.Device(dev) {
 		t.Errorf("WrapBackground(dev, nil) = %T, want the device unchanged", got)
 	}
+	if got := WrapBackground(dev, NewChurnDriver(nil)); got != probe.Device(dev) {
+		t.Errorf("WrapBackground(dev, nil driver) = %T, want the device unchanged", got)
+	}
 }
 
-// TestWrapBackgroundKeepsFastPaths pins that wrapping preserves the optional
-// device capabilities the engine probes for — losing one would silently
-// change inference behaviour and invalidate the differential above.
+// TestWrapBackgroundKeepsFastPaths: that the wrapper is a FrameDevice is the
+// compile-time assertion beside its type; what is left to check at run time
+// is that the label it forwards is the switch's.
 func TestWrapBackgroundKeepsFastPaths(t *testing.T) {
 	sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyLRU))
 	wrapped := WrapBackground(probe.SimDevice{S: sw}, &ChurnDriver{})
-	if _, ok := wrapped.(probe.FrameDevice); !ok {
-		t.Error("wrapper lost the FrameDevice fast path")
-	}
-	if _, ok := wrapped.(probe.TrafficSender); !ok {
-		t.Error("wrapper lost the TrafficSender fast path")
-	}
-	if _, ok := wrapped.(probe.LabeledDevice); !ok {
-		t.Error("wrapper lost the LabeledDevice capability")
-	}
-	if _, ok := wrapped.(interface{ Sleep(time.Duration) }); !ok {
-		t.Error("wrapper lost the Sleep capability")
+	if got, want := wrapped.TelemetryLabel(), sw.Profile().Name; got != want {
+		t.Errorf("wrapped label = %q, want the switch's %q", got, want)
 	}
 }

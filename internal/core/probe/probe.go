@@ -18,9 +18,11 @@ import (
 	"tango/internal/telemetry"
 )
 
-// Device is the switch-side contract the probing engine needs: confirmed
-// flow-mods, probe packets with measured RTTs, and a clock consistent with
-// those measurements.
+// Device is the whole switch-side contract: confirmed flow-mods, probe
+// packets with measured RTTs, a clock consistent with those measurements,
+// and a name. It comes in two kinds — FrameDevice (in-process) and
+// PipelinedDevice (wire) — and NewEngine asks which it was given, once; a
+// device of neither kind is driven as a wire that cannot pipeline.
 type Device interface {
 	// FlowMod applies the operation and returns once it has completed
 	// (barrier semantics). Table-full rejections must return an error. fm is
@@ -32,51 +34,47 @@ type Device interface {
 	SendProbe(data []byte, inPort uint16) (rtt time.Duration, punted bool, err error)
 	// Now returns the current time on the clock RTTs are measured against.
 	Now() time.Time
-}
-
-// TrafficSender is the optional Device extension for sending a burst of
-// identical packets in one call. Emulated switches support it natively;
-// over a live OpenFlow channel the engine falls back to a packet loop.
-type TrafficSender interface {
-	SendTraffic(data []byte, inPort uint16, count int) error
-}
-
-// PipelinedDevice is the optional Device extension for control channels
-// that can pipeline flow-mods (ofconn.Controller's asynchronous send path):
-// FlowModBatch applies the ops in order with a shared trailing barrier and
-// returns per-op outcomes — errs has len(fms), errs[i] nil when op i was
-// accepted, and the second return reports channel-level failures only.
-// Later ops still execute after a rejection (OpenFlow has no transactional
-// abort). Devices that cannot pipeline — including SimDevice, whose virtual
-// clock makes barriers free — simply don't implement it and keep the
-// confirmed per-op path, which leaves emulator runs byte-identical.
-type PipelinedDevice interface {
-	FlowModBatch(fms []*openflow.FlowMod) ([]error, error)
-}
-
-// LabeledDevice is the optional Device extension reporting a stable
-// switch/profile label. Engines auto-label themselves from it at
-// construction, binding the per-switch probe.rtt_ns{switch=...} histogram
-// child and the switch's flight-recorder track.
-type LabeledDevice interface {
+	// Sleep charges d (retry backoff, injected fault latency) against that
+	// clock: the emulator advances virtual time, a socket blocks.
+	Sleep(d time.Duration)
+	// TelemetryLabel names the switch. The engine binds its per-switch
+	// probe.rtt_ns{switch=...} histogram child and flight-recorder track to
+	// it at construction; "" leaves the engine unlabeled.
 	TelemetryLabel() string
 }
 
-// FrameDevice is the optional Device extension for injecting a frame the
-// engine already decoded, skipping the per-packet parse. size is the encoded
+// FrameDevice is the in-process kind — the emulator and whatever wraps it.
+// It takes the frame the engine already decoded, skipping the per-packet
+// parse, and a burst of n identical packets is one call. size is the encoded
 // length (it drives byte counters and latency models); the device must not
 // retain f past the call. Results must be identical to sending the frame's
 // encoding n times.
 type FrameDevice interface {
+	Device
 	SendFrameN(f *packet.Frame, inPort uint16, size, n int) (rtt time.Duration, punted bool, err error)
 }
 
-// SimDevice adapts an emulated switch to the Device interface using its
-// virtual clock, so probing an emulated switch is instantaneous in wall
-// time while observing exactly the modelled latencies.
+// PipelinedDevice is the wire kind — a control channel that can pipeline
+// flow-mods (ofconn.Controller's asynchronous send path): FlowModBatch
+// applies the ops in order with a shared trailing barrier and returns per-op
+// outcomes — errs has len(fms), errs[i] nil when op i was accepted, and the
+// second return reports channel-level failures only. Later ops still execute
+// after a rejection (OpenFlow has no transactional abort). The emulator's
+// virtual clock makes barriers free, so an in-process device keeps the
+// confirmed per-op path, which leaves emulator runs byte-identical.
+type PipelinedDevice interface {
+	Device
+	FlowModBatch(fms []*openflow.FlowMod) ([]error, error)
+}
+
+// SimDevice adapts an emulated switch to FrameDevice using its virtual
+// clock, so probing an emulated switch is instantaneous in wall time while
+// observing exactly the modelled latencies.
 type SimDevice struct {
 	S *switchsim.Switch
 }
+
+var _ FrameDevice = SimDevice{}
 
 // FlowMod implements Device.
 func (d SimDevice) FlowMod(fm *openflow.FlowMod) error { return d.S.FlowMod(fm) }
@@ -93,18 +91,19 @@ func (d SimDevice) SendProbe(data []byte, inPort uint16) (time.Duration, bool, e
 // Now implements Device.
 func (d SimDevice) Now() time.Time { return d.S.Now() }
 
-// TelemetryLabel implements LabeledDevice with the profile name.
+// TelemetryLabel implements Device with the profile name.
 func (d SimDevice) TelemetryLabel() string { return d.S.Profile().Name }
 
-// Sleep advances the switch's virtual clock, letting retry backoff and
-// injected fault latencies charge simulated rather than wall time.
+// Sleep implements Device by advancing the switch's virtual clock.
 func (d SimDevice) Sleep(dur time.Duration) { d.S.Clock().Sleep(dur) }
 
 // Reset power-cycles the underlying emulated switch (used by fault
 // injection to model mid-probe agent restarts).
 func (d SimDevice) Reset() { d.S.Reset() }
 
-// SendTraffic implements TrafficSender with a single batched pipeline pass.
+// SendTraffic is a burst of an encoded packet. Nothing in this module calls
+// it: benchmark/wrappers.go, which may not change between re-baselines,
+// overrides it by name. It goes at the next benchmark re-baseline.
 func (d SimDevice) SendTraffic(data []byte, inPort uint16, count int) error {
 	_, err := d.S.SendPacketN(data, inPort, count)
 	return err
@@ -143,11 +142,10 @@ type EngineStats struct {
 // Engine executes patterns against one device.
 type Engine struct {
 	dev Device
-	// frameDev is dev's FrameDevice view, resolved once at construction;
-	// nil when the device only accepts encoded packets.
+	// frameDev and pipeDev are dev's view as its kind, resolved once at
+	// construction; nil when dev is not of that kind.
 	frameDev FrameDevice
-	// pipeDev is dev's PipelinedDevice view; nil for serial-only devices.
-	pipeDev PipelinedDevice
+	pipeDev  PipelinedDevice
 	// InPort is the ingress port probe frames claim; the default 1 works
 	// for all emulated profiles.
 	InPort uint16
@@ -157,8 +155,8 @@ type Engine struct {
 	// frame is the engine's one probe frame, built once and retargeted in
 	// place to each flow probed: a probe frame is a pure function of its flow
 	// ID and a FrameDevice may not retain it past the call, so there is
-	// nothing to keep per flow. buf backs the encoded form devices without
-	// the pre-decoded path (and retrying engines) are sent instead.
+	// nothing to keep per flow. buf backs the encoded form a wire device is
+	// sent instead.
 	frame packet.Frame
 	buf   [64]byte
 	// opScratch is the flow-mod every serial op path (Install, Modify,
@@ -197,10 +195,12 @@ type Engine struct {
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // NewEngine returns an engine driving dev, bound to the process-wide
-// default telemetry (a no-op unless a command installed one). Devices that
-// report a label (LabeledDevice — every SimDevice does) are auto-labeled,
-// so their RTTs land in the per-switch histogram child and flight track
-// without any caller wiring.
+// default telemetry (a no-op unless a command installed one) and labeled
+// with the device's TelemetryLabel, so its RTTs land in the per-switch
+// histogram child and flight track without any caller wiring. The two
+// assertions below are the only place a device is asked what kind it is;
+// they look at the method set of the value handed in, so a wrapper that
+// embeds a device and overrides methods by name is seen on every call.
 func NewEngine(dev Device) *Engine {
 	e := &Engine{dev: dev, InPort: 1}
 	packet.BuildProbeFrame(&e.frame, packet.ProbeSpec{})
@@ -208,9 +208,7 @@ func NewEngine(dev Device) *Engine {
 	e.pipeDev, _ = dev.(PipelinedDevice)
 	e.flightRec = telemetry.DefaultFlight()
 	e.SetTelemetry(telemetry.Default(), telemetry.DefaultTracer())
-	if ld, ok := dev.(LabeledDevice); ok {
-		e.SetLabel(ld.TelemetryLabel())
-	}
+	e.SetLabel(dev.TelemetryLabel())
 	return e
 }
 
@@ -247,8 +245,8 @@ func (e *Engine) SetFlight(fr *telemetry.FlightRecorder) {
 // SetLabel names the switch this engine probes. It binds the per-switch
 // probe.rtt_ns{switch=label} histogram child (observed alongside the fleet
 // aggregate) and the label's flight-recorder track. An empty label unbinds
-// both. Engines over labeled devices call this automatically at
-// construction; fleets label TCP members by their member names.
+// both. NewEngine calls this with the device's own label; fleets relabel TCP
+// members by their member names.
 func (e *Engine) SetLabel(label string) {
 	e.label = label
 	if label == "" {
@@ -279,14 +277,12 @@ func (e *Engine) Device() Device { return e.dev }
 func (e *Engine) flowMod(fm *openflow.FlowMod) error {
 	e.mFlowMods.Add(1)
 	e.stats.FlowMods++
-	if !e.Retry.enabled() {
-		// Single-attempt engines skip withRetry: with retry disabled it is
-		// exactly one attempt, and the closure it would take heap-allocates
-		// per call — pure garbage on the bulk-install path.
-		return e.dev.FlowMod(fm)
+	err := e.dev.FlowMod(fm)
+	if err == nil {
+		return nil
 	}
 	var scrub func()
-	if fm.Command == openflow.FlowAdd && e.Retry.enabled() {
+	if fm.Command == openflow.FlowAdd {
 		scrub = func() {
 			del := &openflow.FlowMod{
 				Command:  openflow.FlowDeleteStrict,
@@ -296,14 +292,35 @@ func (e *Engine) flowMod(fm *openflow.FlowMod) error {
 			_ = e.dev.FlowMod(del) // best effort; a no-op delete is not an error
 		}
 	}
-	return e.withRetry("flowmod", func() error { return e.dev.FlowMod(fm) }, scrub)
+	return e.retry("flowmod", err, func() error { return e.dev.FlowMod(fm) }, scrub)
 }
 
-// encoded mints flow id's wire bytes into the engine's buffer, for the
-// devices and retry paths that take an encoded packet. The result is only
-// valid until the next call.
-func (e *Engine) encoded(id uint32) ([]byte, error) {
-	return packet.AppendBuildProbe(e.buf[:0], packet.ProbeSpec{FlowID: id})
+// send makes one attempt at putting flow id's probe packet on the device: the
+// engine's frame retargeted in place and sent as one n-packet burst on a
+// FrameDevice, one encoded packet (n is 1) on a wire.
+func (e *Engine) send(id uint32, n int) (time.Duration, bool, error) {
+	if e.frameDev != nil {
+		packet.RetargetProbeFrame(&e.frame, id)
+		return e.frameDev.SendFrameN(&e.frame, e.InPort, packet.ProbeFrameLen, n)
+	}
+	data, err := packet.AppendBuildProbe(e.buf[:0], packet.ProbeSpec{FlowID: id})
+	if err != nil {
+		return 0, false, err
+	}
+	return e.dev.SendProbe(data, e.InPort)
+}
+
+// sendRetry is send with transient failures retried under the engine's Retry
+// policy.
+func (e *Engine) sendRetry(op string, id uint32, n int) (time.Duration, bool, error) {
+	rtt, punted, err := e.send(id, n)
+	if err != nil {
+		err = e.retry(op, err, func() (aerr error) {
+			rtt, punted, aerr = e.send(id, n)
+			return aerr
+		}, nil)
+	}
+	return rtt, punted, err
 }
 
 // Shared action slices for probe flow-mods. Devices retain (but never
@@ -356,27 +373,7 @@ func (e *Engine) Delete(id uint32, priority uint16) error {
 // Probe sends flow id's frame and returns its RTT and whether it punted.
 // Transient send failures retry under the engine's Retry policy.
 func (e *Engine) Probe(id uint32) (time.Duration, bool, error) {
-	var (
-		rtt    time.Duration
-		punted bool
-		err    error
-	)
-	if e.frameDev != nil && !e.Retry.enabled() {
-		// Single-attempt fast path: no retry closure, and devices that take
-		// pre-decoded frames skip the per-probe encode and parse.
-		packet.RetargetProbeFrame(&e.frame, id)
-		rtt, punted, err = e.frameDev.SendFrameN(&e.frame, e.InPort, packet.ProbeFrameLen, 1)
-	} else if data, berr := e.encoded(id); berr != nil {
-		return 0, false, berr
-	} else if !e.Retry.enabled() {
-		rtt, punted, err = e.dev.SendProbe(data, e.InPort)
-	} else {
-		err = e.withRetry("probe", func() error {
-			var aerr error
-			rtt, punted, aerr = e.dev.SendProbe(data, e.InPort)
-			return aerr
-		}, nil)
-	}
+	rtt, punted, err := e.sendRetry("probe", id, 1)
 	if err == nil {
 		e.mProbes.Add(1)
 		e.stats.Probes++
@@ -398,62 +395,21 @@ func (e *Engine) Probe(id uint32) (time.Duration, bool, error) {
 	return rtt, punted, err
 }
 
-// SendTraffic drives flow id's packet counter up by count packets, using
-// the device's batched path when available.
+// SendTraffic drives flow id's packet counter up by count packets: one burst
+// on a FrameDevice, count packets — each retried on its own — on a wire.
 func (e *Engine) SendTraffic(id uint32, count int) error {
-	if count <= 0 {
-		return nil
+	burst := count
+	if e.frameDev == nil {
+		burst = 1
 	}
-	if e.frameDev != nil && !e.Retry.enabled() {
-		packet.RetargetProbeFrame(&e.frame, id)
-		if _, _, err := e.frameDev.SendFrameN(&e.frame, e.InPort, packet.ProbeFrameLen, count); err != nil {
+	for sent := 0; sent < count; sent += burst {
+		if _, _, err := e.sendRetry("traffic", id, burst); err != nil {
 			return err
 		}
-		e.mTraffic.Add(int64(count))
-		e.stats.Traffic += int64(count)
-		return nil
-	}
-	data, err := e.encoded(id)
-	if err != nil {
-		return err
-	}
-	if ts, ok := e.dev.(TrafficSender); ok {
-		if err := e.withRetry("traffic", func() error {
-			return ts.SendTraffic(data, e.InPort, count)
-		}, nil); err != nil {
-			return err
-		}
-		e.mTraffic.Add(int64(count))
-		e.stats.Traffic += int64(count)
-		return nil
-	}
-	for i := 0; i < count; i++ {
-		if err := e.withRetry("traffic", func() error {
-			_, _, aerr := e.dev.SendProbe(data, e.InPort)
-			return aerr
-		}, nil); err != nil {
-			return err
-		}
-		e.mTraffic.Add(1)
-		e.stats.Traffic++
+		e.mTraffic.Add(int64(burst))
+		e.stats.Traffic += int64(burst)
 	}
 	return nil
-}
-
-// ProbeN sends flow id's frame n times, returning the last RTT.
-func (e *Engine) ProbeN(id uint32, n int) (time.Duration, bool, error) {
-	var (
-		rtt    time.Duration
-		punted bool
-		err    error
-	)
-	for i := 0; i < n; i++ {
-		rtt, punted, err = e.Probe(id)
-		if err != nil {
-			return rtt, punted, err
-		}
-	}
-	return rtt, punted, nil
 }
 
 // Run executes a pattern: every op in sequence (timed individually), then

@@ -129,19 +129,6 @@ func TestClearProbeRules(t *testing.T) {
 	}
 }
 
-func TestProbeN(t *testing.T) {
-	e, sw := newEngine(switchsim.OVS())
-	if err := e.Install(1, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.ProbeN(1, 5); err != nil {
-		t.Fatal(err)
-	}
-	if st := sw.Stats(); st.PacketsSeen != 5 {
-		t.Fatalf("packets = %d, want 5", st.PacketsSeen)
-	}
-}
-
 func TestBenchmarkChannel(t *testing.T) {
 	e, sw := newEngine(switchsim.Switch1())
 	rep, err := BenchmarkChannel(e, ChannelBenchOptions{Ops: 100, Probes: 100})

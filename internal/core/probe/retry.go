@@ -15,8 +15,8 @@ type Retry struct {
 	// the first; values <= 1 disable retry.
 	MaxAttempts int
 	// Backoff is the wait before the first retry, doubling on each
-	// subsequent one. It is charged against the device clock when the
-	// device can sleep (SimDevice advances virtual time; ofconn blocks).
+	// subsequent one. It is charged against the device clock (SimDevice
+	// advances virtual time; ofconn blocks).
 	Backoff time.Duration
 	// Deadline caps the total time (on the device clock) one operation may
 	// spend retrying; 0 means no deadline.
@@ -62,25 +62,15 @@ func Transient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// sleep charges a backoff against the device clock when the device can
-// sleep; devices without a clock to advance retry immediately.
-func (e *Engine) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if s, ok := e.dev.(interface{ Sleep(time.Duration) }); ok {
-		s.Sleep(d)
-	}
-}
-
-// withRetry runs attempt, retrying transient failures under the engine's
-// Retry policy. scrub, when non-nil, runs before each re-attempt to restore
-// idempotence (e.g. strict-deleting a possibly-applied add). Non-transient
-// errors pass through untouched; an exhausted budget returns an
-// *ExhaustedError wrapping the last failure.
-func (e *Engine) withRetry(op string, attempt func() error, scrub func()) error {
-	err := attempt()
-	if err == nil || !e.Retry.enabled() || !Transient(err) {
+// retry is the engine's one retry loop. The caller has made the first
+// attempt inline and it failed with err — so a closure exists only after a
+// failure; retry re-runs attempt while the failure stays transient and the
+// Retry policy allows. scrub, when non-nil, runs before each re-attempt to
+// restore idempotence (e.g. strict-deleting a possibly-applied add).
+// Non-transient errors pass through untouched; an exhausted budget returns
+// an *ExhaustedError wrapping the last failure.
+func (e *Engine) retry(op string, err error, attempt func() error, scrub func()) error {
+	if !e.Retry.enabled() || !Transient(err) {
 		return err
 	}
 	start := e.dev.Now()
@@ -90,7 +80,7 @@ func (e *Engine) withRetry(op string, attempt func() error, scrub func()) error 
 		if e.Retry.Deadline > 0 && e.dev.Now().Sub(start) >= e.Retry.Deadline {
 			break
 		}
-		e.sleep(backoff)
+		e.dev.Sleep(backoff)
 		backoff *= 2
 		if scrub != nil {
 			scrub()

@@ -27,8 +27,9 @@ type flakyDevice struct {
 	slept    time.Duration
 }
 
-func (d *flakyDevice) Now() time.Time        { return d.now }
-func (d *flakyDevice) Sleep(t time.Duration) { d.now = d.now.Add(t); d.slept += t }
+func (d *flakyDevice) Now() time.Time         { return d.now }
+func (d *flakyDevice) Sleep(t time.Duration)  { d.now = d.now.Add(t); d.slept += t }
+func (d *flakyDevice) TelemetryLabel() string { return "" }
 
 func (d *flakyDevice) fail() error {
 	if d.failLeft <= 0 {

@@ -6,30 +6,19 @@ import (
 
 	"tango/internal/core/probe"
 	"tango/internal/openflow"
+	"tango/internal/packet"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
 )
 
-// Resetter is the optional capability a wrapped device (or its underlying
-// switch) must expose for KindReset faults to fire; without it reset draws
-// are downgraded to no-ops.
-type Resetter interface {
-	Reset()
-}
-
-// Sleeper is the optional capability used to charge fault latencies (delay
-// draws, drop timeouts, retry backoff) against the device's clock. Virtual-
-// clock devices advance simulated time; wall-clock devices block.
-type Sleeper interface {
-	Sleep(d time.Duration)
-}
-
-// Device wraps a probe-engine device and perturbs its control channel with
-// injected faults. It satisfies probe.Device (and probe.TrafficSender, with
-// a loop fallback when the inner device lacks batching), so a faulty switch
-// is a drop-in replacement anywhere a healthy one is accepted.
+// Device wraps the emulator's device and perturbs its control channel with
+// injected faults. It is typed on probe.SimDevice because that is all anyone
+// wraps — a socket is perturbed inside the agent loop instead
+// (ofconn.ServeOptions.Faults) — holds it in a named field and implements
+// exactly probe.FrameDevice, so no call can bypass the injector and a faulty
+// switch is a drop-in replacement anywhere a healthy emulated one is accepted.
 type Device struct {
-	dev probe.Device
+	dev probe.SimDevice
 	inj *Injector
 
 	mu sync.Mutex
@@ -42,12 +31,11 @@ type Device struct {
 	lateErrs *telemetry.Counter
 }
 
-var _ probe.Device = (*Device)(nil)
-var _ probe.TrafficSender = (*Device)(nil)
+var _ probe.FrameDevice = (*Device)(nil)
 
 // WrapDevice wraps dev with fault injection. A nil injector returns dev
 // unchanged, so a disabled fault configuration costs nothing.
-func WrapDevice(dev probe.Device, inj *Injector) probe.Device {
+func WrapDevice(dev probe.SimDevice, inj *Injector) probe.FrameDevice {
 	if inj == nil {
 		return dev
 	}
@@ -61,22 +49,11 @@ func WrapDevice(dev probe.Device, inj *Injector) probe.Device {
 // Now implements probe.Device.
 func (d *Device) Now() time.Time { return d.dev.Now() }
 
-// Sleep implements Sleeper by delegating when the inner device can sleep.
-func (d *Device) Sleep(dur time.Duration) {
-	if s, ok := d.dev.(Sleeper); ok {
-		s.Sleep(dur)
-	}
-}
+// Sleep implements probe.Device.
+func (d *Device) Sleep(dur time.Duration) { d.dev.Sleep(dur) }
 
-// reset clears the underlying switch state when the device supports it,
-// reporting whether it did.
-func (d *Device) reset() bool {
-	if r, ok := d.dev.(Resetter); ok {
-		r.Reset()
-		return true
-	}
-	return false
-}
+// TelemetryLabel implements probe.Device: a faulty switch keeps its name.
+func (d *Device) TelemetryLabel() string { return d.dev.TelemetryLabel() }
 
 // takeHeld pops the reorder-deferred flow-mod, if any. Each operation pops
 // at entry and flushes at exit (via flushHeld), so a held op applies after
@@ -147,94 +124,62 @@ func (d *Device) FlowMod(fm *openflow.FlowMod) error {
 		}
 		return d.dev.FlowMod(fm)
 	case KindReset:
-		if d.reset() {
-			return &Error{Kind: KindReset, Op: "flowmod"}
-		}
-		return d.dev.FlowMod(fm)
+		d.dev.Reset()
+		return &Error{Kind: KindReset, Op: "flowmod"}
 	case KindOverflow:
 		return &Error{Kind: KindOverflow, Op: "flowmod", Wrapped: switchsim.ErrTableFull}
 	}
 	return d.dev.FlowMod(fm)
 }
 
-// SendProbe implements probe.Device with fault injection.
+// SendProbe implements probe.Device: an encoded packet is a one-packet burst
+// of its decoding.
 func (d *Device) SendProbe(data []byte, inPort uint16) (time.Duration, bool, error) {
+	var f packet.Frame
+	if err := packet.DecodeInto(&f, data); err != nil {
+		return 0, false, err
+	}
+	return d.SendFrameN(&f, inPort, len(data), 1)
+}
+
+// SendFrameN implements probe.FrameDevice with fault injection. A burst is
+// one control-channel message, so it draws one fault decision; the typed
+// error names it "probe" when it is one packet and "traffic" otherwise.
+func (d *Device) SendFrameN(f *packet.Frame, inPort uint16, size, n int) (time.Duration, bool, error) {
 	defer d.flushHeld(d.takeHeld())
 	dec := d.inj.Decide()
 	if !dec.Fire {
-		return d.dev.SendProbe(data, inPort)
+		return d.dev.SendFrameN(f, inPort, size, n)
+	}
+	op := "traffic"
+	if n == 1 {
+		op = "probe"
 	}
 	switch dec.Kind {
 	case KindDrop:
 		if dec.AckLoss {
-			// The frame traversed the switch (touching counters and cache
+			// The frames traversed the switch (touching counters and cache
 			// state); only the reflected copy was lost.
-			if _, _, err := d.dev.SendProbe(data, inPort); err != nil {
+			if _, _, err := d.dev.SendFrameN(f, inPort, size, n); err != nil {
 				d.lateErrs.Add(1)
 			}
 		}
 		d.Sleep(d.inj.DropTimeout())
-		return 0, false, &Error{Kind: KindDrop, Op: "probe"}
+		return 0, false, &Error{Kind: KindDrop, Op: op}
 	case KindDelay:
-		rtt, punted, err := d.dev.SendProbe(data, inPort)
+		rtt, punted, err := d.dev.SendFrameN(f, inPort, size, n)
 		if err != nil {
 			return rtt, punted, err
 		}
 		d.Sleep(dec.Delay)
 		return rtt + dec.Delay, punted, nil
 	case KindDuplicate:
-		if _, _, err := d.dev.SendProbe(data, inPort); err != nil {
-			return 0, false, err
-		}
-		return d.dev.SendProbe(data, inPort)
+		return d.dev.SendFrameN(f, inPort, size, n+1)
 	case KindReset:
-		if d.reset() {
-			return 0, false, &Error{Kind: KindReset, Op: "probe"}
-		}
+		d.dev.Reset()
+		return 0, false, &Error{Kind: KindReset, Op: op}
 	}
-	// Reorder and overflow have no data-plane analogue for a single
-	// synchronous probe: deliver it untouched.
-	return d.dev.SendProbe(data, inPort)
-}
-
-// SendTraffic implements probe.TrafficSender. The whole burst is one
-// control-channel message, so it draws one fault decision; without batching
-// support underneath, the burst degrades to a probe loop.
-func (d *Device) SendTraffic(data []byte, inPort uint16, count int) error {
-	defer d.flushHeld(d.takeHeld())
-	send := func(n int) error {
-		if ts, ok := d.dev.(probe.TrafficSender); ok {
-			return ts.SendTraffic(data, inPort, n)
-		}
-		for i := 0; i < n; i++ {
-			if _, _, err := d.dev.SendProbe(data, inPort); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	dec := d.inj.Decide()
-	if !dec.Fire {
-		return send(count)
-	}
-	switch dec.Kind {
-	case KindDrop:
-		if dec.AckLoss {
-			if err := send(count); err != nil {
-				d.lateErrs.Add(1)
-			}
-		}
-		d.Sleep(d.inj.DropTimeout())
-		return &Error{Kind: KindDrop, Op: "traffic"}
-	case KindDelay:
-		d.Sleep(dec.Delay)
-		return send(count)
-	case KindDuplicate:
-		return send(count + 1)
-	case KindReset:
-		if d.reset() {
-			return &Error{Kind: KindReset, Op: "traffic"}
-		}
-	}
-	return send(count)
+	// Reorder and overflow have no data-plane analogue for a synchronous
+	// send: deliver it untouched.
+	return d.dev.SendFrameN(f, inPort, size, n)
 }

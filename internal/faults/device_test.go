@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"tango/internal/core/probe"
+	"tango/internal/openflow"
+	"tango/internal/packet"
 	"tango/internal/switchsim"
+	"tango/internal/telemetry"
 )
 
 // testSwitch builds a small policy-cache switch and its wrapped device.
@@ -165,6 +168,60 @@ func TestDelayChargesClock(t *testing.T) {
 	}
 	if d := sw.Now().Sub(before); d < 4*time.Millisecond {
 		t.Fatalf("clock advanced %v, want ≥ ~5ms delay", d)
+	}
+}
+
+// TestDelayedProbeRTTIncludesDelay: a delay on the data plane is time the
+// controller waited, so it shows in the RTT the probe reports as well as on
+// the switch clock.
+func TestDelayedProbeRTTIncludesDelay(t *testing.T) {
+	sw, dev := testSwitch(t, Config{Seed: 8, Delay: 1.0, DelayMean: 5 * time.Millisecond, DelayStdDev: time.Microsecond})
+	if err := probe.NewEngine(probe.SimDevice{S: sw}).Install(1, 100); err != nil {
+		t.Fatal(err)
+	}
+	before := sw.Now()
+	rtt, punted, err := probe.NewEngine(dev).Probe(1)
+	if err != nil || punted {
+		t.Fatalf("probe: punted=%v err=%v", punted, err)
+	}
+	if rtt < 4*time.Millisecond {
+		t.Errorf("probe RTT %v, want ≥ ~5ms delay", rtt)
+	}
+	if d := sw.Now().Sub(before); d < rtt {
+		t.Errorf("clock advanced %v, less than the %v RTT reported", d, rtt)
+	}
+	// An encoded packet takes the same switch: SendProbe is a one-packet
+	// SendFrameN of its decoding.
+	data, err := packet.BuildProbe(packet.ProbeSpec{FlowID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rtt, punted, err := dev.SendProbe(data, 1); err != nil || punted || rtt < 4*time.Millisecond {
+		t.Errorf("encoded probe: rtt=%v punted=%v err=%v, want forwarded and delayed", rtt, punted, err)
+	}
+}
+
+// TestDuplicatedBurstIsOneMorePacket: a traffic burst is one control-channel
+// message, so it draws one fault, and its duplicate is one more packet on the
+// rule's counter — not a second burst.
+func TestDuplicatedBurstIsOneMorePacket(t *testing.T) {
+	sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyFIFO), switchsim.WithSeed(1))
+	if err := probe.NewEngine(probe.SimDevice{S: sw}).Install(1, 100); err != nil {
+		t.Fatal(err)
+	}
+	inj := NewInjector(Config{Seed: 6, Duplicate: 1.0})
+	reg := telemetry.NewRegistry()
+	inj.SetTelemetry(reg)
+	const count = 5
+	if err := probe.NewEngine(WrapDevice(probe.SimDevice{S: sw}, inj)).SendTraffic(1, count); err != nil {
+		t.Fatal(err)
+	}
+	rep := sw.Handle(&openflow.StatsRequest{StatsType: openflow.StatsTypeAggregate})[0].(*openflow.StatsReply)
+	if got := rep.Aggregate.PacketCount; got != count+1 {
+		t.Errorf("rule counted %d packets after a duplicated %d-packet burst, want %d", got, count, count+1)
+	}
+	if got := reg.Counter("faults.injected.total").Value(); got != 1 {
+		t.Errorf("%d fault draws fired for one burst, want 1", got)
 	}
 }
 

@@ -15,9 +15,8 @@
 //
 // Two injection points cover the repo's two transports:
 //
-//   - Device (this package) wraps any probe-engine device — the in-process
-//     emulator adapter or the TCP controller — and perturbs FlowMod /
-//     SendProbe / SendTraffic calls.
+//   - Device (this package) wraps the in-process emulator's device
+//     (probe.SimDevice) and perturbs its FlowMod and SendFrameN calls.
 //   - ofconn.ServeOptions.Faults hands an *Injector to the TCP agent loop,
 //     which drops, delays, duplicates, and reorders reply messages on the
 //     wire; the controller side surfaces the resulting silence as typed
@@ -393,12 +392,4 @@ func (in *Injector) DropTimeout() time.Duration {
 		return 0
 	}
 	return in.cfg.DropTimeout
-}
-
-// Transient reports whether err carries a transient marker — an injected
-// fault (or any error exposing Transient() bool) that a bounded retry may
-// clear. It is the classifier the probe engine's retry loop uses.
-func Transient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }

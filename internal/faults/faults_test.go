@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tango/internal/core/probe"
 	"tango/internal/telemetry"
 )
 
@@ -137,13 +138,13 @@ func TestErrorTyping(t *testing.T) {
 	if fe, ok := IsFault(wrapped); !ok || fe.Kind != KindOverflow {
 		t.Fatalf("IsFault = %v, %v", fe, ok)
 	}
-	if !Transient(wrapped) {
+	if !probe.Transient(wrapped) {
 		t.Fatal("Transient(overflow) = false")
 	}
-	if Transient(errors.New("organic")) {
+	if probe.Transient(errors.New("organic")) {
 		t.Fatal("Transient(organic) = true")
 	}
-	if Transient(nil) {
+	if probe.Transient(nil) {
 		t.Fatal("Transient(nil) = true")
 	}
 }

@@ -398,9 +398,9 @@ func TestAsyncOpSpansSkippedWhenUninstrumented(t *testing.T) {
 }
 
 // TestControllerAutoLabel: a probe engine over a live channel must pick up
-// the controller's datapath-ID label (Controller implements
-// probe.LabeledDevice), so per-switch histogram children and flight tracks
-// bind over TCP exactly as they do for emulated devices.
+// the controller's datapath-ID label (Controller.TelemetryLabel), so
+// per-switch histogram children and flight tracks bind over TCP exactly as
+// they do for emulated devices.
 func TestControllerAutoLabel(t *testing.T) {
 	c, _ := dialFlaky(t)
 	e := probe.NewEngine(c)

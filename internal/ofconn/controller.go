@@ -7,14 +7,15 @@ import (
 	"sync"
 	"time"
 
+	"tango/internal/core/probe"
 	"tango/internal/openflow"
 	"tango/internal/telemetry"
 )
 
-// Controller is one controller-side OpenFlow connection to a switch. Its
-// method set satisfies the probing engine's Device interface, so the same
-// inference code runs against an in-process emulated switch or a live TCP
-// endpoint.
+// Controller is one controller-side OpenFlow connection to a switch. It is
+// the probing engine's wire kind of device (probe.PipelinedDevice), so the
+// same inference code runs against an in-process emulated switch or a live
+// TCP endpoint.
 type Controller struct {
 	conn net.Conn
 
@@ -46,6 +47,8 @@ type Controller struct {
 
 	tel ctrlTelemetry
 }
+
+var _ probe.PipelinedDevice = (*Controller)(nil)
 
 // ControllerOptions configures DialOptions / NewControllerOptions.
 type ControllerOptions struct {
@@ -407,10 +410,10 @@ func (c *Controller) handshake() error {
 // Features returns the switch's features reply from the handshake.
 func (c *Controller) Features() *openflow.FeaturesReply { return c.features }
 
-// TelemetryLabel implements probe.LabeledDevice with the switch's datapath
-// ID, so engines over a live channel auto-bind a per-switch histogram child
-// and flight-recorder track just like emulated devices do. Fleets override
-// it afterwards with their member names via SetLabel.
+// TelemetryLabel implements probe.Device with the switch's datapath ID, so
+// engines over a live channel auto-bind a per-switch histogram child and
+// flight-recorder track just like emulated devices do. Fleets override it
+// afterwards with their member names via SetLabel.
 func (c *Controller) TelemetryLabel() string {
 	return fmt.Sprintf("dpid-%#x", c.features.DatapathID)
 }
@@ -511,9 +514,8 @@ func (c *Controller) FlowStats() ([]openflow.FlowStats, error) {
 // elapsed time.
 func (c *Controller) Now() time.Time { return time.Now() }
 
-// Sleep blocks for d of wall time. It gives the probe engine's retry
-// backoff (and fault-injection latencies) a clock to charge against,
-// mirroring SimDevice.Sleep on the virtual-time path.
+// Sleep implements probe.Device by blocking for d of wall time, mirroring
+// SimDevice.Sleep on the virtual-time path.
 func (c *Controller) Sleep(d time.Duration) { time.Sleep(d) }
 
 // Close tears down the connection. Unflushed pipelined ops are abandoned:

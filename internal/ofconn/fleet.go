@@ -99,8 +99,9 @@ func (f *Fleet) Engines() map[string]*probe.Engine {
 	out := make(map[string]*probe.Engine, len(f.members))
 	for n, c := range f.members {
 		e := probe.NewEngine(c)
-		// TCP controllers carry no device label; the member name is the
-		// switch's identity here, so per-switch RTT telemetry keys on it.
+		// The member name is the switch's identity here, so per-switch RTT
+		// telemetry keys on it rather than on the controller's own dpid-…
+		// label, which it overrides.
 		e.SetLabel(n)
 		out[n] = e
 	}

@@ -184,7 +184,7 @@ const ProbeFrameLen = ethernetHeaderLen + ipv4HeaderLen + tcpHeaderLen
 // for spec — the same Frame a DecodeInto of BuildProbe's wire bytes would
 // yield, including the derived IPv4 length and the packed address word the
 // exact-match fast path keys on. In-process senders (the probing engine over
-// a FrameDevice, the scale harness' pooled per-shard frames) build one frame
+// a FrameDevice, the scale harness' per-site frames) build one frame
 // this way and skip the encode/decode round trip entirely. The fields that
 // depend on the flow ID are RetargetProbeFrame's; the ones set here are the
 // same for every ID.

@@ -229,14 +229,13 @@ type site struct {
 	idx      int
 	name     string
 	sw       *switchsim.Switch
-	dev      probe.Device
-	fdev     probe.FrameDevice
+	dev      probe.FrameDevice
 	eng      *probe.Engine
 	reg      *telemetry.Registry
 	track    *telemetry.FlightTrack
 	churn    *conformance.ChurnDriver
 	rng      *rand.Rand
-	frame    *packet.Frame
+	frame    packet.Frame // retargeted in place to every data-plane and probe flow
 	fm       openflow.FlowMod
 	acts     map[uint16][]flowtable.Action
 	ports    map[string]uint16
@@ -259,7 +258,6 @@ type harness struct {
 	siteIdx map[string]int
 	sites   []*site
 	group   *simclock.Group
-	pools   []*framePool
 	rng     *rand.Rand
 
 	pairs    []pairInfo
@@ -329,7 +327,7 @@ func Run(o Options) (*Result, error) {
 	return h.res, nil
 }
 
-// build constructs the topology, sites, clocks, pools, and churn drivers.
+// build constructs the topology, sites, clocks, and churn drivers.
 func (h *harness) build() {
 	h.g = topo.B4()
 	h.names = append([]string(nil), h.g.Nodes()...)
@@ -344,10 +342,6 @@ func (h *harness) build() {
 	h.probeStride = max(1, h.o.EventsPerEpoch/h.o.ProbesPerEpoch)
 
 	h.group = simclock.NewGroup(len(h.names))
-	h.pools = make([]*framePool, h.o.Shards)
-	for k := range h.pools {
-		h.pools[k] = &framePool{}
-	}
 
 	// One fleet-wide churn schedule, partitioned flow-disjoint per site so
 	// every shard steps its own stateful driver.
@@ -379,9 +373,8 @@ func (h *harness) build() {
 			rng:   rand.New(rand.NewSource(h.o.Seed*131 + int64(i))),
 			ports: map[string]uint16{},
 			acts:  map[uint16][]flowtable.Action{},
-			frame: h.pools[i%h.o.Shards].Get(),
 		}
-		packet.BuildProbeFrame(st.frame, packet.ProbeSpec{})
+		packet.BuildProbeFrame(&st.frame, packet.ProbeSpec{})
 		for pi, nb := range h.g.Neighbors(name) {
 			st.ports[nb] = uint16(pi + 1)
 		}
@@ -395,7 +388,6 @@ func (h *harness) build() {
 			}
 		}
 		st.dev = conformance.WrapBackground(probe.SimDevice{S: sw}, st.churn)
-		st.fdev = st.dev.(probe.FrameDevice)
 		st.eng = probe.NewEngine(st.dev)
 		st.eng.SetTelemetry(reg, nil)
 		// The engine's flight track timestamps with wall clocks; the
@@ -512,15 +504,15 @@ func (st *site) runData(h *harness) {
 				p = st.hot[st.rng.Intn(len(st.hot))]
 			}
 			f := flowBase(int(p)) + uint32(st.rng.Intn(int(h.counts[p])))
-			packet.RetargetProbeFrame(st.frame, f)
+			packet.RetargetProbeFrame(&st.frame, f)
 			burst := 1 + st.rng.Intn(h.o.BurstMax)
-			if _, _, err := st.fdev.SendFrameN(st.frame, st.hostPort, packet.ProbeFrameLen, burst); err != nil {
+			if _, _, err := st.dev.SendFrameN(&st.frame, st.hostPort, packet.ProbeFrameLen, burst); err != nil {
 				st.tally.errs++
 				continue
 			}
 			st.tally.packets += uint64(burst)
 			if j%h.probeStride == 0 {
-				rtt, punted, err := st.fdev.SendFrameN(st.frame, st.hostPort, packet.ProbeFrameLen, 1)
+				rtt, punted, err := st.dev.SendFrameN(&st.frame, st.hostPort, packet.ProbeFrameLen, 1)
 				if err != nil {
 					st.tally.errs++
 					continue

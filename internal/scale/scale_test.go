@@ -78,6 +78,25 @@ func TestScaleHarnessSmall(t *testing.T) {
 	}
 }
 
+// TestScaleChurnDisabled runs the harness with a negative ChurnRate, which
+// Options documents as "disables churn": no site has a schedule, so each
+// hands WrapBackground a nil *ChurnDriver, and the run must complete with the
+// tables filled and no churn applied rather than step a nil driver.
+func TestScaleChurnDisabled(t *testing.T) {
+	o := smallOpts(1, 0)
+	o.ChurnRate = -1
+	res, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ChurnApplied != 0 {
+		t.Errorf("ChurnApplied = %d with churn disabled", res.ChurnApplied)
+	}
+	if res.FlowsResident < o.Flows {
+		t.Errorf("FlowsResident = %d, want >= %d", res.FlowsResident, o.Flows)
+	}
+}
+
 // TestScaleShardedDifferential is the epoch-barrier determinism gate: the
 // full Result (counters, per-site stats, telemetry snapshots) and every
 // site's flight-recorder samples must be bit-identical between the serial

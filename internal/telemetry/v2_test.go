@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -201,21 +202,35 @@ func TestSamplerWindows(t *testing.T) {
 	}
 }
 
+// TestSamplerEWMAConverges checks the smoothing against its definition. The
+// windows here are microseconds of wall clock, so the rates themselves are
+// whatever the scheduler made them; what is deterministic is the recurrence
+// EWMA_i = α·Rate_i + (1−α)·EWMA_{i−1} from a zero seed, and its consequence
+// that the last EWMA is a weighted mean of the rates seen — inside [min, max],
+// short of full weight only by the seed's (1−α)^n share.
 func TestSamplerEWMAConverges(t *testing.T) {
+	const alpha, ticks = 0.5, 12
 	r := NewRegistry()
 	c := r.Counter("ops")
-	s := NewSampler(r, SamplerOptions{Interval: time.Second, Alpha: 0.5})
+	s := NewSampler(r, SamplerOptions{Interval: time.Second, Alpha: alpha})
 	s.Tick()
-	for i := 0; i < 12; i++ {
+	for i := 0; i < ticks; i++ {
 		c.Add(100)
 		s.Tick()
 	}
 	pts := s.Series().Counters["ops"]
-	last := pts[len(pts)-1]
-	// Steady input: EWMA approaches the raw rate. Wall-clock ticks are
-	// near-instant so rates are huge; compare the two against each other.
-	if last.EWMA < last.Rate*0.5 || last.EWMA > last.Rate*2.0 {
-		t.Fatalf("ewma %v not near rate %v after steady input", last.EWMA, last.Rate)
+	if len(pts) != ticks {
+		t.Fatalf("%d points after %d ticks", len(pts), ticks)
+	}
+	prev, lo, hi := 0.0, math.Inf(1), 0.0
+	for i, p := range pts {
+		if want := alpha*p.Rate + (1-alpha)*prev; math.Abs(p.EWMA-want) > 1e-9*want {
+			t.Fatalf("point %d: ewma %v, want %v·%v + %v·%v = %v", i, p.EWMA, alpha, p.Rate, 1-alpha, prev, want)
+		}
+		prev, lo, hi = p.EWMA, math.Min(lo, p.Rate), math.Max(hi, p.Rate)
+	}
+	if floor := lo * (1 - math.Pow(1-alpha, ticks)); prev < floor*(1-1e-9) || prev > hi {
+		t.Fatalf("last ewma %v outside the rates seen [%v, %v]", prev, floor, hi)
 	}
 }
 
