@@ -112,6 +112,14 @@ func main() {
 		for i, r := range model.Policy.Rounds {
 			fmt.Printf("  policy round %d: correlations=%v\n", i, r.Correlations)
 		}
+	} else if !*skipPol {
+		why := "fastest tier is the whole table"
+		if model.Microflow {
+			why = "microflow"
+		} else if len(model.Sizes.Levels) < 2 {
+			why = "single tier"
+		}
+		fmt.Printf("  policy: not probed (%s)\n", why)
 	}
 	fmt.Printf("probing wall time: %v (rules=%d, probes=%d)\n",
 		time.Since(start).Round(time.Millisecond),

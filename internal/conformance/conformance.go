@@ -1,9 +1,10 @@
 // Package conformance is the ground-truth regression gate for Tango's
 // inference pipeline: it generates randomized switchsim profiles whose true
-// properties (table layer sizes, LEX cache policies, cost curves) are
-// known, runs the full probe→infer pipeline against each — optionally
-// through the deterministic fault injector — and scores how accurately the
-// pipeline recovered the truth.
+// properties (table layer sizes, LEX cache policies) are known, runs
+// infer.Inspect whole against each, on one switch — optionally through the
+// deterministic fault injector — and scores how accurately the pipeline
+// recovered sizes and policies. The cost phase must converge on every spec (a
+// `cost stage:` row otherwise); scoring its card is ROADMAP item 5's.
 //
 // The clean-channel contract (asserted by the package tests and runnable
 // via `tangobench -only conformance`): size estimates land within 10% of
@@ -146,7 +147,7 @@ func (o Options) tolerance() float64 {
 // Result is one spec's recovery outcome.
 type Result struct {
 	Spec Spec
-	// Err is the pipeline failure, nil when both stages converged.
+	// Err is the pipeline failure, nil when the pipeline converged.
 	Err error
 	// FaultTyped reports that Err is a typed fault-path error (injected
 	// fault, exhausted retry budget, or timeout) rather than an organic
@@ -188,55 +189,38 @@ func (r Result) String() string {
 	return s
 }
 
-// RunSpec executes the probe→infer pipeline against one spec. The policy
-// stage consumes the size stage's estimate — the pipeline wiring of
-// Figure 4 — and runs against a freshly built switch so leftover probe
-// rules from the size stage cannot masquerade as cache residents.
+// RunSpec executes the inference pipeline — infer.Inspect, whole, costs
+// included — against one switch built from the spec, TCAM-only specs too.
+// The policy phase runs on the very switch the size phase just filled and
+// cleared; TestWholePipelineRandomized holds that exact over 720 generated
+// policy caches.
 func RunSpec(spec Spec, opts Options) Result {
-	res := Result{Spec: spec}
+	res := Result{Spec: spec, PolicyChecked: spec.Profile.Kind == switchsim.ManagePolicyCache}
 	inj := faults.NewInjector(opts.Faults)
-	retry := opts.Retry
-	if retry.MaxAttempts <= 1 && inj != nil {
-		retry = probe.DefaultRetry
-	}
-	engine := func(sw *switchsim.Switch) *probe.Engine {
-		e := probe.NewEngine(faults.WrapDevice(probe.SimDevice{S: sw}, inj))
-		e.Retry = retry
-		return e
+	sw := switchsim.New(spec.Profile, switchsim.WithSeed(spec.Seed))
+	e := probe.NewEngine(faults.WrapDevice(probe.SimDevice{S: sw}, inj))
+	e.Retry = opts.Retry
+	if e.Retry.MaxAttempts <= 1 && inj != nil {
+		e.Retry = probe.DefaultRetry
 	}
 
-	swSize := switchsim.New(spec.Profile, switchsim.WithSeed(spec.Seed))
-	sres, err := infer.ProbeSizes(engine(swSize), infer.SizeOptions{
-		Seed:     spec.Seed + 1,
-		MaxRules: 8 * spec.CacheSize,
+	m, err := infer.Inspect(e, infer.InspectOptions{
+		Name: spec.Name,
+		Size: infer.SizeOptions{Seed: spec.Seed + 1, MaxRules: 8 * spec.CacheSize},
 	})
-	res.Resets += swSize.Stats().Resets
+	res.Resets = sw.Stats().Resets
 	if err != nil {
-		res.Err = fmt.Errorf("size stage: %w", err)
+		res.Err = err
 		res.FaultTyped = faultTyped(err)
 		return res
 	}
-	res.SizeEstimate = sres.Levels[0].Size
+	res.SizeEstimate = m.Sizes.Levels[0].Size
 	res.SizeError = relError(res.SizeEstimate, spec.CacheSize)
 	res.SizeOK = res.SizeError <= opts.tolerance()
-
-	if spec.Profile.Kind != switchsim.ManagePolicyCache {
-		return res
+	if res.PolicyChecked && m.Policy != nil {
+		res.InferredPolicy = m.Policy.Policy
+		res.PolicyOK = m.Policy.Policy.Equal(spec.Policy)
 	}
-	res.PolicyChecked = true
-	swPol := switchsim.New(spec.Profile, switchsim.WithSeed(spec.Seed+2))
-	pres, err := infer.ProbePolicy(engine(swPol), infer.PolicyOptions{
-		CacheSize: res.SizeEstimate,
-		Seed:      spec.Seed + 3,
-	})
-	res.Resets += swPol.Stats().Resets
-	if err != nil {
-		res.Err = fmt.Errorf("policy stage: %w", err)
-		res.FaultTyped = faultTyped(err)
-		return res
-	}
-	res.InferredPolicy = pres.Policy
-	res.PolicyOK = pres.Policy.Equal(spec.Policy)
 	return res
 }
 

@@ -1,7 +1,6 @@
 package conformance
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -413,12 +412,12 @@ func runChurnPolicy(sc Scenario) ScenarioResult {
 	return res
 }
 
-// runAltPolicy runs the full pipeline — size inference, then hard policy
-// classification — against a cache-management policy outside the LEX model.
-// The size stage must still converge (capacity is policy-independent); the
-// classification stage must produce the pinned verdict: a typed
-// ErrUnclassifiablePolicy rejection, or (when the policy's observable
-// behaviour coincides with a LEX composite) exactly that composite.
+// runAltPolicy runs the pipeline — size inference, then the policy probe
+// held to a hard verdict — against a cache-management policy outside the LEX
+// model. The size stage must still converge (capacity is policy-independent);
+// the verdict must be the pinned one: a typed ErrUnclassifiablePolicy
+// rejection, or (when the policy's observable behaviour coincides with a LEX
+// composite) exactly that composite.
 func runAltPolicy(sc Scenario, policy switchsim.Policy, name string) ScenarioResult {
 	const cache = 128
 	res := ScenarioResult{Scenario: sc, TrueSize: cache}
@@ -426,36 +425,30 @@ func runAltPolicy(sc Scenario, policy switchsim.Policy, name string) ScenarioRes
 	p.Name = name
 	p.SoftwareCapacity = 3 * cache
 
-	swSize := switchsim.New(p, switchsim.WithSeed(sc.Seed))
-	sres, err := infer.ProbeSizes(probe.NewEngine(probe.SimDevice{S: swSize}),
-		infer.SizeOptions{Seed: sc.Seed + 1, MaxRules: 8 * cache})
+	sw := switchsim.New(p, switchsim.WithSeed(sc.Seed))
+	m, err := infer.Inspect(probe.NewEngine(probe.SimDevice{S: sw}), infer.InspectOptions{
+		Size: infer.SizeOptions{Seed: sc.Seed + 1, MaxRules: 8 * cache},
+	})
 	if err != nil {
-		res.ErrText = fmt.Sprintf("size stage: %v", err)
+		res.ErrText = err.Error()
 		res.Verdict = res.ErrText
 		return res
 	}
-	res.Estimate = sres.Levels[0].Size
+	res.Estimate = m.Sizes.Levels[0].Size
 	res.SizeError = relError(res.Estimate, cache)
 	if res.SizeError > sc.Tolerance {
 		res.Verdict = fmt.Sprintf("size estimate %d/%d err %.1f%% exceeds %.0f%%",
 			res.Estimate, cache, 100*res.SizeError, 100*sc.Tolerance)
 		return res
 	}
-
-	swPol := switchsim.New(p, switchsim.WithSeed(sc.Seed+2))
-	pres, err := infer.ClassifyPolicy(probe.NewEngine(probe.SimDevice{S: swPol}),
-		infer.PolicyOptions{CacheSize: res.Estimate, Seed: sc.Seed + 3})
-	if err != nil {
-		if !errors.Is(err, infer.ErrUnclassifiablePolicy) {
-			res.ErrText = fmt.Sprintf("policy stage: %v", err)
-			res.Verdict = res.ErrText
-			return res
-		}
+	if m.Policy == nil {
+		res.Verdict = "size stage found no cache to policy-probe"
+		return res
+	}
+	res.Policy = m.Policy.Policy.String()
+	if err := m.Policy.Verdict(); err != nil {
 		res.TypedReject = true
 		res.ErrText = err.Error()
-	}
-	if pres != nil {
-		res.Policy = pres.Policy.String()
 	}
 
 	want := sc.ExpectPolicy

@@ -88,7 +88,9 @@ func TestScenarioCatalogShape(t *testing.T) {
 // and a retry policy that never has to retry must leave the inference, the
 // switch (counters and virtual clock) and the engine (op ledger and telemetry
 // label) exactly as the bare single-attempt run leaves them. Size inference
-// runs on an LRU cache, policy inference — the SendTraffic path — on an LFU.
+// runs on an LRU cache, policy inference — the SendTraffic path — on an LFU,
+// and infer.Inspect's whole pipeline on an LFU whose software table is bounded
+// (the size phase ends on a rejection, so the census it hands on is exact).
 func TestWrapperTransparency(t *testing.T) {
 	if NewChurnDriver(workload.Churn(workload.ChurnOptions{Rate: 0})) != nil {
 		t.Fatal("rate-0 churn schedule must produce a nil driver")
@@ -111,34 +113,43 @@ func TestWrapperTransparency(t *testing.T) {
 	// stage is everything one inference leaves behind.
 	type stage struct {
 		name   string
-		result any // *infer.SizeResult, *infer.PolicyResult
+		result any // *infer.SizeResult, *infer.PolicyResult, *infer.Model
 		sw     switchsim.Stats
 		now    time.Time
 		eng    probe.EngineStats
 		label  string
 	}
 	const seed = 411
-	run := func(t *testing.T, wrap func(probe.SimDevice) probe.Device, retry probe.Retry) (out [2]stage) {
+	bounded := switchsim.TestSwitch(64, switchsim.PolicyLFU)
+	bounded.SoftwareCapacity = 192
+	stages := []struct {
+		name    string
+		profile switchsim.Profile
+		infer   func(*probe.Engine) (any, error)
+	}{
+		{"size", switchsim.TestSwitch(64, switchsim.PolicyLRU), func(e *probe.Engine) (any, error) {
+			return infer.ProbeSizes(e, infer.SizeOptions{Seed: seed + 2, MaxRules: 256})
+		}},
+		{"policy", switchsim.TestSwitch(64, switchsim.PolicyLFU), func(e *probe.Engine) (any, error) {
+			return infer.ProbePolicy(e, infer.PolicyOptions{CacheSize: 64, Seed: seed + 3})
+		}},
+		{"pipeline", bounded, func(e *probe.Engine) (any, error) {
+			return infer.Inspect(e, infer.InspectOptions{Name: "whole", Size: infer.SizeOptions{Seed: seed + 4, MaxRules: 512}})
+		}},
+	}
+	run := func(t *testing.T, wrap func(probe.SimDevice) probe.Device, retry probe.Retry) (out []stage) {
 		t.Helper()
-		for i, policy := range []switchsim.Policy{switchsim.PolicyLRU, switchsim.PolicyLFU} {
-			p := switchsim.TestSwitch(64, policy)
+		for i, sg := range stages {
+			p := sg.profile
 			p.Name = "transparent"
 			sw := switchsim.New(p, switchsim.WithSeed(seed+int64(i)))
 			e := probe.NewEngine(wrap(probe.SimDevice{S: sw}))
 			e.Retry = retry
-			st := &out[i]
-			var err error
-			if i == 0 {
-				st.name = "size"
-				st.result, err = infer.ProbeSizes(e, infer.SizeOptions{Seed: seed + 2, MaxRules: 256})
-			} else {
-				st.name = "policy"
-				st.result, err = infer.ProbePolicy(e, infer.PolicyOptions{CacheSize: 64, Seed: seed + 3})
-			}
+			result, err := sg.infer(e)
 			if err != nil {
-				t.Fatalf("%s stage: %v", st.name, err)
+				t.Fatalf("%s stage: %v", sg.name, err)
 			}
-			st.sw, st.now, st.eng, st.label = sw.Stats(), sw.Now(), e.Stats(), e.Label()
+			out = append(out, stage{sg.name, result, sw.Stats(), sw.Now(), e.Stats(), e.Label()})
 		}
 		return out
 	}
@@ -146,6 +157,9 @@ func TestWrapperTransparency(t *testing.T) {
 	want := run(t, rows[0].wrap, rows[0].retry)
 	if want[0].label != "transparent" || want[1].eng.Traffic == 0 {
 		t.Fatalf("bare run is vacuous: label %q, %d traffic packets", want[0].label, want[1].eng.Traffic)
+	}
+	if m := want[2].result.(*infer.Model); m.Policy == nil || !m.Policy.Policy.Equal(switchsim.PolicyLFU) || m.Costs == nil {
+		t.Fatalf("bare pipeline run is vacuous: %s", m)
 	}
 	for _, row := range rows[1:] {
 		t.Run(row.name, func(t *testing.T) {

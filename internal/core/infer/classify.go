@@ -4,16 +4,15 @@ import (
 	"errors"
 	"fmt"
 
-	"tango/internal/core/probe"
 	"tango/internal/switchsim"
 )
 
-// classify.go wraps Algorithm 2 with a hard verdict. ProbePolicy always
+// classify.go holds Algorithm 2 to a hard verdict. ProbePolicy always
 // returns its best-effort diagnosis; controllers that must *act* on the
 // result (pick an abstraction, admit a switch to a scheduling domain) need
 // the opposite contract — a policy either is a complete LEX ordering the
 // model can reason about, or the switch is rejected with a typed error. The
-// adversarial conformance scenarios use this entry point against cache
+// adversarial conformance scenarios hold Model.Policy to it against cache
 // policies deliberately built outside the LEX model (custompolicy.go).
 
 // ErrUnclassifiablePolicy is the sentinel wrapped by UnclassifiableError;
@@ -43,19 +42,14 @@ func (e *UnclassifiableError) Error() string {
 // Unwrap lets errors.Is(err, ErrUnclassifiablePolicy) match.
 func (e *UnclassifiableError) Unwrap() error { return ErrUnclassifiablePolicy }
 
-// ClassifyPolicy runs ProbePolicy and converts its diagnosis into a verdict:
-// the inferred policy when probing terminated with every round accepted (a
-// serial attribute closed the ordering, or all attributes were consumed),
-// or an UnclassifiableError carrying the partial prefix otherwise. The
-// PolicyResult is returned in both cases so callers can still inspect the
-// per-round correlations of a rejected switch.
-func ClassifyPolicy(e *probe.Engine, opts PolicyOptions) (*PolicyResult, error) {
-	res, err := ProbePolicy(e, opts)
-	if err != nil {
-		return nil, err
+// Verdict converts ProbePolicy's diagnosis into a verdict: nil when probing
+// terminated with every round accepted (a serial attribute closed the
+// ordering, or all attributes were consumed), an UnclassifiableError carrying
+// the partial prefix otherwise. The per-round correlations of a rejected
+// switch stay on the result.
+func (r *PolicyResult) Verdict() error {
+	if len(r.Rounds) == 0 || r.Inconclusive || !r.Rounds[len(r.Rounds)-1].Accepted {
+		return &UnclassifiableError{Rounds: len(r.Rounds), Partial: r.Policy}
 	}
-	if len(res.Rounds) == 0 || res.Inconclusive || !res.Rounds[len(res.Rounds)-1].Accepted {
-		return res, &UnclassifiableError{Rounds: len(res.Rounds), Partial: res.Policy}
-	}
-	return res, nil
+	return nil
 }

@@ -56,7 +56,7 @@ func ChurnScenarios() *Table {
 
 // AltPolicy runs the alternative cache-management scenarios: policies
 // outside the LEX model (destination /28 aggregation, FDRC epoch caching)
-// that ClassifyPolicy must either reject with a typed error or classify as
+// that PolicyResult.Verdict must either reject with a typed error or pass as
 // the LEX composite their observable behaviour coincides with.
 func AltPolicy() *Table {
 	return adversarialFamily("altpolicy",

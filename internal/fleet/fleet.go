@@ -364,32 +364,33 @@ func (r *runner) runMember(m *member, round int) {
 			m.infers++
 		}
 	} else {
-		base := sizeFlowBase + uint32(round)*uint32(2*r.o.MaxRules)
-		res, err := infer.ProbeSizes(m.eng, infer.SizeOptions{
-			Priority: probePriority,
-			MaxRules: r.o.MaxRules,
-			Trials:   r.o.Trials,
-			// Per-(member, round) seed: worker count must never reach the
-			// sampling RNG.
-			Seed:       r.o.Seed + int64(m.idx)*1_000_003 + int64(round)*7919,
-			FlowIDBase: base,
+		// Sizes every round, costs on cadence; a failed round is one error.
+		skip := infer.PhaseMicroflow | infer.PhasePolicy
+		if r.o.CostEvery <= 0 || round%r.o.CostEvery != 0 {
+			skip |= infer.PhaseCosts
+		}
+		model, err := infer.Inspect(m.eng, infer.InspectOptions{
+			Name: m.name,
+			Size: infer.SizeOptions{
+				Priority: probePriority,
+				MaxRules: r.o.MaxRules,
+				Trials:   r.o.Trials,
+				// Per-(member, round) seed: worker count must never reach the
+				// sampling RNG.
+				Seed:       r.o.Seed + int64(m.idx)*1_000_003 + int64(round)*7919,
+				FlowIDBase: sizeFlowBase + uint32(round)*uint32(2*r.o.MaxRules),
+			},
+			Cost: infer.CostOptions{Samples: r.o.CostSamples},
+			Skip: skip,
 		})
 		if err != nil {
 			m.errs++
 		} else {
 			m.infers++
-			m.levels = len(res.Levels)
-			if len(res.Levels) > 0 {
-				m.cacheSize = res.Levels[0].Census
-			}
-			m.eng.ClearProbeRules(base, uint32(res.RulesInstalled), probePriority)
-		}
-		if r.o.CostEvery > 0 && round%r.o.CostEvery == 0 {
-			card, err := infer.MeasureCosts(m.eng, m.name, infer.CostOptions{Samples: r.o.CostSamples})
-			if err != nil {
-				m.errs++
-			} else {
-				r.db.PutScore(card)
+			m.levels = len(model.Sizes.Levels)
+			m.cacheSize = model.Sizes.Levels[0].Census
+			if model.Costs != nil {
+				r.db.PutScore(model.Costs)
 				m.cards++
 			}
 		}

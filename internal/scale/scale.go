@@ -532,24 +532,26 @@ func (st *site) runData(h *harness) {
 	}
 }
 
-// runInfer runs one size-inference round against the site's live tables,
-// then clears its probe rules so residency returns to baseline.
+// runInfer runs one size-inference round against the site's live tables;
+// the pipeline clears its probe rules so residency returns to baseline.
 func (st *site) runInfer(h *harness) {
-	res, err := infer.ProbeSizes(st.eng, infer.SizeOptions{
-		Priority:   rulePriority,
-		MaxRules:   h.o.InferMaxRules,
-		Trials:     2,
-		Seed:       h.o.Seed*1000 + int64(st.idx),
-		FlowIDBase: h.inferBase,
+	m, err := infer.Inspect(st.eng, infer.InspectOptions{
+		Size: infer.SizeOptions{
+			Priority:   rulePriority,
+			MaxRules:   h.o.InferMaxRules,
+			Trials:     2,
+			Seed:       h.o.Seed*1000 + int64(st.idx),
+			FlowIDBase: h.inferBase,
+		},
+		Skip: infer.PhaseAll,
 	})
 	if err != nil {
 		st.tally.errs++
 		return
 	}
 	st.inferRuns++
-	st.inferRules += res.RulesInstalled
-	st.inferProbes += res.ProbesSent
-	st.eng.ClearProbeRules(h.inferBase, uint32(res.RulesInstalled), rulePriority)
+	st.inferRules += m.Sizes.RulesInstalled
+	st.inferProbes += m.Sizes.ProbesSent
 }
 
 // fold aggregates per-site state into the Result on the harness goroutine,

@@ -85,38 +85,7 @@ func NewDB() *DB { return pattern.NewDB() }
 
 // Model is the complete inferred fingerprint of one switch — what Tango
 // knows after probing it.
-type Model struct {
-	// Name labels the switch.
-	Name string
-	// Sizes is the flow-table layer inference (Algorithm 1).
-	Sizes *SizeResult
-	// Microflow reports traffic-driven exact-match caching (OVS style).
-	Microflow bool
-	// Policy is the cache-policy inference (Algorithm 2); nil when the
-	// switch has no cache hierarchy to probe (single layer or microflow).
-	Policy *PolicyResult
-	// Costs is the fitted control-channel score card.
-	Costs *ScoreCard
-}
-
-// String renders the model compactly.
-func (m *Model) String() string {
-	s := fmt.Sprintf("switch %s: %s", m.Name, m.Sizes.String())
-	if m.Microflow {
-		s += " caching=microflow"
-	} else if m.Policy != nil {
-		s += " policy=" + m.Policy.Policy.String()
-	}
-	if m.Costs != nil {
-		s += fmt.Sprintf(" costs{add=%v addNew=%v shift=%v mod=%v del=%v}",
-			m.Costs.AddSamePriority.Round(time.Microsecond),
-			m.Costs.AddNewPriority.Round(time.Microsecond),
-			m.Costs.ShiftPerEntry.Round(time.Nanosecond),
-			m.Costs.Mod.Round(time.Microsecond),
-			m.Costs.Del.Round(time.Microsecond))
-	}
-	return s
-}
+type Model = infer.Model
 
 // InspectOptions tunes Inspect. The zero value is sensible.
 type InspectOptions struct {
@@ -137,54 +106,31 @@ type InspectOptions struct {
 }
 
 // Inspect runs the full Tango inference pipeline against a device: size
-// probing, microflow detection, cache-policy probing (when a multi-layer
-// hierarchy is present), and control-cost fitting. Probe rules are removed
-// as each phase finishes; the device should otherwise be idle, and its
-// flow tables are assumed empty at entry (probe a switch before putting it
-// in production, or drain it first).
+// probing, microflow detection, cache-policy probing (when a cache sits in
+// front of a larger table), and control-cost fitting. The sequence, what
+// each phase hands the next and who removes which probe rules are
+// infer.Inspect's; this is that pipeline behind flat options. The device
+// should otherwise be idle, and its flow tables are assumed empty at entry
+// (probe a switch before putting it in production, or drain it first).
 func Inspect(dev Device, opts InspectOptions) (*Model, error) {
 	if opts.Name == "" {
 		opts.Name = "switch"
 	}
 	e := probe.NewEngine(dev)
 	e.Retry = opts.Retry
-	m := &Model{Name: opts.Name}
-
-	sizeOpts := infer.SizeOptions{Seed: opts.Seed, MaxRules: opts.MaxRules}
-	sizes, err := infer.ProbeSizes(e, sizeOpts)
+	in := infer.InspectOptions{
+		Name: opts.Name,
+		Size: infer.SizeOptions{Seed: opts.Seed, MaxRules: opts.MaxRules},
+	}
+	if opts.SkipPolicy {
+		in.Skip |= infer.PhasePolicy
+	}
+	if opts.SkipCosts {
+		in.Skip |= infer.PhaseCosts
+	}
+	m, err := infer.Inspect(e, in)
 	if err != nil {
-		return nil, fmt.Errorf("tango: size probing: %w", err)
-	}
-	m.Sizes = sizes
-	e.ClearProbeRules(0, uint32(sizes.RulesInstalled), 1000)
-
-	micro, _, err := infer.DetectMicroflowCaching(e, 9<<20, 1000)
-	if err != nil {
-		return nil, fmt.Errorf("tango: microflow detection: %w", err)
-	}
-	m.Microflow = micro
-
-	if !opts.SkipPolicy && !micro && len(sizes.Levels) >= 2 {
-		pr, err := infer.ProbePolicy(e, infer.PolicyOptions{
-			CacheSize: sizes.Levels[0].Census,
-			Seed:      opts.Seed + 1,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tango: policy probing: %w", err)
-		}
-		m.Policy = pr
-	}
-
-	if !opts.SkipCosts {
-		card, err := infer.MeasureCosts(e, opts.Name, infer.CostOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("tango: cost fitting: %w", err)
-		}
-		card.PathLatency = nil
-		for _, l := range sizes.Levels {
-			card.PathLatency = append(card.PathLatency, l.MeanRTT)
-		}
-		m.Costs = card
+		return nil, fmt.Errorf("tango: %w", err)
 	}
 	return m, nil
 }

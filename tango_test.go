@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tango/internal/conformance"
 	"tango/internal/core/pattern"
 	"tango/internal/switchsim"
 )
@@ -67,6 +68,35 @@ func TestInspectTCAMOnly(t *testing.T) {
 	}
 	if m.Sizes.Levels[0].Size != 700 {
 		t.Fatalf("size = %d, want 700", m.Sizes.Levels[0].Size)
+	}
+}
+
+// TestInspectSmallTCAMOnly pins two generated TCAM-only specs the pipeline
+// used to fail on. conf-07-tcam-64 holds fewer rules than cost fitting's 128
+// default samples ("cost fitting: … all tables full"); conf-11-tcam-97's
+// noise splits into tiers [94, 2] and Algorithm 2 was sent to probe a
+// 94-entry "cache" in a 97-entry table ("policy probing: … policy probe
+// install 97: … all tables full"). infer.Inspect sizes both phases from the
+// capacity the size phase measured.
+func TestInspectSmallTCAMOnly(t *testing.T) {
+	for _, spec := range []conformance.Spec{
+		conformance.GenerateSpecs(24, 9)[7],
+		conformance.GenerateSpecs(24, 26)[11],
+	} {
+		sw := NewEmulatedSwitch(spec.Profile, switchsim.WithSeed(spec.Seed))
+		m, err := Inspect(EngineFor(sw).Device(), InspectOptions{
+			Name: spec.Name, Seed: spec.Seed + 1, MaxRules: 8 * spec.CacheSize,
+		})
+		if err != nil {
+			t.Errorf("%s: %v", spec.Name, err)
+			continue
+		}
+		if m.Policy != nil || m.Costs == nil {
+			t.Errorf("%s: want no policy and a score card, got %s", spec.Name, m)
+		}
+		if e := relErr(m.Sizes.Levels[0].Size, spec.CacheSize); e > 0.10 {
+			t.Errorf("%s: fastest tier %d, truth %d", spec.Name, m.Sizes.Levels[0].Size, spec.CacheSize)
+		}
 	}
 }
 
