@@ -10,6 +10,7 @@ package tango
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -61,11 +62,56 @@ func clusterAblation(t *testing.T) (kept, alt float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := cluster.FindK(xs, 2)
-	if err != nil {
-		t.Fatal(err)
+	return float64(len(found.Clusters)), float64(fixedKTiers(xs, 2))
+}
+
+// fixedKTiers is the alternative cluster.Find is kept against: plain Lloyd's
+// k-means into exactly k tiers, seeded at the quantiles, with no gap stage to
+// choose k. It returns how many of the k tiers end up populated. It lives
+// here, beside its one caller, not in the production package.
+func fixedKTiers(xs []float64, k int) int {
+	values := slices.Clone(xs)
+	slices.Sort(values)
+	centroids := make([]float64, k)
+	for j := range centroids {
+		centroids[j] = values[(2*j+1)*len(values)/(2*k)]
 	}
-	return float64(len(found.Clusters)), float64(len(fixed.Clusters))
+	assign := make([]int, len(values))
+	counts := make([]int, k)
+	for it := 0; it < 64; it++ {
+		changed := it == 0
+		for i, v := range values {
+			c := 0
+			for j := range centroids {
+				if math.Abs(centroids[j]-v) < math.Abs(centroids[c]-v) {
+					c = j
+				}
+			}
+			changed = changed || assign[i] != c
+			assign[i] = c
+		}
+		if !changed {
+			break
+		}
+		sums := make([]float64, k)
+		clear(counts)
+		for i, v := range values {
+			sums[assign[i]] += v
+			counts[assign[i]]++
+		}
+		for j := range centroids {
+			if counts[j] > 0 {
+				centroids[j] = sums[j] / float64(counts[j])
+			}
+		}
+	}
+	tiers := 0
+	for _, n := range counts {
+		if n > 0 {
+			tiers++
+		}
+	}
+	return tiers
 }
 
 // sizeAblation runs Algorithm 1 on a fresh 512-entry FIFO cache and compares

@@ -4,15 +4,22 @@
 // to determine the number of flow table layers — each cluster corresponds to
 // one layer").
 //
-// The algorithm is a two-stage hybrid:
+// Find runs three stages, and each owns one decision:
 //
-//  1. Gap splitting: sort the samples and cut at every inter-sample gap that
-//     is large relative to the sample spread. Well-separated latency tiers
-//     (fast path vs. slow path vs. control path differ by 5–10x) produce
-//     unambiguous gaps, and this stage also chooses the number of clusters.
-//  2. 1-D k-means (Lloyd's algorithm) refinement seeded with the gap-split
-//     centroids, which cleans up boundaries when tiers have wide, skewed
-//     latency distributions.
+//  1. Gap splitting proposes. Sort the samples and mark every inter-sample
+//     gap that is large against the mean gap and either clears an absolute
+//     floor (a tenth of the sample span) or is a tier step on its own
+//     (StepRatio). The floor is what proposes a cut between two wide tiers
+//     whose tails come within a step of each other.
+//  2. 1-D k-means (Lloyd's algorithm), seeded with the gap-split centroids,
+//     absorbs stragglers: one far sample of a wide tier that stage 1 cut off
+//     on its own is pulled back when its neighbours' centroid is nearer.
+//  3. Validation disposes. Adjacent clusters whose means are less than
+//     StepRatio apart are merged: tiers differ by a factor (fast vs. slow vs.
+//     control path, 5–10×), so a boundary only an absolute gap supports is
+//     noise inside one tier, not a layer.
+//
+// DESIGN §15 has the populations that show why none of the three can go.
 package cluster
 
 import (
@@ -39,45 +46,36 @@ type Result struct {
 	Assignment []int
 }
 
-// Options tunes Find. The zero value selects sensible defaults.
-type Options struct {
-	// MaxClusters caps how many tiers may be reported. Zero means 4 (TCAM,
-	// kernel, user space, control path is the deepest hierarchy the switch
-	// model produces).
-	MaxClusters int
-	// GapFactor is the multiple of the mean inter-sample gap above which a
-	// gap becomes a cluster boundary. Zero means 8.
-	GapFactor float64
-	// MinSeparation is an absolute floor for boundary gaps, guarding against
-	// splitting clusters of near-identical samples whose mean gap is ~0.
-	// Zero means 10% of the full sample range.
-	MinSeparation float64
-	// KMeansIterations bounds the refinement loop. Zero means 32.
-	KMeansIterations int
-}
+// Options is empty: every field it had was set by no caller and is a constant
+// below. The type stays while benchmark/ spells Find(rtts, cluster.Options{}).
+type Options struct{}
 
-func (o Options) withDefaults(span float64) Options {
-	if o.MaxClusters == 0 {
-		o.MaxClusters = 4
-	}
-	if o.GapFactor == 0 {
-		o.GapFactor = 8
-	}
-	if o.MinSeparation == 0 {
-		o.MinSeparation = span * 0.10
-	}
-	if o.KMeansIterations == 0 {
-		o.KMeansIterations = 32
-	}
-	return o
-}
+const (
+	// StepRatio is the smallest factor between two latency tiers: a sample
+	// (or a cluster mean) this many times the one below it is on a slower
+	// path, anything closer is spread within one.
+	StepRatio = 1.3
+
+	// maxClusters caps how many tiers may be reported: TCAM, kernel, user
+	// space, control path is the deepest hierarchy the switch model produces.
+	maxClusters = 4
+	// gapFactor is the multiple of the mean inter-sample gap above which a
+	// gap is a candidate boundary.
+	gapFactor = 8
+	// spanFloor is the share of the full sample range a candidate gap must
+	// reach unless it is a StepRatio jump, guarding against splitting
+	// clusters of near-identical samples whose mean gap is ~0.
+	spanFloor = 0.10
+	// kmeansIterations bounds the refinement loop.
+	kmeansIterations = 32
+)
 
 // ErrEmpty is returned when no samples are supplied.
 var ErrEmpty = errors.New("cluster: no samples")
 
 // Find clusters xs into latency tiers. The returned tiers are sorted by
 // ascending mean; Assignment[i] gives the tier of xs[i].
-func Find(xs []float64, opts Options) (Result, error) {
+func Find(xs []float64, _ Options) (Result, error) {
 	if len(xs) == 0 {
 		return Result{}, ErrEmpty
 	}
@@ -87,11 +85,8 @@ func Find(xs []float64, opts Options) (Result, error) {
 	}
 	sortSamples(ss)
 
-	span := ss[len(ss)-1].v - ss[0].v
-	opts = opts.withDefaults(span)
-
 	// Stage 1: find boundaries at large gaps.
-	boundaries := gapBoundaries(ss, opts)
+	boundaries := gapBoundaries(ss)
 
 	// Build initial centroids from the gap segments.
 	centroids := make([]float64, 0, len(boundaries)+1)
@@ -110,7 +105,7 @@ func Find(xs []float64, opts Options) (Result, error) {
 	for i, s := range ss {
 		values[i] = s.v
 	}
-	assignSorted := kmeans1D(values, centroids, opts.KMeansIterations)
+	assignSorted := kmeans1D(values, centroids, kmeansIterations)
 
 	// Assemble clusters and map assignments back to input order.
 	k := len(centroids)
@@ -153,26 +148,19 @@ func Find(xs []float64, opts Options) (Result, error) {
 	// Validation pass: k-means happily bisects a unimodal tier (a tail
 	// outlier can seed a spurious boundary which Lloyd's algorithm then
 	// drags to the median). Merge adjacent clusters that are not separated
-	// like genuine latency tiers: tiers differ multiplicatively (≥1.3×)
-	// or by a clear absolute gap.
-	kept, assignment = mergeIndistinct(kept, assignment, opts)
+	// like genuine latency tiers, which differ multiplicatively.
+	kept, assignment = mergeIndistinct(kept, assignment)
 	return Result{Clusters: kept, Assignment: assignment}, nil
 }
 
-// mergeIndistinct repeatedly merges adjacent clusters (sorted by mean)
-// whose boundary gap is below MinSeparation and whose means differ by less
-// than 1.3×, rewriting assignments accordingly.
-func mergeIndistinct(clusters []Cluster, assignment []int, opts Options) ([]Cluster, []int) {
+// mergeIndistinct repeatedly merges adjacent clusters (sorted by mean) whose
+// means differ by less than StepRatio, rewriting assignments accordingly.
+func mergeIndistinct(clusters []Cluster, assignment []int) ([]Cluster, []int) {
 	for {
 		merged := false
 		for i := 0; i+1 < len(clusters); i++ {
 			lo, hi := clusters[i], clusters[i+1]
-			gap := hi.Min - lo.Max
-			ratio := math.Inf(1)
-			if lo.Mean > 0 {
-				ratio = hi.Mean / lo.Mean
-			}
-			if gap >= opts.MinSeparation || ratio >= 1.3 {
+			if lo.Mean <= 0 || hi.Mean/lo.Mean >= StepRatio {
 				continue
 			}
 			total := lo.Count + hi.Count
@@ -221,8 +209,8 @@ func sortSamples(ss []sample) {
 }
 
 // gapBoundaries returns sorted-sample indices where a new cluster begins,
-// capped so at most opts.MaxClusters segments result.
-func gapBoundaries(ss []sample, opts Options) []int {
+// capped so at most maxClusters segments result.
+func gapBoundaries(ss []sample) []int {
 	if len(ss) < 2 {
 		return nil
 	}
@@ -234,6 +222,7 @@ func gapBoundaries(ss []sample, opts Options) []int {
 		total += gaps[i]
 	}
 	meanGap := total / float64(n-1)
+	floor := (ss[n-1].v - ss[0].v) * spanFloor
 
 	type bigGap struct {
 		pos int
@@ -241,22 +230,19 @@ func gapBoundaries(ss []sample, opts Options) []int {
 	}
 	var big []bigGap
 	for i, g := range gaps {
-		if g <= 0 || g <= meanGap*opts.GapFactor {
+		if g <= 0 || g <= meanGap*gapFactor {
 			continue
 		}
-		// Latency tiers are separated multiplicatively (slow path is several
-		// times the fast path), so a gap also qualifies when the next sample
-		// jumps by a large ratio even if the absolute gap is small relative
-		// to the full span.
+		// A tier step qualifies even when it is small against the full span.
 		lo, hi := ss[i].v, ss[i+1].v
-		if g >= opts.MinSeparation || (lo > 0 && hi >= lo*1.3) {
+		if g >= floor || (lo > 0 && hi >= lo*StepRatio) {
 			big = append(big, bigGap{i + 1, g})
 		}
 	}
-	// Keep only the largest MaxClusters-1 boundaries.
+	// Keep only the largest maxClusters-1 boundaries.
 	sort.Slice(big, func(a, b int) bool { return big[a].g > big[b].g })
-	if len(big) > opts.MaxClusters-1 {
-		big = big[:opts.MaxClusters-1]
+	if len(big) > maxClusters-1 {
+		big = big[:maxClusters-1]
 	}
 	out := make([]int, len(big))
 	for i, b := range big {
@@ -307,83 +293,9 @@ func kmeans1D(values, centroids []float64, iters int) []int {
 	return assign
 }
 
-// FindK clusters xs into exactly k tiers with plain Lloyd's k-means seeded
-// by quantiles, skipping the gap-splitting model-selection stage. It exists
-// for the ablation benchmarks: against well-separated latency tiers it
-// matches Find only when k happens to equal the true tier count, which is
-// precisely the information Find's gap stage supplies.
-func FindK(xs []float64, k int) (Result, error) {
-	if len(xs) == 0 {
-		return Result{}, ErrEmpty
-	}
-	if k < 1 {
-		k = 1
-	}
-	ss := make([]sample, len(xs))
-	for i, v := range xs {
-		ss[i] = sample{v, i}
-	}
-	sortSamples(ss)
-	values := make([]float64, len(ss))
-	for i, s := range ss {
-		values[i] = s.v
-	}
-	centroids := make([]float64, k)
-	for j := 0; j < k; j++ {
-		centroids[j] = values[(2*j+1)*len(values)/(2*k)]
-	}
-	assignSorted := kmeans1D(values, centroids, 64)
-	clusters := make([]Cluster, k)
-	for i := range clusters {
-		clusters[i].Min = math.Inf(1)
-		clusters[i].Max = math.Inf(-1)
-	}
-	sums := make([]float64, k)
-	assignment := make([]int, len(xs))
-	for i, s := range ss {
-		c := assignSorted[i]
-		assignment[s.idx] = c
-		clusters[c].Count++
-		sums[c] += s.v
-		if s.v < clusters[c].Min {
-			clusters[c].Min = s.v
-		}
-		if s.v > clusters[c].Max {
-			clusters[c].Max = s.v
-		}
-	}
-	kept := clusters[:0]
-	remap := make([]int, k)
-	for i, cl := range clusters {
-		if cl.Count == 0 {
-			remap[i] = -1
-			continue
-		}
-		cl.Mean = sums[i] / float64(cl.Count)
-		remap[i] = len(kept)
-		kept = append(kept, cl)
-	}
-	for i, a := range assignment {
-		assignment[i] = remap[a]
-	}
-	return Result{Clusters: kept, Assignment: assignment}, nil
-}
-
 // Within reports whether value v falls inside cluster c, extended by slack on
 // either side. The probing engine uses this to decide whether a measured RTT
 // still belongs to a previously identified latency tier.
 func Within(c Cluster, v, slack float64) bool {
 	return v >= c.Min-slack && v <= c.Max+slack
-}
-
-// Nearest returns the index of the cluster whose mean is closest to v.
-// It returns -1 for an empty cluster list.
-func Nearest(clusters []Cluster, v float64) int {
-	best, bestD := -1, math.Inf(1)
-	for i, c := range clusters {
-		if d := math.Abs(c.Mean - v); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
 }

@@ -106,13 +106,15 @@ func TestFindEmpty(t *testing.T) {
 
 func TestFindMaxClustersCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	xs, _ := tiered(rng, []float64{1, 10, 100, 1000, 10000}, 50)
-	res, err := Find(xs, Options{MaxClusters: 3})
+	// Five tiers a factor of two apart: all four gaps are candidates, the cap
+	// keeps the three largest.
+	xs, _ := tiered(rng, []float64{1, 2, 4, 8, 16}, 50)
+	res, err := Find(xs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Clusters) > 3 {
-		t.Fatalf("got %d clusters, cap was 3", len(res.Clusters))
+	if len(res.Clusters) != maxClusters {
+		t.Fatalf("got %d clusters from five tiers, cap is %d", len(res.Clusters), maxClusters)
 	}
 }
 
@@ -132,16 +134,6 @@ func TestWithin(t *testing.T) {
 	c := Cluster{Min: 1, Max: 2}
 	if !Within(c, 1.5, 0) || !Within(c, 0.95, 0.1) || Within(c, 2.5, 0.1) {
 		t.Fatal("Within boundary logic wrong")
-	}
-}
-
-func TestNearest(t *testing.T) {
-	cs := []Cluster{{Mean: 1}, {Mean: 10}, {Mean: 100}}
-	if got := Nearest(cs, 12); got != 1 {
-		t.Fatalf("Nearest = %d, want 1", got)
-	}
-	if got := Nearest(nil, 12); got != -1 {
-		t.Fatalf("Nearest(nil) = %d, want -1", got)
 	}
 }
 

@@ -130,19 +130,13 @@ type Options struct {
 	// Retry is the probe engine's hardening policy. Zero selects
 	// probe.DefaultRetry when faults are enabled, single-attempt otherwise.
 	Retry probe.Retry
-	// SizeTolerance is the accepted relative size error; 0 means 0.10.
-	SizeTolerance float64
 	// Workers caps the number of specs recovered concurrently; 0 means
 	// GOMAXPROCS, 1 forces the old sequential behavior.
 	Workers int
 }
 
-func (o Options) tolerance() float64 {
-	if o.SizeTolerance == 0 {
-		return 0.10
-	}
-	return o.SizeTolerance
-}
+// sizeTolerance is the accepted relative size error.
+const sizeTolerance = 0.10
 
 // Result is one spec's recovery outcome.
 type Result struct {
@@ -216,7 +210,7 @@ func RunSpec(spec Spec, opts Options) Result {
 	}
 	res.SizeEstimate = m.Sizes.Levels[0].Size
 	res.SizeError = relError(res.SizeEstimate, spec.CacheSize)
-	res.SizeOK = res.SizeError <= opts.tolerance()
+	res.SizeOK = res.SizeError <= sizeTolerance
 	if res.PolicyChecked && m.Policy != nil {
 		res.InferredPolicy = m.Policy.Policy
 		res.PolicyOK = m.Policy.Policy.Equal(spec.Policy)

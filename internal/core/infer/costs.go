@@ -13,21 +13,18 @@ type CostOptions struct {
 	// Samples is the number of operations timed per cost class. Zero
 	// means 128.
 	Samples int
-	// BasePriority anchors the priority ranges used. Zero means 20000.
-	BasePriority uint16
-	// FlowIDBase offsets probe flow IDs. Zero means 3<<20.
-	FlowIDBase uint32
 }
+
+const (
+	// costBasePriority anchors the priority ranges MeasureCosts uses.
+	costBasePriority uint16 = 20000
+	// costFlowIDBase offsets MeasureCosts' probe flow IDs.
+	costFlowIDBase uint32 = 3 << 20
+)
 
 func (o CostOptions) withDefaults() CostOptions {
 	if o.Samples == 0 {
 		o.Samples = 128
-	}
-	if o.BasePriority == 0 {
-		o.BasePriority = 20000
-	}
-	if o.FlowIDBase == 0 {
-		o.FlowIDBase = 3 << 20
 	}
 	return o
 }
@@ -50,10 +47,10 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	card := &pattern.ScoreCard{SwitchName: switchName, PriorityCurves: map[pattern.Order][]pattern.CurvePoint{}}
 
 	// Phase 1: same-priority adds.
-	base := opts.FlowIDBase
+	base := costFlowIDBase
 	sameOps := make([]pattern.Op, n)
 	for i := range sameOps {
-		sameOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: opts.BasePriority}
+		sameOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: costBasePriority}
 	}
 	res, err := e.Run(pattern.Pattern{Name: "cost/same", Ops: sameOps})
 	if err != nil {
@@ -65,7 +62,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	// Phase 2: modify sweep over the same rules.
 	modOps := make([]pattern.Op, n)
 	for i := range modOps {
-		modOps[i] = pattern.Op{Kind: pattern.OpMod, FlowID: base + uint32(i), Priority: opts.BasePriority}
+		modOps[i] = pattern.Op{Kind: pattern.OpMod, FlowID: base + uint32(i), Priority: costBasePriority}
 	}
 	if res, err = e.Run(pattern.Pattern{Name: "cost/mod", Ops: modOps}); err != nil {
 		return nil, err
@@ -75,7 +72,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	// Phase 3: delete sweep.
 	delOps := make([]pattern.Op, n)
 	for i := range delOps {
-		delOps[i] = pattern.Op{Kind: pattern.OpDel, FlowID: base + uint32(i), Priority: opts.BasePriority}
+		delOps[i] = pattern.Op{Kind: pattern.OpDel, FlowID: base + uint32(i), Priority: costBasePriority}
 	}
 	if res, err = e.Run(pattern.Pattern{Name: "cost/del", Ops: delOps}); err != nil {
 		return nil, err
@@ -88,7 +85,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	base += uint32(n)
 	ascOps := make([]pattern.Op, n)
 	for i := range ascOps {
-		ascOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: opts.BasePriority + 1 + uint16(i)}
+		ascOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: costBasePriority + 1 + uint16(i)}
 	}
 	if res, err = e.Run(pattern.Pattern{Name: "cost/asc", Ops: ascOps}); err != nil {
 		return nil, err
@@ -103,7 +100,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	base += uint32(n)
 	descOps := make([]pattern.Op, n)
 	for i := range descOps {
-		descOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: opts.BasePriority - 1 - uint16(i)}
+		descOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: costBasePriority - 1 - uint16(i)}
 	}
 	if res, err = e.Run(pattern.Pattern{Name: "cost/desc", Ops: descOps}); err != nil {
 		return nil, err
@@ -127,8 +124,8 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	altOps := make([]pattern.Op, 0, 2*n)
 	for i := 0; i < n; i++ {
 		altOps = append(altOps,
-			pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: opts.BasePriority},
-			pattern.Op{Kind: pattern.OpDel, FlowID: base + uint32(i), Priority: opts.BasePriority},
+			pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: costBasePriority},
+			pattern.Op{Kind: pattern.OpDel, FlowID: base + uint32(i), Priority: costBasePriority},
 		)
 	}
 	if res, err = e.Run(pattern.Pattern{Name: "cost/alternate", Ops: altOps}); err != nil {

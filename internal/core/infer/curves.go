@@ -12,39 +12,31 @@ type CurveOptions struct {
 	// Counts are the rule counts to measure; zero-length selects a small
 	// default sweep. Every count must fit the device's total capacity.
 	Counts []int
-	// Orders are the priority orderings to measure; zero-length selects
-	// all four.
-	Orders []pattern.Order
 	// Seed drives the random ordering.
 	Seed int64
-	// FlowIDBase offsets probe flow IDs. Zero means 5<<20.
-	FlowIDBase uint32
 }
+
+// curveFlowIDBase offsets MeasurePriorityCurves' probe flow IDs.
+const curveFlowIDBase = 5 << 20
 
 func (o CurveOptions) withDefaults() CurveOptions {
 	if len(o.Counts) == 0 {
 		o.Counts = []int{50, 200, 500, 1000}
 	}
-	if len(o.Orders) == 0 {
-		o.Orders = pattern.Orders
-	}
-	if o.FlowIDBase == 0 {
-		o.FlowIDBase = 5 << 20
-	}
 	return o
 }
 
 // MeasurePriorityCurves measures the total installation time of n fresh
-// rules under each priority ordering, for each n in Counts — the probing
-// pattern behind Figure 3(c) and the source of the score database's
-// PriorityCurves. The device's tables are restored between runs by
-// deleting the installed rules, so a single (initially empty) device
+// rules under each of the four priority orderings, for each n in Counts —
+// the probing pattern behind Figure 3(c) and the source of the score
+// database's PriorityCurves. The device's tables are restored between runs
+// by deleting the installed rules, so a single (initially empty) device
 // serves the whole sweep.
 func MeasurePriorityCurves(e *probe.Engine, opts CurveOptions) (map[pattern.Order][]pattern.CurvePoint, error) {
 	opts = opts.withDefaults()
-	out := make(map[pattern.Order][]pattern.CurvePoint, len(opts.Orders))
+	out := make(map[pattern.Order][]pattern.CurvePoint, len(pattern.Orders))
 	maxN := -1 // largest count known to fit; -1 = unknown
-	for _, order := range opts.Orders {
+	for _, order := range pattern.Orders {
 		for _, n := range opts.Counts {
 			if maxN >= 0 && n > maxN {
 				continue // exceeded device capacity in an earlier order
@@ -54,7 +46,7 @@ func MeasurePriorityCurves(e *probe.Engine, opts CurveOptions) (map[pattern.Orde
 			// Rebase flow IDs into the dedicated block.
 			ops := make([]pattern.Op, len(p.Ops))
 			for i, op := range p.Ops {
-				op.FlowID += opts.FlowIDBase
+				op.FlowID += curveFlowIDBase
 				ops[i] = op
 			}
 			total, err := e.TimeOps(ops)

@@ -125,7 +125,7 @@ func Inspect(e *probe.Engine, opts InspectOptions) (*Model, error) {
 // larger table, the thing Algorithm 2 probes. The probe installs 2 × cache
 // rules: when the switch said it was full at RulesInstalled and twice the
 // tier does not fit in that, the tier is the table — the "tier" behind it a
-// few delayed or noise-split probes — and probing could only overflow it.
+// few probes a faulty channel delayed — and probing could only overflow it.
 func cacheInFront(s *SizeResult) bool {
 	return len(s.Levels) >= 2 && (!s.CacheFull || 2*s.Levels[0].Census <= s.RulesInstalled)
 }

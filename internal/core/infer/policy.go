@@ -18,42 +18,26 @@ type PolicyOptions struct {
 	// CacheSize is the inferred size of the cache layer under test (the
 	// fastest level from ProbeSizes). Required.
 	CacheSize int
-	// BasePriority anchors the per-flow priority permutation. Zero means
-	// 5000 (leaving room below for the permutation spread).
-	BasePriority uint16
-	// TrafficGap is the spacing between adjacent initialized traffic
-	// counts. MONOTONE only requires differences "sufficiently large
-	// (greater than 2)"; zero means 3.
-	TrafficGap int
-	// CorrThreshold is the minimum |correlation| for an attribute to be
-	// accepted as a sort key. Zero means 0.4.
-	CorrThreshold float64
-	// MaxRounds bounds the LEX recursion. Zero means 4 (one per attribute).
-	MaxRounds int
 	// Seed fixes permutation generation.
 	Seed int64
-	// FlowIDBase offsets probe flow IDs; each round uses a fresh block.
-	FlowIDBase uint32
 }
 
-func (o PolicyOptions) withDefaults() PolicyOptions {
-	if o.BasePriority == 0 {
-		o.BasePriority = 5000
-	}
-	if o.TrafficGap == 0 {
-		o.TrafficGap = 3
-	}
-	if o.CorrThreshold == 0 {
-		o.CorrThreshold = 0.4
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 4
-	}
-	if o.FlowIDBase == 0 {
-		o.FlowIDBase = 1 << 20
-	}
-	return o
-}
+const (
+	// policyBasePriority anchors the per-flow priority permutation, leaving
+	// room below for the permutation spread.
+	policyBasePriority = 5000
+	// trafficGap is the spacing between adjacent initialized traffic counts.
+	// MONOTONE only requires differences "sufficiently large (greater than
+	// 2)".
+	trafficGap = 3
+	// corrThreshold is the minimum |correlation| for an attribute to be
+	// accepted as a sort key.
+	corrThreshold = 0.4
+	// maxPolicyRounds bounds the LEX recursion: one round per attribute.
+	maxPolicyRounds = 4
+	// policyFlowIDBase offsets probe flow IDs; each round uses a fresh block.
+	policyFlowIDBase = 1 << 20
+)
 
 // Round records the diagnostics of one recursion round of Algorithm 2.
 type Round struct {
@@ -98,7 +82,6 @@ var serialAttrs = map[switchsim.Attribute]bool{
 // that attribute held constant until a serial attribute terminates the
 // lexicographic ordering.
 func ProbePolicy(e *probe.Engine, opts PolicyOptions) (*PolicyResult, error) {
-	opts = opts.withDefaults()
 	if opts.CacheSize <= 0 {
 		return nil, ErrBadCacheSize
 	}
@@ -106,8 +89,8 @@ func ProbePolicy(e *probe.Engine, opts PolicyOptions) (*PolicyResult, error) {
 	res := &PolicyResult{}
 	fixed := map[switchsim.Attribute]bool{}
 
-	for round := 0; round < opts.MaxRounds; round++ {
-		base := opts.FlowIDBase + uint32(round)*uint32(16*opts.CacheSize+8192)
+	for round := 0; round < maxPolicyRounds; round++ {
+		base := policyFlowIDBase + uint32(round)*uint32(16*opts.CacheSize+8192)
 		var r *Round
 		var err error
 		if fixed[switchsim.AttrTraffic] {
@@ -182,7 +165,7 @@ func initBlock(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, base uint32,
 	}
 	for i := range b.priorities {
 		b.perm[switchsim.AttrInsertion][i] = i
-		b.priorities[i] = opts.BasePriority
+		b.priorities[i] = policyBasePriority
 		if !fixed[switchsim.AttrPriority] {
 			b.priorities[i] += uint16(prioPerm[i])
 		}
@@ -195,14 +178,14 @@ func initBlock(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, base uint32,
 		}
 	}
 
-	// Traffic phase: counts spaced TrafficGap apart, sent in ascending
+	// Traffic phase: counts spaced trafficGap apart, sent in ascending
 	// target order so the cache converges to the top-traffic flows under
 	// frequency policies. Skipped when traffic is held constant. Bursts go
 	// through the engine's batched traffic path, which keeps the quadratic
 	// total packet count affordable even for multi-thousand entry caches.
 	if !fixed[switchsim.AttrTraffic] {
 		for _, i := range inversePerm(trafPerm) {
-			if err := e.SendTraffic(base+uint32(i), opts.TrafficGap*(trafPerm[i]+1)); err != nil {
+			if err := e.SendTraffic(base+uint32(i), trafficGap*(trafPerm[i]+1)); err != nil {
 				return nil, err
 			}
 		}
@@ -316,7 +299,7 @@ func probeRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase ui
 			best = switchsim.SortKey{Attr: attr, HighIsBetter: r > 0}
 		}
 	}
-	if math.Abs(bestCorr) >= opts.CorrThreshold {
+	if math.Abs(bestCorr) >= corrThreshold {
 		round.Chosen = best
 		round.Accepted = true
 	}
@@ -476,9 +459,8 @@ type InitPattern struct {
 // probe would use for the given cache size and seed, for inspection and
 // plotting without touching a switch.
 func InitializationPattern(cacheSize int, seed int64) InitPattern {
-	opts := PolicyOptions{CacheSize: cacheSize, Seed: seed}.withDefaults()
 	s := 2 * cacheSize
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	prio, traf, use := decorrelatedPerms(rng, s)
 	p := InitPattern{
 		Insertion: make([]int, s),
@@ -490,7 +472,7 @@ func InitializationPattern(cacheSize int, seed int64) InitPattern {
 		p.Insertion[i] = i
 		p.Use[i] = use[i]
 		p.Priority[i] = prio[i]
-		p.Traffic[i] = opts.TrafficGap * (traf[i] + 1)
+		p.Traffic[i] = trafficGap * (traf[i] + 1)
 	}
 	return p
 }
@@ -532,5 +514,5 @@ func DetectMicroflowCaching(e *probe.Engine, flowIDBase uint32, priority uint16)
 		return false, 0, err
 	}
 	ratio := mf / ms
-	return ratio > 1.25, ratio, nil
+	return ratio > cluster.StepRatio, ratio, nil
 }

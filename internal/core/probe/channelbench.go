@@ -62,11 +62,14 @@ type ChannelBenchOptions struct {
 	Ops int
 	// Probes is the number of RTT samples per path. Zero means 200.
 	Probes int
-	// FlowIDBase offsets the probe flows. Zero means 6<<20.
-	FlowIDBase uint32
-	// Priority used for the benchmark rules. Zero means 700.
-	Priority uint16
 }
+
+const (
+	// benchFlowIDBase offsets BenchmarkChannel's probe flows.
+	benchFlowIDBase uint32 = 6 << 20
+	// benchPriority is the priority of the benchmark rules.
+	benchPriority uint16 = 700
+)
 
 func (o ChannelBenchOptions) withDefaults() ChannelBenchOptions {
 	if o.Ops == 0 {
@@ -74,12 +77,6 @@ func (o ChannelBenchOptions) withDefaults() ChannelBenchOptions {
 	}
 	if o.Probes == 0 {
 		o.Probes = 200
-	}
-	if o.FlowIDBase == 0 {
-		o.FlowIDBase = 6 << 20
-	}
-	if o.Priority == 0 {
-		o.Priority = 700
 	}
 	return o
 }
@@ -93,7 +90,7 @@ func BenchmarkChannel(e *Engine, opts ChannelBenchOptions) (*ChannelReport, erro
 	rate := func(kind pattern.OpKind) (float64, error) {
 		ops := make([]pattern.Op, opts.Ops)
 		for i := range ops {
-			ops[i] = pattern.Op{Kind: kind, FlowID: opts.FlowIDBase + uint32(i), Priority: opts.Priority}
+			ops[i] = pattern.Op{Kind: kind, FlowID: benchFlowIDBase + uint32(i), Priority: benchPriority}
 		}
 		d, err := e.TimeOps(ops)
 		if err != nil {
@@ -115,7 +112,7 @@ func BenchmarkChannel(e *Engine, opts ChannelBenchOptions) (*ChannelReport, erro
 	// RTT distributions while the rules are installed.
 	fast := make([]float64, 0, opts.Probes)
 	for i := 0; i < opts.Probes; i++ {
-		rtt, punted, err := e.Probe(opts.FlowIDBase + uint32(i%opts.Ops))
+		rtt, punted, err := e.Probe(benchFlowIDBase + uint32(i%opts.Ops))
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +124,7 @@ func BenchmarkChannel(e *Engine, opts ChannelBenchOptions) (*ChannelReport, erro
 		return nil, fmt.Errorf("probe: fast path: %w", err)
 	}
 	punt := make([]float64, 0, opts.Probes)
-	missBase := opts.FlowIDBase + uint32(opts.Ops) + 1000
+	missBase := benchFlowIDBase + uint32(opts.Ops) + 1000
 	for i := 0; i < opts.Probes; i++ {
 		rtt, punted, err := e.Probe(missBase + uint32(i))
 		if err != nil {

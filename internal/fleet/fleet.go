@@ -61,6 +61,20 @@ const (
 	probePriority        = 1000
 	sizeFlowBase  uint32 = 1 << 16
 	sentinelBase  uint32 = 1 << 30
+
+	// sizeTrials is the sampling trials per cache level, the scale harness'
+	// budget.
+	sizeTrials = 2
+	// costEvery: simulated members fit control-channel costs every
+	// costEvery-th round. TCP members fit every round — it is their
+	// inference workload.
+	costEvery = 2
+	// costSamples is MeasureCosts' per-class op budget.
+	costSamples = 32
+	// sentinelProbes is the per-round count of serial RTT measurement probes
+	// against a sentinel rule; their RTTs feed the fleet's p50/p99 and the
+	// flight tracks.
+	sentinelProbes = 8
 )
 
 // Options configures a fleet run. The zero value is a small all-simulation
@@ -83,19 +97,6 @@ type Options struct {
 	// MaxRules caps each size-inference round's probe rules (default 1024 —
 	// the generated profiles' bounded tables reject well before that).
 	MaxRules int
-	// Trials fixes the sampling trials per cache level (default 2, the
-	// scale harness' budget).
-	Trials int
-	// CostEvery runs control-channel cost fitting on simulated members
-	// every CostEvery-th round (default 2; negative disables). TCP members
-	// run cost fitting every round — it is their inference workload.
-	CostEvery int
-	// CostSamples is MeasureCosts' per-class op budget (default 32).
-	CostSamples int
-	// SentinelProbes is the per-round count of serial RTT measurement
-	// probes against a sentinel rule (default 8); their RTTs feed the
-	// fleet's p50/p99 and the flight tracks.
-	SentinelProbes int
 	// ProbeRate is each member's probe budget in probes/sec; 0 disables
 	// pacing (and keeps wall time deterministic-friendly). ProbeBurst is
 	// the bucket depth (default: one round's worth, 4*MaxRules).
@@ -130,18 +131,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRules <= 0 {
 		o.MaxRules = 1024
-	}
-	if o.Trials <= 0 {
-		o.Trials = 2
-	}
-	if o.CostEvery == 0 {
-		o.CostEvery = 2
-	}
-	if o.CostSamples <= 0 {
-		o.CostSamples = 32
-	}
-	if o.SentinelProbes <= 0 {
-		o.SentinelProbes = 8
 	}
 	if o.ProbeBurst <= 0 {
 		o.ProbeBurst = float64(4 * o.MaxRules)
@@ -355,7 +344,7 @@ func (r *runner) runMember(m *member, round int) {
 	if m.tcp {
 		// TCP members' per-round inference is control-channel cost fitting:
 		// robust under loopback jitter, unlike RTT-cluster size probing.
-		card, err := infer.MeasureCosts(m.eng, m.name, infer.CostOptions{Samples: r.o.CostSamples})
+		card, err := infer.MeasureCosts(m.eng, m.name, infer.CostOptions{Samples: costSamples})
 		if err != nil {
 			m.errs++
 		} else {
@@ -366,7 +355,7 @@ func (r *runner) runMember(m *member, round int) {
 	} else {
 		// Sizes every round, costs on cadence; a failed round is one error.
 		skip := infer.PhaseMicroflow | infer.PhasePolicy
-		if r.o.CostEvery <= 0 || round%r.o.CostEvery != 0 {
+		if round%costEvery != 0 {
 			skip |= infer.PhaseCosts
 		}
 		model, err := infer.Inspect(m.eng, infer.InspectOptions{
@@ -374,13 +363,13 @@ func (r *runner) runMember(m *member, round int) {
 			Size: infer.SizeOptions{
 				Priority: probePriority,
 				MaxRules: r.o.MaxRules,
-				Trials:   r.o.Trials,
+				Trials:   sizeTrials,
 				// Per-(member, round) seed: worker count must never reach the
 				// sampling RNG.
 				Seed:       r.o.Seed + int64(m.idx)*1_000_003 + int64(round)*7919,
 				FlowIDBase: sizeFlowBase + uint32(round)*uint32(2*r.o.MaxRules),
 			},
-			Cost: infer.CostOptions{Samples: r.o.CostSamples},
+			Cost: infer.CostOptions{Samples: costSamples},
 			Skip: skip,
 		})
 		if err != nil {
@@ -402,7 +391,7 @@ func (r *runner) runMember(m *member, round int) {
 	if err := m.eng.Install(sid, probePriority); err != nil {
 		m.errs++
 	} else {
-		for i := 0; i < r.o.SentinelProbes; i++ {
+		for i := 0; i < sentinelProbes; i++ {
 			rtt, punted, err := m.eng.Probe(sid)
 			if err != nil {
 				m.errs++

@@ -177,7 +177,7 @@ func TestFleetServiceStartStop(t *testing.T) {
 	if got := snap.Gauges["fleet.inferences_live"]; got != int64(res.Inferences) {
 		t.Fatalf("fleet.inferences_live = %d, want %d", got, res.Inferences)
 	}
-	// The service's score DB holds every member's card (CostEvery=2 hits
+	// The service's score DB holds every member's card (costEvery = 2 hits
 	// round 0).
 	for _, sum := range res.PerSwitch {
 		if _, ok := s.Scores().Score(sum.Name); !ok {

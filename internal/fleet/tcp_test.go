@@ -44,7 +44,7 @@ func TestFleetMixedTCP(t *testing.T) {
 	if res.Inferences != 5 {
 		t.Fatalf("inferences = %d, want 5", res.Inferences)
 	}
-	// Round 0 cost-fits every member: 3 sim (CostEvery) + 2 tcp (always).
+	// Round 0 cost-fits every member: 3 sim (costEvery) + 2 tcp (always).
 	if res.ScoreCards != 5 {
 		t.Fatalf("score cards = %d, want 5", res.ScoreCards)
 	}

@@ -56,9 +56,6 @@ type ControllerOptions struct {
 	// msgs_out, notify_dropped, stale_replies) and the handshake-latency
 	// histogram. Nil falls back to the process default.
 	Metrics *telemetry.Registry
-	// Tracer receives controller lifecycle instants (ofconn.dial,
-	// ofconn.controller.close). Nil falls back to the process default.
-	Tracer *telemetry.Tracer
 	// Timeout bounds every await for a switch reply (barrier, probe,
 	// echo, stats, handshake). Zero keeps the historical block-forever
 	// behaviour; set it whenever the peer may lose messages (fault
@@ -102,10 +99,9 @@ func (t *ctrlTelemetry) init(opts ControllerOptions) {
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	t.tracer = opts.Tracer
-	if t.tracer == nil {
-		t.tracer = telemetry.DefaultTracer()
-	}
+	// Lifecycle instants (ofconn.dial, ofconn.controller.close) go to the
+	// process tracer.
+	t.tracer = telemetry.DefaultTracer()
 	t.msgsIn = reg.Counter("ofconn.controller.msgs_in")
 	t.msgsOut = reg.Counter("ofconn.controller.msgs_out")
 	t.notifyDrop = reg.Counter("ofconn.controller.notify_dropped")

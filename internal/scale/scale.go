@@ -49,13 +49,11 @@ type Options struct {
 	// Epochs is the number of simulation epochs (default 12).
 	Epochs int
 	// EventsPerEpoch is the data-plane sends per site per epoch (default
-	// 4096); each send is a 1..BurstMax packet burst.
+	// 4096); each send is a 1..burstMax packet burst.
 	EventsPerEpoch int
 	// ProbesPerEpoch is the RTT measurement probes per site per epoch
 	// (default 128), interleaved with the data events.
 	ProbesPerEpoch int
-	// BurstMax bounds the per-send burst size (default 4).
-	BurstMax int
 	// TEEvery runs a max-min fair re-allocation on epochs where
 	// ep%TEEvery == TEEvery-1 (default 4; storm epochs take precedence).
 	TEEvery int
@@ -64,9 +62,6 @@ type Options struct {
 	// FailEpoch is the link-failure storm epoch (default Epochs/2); the
 	// link is restored two epochs later. Negative disables the storm.
 	FailEpoch int
-	// InferEvery runs size inference on a rotating site on epochs where
-	// ep%InferEvery == 1 (default 4). Negative disables inference.
-	InferEvery int
 	// InferMaxRules caps each inference round's probe rules (default 2048).
 	InferMaxRules int
 	// ChurnRate and ChurnFlows shape the fleet-wide timeout-churn schedule
@@ -87,6 +82,14 @@ type Options struct {
 	Registry *telemetry.Registry
 }
 
+const (
+	// burstMax bounds the per-send burst size.
+	burstMax = 4
+	// inferEvery: size inference runs on a rotating site on epochs where
+	// ep%inferEvery == 1.
+	inferEvery = 4
+)
+
 func (o Options) withDefaults() Options {
 	if o.Flows <= 0 {
 		o.Flows = 1 << 20
@@ -100,9 +103,6 @@ func (o Options) withDefaults() Options {
 	if o.ProbesPerEpoch <= 0 {
 		o.ProbesPerEpoch = 128
 	}
-	if o.BurstMax <= 0 {
-		o.BurstMax = 4
-	}
 	if o.TEEvery <= 0 {
 		o.TEEvery = 4
 	}
@@ -111,9 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FailEpoch == 0 {
 		o.FailEpoch = o.Epochs / 2
-	}
-	if o.InferEvery == 0 {
-		o.InferEvery = 4
 	}
 	if o.InferMaxRules <= 0 {
 		o.InferMaxRules = 2048
@@ -441,7 +438,7 @@ func (h *harness) plan(ep int) {
 	case ep%h.o.TEEvery == h.o.TEEvery-1:
 		h.planTE()
 	}
-	if h.o.InferEvery > 0 && ep%h.o.InferEvery == 1 {
+	if ep%inferEvery == 1 {
 		h.inferEpoch = true
 		h.inferSite = h.inferRun % len(h.sites)
 		h.inferBase = inferFlowBase + uint32(h.inferRun)*flowStride
@@ -505,7 +502,7 @@ func (st *site) runData(h *harness) {
 			}
 			f := flowBase(int(p)) + uint32(st.rng.Intn(int(h.counts[p])))
 			packet.RetargetProbeFrame(&st.frame, f)
-			burst := 1 + st.rng.Intn(h.o.BurstMax)
+			burst := 1 + st.rng.Intn(burstMax)
 			if _, _, err := st.dev.SendFrameN(&st.frame, st.hostPort, packet.ProbeFrameLen, burst); err != nil {
 				st.tally.errs++
 				continue

@@ -21,8 +21,6 @@ import (
 type PlanOptions struct {
 	// FlowIDBase offsets the rule flow IDs used for new-path rules.
 	FlowIDBase uint32
-	// BasePriority anchors assigned priorities.
-	BasePriority uint16
 	// AssignPriorities controls how rule priorities are chosen:
 	// true assigns each change a unique priority from a seeded shuffle
 	// (app-specified, 1-1 style); false leaves priorities unassigned so
@@ -32,13 +30,13 @@ type PlanOptions struct {
 	Seed int64
 }
 
+// basePriority anchors assigned priorities.
+const basePriority = 1000
+
 // Plan builds the request DAG for a set of rule changes. Each change's
 // DependsOn edge becomes a DAG edge, serialising every flow's updates from
 // the destination side back to the source, with old-path cleanup last.
 func Plan(changes []topo.RuleChange, opts PlanOptions) (*sched.Graph, error) {
-	if opts.BasePriority == 0 {
-		opts.BasePriority = 1000
-	}
 	g := sched.NewGraph()
 	ids := make([]dag.NodeID, len(changes))
 	var prios []int
@@ -63,7 +61,7 @@ func Plan(changes []topo.RuleChange, opts PlanOptions) (*sched.Graph, error) {
 			FlowID: opts.FlowIDBase + uint32(i),
 		}
 		if opts.AssignPriorities {
-			r.Priority = opts.BasePriority + uint16(prios[i])
+			r.Priority = basePriority + uint16(prios[i])
 			r.HasPriority = true
 		}
 		ids[i] = g.AddNode(r)

@@ -61,15 +61,16 @@ type ChurnOptions struct {
 	// Duration bounds the schedule (default 60s). Replays that finish
 	// earlier simply never reach the tail events.
 	Duration time.Duration
-	// MinTimeout/MaxTimeout bound the per-install timeout draw, in whole
-	// seconds (defaults 1 and 3; OpenFlow timeouts have second resolution).
-	MinTimeout, MaxTimeout int
 	// TouchFrac is the fraction of events that are data-plane touches
 	// rather than installs (default 0.3).
 	TouchFrac float64
 	// Seed fixes the schedule's RNG.
 	Seed int64
 }
+
+// minTimeout and maxTimeout bound the per-install timeout draw, in whole
+// seconds (OpenFlow timeouts have second resolution).
+const minTimeout, maxTimeout = 1, 3
 
 func (o ChurnOptions) withDefaults() ChurnOptions {
 	if o.FlowBase == 0 {
@@ -80,12 +81,6 @@ func (o ChurnOptions) withDefaults() ChurnOptions {
 	}
 	if o.Duration <= 0 {
 		o.Duration = 60 * time.Second
-	}
-	if o.MinTimeout <= 0 {
-		o.MinTimeout = 1
-	}
-	if o.MaxTimeout < o.MinTimeout {
-		o.MaxTimeout = o.MinTimeout + 2
 	}
 	if o.TouchFrac <= 0 {
 		o.TouchFrac = 0.3
@@ -107,7 +102,6 @@ func Churn(opts ChurnOptions) []ChurnEvent {
 	if interval <= 0 {
 		interval = time.Nanosecond
 	}
-	span := opts.MaxTimeout - opts.MinTimeout + 1
 	var out []ChurnEvent
 	for at := interval; at <= opts.Duration; at += interval {
 		ev := ChurnEvent{At: at, Flow: opts.FlowBase + uint32(rng.Intn(opts.Flows))}
@@ -115,7 +109,7 @@ func Churn(opts ChurnOptions) []ChurnEvent {
 			ev.Kind = ChurnTouch
 		} else {
 			ev.Kind = ChurnInstall
-			t := uint16(opts.MinTimeout + rng.Intn(span))
+			t := uint16(minTimeout + rng.Intn(maxTimeout-minTimeout+1))
 			if rng.Intn(2) == 0 {
 				ev.IdleTimeout = t
 			} else {
