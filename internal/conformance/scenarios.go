@@ -125,16 +125,6 @@ func RunScenario(sc Scenario) ScenarioResult {
 	return res
 }
 
-// RunScenarios executes the whole catalog in order.
-func RunScenarios() []ScenarioResult {
-	scs := Scenarios()
-	out := make([]ScenarioResult, len(scs))
-	for i, sc := range scs {
-		out[i] = RunScenario(sc)
-	}
-	return out
-}
-
 // noteScenario labels the run in the process telemetry (nil-safe when no
 // registry is installed).
 func noteScenario(r *ScenarioResult) {

@@ -212,30 +212,3 @@ func NegBinomialMLESums(k, sum int) (float64, error) {
 	s := float64(sum)
 	return s / (float64(k) + s), nil
 }
-
-// Histogram counts xs into nbins equal-width bins across [min, max] and
-// returns the bin counts together with the bin width. Values equal to max
-// land in the final bin. It returns an error when xs is empty or nbins < 1.
-func Histogram(xs []float64, nbins int) (counts []int, width float64, err error) {
-	if nbins < 1 {
-		return nil, 0, errors.New("stats: nbins must be >= 1")
-	}
-	min, max, err := MinMax(xs)
-	if err != nil {
-		return nil, 0, err
-	}
-	counts = make([]int, nbins)
-	if min == max {
-		counts[0] = len(xs)
-		return counts, 0, nil
-	}
-	width = (max - min) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - min) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts, width, nil
-}

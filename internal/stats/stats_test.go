@@ -188,30 +188,6 @@ func TestNegBinomialMLERecovers(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, width, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if width != 5 {
-		t.Fatalf("width = %v, want 5", width)
-	}
-	if counts[0] != 5 || counts[1] != 6 {
-		t.Fatalf("counts = %v, want [5 6]", counts)
-	}
-	// Constant data goes entirely into the first bin.
-	counts, width, err = Histogram([]float64{3, 3, 3}, 4)
-	if err != nil || width != 0 || counts[0] != 3 {
-		t.Fatalf("constant: counts=%v width=%v err=%v", counts, width, err)
-	}
-	if _, _, err := Histogram(nil, 3); err != ErrEmpty {
-		t.Fatalf("err = %v, want ErrEmpty", err)
-	}
-	if _, _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Fatal("expected error for nbins < 1")
-	}
-}
-
 // Property: Pearson is symmetric, bounded by [-1, 1], and invariant under
 // positive affine transforms of either argument.
 func TestPearsonProperties(t *testing.T) {

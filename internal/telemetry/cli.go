@@ -7,6 +7,7 @@ package telemetry
 // function that writes the export files when the run finishes.
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -65,8 +66,10 @@ func (c *CLI) OutputPaths() [][2]string {
 // afterwards bind to them automatically. With Addr set it also binds the
 // listener (failing fast on a bad address), starts the windowed Sampler,
 // and serves the HTTP exporter in the background. The returned flush stops
-// the sampler and writes the requested files; it is never nil. When no sink
-// was requested nothing is installed and flush is a no-op.
+// the sampler, closes the listener and writes every requested file,
+// returning the joined failures (one failing sink does not cost the
+// others); it is never nil. When no sink was requested nothing is installed
+// and flush is a no-op.
 func (c *CLI) Setup() (flush func() error, err error) {
 	if !c.Enabled() {
 		return func() error { return nil }, nil
@@ -75,7 +78,6 @@ func (c *CLI) Setup() (flush func() error, err error) {
 	// -telemetry address fails without leaving half-installed globals.
 	var ln net.Listener
 	if c.Addr != "" {
-		var err error
 		if ln, err = net.Listen("tcp", c.Addr); err != nil {
 			return nil, fmt.Errorf("telemetry: -telemetry %s: %w", c.Addr, err)
 		}
@@ -92,28 +94,25 @@ func (c *CLI) Setup() (flush func() error, err error) {
 		smp.Start()
 		h := HandlerFor(HandlerOptions{Registry: reg, Tracer: tr, Sampler: smp, Flight: fr})
 		go func() {
-			if serr := http.Serve(ln, h); serr != nil {
+			if serr := http.Serve(ln, h); !errors.Is(serr, net.ErrClosed) {
 				fmt.Fprintf(os.Stderr, "telemetry: http: %v\n", serr)
 			}
 		}()
 	}
 	return func() error {
 		smp.Stop()
-		if c.MetricsOut != "" {
-			if err := reg.WriteFile(c.MetricsOut); err != nil {
-				return err
+		var errs []error
+		if ln != nil {
+			errs = append(errs, ln.Close())
+		}
+		for _, out := range []struct {
+			path  string
+			write func(path string) error
+		}{{c.MetricsOut, reg.WriteFile}, {c.TraceOut, tr.WriteFile}, {c.FlightOut, fr.WriteFile}} {
+			if out.path != "" {
+				errs = append(errs, out.write(out.path))
 			}
 		}
-		if c.TraceOut != "" {
-			if err := tr.WriteFile(c.TraceOut); err != nil {
-				return err
-			}
-		}
-		if c.FlightOut != "" {
-			if err := fr.WriteFile(c.FlightOut); err != nil {
-				return err
-			}
-		}
-		return nil
+		return errors.Join(errs...)
 	}, nil
 }

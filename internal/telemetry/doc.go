@@ -36,32 +36,30 @@
 // zero conditional clutter and, with telemetry disabled, costs only a nil
 // check.
 //
-// Histograms keep fixed buckets plus a ring of the most recent observations.
+// # Quantile error bound
 //
-// # Quantile precedence: ring, then buckets
-//
-// A histogram snapshot derives its p50/p90/p99 from the observation ring
-// (internal/stats.Percentile — near-exact) for as long as every observation
-// still fits, i.e. while the total count is at most the ring size (1024).
-// Once the ring has wrapped, the ring no longer represents the full
-// distribution — it holds only the newest observations — so the snapshot
-// switches to the bucket counts and interpolates linearly within the bucket
-// containing each quantile rank, clamped to the observed min/max. Ring
-// quantiles are exact but recent-biased after a wrap; bucket quantiles are
-// approximate (bounded by bucket width) but always cover the whole
-// population. Choosing exactness below the threshold and coverage above it
-// keeps short benchmark runs precise without letting long runs silently
-// report quantiles of the last 1024 samples only.
+// A Histogram keeps fixed bucket counters and nothing else; its p50/p90/p99
+// — in a lifetime Snapshot and in every Sampler window alike — come from the
+// one estimator, bucketQuantile: find the bucket holding the sample of rank
+// ⌈q·n⌉, interpolate linearly inside it, clamp to the observed min/max. The
+// estimate and that sample share a bucket, so the error is at most one
+// bucket ratio at every count, from the first observation to the billionth.
+// DefBuckets is a uniform log scale, ten per decade over 1µs–100s, so the
+// default bound is 10^0.1 ≈ 1.26× (caller-chosen bounds: their own width;
+// outside the scale the clamp alone applies). Raw samples are the flight
+// recorder's job, not the histogram's.
 //
 // # Labeled vectors
 //
-// CounterVec, GaugeVec and HistogramVec add one-label metric families
-// ("switch", "profile"): With(value) returns the child metric, registering
-// it on first use under the canonical name family{key="value"} (ChildName),
-// so children appear in snapshots, the sampler, and the HTTP exporter
-// exactly like plain metrics. The child table is copy-on-write behind an
-// atomic pointer: the hit path is one atomic load plus a map lookup — no
-// lock, no allocation — so labeled recording matches the unlabeled cost.
+// Vec[M] — CounterVec, GaugeVec and HistogramVec are its three instances —
+// is a one-label metric family ("switch", "profile"): With(value) returns
+// the child metric, registering it on first use under the canonical name
+// family{key="value"} (ChildName), so children appear in snapshots, the
+// sampler, and the HTTP exporter exactly like plain metrics. The child table
+// is copy-on-write behind an atomic pointer: the hit path is one atomic load
+// plus a map lookup — no lock, no allocation — so labeled recording matches
+// the unlabeled cost; a writer (first use of a new label value) takes a
+// mutex, copies the table and publishes the new map.
 //
 // # Windowed time series
 //

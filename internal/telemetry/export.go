@@ -33,14 +33,14 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, n := range metricNames(r.counters) {
-		s.Counters[n] = r.counters[n].Value()
+	for n, c := range r.counters {
+		s.Counters[n] = c.Value()
 	}
-	for _, n := range metricNames(r.gauges) {
-		s.Gauges[n] = r.gauges[n].Value()
+	for n, g := range r.gauges {
+		s.Gauges[n] = g.Value()
 	}
-	for _, n := range metricNames(r.hists) {
-		s.Histograms[n] = r.hists[n].Snapshot()
+	for n, h := range r.hists {
+		s.Histograms[n] = h.Snapshot()
 	}
 	return s
 }
@@ -54,16 +54,21 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // WriteFile writes the registry snapshot to path.
 func (r *Registry) WriteFile(path string) error {
+	return writeFile(path, "metrics snapshot", r.WriteJSON)
+}
+
+// writeFile is the one file exporter: it creates path, streams write into
+// it, and wraps whichever step failed with the export's name.
+func writeFile(path, what string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("telemetry: metrics snapshot: %w", err)
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("telemetry: metrics snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("telemetry: metrics snapshot: %w", err)
+		return fmt.Errorf("telemetry: %s: %w", what, err)
 	}
 	return nil
 }
@@ -146,18 +151,7 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 
 // WriteFile writes the trace to path.
 func (t *Tracer) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry: trace export: %w", err)
-	}
-	if err := t.WriteTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("telemetry: trace export: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("telemetry: trace export: %w", err)
-	}
-	return nil
+	return writeFile(path, "trace export", t.WriteTrace)
 }
 
 // HandlerOptions selects what HandlerFor serves. Every field may be nil;
@@ -176,67 +170,45 @@ type HandlerOptions struct {
 	DisablePprof bool
 }
 
-// Handler returns an expvar-style HTTP handler exposing the registry and
-// tracer (see HandlerFor for the full route set). Either argument may be
-// nil, in which case the corresponding endpoint serves an empty document.
-func Handler(r *Registry, t *Tracer) http.Handler {
-	return HandlerFor(HandlerOptions{Registry: r, Tracer: t})
-}
-
-// HandlerFor returns the telemetry HTTP handler:
-//
-//	GET /metrics         — JSON metrics snapshot (labeled children appear
-//	                       under their family{key="value"} names)
-//	GET /metrics/series  — windowed time series (rates, EWMA, per-window
-//	                       quantiles, runtime health) from the Sampler
-//	GET /trace           — Chrome trace_event JSON of the spans so far
-//	GET /flight          — per-switch RTT flight recorder, JSON Lines
-//	GET /debug/pprof/*   — live Go profiles (unless DisablePprof)
-//	GET /                — plain-text index
+// HandlerFor returns the telemetry HTTP handler: the four documents in the
+// route table below (labeled children appear in /metrics under their
+// family{key="value"} names), live Go profiles under /debug/pprof/ (unless
+// DisablePprof), and at / a plain-text index of them all.
 func HandlerFor(opts HandlerOptions) http.Handler {
+	routes := []struct {
+		path, ctype, help string
+		write             func(io.Writer) error
+	}{
+		{"/metrics", "application/json", "JSON metrics snapshot", opts.Registry.WriteJSON},
+		{"/metrics/series", "application/json", "windowed time series (rates, EWMA, per-window quantiles)", opts.Sampler.WriteJSON},
+		{"/trace", "application/json", "Chrome trace_event JSON (open in ui.perfetto.dev)", opts.Tracer.WriteTrace},
+		{"/flight", "application/x-ndjson", "per-switch RTT flight recorder (JSON Lines)", opts.Flight.WriteJSONL},
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := opts.Registry.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/metrics/series", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := opts.Sampler.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := opts.Tracer.WriteTrace(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/flight", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := opts.Flight.WriteJSONL(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	index := "tango telemetry\n"
+	for _, rt := range routes {
+		mux.HandleFunc(rt.path, func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", rt.ctype)
+			if err := rt.write(w); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+		})
+		index += fmt.Sprintf("  %-16s %s\n", rt.path, rt.help)
+	}
 	if !opts.DisablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		index += "  /debug/pprof/    live Go profiles\n"
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprintln(w, `tango telemetry
-  /metrics         JSON metrics snapshot
-  /metrics/series  windowed time series (rates, EWMA, per-window quantiles)
-  /trace           Chrome trace_event JSON (open in ui.perfetto.dev)
-  /flight          per-switch RTT flight recorder (JSON Lines)
-  /debug/pprof/    live Go profiles`)
+		io.WriteString(w, index)
 	})
 	return mux
 }

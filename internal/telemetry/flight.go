@@ -1,20 +1,16 @@
 package telemetry
 
-// flight.go is the per-switch RTT flight recorder: a bounded ring of the
-// most recent probe round trips for every switch the process talks to, each
-// sample stamped on both clocks and tagged with the flow that produced it.
-// It is the raw-sample companion to the aggregated probe.rtt_ns histograms:
-// quantiles tell you a distribution moved, the flight recorder tells you
-// when, on which flow, and whether the probe punted — the stream the
-// change-point drift detector and the fingerprinting analyses (arXiv
-// 1611.02370) consume. Bounded like an aircraft recorder: old samples fall
-// off, memory never grows past tracks × capacity.
+// flight.go is the per-switch RTT flight recorder, the raw-sample companion
+// to the aggregated probe.rtt_ns histograms: quantiles tell you a
+// distribution moved, the flight recorder tells you when, on which flow, and
+// whether the probe punted — the stream the change-point drift detector and
+// the fingerprinting analyses (arXiv 1611.02370) consume. Bounded like an
+// aircraft recorder: old samples fall off, memory never grows past tracks ×
+// capacity.
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,8 +44,7 @@ type FlightSample struct {
 // but allocation-free; a nil *FlightTrack is a no-op.
 type FlightTrack struct {
 	mu   sync.Mutex
-	buf  []FlightSample
-	next int
+	ring ring[FlightSample]
 	seq  uint64
 }
 
@@ -60,10 +55,9 @@ func (t *FlightTrack) Record(virt, wall time.Time, rtt time.Duration, flowID uin
 	}
 	t.mu.Lock()
 	t.seq++
-	t.buf[t.next] = FlightSample{
+	t.ring.push(FlightSample{
 		Seq: t.seq, Virt: virt, Wall: wall, RTT: rtt, FlowID: flowID, Punted: punted,
-	}
-	t.next = (t.next + 1) % len(t.buf)
+	})
 	t.mu.Unlock()
 }
 
@@ -75,14 +69,7 @@ func (t *FlightTrack) Samples() []FlightSample {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]FlightSample, 0, len(t.buf))
-	for i := 0; i < len(t.buf); i++ {
-		s := t.buf[(t.next+i)%len(t.buf)]
-		if s.Seq != 0 {
-			out = append(out, s)
-		}
-	}
-	return out
+	return t.ring.ordered()
 }
 
 // Len returns how many samples the track currently retains.
@@ -92,21 +79,14 @@ func (t *FlightTrack) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.seq >= uint64(len(t.buf)) {
-		return len(t.buf)
-	}
-	return int(t.seq)
+	return int(min(t.seq, uint64(len(t.ring.buf))))
 }
 
-// FlightRecorder owns one FlightTrack per switch. Track lookups follow the
-// vec pattern: copy-on-write map, so the hit path is one atomic load. A nil
+// FlightRecorder owns one FlightTrack per switch, in the copy-on-write table
+// the vecs use, so the Track hit path is one atomic load. A nil
 // *FlightRecorder hands out nil tracks, keeping the disabled configuration
 // free.
-type FlightRecorder struct {
-	capacity int
-	mu       sync.Mutex
-	m        atomic.Pointer[map[string]*FlightTrack]
-}
+type FlightRecorder struct{ tracks *cowTable[FlightTrack] }
 
 // NewFlightRecorder returns a recorder whose tracks hold capacity samples
 // each (0 selects DefaultFlightCapacity).
@@ -114,7 +94,9 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{capacity: capacity}
+	return &FlightRecorder{newCowTable(func(string) *FlightTrack {
+		return &FlightTrack{ring: newRing[FlightSample](capacity)}
+	})}
 }
 
 // Track returns (creating if needed) the named switch's track.
@@ -122,29 +104,7 @@ func (fr *FlightRecorder) Track(name string) *FlightTrack {
 	if fr == nil {
 		return nil
 	}
-	if p := fr.m.Load(); p != nil {
-		if t := (*p)[name]; t != nil {
-			return t
-		}
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	if p := fr.m.Load(); p != nil {
-		if t := (*p)[name]; t != nil {
-			return t
-		}
-	}
-	t := &FlightTrack{buf: make([]FlightSample, fr.capacity)}
-	old := fr.m.Load()
-	next := make(map[string]*FlightTrack, 1)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[name] = t
-	fr.m.Store(&next)
-	return t
+	return fr.tracks.get(name)
 }
 
 // Tracks returns the sorted track names (nil recorder: nil).
@@ -152,11 +112,7 @@ func (fr *FlightRecorder) Tracks() []string {
 	if fr == nil {
 		return nil
 	}
-	p := fr.m.Load()
-	if p == nil {
-		return nil
-	}
-	return metricNames(*p)
+	return metricNames(fr.tracks.snapshot())
 }
 
 // WriteJSONL writes every track's retained samples as JSON Lines — one
@@ -167,14 +123,10 @@ func (fr *FlightRecorder) WriteJSONL(w io.Writer) error {
 	if fr == nil {
 		return nil
 	}
-	p := fr.m.Load()
-	if p == nil {
-		return nil
-	}
-	names := metricNames(*p)
+	tracks := fr.tracks.snapshot()
 	enc := json.NewEncoder(w)
-	for _, name := range names {
-		for _, s := range (*p)[name].Samples() {
+	for _, name := range metricNames(tracks) {
+		for _, s := range tracks[name].Samples() {
 			s.Switch = name
 			if err := enc.Encode(s); err != nil {
 				return err
@@ -186,18 +138,7 @@ func (fr *FlightRecorder) WriteJSONL(w io.Writer) error {
 
 // WriteFile writes the JSONL export to path.
 func (fr *FlightRecorder) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry: flight export: %w", err)
-	}
-	if err := fr.WriteJSONL(f); err != nil {
-		f.Close()
-		return fmt.Errorf("telemetry: flight export: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("telemetry: flight export: %w", err)
-	}
-	return nil
+	return writeFile(path, "flight export", fr.WriteJSONL)
 }
 
 // Process-wide default flight recorder, following the registry/tracer

@@ -1,37 +1,30 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
 	"time"
-
-	"tango/internal/stats"
 )
 
-// DefBuckets are the default histogram boundaries, tuned for durations in
-// nanoseconds: roughly logarithmic from 1µs to 100s, which covers everything
-// from a fast-path RTT sample to a whole scheduling run's makespan.
-var DefBuckets = []float64{
-	1e3, 2.5e3, 5e3, // 1µs .. 5µs
-	1e4, 2.5e4, 5e4, // 10µs .. 50µs
-	1e5, 2.5e5, 5e5, // 100µs .. 500µs
-	1e6, 2.5e6, 5e6, // 1ms .. 5ms
-	1e7, 2.5e7, 5e7, // 10ms .. 50ms
-	1e8, 2.5e8, 5e8, // 100ms .. 500ms
-	1e9, 2.5e9, 5e9, // 1s .. 5s
-	1e10, 2.5e10, 5e10, // 10s .. 50s
-	1e11, // 100s
-}
+// DefBuckets are the default histogram boundaries, for durations in
+// nanoseconds: a uniform log scale, ten buckets per decade from 1µs to 100s
+// (81 bounds, each 10^0.1 ≈ 1.26× the last), which covers everything from a
+// fast-path RTT sample to a whole scheduling run's makespan and bounds every
+// quantile's error by one bucket ratio (see the package docs).
+var DefBuckets = func() []float64 {
+	b := make([]float64, 8*10+1)
+	for i := range b {
+		b[i] = math.Pow(10, 3+float64(i)/10) // exact at the decades
+	}
+	return b
+}()
 
-// reservoirSize is the per-histogram ring capacity backing quantile
-// summaries. Power of two so the hot path can mask instead of divide.
-const reservoirSize = 1024
-
-// Histogram records a distribution into fixed buckets plus a ring of the
-// most recent reservoirSize observations. Observing is an atomic fast path
-// with no allocation; snapshots pay for sorting. A nil *Histogram is a
-// no-op.
+// Histogram records a distribution into fixed buckets. Observing is an
+// atomic fast path with no allocation; raw samples are the flight
+// recorder's job. A nil *Histogram is a no-op.
 type Histogram struct {
 	bounds  []float64 // immutable upper bucket boundaries, ascending
 	buckets []atomic.Int64
@@ -39,8 +32,6 @@ type Histogram struct {
 	sum     atomic.Uint64 // float64 bits, CAS-updated
 	min     atomic.Uint64 // float64 bits
 	max     atomic.Uint64 // float64 bits
-	ring    [reservoirSize]atomic.Uint64
-	ringN   atomic.Uint64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -62,12 +53,10 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.count.Add(1)
-	casAddFloat(&h.sum, v)
-	casFloat(&h.min, v, func(cur float64) bool { return v < cur })
-	casFloat(&h.max, v, func(cur float64) bool { return v > cur })
+	casFloat(&h.sum, func(cur float64) (float64, bool) { return cur + v, true })
+	casFloat(&h.min, func(cur float64) (float64, bool) { return v, v < cur })
+	casFloat(&h.max, func(cur float64) (float64, bool) { return v, v > cur })
 	h.buckets[sort.SearchFloat64s(h.bounds, v)].Add(1)
-	slot := (h.ringN.Add(1) - 1) & (reservoirSize - 1)
-	h.ring[slot].Store(math.Float64bits(v))
 }
 
 // ObserveDuration records a duration sample in nanoseconds.
@@ -81,39 +70,32 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// casAddFloat atomically adds v to the float64 stored in a's bits.
-func casAddFloat(a *atomic.Uint64, v float64) {
+// casFloat atomically replaces the float64 stored in a's bits with
+// next(current), unless next declines.
+func casFloat(a *atomic.Uint64, next func(cur float64) (float64, bool)) {
 	for {
 		old := a.Load()
-		if a.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		v, ok := next(math.Float64frombits(old))
+		if !ok || a.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}
 }
 
-// casFloat atomically replaces the float64 in a when better(current) holds.
-func casFloat(a *atomic.Uint64, v float64, better func(cur float64) bool) {
-	for {
-		old := a.Load()
-		if !better(math.Float64frombits(old)) {
-			return
-		}
-		if a.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// bucketQuantile estimates the q-th percentile from per-bucket counts
-// (counts[i] pairs with upper bound bounds[i]; the final slot is the +Inf
-// overflow bucket) by locating the containing bucket and interpolating
-// linearly inside it. min/max clamp the bucket edges to the observed range,
-// which pins the open-ended first and overflow buckets to real values.
+// bucketQuantile is the package's one quantile estimator: the q-th
+// percentile of per-bucket counts (counts[i] pairs with upper bound
+// h.bounds[i]; the final slot is the overflow bucket; total is their sum),
+// found by locating the bucket holding the sample of rank ⌈q·total⌉ and
+// interpolating linearly inside it. The histogram's lifetime min/max clamp
+// the bucket edges, which pins the open-ended first and overflow buckets to
+// real values. The estimate and that sample share a bucket, so they differ
+// by at most one bucket ratio (DefBuckets: 10^0.1 ≈ 1.26×) at every count.
 // Returns 0 when total is 0.
-func bucketQuantile(bounds []float64, counts []int64, total int64, min, max float64, q float64) float64 {
+func (h *Histogram) bucketQuantile(counts []int64, total int64, q float64) float64 {
 	if total <= 0 {
 		return 0
 	}
+	min, max := math.Float64frombits(h.min.Load()), math.Float64frombits(h.max.Load())
 	rank := q / 100 * float64(total)
 	cum := 0.0
 	for i, c := range counts {
@@ -126,12 +108,12 @@ func bucketQuantile(bounds []float64, counts []int64, total int64, min, max floa
 			continue
 		}
 		lo := min
-		if i > 0 && bounds[i-1] > lo {
-			lo = bounds[i-1]
+		if i > 0 && h.bounds[i-1] > lo {
+			lo = h.bounds[i-1]
 		}
 		hi := max
-		if i < len(bounds) && bounds[i] < hi {
-			hi = bounds[i]
+		if i < len(h.bounds) && h.bounds[i] < hi {
+			hi = h.bounds[i]
 		}
 		if hi < lo {
 			hi = lo
@@ -142,14 +124,45 @@ func bucketQuantile(bounds []float64, counts []int64, total int64, min, max floa
 }
 
 // BucketCount is one cumulative-free histogram bucket: the number of
-// observations v with prevLE < v ≤ LE. The final bucket has LE = +Inf.
+// observations v with prevLE < v ≤ LE. The final (overflow) bucket has
+// LE = +Inf, which JSON cannot spell as a number: it travels as "+Inf".
 type BucketCount struct {
 	LE    float64 `json:"le"`
 	Count int64   `json:"count"`
 }
 
-// HistogramSnapshot is a point-in-time summary of a histogram. Quantiles
-// are estimated from the ring of recent observations.
+// bucketJSON is BucketCount's wire form: le is a number or "+Inf".
+type bucketJSON struct {
+	LE    any   `json:"le"`
+	Count int64 `json:"count"`
+}
+
+func (b BucketCount) MarshalJSON() ([]byte, error) {
+	if math.IsInf(b.LE, 1) {
+		return json.Marshal(bucketJSON{"+Inf", b.Count})
+	}
+	return json.Marshal(bucketJSON{b.LE, b.Count})
+}
+
+func (b *BucketCount) UnmarshalJSON(data []byte) error {
+	var w bucketJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	le, ok := w.LE.(float64)
+	if !ok {
+		if w.LE != "+Inf" {
+			return fmt.Errorf("telemetry: bucket bound %v", w.LE)
+		}
+		le = math.Inf(1)
+	}
+	*b = BucketCount{le, w.Count}
+	return nil
+}
+
+// HistogramSnapshot is a point-in-time summary of a histogram. P50/P90/P99
+// are bucketQuantile estimates over the full-stream bucket counts, clamped
+// to [Min, Max]: within one bucket ratio of the exact sample quantile.
 type HistogramSnapshot struct {
 	Count   int64         `json:"count"`
 	Sum     float64       `json:"sum"`
@@ -163,19 +176,8 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot summarises the histogram. Empty histograms report all zeros.
-//
-// Quantiles follow a ring-vs-bucket precedence: while the recent-observation
-// ring still holds the complete stream (count ≤ ring capacity) they are
-// computed from the ring, which is near-exact. Once the ring has wrapped it
-// only retains the most recent window — quantiles from it would silently
-// describe recency, not the distribution — so the snapshot switches to the
-// full-stream bucket counts, linearly interpolating within the containing
-// bucket (see bucketQuantile, and the precedence note in the package docs).
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return HistogramSnapshot{}
 	}
@@ -186,32 +188,16 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Max:   math.Float64frombits(h.max.Load()),
 	}
 	s.Mean = s.Sum / float64(n)
-	if n <= reservoirSize {
-		held := h.ringN.Load()
-		if held > reservoirSize {
-			held = reservoirSize
-		}
-		sample := make([]float64, held)
-		for i := range sample {
-			sample[i] = math.Float64frombits(h.ring[i].Load())
-		}
-		s.P50, _ = stats.Percentile(sample, 50)
-		s.P90, _ = stats.Percentile(sample, 90)
-		s.P99, _ = stats.Percentile(sample, 99)
-	} else {
-		counts := make([]int64, len(h.buckets))
-		var total int64
-		for i := range h.buckets {
-			counts[i] = h.buckets[i].Load()
-			total += counts[i]
-		}
-		s.P50 = bucketQuantile(h.bounds, counts, total, s.Min, s.Max, 50)
-		s.P90 = bucketQuantile(h.bounds, counts, total, s.Min, s.Max, 90)
-		s.P99 = bucketQuantile(h.bounds, counts, total, s.Min, s.Max, 99)
-	}
-	s.Buckets = make([]BucketCount, 0, len(h.buckets))
+	counts := make([]int64, len(h.buckets))
+	var total int64
 	for i := range h.buckets {
-		c := h.buckets[i].Load()
+		counts[i] = h.buckets[i].Load()
+		total += counts[i]
+	}
+	s.P50 = h.bucketQuantile(counts, total, 50)
+	s.P90 = h.bucketQuantile(counts, total, 90)
+	s.P99 = h.bucketQuantile(counts, total, 99)
+	for i, c := range counts {
 		if c == 0 {
 			continue // keep snapshots small: most duration buckets are empty
 		}

@@ -91,19 +91,25 @@ func NewRegistry() *Registry {
 	}
 }
 
+// lookup returns m[name], building and storing it on first use, under the
+// registry lock: the one get-or-create behind every Registry constructor.
+func lookup[M any](r *Registry, m map[string]*M, name string, build func() *M) *M {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := m[name]
+	if !ok {
+		e = build()
+		m[name] = e
+	}
+	return e
+}
+
 // Counter returns (registering if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return lookup(r, r.counters, name, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns (registering if needed) the named gauge.
@@ -111,14 +117,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, r.gauges, name, func() *Gauge { return new(Gauge) })
 }
 
 // Histogram returns (registering if needed) the named histogram. bounds are
@@ -129,14 +128,7 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
+	return lookup(r, r.hists, name, func() *Histogram { return newHistogram(bounds) })
 }
 
 // metricNames returns the sorted names of one metric family.

@@ -1,21 +1,19 @@
 package telemetry
 
-// sampler.go turns the registry's cumulative metrics into time series. A
-// Sampler periodically walks every registered metric (the shape of the FaaS
-// controller's sys_measure snapshot pass) and appends one interval snapshot
-// per metric to a bounded ring: counters become per-window deltas with
-// rates and an EWMA, gauges become sampled values, histograms become
-// per-window count/sum plus quantiles interpolated from the interval's
-// bucket deltas. Each window is stamped on both clocks — wall time, and the
-// virtual clock when one is supplied — so emulator runs can be asked "what
-// happened over the last 30 virtual seconds" and TCP runs "over the last 30
-// real ones". Every tick also captures runtime health (heap, GC pauses,
-// goroutine count), which is the drift detector's baseline for separating
-// switch-side change from controller-side load.
+// sampler.go turns the registry's cumulative metrics into time series
+// (package docs, "Windowed time series"): each tick appends one window per
+// metric to a bounded ring — counters as deltas with a rate and an EWMA,
+// gauges as sampled values, histograms as count/sum plus quantiles of the
+// interval's bucket deltas — stamped on both clocks, so emulator runs can be
+// asked "what happened over the last 30 virtual seconds" and TCP runs "over
+// the last 30 real ones". Every tick also captures runtime health, the drift
+// detector's baseline for separating switch-side change from
+// controller-side load.
 
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
 	"runtime"
 	"sync"
@@ -101,17 +99,17 @@ type RuntimePoint struct {
 	GCPauseDelta time.Duration `json:"gc_pause_delta_ns"`
 }
 
-// ring is a bounded append-only window buffer.
+// ring is a bounded append-only window buffer: the sampler's series and the
+// flight recorder's tracks. push never allocates.
 type ring[T any] struct {
 	buf  []T
 	next int
 	full bool
 }
 
-func (r *ring[T]) push(cap int, v T) {
-	if r.buf == nil {
-		r.buf = make([]T, cap)
-	}
+func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
+
+func (r *ring[T]) push(v T) {
 	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
 	if r.next == 0 {
@@ -121,9 +119,6 @@ func (r *ring[T]) push(cap int, v T) {
 
 // ordered returns the retained points, oldest first.
 func (r *ring[T]) ordered() []T {
-	if r.buf == nil {
-		return nil
-	}
 	if !r.full {
 		return append([]T(nil), r.buf[:r.next]...)
 	}
@@ -133,19 +128,14 @@ func (r *ring[T]) ordered() []T {
 }
 
 type counterSeries struct {
-	c    *Counter
 	prev int64
 	ewma float64
 	ring ring[CounterPoint]
 }
 
-type gaugeSeries struct {
-	g    *Gauge
-	ring ring[GaugePoint]
-}
+type gaugeSeries struct{ ring ring[GaugePoint] }
 
 type histSeries struct {
-	h          *Histogram
 	prevCount  int64
 	prevSum    float64
 	prevBucket []int64
@@ -192,6 +182,7 @@ func NewSampler(reg *Registry, opts SamplerOptions) *Sampler {
 		counters: map[string]*counterSeries{},
 		gauges:   map[string]*gaugeSeries{},
 		hists:    map[string]*histSeries{},
+		runtime:  newRing[RuntimePoint](opts.Windows),
 	}
 }
 
@@ -252,28 +243,16 @@ func (s *Sampler) Tick() {
 		virt = s.opts.VirtNow()
 	}
 
-	// Collect stable metric handles under the registry lock, then read the
-	// atomics outside it.
-	type named[M any] struct {
-		name string
-		m    M
-	}
+	// Copy the handle tables under the registry lock, then read the atomics
+	// outside it.
 	var (
-		cs []named[*Counter]
-		gs []named[*Gauge]
-		hs []named[*Histogram]
+		cs map[string]*Counter
+		gs map[string]*Gauge
+		hs map[string]*Histogram
 	)
 	if s.reg != nil {
 		s.reg.mu.Lock()
-		for n, c := range s.reg.counters {
-			cs = append(cs, named[*Counter]{n, c})
-		}
-		for n, g := range s.reg.gauges {
-			gs = append(gs, named[*Gauge]{n, g})
-		}
-		for n, h := range s.reg.hists {
-			hs = append(hs, named[*Histogram]{n, h})
-		}
+		cs, gs, hs = maps.Clone(s.reg.counters), maps.Clone(s.reg.gauges), maps.Clone(s.reg.hists)
 		s.reg.mu.Unlock()
 	}
 
@@ -290,13 +269,13 @@ func (s *Sampler) Tick() {
 	s.ticks++
 	secs := dur.Seconds()
 
-	for _, nc := range cs {
-		ser := s.counters[nc.name]
+	for name, c := range cs {
+		ser := s.counters[name]
 		if ser == nil {
-			ser = &counterSeries{c: nc.m}
-			s.counters[nc.name] = ser
+			ser = &counterSeries{ring: newRing[CounterPoint](s.opts.Windows)}
+			s.counters[name] = ser
 		}
-		total := nc.m.Value()
+		total := c.Value()
 		delta := total - ser.prev
 		ser.prev = total
 		if first {
@@ -309,32 +288,32 @@ func (s *Sampler) Tick() {
 			rate = float64(delta) / secs
 		}
 		ser.ewma = s.opts.Alpha*rate + (1-s.opts.Alpha)*ser.ewma
-		ser.ring.push(s.opts.Windows, CounterPoint{
+		ser.ring.push(CounterPoint{
 			Wall: wall, Virt: virt, Dur: dur, VirtDur: virtDur,
 			Delta: delta, Total: total, Rate: rate, EWMA: ser.ewma,
 		})
 	}
-	for _, ng := range gs {
-		ser := s.gauges[ng.name]
+	for name, g := range gs {
+		ser := s.gauges[name]
 		if ser == nil {
-			ser = &gaugeSeries{g: ng.m}
-			s.gauges[ng.name] = ser
+			ser = &gaugeSeries{newRing[GaugePoint](s.opts.Windows)}
+			s.gauges[name] = ser
 		}
-		ser.ring.push(s.opts.Windows, GaugePoint{Wall: wall, Virt: virt, Value: ng.m.Value()})
+		ser.ring.push(GaugePoint{Wall: wall, Virt: virt, Value: g.Value()})
 	}
-	for _, nh := range hs {
-		ser := s.hists[nh.name]
+	for name, h := range hs {
+		ser := s.hists[name]
 		if ser == nil {
-			ser = &histSeries{h: nh.m, prevBucket: make([]int64, len(nh.m.buckets))}
-			s.hists[nh.name] = ser
+			ser = &histSeries{prevBucket: make([]int64, len(h.buckets)), ring: newRing[HistogramPoint](s.opts.Windows)}
+			s.hists[name] = ser
 		}
-		count := nh.m.count.Load()
-		sum := math.Float64frombits(nh.m.sum.Load())
+		count := h.count.Load()
+		sum := math.Float64frombits(h.sum.Load())
 		dCount := count - ser.prevCount
 		dSum := sum - ser.prevSum
-		deltas := make([]int64, len(nh.m.buckets))
-		for i := range nh.m.buckets {
-			cur := nh.m.buckets[i].Load()
+		deltas := make([]int64, len(h.buckets))
+		for i := range h.buckets {
+			cur := h.buckets[i].Load()
 			deltas[i] = cur - ser.prevBucket[i]
 			ser.prevBucket[i] = cur
 		}
@@ -348,18 +327,16 @@ func (s *Sampler) Tick() {
 		}
 		if dCount > 0 {
 			pt.Mean = dSum / float64(dCount)
-			min := math.Float64frombits(nh.m.min.Load())
-			max := math.Float64frombits(nh.m.max.Load())
-			pt.P50 = bucketQuantile(nh.m.bounds, deltas, dCount, min, max, 50)
-			pt.P90 = bucketQuantile(nh.m.bounds, deltas, dCount, min, max, 90)
-			pt.P99 = bucketQuantile(nh.m.bounds, deltas, dCount, min, max, 99)
+			pt.P50 = h.bucketQuantile(deltas, dCount, 50)
+			pt.P90 = h.bucketQuantile(deltas, dCount, 90)
+			pt.P99 = h.bucketQuantile(deltas, dCount, 99)
 		}
 		if secs > 0 {
 			pt.Rate = float64(dCount) / secs
 		}
 		ser.ewma = s.opts.Alpha*pt.Rate + (1-s.opts.Alpha)*ser.ewma
 		pt.EWMA = ser.ewma
-		ser.ring.push(s.opts.Windows, pt)
+		ser.ring.push(pt)
 	}
 
 	gcPause := time.Duration(ms.PauseTotalNs)
@@ -373,7 +350,7 @@ func (s *Sampler) Tick() {
 		rp.GCPauseDelta = 0
 	}
 	s.prevGC = gcPause
-	s.runtime.push(s.opts.Windows, rp)
+	s.runtime.push(rp)
 }
 
 // SeriesSnapshot is the exportable view of every windowed series, oldest

@@ -111,7 +111,7 @@ func TestHTTPHandler(t *testing.T) {
 	r.Counter("c").Add(1)
 	tr := NewTracer(nil)
 	tr.Instant("e", "", nil)
-	srv := httptest.NewServer(Handler(r, tr))
+	srv := httptest.NewServer(HandlerFor(HandlerOptions{Registry: r, Tracer: tr}))
 	defer srv.Close()
 
 	for _, path := range []string{"/metrics", "/trace", "/"} {

@@ -1,7 +1,7 @@
 package telemetry
 
 // v2_test.go covers the time-series layer: labeled vecs, the windowed
-// sampler, the flight recorder, histogram bucket quantiles after ring wrap,
+// sampler, the flight recorder, bucket quantiles on caller-chosen bounds,
 // and the HTTP handler's full route surface (including its error paths).
 
 import (
@@ -10,7 +10,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -114,10 +117,10 @@ func TestVecConcurrentWith(t *testing.T) {
 	}
 }
 
-func TestBucketQuantileAfterRingWrap(t *testing.T) {
+func TestBucketQuantileLinearBounds(t *testing.T) {
 	r := NewRegistry()
-	// Uniform 0..9999 over 2000 observations wraps the 1024-slot ring, so
-	// the snapshot must fall back to bucket interpolation.
+	// Uniform 0..9999 on caller-chosen linear bounds: the error bound is the
+	// bucket width, whatever the scale.
 	h := r.Histogram("wrap", 1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000)
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -426,7 +429,7 @@ func TestHandlerErrorPaths(t *testing.T) {
 func TestHandlerSnapshotDuringRecord(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("c", "switch")
-	h := Handler(r, nil)
+	h := HandlerFor(HandlerOptions{Registry: r})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -489,4 +492,48 @@ func TestCLIHelpers(t *testing.T) {
 	if _, err := bad.Setup(); err == nil {
 		t.Fatal("Setup with unroutable address must fail")
 	}
+}
+
+// TestCLIFlushWritesEverySink: one failing sink (an unwritable -metrics-out)
+// is reported, and costs neither the other two files nor the listener's
+// release.
+func TestCLIFlushWritesEverySink(t *testing.T) {
+	defer SetDefault(nil, nil)
+	defer SetDefaultFlight(nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "blocker") // a regular file: nothing can be created under it
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := CLI{
+		MetricsOut: filepath.Join(blocker, "metrics.json"),
+		TraceOut:   filepath.Join(dir, "trace.json"),
+		FlightOut:  filepath.Join(dir, "flight.jsonl"),
+		Addr:       addr,
+	}
+	flush, err := c.Setup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	DefaultFlight().Track("sw1").Record(time.Now(), time.Now(), time.Millisecond, 1, false)
+	if err := flush(); err == nil || !strings.Contains(err.Error(), "metrics snapshot") {
+		t.Fatalf("flush error = %v, want the metrics failure", err)
+	}
+	for _, p := range []string{c.TraceOut, c.FlightOut} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s not written after the metrics sink failed: %v", p, err)
+		}
+	}
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("-telemetry listener still bound after flush: %v", err)
+	}
+	ln.Close()
 }

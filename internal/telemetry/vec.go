@@ -1,20 +1,13 @@
 package telemetry
 
-// vec.go adds labeled metric families. A Vec is a named family plus a label
-// key ("switch", "profile"); With(value) returns the child metric for one
-// label value, registering it on first use under the canonical name
-// `family{key="value"}` so snapshots, the sampler, and the HTTP exporter
-// see children exactly like plain metrics.
-//
-// The child table is a copy-on-write map behind an atomic pointer: With is a
-// single atomic load plus one map lookup on the hit path — no lock, no
-// allocation — which keeps per-probe labeled recording as cheap as the
-// unlabeled handles. Writers (first use of a new label value) take a mutex,
-// copy the table, and publish the new map. Handles should still be cached at
-// construction where possible; With exists for call sites whose label is
-// only known per operation (a fleet worker touching many switches).
+// vec.go holds the labeled metric families (package docs, "Labeled
+// vectors") and the copy-on-write table under them, which the flight
+// recorder's tracks share. Handles should still be cached at construction
+// where possible; With exists for call sites whose label is only known per
+// operation (a fleet worker touching many switches).
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -26,161 +19,79 @@ func ChildName(family, key, value string) string {
 	return family + "{" + key + `="` + value + `"}`
 }
 
-// vecCore is the label-value → child table shared by the three vec kinds.
-type vecCore[M any] struct {
-	name string
-	key  string
-	m    atomic.Pointer[map[string]*M]
-	mu   sync.Mutex
+// cowTable is a get-or-create table of named *M, read through one atomic
+// load and grown by copy-on-write.
+type cowTable[M any] struct {
+	create func(name string) *M // builds a missing entry; called under mu
+	mu     sync.Mutex
+	m      atomic.Pointer[map[string]*M]
 }
 
-// get returns the cached child for value, or nil when it has not been
-// created yet. Allocation-free.
-func (v *vecCore[M]) get(value string) *M {
-	if p := v.m.Load(); p != nil {
-		return (*p)[value]
+// get returns name's entry, creating it on first use. The hit path is
+// lock- and allocation-free.
+func (t *cowTable[M]) get(name string) *M {
+	if e := (*t.m.Load())[name]; e != nil {
+		return e
 	}
-	return nil
-}
-
-// put publishes child under value via copy-on-write. Callers hold v.mu and
-// have re-checked for a racing insert.
-func (v *vecCore[M]) put(value string, child *M) {
-	old := v.m.Load()
-	next := make(map[string]*M, 1)
-	if old != nil {
-		for k, c := range *old {
-			next[k] = c
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := *t.m.Load()
+	if e := old[name]; e != nil {
+		return e // lost the race to another creator
 	}
-	next[value] = child
-	v.m.Store(&next)
+	e := t.create(name)
+	next := maps.Clone(old)
+	next[name] = e
+	t.m.Store(&next)
+	return e
 }
 
-// labels returns the sorted label values with live children.
-func (v *vecCore[M]) labels() []string {
-	p := v.m.Load()
-	if p == nil {
-		return nil
-	}
-	return metricNames(*p)
+// snapshot returns the current (immutable) table.
+func (t *cowTable[M]) snapshot() map[string]*M { return *t.m.Load() }
+
+func newCowTable[M any](create func(name string) *M) *cowTable[M] {
+	t := &cowTable[M]{create: create}
+	t.m.Store(&map[string]*M{})
+	return t
 }
 
-// CounterVec is a family of counters keyed by one label. A nil *CounterVec
-// hands out nil (no-op) children.
-type CounterVec struct {
-	reg *Registry
-	vecCore[Counter]
-}
+// Vec is a family of metrics keyed by one label. A nil *Vec hands out nil
+// (no-op) children.
+type Vec[M any] struct{ children *cowTable[M] }
 
-// With returns (registering if needed) the child counter for the label
+// The three families a Registry hands out. Histogram children share the
+// bucket boundaries fixed at vec registration.
+type (
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+	HistogramVec = Vec[Histogram]
+)
+
+// With returns (registering if needed) the child metric for the label
 // value. The hit path is lock- and allocation-free.
-func (v *CounterVec) With(value string) *Counter {
+func (v *Vec[M]) With(value string) *M {
 	if v == nil {
 		return nil
 	}
-	if c := v.get(value); c != nil {
-		return c
-	}
-	return v.slow(value)
-}
-
-func (v *CounterVec) slow(value string) *Counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c := v.get(value); c != nil {
-		return c
-	}
-	// Register through the registry so the child shows up in snapshots and
-	// is shared with any direct Counter(ChildName(...)) lookup.
-	c := v.reg.Counter(ChildName(v.name, v.key, value))
-	v.put(value, c)
-	return c
+	return v.children.get(value)
 }
 
 // Labels returns the sorted label values observed so far (nil receiver: nil).
-func (v *CounterVec) Labels() []string {
+func (v *Vec[M]) Labels() []string {
 	if v == nil {
 		return nil
 	}
-	return v.labels()
+	return metricNames(v.children.snapshot())
 }
 
-// GaugeVec is a family of gauges keyed by one label. A nil *GaugeVec hands
-// out nil (no-op) children.
-type GaugeVec struct {
-	reg *Registry
-	vecCore[Gauge]
-}
-
-// With returns (registering if needed) the child gauge for the label value.
-func (v *GaugeVec) With(value string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	if g := v.get(value); g != nil {
-		return g
-	}
-	return v.slow(value)
-}
-
-func (v *GaugeVec) slow(value string) *Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g := v.get(value); g != nil {
-		return g
-	}
-	g := v.reg.Gauge(ChildName(v.name, v.key, value))
-	v.put(value, g)
-	return g
-}
-
-// Labels returns the sorted label values observed so far (nil receiver: nil).
-func (v *GaugeVec) Labels() []string {
-	if v == nil {
-		return nil
-	}
-	return v.labels()
-}
-
-// HistogramVec is a family of histograms keyed by one label. Children share
-// the bucket boundaries fixed at vec registration. A nil *HistogramVec hands
-// out nil (no-op) children.
-type HistogramVec struct {
-	reg    *Registry
-	bounds []float64
-	vecCore[Histogram]
-}
-
-// With returns (registering if needed) the child histogram for the label
-// value. The hit path is lock- and allocation-free.
-func (v *HistogramVec) With(value string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	if h := v.get(value); h != nil {
-		return h
-	}
-	return v.slow(value)
-}
-
-func (v *HistogramVec) slow(value string) *Histogram {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h := v.get(value); h != nil {
-		return h
-	}
-	h := v.reg.Histogram(ChildName(v.name, v.key, value), v.bounds...)
-	v.put(value, h)
-	return h
-}
-
-// Labels returns the sorted label values observed so far (nil receiver: nil).
-func (v *HistogramVec) Labels() []string {
-	if v == nil {
-		return nil
-	}
-	return v.labels()
+// family returns (registering if needed) the vec name keyed by label key.
+// Children register through child — the registry's plain constructor — so
+// they show up in snapshots and are shared with any direct
+// Counter(ChildName(...)) lookup.
+func family[M any](r *Registry, m map[string]*Vec[M], name, key string, child func(name string) *M) *Vec[M] {
+	return lookup(r, m, name, func() *Vec[M] {
+		return &Vec[M]{newCowTable(func(value string) *M { return child(ChildName(name, key, value)) })}
+	})
 }
 
 // CounterVec returns (registering if needed) the counter family name keyed
@@ -189,15 +100,7 @@ func (r *Registry) CounterVec(name, key string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.counterVecs[name]
-	if !ok {
-		v = &CounterVec{reg: r}
-		v.name, v.key = name, key
-		r.counterVecs[name] = v
-	}
-	return v
+	return family(r, r.counterVecs, name, key, r.Counter)
 }
 
 // GaugeVec returns (registering if needed) the gauge family name keyed by
@@ -206,15 +109,7 @@ func (r *Registry) GaugeVec(name, key string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gaugeVecs[name]
-	if !ok {
-		v = &GaugeVec{reg: r}
-		v.name, v.key = name, key
-		r.gaugeVecs[name] = v
-	}
-	return v
+	return family(r, r.gaugeVecs, name, key, r.Gauge)
 }
 
 // HistogramVec returns (registering if needed) the histogram family name
@@ -224,13 +119,5 @@ func (r *Registry) HistogramVec(name, key string, bounds ...float64) *HistogramV
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.histVecs[name]
-	if !ok {
-		v = &HistogramVec{reg: r, bounds: bounds}
-		v.name, v.key = name, key
-		r.histVecs[name] = v
-	}
-	return v
+	return family(r, r.histVecs, name, key, func(child string) *Histogram { return r.Histogram(child, bounds...) })
 }
