@@ -8,13 +8,15 @@ import (
 	"time"
 
 	"tango/internal/core/probe"
+	"tango/internal/faults"
 	"tango/internal/openflow"
 	"tango/internal/packet"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
 )
 
-// dialFlakyProfile is dialFlaky with a chosen switch profile.
+// dialFlakyProfile is dialFlaky with a chosen switch profile. Whatever the
+// test did, the controller must hold nothing of it when the test ends.
 func dialFlakyProfile(t *testing.T, prof switchsim.Profile) (*Controller, *failingWriteConn) {
 	t.Helper()
 	sw := switchsim.New(prof, switchsim.WithClock(fastClock()))
@@ -28,7 +30,12 @@ func dialFlakyProfile(t *testing.T, prof switchsim.Profile) (*Controller, *faili
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
+	t.Cleanup(func() {
+		if n := c.pendingLen(); n != 0 {
+			t.Errorf("%d XIDs still registered at the end of the test", n)
+		}
+		c.Close()
+	})
 	return c, fc
 }
 
@@ -37,7 +44,7 @@ func dialFlakyProfile(t *testing.T, prof switchsim.Profile) (*Controller, *faili
 // stays registered afterwards.
 func TestFlowModAsyncPipelinesBatch(t *testing.T) {
 	c, _ := dialFlaky(t)
-	const n = 2*asyncWindow + 7 // forces two internal window flushes
+	const n = 2*asyncWindow + 7 // three windows
 	fms := make([]*openflow.FlowMod, n)
 	for i := range fms {
 		fms[i] = probeAdd(uint32(i))
@@ -109,175 +116,189 @@ func TestFlowModBatchTableFullPerOp(t *testing.T) {
 	}
 }
 
-// TestFlowModAsyncWindowFull pins the window discipline: the op that would
-// exceed asyncWindow first flushes the window, resolving every outstanding
-// completion and releasing every XID, and leaves only itself in flight.
+// TestFlowModAsyncWindowFull pins the window discipline: a batch one op past
+// asyncWindow is two exchanges — a full window and a window of one — each one
+// write and one barrier, and nothing of either stays registered.
 func TestFlowModAsyncWindowFull(t *testing.T) {
-	c, _ := dialFlaky(t)
-	comps := make([]*Completion, asyncWindow+1)
-	for i := range comps {
-		cp, err := c.FlowModAsync(probeAdd(uint32(i)))
-		if err != nil {
-			t.Fatalf("FlowModAsync %d: %v", i, err)
+	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
+	raw, err := net.Dial("tcp", startSwitch(t, sw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &tapConn{Conn: raw}
+	reg := telemetry.NewRegistry()
+	c, err := NewControllerOptions(tap, ControllerOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fms := make([]*openflow.FlowMod, asyncWindow+1)
+	for i := range fms {
+		fms[i] = probeAdd(uint32(i))
+	}
+	tap.reset()
+	errs, err := c.FlowModBatch(fms)
+	if err != nil {
+		t.Fatalf("FlowModBatch: %v", err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("op %d: %v", i, e)
 		}
-		comps[i] = cp
 	}
-	for i := 0; i < asyncWindow; i++ {
-		err, ok := comps[i].Err()
-		if !ok {
-			t.Fatalf("completion %d unresolved after window-full flush", i)
-		}
-		if err != nil {
-			t.Fatalf("completion %d: %v", i, err)
-		}
+	writes, replies := tap.drain(t)
+	if writes != 2 || len(replies) != 2 {
+		t.Fatalf("%d ops cost %d writes and drew %d replies, want 2 and 2 barrier replies", len(fms), writes, len(replies))
 	}
-	if _, ok := comps[asyncWindow].Err(); ok {
-		t.Fatal("last op resolved before any covering barrier")
-	}
-	if got := c.pendingLen(); got != 1 {
-		t.Fatalf("pending XIDs = %d, want 1 (the unflushed op)", got)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if err := comps[asyncWindow].Wait(); err != nil {
-		t.Fatalf("last op: %v", err)
+	if got := reg.Counter("ofconn.controller.async_flushes").Value(); got != 2 {
+		t.Fatalf("async_flushes = %d, want 2", got)
 	}
 	if got := c.pendingLen(); got != 0 {
-		t.Fatalf("pending XIDs = %d after flush, want 0", got)
+		t.Fatalf("pending XIDs = %d after the batch, want 0", got)
 	}
 }
 
-// TestFlowModAsyncWindowFullFlushFailure covers the window-full error path:
-// when the forced flush sinks on a dead pipe, FlowModAsync itself reports
-// the failure, the outstanding completions resolve with it, and no XID
-// leaks — including the never-registered overflowing op's.
+// TestFlowModAsyncWindowFullFlushFailure covers a write failure past the first
+// window: the batch reports it, every op from the failed window on carries it,
+// the window confirmed before it keeps its own outcomes, and no XID leaks.
 func TestFlowModAsyncWindowFullFlushFailure(t *testing.T) {
 	c, fc := dialFlaky(t)
-	comps := make([]*Completion, asyncWindow)
-	for i := range comps {
-		cp, err := c.FlowModAsync(probeAdd(uint32(i)))
-		if err != nil {
-			t.Fatalf("FlowModAsync %d: %v", i, err)
+	fms := make([]*openflow.FlowMod, 2*asyncWindow+5)
+	for i := range fms {
+		fms[i] = probeAdd(uint32(i))
+	}
+	fc.arm(1) // the first window's write succeeds, the second's fails
+	errs, err := c.FlowModBatch(fms)
+	if err == nil {
+		t.Fatal("FlowModBatch across a dead pipe: want error")
+	}
+	for i, e := range errs {
+		if i < asyncWindow && e != nil {
+			t.Fatalf("op %d of the confirmed window: %v", i, e)
 		}
-		comps[i] = cp
-	}
-	fc.arm(0)
-	if _, err := c.FlowModAsync(probeAdd(asyncWindow)); err == nil {
-		t.Fatal("FlowModAsync past a dead window: want error")
-	}
-	for i, cp := range comps {
-		if err := cp.Wait(); err == nil {
-			t.Fatalf("completion %d resolved nil across a failed flush", i)
+		if i >= asyncWindow && e != err {
+			t.Fatalf("op %d = %v, want the batch's failure %v", i, e, err)
 		}
 	}
 	if got := c.pendingLen(); got != 0 {
-		t.Fatalf("failed flush leaked %d pending XIDs", got)
+		t.Fatalf("failed batch leaked %d pending XIDs", got)
 	}
 }
 
-// TestFlowModAsyncSendFailure covers the asynchronous send-failure path: the
-// write error surfaces at the flush (and on the op's completion), never as
-// a silent success, and the XIDs are released.
+// TestFlowModAsyncSendFailure covers the send-failure path of a window: the
+// write error is the batch's error and every op's, never a silent success,
+// and the XIDs are released.
 func TestFlowModAsyncSendFailure(t *testing.T) {
 	c, fc := dialFlaky(t)
 	fc.arm(0)
-	cp, err := c.FlowModAsync(probeAdd(1))
-	if err != nil {
-		// Queueing is decoupled from the wire; the failure belongs to Flush.
-		t.Fatalf("FlowModAsync: %v", err)
+	errs, err := c.FlowModBatch([]*openflow.FlowMod{probeAdd(1), probeAdd(2), probeAdd(3)})
+	if err == nil {
+		t.Fatal("FlowModBatch over failing writes: want error")
 	}
-	if err := c.Flush(); err == nil {
-		t.Fatal("Flush over failing writes: want error")
-	}
-	if err := cp.Wait(); err == nil {
-		t.Fatal("completion resolved nil despite failed send")
+	for i, e := range errs {
+		if e == nil {
+			t.Fatalf("op %d resolved nil despite failed send", i)
+		}
 	}
 	if got := c.pendingLen(); got != 0 {
 		t.Fatalf("send failure leaked %d pending XIDs", got)
 	}
 }
 
-// TestFlowModAsyncBarrierFailure lets the flow-mod reach the wire and fails
-// only the flush barrier's write: the flush errors, the completion resolves
-// with the failure, and the XIDs are released.
+// TestFlowModAsyncBarrierFailure lets exactly the flow-mod's bytes reach the
+// wire and fails the rest of the write — the barrier: the switch applies the
+// rule, but with no barrier to confirm it the op must report the failure, and
+// the XIDs are released.
 func TestFlowModAsyncBarrierFailure(t *testing.T) {
-	// An explicit registry so asyncWrites is a live counter the test can
-	// poll to sequence the write-failure injection after the data write.
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
-	addr := startSwitch(t, sw)
-	raw, err := net.Dial("tcp", addr)
+	raw, err := net.Dial("tcp", startSwitch(t, sw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fc := &failingWriteConn{Conn: raw}
-	c, err := NewControllerOptions(fc, ControllerOptions{Metrics: telemetry.NewRegistry()})
+	c, err := NewController(fc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	cp, err := c.FlowModAsync(probeAdd(1))
-	if err != nil {
-		t.Fatalf("FlowModAsync: %v", err)
+	defer c.Close()
+	fm := probeAdd(1)
+	fc.armShort(len(fm.Marshal(nil)))
+	if err := c.FlowMod(fm); err == nil {
+		t.Fatal("FlowMod whose barrier never left: want error")
 	}
-	// Wait until the writer has put the flow-mod on the wire, so arming
-	// cannot race the data write — only the barrier is left to fail.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.tel.asyncWrites.Value() == 0 {
+	for {
+		if tcam, hw, soft := sw.RuleCount(); tcam+hw+soft == 1 {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("writer never wrote the queued flow-mod")
+			t.Fatal("the flow-mod's bytes never reached the switch")
 		}
 		time.Sleep(time.Millisecond)
-	}
-	fc.arm(0)
-	if err := c.Flush(); err == nil {
-		t.Fatal("Flush with failing barrier write: want error")
-	}
-	if err := cp.Wait(); err == nil {
-		t.Fatal("completion resolved nil despite failed barrier")
 	}
 	if got := c.pendingLen(); got != 0 {
 		t.Fatalf("barrier failure leaked %d pending XIDs", got)
 	}
 }
 
-// TestFlowModAsyncCloseWhileInflight closes the controller with unflushed
-// ops in the window: every completion must resolve with an error (never
-// hang, never report success), later issues must fail, and no XID survives.
+// TestFlowModAsyncCloseWhileInflight closes the controller while a batch
+// awaits its barrier (the agent drops every reply and no timeout is set): the
+// batch and each of its ops must resolve with an error — never hang, never
+// report success — later calls must fail, and no XID survives.
 func TestFlowModAsyncCloseWhileInflight(t *testing.T) {
-	c, _ := dialFlaky(t)
-	comps := make([]*Completion, 3)
-	for i := range comps {
-		cp, err := c.FlowModAsync(probeAdd(uint32(i)))
-		if err != nil {
-			t.Fatalf("FlowModAsync %d: %v", i, err)
+	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
+	addr := startFaultySwitch(t, sw, faults.NewInjector(faults.Config{Seed: 1, Drop: 1.0}))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		errs []error
+		err  error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		errs, err := c.FlowModBatch([]*openflow.FlowMod{probeAdd(0), probeAdd(1), probeAdd(2)})
+		done <- outcome{errs, err}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.pendingLen() != 4 { // three ops and their barrier
+		if time.Now().After(deadline) {
+			t.Fatal("the batch never registered")
 		}
-		comps[i] = cp
+		time.Sleep(time.Millisecond)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	for i, cp := range comps {
-		if err := cp.Wait(); err == nil {
-			t.Fatalf("completion %d resolved nil across Close", i)
+	select {
+	case got := <-done:
+		if got.err == nil {
+			t.Fatal("batch resolved nil across Close")
 		}
+		for i, e := range got.errs {
+			if e == nil {
+				t.Fatalf("op %d resolved nil across Close", i)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch hung across Close")
 	}
-	if _, err := c.FlowModAsync(probeAdd(9)); err == nil {
-		t.Fatal("FlowModAsync after Close: want error")
+	if err := c.FlowMod(probeAdd(9)); err == nil {
+		t.Fatal("FlowMod after Close: want error")
 	}
 	if got := c.pendingLen(); got != 0 {
 		t.Fatalf("close-while-inflight leaked %d pending XIDs", got)
 	}
 }
 
-// TestSyncOpsFenceWindow proves the sync paths flush the pipelined window
-// before touching the wire: a probe sent right after an async install must
-// observe the rule (forwarded, not punted), which requires the fence to
-// have completed the install's barrier first.
+// TestSyncOpsFenceWindow: a batch that returned is confirmed — nothing of it
+// is left for a later call to wait behind — so a probe sent right after must
+// observe the rule (forwarded, not punted).
 func TestSyncOpsFenceWindow(t *testing.T) {
 	c, _ := dialFlaky(t)
-	if _, err := c.FlowModAsync(probeAdd(1)); err != nil {
-		t.Fatalf("FlowModAsync: %v", err)
+	if _, err := c.FlowModBatch([]*openflow.FlowMod{probeAdd(1)}); err != nil {
+		t.Fatalf("FlowModBatch: %v", err)
 	}
 	data, err := packet.BuildProbe(packet.ProbeSpec{FlowID: 1})
 	if err != nil {
@@ -288,7 +309,7 @@ func TestSyncOpsFenceWindow(t *testing.T) {
 		t.Fatalf("SendProbe: %v", err)
 	}
 	if punted {
-		t.Fatal("probe punted: fence did not flush the pending install")
+		t.Fatal("probe punted: the batch returned before its rule was in place")
 	}
 	flows, err := c.FlowStats()
 	if err != nil {
@@ -333,21 +354,21 @@ func TestEngineBatchOverPipelinedChannel(t *testing.T) {
 	}
 }
 
-// TestAsyncOpSpans checks the xid-level span segments of the pipelined path:
-// every successfully flushed op lands one observation in each of the
-// submit→enqueue, queue→wire and wire→barrier histograms, and the recorded
-// durations are non-negative.
+// TestAsyncOpSpans checks the span segments of the flow-mod path: every
+// confirmed window lands one observation in each of the entry→written and
+// written→barrier histograms, the recorded durations are non-negative, and
+// the queue segment is gone with the queue.
 func TestAsyncOpSpans(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
 	addr := startSwitch(t, sw)
 	reg := telemetry.NewRegistry()
-	c, err := DialOptions(addr, ControllerOptions{Metrics: reg})
+	c, err := DialOptions(addr, ControllerOptions{Metrics: reg, AsyncWindow: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	const n = 17
+	const n, windows = 17, 3
 	fms := make([]*openflow.FlowMod, n)
 	for i := range fms {
 		fms[i] = probeAdd(uint32(1000 + i))
@@ -365,35 +386,40 @@ func TestAsyncOpSpans(t *testing.T) {
 	snap := reg.Snapshot()
 	for _, name := range []string{
 		"ofconn.controller.span.submit_enqueue_ns",
-		"ofconn.controller.span.queue_wire_ns",
 		"ofconn.controller.span.wire_barrier_ns",
 	} {
 		h, ok := snap.Histograms[name]
 		if !ok {
 			t.Fatalf("%s missing from snapshot", name)
 		}
-		if h.Count != n {
-			t.Fatalf("%s count = %d, want %d", name, h.Count, n)
+		if h.Count != windows {
+			t.Fatalf("%s count = %d, want %d (one per window)", name, h.Count, windows)
 		}
 		if h.Min < 0 {
 			t.Fatalf("%s min = %v, want >= 0", name, h.Min)
 		}
 	}
+	if _, ok := snap.Histograms["ofconn.controller.span.queue_wire_ns"]; ok {
+		t.Fatal("queue_wire_ns still registered: there is no queue to time")
+	}
 }
 
 // TestAsyncOpSpansSkippedWhenUninstrumented checks the uninstrumented path
-// stays stamp-free: with no metrics bound, completions carry zero timestamps.
+// stays stamp-free: stamp, the flow-mod path's only clock read short of a
+// recorded window, reads no clock when neither a registry nor a tracer is
+// bound, and does once one is.
 func TestAsyncOpSpansSkippedWhenUninstrumented(t *testing.T) {
 	c, _ := dialFlaky(t)
-	cp, err := c.FlowModAsync(probeAdd(1))
-	if err != nil {
+	if err := c.FlowMod(probeAdd(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Wait(); err != nil {
-		t.Fatal(err)
+	if at := c.tel.stamp(); !at.IsZero() {
+		t.Fatalf("uninstrumented controller stamped %v", at)
 	}
-	if !cp.submit.IsZero() || !cp.enqueued.IsZero() || !cp.wrote.IsZero() {
-		t.Fatalf("uninstrumented completion carries timestamps: %+v", cp)
+	var bound ctrlTelemetry
+	bound.init(ControllerOptions{Metrics: telemetry.NewRegistry()})
+	if bound.stamp().IsZero() {
+		t.Fatal("instrumented controller did not stamp")
 	}
 }
 

@@ -15,20 +15,25 @@ import (
 // Controller is one controller-side OpenFlow connection to a switch. It is
 // the probing engine's wire kind of device (probe.PipelinedDevice), so the
 // same inference code runs against an in-process emulated switch or a live
-// TCP endpoint.
+// TCP endpoint. Its methods may be called from several goroutines: each call
+// writes its own exchange on the calling goroutine and waits for its own
+// reply, and the controller keeps nothing of a call that has returned. The
+// one goroutine it owns is readLoop.
 type Controller struct {
 	conn net.Conn
 
+	// mu guards the xid table. nextXID is the last xid handed out.
 	mu      sync.Mutex
 	nextXID uint32
 	pending map[uint32]pendingReply
 	readErr error
-	closed  chan struct{}
 
-	// sendMu serialises the directly written requests (send) and guards the
-	// buffer they are marshalled into.
-	sendMu  sync.Mutex
-	sendBuf []byte
+	// wmu is the write lock: it orders whole exchanges on the wire and guards
+	// the one buffer they are marshalled into (see write). werr is the first
+	// write failure; once set, nothing more is written.
+	wmu  sync.Mutex
+	wbuf []byte
+	werr error
 
 	// notify buffers unsolicited switch messages (FLOW_REMOVED,
 	// PORT_STATUS, async PACKET_IN). When full, the oldest notification is
@@ -38,12 +43,9 @@ type Controller struct {
 
 	features *openflow.FeaturesReply
 	timeout  time.Duration
-	// window is the resolved async in-flight bound (ControllerOptions.
+	// window is the resolved bound on flow-mods per barrier (ControllerOptions.
 	// AsyncWindow, defaulted); immutable after construction.
 	window int
-
-	// async is the pipelined send path (FlowModAsync / Flush); see async.go.
-	async asyncState
 
 	tel ctrlTelemetry
 }
@@ -62,12 +64,12 @@ type ControllerOptions struct {
 	// injection, flaky networks) so drops surface as ErrTimeout instead
 	// of hangs.
 	Timeout time.Duration
-	// AsyncWindow bounds how many pipelined flow-mods may be in flight
-	// before FlowModAsync forces a flush (see async.go). Zero selects the
-	// default (64); 1 degenerates to fully serial behaviour — every op is
-	// confirmed by its own barrier before the next is issued — which the
-	// fleet service and benchmarks use to measure pipelining wins.
-	// Negative values are rejected by the constructors.
+	// AsyncWindow bounds how many flow-mods of a batch share one write and
+	// one trailing barrier (see async.go). Zero selects the default (64); 1
+	// degenerates to fully serial behaviour — every op is confirmed by its
+	// own barrier before the next is issued — which the fleet service and
+	// benchmarks use to measure pipelining wins. Negative values are
+	// rejected by the constructors.
 	AsyncWindow int
 }
 
@@ -84,14 +86,11 @@ type ctrlTelemetry struct {
 	asyncWrites  *telemetry.Counter
 	hHandshake   *telemetry.Histogram
 
-	// xid-level span segments of the pipelined send path (async.go). Each
-	// async op is split so queueing delay is visible separately from wire
-	// round trip — the separation that guards the serial-measurement-probe
-	// invariant: measurement RTTs must never include time an op spent
-	// waiting behind a window.
-	hSubmitEnqueue *telemetry.Histogram // FlowModAsync entry → frame handed to writer
-	hQueueWire     *telemetry.Histogram // writer queue wait → bytes on the wire
-	hWireBarrier   *telemetry.Histogram // wire write → covering barrier resolved
+	// The two segments of a flow-mod window (async.go), split at the write so
+	// what the controller spends before the bytes leave is visible apart from
+	// the wire round trip.
+	hSubmitEnqueue *telemetry.Histogram // window entry → its bytes written
+	hWireBarrier   *telemetry.Histogram // bytes written → barrier reply
 }
 
 func (t *ctrlTelemetry) init(opts ControllerOptions) {
@@ -111,15 +110,17 @@ func (t *ctrlTelemetry) init(opts ControllerOptions) {
 	t.asyncWrites = reg.Counter("ofconn.controller.async_writes")
 	t.hHandshake = reg.Histogram("ofconn.controller.handshake_ns")
 	t.hSubmitEnqueue = reg.Histogram("ofconn.controller.span.submit_enqueue_ns")
-	t.hQueueWire = reg.Histogram("ofconn.controller.span.queue_wire_ns")
 	t.hWireBarrier = reg.Histogram("ofconn.controller.span.wire_barrier_ns")
 }
 
-// spansEnabled reports whether per-op timestamping is worth the time.Now
-// calls: false exactly when no registry and no tracer is bound, keeping the
-// uninstrumented async path free of clock reads.
-func (t *ctrlTelemetry) spansEnabled() bool {
-	return t.hSubmitEnqueue != nil || t.tracer != nil
+// stamp reads the clock for a window's span segments only when a registry or
+// a tracer is bound to receive them; the uninstrumented flow-mod path makes
+// no clock reads.
+func (t *ctrlTelemetry) stamp() time.Time {
+	if t.hSubmitEnqueue == nil && t.tracer == nil {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
 // ErrClosed is returned for operations on a closed controller connection.
@@ -173,7 +174,6 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 	c := &Controller{
 		conn:    conn,
 		pending: make(map[uint32]pendingReply),
-		closed:  make(chan struct{}),
 		notify:  make(chan openflow.Message, 256),
 		timeout: opts.Timeout,
 		window:  window,
@@ -192,13 +192,14 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 }
 
 // pendingReply is one xid-table entry: where readLoop routes the message
-// that answers the xid. Exactly one field is set. A request/reply exchange
-// (roundTrip, the flush barrier) waits on ch. A pipelined flow-mod has nobody
-// waiting — its only possible answer is a rejection — so its entry points at
-// the op's Completion and readLoop stores the rejection there.
+// that answers the xid. Exactly one field is set. The message that closes an
+// exchange (a request, a window's barrier) has its reply awaited on ch. A
+// flow-mod has nobody waiting — its only possible answer is a rejection — so
+// its entry points at the op's slot of the errs its FlowModBatch returns and
+// readLoop stores the rejection there.
 type pendingReply struct {
-	ch chan openflow.Message
-	cp *Completion
+	ch   chan openflow.Message
+	errp *error
 }
 
 func (c *Controller) readLoop() {
@@ -215,7 +216,6 @@ func (c *Controller) readLoop() {
 				delete(c.pending, xid)
 			}
 			c.mu.Unlock()
-			close(c.closed)
 			return
 		}
 		c.tel.msgsIn.Add(1)
@@ -226,12 +226,12 @@ func (c *Controller) readLoop() {
 		p, ok := c.pending[msg.XID()]
 		if ok {
 			delete(c.pending, msg.XID())
-			if oe, isErr := msg.(*openflow.Error); isErr && p.cp != nil {
-				// Stored under mu, which flushWindow takes (to unregister the
-				// xid) before it reads the completion: the write is ordered
-				// before that read whether the flush succeeded — the barrier
-				// reply follows this message on the wire — or timed out.
-				p.cp.err = rejection(oe)
+			if oe, isErr := msg.(*openflow.Error); isErr && p.errp != nil {
+				// Stored under mu, which the window's sender takes (to release
+				// its xids) before it reads or overwrites the slot: the store
+				// is ordered before that whether the barrier was answered —
+				// its reply follows this message on the wire — or timed out.
+				*p.errp = rejection(oe)
 			}
 		}
 		c.mu.Unlock()
@@ -242,8 +242,8 @@ func (c *Controller) readLoop() {
 			// A flow-mod's answer, recorded above.
 		case solicitedOnly(msg.Type()):
 			// The reply to an exchange that gave up waiting (await timed out
-			// and released the xid). Nobody asked for it any more, and it is
-			// not something the switch volunteered.
+			// and the xid was released). Nobody asked for it any more, and it
+			// is not something the switch volunteered.
 			c.tel.staleReplies.Add(1)
 		default:
 			c.notifyUnsolicited(msg)
@@ -282,54 +282,90 @@ func (c *Controller) notifyUnsolicited(msg openflow.Message) {
 // Notifications returns the stream of unsolicited switch messages.
 func (c *Controller) Notifications() <-chan openflow.Message { return c.notify }
 
-// register allocates an xid and routes its answer to p.
-func (c *Controller) register(p pendingReply) (uint32, error) {
+// register reserves len(errs)+1 consecutive xids in one critical section:
+// one per flow-mod, its entry pointing at the op's slot of errs, then one for
+// the message that closes the exchange, whose reply arrives on the returned
+// 1-buffered channel. No xid is 0 — switches send what they volunteer
+// (FLOW_REMOVED, PORT_STATUS) with xid 0 — and none is still in the table,
+// which the 32-bit counter would otherwise revisit on a long-lived connection.
+func (c *Controller) register(errs []error) (first uint32, ch chan openflow.Message, err error) {
+	ch = make(chan openflow.Message, 1)
+	n := uint32(len(errs)) + 1
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.readErr != nil {
-		return 0, ErrClosed
+		return 0, nil, ErrClosed
 	}
-	c.nextXID++
-	c.pending[c.nextXID] = p
-	return c.nextXID, nil
+	first = c.nextXID + 1
+	for i := uint32(0); i < n; {
+		x := first + i
+		if _, busy := c.pending[x]; busy || x == 0 {
+			first, i = x+1, 0 // restart the block past the obstacle
+			continue
+		}
+		i++
+	}
+	c.nextXID = first + n - 1
+	for i := range errs {
+		c.pending[first+uint32(i)] = pendingReply{errp: &errs[i]}
+	}
+	c.pending[c.nextXID] = pendingReply{ch: ch}
+	return first, ch, nil
 }
 
-// registerRequest is register for a request/reply exchange: the answer
-// arrives on the returned 1-buffered channel.
-func (c *Controller) registerRequest() (uint32, chan openflow.Message, error) {
-	ch := make(chan openflow.Message, 1)
-	xid, err := c.register(pendingReply{ch: ch})
-	return xid, ch, err
-}
-
-// unregister abandons a pending xid (used when no reply is expected after
-// all, e.g. a flow-mod that succeeded silently).
-func (c *Controller) unregister(xid uint32) {
+// release drops the n xids from first that are still registered. Every
+// exchange defers it, so no path — write failure, timeout, close, success —
+// leaves an entry behind to misroute a later reply.
+func (c *Controller) release(first uint32, n int) {
 	c.mu.Lock()
-	delete(c.pending, xid)
+	for i := 0; i < n; i++ {
+		delete(c.pending, first+uint32(i))
+	}
 	c.mu.Unlock()
 }
 
-// send marshals m into the controller's send buffer and writes it as one
-// frame.
-func (c *Controller) send(m openflow.Message) error {
-	c.sendMu.Lock()
-	c.sendBuf = m.Marshal(c.sendBuf[:0])
-	_, err := c.conn.Write(c.sendBuf)
-	c.sendMu.Unlock()
-	if err != nil {
+// request is a message the controller assigns the transaction ID of.
+type request interface {
+	openflow.Message
+	SetXID(uint32)
+}
+
+// write is the only place bytes reach the connection: the calling goroutine
+// numbers one whole exchange from first — the flow-mods, then the message
+// that closes it — marshals it into the controller's one buffer and writes it
+// once, all under the write lock, so exchanges never interleave on the wire
+// and a window's barrier directly follows its ops. Nothing stays buffered
+// when it returns. A failed write may have been partial, and the stream
+// cannot resume mid-frame: the failure is kept and every later write reports
+// it without touching the connection.
+func (c *Controller) write(fms []*openflow.FlowMod, first uint32, last request) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.werr != nil {
+		return c.werr
+	}
+	buf := c.wbuf[:0]
+	for i, fm := range fms {
+		fm.SetXID(first + uint32(i))
+		buf = fm.Marshal(buf)
+	}
+	last.SetXID(first + uint32(len(fms)))
+	buf = last.Marshal(buf)
+	c.wbuf = buf
+	if _, err := c.conn.Write(buf); err != nil {
+		c.werr = err
 		return err
 	}
-	c.tel.msgsOut.Add(1)
+	c.tel.msgsOut.Add(int64(len(fms) + 1))
 	return nil
 }
 
-// await blocks for the reply to xid on ch, bounded by the configured
-// timeout (when set). On timeout the xid is unregistered. A straggler that
-// readLoop had already matched lands in the 1-buffered channel and is
-// garbage-collected with it; one that arrives after the unregister finds no
-// entry and is dropped as a stale reply (see readLoop).
-func (c *Controller) await(xid uint32, ch chan openflow.Message) (openflow.Message, error) {
+// await blocks for the reply on ch, bounded by the configured timeout (when
+// set). The caller releases the xid. A straggler that readLoop had already
+// matched lands in the 1-buffered channel and is garbage-collected with it;
+// one that arrives after the release finds no entry and is dropped as a stale
+// reply (see readLoop).
+func (c *Controller) await(ch chan openflow.Message) (openflow.Message, error) {
 	if c.timeout <= 0 {
 		msg, ok := <-ch
 		if !ok {
@@ -346,41 +382,25 @@ func (c *Controller) await(xid uint32, ch chan openflow.Message) (openflow.Messa
 		}
 		return msg, nil
 	case <-t.C:
-		c.unregister(xid)
 		return nil, ErrTimeout
 	}
 }
 
-// request is a message the controller assigns the transaction ID of.
-type request interface {
-	openflow.Message
-	SetXID(uint32)
-}
-
 // roundTrip is the one request/reply exchange every non-flow-mod operation
 // goes through: register an xid, write req, await the reply to it. rtt runs
-// from just before the write to the reply's arrival. The request is written
-// directly, not through the writer goroutine — a probe's RTT must not
-// include a queue hand-off — so any open pipelined window is fenced first,
-// which costs nothing when none is open. A failed write releases the xid; a
-// failed await already has (timeout) or found the table emptied (close).
+// from just before the write — made on this goroutine, so it holds no queue
+// hand-off — to the reply's arrival.
 func (c *Controller) roundTrip(req request) (reply openflow.Message, rtt time.Duration, _ error) {
-	if err := c.fence(); err != nil {
-		return nil, 0, err
-	}
-	xid, ch, err := c.registerRequest()
+	xid, ch, err := c.register(nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	req.SetXID(xid)
+	defer c.release(xid, 1)
 	start := time.Now()
-	if err := c.send(req); err != nil {
-		// A leaked entry stays in pending forever and misroutes a late
-		// reply that happens to reuse the XID after wraparound.
-		c.unregister(xid)
+	if err := c.write(nil, xid, req); err != nil {
 		return nil, 0, err
 	}
-	reply, err = c.await(xid, ch)
+	reply, err = c.await(ch)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -388,7 +408,7 @@ func (c *Controller) roundTrip(req request) (reply openflow.Message, rtt time.Du
 }
 
 func (c *Controller) handshake() error {
-	if err := c.send(&openflow.Hello{}); err != nil {
+	if err := c.write(nil, 0, &openflow.Hello{}); err != nil {
 		return err
 	}
 	msg, _, err := c.roundTrip(&openflow.FeaturesRequest{})
@@ -412,42 +432,6 @@ func (c *Controller) Features() *openflow.FeaturesReply { return c.features }
 // afterwards with their member names via SetLabel.
 func (c *Controller) TelemetryLabel() string {
 	return fmt.Sprintf("dpid-%#x", c.features.DatapathID)
-}
-
-// FlowMod issues the flow-mod on the pipelined path and waits for the
-// barrier that covers it, so the operation is confirmed complete. A
-// switch-side rejection surfaces as the *openflow.Error (table-full as
-// switchsim.ErrTableFull). Ops still unflushed from earlier FlowModAsync
-// calls ride the same barrier; their rejections stay with their own
-// completions. The flow-mod's XID is assigned by the controller.
-func (c *Controller) FlowMod(fm *openflow.FlowMod) error {
-	cp, err := c.FlowModAsync(fm)
-	if err != nil {
-		return err
-	}
-	return cp.Wait()
-}
-
-// FlowMods sends a batch of flow-mods behind one trailing barrier per
-// window — the batching shape real controllers (and the Tango scheduler)
-// use, paying one round trip per window instead of per op. It returns the
-// channel failure if there was one, otherwise the first switch-side
-// rejection; later ops in the batch still execute (OpenFlow has no
-// transactional abort). An empty batch is a bare barrier.
-func (c *Controller) FlowMods(fms []*openflow.FlowMod) error {
-	errs, err := c.FlowModBatch(fms)
-	if err != nil {
-		return err
-	}
-	if len(fms) == 0 {
-		return c.barrierAsync()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SendProbe injects a probe frame via PACKET_OUT and measures the wall-time
@@ -514,12 +498,9 @@ func (c *Controller) Now() time.Time { return time.Now() }
 // SimDevice.Sleep on the virtual-time path.
 func (c *Controller) Sleep(d time.Duration) { time.Sleep(d) }
 
-// Close tears down the connection. Unflushed pipelined ops are abandoned:
-// their completions resolve with an error on the next Wait or Flush, never
-// with success.
+// Close tears down the connection. readLoop then fails every exchange still
+// awaiting a reply with ErrClosed — never a hang, never success — and exits.
 func (c *Controller) Close() error {
 	c.tel.tracer.Instant("ofconn.controller.close", "", nil)
-	err := c.conn.Close()
-	c.shutdownAsync()
-	return err
+	return c.conn.Close()
 }

@@ -100,12 +100,12 @@ func TestLateReplyIsNotANotification(t *testing.T) {
 	}
 }
 
-// TestRejectionRacesTimeout drives the two writers of a completion's outcome
-// at each other: readLoop storing a switch rejection, and a flush whose
+// TestRejectionRacesTimeout drives the two writers of an op's outcome slot
+// at each other: readLoop storing a switch rejection, and a sender whose
 // barrier timed out overwriting it with ErrTimeout. The agent delays a fifth
 // of the messages by a millisecond or so against a 3 ms timeout while four
-// goroutines flush concurrently, which splits the ops about evenly between
-// rejected and timed out, with rejections landing on either side of a flush
+// goroutines send concurrently, which splits the ops about evenly between
+// rejected and timed out, with rejections landing on either side of a sender
 // giving up. Every op must resolve with one of the three possible outcomes,
 // no xid may stay registered, and the race detector must stay quiet.
 func TestRejectionRacesTimeout(t *testing.T) {

@@ -10,6 +10,8 @@ import (
 
 	"tango/internal/core/infer"
 	"tango/internal/core/pattern"
+	"tango/internal/openflow"
+	"tango/internal/packet"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
 )
@@ -35,11 +37,55 @@ func leakCheck(t *testing.T) func() {
 	}
 }
 
+// controllerGoroutines counts the goroutines running a Controller method —
+// what a controller owns, whatever else the process has in flight.
+func controllerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "ofconn.(*Controller).") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestControllerOwnsOneGoroutine: a dialled controller that has sent a batch
+// and a probe runs readLoop and nothing else (the parent also kept a writer);
+// a closed one runs nothing.
+func TestControllerOwnsOneGoroutine(t *testing.T) {
+	settle := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for controllerGoroutines() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d controller goroutines, want %d", controllerGoroutines(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	settle(0) // earlier tests' controllers have wound down
+	c, _ := dialFlaky(t)
+	if _, err := c.FlowModBatch([]*openflow.FlowMod{probeAdd(1), probeAdd(2)}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := packet.BuildProbe(packet.ProbeSpec{FlowID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.SendProbe(data, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := controllerGoroutines(); n != 1 {
+		t.Fatalf("a controller in use owns %d goroutines, want 1 (readLoop)", n)
+	}
+	c.Close()
+	settle(0)
+}
+
 // TestAsyncWindowOneSerial pins the satellite contract: AsyncWindow=1
-// degenerates the pipelined path to serial behaviour. Every FlowModAsync
-// past the first forces a flush of its predecessor, so after issuing op i
-// the completion for op i-1 is already resolved and exactly one XID is ever
-// pending; the flush counter records one barrier per op.
+// degenerates the flow-mod path to serial behaviour. Every op of a batch is
+// its own window — its own write, its own barrier — so n ops cost n of each.
 func TestAsyncWindowOneSerial(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
 	addr := startSwitch(t, sw)
@@ -51,33 +97,26 @@ func TestAsyncWindowOneSerial(t *testing.T) {
 	defer c.Close()
 
 	const n = 9
-	comps := make([]*Completion, n)
-	for i := 0; i < n; i++ {
-		cp, err := c.FlowModAsync(probeAdd(uint32(i)))
-		if err != nil {
-			t.Fatalf("FlowModAsync %d: %v", i, err)
-		}
-		comps[i] = cp
-		if i > 0 {
-			if err, ok := comps[i-1].Err(); !ok {
-				t.Fatalf("op %d unresolved after issuing op %d: window=1 must be serial", i-1, i)
-			} else if err != nil {
-				t.Fatalf("op %d: %v", i-1, err)
-			}
-		}
-		if got := c.pendingLen(); got != 1 {
-			t.Fatalf("after op %d: pending XIDs = %d, want 1", i, got)
+	fms := make([]*openflow.FlowMod, n)
+	for i := range fms {
+		fms[i] = probeAdd(uint32(i))
+	}
+	errs, err := c.FlowModBatch(fms)
+	if err != nil {
+		t.Fatalf("FlowModBatch: %v", err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("op %d: %v", i, e)
 		}
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	for _, name := range []string{"ofconn.controller.async_flushes", "ofconn.controller.async_writes"} {
+		if got := reg.Counter(name).Value(); got != n {
+			t.Fatalf("%s = %d, want %d (one per op)", name, got, n)
+		}
 	}
-	if err := comps[n-1].Wait(); err != nil {
-		t.Fatalf("last op: %v", err)
-	}
-	// n-1 forced flushes plus the explicit one: one barrier per op.
-	if got := reg.Counter("ofconn.controller.async_flushes").Value(); got != n {
-		t.Fatalf("async_flushes = %d, want %d (one per op)", got, n)
+	if got := c.pendingLen(); got != 0 {
+		t.Fatalf("pending XIDs = %d, want 0", got)
 	}
 	flows, err := c.FlowStats()
 	if err != nil {

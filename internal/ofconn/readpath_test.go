@@ -58,6 +58,9 @@ func countedPair(t *testing.T) (c *Controller, ctrlEnd, agentEnd *countConn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		if n := c.pendingLen(); n != 0 {
+			t.Errorf("%d XIDs still registered at the end of the test", n)
+		}
 		c.Close()
 		<-agentDone
 		accepted.Close()
@@ -65,11 +68,14 @@ func countedPair(t *testing.T) (c *Controller, ctrlEnd, agentEnd *countConn) {
 	return c, ctrlEnd, agentEnd
 }
 
-// TestReadsFollowWrites pins the read side's syscall budget. A pipelined
-// window reaches the agent in the few segments the writer coalesced it into,
-// and the agent must take each in one read — not a header read and a body
-// read per message, which cost 130 reads for this 65-message window. A serial
-// probe is one frame each way and costs each end exactly one read.
+// TestReadsFollowWrites pins the channel's syscall budget. A window and its
+// barrier are exactly one controller write (the parent's writer goroutine made
+// "a few"), which reaches the agent in at most the two segments loopback may
+// split 5.7 KiB into, each taken in one read — not a header read and a body
+// read per message, which cost 130 reads for this 65-message window. A
+// synchronous FlowMod is exactly one write each way (the parent: "may pay
+// two"), and a serial probe is one frame each way and costs each end exactly
+// one read.
 func TestReadsFollowWrites(t *testing.T) {
 	c, ctrlEnd, agentEnd := countedPair(t)
 	fms := make([]*openflow.FlowMod, asyncWindow)
@@ -81,9 +87,17 @@ func TestReadsFollowWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads, writes = agentEnd.reads.Load()-reads, ctrlEnd.writes.Load()-writes
-	if reads > writes+1 {
-		t.Fatalf("agent took %d reads to consume a %d-op window sent in %d writes, want at most %d",
-			reads, len(fms), writes, writes+1)
+	if writes != 1 || reads > 2 {
+		t.Fatalf("a %d-op window cost %d controller writes and %d agent reads, want exactly 1 and at most 2",
+			len(fms), writes, reads)
+	}
+
+	ctrlWrites, agentWrites := ctrlEnd.writes.Load(), agentEnd.writes.Load()
+	if err := c.FlowMod(probeAdd(asyncWindow)); err != nil {
+		t.Fatal(err)
+	}
+	if out, back := ctrlEnd.writes.Load()-ctrlWrites, agentEnd.writes.Load()-agentWrites; out != 1 || back != 1 {
+		t.Fatalf("a synchronous FlowMod cost %d writes out and %d back, want 1 and 1", out, back)
 	}
 
 	data, err := packet.BuildProbe(packet.ProbeSpec{FlowID: 1})
@@ -102,12 +116,11 @@ func TestReadsFollowWrites(t *testing.T) {
 	}
 }
 
-// TestFlowModAllocationBudget bounds what one pipelined flow-mod allocates
-// across both ends of the channel: its completion and its queued frame on
-// the controller, the decoded message and its action list on the agent — 4 —
-// plus a window's shared costs (the window slice, one done channel, the
-// barrier exchange). A reply or done channel per op adds 1 to that, and a
-// frame grown from nil 4, so either regression breaks the bound.
+// TestFlowModAllocationBudget bounds what one flow-mod of a window allocates
+// across both ends of the channel: nothing on the controller, the decoded
+// message and its action list on the agent — 2 (the parent: 4, with a
+// completion and a queued frame copy per op) — plus a window's shared costs
+// (errs, the barrier exchange). A synchronous FlowMod is a window of one.
 func TestFlowModAllocationBudget(t *testing.T) {
 	c, _ := dialFlaky(t)
 	fms := make([]*openflow.FlowMod, asyncWindow)
@@ -117,18 +130,21 @@ func TestFlowModAllocationBudget(t *testing.T) {
 	// Re-adding the same rules overwrites them in place, so the switch model
 	// reaches a steady state after the warm-up run AllocsPerRun makes.
 	perWindow := testing.AllocsPerRun(20, func() {
-		for _, fm := range fms {
-			if _, err := c.FlowModAsync(fm); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.Flush(); err != nil {
+		if _, err := c.FlowModBatch(fms); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const shared = 24 // measured: 17 (window slice growth 7, barrier exchange 9, done 1)
-	if limit := float64(4*asyncWindow + shared); perWindow > limit {
+	const shared = 10 // measured: 8 — a window costs 136 in all, the parent's 275
+	if limit := float64(2*asyncWindow + shared); perWindow > limit {
 		t.Fatalf("a %d-op window allocated %.0f times, want at most %.0f (%.2f per flow-mod)",
 			asyncWindow, perWindow, limit, perWindow/asyncWindow)
+	}
+	perSync := testing.AllocsPerRun(20, func() {
+		if err := c.FlowMod(fms[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perSync > 2+shared {
+		t.Fatalf("a synchronous FlowMod allocated %.0f times, want at most %d (the parent: 15)", perSync, 2+shared)
 	}
 }

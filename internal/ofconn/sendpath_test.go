@@ -6,12 +6,14 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tango/internal/core/probe"
 	"tango/internal/faults"
 	"tango/internal/openflow"
+	"tango/internal/packet"
 	"tango/internal/switchsim"
 )
 
@@ -98,9 +100,10 @@ func TestFlowModsEmptyIsOneBarrier(t *testing.T) {
 	}
 }
 
-// TestFlowModReportsOnlyItsOwnOutcome: a synchronous FlowMod issued while an
-// earlier pipelined op is unflushed shares that op's barrier but not its
-// fate — the earlier add's table-full stays on its own completion.
+// TestFlowModReportsOnlyItsOwnOutcome: ops that share a window share its
+// barrier but not each other's fate — on a full table, the rejected adds'
+// table-full stays in their own slots and the delete and the add it makes
+// room for, sent between them, report nil.
 func TestFlowModReportsOnlyItsOwnOutcome(t *testing.T) {
 	c, _ := dialFlakyProfile(t, switchsim.Switch3())
 	const n = 420 // past Switch#3's wide-rule capacity
@@ -116,25 +119,117 @@ func TestFlowModReportsOnlyItsOwnOutcome(t *testing.T) {
 		t.Fatalf("fill: last op = %v, want ErrTableFull (table not full)", errs[n-1])
 	}
 
-	overflow, err := c.FlowModAsync(probeAdd(n))
-	if err != nil {
-		t.Fatalf("FlowModAsync: %v", err)
-	}
 	del := probeAdd(0)
 	del.Command = openflow.FlowDeleteStrict
+	errs, err = c.FlowModBatch([]*openflow.FlowMod{probeAdd(n), del, probeAdd(n + 1), probeAdd(n + 2)})
+	if err != nil {
+		t.Fatalf("FlowModBatch: %v", err)
+	}
+	for i, want := range []error{switchsim.ErrTableFull, nil, nil, switchsim.ErrTableFull} {
+		if !errors.Is(errs[i], want) {
+			t.Fatalf("op %d = %v, want %v", i, errs[i], want)
+		}
+	}
 	if err := c.FlowMod(del); err != nil {
-		t.Fatalf("FlowMod(delete) behind a rejected add = %v, want nil", err)
-	}
-	got, resolved := overflow.Err()
-	if !resolved {
-		t.Fatal("the earlier op was not covered by the FlowMod's barrier")
-	}
-	if !errors.Is(got, switchsim.ErrTableFull) {
-		t.Fatalf("earlier op = %v, want ErrTableFull on its own completion", got)
+		t.Fatalf("FlowMod(delete) after a rejected add = %v, want nil", err)
 	}
 	if n := c.pendingLen(); n != 0 {
 		t.Fatalf("%d XIDs left pending", n)
 	}
+}
+
+// TestConcurrentCallersOneConnection puts eight goroutines on one controller,
+// each looping a batch that overflows the small TCAM on its own, a single
+// flow-mod, probes and an echo. Every op's outcome must be its own. Each
+// caller owns a disjoint range of flows, so a probe is the oracle: a flow
+// whose add was confirmed is forwarded and one whose add was refused is
+// punted — a rejection that landed on another caller's op, or on a neighbour
+// in the same window, breaks both.
+func TestConcurrentCallersOneConnection(t *testing.T) {
+	check := leakCheck(t)
+	const callers, rounds, batch, capacity = 8, 6, 16, 12
+	sw := switchsim.New(switchsim.Switch3().WithTCAMCapacity(capacity), switchsim.WithClock(fastClock()))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ln, sw, ServeOptions{})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	c, err := DialOptions(srv.Addr().String(), ControllerOptions{AsyncWindow: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var accepted, refused atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(base uint32) {
+			defer wg.Done()
+			// settle checks one add's outcome against the data plane and
+			// removes the rule again if it went in.
+			settle := func(id uint32, outcome error) {
+				if outcome != nil && !errors.Is(outcome, switchsim.ErrTableFull) {
+					t.Errorf("flow %d: add = %v", id, outcome)
+					return
+				}
+				data, err := packet.BuildProbe(packet.ProbeSpec{FlowID: id})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, punted, err := c.SendProbe(data, 1)
+				if err != nil || punted != (outcome != nil) {
+					t.Errorf("flow %d: add = %v but probe punted=%v err=%v", id, outcome, punted, err)
+				}
+				if outcome != nil {
+					refused.Add(1)
+					return
+				}
+				accepted.Add(1)
+				del := probeAdd(id)
+				del.Command = openflow.FlowDeleteStrict
+				if err := c.FlowMod(del); err != nil {
+					t.Errorf("flow %d: delete = %v", id, err)
+				}
+			}
+			for r := 0; r < rounds; r++ {
+				fms := make([]*openflow.FlowMod, batch)
+				for i := range fms {
+					fms[i] = probeAdd(base + uint32(i))
+				}
+				errs, err := c.FlowModBatch(fms)
+				if err != nil {
+					t.Errorf("caller %d round %d: FlowModBatch = %v", base, r, err)
+					return
+				}
+				if _, err := c.Echo(); err != nil {
+					t.Errorf("caller %d round %d: Echo = %v", base, r, err)
+				}
+				for i, e := range errs {
+					settle(base+uint32(i), e)
+				}
+				settle(base+batch, c.FlowMod(probeAdd(base+batch)))
+			}
+		}(uint32(g * 100))
+	}
+	wg.Wait()
+	if accepted.Load() == 0 || refused.Load() < callers*rounds*(batch-capacity) {
+		t.Fatalf("%d adds accepted, %d refused: the batches did not overflow the table", accepted.Load(), refused.Load())
+	}
+	if n := c.pendingLen(); n != 0 {
+		t.Fatalf("%d XIDs left pending", n)
+	}
+	if tcam, hw, soft := sw.RuleCount(); tcam+hw+soft != 0 {
+		t.Fatalf("%d rules left behind", tcam+hw+soft)
+	}
+	c.Close()
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	<-served
+	check()
 }
 
 // TestFlowModTimeoutIsRetried: with every reply dropped, FlowMod's barrier
