@@ -7,8 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"tango/internal/core/infer"
-	"tango/internal/core/pattern"
+	"tango/internal/fleet"
 	"tango/internal/ofconn"
 	"tango/internal/telemetry"
 )
@@ -38,9 +37,9 @@ func TestBuildServerRejectsBadConfig(t *testing.T) {
 }
 
 // TestSwitchdFleetLifecycle is the daemon's lifecycle under a fleet: three
-// switchd servers come up, an ofconn.Fleet connects and probes all of them,
-// and graceful shutdown drains every server — Serve returns nil, later ops
-// fail fast, and no server goroutine leaks.
+// switchd servers come up, fleet.Run probes all of them over TCP, and
+// graceful shutdown drains every server — Serve returns nil, a later round
+// fails on every member and each says why, and no server goroutine leaks.
 func TestSwitchdFleetLifecycle(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -49,9 +48,8 @@ func TestSwitchdFleetLifecycle(t *testing.T) {
 		Metrics: telemetry.NewRegistry(),
 	}
 	var servers []*ofconn.Server
+	var members []fleet.TCPMember
 	serveErrs := make(chan error, 3)
-	fleet := ofconn.NewFleet()
-	defer fleet.Close()
 	for _, cfg := range []config{
 		{listen: "127.0.0.1:0", profile: "switch1", scale: 1e-6, seed: 1},
 		{listen: "127.0.0.1:0", profile: "switch2", scale: 1e-6, seed: 2},
@@ -63,19 +61,24 @@ func TestSwitchdFleetLifecycle(t *testing.T) {
 		}
 		servers = append(servers, srv)
 		go func() { serveErrs <- srv.Serve() }()
-		if err := fleet.Connect(cfg.profile, srv.Addr().String()); err != nil {
+		c, err := ofconn.Dial(srv.Addr().String())
+		if err != nil {
 			t.Fatalf("connect %s: %v", cfg.profile, err)
 		}
+		defer c.Close()
+		members = append(members, fleet.TCPMember{Name: cfg.profile, Ctrl: c})
+	}
+	round := func() *fleet.Result {
+		t.Helper()
+		res, err := fleet.Run(fleet.Options{TCP: members, Rounds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 
-	db := pattern.NewDB()
-	if err := fleet.ProbeAll(db, infer.CostOptions{Samples: 16}); err != nil {
-		t.Fatalf("ProbeAll: %v", err)
-	}
-	for _, name := range fleet.Names() {
-		if _, ok := db.Score(name); !ok {
-			t.Fatalf("no score card for %s", name)
-		}
+	if res := round(); res.ScoreCards != 3 || res.InferErrs != 0 {
+		t.Fatalf("score cards = %d, errors = %d, want 3 and 0", res.ScoreCards, res.InferErrs)
 	}
 
 	for i, srv := range servers {
@@ -93,11 +96,15 @@ func TestSwitchdFleetLifecycle(t *testing.T) {
 			t.Fatal("Serve did not return after Shutdown")
 		}
 	}
-	// The drained daemons refuse further work.
-	if err := fleet.ProbeAll(pattern.NewDB(), infer.CostOptions{Samples: 4}); err == nil {
-		t.Fatal("ProbeAll succeeded against shut-down servers")
+	// The drained daemons refuse further work, and every member says why.
+	for _, s := range round().PerSwitch {
+		if s.LastErr == "" {
+			t.Fatalf("%s: round against a shut-down server left no error", s.Name)
+		}
 	}
-	fleet.Close()
+	for _, m := range members {
+		m.Ctrl.Close()
+	}
 
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {

@@ -49,14 +49,14 @@ type fleetConfig struct {
 // spawned in-process (SpawnSimTCP) and torn down — gracefully, draining
 // in-flight ops — before return.
 func execute(cfg fleetConfig, stop <-chan struct{}, lg *log.Logger) (*fleet.Result, error) {
-	var tcpFleet *ofconn.Fleet
+	var tcp []fleet.TCPMember
 	if cfg.tcp > 0 {
 		st, err := fleet.SpawnSimTCP(cfg.tcp, cfg.seed, cfg.tcpScale, ofconn.ControllerOptions{})
 		if err != nil {
 			return nil, err
 		}
 		defer st.Close()
-		tcpFleet = st.Fleet
+		tcp = st.Fleet
 		lg.Printf("tangofleet: %d TCP members up", st.Len())
 	}
 	o := fleet.Options{
@@ -67,7 +67,7 @@ func execute(cfg fleetConfig, stop <-chan struct{}, lg *log.Logger) (*fleet.Resu
 		MaxRules:    cfg.maxRules,
 		ProbeRate:   cfg.probeRate,
 		MaxInflight: cfg.maxInflight,
-		TCP:         tcpFleet,
+		TCP:         tcp,
 	}
 	if cfg.rounds > 0 {
 		return fleet.Run(o)

@@ -176,13 +176,6 @@ func (rs *RuleSet) analyze() {
 	}
 }
 
-// Dependencies returns, for each rule index, the later rule indices it must
-// out-prioritise. The slice is shared; callers must not mutate it.
-func (rs *RuleSet) Dependencies() [][]int { return rs.deps }
-
-// Levels returns each rule's dependency depth (0 = no rule below it).
-func (rs *RuleSet) Levels() []int { return rs.levels }
-
 // NumTopoPriorities returns the number of distinct topological priorities
 // (the "Topological Priorities" column of Table 2).
 func (rs *RuleSet) NumTopoPriorities() int {
@@ -238,20 +231,6 @@ func sortByLevel(idx []int, levels []int) {
 			}
 		}
 	}
-}
-
-// ValidatePriorities verifies that prios satisfies every dependency
-// constraint (earlier overlapping rule strictly higher priority). It
-// returns the first violated pair, or (-1, -1).
-func (rs *RuleSet) ValidatePriorities(prios []uint16) (int, int) {
-	for i, js := range rs.deps {
-		for _, j := range js {
-			if prios[i] <= prios[j] {
-				return i, j
-			}
-		}
-	}
-	return -1, -1
 }
 
 // Table2Configs are the three generator configurations standing in for the

@@ -28,7 +28,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestTopologicalPrioritiesValid(t *testing.T) {
 	rs := Generate(Options{NumRules: 400, Families: 5, MaxDepth: 25, Seed: 2})
 	prios := rs.TopologicalPriorities(100)
-	if i, j := rs.ValidatePriorities(prios); i >= 0 {
+	if i, j := rs.validatePriorities(prios); i >= 0 {
 		t.Fatalf("topological priorities violate constraint %d > %d", i, j)
 	}
 	// Minimality: distinct priority count equals level count.
@@ -44,7 +44,7 @@ func TestTopologicalPrioritiesValid(t *testing.T) {
 func TestRPrioritiesValidAndUnique(t *testing.T) {
 	rs := Generate(Options{NumRules: 400, Families: 5, MaxDepth: 25, Seed: 3})
 	prios := rs.RPriorities(100)
-	if i, j := rs.ValidatePriorities(prios); i >= 0 {
+	if i, j := rs.validatePriorities(prios); i >= 0 {
 		t.Fatalf("R priorities violate constraint %d > %d", i, j)
 	}
 	seen := map[uint16]bool{}
@@ -58,7 +58,7 @@ func TestRPrioritiesValidAndUnique(t *testing.T) {
 
 func TestDependenciesAreForward(t *testing.T) {
 	rs := Generate(Options{NumRules: 200, Families: 4, MaxDepth: 15, Seed: 4})
-	for i, js := range rs.Dependencies() {
+	for i, js := range rs.deps {
 		for _, j := range js {
 			if j <= i {
 				t.Fatalf("dependency %d -> %d not forward", i, j)
@@ -72,8 +72,8 @@ func TestDependenciesAreForward(t *testing.T) {
 
 func TestLevelsConsistent(t *testing.T) {
 	rs := Generate(Options{NumRules: 300, Families: 5, MaxDepth: 18, Seed: 5})
-	levels := rs.Levels()
-	for i, js := range rs.Dependencies() {
+	levels := rs.levels
+	for i, js := range rs.deps {
 		for _, j := range js {
 			if levels[i] <= levels[j] {
 				t.Fatalf("level[%d]=%d not above level[%d]=%d", i, levels[i], j, levels[j])
@@ -116,10 +116,10 @@ func TestPriorityAssignmentsAlwaysValid(t *testing.T) {
 			Seed:     seed,
 		}
 		rs := Generate(opts)
-		if i, _ := rs.ValidatePriorities(rs.TopologicalPriorities(10)); i >= 0 {
+		if i, _ := rs.validatePriorities(rs.TopologicalPriorities(10)); i >= 0 {
 			return false
 		}
-		if i, _ := rs.ValidatePriorities(rs.RPriorities(10)); i >= 0 {
+		if i, _ := rs.validatePriorities(rs.RPriorities(10)); i >= 0 {
 			return false
 		}
 		return true
@@ -127,4 +127,18 @@ func TestPriorityAssignmentsAlwaysValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// validatePriorities verifies that prios satisfies every dependency
+// constraint (earlier overlapping rule strictly higher priority). It
+// returns the first violated pair, or (-1, -1).
+func (rs *RuleSet) validatePriorities(prios []uint16) (int, int) {
+	for i, js := range rs.deps {
+		for _, j := range js {
+			if prios[i] <= prios[j] {
+				return i, j
+			}
+		}
+	}
+	return -1, -1
 }

@@ -188,8 +188,6 @@ type AttackDriver struct {
 
 	calls, next int
 	frame       packet.Frame
-
-	installs, probes, errs int
 }
 
 // Step implements Background.
@@ -216,6 +214,8 @@ func (a *AttackDriver) Step(dev probe.FrameDevice) {
 	}
 }
 
+// apply runs one attack op. A rejected op (an install bounced table-full) is
+// part of the attack's effect on the switch, not a failure of the run.
 func (a *AttackDriver) apply(dev probe.FrameDevice, op workload.AttackOp) {
 	switch op.Kind {
 	case workload.AttackInstall:
@@ -229,22 +229,11 @@ func (a *AttackDriver) apply(dev probe.FrameDevice, op workload.AttackOp) {
 			Priority: prio,
 			Actions:  flowtable.Output(2),
 		}
-		if err := dev.FlowMod(fm); err != nil {
-			a.errs++
-			return
-		}
-		a.installs++
+		_ = dev.FlowMod(fm)
 	case workload.AttackProbe:
-		if err := touch(dev, &a.frame, op.Flow); err != nil {
-			a.errs++
-			return
-		}
-		a.probes++
+		_ = touch(dev, &a.frame, op.Flow)
 	}
 }
 
 // Applied returns how many attack ops have executed.
 func (a *AttackDriver) Applied() int { return a.next }
-
-// Errs reports rejected attack ops (e.g. installs bounced table-full).
-func (a *AttackDriver) Errs() int { return a.errs }

@@ -217,7 +217,7 @@ func TestRetryDisabledSurfacesTypedErrors(t *testing.T) {
 		if !r.FaultTyped {
 			t.Errorf("%s: error not typed: %v", r.Spec.Name, r.Err)
 		}
-		if _, ok := faults.IsFault(r.Err); !ok && !errors.Is(r.Err, probe.ErrExhausted) {
+		if !errors.Is(r.Err, faults.ErrInjected) && !errors.Is(r.Err, probe.ErrExhausted) {
 			t.Errorf("%s: error chain lost the fault: %v", r.Spec.Name, r.Err)
 		}
 	}

@@ -1,6 +1,6 @@
 // Package pattern defines Tango patterns — sequences of OpenFlow flow-mod
 // commands paired with a corresponding data-traffic pattern — plus the
-// central Tango Pattern and Score databases (TangoDB, §4 of the paper).
+// central Tango Score database (TangoDB, §4 of the paper).
 // The probing engine executes patterns against switches; the inference
 // engine distils the measurements into per-switch ScoreCards; the scheduler
 // consults the score database to pick rewrite orderings.
@@ -55,10 +55,9 @@ type TrafficStep struct {
 
 // Pattern is a named probing recipe.
 type Pattern struct {
-	Name        string
-	Description string
-	Ops         []Op
-	Traffic     []TrafficStep
+	Name    string
+	Ops     []Op
+	Traffic []TrafficStep
 }
 
 // Order enumerates the priority orderings of §3's installation experiments.
@@ -125,9 +124,8 @@ func PriorityInstall(n int, order Order, rng *rand.Rand) Pattern {
 		ops[i] = Op{Kind: OpAdd, FlowID: uint32(i), Priority: prios[i]}
 	}
 	return Pattern{
-		Name:        fmt.Sprintf("priority-install/%s/%d", order, n),
-		Description: fmt.Sprintf("install %d flows in %s priority order", n, order),
-		Ops:         ops,
+		Name: fmt.Sprintf("priority-install/%s/%d", order, n),
+		Ops:  ops,
 	}
 }
 
@@ -160,9 +158,8 @@ func Permutation(perm [3]OpKind, nAdd, nMod, nDel int, base uint16) Pattern {
 		}
 	}
 	return Pattern{
-		Name:        "perm/" + name,
-		Description: fmt.Sprintf("%d adds, %d mods, %d dels in %s order", nAdd, nMod, nDel, name),
-		Ops:         ops,
+		Name: "perm/" + name,
+		Ops:  ops,
 	}
 }
 
@@ -346,13 +343,11 @@ func (e *Estimator) Feed(ops []Op) {
 // Total returns the estimate of everything fed since Begin.
 func (e *Estimator) Total() time.Duration { return e.total }
 
-// DB is the central Tango Score and Pattern Database: a concurrency-safe
-// registry of patterns and per-switch score cards. New patterns can be
-// added continuously, as the architecture intends.
+// DB is the central Tango Score Database: a concurrency-safe store of
+// per-switch score cards.
 type DB struct {
-	mu       sync.RWMutex
-	patterns map[string]Pattern
-	scores   map[string]*ScoreCard
+	mu     sync.RWMutex
+	scores map[string]*ScoreCard
 	// scoreVersion increments on every PutScore, letting callers that cache
 	// Score lookups (the scheduler memoizes cards per round) cheaply detect
 	// staleness. Atomic, so the per-batch staleness check takes no lock.
@@ -361,37 +356,7 @@ type DB struct {
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{
-		patterns: make(map[string]Pattern),
-		scores:   make(map[string]*ScoreCard),
-	}
-}
-
-// PutPattern registers (or replaces) a pattern.
-func (db *DB) PutPattern(p Pattern) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.patterns[p.Name] = p
-}
-
-// GetPattern looks a pattern up by name.
-func (db *DB) GetPattern(name string) (Pattern, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	p, ok := db.patterns[name]
-	return p, ok
-}
-
-// Patterns returns the registered pattern names in sorted order.
-func (db *DB) Patterns() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.patterns))
-	for n := range db.patterns {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return &DB{scores: make(map[string]*ScoreCard)}
 }
 
 // PutScore stores the score card for a switch.

@@ -108,17 +108,6 @@ func TestScoreCardEstimateMixedOps(t *testing.T) {
 
 func TestDBPatternsAndScores(t *testing.T) {
 	db := NewDB()
-	db.PutPattern(Pattern{Name: "b"})
-	db.PutPattern(Pattern{Name: "a"})
-	if got := db.Patterns(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("patterns = %v", got)
-	}
-	if _, ok := db.GetPattern("a"); !ok {
-		t.Fatal("pattern a missing")
-	}
-	if _, ok := db.GetPattern("zzz"); ok {
-		t.Fatal("phantom pattern")
-	}
 	db.PutScore(&ScoreCard{SwitchName: "s1"})
 	db.PutScore(&ScoreCard{SwitchName: "s0"})
 	if got := db.Switches(); len(got) != 2 || got[0] != "s0" {

@@ -76,7 +76,7 @@ func TestEngineSetLabelRebindAndClear(t *testing.T) {
 	if _, _, err := e.Probe(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := fr.Track("member-a").Len(); got != 1 {
+	if got := len(fr.Track("member-a").Samples()); got != 1 {
 		t.Fatalf("member-a flight samples = %d, want 1", got)
 	}
 
@@ -84,7 +84,7 @@ func TestEngineSetLabelRebindAndClear(t *testing.T) {
 	if _, _, err := e.Probe(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := fr.Track("member-a").Len(); got != 1 {
+	if got := len(fr.Track("member-a").Samples()); got != 1 {
 		t.Fatalf("unlabeled probe still recorded into old track: %d samples", got)
 	}
 	snap := reg.Snapshot()
@@ -129,7 +129,7 @@ func TestEngineFlightDefaultPickup(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := s.Profile().Name
-	if got := fr.Track(name).Len(); got != 1 {
+	if got := len(fr.Track(name).Samples()); got != 1 {
 		t.Fatalf("default flight recorder samples = %d, want 1", got)
 	}
 	if got := fr.Track(name).Samples()[0]; got.RTT <= 0 || got.Wall.Before(time.Now().Add(-time.Minute)) {

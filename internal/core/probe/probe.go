@@ -159,8 +159,8 @@ type Engine struct {
 	// sent instead.
 	frame packet.Frame
 	buf   [64]byte
-	// opScratch is the flow-mod every serial op path (Install, Modify,
-	// Delete, Run, TimeOps) fills in place: the device send is synchronous
+	// opScratch is the flow-mod every serial op path (Install, Delete, Run,
+	// TimeOps) fills in place: the device send is synchronous
 	// and devices copy what they keep, so a flow-mod per op would be pure
 	// collector load.
 	opScratch openflow.FlowMod
@@ -355,12 +355,6 @@ func fillFlowMod(fm *openflow.FlowMod, op pattern.Op) {
 // Install adds the probe rule for flow id at the given priority.
 func (e *Engine) Install(id uint32, priority uint16) error {
 	fillFlowMod(&e.opScratch, pattern.Op{Kind: pattern.OpAdd, FlowID: id, Priority: priority})
-	return e.flowMod(&e.opScratch)
-}
-
-// Modify rewrites the actions of flow id's rule.
-func (e *Engine) Modify(id uint32, priority uint16) error {
-	fillFlowMod(&e.opScratch, pattern.Op{Kind: pattern.OpMod, FlowID: id, Priority: priority})
 	return e.flowMod(&e.opScratch)
 }
 

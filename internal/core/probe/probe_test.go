@@ -43,7 +43,8 @@ func TestModifyChangesActions(t *testing.T) {
 	if err := e.Install(5, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Modify(5, 10); err != nil {
+	mod := pattern.Pattern{Name: "mod", Ops: []pattern.Op{{Kind: pattern.OpMod, FlowID: 5, Priority: 10}}}
+	if _, err := e.Run(mod); err != nil {
 		t.Fatal(err)
 	}
 	_, _, software := sw.RuleCount()

@@ -17,8 +17,13 @@ import (
 // to zero.
 func TestPlanAndExecuteAllocFree(t *testing.T) {
 	db := testDB("s")
-	view := NewTableView()
-	view.Preload("s", 3000, 40)
+	// 40 resident rules at priority 3000, a closure like experiments.ExistingHigherFor.
+	higher := func(_ string, p uint16) int {
+		if p < 3000 {
+			return 40
+		}
+		return 0
+	}
 	for _, size := range []int{5, 512} {
 		rng := rand.New(rand.NewSource(int64(size)))
 		reqs := make([]*Request, size)
@@ -31,7 +36,7 @@ func TestPlanAndExecuteAllocFree(t *testing.T) {
 		var scoreBuf [12]float64
 		for _, tg := range []*Tango{
 			{DB: db, SortPriorities: true},
-			{DB: db, SortPriorities: true, ExistingHigher: view.Higher},
+			{DB: db, SortPriorities: true, ExistingHigher: higher},
 		} {
 			name := fmt.Sprintf("plan/%d/oracle=%v", size, tg.ExistingHigher != nil)
 			requireAllocFree(t, name, func() { tg.plan("s", reqs, dst[:0], scoreBuf[:0]) })

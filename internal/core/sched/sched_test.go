@@ -401,52 +401,3 @@ func TestDeadlineOrderingAndMisses(t *testing.T) {
 		t.Fatalf("misses = %d, want 3", res.DeadlineMisses)
 	}
 }
-
-func TestTableView(t *testing.T) {
-	v := NewTableView()
-	v.Preload("s1", 3000, 200)
-	v.Apply(&Request{Switch: "s1", Op: pattern.OpAdd, Priority: 1000})
-	v.Apply(&Request{Switch: "s1", Op: pattern.OpAdd, Priority: 1000})
-	v.Apply(&Request{Switch: "s1", Op: pattern.OpDel, Priority: 3000})
-	v.Apply(&Request{Switch: "s1", Op: pattern.OpMod, Priority: 500}) // no-op
-	if got := v.Higher("s1", 999); got != 201 {
-		t.Fatalf("Higher(999) = %d, want 201 (199 preloaded + 2 adds)", got)
-	}
-	if got := v.Higher("s1", 1000); got != 199 {
-		t.Fatalf("Higher(1000) = %d, want 199", got)
-	}
-	if got := v.Rules("s1"); got != 201 {
-		t.Fatalf("Rules = %d, want 201", got)
-	}
-	if got := v.Priorities("s1"); len(got) != 2 || got[0] != 1000 || got[1] != 3000 {
-		t.Fatalf("Priorities = %v", got)
-	}
-	if got := v.Higher("unknown", 0); got != 0 {
-		t.Fatalf("unknown switch Higher = %d", got)
-	}
-}
-
-func TestRunWithViewTracksExecution(t *testing.T) {
-	db := testDB("s1")
-	view := NewTableView()
-	view.Preload("s1", 3000, 10)
-	g := NewGraph()
-	for i := 0; i < 10; i++ {
-		g.AddNode(&Request{Switch: "s1", Op: pattern.OpDel, FlowID: uint32(i),
-			Priority: 3000, HasPriority: true})
-	}
-	for i := 0; i < 5; i++ {
-		g.AddNode(&Request{Switch: "s1", Op: pattern.OpAdd, FlowID: uint32(100 + i),
-			Priority: 1000, HasPriority: true})
-	}
-	tg := &Tango{DB: db, SortPriorities: true, ExistingHigher: view.Higher}
-	if _, err := RunWithView(g, tg, CardExecutor{DB: db}, RunOptions{}, view); err != nil {
-		t.Fatal(err)
-	}
-	if got := view.Rules("s1"); got != 5 {
-		t.Fatalf("post-run rules = %d, want 5 (10 preloaded deleted, 5 added)", got)
-	}
-	if got := view.Higher("s1", 0); got != 5 {
-		t.Fatalf("Higher(0) = %d, want 5", got)
-	}
-}

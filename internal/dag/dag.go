@@ -7,7 +7,6 @@
 package dag
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
@@ -23,8 +22,8 @@ type NodeID int
 //
 // Alongside the adjacency lists the graph maintains an incremental Kahn
 // frontier: a live-indegree counter per node and the set of live nodes whose
-// counter is zero. Remove and RemoveBatch update both in O(out-degree), so
-// the scheduler's round loop never rescans the whole graph. (The from-scratch
+// counter is zero. RemoveBatch updates both in O(out-degree), so the
+// scheduler's round loop never rescans the whole graph. (The from-scratch
 // scan lives in frontier_test.go as the differential test's reference.)
 type Graph[T any] struct {
 	payload []T
@@ -38,9 +37,9 @@ type Graph[T any] struct {
 	// While frontierClean holds, frontier is exactly the inFrontier nodes in
 	// ascending order: AddNode and RemoveBatch preserve that state, so the
 	// scheduler's Frontier → RemoveBatch loop sorts each round's newly
-	// unblocked nodes once and nothing else. AddEdge and single Removes leave
-	// stale or duplicate entries behind (membership truth lives in
-	// inFrontier) and clear the flag; Frontier() then compacts lazily.
+	// unblocked nodes once and nothing else. AddEdge leaves stale entries
+	// behind (membership truth lives in inFrontier) and clears the flag;
+	// Frontier() then compacts lazily.
 	indeg         []int
 	inFrontier    []bool
 	frontier      []NodeID
@@ -152,20 +151,6 @@ func (g *Graph[T]) Len() int { return g.live }
 
 // Payload returns the payload attached to id.
 func (g *Graph[T]) Payload(id NodeID) T { return g.payload[id] }
-
-// Remove marks a node finished and detaches it from the graph, potentially
-// promoting its successors into the independent set. The frontier is
-// maintained incrementally in O(out-degree).
-func (g *Graph[T]) Remove(id NodeID) error {
-	if err := g.check(id); err != nil {
-		return err
-	}
-	// Promoted successors land on the frontier's tail unsorted, and the
-	// node's own entry goes stale: the next Frontier() compacts.
-	g.detach(id, &g.frontier)
-	g.frontierClean = false
-	return nil
-}
 
 // detach removes a checked-live node, decrements its live successors'
 // indegree counters, marks newly-unblocked successors as frontier members
@@ -295,11 +280,6 @@ func (g *Graph[T]) compactFrontier() {
 	g.frontierClean = true
 }
 
-// Removed reports whether id has been removed.
-func (g *Graph[T]) Removed(id NodeID) bool {
-	return id >= 0 && int(id) < len(g.removed) && g.removed[id]
-}
-
 // Nodes returns the IDs of all live nodes in ascending order.
 func (g *Graph[T]) Nodes() []NodeID {
 	out := make([]NodeID, 0, g.live)
@@ -337,44 +317,6 @@ func (g *Graph[T]) Predecessors(id NodeID) []NodeID {
 	return out
 }
 
-// TopoSort returns the live nodes in a topological order (dependencies
-// first). Ties are broken by ascending node ID so the order is
-// deterministic: Kahn's algorithm with the ready set held in a min-heap.
-func (g *Graph[T]) TopoSort() []NodeID {
-	indeg := slices.Clone(g.indeg)
-	// The live zero-indegree nodes in ascending order already form a heap.
-	ready := idHeap(g.appendRoots(nil))
-	out := make([]NodeID, 0, g.live)
-	for len(ready) > 0 {
-		n := heap.Pop(&ready).(NodeID)
-		out = append(out, n)
-		for _, s := range g.succ[n] {
-			if g.removed[s] {
-				continue
-			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				heap.Push(&ready, s)
-			}
-		}
-	}
-	return out
-}
-
-// idHeap is a min-heap of node IDs for container/heap.
-type idHeap []NodeID
-
-func (h idHeap) Len() int           { return len(h) }
-func (h idHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h idHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *idHeap) Push(x any)        { *h = append(*h, x.(NodeID)) }
-func (h *idHeap) Pop() any {
-	old := *h
-	n := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return n
-}
-
 // appendRoots appends the live nodes without live predecessors to dst in
 // ascending order by scanning the counters — Frontier() without its lazy
 // compaction, so read-only and safe beside concurrent readers.
@@ -389,7 +331,6 @@ func (g *Graph[T]) appendRoots(dst []NodeID) []NodeID {
 
 // anyTopoOrder returns the live nodes in some topological order in O(n + e):
 // Kahn's algorithm with the output slice doubling as the FIFO ready queue.
-// The dynamic programs below need dependencies first, not TopoSort's tie-break.
 func (g *Graph[T]) anyTopoOrder() []NodeID {
 	indeg := slices.Clone(g.indeg)
 	order := g.appendRoots(make([]NodeID, 0, g.live))
@@ -462,26 +403,4 @@ func (g *Graph[T]) LongestPathLengths() []int {
 		g.pathLen, g.pathValid = length, true
 	}
 	return g.pathLen
-}
-
-// WeightedCriticalPath returns, indexed by NodeID, the total weight of the
-// heaviest dependency chain starting at each live node (zero for removed
-// nodes), where weight(n) is supplied by the caller (e.g. estimated
-// installation latency). Dionysus uses operation counts; Tango's
-// concurrent-dependent extension uses latency estimates from the score
-// database.
-func (g *Graph[T]) WeightedCriticalPath(weight func(NodeID) float64) []float64 {
-	order := g.anyTopoOrder()
-	total := make([]float64, len(g.payload))
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		best := 0.0
-		for _, s := range g.succ[n] {
-			if !g.removed[s] && total[s] > best {
-				best = total[s]
-			}
-		}
-		total[n] = best + weight(n)
-	}
-	return total
 }

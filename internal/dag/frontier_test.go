@@ -38,7 +38,7 @@ func sameIDs(a, b []NodeID) bool {
 
 // TestFrontierMatchesIndependentSet cross-checks the incremental frontier
 // against the reference scan on the paper's Figure 7 example through a full
-// drain via single Removes.
+// drain via one-element batches.
 func TestFrontierMatchesIndependentSet(t *testing.T) {
 	g, _ := paperExample(t)
 	for g.Len() > 0 {
@@ -47,7 +47,7 @@ func TestFrontierMatchesIndependentSet(t *testing.T) {
 		if !sameIDs(got, want) {
 			t.Fatalf("Frontier() = %v, IndependentSet() = %v", got, want)
 		}
-		if err := g.Remove(want[0]); err != nil {
+		if _, err := g.RemoveBatch(want[:1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestRemoveBatchRejectsBadAndDuplicateNodes(t *testing.T) {
 		t.Fatalf("duplicate err = %v", err)
 	}
 	// Failed batches must leave the graph untouched.
-	if g.Len() != 2 || g.Removed(a) || g.Removed(b) {
+	if g.Len() != 2 || g.removed[a] || g.removed[b] {
 		t.Fatalf("failed batch mutated graph: len=%d", g.Len())
 	}
 	if want := g.IndependentSet(); !sameIDs(g.Frontier(), want) {
@@ -137,7 +137,7 @@ func (g *Graph[T]) referencePathLengths() map[NodeID]int {
 // TestFrontierDifferential drains randomized DAGs with a mix of RemoveBatch
 // (random frontier subsets plus same-batch dependent followers, passed as a
 // copy, or a prefix of the very slice Frontier() returned, passed aliased),
-// single Removes of frontier and non-frontier nodes, and late AddNode /
+// one-element batches of frontier and non-frontier nodes, and late AddNode /
 // AddEdge calls. After every mutation the memoised LongestPathLengths must
 // equal a from-scratch recomputation and Frontier() the IndependentSet()
 // reference scan; after every RemoveBatch that started from a compacted
@@ -184,10 +184,10 @@ func TestFrontierDifferential(t *testing.T) {
 			switch action := rng.Intn(8); {
 			case action == 0:
 				// Any live node: off the frontier it takes chains with it.
-				if err := g.Remove(live[rng.Intn(len(live))]); err != nil {
+				if _, err := g.RemoveBatch(live[rng.Intn(len(live)):][:1]); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				check("Remove")
+				check("RemoveBatch of one")
 				continue
 			case action == 1 && growth > 0:
 				growth--
@@ -230,7 +230,7 @@ func TestFrontierDifferential(t *testing.T) {
 			// All unblocked nodes are live with zero live predecessors, in
 			// ascending order.
 			for i, id := range unblocked {
-				if g.Removed(id) || len(g.Predecessors(id)) != 0 || (i > 0 && unblocked[i-1] >= id) {
+				if g.removed[id] || len(g.Predecessors(id)) != 0 || (i > 0 && unblocked[i-1] >= id) {
 					t.Fatalf("seed %d: unblocked %v: node %d not independent or out of order", seed, unblocked, id)
 				}
 			}

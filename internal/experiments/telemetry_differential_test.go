@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 
 	"tango/internal/telemetry"
@@ -66,8 +67,9 @@ func TestTelemetryDifferential(t *testing.T) {
 				if snap.Counters["probe.probes_sent"] == 0 {
 					t.Error("instrumented run recorded no probes")
 				}
-				if len(fr.Tracks()) == 0 {
-					t.Error("instrumented run recorded no flight tracks")
+				var flight bytes.Buffer
+				if err := fr.WriteJSONL(&flight); err != nil || flight.Len() == 0 {
+					t.Errorf("instrumented run recorded no flight samples (err %v)", err)
 				}
 			}
 		})

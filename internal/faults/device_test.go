@@ -35,8 +35,8 @@ func TestDropReturnsTypedTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("dropped flow-mod reported success")
 	}
-	fe, ok := IsFault(err)
-	if !ok || fe.Kind != KindDrop {
+	var fe *Error
+	if !errors.As(err, &fe) || fe.Kind != KindDrop {
 		t.Fatalf("got %v, want injected drop", err)
 	}
 	if !probe.Transient(err) {
@@ -93,8 +93,8 @@ func TestResetClearsSwitchAndIsNotTransient(t *testing.T) {
 	}
 	dev := WrapDevice(probe.SimDevice{S: sw}, NewInjector(Config{Seed: 5, Reset: 1.0}))
 	err := probe.NewEngine(dev).Install(9, 100)
-	fe, ok := IsFault(err)
-	if !ok || fe.Kind != KindReset {
+	var fe *Error
+	if !errors.As(err, &fe) || fe.Kind != KindReset {
 		t.Fatalf("got %v, want injected reset", err)
 	}
 	if probe.Transient(err) {

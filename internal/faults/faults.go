@@ -126,15 +126,6 @@ func (e *Error) Is(target error) bool { return target == ErrInjected }
 // callers separate injected faults from organic failures.
 var ErrInjected = errors.New("faults: injected fault")
 
-// IsFault reports whether err stems from an injected fault and returns it.
-func IsFault(err error) (*Error, bool) {
-	var fe *Error
-	if errors.As(err, &fe) {
-		return fe, true
-	}
-	return nil, false
-}
-
 // Config sets per-operation fault rates. Rates are probabilities in [0,1]
 // applied per control-channel operation; their sum must not exceed 1 (one
 // operation suffers at most one fault). The zero value disables injection.
@@ -322,14 +313,6 @@ func (in *Injector) SetTelemetry(reg *telemetry.Registry) {
 		in.counters[k] = reg.Counter("faults.injected." + k.String())
 	}
 	in.total = reg.Counter("faults.injected.total")
-}
-
-// Config returns the injector's configuration (zero for nil).
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}
-	}
-	return in.cfg
 }
 
 // Decision is the outcome of one fault draw.

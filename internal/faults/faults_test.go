@@ -64,7 +64,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if d := in.Decide(); d.Fire {
 		t.Fatal("nil injector fired")
 	}
-	if in.DropTimeout() != 0 || in.Config() != (Config{}) {
+	if in.DropTimeout() != 0 {
 		t.Fatal("nil injector leaked state")
 	}
 	in.SetTelemetry(telemetry.NewRegistry()) // must not panic
@@ -135,8 +135,8 @@ func TestErrorTyping(t *testing.T) {
 	if !errors.Is(wrapped, ErrInjected) {
 		t.Fatal("errors.Is(_, ErrInjected) = false")
 	}
-	if fe, ok := IsFault(wrapped); !ok || fe.Kind != KindOverflow {
-		t.Fatalf("IsFault = %v, %v", fe, ok)
+	if fe := (*Error)(nil); !errors.As(wrapped, &fe) || fe.Kind != KindOverflow {
+		t.Fatalf("errors.As = %v", fe)
 	}
 	if !probe.Transient(wrapped) {
 		t.Fatal("Transient(overflow) = false")

@@ -1,6 +1,6 @@
 // Package fleet is the continuous-inference controller service: it holds a
 // large mixed fleet of switches — in-process switchsim members on virtual
-// clocks and real-TCP members reached through an ofconn.Fleet — and
+// clocks and real-TCP members, each a connected ofconn.Controller — and
 // continuously probes, infers, and re-infers their properties, round after
 // round, the in-deployment regime of §5–6 of the Tango paper rather than a
 // one-off lab run.
@@ -46,7 +46,6 @@ import (
 	"tango/internal/core/infer"
 	"tango/internal/core/pattern"
 	"tango/internal/core/probe"
-	"tango/internal/ofconn"
 	"tango/internal/parallel"
 	"tango/internal/simclock"
 	"tango/internal/switchsim"
@@ -105,10 +104,10 @@ type Options struct {
 	// MaxInflight bounds how many members may be mid-round at once across
 	// all workers; 0 means no bound.
 	MaxInflight int
-	// TCP contributes real-TCP members: every member of the ofconn fleet
-	// joins the run under its member name. The caller keeps ownership of
-	// the fleet's lifecycle (see SpawnSimTCP for in-process servers).
-	TCP *ofconn.Fleet
+	// TCP contributes real-TCP members, in order, after the simulated ones.
+	// The caller keeps ownership of their connections (see SpawnSimTCP for
+	// in-process servers).
+	TCP []TCPMember
 	// Registry receives the fleet-level fold (default: the process
 	// registry); per-member engines always record into private registries
 	// so the fold stays deterministic.
@@ -123,7 +122,7 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Switches == 0 && o.TCP == nil {
+	if o.Switches == 0 && len(o.TCP) == 0 {
 		o.Switches = 64
 	}
 	if o.Rounds <= 0 {
@@ -150,10 +149,14 @@ type SwitchSummary struct {
 	Name string
 	// TCP marks real-TCP members (cost-fitting workload, wall-clock RTTs).
 	TCP bool
-	// Rounds completed, Inferences that succeeded, Errs that did not.
+	// Rounds completed, Inferences that succeeded, Errs the failed steps
+	// (an inference, the sentinel install, a sentinel probe).
 	Rounds     int
 	Inferences int
 	Errs       int
+	// LastErr is the text of the member's most recent failed step, "" if
+	// none failed.
+	LastErr string
 	// Levels and CacheSize echo the last successful size inference
 	// (simulated members only).
 	Levels    int
@@ -236,6 +239,7 @@ type member struct {
 	rounds    int
 	infers    int
 	errs      int
+	lastErr   string
 	cards     int
 	levels    int
 	cacheSize int
@@ -277,19 +281,13 @@ func newRunner(o Options) (*runner, error) {
 		m.eng = probe.NewEngine(probe.SimDevice{S: sw})
 		r.initMember(m)
 	}
-	if o.TCP != nil {
-		for _, name := range o.TCP.Names() {
-			c, ok := o.TCP.Controller(name)
-			if !ok {
-				continue
-			}
-			m := &member{idx: len(r.members), name: name, tcp: true, reg: telemetry.NewRegistry()}
-			m.eng = probe.NewEngine(c)
-			r.initMember(m)
-		}
+	for _, t := range o.TCP {
+		m := &member{idx: len(r.members), name: t.Name, tcp: true, reg: telemetry.NewRegistry()}
+		m.eng = probe.NewEngine(t.Ctrl)
+		r.initMember(m)
 	}
 	if len(r.members) == 0 {
-		return nil, fmt.Errorf("fleet: no members (Switches=0 and no TCP fleet)")
+		return nil, fmt.Errorf("fleet: no members (Switches=0 and no TCP members)")
 	}
 	if r.o.Workers <= 0 {
 		r.o.Workers = runtime.GOMAXPROCS(0)
@@ -346,7 +344,7 @@ func (r *runner) runMember(m *member, round int) {
 		// robust under loopback jitter, unlike RTT-cluster size probing.
 		card, err := infer.MeasureCosts(m.eng, m.name, infer.CostOptions{Samples: costSamples})
 		if err != nil {
-			m.errs++
+			m.fail(err)
 		} else {
 			r.db.PutScore(card)
 			m.cards++
@@ -373,7 +371,7 @@ func (r *runner) runMember(m *member, round int) {
 			Skip: skip,
 		})
 		if err != nil {
-			m.errs++
+			m.fail(err)
 		} else {
 			m.infers++
 			m.levels = len(model.Sizes.Levels)
@@ -389,12 +387,12 @@ func (r *runner) runMember(m *member, round int) {
 	// it. These are the fleet's probe-latency signal under load.
 	sid := sentinelBase + uint32(round)
 	if err := m.eng.Install(sid, probePriority); err != nil {
-		m.errs++
+		m.fail(err)
 	} else {
 		for i := 0; i < sentinelProbes; i++ {
 			rtt, punted, err := m.eng.Probe(sid)
 			if err != nil {
-				m.errs++
+				m.fail(err)
 				break
 			}
 			m.rtts = append(m.rtts, rtt)
@@ -410,6 +408,12 @@ func (r *runner) runMember(m *member, round int) {
 	st := m.eng.Stats()
 	m.bkt.charge(float64(st.Probes - m.last.Probes))
 	m.last = st
+}
+
+// fail counts one failed step and keeps its cause.
+func (m *member) fail(err error) {
+	m.errs++
+	m.lastErr = err.Error()
 }
 
 // fold aggregates member state into a Result, always in member order, and
@@ -438,7 +442,7 @@ func (r *runner) fold() *Result {
 		all = append(all, m.rtts...)
 		res.PerSwitch = append(res.PerSwitch, SwitchSummary{
 			Name: m.name, TCP: m.tcp,
-			Rounds: m.rounds, Inferences: m.infers, Errs: m.errs,
+			Rounds: m.rounds, Inferences: m.infers, Errs: m.errs, LastErr: m.lastErr,
 			Levels: m.levels, CacheSize: m.cacheSize, ScoreCards: m.cards,
 			FlowMods: st.FlowMods, Probes: st.Probes, Punted: st.Punted,
 		})

@@ -14,15 +14,22 @@ import (
 	"tango/internal/telemetry"
 )
 
+// TCPMember is a real-TCP member: a connected controller and the name the
+// fleet reports it under.
+type TCPMember struct {
+	Name string
+	Ctrl *ofconn.Controller
+}
+
 // SimTCP is a set of real-TCP switches served in-process: each is a
 // switchsim.Switch behind an ofconn.Server on its own loopback listener —
-// the exact accept/agent path cmd/switchd runs — with controller
-// connections held in an ofconn.Fleet. Benchmarks and smoke tests use it to
-// mix genuine socket members into a fleet without forking processes.
+// the exact accept/agent path cmd/switchd runs — with a controller connected
+// to each. Benchmarks and smoke tests use it to mix genuine socket members
+// into a fleet without forking processes.
 type SimTCP struct {
 	// Fleet holds the controller side: one connected member per server,
 	// named tcp-000, tcp-001, ... Pass it as Options.TCP.
-	Fleet   *ofconn.Fleet
+	Fleet   []TCPMember
 	servers []*ofconn.Server
 }
 
@@ -32,7 +39,7 @@ type SimTCP struct {
 // connects a controller to each with copts. On any error everything
 // already started is torn down.
 func SpawnSimTCP(n int, seed int64, scale float64, copts ofconn.ControllerOptions) (*SimTCP, error) {
-	s := &SimTCP{Fleet: ofconn.NewFleet()}
+	s := &SimTCP{}
 	quiet := log.New(io.Discard, "", 0)
 	for i, spec := range conformance.GenerateSpecs(n, seed) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -51,10 +58,12 @@ func SpawnSimTCP(n int, seed int64, scale float64, copts ofconn.ControllerOption
 		s.servers = append(s.servers, srv)
 		go srv.Serve()
 		name := fmt.Sprintf("tcp-%03d", i)
-		if err := s.Fleet.ConnectOptions(name, srv.Addr().String(), copts); err != nil {
+		c, err := ofconn.DialOptions(srv.Addr().String(), copts)
+		if err != nil {
 			s.Close()
-			return nil, err
+			return nil, fmt.Errorf("fleet: connect %s: %w", name, err)
 		}
+		s.Fleet = append(s.Fleet, TCPMember{Name: name, Ctrl: c})
 	}
 	return s, nil
 }
@@ -65,7 +74,9 @@ func (s *SimTCP) Len() int { return len(s.servers) }
 // Close disconnects every controller, then gracefully shuts every server
 // down (draining in-flight ops within a short grace window).
 func (s *SimTCP) Close() {
-	s.Fleet.Close()
+	for _, m := range s.Fleet {
+		m.Ctrl.Close()
+	}
 	for _, srv := range s.servers {
 		_ = srv.Shutdown(time.Second)
 	}

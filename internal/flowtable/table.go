@@ -3,7 +3,6 @@ package flowtable
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net/netip"
 	"time"
 
@@ -70,9 +69,6 @@ type Rule struct {
 	// SendFlowRem requests a FLOW_REMOVED notification when the rule dies.
 	SendFlowRem bool
 }
-
-// Seq returns the rule's insertion sequence number within its table.
-func (r *Rule) Seq() uint64 { return r.seq }
 
 // Table is a priority-ordered flow table. Rules are kept sorted by
 // descending priority; among equal priorities, earlier insertions come
@@ -280,12 +276,6 @@ func (t *Table) insertionPoint(p uint16) int {
 	return lo
 }
 
-// InsertShiftCost returns how many existing entries an insertion at priority
-// p would displace — the quantity the hardware cost model charges for.
-func (t *Table) InsertShiftCost(p uint16) int {
-	return len(t.rules) - t.insertionPoint(p)
-}
-
 // CountHigher returns the number of rules with priority strictly greater
 // than p. In a bottom-packed TCAM these are the entries that must shift to
 // make room below them for a new priority-p rule, which is why descending-
@@ -370,18 +360,6 @@ func (t *Table) CanInsert(r *Rule) bool {
 	return t.find(&r.Match, r.Priority) != nil
 }
 
-// Modify replaces the actions of the rule identified by (match, priority).
-// Per the paper's measurements this is far cheaper than an add on hardware
-// because no TCAM entries shift; the table therefore reports zero shifts.
-func (t *Table) Modify(m *Match, priority uint16, actions []Action) error {
-	r := t.find(m, priority)
-	if r == nil {
-		return ErrNotFound
-	}
-	r.Actions = actions
-	return nil
-}
-
 // Delete removes the rule identified by (match, priority) and returns it.
 func (t *Table) Delete(m *Match, priority uint16) (*Rule, error) {
 	r := t.find(m, priority)
@@ -457,35 +435,4 @@ func (r *Rule) Touch(bytes int, now time.Time) {
 	r.Packets++
 	r.Bytes += uint64(bytes)
 	r.LastUsedAt = now
-}
-
-// Validate checks internal ordering invariants; tests call it after
-// randomised operation sequences.
-func (t *Table) Validate() error {
-	for i := 1; i < len(t.rules); i++ {
-		a, b := t.rules[i-1], t.rules[i]
-		if a.Priority < b.Priority {
-			return fmt.Errorf("flowtable: priority order violated at %d (%d < %d)", i, a.Priority, b.Priority)
-		}
-		if a.Priority == b.Priority && a.seq > b.seq {
-			return fmt.Errorf("flowtable: FIFO order violated among priority %d", a.Priority)
-		}
-	}
-	if t.Capacity > 0 && len(t.rules) > t.Capacity {
-		return fmt.Errorf("flowtable: %d rules exceed capacity %d", len(t.rules), t.Capacity)
-	}
-	for i := 1; i < len(t.wild); i++ {
-		a, b := t.wild[i-1], t.wild[i]
-		if a.Priority < b.Priority || (a.Priority == b.Priority && a.seq > b.seq) {
-			return fmt.Errorf("flowtable: wild index order violated at %d", i)
-		}
-	}
-	indexed := len(t.wild)
-	for _, b := range t.exact {
-		indexed += 1 + len(b.more)
-	}
-	if indexed != len(t.rules) {
-		return fmt.Errorf("flowtable: index holds %d rules, table %d", indexed, len(t.rules))
-	}
-	return nil
 }

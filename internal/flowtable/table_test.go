@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -40,7 +41,7 @@ func TestMatchesProbeFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := packet.Decode(raw)
+	f, err := decodeFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestMatchesProbeFrame(t *testing.T) {
 
 func TestMatchInPortAndWildcard(t *testing.T) {
 	raw, _ := packet.BuildProbe(packet.ProbeSpec{FlowID: 1})
-	f, _ := packet.Decode(raw)
+	f, _ := decodeFrame(raw)
 	m := Match{Fields: FieldInPort, InPort: 2}
 	if m.Matches(f, 1) {
 		t.Fatal("in_port=2 matched port 1")
@@ -81,7 +82,7 @@ func TestMatchInPortAndWildcard(t *testing.T) {
 func TestMatchL3OnNonIP(t *testing.T) {
 	e := packet.Ethernet{EtherType: packet.EtherTypeARP}
 	raw := e.AppendTo(nil)
-	f, err := packet.Decode(raw)
+	f, err := decodeFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestMatchL3OnNonIP(t *testing.T) {
 
 func TestPrefixMatch(t *testing.T) {
 	raw, _ := packet.BuildProbe(packet.ProbeSpec{FlowID: 300}) // 10.83.1.44
-	f, _ := packet.Decode(raw)
+	f, _ := decodeFrame(raw)
 	m := Match{Fields: FieldNwSrc, NwSrc: netip.MustParsePrefix("10.83.0.0/16")}
 	if !m.Matches(f, 1) {
 		t.Fatal("/16 prefix failed")
@@ -164,7 +165,7 @@ func TestInsertOrderAndShifts(t *testing.T) {
 	if s3 != 0 {
 		t.Fatalf("lowest-priority insert shifted %d, want 0", s3)
 	}
-	if err := tbl.Validate(); err != nil {
+	if err := tbl.validate(); err != nil {
 		t.Fatal(err)
 	}
 	prios := []uint16{20, 10, 5}
@@ -183,7 +184,7 @@ func TestInsertEqualPriorityFIFO(t *testing.T) {
 		}
 	}
 	for i, r := range tbl.Rules() {
-		if r.Seq() != uint64(i) {
+		if r.seq != uint64(i) {
 			t.Fatalf("equal-priority order broken at %d", i)
 		}
 	}
@@ -222,14 +223,17 @@ func TestModifyDelete(t *testing.T) {
 	var tbl Table
 	tbl.Insert(mkRule(1, 10), t0)
 	m := ExactProbeMatch(1)
-	if err := tbl.Modify(&m, 10, Output(4)); err != nil {
-		t.Fatal(err)
+	// A modify is a Find and an in-place action swap, as the switch does it.
+	r := tbl.Find(&m, 10)
+	if r == nil {
+		t.Fatal("installed rule not found")
 	}
+	r.Actions = Output(4)
 	if tbl.Rules()[0].Actions[0].Port != 4 {
 		t.Fatal("modify did not take")
 	}
-	if err := tbl.Modify(&m, 11, Output(4)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("modify wrong priority err = %v, want ErrNotFound", err)
+	if tbl.Find(&m, 11) != nil {
+		t.Fatal("found a rule at the wrong priority")
 	}
 	r, err := tbl.Delete(&m, 10)
 	if err != nil || r == nil {
@@ -246,7 +250,7 @@ func TestModifyDelete(t *testing.T) {
 func TestLookupPriorityWins(t *testing.T) {
 	var tbl Table
 	raw, _ := packet.BuildProbe(packet.ProbeSpec{FlowID: 77})
-	f, _ := packet.Decode(raw)
+	f, _ := decodeFrame(raw)
 
 	low := &Rule{Match: Match{}, Priority: 1, Actions: Output(1)} // match-all
 	hi := mkRule(77, 500)
@@ -259,7 +263,7 @@ func TestLookupPriorityWins(t *testing.T) {
 	}
 	// A frame matching only the wildcard rule falls back to it.
 	raw2, _ := packet.BuildProbe(packet.ProbeSpec{FlowID: 78})
-	f2, _ := packet.Decode(raw2)
+	f2, _ := decodeFrame(raw2)
 	if got := tbl.Lookup(f2, 1); got != low {
 		t.Fatal("wildcard fallback failed")
 	}
@@ -287,8 +291,8 @@ func TestTCAMSingleWideRejectsWide(t *testing.T) {
 	if _, err := tc.Insert(nr, t0); err != nil {
 		t.Fatal(err)
 	}
-	if tc.EffectiveCapacity(WidthL3) != 3 {
-		t.Fatalf("effective capacity = %d, want 3", tc.EffectiveCapacity(WidthL3))
+	if tc.effectiveCapacity(WidthL3) != 3 {
+		t.Fatalf("effective capacity = %d, want 3", tc.effectiveCapacity(WidthL3))
 	}
 }
 
@@ -317,7 +321,7 @@ func TestTCAMAdaptiveMixing(t *testing.T) {
 	if _, err := tc.Insert(mkRule(1, 1), t0); err != nil {
 		t.Fatal(err)
 	}
-	if got := tc.EffectiveCapacity(WidthL2); got != 4 {
+	if got := tc.effectiveCapacity(WidthL2); got != 4 {
 		t.Fatalf("narrow capacity after one wide = %d, want 4", got)
 	}
 	for id := uint32(10); id < 14; id++ {
@@ -330,10 +334,10 @@ func TestTCAMAdaptiveMixing(t *testing.T) {
 	}
 	// Deleting the wide entry frees room for two narrow entries.
 	m := ExactProbeMatch(1)
-	if _, err := tc.Delete(&m, 1); err != nil {
-		t.Fatal(err)
+	if !tc.Remove(tc.Find(&m, 1)) {
+		t.Fatal("wide entry not removed")
 	}
-	if got := tc.EffectiveCapacity(WidthL2); got != 2 {
+	if got := tc.effectiveCapacity(WidthL2); got != 2 {
 		t.Fatalf("narrow capacity after delete = %d, want 2", got)
 	}
 }
@@ -419,7 +423,7 @@ func TestTableRandomOpsInvariant(t *testing.T) {
 				}
 				delete(alive, id)
 			}
-			if tbl.Validate() != nil {
+			if tbl.validate() != nil {
 				return false
 			}
 		}
@@ -430,7 +434,8 @@ func TestTableRandomOpsInvariant(t *testing.T) {
 	}
 }
 
-// Property: InsertShiftCost agrees with the shift count Insert reports.
+// Property: the shift count Insert reports is the number of resident rules
+// of lower priority — the entries a new rule displaces.
 func TestShiftCostConsistency(t *testing.T) {
 	f := func(prios []uint16) bool {
 		var tbl Table
@@ -438,13 +443,18 @@ func TestShiftCostConsistency(t *testing.T) {
 			if i > 300 {
 				break
 			}
-			want := tbl.InsertShiftCost(p)
+			want := 0
+			for _, r := range tbl.Rules() {
+				if r.Priority < p {
+					want++
+				}
+			}
 			got, err := tbl.Insert(mkRule(uint32(i), p), t0)
 			if err != nil || got != want {
 				return false
 			}
 		}
-		return tbl.Validate() == nil
+		return tbl.validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -488,7 +498,7 @@ func TestLookupIndexEquivalence(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			fr, err := packet.Decode(raw)
+			fr, err := decodeFrame(raw)
 			if err != nil {
 				return false
 			}
@@ -504,7 +514,7 @@ func TestLookupIndexEquivalence(t *testing.T) {
 		}
 		for probe := 0; probe < 40; probe++ {
 			raw, _ := packet.BuildProbe(packet.ProbeSpec{FlowID: uint32(rng.Intn(25))})
-			fr, _ := packet.Decode(raw)
+			fr, _ := decodeFrame(raw)
 			if tbl.Lookup(fr, 1) != naiveLookup(&tbl, fr, 1) {
 				return false
 			}
@@ -514,4 +524,50 @@ func TestLookupIndexEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// validate checks internal ordering invariants; tests call it after
+// randomised operation sequences.
+func (t *Table) validate() error {
+	for i := 1; i < len(t.rules); i++ {
+		a, b := t.rules[i-1], t.rules[i]
+		if a.Priority < b.Priority {
+			return fmt.Errorf("flowtable: priority order violated at %d (%d < %d)", i, a.Priority, b.Priority)
+		}
+		if a.Priority == b.Priority && a.seq > b.seq {
+			return fmt.Errorf("flowtable: FIFO order violated among priority %d", a.Priority)
+		}
+	}
+	if t.Capacity > 0 && len(t.rules) > t.Capacity {
+		return fmt.Errorf("flowtable: %d rules exceed capacity %d", len(t.rules), t.Capacity)
+	}
+	for i := 1; i < len(t.wild); i++ {
+		a, b := t.wild[i-1], t.wild[i]
+		if a.Priority < b.Priority || (a.Priority == b.Priority && a.seq > b.seq) {
+			return fmt.Errorf("flowtable: wild index order violated at %d", i)
+		}
+	}
+	indexed := len(t.wild)
+	for _, b := range t.exact {
+		indexed += 1 + len(b.more)
+	}
+	if indexed != len(t.rules) {
+		return fmt.Errorf("flowtable: index holds %d rules, table %d", indexed, len(t.rules))
+	}
+	return nil
+}
+
+// effectiveCapacity returns how many more entries of width w fit right now.
+func (t *TCAM) effectiveCapacity(w Width) int {
+	u, err := t.unitsFor(w)
+	if err != nil {
+		return 0
+	}
+	return int((t.budgetUnits() - t.usedUnits) / u)
+}
+
+// decodeFrame is packet.DecodeInto on a fresh frame.
+func decodeFrame(raw []byte) (*packet.Frame, error) {
+	var f packet.Frame
+	return &f, packet.DecodeInto(&f, raw)
 }

@@ -60,7 +60,8 @@ var ErrWidthUnsupported = errors.New("flowtable: entry width unsupported by TCAM
 // exact integer "units": a narrow entry costs CapacityWide units, a wide
 // entry CapacityNarrow units, against a budget of CapacityNarrow ×
 // CapacityWide units. This reproduces any (narrow, wide) capacity pair
-// without floating-point drift.
+// without floating-point drift. Take rules out with TCAM.Remove: the
+// embedded Table's Delete would not release their units.
 type TCAM struct {
 	Table
 	cfg       TCAMConfig
@@ -143,16 +144,6 @@ func (t *TCAM) Insert(r *Rule, now time.Time) (shifted int, err error) {
 	return shifted, nil
 }
 
-// Delete removes the rule identified by (match, priority), releasing space.
-func (t *TCAM) Delete(m *Match, priority uint16) (*Rule, error) {
-	r, err := t.Table.Delete(m, priority)
-	if err != nil {
-		return nil, err
-	}
-	t.release(r)
-	return r, nil
-}
-
 // Remove evicts the specific rule pointer, releasing space.
 func (t *TCAM) Remove(r *Rule) bool {
 	if !t.Table.Remove(r) {
@@ -170,15 +161,6 @@ func (t *TCAM) release(r *Rule) {
 			t.usedUnits = 0
 		}
 	}
-}
-
-// EffectiveCapacity returns how many more entries of width w fit right now.
-func (t *TCAM) EffectiveCapacity(w Width) int {
-	u, err := t.unitsFor(w)
-	if err != nil {
-		return 0
-	}
-	return int((t.budgetUnits() - t.usedUnits) / u)
 }
 
 // Lookup returns the highest-priority matching rule (see Table.Lookup).

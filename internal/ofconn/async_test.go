@@ -26,7 +26,7 @@ func dialFlakyProfile(t *testing.T, prof switchsim.Profile) (*Controller, *faili
 		t.Fatal(err)
 	}
 	fc := &failingWriteConn{Conn: raw}
-	c, err := NewController(fc)
+	c, err := NewControllerOptions(fc, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestFlowModAsyncBarrierFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := &failingWriteConn{Conn: raw}
-	c, err := NewController(fc)
+	c, err := NewControllerOptions(fc, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

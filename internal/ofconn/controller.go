@@ -155,13 +155,8 @@ func DialOptions(addr string, opts ControllerOptions) (*Controller, error) {
 	return NewControllerOptions(conn, opts)
 }
 
-// NewController wraps an established connection (also used in tests over
-// net.Pipe) and performs the handshake.
-func NewController(conn net.Conn) (*Controller, error) {
-	return NewControllerOptions(conn, ControllerOptions{})
-}
-
-// NewControllerOptions is NewController with explicit telemetry bindings.
+// NewControllerOptions wraps an established connection (also used in tests
+// over net.Pipe) and performs the handshake.
 func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, error) {
 	if opts.AsyncWindow < 0 {
 		conn.Close()

@@ -3,13 +3,10 @@ package ofconn
 import (
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"tango/internal/core/infer"
-	"tango/internal/core/pattern"
 	"tango/internal/faults"
 	"tango/internal/flowtable"
 	"tango/internal/openflow"
@@ -168,48 +165,5 @@ func TestServerInjectedResetClearsSwitch(t *testing.T) {
 	_ = c.FlowMod(testAdd(1))
 	if got := sw.Stats().Resets; got == 0 {
 		t.Fatal("server-side reset fault never reset the switch")
-	}
-}
-
-// TestProbeAllAggregatesAllFailures is the fleet regression: when two
-// members both fail, both failures must appear in the joined error instead
-// of one being silently discarded.
-func TestProbeAllAggregatesAllFailures(t *testing.T) {
-	f := NewFleet()
-	defer f.Close()
-	// Two switches whose servers time out every request, plus one healthy
-	// member to prove partial success still probes.
-	for _, name := range []string{"dead-a", "dead-b"} {
-		sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
-		inj := faults.NewInjector(faults.Config{Seed: 4, Drop: 1.0})
-		addr := startFaultySwitch(t, sw, inj)
-		c, err := DialOptions(addr, ControllerOptions{Timeout: 50 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.mu.Lock()
-		f.members[name] = c
-		f.mu.Unlock()
-	}
-	healthy := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
-	if err := f.Connect("alive", startSwitch(t, healthy)); err != nil {
-		t.Fatal(err)
-	}
-
-	db := pattern.NewDB()
-	err := f.ProbeAll(db, infer.CostOptions{Samples: 2})
-	if err == nil {
-		t.Fatal("ProbeAll succeeded with two dead members")
-	}
-	for _, name := range []string{"dead-a", "dead-b"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("joined error is missing member %s: %v", name, err)
-		}
-	}
-	if !errors.Is(err, ErrTimeout) {
-		t.Errorf("joined error lost the timeout cause: %v", err)
-	}
-	if _, ok := db.Score("alive"); !ok {
-		t.Error("healthy member was not probed despite others failing")
 	}
 }

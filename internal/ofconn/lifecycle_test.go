@@ -4,12 +4,9 @@ import (
 	"net"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"tango/internal/core/infer"
-	"tango/internal/core/pattern"
 	"tango/internal/openflow"
 	"tango/internal/packet"
 	"tango/internal/switchsim"
@@ -265,134 +262,4 @@ func TestServerShutdownImmediate(t *testing.T) {
 	}
 	c.Close()
 	check()
-}
-
-// TestFleetConcurrentUse exercises the fleet's locking under -race:
-// Connect/Names/Controller/Len/ProbeAll racing from several goroutines, with
-// member replacement (Connect on an existing name closes the old
-// controller).
-func TestFleetConcurrentUse(t *testing.T) {
-	fleet := NewFleet()
-	defer fleet.Close()
-	sw := switchsim.New(switchsim.Switch1(), switchsim.WithClock(fastClock()))
-	addr := startSwitch(t, sw)
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			names := []string{"a", "b", "c", "d"}
-			for i := 0; i < 8; i++ {
-				name := names[(w+i)%len(names)]
-				if err := fleet.Connect(name, addr); err != nil {
-					t.Errorf("Connect %s: %v", name, err)
-					return
-				}
-				fleet.Names()
-				fleet.Controller(name)
-				fleet.Len()
-			}
-		}(w)
-	}
-	wg.Wait()
-	got := fleet.Names()
-	want := []string{"a", "b", "c", "d"}
-	if len(got) != len(want) {
-		t.Fatalf("names = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("names = %v, want %v", got, want)
-		}
-	}
-	db := pattern.NewDB()
-	if err := fleet.ProbeAll(db, infer.CostOptions{Samples: 8}); err != nil {
-		t.Fatalf("ProbeAll: %v", err)
-	}
-	for _, n := range want {
-		if _, ok := db.Score(n); !ok {
-			t.Fatalf("no score card for %s", n)
-		}
-	}
-}
-
-// TestFleetNamesCached proves the sorted-names cache: a stable fleet returns
-// the identical slice across calls (no re-sort), and any mutation
-// invalidates it.
-func TestFleetNamesCached(t *testing.T) {
-	fleet := NewFleet()
-	defer fleet.Close()
-	sw := switchsim.New(switchsim.Switch1(), switchsim.WithClock(fastClock()))
-	addr := startSwitch(t, sw)
-	for _, n := range []string{"b", "a"} {
-		if err := fleet.Connect(n, addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first := fleet.Names()
-	second := fleet.Names()
-	if len(first) != 2 || first[0] != "a" || first[1] != "b" {
-		t.Fatalf("names = %v", first)
-	}
-	if &first[0] != &second[0] {
-		t.Fatal("stable fleet re-built the names slice; cache not in effect")
-	}
-	if err := fleet.Connect("c", addr); err != nil {
-		t.Fatal(err)
-	}
-	third := fleet.Names()
-	if len(third) != 3 || third[2] != "c" {
-		t.Fatalf("names after Connect = %v", third)
-	}
-	if len(first) != 2 {
-		t.Fatal("held snapshot mutated by later Connect")
-	}
-}
-
-// TestFleetProbeAllDeterministicErrors proves the satellite's aggregation
-// contract: member failures surface in sorted member order regardless of the
-// worker count, so the joined error text is identical serial vs parallel.
-func TestFleetProbeAllDeterministicErrors(t *testing.T) {
-	build := func() *Fleet {
-		t.Helper()
-		fleet := NewFleet()
-		t.Cleanup(fleet.Close)
-		for _, n := range []string{"s1", "s2", "s3", "s4"} {
-			sw := switchsim.New(switchsim.Switch1(), switchsim.WithClock(fastClock()))
-			if err := fleet.Connect(n, startSwitch(t, sw)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Kill two members: their probes fail with ErrClosed, the others
-		// succeed.
-		for _, n := range []string{"s2", "s4"} {
-			c, ok := fleet.Controller(n)
-			if !ok {
-				t.Fatalf("member %s missing", n)
-			}
-			c.Close()
-		}
-		return fleet
-	}
-	texts := make([]string, 2)
-	for i, workers := range []int{1, 4} {
-		db := pattern.NewDB()
-		err := build().ProbeAllN(db, infer.CostOptions{Samples: 8}, workers)
-		if err == nil {
-			t.Fatalf("workers=%d: no error from dead members", workers)
-		}
-		texts[i] = err.Error()
-		for _, n := range []string{"s1", "s3"} {
-			if _, ok := db.Score(n); !ok {
-				t.Fatalf("workers=%d: live member %s missing a score card", workers, n)
-			}
-		}
-		if i2 := strings.Index(texts[i], "s2"); i2 < 0 || i2 > strings.Index(texts[i], "s4") {
-			t.Fatalf("workers=%d: failures out of member order: %q", workers, texts[i])
-		}
-	}
-	if texts[0] != texts[1] {
-		t.Fatalf("aggregate error differs by worker count:\n  1: %q\n  4: %q", texts[0], texts[1])
-	}
 }

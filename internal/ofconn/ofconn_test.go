@@ -9,6 +9,7 @@ import (
 
 	"tango/internal/core/infer"
 	"tango/internal/core/pattern"
+	"tango/internal/core/probe"
 	"tango/internal/core/sched"
 	"tango/internal/flowtable"
 	"tango/internal/openflow"
@@ -223,7 +224,7 @@ func TestFlowRemovedOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(6 * time.Second)
+	clk.Sleep(6 * time.Second)
 	if _, err := c.Echo(); err != nil { // triggers the expiry sweep
 		t.Fatal(err)
 	}
@@ -272,32 +273,30 @@ func TestFlowModsBatch(t *testing.T) {
 	}
 }
 
+// TestFleetProbeAndSchedule wires Figure 4 over TCP: a probing engine per
+// connected switch fits a score card into the database, and the same
+// engines drive the scheduler end to end.
 func TestFleetProbeAndSchedule(t *testing.T) {
-	fleet := NewFleet()
-	defer fleet.Close()
+	db := pattern.NewDB()
+	ex := sched.EngineExecutor{}
 	for _, name := range []string{"a", "b"} {
 		sw := switchsim.New(switchsim.Switch1(), switchsim.WithClock(fastClock()))
-		addr := startSwitch(t, sw)
-		if err := fleet.Connect(name, addr); err != nil {
+		c, err := Dial(startSwitch(t, sw))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := fleet.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("names = %v", got)
-	}
-	if _, ok := fleet.Controller("a"); !ok {
-		t.Fatal("member a missing")
-	}
-
-	db := pattern.NewDB()
-	if err := fleet.ProbeAll(db, infer.CostOptions{Samples: 16}); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range fleet.Names() {
-		card, ok := db.Score(name)
-		if !ok || card.Mod <= 0 {
+		defer c.Close()
+		e := probe.NewEngine(c)
+		e.SetLabel(name)
+		card, err := infer.MeasureCosts(e, name, infer.CostOptions{Samples: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if card.Mod <= 0 {
 			t.Fatalf("no usable card for %s: %+v", name, card)
 		}
+		db.PutScore(card)
+		ex[name] = e
 	}
 
 	// The engines drive the scheduler end to end over TCP.
@@ -307,10 +306,6 @@ func TestFleetProbeAndSchedule(t *testing.T) {
 			FlowID: uint32(900 + i), Priority: uint16(100 + i), HasPriority: true})
 		g.AddNode(&sched.Request{Switch: "b", Op: pattern.OpAdd,
 			FlowID: uint32(900 + i), Priority: uint16(100 + i), HasPriority: true})
-	}
-	ex := sched.EngineExecutor{}
-	for n, e := range fleet.Engines() {
-		ex[n] = e
 	}
 	res, err := sched.Run(g, &sched.Tango{DB: db, SortPriorities: true}, ex, sched.RunOptions{})
 	if err != nil {

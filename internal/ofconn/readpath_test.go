@@ -53,7 +53,7 @@ func countedPair(t *testing.T) (c *Controller, ctrlEnd, agentEnd *countConn) {
 		defer close(agentDone)
 		_ = handleConn(agentEnd, sw, serverTelemetry{}, nil) // ends when the controller hangs up
 	}()
-	c, err = NewController(ctrlEnd)
+	c, err = NewControllerOptions(ctrlEnd, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

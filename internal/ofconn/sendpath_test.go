@@ -77,7 +77,7 @@ func TestFlowModsEmptyIsOneBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	tap := &tapConn{Conn: raw}
-	c, err := NewController(tap)
+	c, err := NewControllerOptions(tap, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

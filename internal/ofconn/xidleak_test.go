@@ -202,7 +202,7 @@ func TestXIDBlockSkipsZeroAndPending(t *testing.T) {
 	if err := c.FlowMod(timed); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(6 * time.Second) // swept, and reported, with the batch's first op
+	clk.Sleep(6 * time.Second) // swept, and reported, with the batch's first op
 
 	waiting := make(chan openflow.Message, 1)
 	c.mu.Lock()

@@ -20,17 +20,6 @@ type Frame struct {
 	Payload []byte
 }
 
-// Decode parses an Ethernet frame and whatever known layers follow it.
-// Unknown ether types or IP protocols leave the remaining bytes in Payload —
-// the pipeline can still L2-match such frames, mirroring real switches.
-func Decode(data []byte) (*Frame, error) {
-	var f Frame
-	if err := DecodeInto(&f, data); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
 // DecodeInto parses data into f, overwriting any previous contents. Callers
 // that decode packets in a hot loop reuse one Frame instead of allocating
 // per packet; f.Payload aliases data and is only valid until the next decode.
@@ -67,12 +56,6 @@ func DecodeInto(f *Frame, data []byte) error {
 		f.Payload = rest
 	}
 	return nil
-}
-
-// Serialize encodes the frame back to wire bytes. Length and checksum fields
-// are recomputed from the layer structure.
-func (f *Frame) Serialize() ([]byte, error) {
-	return f.AppendSerialize(make([]byte, 0, 64+len(f.Payload)))
 }
 
 // AppendSerialize appends the frame's encoding to b and returns the extended

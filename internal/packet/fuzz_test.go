@@ -22,22 +22,22 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := Decode(data)
+		fr, err := decode(data)
 		if err != nil {
 			return
 		}
-		canon, err := fr.Serialize()
+		canon, err := fr.AppendSerialize(nil)
 		if err != nil {
 			// A decoded frame may fail to serialize only when its layers
 			// cannot express what was parsed; our layer set round-trips
 			// everything it accepts.
 			t.Fatalf("serialize after decode: %v", err)
 		}
-		fr2, err := Decode(canon)
+		fr2, err := decode(canon)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		canon2, err := fr2.Serialize()
+		canon2, err := fr2.AppendSerialize(nil)
 		if err != nil {
 			t.Fatalf("re-serialize: %v", err)
 		}

@@ -54,12 +54,6 @@ func MACFromUint64(v uint64) MAC {
 	return m
 }
 
-// Uint64 returns the address as an integer (inverse of MACFromUint64).
-func (m MAC) Uint64() uint64 {
-	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
-		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
-}
-
 // Errors returned by the decoders.
 var (
 	ErrTruncated = errors.New("packet: truncated data")
@@ -187,22 +181,6 @@ func headerChecksum(hdr []byte) uint16 {
 		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
-}
-
-// ValidateChecksum reports whether the first 20 bytes of data carry a valid
-// IPv4 header checksum.
-func ValidateChecksum(data []byte) bool {
-	if len(data) < ipv4HeaderLen {
-		return false
-	}
-	var sum uint32
-	for i := 0; i+1 < ipv4HeaderLen; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return uint16(sum) == 0xffff
 }
 
 // TCP is a minimal layer-4 header. Only the fields the flow pipeline matches

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"reflect"
@@ -11,8 +12,8 @@ import (
 
 func TestMACRoundTrip(t *testing.T) {
 	m := MACFromUint64(0x0200_0000_1234)
-	if got := m.Uint64(); got != 0x0200_0000_1234 {
-		t.Fatalf("Uint64 = %x", got)
+	if m != (MAC{0x02, 0, 0, 0, 0x12, 0x34}) {
+		t.Fatalf("MACFromUint64 = %v", m[:])
 	}
 	if got := m.String(); got != "02:00:00:00:12:34" {
 		t.Fatalf("String = %q", got)
@@ -62,7 +63,7 @@ func TestIPv4RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ValidateChecksum(b) {
+	if !validChecksum(b) {
 		t.Fatal("checksum invalid")
 	}
 	var d IPv4
@@ -146,7 +147,7 @@ func TestFrameRoundTripTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Decode(raw)
+	f, err := decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestFrameRoundTripTCP(t *testing.T) {
 	if f.IP.Src != ProbeSrcIP(42) || f.IP.Dst != ProbeDstIP(42) {
 		t.Fatalf("addresses: %v -> %v", f.IP.Src, f.IP.Dst)
 	}
-	re, err := f.Serialize()
+	re, err := f.AppendSerialize(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestFrameRoundTripUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Decode(raw)
+	f, err := decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestFrameRoundTripUDP(t *testing.T) {
 func TestFrameNonIP(t *testing.T) {
 	e := Ethernet{EtherType: EtherTypeARP}
 	raw := append(e.AppendTo(nil), 1, 2, 3, 4)
-	f, err := Decode(raw)
+	f, err := decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestFrameNonIP(t *testing.T) {
 	if _, ok := f.FiveTuple(); ok {
 		t.Fatal("non-IP frame has five tuple")
 	}
-	re, err := f.Serialize()
+	re, err := f.AppendSerialize(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestProbeUniqueness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := Decode(raw)
+		f, err := decode(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,15 +251,15 @@ func TestProbeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fr, err := Decode(raw)
+		fr, err := decode(raw)
 		if err != nil {
 			return false
 		}
-		re, err := fr.Serialize()
+		re, err := fr.AppendSerialize(nil)
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(raw, re) && ValidateChecksum(raw[14:])
+		return bytes.Equal(raw, re) && validChecksum(raw[14:])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -269,7 +270,7 @@ func TestProbeRoundTripProperty(t *testing.T) {
 // shorter than a full Ethernet header.
 func TestDecodeRobustness(t *testing.T) {
 	f := func(data []byte) bool {
-		fr, err := Decode(data)
+		fr, err := decode(data)
 		if len(data) < 14 {
 			return err != nil && fr == nil
 		}
@@ -348,4 +349,29 @@ func TestBuildProbeFrameMatchesDecode(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// decode is DecodeInto on a fresh frame; nil on error.
+func decode(data []byte) (*Frame, error) {
+	var f Frame
+	if err := DecodeInto(&f, data); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
+// validChecksum reports whether the first 20 bytes of data carry a valid
+// IPv4 header checksum.
+func validChecksum(data []byte) bool {
+	if len(data) < ipv4HeaderLen {
+		return false
+	}
+	var sum uint32
+	for i := 0; i+1 < ipv4HeaderLen; i += 2 {
+		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
+	}
+	for sum>>16 != 0 {
+		sum = sum&0xffff + sum>>16
+	}
+	return uint16(sum) == 0xffff
 }

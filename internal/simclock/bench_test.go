@@ -34,7 +34,7 @@ func BenchmarkVirtualNowParallel(b *testing.B) {
 	g := NewGroup(16)
 	var next atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
-		c := g.Clock(int(next.Add(1)-1) % g.Len())
+		c := g.Clock(int(next.Add(1)-1) % len(g.clocks))
 		for pb.Next() {
 			c.Sleep(time.Microsecond)
 			_ = c.Now()

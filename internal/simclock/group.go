@@ -35,9 +35,6 @@ func NewGroup(n int) *Group {
 	return g
 }
 
-// Len returns the number of clocks in the group.
-func (g *Group) Len() int { return len(g.clocks) }
-
 // Clock returns shard i's clock.
 func (g *Group) Clock(i int) *Virtual { return &g.clocks[i] }
 

@@ -9,10 +9,10 @@ import (
 
 func TestGroupClocksStartAtEpoch(t *testing.T) {
 	g := NewGroup(4)
-	if g.Len() != 4 {
-		t.Fatalf("Len = %d", g.Len())
+	if len(g.clocks) != 4 {
+		t.Fatalf("Len = %d", len(g.clocks))
 	}
-	for i := 0; i < g.Len(); i++ {
+	for i := 0; i < len(g.clocks); i++ {
 		if now := g.Clock(i).Now(); !now.Equal(Epoch) {
 			t.Fatalf("clock %d starts at %v, want %v", i, now, Epoch)
 		}
@@ -40,7 +40,7 @@ func TestGroupFrontierAndAlign(t *testing.T) {
 	if !front.Equal(want) {
 		t.Fatalf("Align returned %v, want %v", front, want)
 	}
-	for i := 0; i < g.Len(); i++ {
+	for i := 0; i < len(g.clocks); i++ {
 		if now := g.Clock(i).Now(); !now.Equal(want) {
 			t.Fatalf("clock %d after Align = %v, want %v", i, now, want)
 		}
@@ -70,7 +70,7 @@ func TestGroupAlignDeterministic(t *testing.T) {
 	run := func(concurrent bool) time.Time {
 		g := NewGroup(8)
 		var wg sync.WaitGroup
-		for i := 0; i < g.Len(); i++ {
+		for i := 0; i < len(g.clocks); i++ {
 			step := func(i int) {
 				c := g.Clock(i)
 				for j := 0; j < 1000; j++ {

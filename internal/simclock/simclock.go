@@ -70,15 +70,6 @@ func (v *Virtual) Sleep(d time.Duration) {
 	v.off.Add(int64(d))
 }
 
-// Advance is a synonym for Sleep that reads better at call sites that are
-// driving the clock rather than simulating elapsed work.
-func (v *Virtual) Advance(d time.Duration) { v.Sleep(d) }
-
-// Since returns the virtual duration elapsed since t.
-func (v *Virtual) Since(t time.Time) time.Duration {
-	return v.Now().Sub(t)
-}
-
 // Real is a Clock backed by the wall clock. Scale stretches or compresses
 // sleeps: a Scale of 0.001 makes a simulated 5 s installation take 5 ms of
 // wall time, which keeps live demos responsive while preserving relative

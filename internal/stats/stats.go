@@ -25,23 +25,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs (dividing by n, not n-1).
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MinMax returns the smallest and largest values in xs.
 // It returns ErrEmpty if xs is empty.
 func MinMax(xs []float64) (min, max float64, err error) {

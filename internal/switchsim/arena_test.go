@@ -67,7 +67,7 @@ func TestArenaHandleReuseAfterExpiry(t *testing.T) {
 	s := New(Switch2(), WithClock(clk))
 	addTimedFlow(t, s, 1, 0, 1)
 	h := trackedRule(s, 1).Ext
-	clk.Advance(2 * time.Second)
+	clk.Sleep(2 * time.Second)
 	s.ExpireNow()
 	if e := s.entryAt(h); e != nil {
 		t.Fatalf("handle %d still resolves after expiry", h)

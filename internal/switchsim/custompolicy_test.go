@@ -131,7 +131,7 @@ func TestCustomPolicyExpiryReleasesState(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		sendProbe(t, s, 0)
 	}
-	clk.Advance(2 * time.Second) // past the 1s hard timeout
+	clk.Sleep(2 * time.Second) // past the 1s hard timeout
 	s.ExpireNow()
 	checkIndexes(t, s) // score == Σ live members' traffic: nothing is left of flow 0's
 	// Flow 16 is one group over; flow 1, installed after it, shares flow 0's

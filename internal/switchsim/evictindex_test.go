@@ -384,7 +384,7 @@ func runDifferential(t *testing.T, policy Policy, seed int64, o diffOpts) {
 				live = append(live, id) // may die to expiry; later ops turn into no-ops
 			}
 			if rng.Intn(2) == 0 {
-				clk.Advance(time.Duration(1+rng.Intn(4)) * time.Second)
+				clk.Sleep(time.Duration(1+rng.Intn(4)) * time.Second)
 				s.ExpireNow()
 			}
 		default: // arena stress: Reset, or a burst past capacity forcing growth

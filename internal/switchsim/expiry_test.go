@@ -33,7 +33,7 @@ func TestHardTimeoutExpires(t *testing.T) {
 	addTimedFlow(t, s, 1, 0, 10)
 	addFlow(t, s, 2, 100) // no timeout: must survive
 
-	clk.Advance(11 * time.Second)
+	clk.Sleep(11 * time.Second)
 	s.ExpireNow()
 
 	tcam, _, _ := s.RuleCount()
@@ -67,13 +67,13 @@ func TestIdleTimeoutRefreshedByTraffic(t *testing.T) {
 
 	// Traffic every 5 simulated seconds keeps the flow alive.
 	for i := 0; i < 4; i++ {
-		clk.Advance(5 * time.Second)
+		clk.Sleep(5 * time.Second)
 		if res := sendProbe(t, s, 1); res.Path != PathFast {
 			t.Fatalf("iteration %d path = %v", i, res.Path)
 		}
 	}
 	// Then 11 quiet seconds kill it.
-	clk.Advance(11 * time.Second)
+	clk.Sleep(11 * time.Second)
 	s.ExpireNow()
 	if res := sendProbe(t, s, 1); res.Path != PathControl {
 		t.Fatalf("expired flow still forwarding: %v", res.Path)
@@ -88,7 +88,7 @@ func TestExpirySweepsLazilyOnFlowMod(t *testing.T) {
 	clk := simclock.NewVirtual()
 	s := New(Switch2(), WithClock(clk))
 	addTimedFlow(t, s, 1, 0, 5)
-	clk.Advance(6 * time.Second)
+	clk.Sleep(6 * time.Second)
 	// The next control-plane op triggers the sweep without ExpireNow.
 	addFlow(t, s, 2, 100)
 	tcam, _, _ := s.RuleCount()
@@ -123,7 +123,7 @@ func TestHandleFlushesFlowRemoved(t *testing.T) {
 	clk := simclock.NewVirtual()
 	s := New(Switch2(), WithClock(clk))
 	addTimedFlow(t, s, 1, 0, 5)
-	clk.Advance(6 * time.Second)
+	clk.Sleep(6 * time.Second)
 	// The next handled message triggers the sweep and carries the
 	// notification ahead of its reply.
 	replies := s.Handle(&openflow.EchoRequest{Header: openflow.Header{Xid: 3}})

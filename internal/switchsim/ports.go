@@ -64,13 +64,6 @@ func (s *Switch) SetPortDown(port uint16, down bool) bool {
 	return true
 }
 
-// PortDown reports a port's administrative link state.
-func (s *Switch) PortDown(port uint16) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.portsDown[port]
-}
-
 // TakePortStatus drains queued PORT_STATUS notifications.
 func (s *Switch) TakePortStatus() []*openflow.PortStatus {
 	s.mu.Lock()

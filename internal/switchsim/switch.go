@@ -49,9 +49,6 @@ func (p PathKind) String() string {
 // error on the wire.
 var ErrTableFull = errors.New("switchsim: all tables full")
 
-// ErrNotFound is returned for modifications/deletions of absent rules.
-var ErrNotFound = errors.New("switchsim: no such rule")
-
 // entry is the emulator's bookkeeping for one installed rule: a flat record
 // in the switch's entry arena (arena.go), addressed by its int32 handle.
 // Attribute sequence numbers are global and survive moves between tables,

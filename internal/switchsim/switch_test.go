@@ -579,7 +579,7 @@ func TestPortStatusAndConfig(t *testing.T) {
 	if !ok || ps.Desc.PortNo != 3 || ps.Desc.State&openflow.PortStateLinkDown == 0 {
 		t.Fatalf("port status = %+v", replies[0])
 	}
-	if !s.PortDown(3) {
+	if !s.portsDown[3] {
 		t.Fatal("port state not recorded")
 	}
 	// Re-setting the same state is silent.

@@ -39,7 +39,7 @@ func TestArtifactKeySets(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("c").Add(2)
 	reg.Gauge("g").Set(3)
-	reg.CounterVec("cv", "switch").With("sw1").Inc()
+	reg.CounterVec("cv", "switch").With("sw1").Add(1)
 	h := reg.Histogram("h")
 	smp := NewSampler(reg, SamplerOptions{})
 	smp.Tick()
@@ -50,7 +50,7 @@ func TestArtifactKeySets(t *testing.T) {
 	smp.Tick()
 
 	tr := NewTracer(nil)
-	tr.Start("span").OnTrack("sw1").Arg("k", 1).End()
+	tr.Record("span", "sw1", time.Now(), time.Millisecond, map[string]any{"k": 1})
 	tr.Instant("instant", "", nil)
 
 	fr := NewFlightRecorder(4)

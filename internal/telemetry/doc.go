@@ -32,7 +32,7 @@
 // The record path is an atomic fast path with no allocation, cheap enough
 // for the switch emulator's per-packet pipeline. Every handle type is
 // nil-safe: a nil *Registry returns nil handles and every method on a nil
-// handle (or nil *Tracer / *Span) is a no-op, so instrumented code carries
+// handle (or nil *Tracer) is a no-op, so instrumented code carries
 // zero conditional clutter and, with telemetry disabled, costs only a nil
 // check.
 //
@@ -85,7 +85,9 @@
 // "infer.size", …) and instant events on named tracks and exports them as
 // Chrome trace_event JSON via WriteTrace, loadable in about:tracing or
 // https://ui.perfetto.dev. Tracks map to trace threads, so each switch in a
-// scheduling run renders as its own swim lane.
+// scheduling run renders as its own swim lane. A tracer keeps at most
+// DefaultSpanLimit events; a trace that lost some to the cap says how many
+// in its "otherData": {"dropped_events": N}.
 //
 // # Process-wide default
 //

@@ -89,19 +89,29 @@ type traceEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// traceFile is the JSON-object flavour of the trace format.
+// traceFile is the JSON-object flavour of the trace format. OtherData is the
+// format's metadata slot, which viewers ignore.
 type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+	TraceEvents     []traceEvent     `json:"traceEvents"`
+	DisplayTimeUnit string           `json:"displayTimeUnit"`
+	OtherData       map[string]int64 `json:"otherData,omitempty"`
 }
 
 // WriteTrace exports the retained events as Chrome trace_event JSON. The
 // timeline is virtual time, rebased so the earliest event sits at t=0; each
 // event's wall-clock instant rides along in its args. Tracks map to
-// trace-viewer threads with their names attached as metadata.
+// trace-viewer threads with their names attached as metadata. A trace the
+// span cap truncated says so: "otherData": {"dropped_events": N}.
 func (t *Tracer) WriteTrace(w io.Writer) error {
 	events := t.Events()
 	out := traceFile{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
+	if t != nil {
+		t.mu.Lock()
+		if t.dropped > 0 {
+			out.OtherData = map[string]int64{"dropped_events": t.dropped}
+		}
+		t.mu.Unlock()
+	}
 
 	var base time.Time
 	for _, ev := range events {

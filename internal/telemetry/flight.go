@@ -72,16 +72,6 @@ func (t *FlightTrack) Samples() []FlightSample {
 	return t.ring.ordered()
 }
 
-// Len returns how many samples the track currently retains.
-func (t *FlightTrack) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int(min(t.seq, uint64(len(t.ring.buf))))
-}
-
 // FlightRecorder owns one FlightTrack per switch, in the copy-on-write table
 // the vecs use, so the Track hit path is one atomic load. A nil
 // *FlightRecorder hands out nil tracks, keeping the disabled configuration
@@ -105,14 +95,6 @@ func (fr *FlightRecorder) Track(name string) *FlightTrack {
 		return nil
 	}
 	return fr.tracks.get(name)
-}
-
-// Tracks returns the sorted track names (nil recorder: nil).
-func (fr *FlightRecorder) Tracks() []string {
-	if fr == nil {
-		return nil
-	}
-	return metricNames(fr.tracks.snapshot())
 }
 
 // WriteJSONL writes every track's retained samples as JSON Lines — one

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // DefBuckets are the default histogram boundaries, for durations in
@@ -58,9 +57,6 @@ func (h *Histogram) Observe(v float64) {
 	casFloat(&h.max, func(cur float64) (float64, bool) { return v, v > cur })
 	h.buckets[sort.SearchFloat64s(h.bounds, v)].Add(1)
 }
-
-// ObserveDuration records a duration sample in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(float64(d)) }
 
 // Count returns the number of observations (0 for a nil histogram).
 func (h *Histogram) Count() int64 {

@@ -21,9 +21,6 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count (0 for a nil counter).
 func (c *Counter) Value() int64 {
 	if c == nil {

@@ -14,7 +14,7 @@ func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x")
 	c.Add(3)
-	c.Inc()
+	c.Add(1)
 	if c.Value() != 4 {
 		t.Fatalf("counter = %d, want 4", c.Value())
 	}
@@ -39,11 +39,9 @@ func TestNilSafety(t *testing.T) {
 	}
 	// None of these may panic.
 	c.Add(1)
-	c.Inc()
 	g.Set(2)
 	g.Add(3)
 	h.Observe(4)
-	h.ObserveDuration(time.Second)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil metrics must read as zero")
 	}
@@ -58,11 +56,7 @@ func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Record("a", "", time.Time{}, 0, nil)
 	tr.Instant("b", "", nil)
-	tr.SetLimit(1)
-	tr.Reset()
-	sp := tr.Start("c")
-	sp.OnTrack("t").Arg("k", 1).End()
-	if tr.Events() != nil || tr.Dropped() != 0 {
+	if tr.Events() != nil {
 		t.Fatal("nil tracer must be empty")
 	}
 	var buf bytes.Buffer

@@ -6,8 +6,9 @@ import (
 )
 
 // DefaultSpanLimit caps how many events a tracer retains before it starts
-// dropping (counting the drops). Large scheduler runs can emit one span per
-// flow-mod; the cap bounds memory without failing the run.
+// dropping (counting the drops, which WriteTrace reports). Large scheduler
+// runs can emit one span per flow-mod; the cap bounds memory without failing
+// the run.
 const DefaultSpanLimit = 1 << 16
 
 // SpanEvent is one recorded span or instant event, stamped on both clocks:
@@ -31,8 +32,8 @@ type SpanEvent struct {
 }
 
 // Tracer collects span events. All methods are safe for concurrent use, and
-// a nil *Tracer (or nil *Span) is a no-op, so tracing instrumentation can be
-// left in place unconditionally.
+// a nil *Tracer is a no-op, so tracing instrumentation can be left in place
+// unconditionally.
 type Tracer struct {
 	virtNow func() time.Time
 
@@ -42,26 +43,13 @@ type Tracer struct {
 	dropped int64
 }
 
-// NewTracer returns a tracer. virtNow supplies the virtual clock for spans
-// started with Start and for Instant events; nil means spans are stamped
-// with wall time on both clocks (appropriate for purely wall-clock
-// processes such as the TCP daemon). Events recorded through Record carry
-// their own virtual timestamps and ignore virtNow.
+// NewTracer returns a tracer. virtNow supplies the virtual clock for Instant
+// events; nil means they are stamped with wall time on both clocks
+// (appropriate for purely wall-clock processes such as the TCP daemon).
+// Events recorded through Record carry their own virtual timestamps and
+// ignore virtNow.
 func NewTracer(virtNow func() time.Time) *Tracer {
 	return &Tracer{virtNow: virtNow, limit: DefaultSpanLimit}
-}
-
-// SetLimit changes the retained-event cap (minimum 1).
-func (t *Tracer) SetLimit(n int) {
-	if t == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	t.mu.Lock()
-	t.limit = n
-	t.mu.Unlock()
 }
 
 func (t *Tracer) now() (virt, wall time.Time) {
@@ -105,58 +93,6 @@ func (t *Tracer) Instant(name, track string, args map[string]any) {
 	t.append(SpanEvent{Name: name, Track: track, Phase: 'i', Virt: virt, Wall: wall, Args: args})
 }
 
-// Span is an in-flight span created by Start; End records it.
-type Span struct {
-	t         *Tracer
-	name      string
-	track     string
-	virtStart time.Time
-	wallStart time.Time
-	args      map[string]any
-}
-
-// Start begins a span on the tracer's clocks. Returns nil (safe to use) on
-// a nil tracer.
-func (t *Tracer) Start(name string) *Span {
-	if t == nil {
-		return nil
-	}
-	virt, wall := t.now()
-	return &Span{t: t, name: name, virtStart: virt, wallStart: wall}
-}
-
-// OnTrack moves the span onto the named track. Returns s for chaining.
-func (s *Span) OnTrack(track string) *Span {
-	if s != nil {
-		s.track = track
-	}
-	return s
-}
-
-// Arg attaches one key/value of metadata. Returns s for chaining.
-func (s *Span) Arg(key string, v any) *Span {
-	if s != nil {
-		if s.args == nil {
-			s.args = map[string]any{}
-		}
-		s.args[key] = v
-	}
-	return s
-}
-
-// End completes and records the span.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	virt, _ := s.t.now()
-	s.t.append(SpanEvent{
-		Name: s.name, Track: s.track, Phase: 'X',
-		Virt: s.virtStart, VirtDur: virt.Sub(s.virtStart),
-		Wall: s.wallStart, Args: s.args,
-	})
-}
-
 // Events returns a copy of the retained events.
 func (t *Tracer) Events() []SpanEvent {
 	if t == nil {
@@ -165,24 +101,4 @@ func (t *Tracer) Events() []SpanEvent {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]SpanEvent(nil), t.events...)
-}
-
-// Dropped returns how many events the cap discarded.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Reset discards all retained events and the drop count.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events, t.dropped = nil, 0
-	t.mu.Unlock()
 }

@@ -18,10 +18,9 @@ func TestTracerRecordAndExport(t *testing.T) {
 	// A span on the main track, recorded with explicit virtual timestamps.
 	tr.Record("switch.flowmod", "", simclock.Epoch.Add(10*time.Millisecond), 5*time.Millisecond,
 		map[string]any{"command": "ADD"})
-	// A span on a named track via Start/End.
-	sp := tr.Start("sched.batch").OnTrack("s1").Arg("ops", 3)
-	clk.Advance(20 * time.Millisecond)
-	sp.End()
+	// A span on a named track.
+	tr.Record("sched.batch", "s1", clk.Now(), 20*time.Millisecond, map[string]any{"ops": 3})
+	clk.Sleep(20 * time.Millisecond)
 	tr.Instant("ofconn.accept", "", map[string]any{"remote": "127.0.0.1:1"})
 
 	events := tr.Events()
@@ -88,21 +87,37 @@ func TestTracerRecordAndExport(t *testing.T) {
 	}
 }
 
+// TestTracerLimit: a trace the cap truncated says how many events it lost,
+// in the format's metadata slot; an untruncated one carries no such key.
 func TestTracerLimit(t *testing.T) {
+	otherData := func(tr *Tracer) map[string]int64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := tr.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			OtherData map[string]int64 `json:"otherData"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.OtherData
+	}
 	tr := NewTracer(nil)
-	tr.SetLimit(2)
-	for i := 0; i < 5; i++ {
+	tr.limit = 2
+	tr.Instant("e", "", nil)
+	if got := otherData(tr); got != nil {
+		t.Fatalf("untruncated trace carries otherData %v", got)
+	}
+	for i := 0; i < 4; i++ {
 		tr.Instant("e", "", nil)
 	}
 	if len(tr.Events()) != 2 {
 		t.Fatalf("events = %d, want 2", len(tr.Events()))
 	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", tr.Dropped())
-	}
-	tr.Reset()
-	if len(tr.Events()) != 0 || tr.Dropped() != 0 {
-		t.Fatal("reset did not clear")
+	if got := otherData(tr)["dropped_events"]; got != 3 {
+		t.Fatalf("dropped_events = %d, want 3", got)
 	}
 }
 

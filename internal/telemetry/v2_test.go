@@ -35,8 +35,8 @@ func TestVecChildrenRegisterIntoRegistry(t *testing.T) {
 	if got := r.Counter(ChildName("hits", "switch", "sw1")); got != c {
 		t.Fatal("child not shared with the plain-name lookup")
 	}
-	if got := cv.Labels(); len(got) != 1 || got[0] != "sw1" {
-		t.Fatalf("Labels() = %v, want [sw1]", got)
+	if got := metricNames(cv.children.snapshot()); len(got) != 1 || got[0] != "sw1" {
+		t.Fatalf("labels = %v, want [sw1]", got)
 	}
 
 	gv := r.GaugeVec("occ", "switch")
@@ -69,9 +69,6 @@ func TestVecNilSafety(t *testing.T) {
 	cv.With("x").Add(1)
 	gv.With("x").Set(2)
 	hv.With("x").Observe(3)
-	if cv.Labels() != nil || gv.Labels() != nil || hv.Labels() != nil {
-		t.Fatal("nil vec Labels() must be nil")
-	}
 }
 
 func TestVecWithHitPathDoesNotAllocate(t *testing.T) {
@@ -105,11 +102,12 @@ func TestVecConcurrentWith(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := len(cv.Labels()); got != 10 {
+	labels := metricNames(cv.children.snapshot())
+	if got := len(labels); got != 10 {
 		t.Fatalf("labels = %d, want 10", got)
 	}
 	var total int64
-	for _, l := range cv.Labels() {
+	for _, l := range labels {
 		total += cv.With(l).Value()
 	}
 	if total != 8*200 {
@@ -279,12 +277,9 @@ func TestFlightRecorder(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tr.Record(base.Add(time.Duration(i)*time.Second), base, time.Duration(i)*time.Millisecond, uint32(i), i%2 == 0)
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("len = %d, want 4 (capacity)", tr.Len())
-	}
 	got := tr.Samples()
 	if len(got) != 4 {
-		t.Fatalf("samples = %d, want 4", len(got))
+		t.Fatalf("samples = %d, want 4 (capacity)", len(got))
 	}
 	// Oldest retained is seq 3 (two dropped), newest seq 6.
 	if got[0].Seq != 3 || got[3].Seq != 6 {
@@ -295,7 +290,7 @@ func TestFlightRecorder(t *testing.T) {
 	}
 
 	fr.Track("sw0").Record(base, base, time.Millisecond, 9, false)
-	if names := fr.Tracks(); len(names) != 2 || names[0] != "sw0" || names[1] != "sw1" {
+	if names := metricNames(fr.tracks.snapshot()); len(names) != 2 || names[0] != "sw0" || names[1] != "sw1" {
 		t.Fatalf("tracks = %v", names)
 	}
 
@@ -328,11 +323,8 @@ func TestFlightNilSafety(t *testing.T) {
 		t.Fatal("nil recorder must hand out nil tracks")
 	}
 	tr.Record(time.Time{}, time.Time{}, 0, 0, false)
-	if tr.Samples() != nil || tr.Len() != 0 {
+	if tr.Samples() != nil {
 		t.Fatal("nil track must read as empty")
-	}
-	if fr.Tracks() != nil {
-		t.Fatal("nil recorder Tracks() must be nil")
 	}
 	var buf bytes.Buffer
 	if err := fr.WriteJSONL(&buf); err != nil || buf.Len() != 0 {

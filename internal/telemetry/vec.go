@@ -76,14 +76,6 @@ func (v *Vec[M]) With(value string) *M {
 	return v.children.get(value)
 }
 
-// Labels returns the sorted label values observed so far (nil receiver: nil).
-func (v *Vec[M]) Labels() []string {
-	if v == nil {
-		return nil
-	}
-	return metricNames(v.children.snapshot())
-}
-
 // family returns (registering if needed) the vec name keyed by label key.
 // Children register through child — the registry's plain constructor — so
 // they show up in snapshots and are shared with any direct

@@ -7,7 +7,6 @@
 package topo
 
 import (
-	"fmt"
 	"sort"
 )
 
@@ -49,12 +48,6 @@ func (g *Graph) RemoveLink(a, b string) {
 	delete(g.adj[a], b)
 	delete(g.adj[b], a)
 	g.sorted = nil
-}
-
-// HasLink reports whether a-b is up.
-func (g *Graph) HasLink(a, b string) bool {
-	_, ok := g.adj[a][b]
-	return ok
 }
 
 // Capacity returns the link's capacity (0 if absent).
@@ -376,14 +369,4 @@ func samePath(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// Validate sanity-checks a path against the graph.
-func (g *Graph) Validate(path []string) error {
-	for i := 0; i+1 < len(path); i++ {
-		if !g.HasLink(path[i], path[i+1]) {
-			return fmt.Errorf("topo: no link %s-%s", path[i], path[i+1])
-		}
-	}
-	return nil
 }

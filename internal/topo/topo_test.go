@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -78,7 +79,7 @@ func TestB4Connectivity(t *testing.T) {
 			if p == nil {
 				t.Fatalf("no path %s -> %s", a, b)
 			}
-			if err := g.Validate(p); err != nil {
+			if err := g.validate(p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -269,4 +270,14 @@ func (p *prng) Intn(n int) int {
 	p.state ^= p.state >> 7
 	p.state ^= p.state << 17
 	return int(p.state % uint64(n))
+}
+
+// validate sanity-checks a path against the graph.
+func (g *Graph) validate(path []string) error {
+	for i := 0; i+1 < len(path); i++ {
+		if _, ok := g.adj[path[i]][path[i+1]]; !ok {
+			return fmt.Errorf("topo: no link %s-%s", path[i], path[i+1])
+		}
+	}
+	return nil
 }

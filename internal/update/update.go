@@ -76,11 +76,3 @@ func Plan(changes []topo.RuleChange, opts PlanOptions) (*sched.Graph, error) {
 	}
 	return g, nil
 }
-
-// PlanReroute is the link-failure convenience: it diffs the allocations and
-// plans the resulting changes in one step.
-func PlanReroute(oldA, newA topo.Allocation, opts PlanOptions) (*sched.Graph, int, error) {
-	changes := topo.DiffAssignments(oldA, newA)
-	g, err := Plan(changes, opts)
-	return g, len(changes), err
-}

@@ -1,7 +1,6 @@
 package update
 
 import (
-	"slices"
 	"testing"
 
 	"tango/internal/core/pattern"
@@ -11,12 +10,13 @@ import (
 func TestPlanRerouteDependencies(t *testing.T) {
 	oldA := topo.Allocation{1: {"a", "x", "b"}, 2: {"a", "b"}}
 	newA := topo.Allocation{1: {"a", "y", "b"}, 2: {"a", "b"}}
-	g, n, err := PlanReroute(oldA, newA, PlanOptions{AssignPriorities: true, Seed: 1})
+	changes := topo.DiffAssignments(oldA, newA)
+	if len(changes) != 3 { // add y, mod a, del x (flow 2 unchanged)
+		t.Fatalf("changes = %d, want 3", len(changes))
+	}
+	g, err := Plan(changes, PlanOptions{AssignPriorities: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n != 3 { // add y, mod a, del x (flow 2 unchanged)
-		t.Fatalf("changes = %d, want 3", n)
 	}
 	if g.Len() != 3 {
 		t.Fatalf("nodes = %d", g.Len())
@@ -29,12 +29,12 @@ func TestPlanRerouteDependencies(t *testing.T) {
 	// Draining the graph respects add → mod → del order.
 	var order []pattern.OpKind
 	for g.Len() > 0 {
-		// Frontier's slice is the graph's own; Remove mutates it.
-		for _, id := range slices.Clone(g.Frontier()) {
+		frontier := g.Frontier()
+		for _, id := range frontier {
 			order = append(order, g.Payload(id).Op)
-			if err := g.Remove(id); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if _, err := g.RemoveBatch(frontier); err != nil {
+			t.Fatal(err)
 		}
 	}
 	want := []pattern.OpKind{pattern.OpAdd, pattern.OpMod, pattern.OpDel}

@@ -65,7 +65,7 @@ func TestPopularityEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Popularity(tc.trace, tc.flows)
+			got := popularity(tc.trace, tc.flows)
 			if len(got) != len(tc.want) {
 				t.Fatalf("len = %d, want %d", len(got), len(tc.want))
 			}
@@ -99,7 +99,7 @@ func TestTopShareEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := TopShare(tc.trace, tc.flows, tc.k); got != tc.want {
+			if got := topShare(tc.trace, tc.flows, tc.k); got != tc.want {
 				t.Fatalf("TopShare = %v, want %v", got, tc.want)
 			}
 		})

@@ -83,39 +83,3 @@ func Generate(opts Options) []uint32 {
 	}
 	return out
 }
-
-// Popularity returns each flow's packet count in the trace, indexed by
-// flow ID over [0, flows).
-func Popularity(trace []uint32, flows int) []int {
-	counts := make([]int, flows)
-	for _, f := range trace {
-		if int(f) < flows {
-			counts[f]++
-		}
-	}
-	return counts
-}
-
-// TopShare returns the fraction of packets carried by the k most popular
-// flows — a quick skew diagnostic.
-func TopShare(trace []uint32, flows, k int) float64 {
-	if len(trace) == 0 || k <= 0 {
-		return 0
-	}
-	counts := Popularity(trace, flows)
-	// Partial selection of the k largest counts.
-	for i := 0; i < k && i < len(counts); i++ {
-		maxAt := i
-		for j := i + 1; j < len(counts); j++ {
-			if counts[j] > counts[maxAt] {
-				maxAt = j
-			}
-		}
-		counts[i], counts[maxAt] = counts[maxAt], counts[i]
-	}
-	top := 0
-	for i := 0; i < k && i < len(counts); i++ {
-		top += counts[i]
-	}
-	return float64(top) / float64(len(trace))
-}

@@ -32,8 +32,8 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestZipfSkewedUniformFlat(t *testing.T) {
 	zipf := Generate(Options{Kind: KindZipf, Flows: 1000, Packets: 50000, Skew: 1.2, Seed: 2})
 	uni := Generate(Options{Kind: KindUniform, Flows: 1000, Packets: 50000, Seed: 2})
-	zs := TopShare(zipf, 1000, 100)
-	us := TopShare(uni, 1000, 100)
+	zs := topShare(zipf, 1000, 100)
+	us := topShare(uni, 1000, 100)
 	if zs < 0.6 {
 		t.Fatalf("zipf top-100 share = %.2f, want heavy skew", zs)
 	}
@@ -55,7 +55,7 @@ func TestScanCycles(t *testing.T) {
 func TestPopularitySums(t *testing.T) {
 	f := func(seed int64, kindRaw uint8) bool {
 		trace := Generate(Options{Kind: Kind(kindRaw % 3), Flows: 64, Packets: 2048, Seed: seed})
-		counts := Popularity(trace, 64)
+		counts := popularity(trace, 64)
 		total := 0
 		for _, c := range counts {
 			total += c
@@ -74,4 +74,40 @@ func TestGeneratePanicsOnBadOptions(t *testing.T) {
 		}
 	}()
 	Generate(Options{Flows: 0, Packets: 10})
+}
+
+// topShare returns the fraction of packets carried by the k most popular
+// flows — a quick skew diagnostic.
+func topShare(trace []uint32, flows, k int) float64 {
+	if len(trace) == 0 || k <= 0 {
+		return 0
+	}
+	counts := popularity(trace, flows)
+	// Partial selection of the k largest counts.
+	for i := 0; i < k && i < len(counts); i++ {
+		maxAt := i
+		for j := i + 1; j < len(counts); j++ {
+			if counts[j] > counts[maxAt] {
+				maxAt = j
+			}
+		}
+		counts[i], counts[maxAt] = counts[maxAt], counts[i]
+	}
+	top := 0
+	for i := 0; i < k && i < len(counts); i++ {
+		top += counts[i]
+	}
+	return float64(top) / float64(len(trace))
+}
+
+// popularity returns each flow's packet count in the trace, indexed by
+// flow ID over [0, flows).
+func popularity(trace []uint32, flows int) []int {
+	counts := make([]int, flows)
+	for _, f := range trace {
+		if int(f) < flows {
+			counts[f]++
+		}
+	}
+	return counts
 }
