@@ -86,7 +86,6 @@ func catalog(opts experiments.Options, faultSpec string) []experiment {
 		{"overflow", "Overflow-inference attack scenarios (timing channel + detector)", tab(experiments.Overflow)},
 		{"churn", "Heavy-churn scenarios (inference under timeout expiry)", tab(experiments.ChurnScenarios)},
 		{"altpolicy", "Non-LEX cache policies (classify-or-reject)", tab(experiments.AltPolicy)},
-		{"scale", "B4-wide sharded scale harness (honours -scale-flows)", sized(experiments.Scale)},
 		{"fleet", "Continuous-inference fleet service (honours -fleet-switches)", sized(experiments.Fleet)},
 		{"conformance", "Ground-truth inference conformance harness (honours -faults)", func(int) []fmt.Stringer {
 			t, err := experiments.Conformance(24, 1, faultSpec)
@@ -102,15 +101,14 @@ func catalog(opts experiments.Options, faultSpec string) []experiment {
 
 func main() {
 	var (
-		only       = flag.String("only", "", "comma-separated experiment ids (default: all)")
-		runs       = flag.Int("runs", 10, "repeat runs for the multi-run figures")
-		out        = flag.String("out", "", "directory to write .dat series files into")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		faultSpec  = flag.String("faults", "", `control-channel fault spec for the conformance experiment, e.g. "drop=0.01,delay=0.05,seed=7" (see internal/faults)`)
-		workers    = flag.Int("parallel", 1, "run up to this many experiments concurrently (0 = GOMAXPROCS); output order is unchanged")
-		scaleFlows = flag.Int("scale-flows", 0, "resident-flow target for the scale experiment (0 = harness default, 1<<20)")
-		fleetSw    = flag.Int("fleet-switches", 0, "simulated-member count for the fleet experiment (0 = 64)")
-		tcli       telemetry.CLI
+		only      = flag.String("only", "", "comma-separated experiment ids (default: all)")
+		runs      = flag.Int("runs", 10, "repeat runs for the multi-run figures")
+		out       = flag.String("out", "", "directory to write .dat series files into")
+		list      = flag.Bool("list", false, "list experiment ids and exit")
+		faultSpec = flag.String("faults", "", `control-channel fault spec for the conformance experiment, e.g. "drop=0.01,delay=0.05,seed=7" (see internal/faults)`)
+		workers   = flag.Int("parallel", 1, "run up to this many experiments concurrently (0 = GOMAXPROCS); output order is unchanged")
+		fleetSw   = flag.Int("fleet-switches", 0, "simulated-member count for the fleet experiment (0 = 64)")
+		tcli      telemetry.CLI
 	)
 	tcli.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -140,7 +138,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	cat := catalog(experiments.Options{ScaleFlows: *scaleFlows, FleetSwitches: *fleetSw}, *faultSpec)
+	cat := catalog(experiments.Options{FleetSwitches: *fleetSw}, *faultSpec)
 	if *list {
 		for _, e := range cat {
 			fmt.Printf("%-10s %s\n", e.id, e.desc)

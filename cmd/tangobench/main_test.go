@@ -23,7 +23,7 @@ func TestCatalogIDsUnique(t *testing.T) {
 		}
 		seen[e.id] = true
 	}
-	for _, id := range []string{"table1", "f2", "f3c", "f10", "f12", "qos", "reported", "scale"} {
+	for _, id := range []string{"table1", "f2", "f3c", "f10", "f12", "qos", "reported"} {
 		if !seen[id] {
 			t.Fatalf("missing experiment id %q", id)
 		}

@@ -23,8 +23,7 @@ var exportExempt = map[string]string{
 	"probe.Engine.Label":         "ground truth: the probe, ofconn and conformance tests read which device an engine names",
 	"flowtable.L2ProbeMatch":     "fixture: the flowtable, openflow and switchsim tests build L2-only rules with it",
 	"fleet.Result.Deterministic": "the differential contract TestFleetShardedDifferential compares",
-	"scale.Result.Deterministic": "the differential contract TestScaleShardedDifferential compares",
-	"structlayout.Check":         "test support: the layout tests of three packages call it",
+	"structlayout.Check":         "test support: the layout tests of two packages call it",
 	"fleet.Service.Scores":       "the fleet's score database, which ROADMAP item 3's tangosched -db is to consume",
 }
 

@@ -16,7 +16,6 @@ const (
 	PhaseMicroflow Phases = 1 << iota
 	PhasePolicy
 	PhaseCosts
-	PhaseAll = PhaseMicroflow | PhasePolicy | PhaseCosts
 )
 
 // InspectOptions tunes Inspect. The zero value runs every phase on defaults.

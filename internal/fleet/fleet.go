@@ -61,8 +61,9 @@ const (
 	sizeFlowBase  uint32 = 1 << 16
 	sentinelBase  uint32 = 1 << 30
 
-	// sizeTrials is the sampling trials per cache level, the scale harness'
-	// budget.
+	// sizeTrials fixes the sampling trials per cache level at two instead of
+	// the adaptive default: a member re-infers every round, so a round's
+	// budget is kept small.
 	sizeTrials = 2
 	// costEvery: simulated members fit control-channel costs every
 	// costEvery-th round. TCP members fit every round — it is their

@@ -325,6 +325,9 @@ func TestReadMessageRejectsBadLength(t *testing.T) {
 // Property: FlowMod round-trips for arbitrary probe-rule contents.
 func TestFlowModRoundTripProperty(t *testing.T) {
 	f := func(id uint32, prio uint16, cmd uint8, port uint16, cookie uint64) bool {
+		if port == PortController {
+			port-- // an output to the controller port decodes as a controller action
+		}
 		m := &FlowMod{
 			Header:   Header{id},
 			Match:    flowtable.ExactProbeMatch(id % 100000),

@@ -167,8 +167,8 @@ const ProbeFrameLen = ethernetHeaderLen + ipv4HeaderLen + tcpHeaderLen
 // for spec — the same Frame a DecodeInto of BuildProbe's wire bytes would
 // yield, including the derived IPv4 length and the packed address word the
 // exact-match fast path keys on. In-process senders (the probing engine over
-// a FrameDevice, the scale harness' per-site frames) build one frame
-// this way and skip the encode/decode round trip entirely. The fields that
+// a FrameDevice, the conformance background drivers) build one frame this
+// way and skip the encode/decode round trip entirely. The fields that
 // depend on the flow ID are RetargetProbeFrame's; the ones set here are the
 // same for every ID.
 func BuildProbeFrame(f *Frame, spec ProbeSpec) {

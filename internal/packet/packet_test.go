@@ -284,9 +284,9 @@ func TestDecodeRobustness(t *testing.T) {
 // probeFrameMismatch mints flow id's frame three ways — BuildProbeFrame,
 // RetargetProbeFrame from flow prev's frame, and a decode of AppendBuildProbe's
 // bytes in a buffer that held prev's — and describes the first disagreement
-// ("" when all three agree). The engine and the scale harness send whichever
-// is cheapest, so any divergence would break the encode-path/decode-path
-// equivalence the differential gates rely on.
+// ("" when all three agree). The engine and the conformance background
+// drivers send whichever is cheapest, so any divergence would break the
+// encode-path/decode-path equivalence the differential gates rely on.
 func probeFrameMismatch(id, prev uint32, proto IPProtocol, payload []byte) string {
 	spec := ProbeSpec{FlowID: id, Proto: proto, Payload: payload}
 	prevSpec := ProbeSpec{FlowID: prev, Proto: proto, Payload: payload}

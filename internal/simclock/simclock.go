@@ -34,12 +34,11 @@ const cacheLine = 64
 // not take a lock of their own (the ~50 ns mutex pair showed up as several
 // percent of the probing benchmarks).
 //
-// The offset word is padded out to its own cache line. Sharded scale runs
-// keep one Virtual per shard in a contiguous slice (Group); without the
-// padding, neighbouring shards' offsets share a line and every Sleep
-// invalidates the other shards' cached copies — classic false sharing, which
-// dominates once a dozen shards hammer their clocks millions of times per
-// second (see BenchmarkVirtualNowParallel for the before/after).
+// The offset word is padded out to its own cache line. Clocks advance
+// concurrently on separate goroutines — each simulated fleet member and each
+// parallel inference cell of the experiments owns one, allocated on its own —
+// and the padding keeps one clock's Sleep traffic from invalidating a
+// neighbouring allocation's cached line however the allocator packs them.
 type Virtual struct {
 	base time.Time
 	_    [cacheLine - 24]byte // time.Time is 24 bytes; start off on a fresh line

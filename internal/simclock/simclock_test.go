@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestVirtualStartsAtEpoch(t *testing.T) {
@@ -58,6 +59,21 @@ func TestZeroValueVirtualUsable(t *testing.T) {
 	v.Sleep(time.Minute)
 	if got := v.Now(); !got.Equal(time.Time{}.Add(time.Minute)) {
 		t.Fatalf("zero-value clock: %v", got)
+	}
+}
+
+// TestVirtualOffsetPadding pins the clock's layout: the atomic offset sits
+// on its own cache line and the struct is a whole number of lines, so clocks
+// advanced concurrently on separate goroutines (fleet members, parallel
+// inference cells) never share a line with a neighbouring allocation.
+func TestVirtualOffsetPadding(t *testing.T) {
+	var v Virtual
+	offOffset := unsafe.Offsetof(v.off)
+	if offOffset%cacheLine != 0 {
+		t.Fatalf("off at offset %d, not cache-line aligned", offOffset)
+	}
+	if size := unsafe.Sizeof(v); size%cacheLine != 0 {
+		t.Fatalf("Virtual size %d is not a cache-line multiple", size)
 	}
 }
 

@@ -240,8 +240,10 @@ func checkGroups(t *testing.T, s *Switch, inTCAM, inSoft map[int32]bool) {
 
 // checkArena asserts the flat-arena bookkeeping invariants: every tracked
 // rule resolves to a live arena record and vice versa (no leaks, no
-// dangling handles), and every free-listed slot is dead — its zeroed self
-// field makes stale handles resolve to nil.
+// dangling handles), every tracked exact-match rule is reachable from its
+// key in the exact index, the timed-rule list holds exactly the live
+// entries that carry a timeout, and every free-listed slot is dead — its
+// zeroed self field makes stale handles resolve to nil.
 func checkArena(t *testing.T, s *Switch) {
 	t.Helper()
 	tracked := 0
@@ -254,7 +256,45 @@ func checkArena(t *testing.T, s *Switch) {
 		if e.rule != r {
 			t.Fatalf("arena record %d points at the wrong rule", e.self)
 		}
+		if k, ok := flowtable.ExactKey(&r.Match); ok {
+			h := s.exact.get(k)
+			for h != 0 && h != r.Ext {
+				h = s.entries[h].nextKey
+			}
+			if h == 0 {
+				t.Fatalf("tracked rule %v (handle %d) is unreachable from its key in the exact index", r.Match, r.Ext)
+			}
+		}
 	})
+	heads := 0
+	for _, h := range s.exact.slots {
+		if h != 0 {
+			heads++
+		}
+	}
+	if heads != s.exact.used {
+		t.Fatalf("exact index counts %d keys but holds %d", s.exact.used, heads)
+	}
+	timed := 0
+	for h := int32(1); int(h) < len(s.entries); h++ {
+		e := s.entryAt(h)
+		if e == nil {
+			continue
+		}
+		if hasTimeout := e.rule.IdleTimeout > 0 || e.rule.HardTimeout > 0; hasTimeout != (e.timedIdx != noTimed) {
+			t.Fatalf("entry %d: rule timeouts %d/%d but timed-list position %d", h, e.rule.IdleTimeout, e.rule.HardTimeout, e.timedIdx)
+		}
+		if e.timedIdx == noTimed {
+			continue
+		}
+		timed++
+		if int(e.timedIdx) >= len(s.timedEnts) || s.timedEnts[e.timedIdx] != h {
+			t.Fatalf("entry %d names timed-list position %d, which does not hold it", h, e.timedIdx)
+		}
+	}
+	if timed != len(s.timedEnts) {
+		t.Fatalf("timed-rule list holds %d handles, %d live entries carry a timeout", len(s.timedEnts), timed)
+	}
 	if live := s.arenaLive(); live != tracked {
 		t.Fatalf("arena holds %d live records, switch tracks %d rules", live, tracked)
 	}

@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -149,4 +150,117 @@ func TestNoTimeoutRulesCostNothing(t *testing.T) {
 	if !s.nextExpiry.IsZero() {
 		t.Fatal("expiry deadline set without any timed rules")
 	}
+}
+
+// TestFullHierarchyTimedExpiry is the big-table path at full size: one
+// Switch #1 filled to its whole hierarchy — 2048 TCAM entries plus the
+// default 1<<17-rule software table — at one priority, so every software
+// install is an append and the exact index grows through every resize up to
+// its largest. Every 16th rule carries a hard timeout and every 16th, offset
+// by eight, an idle one; the two kinds are expired in separate sweeps, so
+// each sweep swap-removes entries out of the middle of the timed-rule list.
+// The arena, index and timed-list invariants must hold after each step.
+func TestFullHierarchyTimedExpiry(t *testing.T) {
+	p := Switch1()
+	p.SoftwareCapacity = defaultSoftwareCapacity
+	clk := simclock.NewVirtual()
+	s := New(p, WithClock(clk))
+	tcamCap := p.TCAM.CapacityWide
+	capacity := tcamCap + defaultSoftwareCapacity
+	const (
+		prio        = 100
+		hardTimeout = 60  // seconds
+		idleTimeout = 600 // seconds
+	)
+
+	start := clk.Now()
+	var hard, idle []uint32
+	for id := uint32(0); id < uint32(capacity); id++ {
+		fm := openflow.FlowMod{
+			Command:  openflow.FlowAdd,
+			Match:    flowtable.ExactProbeMatch(id),
+			Priority: prio,
+			Actions:  flowtable.Output(1),
+		}
+		switch id % 16 {
+		case 1:
+			fm.HardTimeout, fm.Flags = hardTimeout, openflow.FlagSendFlowRem
+			hard = append(hard, id)
+		case 9:
+			fm.IdleTimeout, fm.Flags = idleTimeout, openflow.FlagSendFlowRem
+			idle = append(idle, id)
+		}
+		if err := s.FlowMod(&fm); err != nil {
+			t.Fatalf("add flow %d of %d: %v", id, capacity, err)
+		}
+	}
+	if fill := clk.Now().Sub(start); fill+hardTimeout*time.Second >= idleTimeout*time.Second {
+		t.Fatalf("the fill took %v of virtual time: idle rules would expire in the hard-timeout sweep", fill)
+	}
+	if err := addFlowErr(s, uint32(capacity), prio); !errors.Is(err, ErrTableFull) {
+		t.Fatalf("add past %d rules: err = %v, want ErrTableFull", capacity, err)
+	}
+	checkCounts := func(stage string, tcam, soft, timed int) {
+		t.Helper()
+		if gotTCAM, _, gotSoft := s.RuleCount(); gotTCAM != tcam || gotSoft != soft {
+			t.Fatalf("%s: %d TCAM + %d software rules, want %d + %d", stage, gotTCAM, gotSoft, tcam, soft)
+		}
+		if len(s.timedEnts) != timed {
+			t.Fatalf("%s: timed-rule list holds %d, want %d", stage, len(s.timedEnts), timed)
+		}
+		checkIndexes(t, s)
+	}
+	checkCounts("full", tcamCap, defaultSoftwareCapacity, len(hard)+len(idle))
+	// FIFO keeps the first installs in TCAM; the rest append to the software
+	// table in install order.
+	for i, r := range s.software.Rules() {
+		if want := flowtable.ExactProbeMatch(uint32(tcamCap + i)); r.Match != want {
+			t.Fatalf("software slot %d holds %v, want flow %d's rule", i, r.Match, tcamCap+i)
+		}
+	}
+	if res := sendProbe(t, s, 0); res.Path != PathFast {
+		t.Fatalf("first install served by %v, want fast", res.Path)
+	}
+	if res := sendProbe(t, s, uint32(capacity-1)); res.Path != PathSlow {
+		t.Fatalf("last install served by %v, want slow", res.Path)
+	}
+
+	expire := func(stage string, after time.Duration, ids []uint32, reason uint8) {
+		t.Helper()
+		clk.Sleep(after)
+		s.ExpireNow()
+		removed := s.TakeFlowRemoved()
+		if len(removed) != len(ids) {
+			t.Fatalf("%s: %d FLOW_REMOVED notifications, want %d", stage, len(removed), len(ids))
+		}
+		for i, fr := range removed {
+			if fr.Reason != reason {
+				t.Fatalf("%s: notification %d has reason %d, want %d", stage, i, fr.Reason, reason)
+			}
+		}
+	}
+	// Freed TCAM slots refill from the software table, so TCAM stays full.
+	expire("hard sweep", hardTimeout*time.Second, hard, openflow.RemovedHardTimeout)
+	live := capacity - len(hard)
+	checkCounts("after the hard sweep", tcamCap, live-tcamCap, len(idle))
+	expire("idle sweep", idleTimeout*time.Second, idle, openflow.RemovedIdleTimeout)
+	live -= len(idle)
+	checkCounts("after the idle sweep", tcamCap, live-tcamCap, 0)
+	if !s.nextExpiry.IsZero() {
+		t.Fatalf("no timed rule left, but the next sweep is due at %v", s.nextExpiry)
+	}
+
+	// The expired rules' arena slots are reused: refilling to capacity grows
+	// nothing, and the table is full again at the same count.
+	arena := len(s.entries)
+	for _, id := range append(hard, idle...) {
+		addFlow(t, s, id, prio)
+	}
+	if len(s.entries) != arena {
+		t.Fatalf("refill grew the arena from %d to %d slots", arena, len(s.entries))
+	}
+	if err := addFlowErr(s, uint32(capacity), prio); !errors.Is(err, ErrTableFull) {
+		t.Fatalf("add past %d rules after the refill: err = %v, want ErrTableFull", capacity, err)
+	}
+	checkCounts("refilled", tcamCap, defaultSoftwareCapacity, 0)
 }

@@ -260,7 +260,7 @@ func New(p Profile, opts ...Option) *Switch {
 	s.exact.init(s.trackedHint())
 	s.initIndexes()
 	// Bind to the process-wide default telemetry (a no-op unless a command
-	// installed one); WithTelemetry overrides it below.
+	// installed one).
 	s.tel.init(telemetry.Default(), telemetry.DefaultTracer(), p.Name)
 	for _, o := range opts {
 		o(s)

@@ -70,12 +70,6 @@ func (t *switchTelemetry) enabled() bool {
 	return t.hFlowMod != nil || t.tracer != nil
 }
 
-// WithTelemetry binds the switch to a registry and tracer instead of the
-// process-wide defaults picked up at New time. Either argument may be nil.
-func WithTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) Option {
-	return func(s *Switch) { s.tel.init(reg, tr, s.profile.Name) }
-}
-
 // noteFlowModDone records the flow-mod's virtual latency (histogram +
 // switch.flowmod span) and refreshes the occupancy gauges. Callers hold
 // s.mu. start is the virtual instant the flow-mod began.
