@@ -233,19 +233,10 @@ func searchByOrder(rules []*Rule, priority uint16, seq uint64) int {
 }
 
 // findByOrder locates r in a table-ordered slice by binary search on its
-// (priority, seq) key. A linear fallback covers rules whose seq was restamped
-// by another table between ordering and removal — correctness net, never the
-// common path.
+// (priority, seq) key.
 func findByOrder(rules []*Rule, r *Rule) (int, bool) {
-	if i := searchByOrder(rules, r.Priority, r.seq); i < len(rules) && rules[i] == r {
-		return i, true
-	}
-	for i, rr := range rules {
-		if rr == r {
-			return i, true
-		}
-	}
-	return 0, false
+	i := searchByOrder(rules, r.Priority, r.seq)
+	return i, i < len(rules) && rules[i] == r
 }
 
 // Errors returned by table mutations.
@@ -350,16 +341,6 @@ func (t *Table) find(m *Match, priority uint16) *Rule {
 // Lookup to match frames.
 func (t *Table) Find(m *Match, priority uint16) *Rule { return t.find(m, priority) }
 
-// CanInsert reports whether Insert would accept r right now: there is spare
-// capacity, or an identical (match, priority) rule exists that Insert would
-// overwrite in place.
-func (t *Table) CanInsert(r *Rule) bool {
-	if t.Capacity <= 0 || len(t.rules) < t.Capacity {
-		return true
-	}
-	return t.find(&r.Match, r.Priority) != nil
-}
-
 // Delete removes the rule identified by (match, priority) and returns it.
 func (t *Table) Delete(m *Match, priority uint16) (*Rule, error) {
 	r := t.find(m, priority)
@@ -370,14 +351,14 @@ func (t *Table) Delete(m *Match, priority uint16) (*Rule, error) {
 	return r, nil
 }
 
-// Remove deletes the given rule pointer if present (used by cache eviction).
-// The rule's position is found by binary search on its (priority, seq) key.
+// Remove deletes the given rule pointer if present. The rule's position is
+// found by binary search on its (priority, seq) key.
 //
-// The slice is closed up from whichever end is nearer, deque-style: eviction
-// policies overwhelmingly remove the oldest rule of an equal-priority run —
-// the front of the table under a single-priority probing fill — and shifting
-// the (empty) prefix instead of the whole tail turns that from an O(n)
-// barriered pointer copy per eviction into a constant-time head advance.
+// The slice is closed up from whichever end is nearer, deque-style: clearing
+// a single-priority probing fill deletes the oldest rule of an
+// equal-priority run — the front of the table — and shifting the (empty)
+// prefix instead of the whole tail turns that from an O(n) barriered pointer
+// copy per delete into a constant-time head advance.
 func (t *Table) Remove(target *Rule) bool {
 	i, ok := findByOrder(t.rules, target)
 	if !ok {
@@ -400,15 +381,22 @@ func (t *Table) Remove(target *Rule) bool {
 // equal-priority rules resolve to the earliest installed, exactly as the
 // priority-ordered scan of the full table would.
 func (t *Table) Lookup(f *packet.Frame, inPort uint16) *Rule {
+	return t.LookupWhere(f, inPort, nil)
+}
+
+// LookupWhere is Lookup over the rules keep accepts; a nil keep accepts
+// every rule. A switch whose tiers share one table looks up one tier at a
+// time this way.
+func (t *Table) LookupWhere(f *packet.Frame, inPort uint16, keep func(*Rule) bool) *Rule {
 	var best *Rule
 	if f.HasIPv4 {
 		if k, ok := packAddrs(f.IP.Src, f.IP.Dst); ok {
 			b := t.exact[k]
-			if b.one != nil && b.one.Match.Matches(f, inPort) {
+			if b.one != nil && (keep == nil || keep(b.one)) && b.one.Match.Matches(f, inPort) {
 				best = b.one
 			}
 			for _, r := range b.more {
-				if !r.Match.Matches(f, inPort) {
+				if (keep != nil && !keep(r)) || !r.Match.Matches(f, inPort) {
 					continue
 				}
 				if best == nil || r.Priority > best.Priority ||
@@ -423,7 +411,7 @@ func (t *Table) Lookup(f *packet.Frame, inPort uint16) *Rule {
 			(r.Priority == best.Priority && r.seq > best.seq)) {
 			break // wild is in table order; nothing later can beat best
 		}
-		if r.Match.Matches(f, inPort) {
+		if (keep == nil || keep(r)) && r.Match.Matches(f, inPort) {
 			return r
 		}
 	}

@@ -283,34 +283,27 @@ func TestTouch(t *testing.T) {
 
 func TestTCAMSingleWideRejectsWide(t *testing.T) {
 	tc := NewTCAM(TCAMConfig{Mode: ModeSingleWide, CapacityNarrow: 4})
-	r := mkRule(1, 1) // L2+L3
-	if _, err := tc.Insert(r, t0); !errors.Is(err, ErrWidthUnsupported) {
-		t.Fatalf("err = %v, want ErrWidthUnsupported", err)
+	if tc.Admits(WidthL2L3) || tc.Fits(WidthL2L3) || tc.Take(WidthL2L3) {
+		t.Fatal("single-wide TCAM accepts an L2+L3 entry")
 	}
-	nr := &Rule{Match: L3ProbeMatch(1), Priority: 1}
-	if _, err := tc.Insert(nr, t0); err != nil {
-		t.Fatal(err)
+	if !tc.Admits(WidthL3) || !tc.Take(WidthL3) {
+		t.Fatal("single-wide TCAM refuses an L3 entry")
 	}
-	if tc.effectiveCapacity(WidthL3) != 3 {
-		t.Fatalf("effective capacity = %d, want 3", tc.effectiveCapacity(WidthL3))
+	if tc.effectiveCapacity(WidthL3) != 3 || tc.Len() != 1 {
+		t.Fatalf("effective capacity = %d with %d entries, want 3 with 1", tc.effectiveCapacity(WidthL3), tc.Len())
 	}
 }
 
 func TestTCAMDoubleWideFlat(t *testing.T) {
 	// Switch #2 style: 2560 entries no matter the mix. Scaled to 6 here.
 	tc := NewTCAM(TCAMConfig{Mode: ModeDoubleWide, CapacityNarrow: 6, CapacityWide: 6})
-	for id := uint32(0); id < 3; id++ {
-		if _, err := tc.Insert(&Rule{Match: L2ProbeMatch(id), Priority: 1}, t0); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if !tc.Take(WidthL2) || !tc.Take(WidthL2L3) {
+			t.Fatalf("entry pair %d refused", i)
 		}
 	}
-	for id := uint32(10); id < 13; id++ {
-		if _, err := tc.Insert(mkRule(id, 1), t0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := tc.Insert(mkRule(99, 1), t0); !errors.Is(err, ErrTableFull) {
-		t.Fatalf("err = %v, want ErrTableFull", err)
+	if tc.Take(WidthL2) || tc.Len() != 6 {
+		t.Fatalf("full TCAM took a seventh entry (len %d)", tc.Len())
 	}
 }
 
@@ -318,44 +311,38 @@ func TestTCAMAdaptiveMixing(t *testing.T) {
 	// Switch #3 style, scaled: 6 narrow or 3 wide.
 	tc := NewTCAM(TCAMConfig{Mode: ModeAdaptive, CapacityNarrow: 6, CapacityWide: 3})
 	// One wide entry consumes the space of two narrow ones.
-	if _, err := tc.Insert(mkRule(1, 1), t0); err != nil {
-		t.Fatal(err)
+	if !tc.Take(WidthL2L3) {
+		t.Fatal("wide entry refused")
 	}
 	if got := tc.effectiveCapacity(WidthL2); got != 4 {
 		t.Fatalf("narrow capacity after one wide = %d, want 4", got)
 	}
-	for id := uint32(10); id < 14; id++ {
-		if _, err := tc.Insert(&Rule{Match: L2ProbeMatch(id), Priority: 1}, t0); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 4; i++ {
+		if !tc.Take(WidthL2) {
+			t.Fatalf("narrow entry %d refused", i)
 		}
 	}
 	if tc.Fits(WidthL2) || tc.Fits(WidthL2L3) {
 		t.Fatal("full TCAM still admits entries")
 	}
-	// Deleting the wide entry frees room for two narrow entries.
-	m := ExactProbeMatch(1)
-	if !tc.Remove(tc.Find(&m, 1)) {
-		t.Fatal("wide entry not removed")
-	}
+	// Releasing the wide entry frees room for two narrow entries.
+	tc.Release(WidthL2L3)
 	if got := tc.effectiveCapacity(WidthL2); got != 2 {
-		t.Fatalf("narrow capacity after delete = %d, want 2", got)
+		t.Fatalf("narrow capacity after release = %d, want 2", got)
 	}
 }
 
 func TestTCAMRemoveReleasesSpace(t *testing.T) {
 	tc := NewTCAM(TCAMConfig{Mode: ModeDoubleWide, CapacityNarrow: 1, CapacityWide: 1})
-	r := mkRule(1, 1)
-	if _, err := tc.Insert(r, t0); err != nil {
-		t.Fatal(err)
+	if !tc.Take(WidthL2L3) {
+		t.Fatal("empty TCAM refused an entry")
 	}
-	if !tc.Remove(r) {
-		t.Fatal("remove failed")
+	if tc.Take(WidthL2L3) {
+		t.Fatal("one-entry TCAM took a second entry")
 	}
-	if tc.Remove(r) {
-		t.Fatal("double remove succeeded")
-	}
-	if _, err := tc.Insert(mkRule(2, 1), t0); err != nil {
-		t.Fatalf("space not released: %v", err)
+	tc.Release(WidthL2L3)
+	if tc.Len() != 0 || !tc.Take(WidthL2L3) {
+		t.Fatalf("space not released: len %d", tc.Len())
 	}
 }
 
@@ -364,36 +351,24 @@ func TestTCAMTable1Capacities(t *testing.T) {
 	cases := []struct {
 		name        string
 		cfg         TCAMConfig
-		wide        bool
+		width       Width
 		wantInstall int
 	}{
-		{"switch1-single-L3", TCAMConfig{Mode: ModeSingleWide, CapacityNarrow: 4096}, false, 4096},
-		{"switch1-double", TCAMConfig{Mode: ModeDoubleWide, CapacityNarrow: 2048, CapacityWide: 2048}, true, 2048},
-		{"switch2-any", TCAMConfig{Mode: ModeDoubleWide, CapacityNarrow: 2560, CapacityWide: 2560}, false, 2560},
-		{"switch3-narrow", TCAMConfig{Mode: ModeAdaptive, CapacityNarrow: 767, CapacityWide: 369}, false, 767},
-		{"switch3-wide", TCAMConfig{Mode: ModeAdaptive, CapacityNarrow: 767, CapacityWide: 369}, true, 369},
+		{"switch1-single-L3", TCAMConfig{Mode: ModeSingleWide, CapacityNarrow: 4096}, WidthL3, 4096},
+		{"switch1-double", TCAMConfig{Mode: ModeDoubleWide, CapacityNarrow: 2048, CapacityWide: 2048}, WidthL2L3, 2048},
+		{"switch2-any", TCAMConfig{Mode: ModeDoubleWide, CapacityNarrow: 2560, CapacityWide: 2560}, WidthL3, 2560},
+		{"switch3-narrow", TCAMConfig{Mode: ModeAdaptive, CapacityNarrow: 767, CapacityWide: 369}, WidthL3, 767},
+		{"switch3-wide", TCAMConfig{Mode: ModeAdaptive, CapacityNarrow: 767, CapacityWide: 369}, WidthL2L3, 369},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			tc := NewTCAM(c.cfg)
 			n := 0
-			for id := uint32(0); ; id++ {
-				var r *Rule
-				if c.wide {
-					r = mkRule(id, 1)
-				} else {
-					r = &Rule{Match: L3ProbeMatch(id), Priority: 1}
-				}
-				if _, err := tc.Insert(r, t0); err != nil {
-					break
-				}
+			for n <= c.wantInstall+10 && tc.Take(c.width) {
 				n++
-				if n > c.wantInstall+10 {
-					break
-				}
 			}
-			if n != c.wantInstall {
-				t.Fatalf("installed %d rules, want %d", n, c.wantInstall)
+			if n != c.wantInstall || tc.Len() != n {
+				t.Fatalf("installed %d entries (len %d), want %d", n, tc.Len(), c.wantInstall)
 			}
 		})
 	}
@@ -463,15 +438,22 @@ func TestShiftCostConsistency(t *testing.T) {
 
 // TestLookupIndexEquivalence verifies the exact-IP index fast path returns
 // exactly what a naive priority-ordered scan would, across random mixes of
-// indexable (exact-IP) and wildcard rules and random probe frames.
+// indexable (exact-IP) and wildcard rules and random probe frames — over the
+// whole table and over a subset, the way a switch looks up one tier of a
+// table its tiers share.
 func TestLookupIndexEquivalence(t *testing.T) {
-	naiveLookup := func(tbl *Table, f *packet.Frame, inPort uint16) *Rule {
+	naive := func(tbl *Table, f *packet.Frame, inPort uint16, keep func(*Rule) bool) *Rule {
 		for _, r := range tbl.Rules() {
-			if r.Match.Matches(f, inPort) {
+			if (keep == nil || keep(r)) && r.Match.Matches(f, inPort) {
 				return r
 			}
 		}
 		return nil
+	}
+	odd := func(r *Rule) bool { return r.Cookie%2 == 1 }
+	agree := func(tbl *Table, fr *packet.Frame) bool {
+		return tbl.Lookup(fr, 1) == naive(tbl, fr, 1, nil) &&
+			tbl.LookupWhere(fr, 1, odd) == naive(tbl, fr, 1, odd)
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -480,7 +462,7 @@ func TestLookupIndexEquivalence(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			id := uint32(rng.Intn(20))
 			prio := uint16(rng.Intn(5) * 10)
-			tbl.Insert(&Rule{Match: ExactProbeMatch(id), Priority: prio, Actions: Output(1)}, t0)
+			tbl.Insert(&Rule{Match: ExactProbeMatch(id), Priority: prio, Actions: Output(1), Cookie: uint64(i)}, t0)
 		}
 		// Wildcard rules: prefixes over the probe address space + match-all.
 		for i := 0; i < 10; i++ {
@@ -489,7 +471,7 @@ func TestLookupIndexEquivalence(t *testing.T) {
 				Fields: FieldNwSrc,
 				NwSrc:  netip.PrefixFrom(packet.ProbeSrcIP(uint32(rng.Intn(20))), bits).Masked(),
 			}
-			tbl.Insert(&Rule{Match: m, Priority: uint16(rng.Intn(5) * 10), Actions: Output(2)}, t0)
+			tbl.Insert(&Rule{Match: m, Priority: uint16(rng.Intn(5) * 10), Actions: Output(2), Cookie: uint64(i)}, t0)
 		}
 		tbl.Insert(&Rule{Match: Match{}, Priority: 0, Actions: Output(3)}, t0)
 
@@ -502,7 +484,7 @@ func TestLookupIndexEquivalence(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if tbl.Lookup(fr, 1) != naiveLookup(&tbl, fr, 1) {
+			if !agree(&tbl, fr) {
 				return false
 			}
 		}
@@ -515,7 +497,7 @@ func TestLookupIndexEquivalence(t *testing.T) {
 		for probe := 0; probe < 40; probe++ {
 			raw, _ := packet.BuildProbe(packet.ProbeSpec{FlowID: uint32(rng.Intn(25))})
 			fr, _ := decodeFrame(raw)
-			if tbl.Lookup(fr, 1) != naiveLookup(&tbl, fr, 1) {
+			if !agree(&tbl, fr) {
 				return false
 			}
 		}
@@ -559,8 +541,8 @@ func (t *Table) validate() error {
 
 // effectiveCapacity returns how many more entries of width w fit right now.
 func (t *TCAM) effectiveCapacity(w Width) int {
-	u, err := t.unitsFor(w)
-	if err != nil {
+	u, ok := t.unitsFor(w)
+	if !ok {
 		return 0
 	}
 	return int((t.budgetUnits() - t.usedUnits) / u)

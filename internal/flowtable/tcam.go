@@ -1,12 +1,6 @@
 package flowtable
 
-import (
-	"errors"
-	"fmt"
-	"time"
-
-	"tango/internal/packet"
-)
+import "fmt"
 
 // TCAMMode selects how a TCAM charges entries of different widths against
 // its capacity, reproducing the three hardware designs of Table 1.
@@ -52,20 +46,16 @@ type TCAMConfig struct {
 	CapacityWide int
 }
 
-// ErrWidthUnsupported is returned when an entry's width cannot be installed
-// in the TCAM's current mode.
-var ErrWidthUnsupported = errors.New("flowtable: entry width unsupported by TCAM mode")
-
-// TCAM is a capacity-constrained priority flow table. Space accounting uses
-// exact integer "units": a narrow entry costs CapacityWide units, a wide
-// entry CapacityNarrow units, against a budget of CapacityNarrow ×
-// CapacityWide units. This reproduces any (narrow, wide) capacity pair
-// without floating-point drift. Take rules out with TCAM.Remove: the
-// embedded Table's Delete would not release their units.
+// TCAM is the width-aware space budget of a hardware table. It stores no
+// rules: its owner keeps them and charges the budget for the ones it holds
+// in the TCAM. Space accounting uses exact integer "units": a narrow entry
+// costs CapacityWide units, a wide entry CapacityNarrow units, against a
+// budget of CapacityNarrow × CapacityWide units. This reproduces any
+// (narrow, wide) capacity pair without floating-point drift.
 type TCAM struct {
-	Table
 	cfg       TCAMConfig
 	usedUnits int64
+	entries   int
 }
 
 // NewTCAM returns an empty TCAM with the given configuration. It panics on
@@ -83,87 +73,61 @@ func NewTCAM(cfg TCAMConfig) *TCAM {
 	return &TCAM{cfg: cfg}
 }
 
-// Config returns the TCAM's configuration.
-func (t *TCAM) Config() TCAMConfig { return t.cfg }
+// Len returns the number of entries charged to the TCAM.
+func (t *TCAM) Len() int { return t.entries }
 
 // budgetUnits is the total space budget in units.
 func (t *TCAM) budgetUnits() int64 {
 	return int64(t.cfg.CapacityNarrow) * int64(t.cfg.CapacityWide)
 }
 
-// unitsFor returns the unit cost of installing an entry of width w, or an
-// error when the mode cannot host it.
-func (t *TCAM) unitsFor(w Width) (int64, error) {
+// unitsFor returns the unit cost of an entry of width w; ok is false when
+// the mode cannot host it.
+func (t *TCAM) unitsFor(w Width) (units int64, ok bool) {
 	switch t.cfg.Mode {
 	case ModeSingleWide:
 		if w == WidthL2L3 {
-			return 0, ErrWidthUnsupported
+			return 0, false
 		}
-		return int64(t.cfg.CapacityWide), nil
+		return int64(t.cfg.CapacityWide), true
 	case ModeDoubleWide:
 		// Everything occupies a double-wide physical slot.
-		return int64(t.cfg.CapacityNarrow), nil
+		return int64(t.cfg.CapacityNarrow), true
 	default: // ModeAdaptive
 		if w == WidthL2L3 {
-			return int64(t.cfg.CapacityNarrow), nil
+			return int64(t.cfg.CapacityNarrow), true
 		}
-		return int64(t.cfg.CapacityWide), nil
+		return int64(t.cfg.CapacityWide), true
 	}
 }
 
-// Fits reports whether an entry of width w can currently be installed.
+// Admits reports whether the TCAM's mode can host entries of width w at all.
+func (t *TCAM) Admits(w Width) bool {
+	_, ok := t.unitsFor(w)
+	return ok
+}
+
+// Fits reports whether an entry of width w can be charged right now.
 func (t *TCAM) Fits(w Width) bool {
-	u, err := t.unitsFor(w)
-	if err != nil {
-		return false
-	}
-	return t.usedUnits+u <= t.budgetUnits()
+	u, ok := t.unitsFor(w)
+	return ok && t.usedUnits+u <= t.budgetUnits()
 }
 
-// Insert installs the rule, charging its width against capacity. It returns
-// the number of displaced (shifted) entries for the latency model.
-func (t *TCAM) Insert(r *Rule, now time.Time) (shifted int, err error) {
-	u, err := t.unitsFor(r.Match.Width())
-	if err != nil {
-		return 0, err
+// Take charges one entry of width w against the budget, reporting false —
+// and charging nothing — when it does not fit.
+func (t *TCAM) Take(w Width) bool {
+	if !t.Fits(w) {
+		return false
 	}
-	if existing := t.find(&r.Match, r.Priority); existing != nil {
-		// Overwrite in place: no new space consumed.
-		existing.Actions = r.Actions
-		existing.Cookie = r.Cookie
-		return 0, nil
-	}
-	if t.usedUnits+u > t.budgetUnits() {
-		return 0, ErrTableFull
-	}
-	shifted, err = t.Table.Insert(r, now)
-	if err != nil {
-		return 0, err
-	}
+	u, _ := t.unitsFor(w)
 	t.usedUnits += u
-	return shifted, nil
-}
-
-// Remove evicts the specific rule pointer, releasing space.
-func (t *TCAM) Remove(r *Rule) bool {
-	if !t.Table.Remove(r) {
-		return false
-	}
-	t.release(r)
+	t.entries++
 	return true
 }
 
-func (t *TCAM) release(r *Rule) {
-	u, err := t.unitsFor(r.Match.Width())
-	if err == nil {
-		t.usedUnits -= u
-		if t.usedUnits < 0 {
-			t.usedUnits = 0
-		}
-	}
-}
-
-// Lookup returns the highest-priority matching rule (see Table.Lookup).
-func (t *TCAM) Lookup(f *packet.Frame, inPort uint16) *Rule {
-	return t.Table.Lookup(f, inPort)
+// Release returns the space of one entry of width w that Take charged.
+func (t *TCAM) Release(w Width) {
+	u, _ := t.unitsFor(w)
+	t.usedUnits -= u
+	t.entries--
 }

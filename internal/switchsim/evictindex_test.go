@@ -18,12 +18,8 @@ import (
 // can see a custom policy's per-switch state.
 func (s *Switch) worstTCAMEntryNaive() *entry {
 	var worst *entry
-	for _, r := range s.tcam.Rules() {
-		e := s.entryOf(r)
-		if e == nil {
-			continue
-		}
-		if worst == nil || s.better(worst, e) {
+	for h := int32(1); int(h) < len(s.entries); h++ {
+		if e := s.entryAt(h); e != nil && e.inTCAM && (worst == nil || s.better(worst, e)) {
 			worst = e
 		}
 	}
@@ -33,9 +29,9 @@ func (s *Switch) worstTCAMEntryNaive() *entry {
 // bestSoftwareEntryNaive is the oracle scan for promotion.
 func (s *Switch) bestSoftwareEntryNaive() *entry {
 	var best *entry
-	for _, r := range s.software.Rules() {
-		e := s.entryOf(r)
-		if e == nil || !s.tcamAdmits(r.Match.Width()) {
+	for h := int32(1); int(h) < len(s.entries); h++ {
+		e := s.entryAt(h)
+		if e == nil || !e.inSoft || !s.tcamAdmits(e.rule.Match.Width()) {
 			continue
 		}
 		if best == nil || s.better(e, best) {
@@ -73,24 +69,24 @@ func checkIndexes(t *testing.T, s *Switch) {
 		heapMembers(t, s, "eviction", s.evictIdx, inEvict)
 		heapMembers(t, s, "promotion", s.promoteIdx, inPromote)
 	}
-	for _, r := range s.tcam.Rules() {
-		if e := s.entryOf(r); e != nil && !inEvict[e.self] {
-			t.Fatalf("TCAM resident %v missing from eviction index", r.Match)
+	tcam, eligible := 0, 0
+	for h := int32(1); int(h) < len(s.entries); h++ {
+		switch e := s.entryAt(h); {
+		case e == nil:
+		case e.inTCAM:
+			tcam++
+			if !inEvict[h] {
+				t.Fatalf("TCAM resident %v missing from eviction index", e.rule.Match)
+			}
+		case s.tcamAdmits(e.rule.Match.Width()):
+			eligible++
+			if !inPromote[h] {
+				t.Fatalf("software resident %v missing from promotion index", e.rule.Match)
+			}
 		}
 	}
-	if len(inEvict) != s.tcam.Len() {
-		t.Fatalf("eviction index tracks %d entries, TCAM holds %d", len(inEvict), s.tcam.Len())
-	}
-	eligible := 0
-	for _, r := range s.software.Rules() {
-		e := s.entryOf(r)
-		if e == nil || !s.tcamAdmits(r.Match.Width()) {
-			continue
-		}
-		eligible++
-		if !inPromote[e.self] {
-			t.Fatalf("software resident %v missing from promotion index", r.Match)
-		}
+	if len(inEvict) != tcam {
+		t.Fatalf("eviction index tracks %d entries, TCAM holds %d", len(inEvict), tcam)
 	}
 	if len(inPromote) != eligible {
 		t.Fatalf("promotion index tracks %d entries, software holds %d eligible", len(inPromote), eligible)
@@ -298,6 +294,7 @@ func checkArena(t *testing.T, s *Switch) {
 	if live := s.arenaLive(); live != tracked {
 		t.Fatalf("arena holds %d live records, switch tracks %d rules", live, tracked)
 	}
+	checkTiers(t, s, tracked)
 	onFree := map[int32]bool{}
 	for _, h := range s.freeEnts {
 		if onFree[h] {
@@ -314,6 +311,61 @@ func checkArena(t *testing.T, s *Switch) {
 			t.Fatalf("freed handle %d still resolves", h)
 		}
 	}
+}
+
+// checkTiers asserts the one-table invariants: no entry is in both tiers or
+// in neither; the TCAM budget holds exactly the units of the inTCAM
+// entries; the tier counts are the flag counts; and every tracked rule is in
+// the switch's one table exactly once.
+func checkTiers(t *testing.T, s *Switch, tracked int) {
+	t.Helper()
+	var want *flowtable.TCAM // the budget the inTCAM entries add up to
+	if s.tcam != nil {
+		want = flowtable.NewTCAM(s.profile.TCAM)
+	}
+	inTCAM, inSoft := 0, 0
+	for h := int32(1); int(h) < len(s.entries); h++ {
+		e := s.entryAt(h)
+		switch {
+		case e == nil:
+		case e.inTCAM && e.inSoft:
+			t.Fatalf("entry %d (%v) is in both tiers", h, e.rule.Match)
+		case e.inTCAM:
+			inTCAM++
+			if want == nil || !want.Take(e.rule.Match.Width()) {
+				t.Fatalf("TCAM resident %v overflows the TCAM budget", e.rule.Match)
+			}
+		case e.inSoft:
+			inSoft++
+		default:
+			t.Fatalf("entry %d (%v) is in neither tier", h, e.rule.Match)
+		}
+	}
+	tcam := 0
+	if want != nil {
+		if *want != *s.tcam {
+			t.Fatalf("TCAM budget is %+v, its residents add up to %+v", *s.tcam, *want)
+		}
+		tcam = s.tcam.Len()
+	}
+	if tcam != inTCAM || s.softLen() != inSoft {
+		t.Fatalf("tier counts %d TCAM + %d software, flags say %d + %d", tcam, s.softLen(), inTCAM, inSoft)
+	}
+	inTable := map[*flowtable.Rule]bool{}
+	for _, r := range s.rules.Rules() {
+		if inTable[r] {
+			t.Fatalf("rule %v is in the table twice", r.Match)
+		}
+		inTable[r] = true
+	}
+	if len(inTable) != tracked {
+		t.Fatalf("table holds %d rules, switch tracks %d", len(inTable), tracked)
+	}
+	s.forEachTracked(func(r *flowtable.Rule) {
+		if !inTable[r] || s.rules.Find(&r.Match, r.Priority) != r {
+			t.Fatalf("tracked rule %v is not the table's rule for its match and priority", r.Match)
+		}
+	})
 }
 
 // diffOpts shapes runDifferential's operation mix for the policy under test.

@@ -211,11 +211,11 @@ func TestFullHierarchyTimedExpiry(t *testing.T) {
 		checkIndexes(t, s)
 	}
 	checkCounts("full", tcamCap, defaultSoftwareCapacity, len(hard)+len(idle))
-	// FIFO keeps the first installs in TCAM; the rest append to the software
-	// table in install order.
-	for i, r := range s.software.Rules() {
-		if want := flowtable.ExactProbeMatch(uint32(tcamCap + i)); r.Match != want {
-			t.Fatalf("software slot %d holds %v, want flow %d's rule", i, r.Match, tcamCap+i)
+	// FIFO keeps the first installs in TCAM; the rest follow in the software
+	// tier in install order.
+	for i, r := range s.rules.Rules() {
+		if want := flowtable.ExactProbeMatch(uint32(i)); r.Match != want || s.entryOf(r).inTCAM != (i < tcamCap) {
+			t.Fatalf("table slot %d holds %v (in TCAM: %v), want flow %d's rule", i, r.Match, s.entryOf(r).inTCAM, i)
 		}
 	}
 	if res := sendProbe(t, s, 0); res.Path != PathFast {

@@ -16,8 +16,9 @@ package switchsim
 //   - deletion is tombstone-free: the hole is healed by backward-shifting
 //     the probe chain (the classic Robin-Hood deletion), so lookup cost
 //     never degrades with churn the way tombstone schemes do;
-//   - several rules sharing one key (duplicate-add phantoms) chain through
-//     the arena records' nextKey handles; the table stores only the head.
+//   - several rules sharing one key (the same address pair at other
+//     priorities or ports) chain through the arena records' nextKey
+//     handles; the table stores only the head.
 //
 // The table grows at 3/4 load. With the default pre-sizing (the switch's
 // whole table hierarchy) growth never happens mid-experiment.

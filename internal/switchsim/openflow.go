@@ -1,9 +1,6 @@
 package switchsim
 
-import (
-	"tango/internal/flowtable"
-	"tango/internal/openflow"
-)
+import "tango/internal/openflow"
 
 // Handle processes one OpenFlow message the way the emulated switch's agent
 // would, returning any reply messages. The TCP daemon (internal/ofconn)
@@ -141,17 +138,17 @@ func (s *Switch) statsReply(req *openflow.StatsRequest) *openflow.StatsReply {
 	switch req.StatsType {
 	case openflow.StatsTypeTable:
 		if s.tcam != nil {
-			max := uint32(s.tcam.Config().CapacityNarrow)
 			rep.Tables = append(rep.Tables, openflow.TableStats{
-				TableID: 0, Name: "tcam", MaxEntries: max,
+				TableID: 0, Name: "tcam",
+				MaxEntries:  uint32(s.profile.TCAM.CapacityNarrow),
 				ActiveCount: uint32(s.tcam.Len()),
 			})
 		}
-		if s.software != nil {
+		if s.profile.Kind != ManageTCAMOnly {
 			rep.Tables = append(rep.Tables, openflow.TableStats{
 				TableID: 1, Name: "software",
 				MaxEntries:  uint32(s.profile.softwareCap()),
-				ActiveCount: uint32(s.software.Len()),
+				ActiveCount: uint32(s.softLen()),
 			})
 		}
 		if s.kernel != nil {
@@ -163,44 +160,32 @@ func (s *Switch) statsReply(req *openflow.StatsRequest) *openflow.StatsReply {
 		}
 	case openflow.StatsTypeAggregate:
 		agg := &rep.Aggregate
-		count := func(rules []*flowtable.Rule) {
-			for _, r := range rules {
-				if req.FlowMatch.Fields != 0 && !req.FlowMatch.Covers(&r.Match) {
-					continue
-				}
-				agg.FlowCount++
-				agg.PacketCount += r.Packets
-				agg.ByteCount += r.Bytes
+		for _, r := range s.rules.Rules() {
+			if req.FlowMatch.Fields != 0 && !req.FlowMatch.Covers(&r.Match) {
+				continue
 			}
-		}
-		if s.tcam != nil {
-			count(s.tcam.Rules())
-		}
-		if s.software != nil {
-			count(s.software.Rules())
+			agg.FlowCount++
+			agg.PacketCount += r.Packets
+			agg.ByteCount += r.Bytes
 		}
 	case openflow.StatsTypeFlow:
-		appendFlows := func(tableID uint8, rules []*flowtable.Rule) {
-			for _, r := range rules {
-				if !req.FlowMatch.Covers(&r.Match) && req.FlowMatch.Fields != 0 {
-					continue
-				}
-				rep.Flows = append(rep.Flows, openflow.FlowStats{
-					TableID:     tableID,
-					Match:       r.Match,
-					Priority:    r.Priority,
-					Cookie:      r.Cookie,
-					PacketCount: r.Packets,
-					ByteCount:   r.Bytes,
-					Actions:     r.Actions,
-				})
+		for _, r := range s.rules.Rules() {
+			if req.FlowMatch.Fields != 0 && !req.FlowMatch.Covers(&r.Match) {
+				continue
 			}
-		}
-		if s.tcam != nil {
-			appendFlows(0, s.tcam.Rules())
-		}
-		if s.software != nil {
-			appendFlows(1, s.software.Rules())
+			tableID := uint8(1) // the software tier
+			if s.entries[r.Ext].inTCAM {
+				tableID = 0
+			}
+			rep.Flows = append(rep.Flows, openflow.FlowStats{
+				TableID:     tableID,
+				Match:       r.Match,
+				Priority:    r.Priority,
+				Cookie:      r.Cookie,
+				PacketCount: r.Packets,
+				ByteCount:   r.Bytes,
+				Actions:     r.Actions,
+			})
 		}
 	}
 	return rep

@@ -528,6 +528,50 @@ func TestMidPathTiering(t *testing.T) {
 	}
 }
 
+// TestTCAMMatchBeatsSoftwareMatch pins the hierarchy's precedence: a frame
+// matching a TCAM rule is served by it even when a higher-priority software
+// rule matches too, because the TCAM answers before software is consulted.
+func TestTCAMMatchBeatsSoftwareMatch(t *testing.T) {
+	s := New(TestSwitch(1, PolicyFIFO))
+	l2 := flowtable.L2ProbeMatch(1)
+	if err := s.FlowMod(&openflow.FlowMod{Command: openflow.FlowAdd, Match: l2, Priority: 10, Actions: flowtable.Output(2)}); err != nil {
+		t.Fatal(err)
+	}
+	addFlow(t, s, 1, 50) // FIFO keeps the L2 rule in the TCAM
+	if !s.InTCAM(&l2, 10) || s.InTCAM(ptrMatch(1), 50) {
+		t.Fatal("FIFO did not keep the first rule in the TCAM")
+	}
+	if res := sendProbe(t, s, 1); res.Path != PathFast || res.Rule == nil || res.Rule.Priority != 10 {
+		t.Fatalf("frame served on %v by %+v, want the TCAM's priority-10 rule", res.Path, res.Rule)
+	}
+}
+
+// TestMidPathRanksByTCAMEntry checks that a TCAM slot's rank follows when
+// its rule entered the TCAM, not when it was installed: on a 4-entry LRU
+// TCAM whose first two slots are fast, flow 0 — installed first, demoted,
+// then promoted back by its own packet — takes the last slot.
+func TestMidPathRanksByTCAMEntry(t *testing.T) {
+	p := FigureFiveSwitch().WithPolicy(PolicyLRU).WithTCAMCapacity(4)
+	p.MidPathSlots = 2
+	s := New(p)
+	for id := uint32(0); id < 5; id++ {
+		addFlow(t, s, id, 100) // flow 4 demotes flow 0
+	}
+	if res := sendProbe(t, s, 0); res.Path != PathSlow {
+		t.Fatalf("demoted flow 0 served on %v, want slow", res.Path)
+	}
+	// The promotion demoted flow 1; the TCAM now holds 2, 3, 4, 0 in entry
+	// order.
+	for id, want := range []PathKind{0: PathMid, 2: PathFast, 3: PathFast, 4: PathMid} {
+		if id == 1 {
+			continue
+		}
+		if res := sendProbe(t, s, uint32(id)); res.Path != want {
+			t.Fatalf("flow %d served on %v, want %v", id, res.Path, want)
+		}
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	s := New(Switch2())
 	addFlow(t, s, 1, 10)

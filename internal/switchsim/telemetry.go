@@ -98,8 +98,8 @@ func (s *Switch) updateOccupancy() {
 	if s.tcam != nil {
 		s.tel.tcamOcc.Set(int64(s.tcam.Len()))
 	}
-	if s.software != nil {
-		s.tel.softOcc.Set(int64(s.software.Len()))
+	if s.profile.Kind != ManageTCAMOnly {
+		s.tel.softOcc.Set(int64(s.softLen()))
 	}
 	if s.kernel != nil {
 		s.tel.kernelOcc.Set(int64(len(s.kernel)))
