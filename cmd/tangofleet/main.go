@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -136,8 +137,9 @@ func main() {
 	printResult(os.Stdout, res)
 }
 
-// printResult writes the human-facing fold summary.
-func printResult(w *os.File, r *fleet.Result) {
+// printResult writes the human-facing fold summary, then one line per member
+// that had errors, with the last one.
+func printResult(w io.Writer, r *fleet.Result) {
 	fmt.Fprintf(w, "fleet: %d switches (%d sim + %d tcp), %d workers, %d rounds in %v\n",
 		r.Switches+r.TCPSwitches, r.Switches, r.TCPSwitches, r.Workers, r.Rounds, r.Wall.Round(time.Millisecond))
 	fmt.Fprintf(w, "inference: %d completed (%.1f switches/sec), %d errors, %d score cards\n",
@@ -148,5 +150,15 @@ func printResult(w *os.File, r *fleet.Result) {
 		r.P50ProbeRTT, r.P99ProbeRTT, r.RTTSamples)
 	if r.Throttles > 0 {
 		fmt.Fprintf(w, "pacing: %d throttled admissions, %v total wait\n", r.Throttles, r.ThrottleWait)
+	}
+	for _, s := range r.PerSwitch {
+		if s.Errs == 0 {
+			continue
+		}
+		kind := "sim"
+		if s.TCP {
+			kind = "tcp"
+		}
+		fmt.Fprintf(w, "member %s (%s): %d errors, last: %s\n", s.Name, kind, s.Errs, s.LastErr)
 	}
 }

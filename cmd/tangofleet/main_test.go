@@ -3,9 +3,15 @@ package main
 import (
 	"io"
 	"log"
+	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"tango/internal/fleet"
+	"tango/internal/ofconn"
+	"tango/internal/telemetry"
 )
 
 // TestTangofleetSmoke is the service smoke test from the issue: spin up a
@@ -78,5 +84,29 @@ func TestTangofleetContinuousStops(t *testing.T) {
 	}
 	if res.Inferences < res.Rounds*cfg.switches {
 		t.Fatalf("inferences = %d over %d rounds of %d switches", res.Inferences, res.Rounds, cfg.switches)
+	}
+}
+
+// TestPrintResultNamesFailingMembers: a TCP member whose connection is
+// already closed fails every step, and the summary names it, its kind, its
+// error count and why; the healthy simulated member gets no such line.
+func TestPrintResultNamesFailingMembers(t *testing.T) {
+	st, err := fleet.SpawnSimTCP(1, 5, 1e-6, ofconn.ControllerOptions{Timeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	res, err := fleet.Run(fleet.Options{
+		Switches: 1, Rounds: 1, Seed: 5, MaxRules: 256,
+		TCP: st.Fleet, Registry: telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	printResult(&out, res)
+	want := regexp.MustCompile(`(?m)^member tcp-000 \(tcp\): [1-9][0-9]* errors, last: \S.*$`)
+	if !want.MatchString(out.String()) || strings.Contains(out.String(), "sim-000") {
+		t.Fatalf("summary does not name exactly the failing member:\n%s", out.String())
 	}
 }

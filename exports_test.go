@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,24 +38,7 @@ var exportExempt = map[string]string{
 // json.Marshaler/Unmarshaler, sort/heap.Interface, Unwrap/Is). Instantiated
 // generic methods resolve to their origin.
 func TestEveryExportHasACaller(t *testing.T) {
-	l := &moduleLoader{fset: token.NewFileSet(), pkgs: map[string]*loadedPkg{}}
-	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-			return filepath.SkipDir
-		}
-		if bp, err := build.ImportDir(p, 0); err == nil && len(bp.GoFiles) > 0 {
-			_, err = l.load(importPath(filepath.ToSlash(p)))
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loadModule(t)
 
 	called := map[*types.Func]bool{}
 	ifaces := map[*types.Interface]bool{}
@@ -172,6 +156,40 @@ func exportName(pkg *types.Package, fd *ast.FuncDecl) string {
 	return pkg.Name() + "." + recv.(*ast.Ident).Name + "." + fd.Name.Name
 }
 
+// module is the whole module, type-checked once and shared by the walks.
+var module struct {
+	once sync.Once
+	l    *moduleLoader
+	err  error
+}
+
+// loadModule type-checks every package of the module, benchmark/ included,
+// from source. Directories named testdata or starting with "." are skipped.
+func loadModule(t *testing.T) *moduleLoader {
+	t.Helper()
+	module.once.Do(func() {
+		l := newModuleLoader(nil)
+		module.err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			if bp, err := build.ImportDir(p, 0); err == nil && len(bp.GoFiles) > 0 {
+				_, err = l.load(importPath(filepath.ToSlash(p)))
+				return err
+			}
+			return nil
+		})
+		module.l = l
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.l
+}
+
 type loadedPkg struct {
 	pkg   *types.Package
 	files []*ast.File
@@ -184,6 +202,16 @@ type moduleLoader struct {
 	fset *token.FileSet
 	std  types.ImporterFrom
 	pkgs map[string]*loadedPkg
+}
+
+// newModuleLoader returns an empty loader. It reuses std's already
+// type-checked standard library when std is not nil.
+func newModuleLoader(std *moduleLoader) *moduleLoader {
+	if std != nil {
+		return &moduleLoader{fset: std.fset, std: std.std, pkgs: map[string]*loadedPkg{}}
+	}
+	fset := token.NewFileSet()
+	return &moduleLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom), pkgs: map[string]*loadedPkg{}}
 }
 
 func (l *moduleLoader) Import(p string) (*types.Package, error) { return l.ImportFrom(p, "", 0) }
@@ -211,7 +239,12 @@ func (l *moduleLoader) load(p string) (*loadedPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	lp := &loadedPkg{info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	lp := &loadedPkg{info: &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, path.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {

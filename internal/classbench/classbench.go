@@ -13,7 +13,6 @@
 package classbench
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 
@@ -40,7 +39,6 @@ type Options struct {
 
 // RuleSet is a generated ACL: Rules[0] has the highest match precedence.
 type RuleSet struct {
-	Name  string
 	Rules []flowtable.Match
 
 	deps   [][]int // deps[i] = later rules that i must out-prioritise
@@ -65,7 +63,7 @@ func Generate(opts Options) *RuleSet {
 		opts.MaxDepth = maxFamilyDepth
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	rs := &RuleSet{Name: fmt.Sprintf("classbench(seed=%d,n=%d)", opts.Seed, opts.NumRules)}
+	rs := &RuleSet{}
 
 	// Family chains: family f's rule k is strictly nested inside rule k+1
 	// (more specific ⇒ earlier precedence). The first family gets exactly

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"tango/internal/core/infer"
@@ -159,18 +160,22 @@ type Result struct {
 	PolicyChecked bool
 	// PolicyOK reports exact recovery of the true key sequence.
 	PolicyOK bool
-	// Resets counts injected switch resets observed by the emulator.
-	Resets uint64
 }
 
-// String renders one result row.
+// String renders one result row. A panic row is followed by the panicking
+// goroutine's stack.
 func (r Result) String() string {
 	if r.Err != nil {
 		kind := "organic"
 		if r.FaultTyped {
 			kind = "typed fault"
 		}
-		return fmt.Sprintf("%s: error (%s): %v", r.Spec.Name, kind, r.Err)
+		s := fmt.Sprintf("%s: error (%s): %v", r.Spec.Name, kind, r.Err)
+		var pe *SpecPanicError
+		if errors.As(r.Err, &pe) {
+			s += "\n" + strings.TrimRight(pe.Stack, "\n")
+		}
+		return s
 	}
 	s := fmt.Sprintf("%s: size %d/%d (err %.1f%%)", r.Spec.Name, r.SizeEstimate, r.Spec.CacheSize, 100*r.SizeError)
 	if r.PolicyChecked {
@@ -202,7 +207,6 @@ func RunSpec(spec Spec, opts Options) Result {
 		Name: spec.Name,
 		Size: infer.SizeOptions{Seed: spec.Seed + 1, MaxRules: 8 * spec.CacheSize},
 	})
-	res.Resets = sw.Stats().Resets
 	if err != nil {
 		res.Err = err
 		res.FaultTyped = faultTyped(err)

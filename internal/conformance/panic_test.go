@@ -45,8 +45,8 @@ func TestRunContainsSpecPanic(t *testing.T) {
 			if pe.Value != "injected pipeline panic" {
 				t.Errorf("recovered value = %v, want the injected panic", pe.Value)
 			}
-			if !strings.Contains(pe.Stack, "panic_test.go") {
-				t.Errorf("panic stack does not point at the panic site:\n%s", pe.Stack)
+			if row := res.String(); !strings.Contains(row, "conformance.TestRunContainsSpecPanic.func1(") {
+				t.Errorf("panic row does not name the panicking function:\n%s", row)
 			}
 			if res.FaultTyped {
 				t.Error("a panic is an organic failure; FaultTyped must stay false")

@@ -65,8 +65,7 @@ func Scenarios() []Scenario {
 // determinism gate).
 type ScenarioResult struct {
 	Scenario Scenario
-	// TrueSize / Estimate / SizeError report the size gate, when present.
-	TrueSize  int
+	// Estimate / SizeError report the size gate, when present.
 	Estimate  int
 	SizeError float64
 	// Alarms / RevisitDemotions / Windows report the detector, when attached.
@@ -157,7 +156,7 @@ func attackProfile(name string, cache, softCap int) switchsim.Profile {
 // canary-demotion footprint).
 func runAttackTiming(sc Scenario) ScenarioResult {
 	const cache = 128
-	res := ScenarioResult{Scenario: sc, TrueSize: cache}
+	res := ScenarioResult{Scenario: sc}
 	det := switchsim.NewOverflowDetector(switchsim.DetectorOptions{})
 	sw := switchsim.New(attackProfile("adv-attack-lru", cache, 1024),
 		switchsim.WithSeed(sc.Seed), switchsim.WithDetector(det))
@@ -294,7 +293,7 @@ func runCleanZipf(sc Scenario) ScenarioResult {
 // burns table space, but the negative-binomial estimator keeps converging.
 func runInferUnderAttack(sc Scenario) ScenarioResult {
 	const cache = 96
-	res := ScenarioResult{Scenario: sc, TrueSize: cache}
+	res := ScenarioResult{Scenario: sc}
 	sw := switchsim.New(attackProfile("adv-infer-attack", cache, 6*cache), switchsim.WithSeed(sc.Seed))
 	ad := &AttackDriver{Ops: workload.OverflowAttack(workload.AttackOptions{
 		Canaries: 16, Step: 16, MaxFills: 256,
@@ -328,7 +327,7 @@ func runInferUnderAttack(sc Scenario) ScenarioResult {
 // re-installs a flow population through the switch's timeout sweep.
 func runChurnSize(sc Scenario, policy switchsim.Policy, rate float64, touchFrac float64) ScenarioResult {
 	const cache = 96
-	res := ScenarioResult{Scenario: sc, TrueSize: cache}
+	res := ScenarioResult{Scenario: sc}
 	p := switchsim.TestSwitch(cache, policy)
 	p.Name = sc.Name
 	p.SoftwareCapacity = 5 * cache
@@ -369,7 +368,7 @@ func runChurnSize(sc Scenario, policy switchsim.Policy, rate float64, touchFrac 
 // while hundreds of background rules expire.
 func runChurnPolicy(sc Scenario) ScenarioResult {
 	const cache = 64
-	res := ScenarioResult{Scenario: sc, TrueSize: cache}
+	res := ScenarioResult{Scenario: sc}
 	p := switchsim.TestSwitch(cache, switchsim.PolicyFIFO)
 	p.Name = sc.Name
 	p.SoftwareCapacity = 4 * cache
@@ -410,7 +409,7 @@ func runChurnPolicy(sc Scenario) ScenarioResult {
 // composite) exactly that composite.
 func runAltPolicy(sc Scenario, policy switchsim.Policy, name string) ScenarioResult {
 	const cache = 128
-	res := ScenarioResult{Scenario: sc, TrueSize: cache}
+	res := ScenarioResult{Scenario: sc}
 	p := switchsim.TestSwitch(cache, policy)
 	p.Name = name
 	p.SoftwareCapacity = 3 * cache

@@ -155,8 +155,8 @@ func TestWrapperTransparency(t *testing.T) {
 	}
 
 	want := run(t, rows[0].wrap, rows[0].retry)
-	if want[0].label != "transparent" || want[1].eng.Traffic == 0 {
-		t.Fatalf("bare run is vacuous: label %q, %d traffic packets", want[0].label, want[1].eng.Traffic)
+	if pol := want[1]; want[0].label != "transparent" || pol.sw.PacketsSeen <= uint64(pol.eng.Probes) {
+		t.Fatalf("bare run is vacuous: label %q, policy stage sent %d packets for %d probes", want[0].label, pol.sw.PacketsSeen, pol.eng.Probes)
 	}
 	if m := want[2].result.(*infer.Model); m.Policy == nil || !m.Policy.Policy.Equal(switchsim.PolicyLFU) || m.Costs == nil {
 		t.Fatalf("bare pipeline run is vacuous: %s", m)

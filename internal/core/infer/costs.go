@@ -57,7 +57,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 		return nil, err
 	}
 	// Skip the first op: it may pay the new-priority-band cost.
-	card.AddSamePriority = meanLatency(res.Ops[1:])
+	card.AddSamePriority = meanLatency(res.Latencies[1:])
 
 	// Phase 2: modify sweep over the same rules.
 	modOps := make([]pattern.Op, n)
@@ -67,7 +67,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	if res, err = e.Run(pattern.Pattern{Name: "cost/mod", Ops: modOps}); err != nil {
 		return nil, err
 	}
-	card.Mod = meanLatency(res.Ops)
+	card.Mod = meanLatency(res.Latencies)
 
 	// Phase 3: delete sweep.
 	delOps := make([]pattern.Op, n)
@@ -77,7 +77,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	if res, err = e.Run(pattern.Pattern{Name: "cost/del", Ops: delOps}); err != nil {
 		return nil, err
 	}
-	card.Del = meanLatency(res.Ops)
+	card.Del = meanLatency(res.Latencies)
 
 	// Phase 4: ascending-priority adds — every add tops the table, so no
 	// higher-priority entries exist and the per-op cost is the clean
@@ -90,7 +90,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	if res, err = e.Run(pattern.Pattern{Name: "cost/asc", Ops: ascOps}); err != nil {
 		return nil, err
 	}
-	card.AddNewPriority = meanLatency(res.Ops)
+	card.AddNewPriority = meanLatency(res.Latencies)
 	for i := range ascOps {
 		_ = e.Delete(base+uint32(i), ascOps[i].Priority)
 	}
@@ -105,11 +105,11 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	if res, err = e.Run(pattern.Pattern{Name: "cost/desc", Ops: descOps}); err != nil {
 		return nil, err
 	}
-	xs := make([]float64, len(res.Ops))
-	ys := make([]float64, len(res.Ops))
-	for i, ot := range res.Ops {
+	xs := make([]float64, len(res.Latencies))
+	ys := make([]float64, len(res.Latencies))
+	for i, d := range res.Latencies {
 		xs[i] = float64(i)
-		ys[i] = float64(ot.Latency)
+		ys[i] = float64(d)
 	}
 	if _, slope, err := stats.LinearFit(xs, ys); err == nil && slope > 0 {
 		card.ShiftPerEntry = time.Duration(slope)
@@ -131,7 +131,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	if res, err = e.Run(pattern.Pattern{Name: "cost/alternate", Ops: altOps}); err != nil {
 		return nil, err
 	}
-	perOp := meanLatency(res.Ops[1:])
+	perOp := meanLatency(res.Latencies[1:])
 	flat := (card.AddSamePriority + card.Del) / 2
 	if perOp > flat {
 		card.TypeSwitch = perOp - flat
@@ -140,13 +140,13 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 }
 
 // meanLatency averages op latencies.
-func meanLatency(ops []pattern.OpTiming) time.Duration {
-	if len(ops) == 0 {
+func meanLatency(ds []time.Duration) time.Duration {
+	if len(ds) == 0 {
 		return 0
 	}
 	var sum time.Duration
-	for _, o := range ops {
-		sum += o.Latency
+	for _, d := range ds {
+		sum += d
 	}
-	return sum / time.Duration(len(ops))
+	return sum / time.Duration(len(ds))
 }

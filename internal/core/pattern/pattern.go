@@ -176,17 +176,11 @@ var Permutations3 = [][3]OpKind{
 	{OpAdd, OpMod, OpDel},
 }
 
-// OpTiming records the measured latency of one executed op.
-type OpTiming struct {
-	Op      Op
-	Latency time.Duration
-}
-
-// Result is the outcome of running a pattern.
+// Result is the outcome of running a pattern: its total time and each
+// executed op's latency, in order.
 type Result struct {
-	Pattern string
-	Total   time.Duration
-	Ops     []OpTiming
+	Total     time.Duration
+	Latencies []time.Duration
 }
 
 // ScoreCard is the distilled cost model of one switch, fitted from probe

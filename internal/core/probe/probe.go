@@ -135,8 +135,6 @@ type EngineStats struct {
 	// error; Punted counts the subset that missed and went to the agent.
 	Probes int64
 	Punted int64
-	// Traffic counts data-plane packets sent by SendTraffic.
-	Traffic int64
 }
 
 // Engine executes patterns against one device.
@@ -401,7 +399,6 @@ func (e *Engine) SendTraffic(id uint32, count int) error {
 			return err
 		}
 		e.mTraffic.Add(int64(burst))
-		e.stats.Traffic += int64(burst)
 	}
 	return nil
 }
@@ -409,7 +406,7 @@ func (e *Engine) SendTraffic(id uint32, count int) error {
 // Run executes a pattern: every op in sequence (timed individually), then
 // the traffic steps. Op errors abort the run.
 func (e *Engine) Run(p pattern.Pattern) (pattern.Result, error) {
-	res := pattern.Result{Pattern: p.Name, Ops: make([]pattern.OpTiming, 0, len(p.Ops))}
+	res := pattern.Result{Latencies: make([]time.Duration, 0, len(p.Ops))}
 	start := e.dev.Now()
 	for _, op := range p.Ops {
 		opStart := e.dev.Now()
@@ -417,7 +414,7 @@ func (e *Engine) Run(p pattern.Pattern) (pattern.Result, error) {
 		if err := e.flowMod(&e.opScratch); err != nil {
 			return res, fmt.Errorf("probe: op %s flow %d: %w", op.Kind, op.FlowID, err)
 		}
-		res.Ops = append(res.Ops, pattern.OpTiming{Op: op, Latency: e.dev.Now().Sub(opStart)})
+		res.Latencies = append(res.Latencies, e.dev.Now().Sub(opStart))
 		if op.SendProbe {
 			if _, _, err := e.Probe(op.FlowID); err != nil {
 				return res, err

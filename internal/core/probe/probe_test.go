@@ -60,15 +60,15 @@ func TestRunPatternTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ops) != 20 {
-		t.Fatalf("timings = %d", len(res.Ops))
+	if len(res.Latencies) != 20 {
+		t.Fatalf("timings = %d", len(res.Latencies))
 	}
 	var sum time.Duration
-	for _, ot := range res.Ops {
-		if ot.Latency <= 0 {
-			t.Fatalf("non-positive op latency: %+v", ot)
+	for i, d := range res.Latencies {
+		if d <= 0 {
+			t.Fatalf("op %d: non-positive latency %v", i, d)
 		}
-		sum += ot.Latency
+		sum += d
 	}
 	if res.Total < sum {
 		t.Fatalf("total %v < sum of ops %v", res.Total, sum)
@@ -99,8 +99,8 @@ func TestRunAbortsOnRejection(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected table-full abort")
 	}
-	if len(res.Ops) != 2 {
-		t.Fatalf("completed ops = %d, want 2", len(res.Ops))
+	if len(res.Latencies) != 2 {
+		t.Fatalf("completed ops = %d, want 2", len(res.Latencies))
 	}
 }
 

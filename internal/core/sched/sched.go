@@ -506,12 +506,6 @@ type RunResult struct {
 	Makespan time.Duration
 	// Rounds is the number of dependency rounds used.
 	Rounds int
-	// PerSwitch is each switch's total busy time.
-	PerSwitch map[string]time.Duration
-	// DeadlineMisses counts requests whose switch batch completed after
-	// their InstallBy deadline (measured from schedule start). Best-effort
-	// requests (InstallBy == 0) never miss.
-	DeadlineMisses int
 }
 
 // batchJob carries one switch's batch through a round: ids are assigned by
@@ -556,7 +550,7 @@ func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, err
 	// worker interleaving can't reorder histogram samples; other schedulers
 	// record from inside Order and are on their own under Workers > 1.
 	tango, _ := s.(*Tango)
-	res := &RunResult{PerSwitch: map[string]time.Duration{}}
+	res := &RunResult{}
 	var (
 		issue  []dag.NodeID
 		jobs   = map[string]*batchJob{}
@@ -630,11 +624,9 @@ func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, err
 				tango.observeScores(job.scores)
 			}
 			elapsed := job.elapsed + job.guards
-			res.PerSwitch[job.sw] += elapsed
 			finish := res.Makespan + elapsed
 			for _, r := range job.ordered {
 				if r.InstallBy > 0 && finish > r.InstallBy {
-					res.DeadlineMisses++
 					mMisses.Add(1)
 				}
 			}

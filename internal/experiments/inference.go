@@ -9,15 +9,15 @@ import (
 	"tango/internal/switchsim"
 )
 
-// policyMatrix is the policy sweep of the §7.1 inference evaluation.
-func policyMatrix() []struct {
+// namedPolicy is one cell of a policy sweep.
+type namedPolicy struct {
 	name   string
 	policy switchsim.Policy
-} {
-	return []struct {
-		name   string
-		policy switchsim.Policy
-	}{
+}
+
+// policyMatrix is the policy sweep of the §7.1 inference evaluation.
+func policyMatrix() []namedPolicy {
+	return []namedPolicy{
 		{"FIFO", switchsim.PolicyFIFO},
 		{"LRU", switchsim.PolicyLRU},
 		{"LFU", switchsim.PolicyLFU},
@@ -27,15 +27,9 @@ func policyMatrix() []struct {
 
 // policyMatrixExtended adds LEX composites beyond the named policies to the
 // inference sweep (the model space of §5.1 is all attribute permutations).
-func policyMatrixExtended() []struct {
-	name   string
-	policy switchsim.Policy
-} {
+func policyMatrixExtended() []namedPolicy {
 	out := policyMatrix()
-	out = append(out, struct {
-		name   string
-		policy switchsim.Policy
-	}{"Traffic+FIFO", switchsim.Policy{Keys: []switchsim.SortKey{
+	out = append(out, namedPolicy{"Traffic+FIFO", switchsim.Policy{Keys: []switchsim.SortKey{
 		{Attr: switchsim.AttrTraffic, HighIsBetter: true},
 		{Attr: switchsim.AttrInsertion, HighIsBetter: false},
 	}}})

@@ -284,10 +284,7 @@ func TEScenario(total int, addRatio, modRatio, delRatio int, seed int64) (*sched
 			kinds = append(kinds, pattern.OpDel)
 		}
 	}
-	var nodes []struct {
-		id  int
-		req *sched.Request
-	}
+	var ids []dag.NodeID
 	for i, kind := range kinds {
 		sw := switches[rng.Intn(3)]
 		spec := preload[sw]
@@ -306,23 +303,19 @@ func TEScenario(total int, addRatio, modRatio, delRatio int, seed int64) (*sched
 			spec.DelTargets++
 		}
 		preload[sw] = spec
-		id := g.AddNode(r)
-		nodes = append(nodes, struct {
-			id  int
-			req *sched.Request
-		}{int(id), r})
+		ids = append(ids, g.AddNode(r))
 	}
 	// ~20% of requests chain after another request on a different switch
 	// (reverse-path consistency).
-	for i := range nodes {
+	for i, id := range ids {
 		if rng.Float64() > 0.2 {
 			continue
 		}
-		j := rng.Intn(len(nodes))
-		if i == j || nodes[i].req.Switch == nodes[j].req.Switch {
+		j := rng.Intn(len(ids))
+		if i == j || g.Payload(id).Switch == g.Payload(ids[j]).Switch {
 			continue
 		}
-		_ = g.AddEdge(dagID(nodes[j].id), dagID(nodes[i].id)) // cycle-safe: errors ignored
+		_ = g.AddEdge(ids[j], id) // cycle-safe: errors ignored
 	}
 	return g, preload
 }
@@ -420,11 +413,11 @@ func figure11Graph(total int, mixed bool, levels int, withPriorities bool, seed 
 	switches := []string{"s1", "s2", "s3"}
 	preload := map[string]PreloadSpec{}
 	prios := rng.Perm(total)
-	var prevLevel []int
+	var prevLevel []dag.NodeID
 	perLevel := total / levels
 	idx := 0
 	for lvl := 0; lvl < levels; lvl++ {
-		var cur []int
+		var cur []dag.NodeID
 		count := perLevel
 		if lvl == levels-1 {
 			count = total - idx
@@ -459,10 +452,10 @@ func figure11Graph(total int, mixed bool, levels int, withPriorities bool, seed 
 				r.HasPriority = false
 			}
 			id := g.AddNode(r)
-			cur = append(cur, int(id))
+			cur = append(cur, id)
 			if lvl > 0 {
 				parent := prevLevel[rng.Intn(len(prevLevel))]
-				_ = g.AddEdge(dagID(parent), dagID(int(id)))
+				_ = g.AddEdge(parent, id)
 			}
 			idx++
 		}
@@ -553,9 +546,6 @@ func Figure12(flows int) *Table {
 		},
 	}
 }
-
-// dagID converts a stored int back to a DAG node ID.
-func dagID(i int) dag.NodeID { return dag.NodeID(i) }
 
 // SchedWorkload builds a large synthetic scheduling workload for benchmarks
 // and differential tests: `total` requests spread round-robin over

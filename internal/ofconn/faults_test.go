@@ -161,9 +161,15 @@ func TestServerInjectedResetClearsSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	for id := uint32(2); id <= 3; id++ {
+		if err := sw.FlowMod(testAdd(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// The reset fires on the inbound flow-mod; the op still gets a reply.
+	// It wipes the two rules installed above, leaving at most the op's own.
 	_ = c.FlowMod(testAdd(1))
-	if got := sw.Stats().Resets; got == 0 {
-		t.Fatal("server-side reset fault never reset the switch")
+	if tcam, _, software := sw.RuleCount(); tcam+software > 1 {
+		t.Fatalf("server-side reset fault never reset the switch: %d rules resident", tcam+software)
 	}
 }

@@ -165,8 +165,8 @@ const ProbeFrameLen = ethernetHeaderLen + ipv4HeaderLen + tcpHeaderLen
 
 // BuildProbeFrame fills f in place with the decoded form of the probe frame
 // for spec — the same Frame a DecodeInto of BuildProbe's wire bytes would
-// yield, including the derived IPv4 length and the packed address word the
-// exact-match fast path keys on. In-process senders (the probing engine over
+// yield, including the packed address word the exact-match fast path keys
+// on. In-process senders (the probing engine over
 // a FrameDevice, the conformance background drivers) build one frame this
 // way and skip the encode/decode round trip entirely. The fields that
 // depend on the flow ID are RetargetProbeFrame's; the ones set here are the
@@ -182,18 +182,14 @@ func BuildProbeFrame(f *Frame, spec ProbeSpec) {
 		IP:      IPv4{Protocol: proto, TTL: 64},
 		Payload: spec.Payload,
 	}
-	l4len := len(spec.Payload)
 	switch proto {
 	case IPProtocolTCP:
 		f.HasTCP = true
 		f.TCP = TCP{DstPort: 80, Window: 65535}
-		l4len += tcpHeaderLen
 	case IPProtocolUDP:
 		f.HasUDP = true
 		f.UDP = UDP{DstPort: 53, Length: uint16(udpHeaderLen + len(spec.Payload))}
-		l4len += udpHeaderLen
 	}
-	f.IP.Length = uint16(ipv4HeaderLen + l4len)
 	RetargetProbeFrame(f, spec.FlowID)
 }
 

@@ -94,9 +94,6 @@ type IPv4 struct {
 	TTL      uint8
 	Protocol IPProtocol
 	Src, Dst netip.Addr
-	// Length is the total packet length including header. Filled in by
-	// DecodeFromBytes; computed automatically when serializing.
-	Length uint16
 	// ID is the identification field, useful for tagging probe packets.
 	ID uint16
 	// addrWord caches the packed src<<32|dst big-endian address word at
@@ -131,7 +128,6 @@ func (ip *IPv4) DecodeFromBytes(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: ipv4 header extends past data", ErrTruncated)
 	}
 	ip.TOS = data[1]
-	ip.Length = binary.BigEndian.Uint16(data[2:4])
 	ip.ID = binary.BigEndian.Uint16(data[4:6])
 	ip.TTL = data[8]
 	ip.Protocol = IPProtocol(data[9])

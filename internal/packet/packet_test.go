@@ -74,8 +74,8 @@ func TestIPv4RoundTrip(t *testing.T) {
 		d.TOS != ip.TOS || d.TTL != ip.TTL || d.ID != ip.ID {
 		t.Fatalf("decoded %+v, want %+v", d, ip)
 	}
-	if d.Length != 120 {
-		t.Fatalf("Length = %d, want 120", d.Length)
+	if n := binary.BigEndian.Uint16(b[2:4]); n != 120 {
+		t.Fatalf("total length = %d, want 120", n)
 	}
 }
 

@@ -138,13 +138,3 @@ func (s *Switch) resetArena() {
 	s.ruleChunk = nil
 	s.ruleUsed = 0
 }
-
-// arenaLive counts live (allocated) arena records; tests use it to assert
-// free-list reuse.
-func (s *Switch) arenaLive() int {
-	n := len(s.entries)
-	if n > 0 {
-		n--
-	}
-	return n - len(s.freeEnts)
-}

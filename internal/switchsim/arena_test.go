@@ -10,6 +10,16 @@ import (
 	"tango/internal/simclock"
 )
 
+// arenaLive counts live (allocated) arena records, to assert free-list
+// reuse.
+func (s *Switch) arenaLive() int {
+	n := len(s.entries)
+	if n > 0 {
+		n--
+	}
+	return n - len(s.freeEnts)
+}
+
 // trackedRule returns the bookkeeping rule for flow id, or nil.
 func trackedRule(s *Switch, id uint32) *flowtable.Rule {
 	want := flowtable.ExactProbeMatch(id)

@@ -101,9 +101,6 @@ type Result struct {
 	Path PathKind
 	// RTT is the simulated round-trip time observed by the prober.
 	RTT time.Duration
-	// OutPort is the forwarding destination for PathFast/Mid/Slow when the
-	// matched action was an output.
-	OutPort uint16
 	// Rule is the matched rule, nil on a total miss.
 	Rule *flowtable.Rule
 }
@@ -115,11 +112,8 @@ type Stats struct {
 	FastHits    uint64
 	MidHits     uint64
 	SlowHits    uint64
-	ControlMiss uint64
 	Evictions   uint64
-	Promotions  uint64
 	Expirations uint64
-	Resets      uint64
 }
 
 // Switch is one emulated OpenFlow switch. All methods are safe for
@@ -414,7 +408,6 @@ func (s *Switch) Reset() {
 	s.nextExpiry = time.Time{}
 	s.removedQueue = nil
 	s.portQueue = nil
-	s.stats.Resets++
 	s.tel.resets.Add(1)
 	if s.tel.enabled() {
 		s.updateOccupancy()
@@ -694,7 +687,6 @@ func (s *Switch) promote(e *entry) bool {
 	}
 	s.untrack(e)
 	s.enterTCAM(e)
-	s.stats.Promotions++
 	s.tel.promotions.Add(1)
 	return true
 }
@@ -1002,7 +994,6 @@ func (s *Switch) classifyExact(f *packet.Frame, inPort uint16, size int, now tim
 func (s *Switch) tcamHit(e *entry, r *flowtable.Rule, size int, now time.Time) Result {
 	s.touch(e, r, size, now)
 	if isController(r) {
-		s.stats.ControlMiss++
 		s.tel.controlMiss.Add(1)
 		return Result{Path: PathControl, RTT: s.profile.ControlPath.Sample(s.rng), Rule: r}
 	}
@@ -1014,7 +1005,7 @@ func (s *Switch) tcamHit(e *entry, r *flowtable.Rule, size int, now time.Time) R
 		s.stats.MidHits++
 		s.tel.midHits.Add(1)
 	}
-	return Result{Path: path, RTT: dist.Sample(s.rng), OutPort: outPort(r), Rule: r}
+	return Result{Path: path, RTT: dist.Sample(s.rng), Rule: r}
 }
 
 // softHit accounts a software-table hit, including the promotion check the
@@ -1023,18 +1014,16 @@ func (s *Switch) softHit(e *entry, r *flowtable.Rule, size int, now time.Time) R
 	s.touch(e, r, size, now)
 	s.maybePromote(e)
 	if isController(r) {
-		s.stats.ControlMiss++
 		s.tel.controlMiss.Add(1)
 		return Result{Path: PathControl, RTT: s.profile.ControlPath.Sample(s.rng), Rule: r}
 	}
 	s.stats.SlowHits++
 	s.tel.slowHits.Add(1)
-	return Result{Path: PathSlow, RTT: s.profile.SlowPath.Sample(s.rng), OutPort: outPort(r), Rule: r}
+	return Result{Path: PathSlow, RTT: s.profile.SlowPath.Sample(s.rng), Rule: r}
 }
 
 // punt accounts a total miss.
 func (s *Switch) punt() Result {
-	s.stats.ControlMiss++
 	s.tel.controlMiss.Add(1)
 	return Result{Path: PathControl, RTT: s.profile.ControlPath.Sample(s.rng)}
 }
@@ -1102,20 +1091,18 @@ func (s *Switch) microflowPipeline(f *packet.Frame, inPort uint16, size int, now
 			r := owner.rule
 			s.touch(owner, r, size, now)
 			if isController(r) {
-				s.stats.ControlMiss++
 				s.tel.controlMiss.Add(1)
 				return Result{Path: PathControl, RTT: s.profile.ControlPath.Sample(s.rng), Rule: r}
 			}
 			s.stats.FastHits++
 			s.tel.fastHits.Add(1)
-			return Result{Path: PathFast, RTT: s.profile.FastPath.Sample(s.rng), OutPort: outPort(r), Rule: r}
+			return Result{Path: PathFast, RTT: s.profile.FastPath.Sample(s.rng), Rule: r}
 		}
 	}
 	if r := s.rules.Lookup(f, inPort); r != nil {
 		e := s.entryOf(r)
 		s.touch(e, r, size, now)
 		if isController(r) {
-			s.stats.ControlMiss++
 			s.tel.controlMiss.Add(1)
 			return Result{Path: PathControl, RTT: s.profile.ControlPath.Sample(s.rng), Rule: r}
 		}
@@ -1130,9 +1117,8 @@ func (s *Switch) microflowPipeline(f *packet.Frame, inPort uint16, size int, now
 		}
 		s.stats.SlowHits++
 		s.tel.slowHits.Add(1)
-		return Result{Path: PathSlow, RTT: s.profile.SlowPath.Sample(s.rng), OutPort: outPort(r), Rule: r}
+		return Result{Path: PathSlow, RTT: s.profile.SlowPath.Sample(s.rng), Rule: r}
 	}
-	s.stats.ControlMiss++
 	s.tel.controlMiss.Add(1)
 	return Result{Path: PathControl, RTT: s.profile.ControlPath.Sample(s.rng)}
 }
@@ -1177,15 +1163,6 @@ func isController(r *flowtable.Rule) bool {
 	}
 	// An empty action list drops the frame; it does not punt.
 	return false
-}
-
-func outPort(r *flowtable.Rule) uint16 {
-	for _, a := range r.Actions {
-		if a.Type == flowtable.ActionOutput {
-			return a.Port
-		}
-	}
-	return openflow.PortNone
 }
 
 // InTCAM reports whether the rule identified by (match, priority) currently

@@ -222,7 +222,7 @@ func TestMicroflowThreeTier(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.FastHits != 80 || st.SlowHits != 80 || st.ControlMiss != 160 {
+	if st.PacketsSeen != 320 || st.FastHits != 80 || st.SlowHits != 80 || st.MidHits != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -578,7 +578,7 @@ func TestStatsAccumulate(t *testing.T) {
 	sendProbe(t, s, 1)
 	sendProbe(t, s, 2)
 	st := s.Stats()
-	if st.FlowMods != 1 || st.PacketsSeen != 2 || st.FastHits != 1 || st.ControlMiss != 1 {
+	if st.FlowMods != 1 || st.PacketsSeen != 2 || st.FastHits != 1 || st.MidHits+st.SlowHits != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

