@@ -13,7 +13,7 @@ func TestHotStructLayouts(t *testing.T) {
 	for _, v := range []interface{}{
 		Rule{},
 		Match{},
-		exactBucket{},
+		KeyIndex[*Rule]{},
 		Action{},
 	} {
 		if err := structlayout.Check(v); err != nil {

@@ -53,6 +53,9 @@ type Rule struct {
 	// keep ordering deterministic among equal-priority rules and to serve
 	// as a tie-free "time since insertion" attribute.
 	seq uint64
+	// next links the rules sharing this rule's ExactKey in table order; the
+	// table's exact index holds the first of them.
+	next *Rule
 
 	// Ext is an opaque handle slot for the rule's owner. The switch emulator
 	// stores the rule's arena handle here so hot paths resolve rule→entry
@@ -81,29 +84,36 @@ type Rule struct {
 type Table struct {
 	rules   []*Rule
 	nextSeq uint64
-	// Capacity limits the number of rules; 0 means unbounded (software
-	// tables are "virtually unlimited").
-	Capacity int
 
 	// exact indexes rules that pin both IPv4 endpoints to single addresses
-	// (the shape every probe rule has), keyed by the two addresses packed
-	// into one uint64. Lookups check the index plus the small residue of
-	// non-indexable rules, which keeps probing workloads — tens of thousands
-	// of packets against thousands of rules — linear instead of quadratic,
-	// and the integer key hashes several times faster than a struct of two
-	// netip.Addr (which dominated lookup profiles). wild holds the
+	// (the shape every probe rule has) by ExactKey, holding the first of
+	// each key's rules; Rule.next chains the rest in table order. Lookups
+	// check one chain plus the small residue of non-indexable rules, which
+	// keeps probing workloads — tens of thousands of packets against
+	// thousands of rules — linear instead of quadratic. wild holds the
 	// non-indexable rules in table order.
-	exact map[uint64]exactBucket
+	exact KeyIndex[*Rule]
 	wild  []*Rule
 }
 
-// exactBucket holds the rules sharing one exact-index key. The first rule is
-// inline: almost every key maps to exactly one rule, and keeping that rule
-// out of a slice saves a heap allocation per insert — which bulk probing
-// workloads pay tens of thousands of times.
-type exactBucket struct {
-	one  *Rule
-	more []*Rule
+// NewTable returns an empty table whose exact index is sized for about
+// keys rules, so a table filled to that size never rehashes on the way.
+// The zero Table is usable too; its index grows from empty.
+func NewTable(keys int) *Table {
+	t := &Table{}
+	t.exact.init(keys)
+	return t
+}
+
+// Reset removes every rule, keeping the rule slice's and the index's
+// capacity.
+func (t *Table) Reset() {
+	clear(t.rules)
+	t.rules = t.rules[:0]
+	clear(t.wild)
+	t.wild = t.wild[:0]
+	t.exact.reset()
+	t.nextSeq = 0
 }
 
 // packAddrs packs two IPv4 addresses into the exact-index key. ok is false
@@ -119,8 +129,7 @@ func packAddrs(src, dst netip.Addr) (key uint64, ok bool) {
 
 // ExactKey returns the exact-index key for m, and whether m is indexable: it
 // must constrain both nw_src and nw_dst to single IPv4 addresses (/32), so
-// only frames carrying exactly those addresses can match it. Exported so the
-// switch emulator can key its own per-rule indexes the same way.
+// only frames carrying exactly those addresses can match it.
 func ExactKey(m *Match) (uint64, bool) {
 	if !m.Has(FieldNwSrc) || !m.Has(FieldNwDst) {
 		return 0, false
@@ -144,6 +153,14 @@ func FrameKey(f *packet.Frame) (uint64, bool) {
 	return packAddrs(f.IP.Src, f.IP.Dst)
 }
 
+// ExactRules returns the first, in table order, of the rules whose ExactKey
+// is k, or nil; NextExact walks the rest.
+func (t *Table) ExactRules(k uint64) *Rule { return t.exact.Get(k) }
+
+// NextExact returns the rule after r, in table order, among the rules
+// sharing r's ExactKey, or nil.
+func (r *Rule) NextExact() *Rule { return r.next }
+
 // WildLen reports how many non-exact-indexable rules the table holds.
 func (t *Table) WildLen() int { return len(t.wild) }
 
@@ -156,31 +173,25 @@ func (t *Table) WildSingleton() *Rule {
 	return nil
 }
 
-// indexKey is the internal alias for ExactKey.
-func indexKey(m *Match) (uint64, bool) { return ExactKey(m) }
-
-// indexInsert registers r in the lookup acceleration structures.
+// indexInsert registers r, the table's newest rule, in the lookup
+// acceleration structures. In its key's chain r goes behind every rule of
+// equal or higher priority.
 func (t *Table) indexInsert(r *Rule) {
-	if k, ok := indexKey(&r.Match); ok {
-		if t.exact == nil {
-			// Capacity-bounded tables fill right up in probing workloads;
-			// pre-sizing skips the incremental rehashes on the way there.
-			// "Virtually unlimited" tables are capped — they never fill.
-			hint := t.Capacity
-			if hint > 2048 {
-				hint = 2048
-			}
-			t.exact = make(map[uint64]exactBucket, hint)
+	if k, ok := ExactKey(&r.Match); ok {
+		head := t.exact.Get(k)
+		if head == nil || head.Priority < r.Priority {
+			r.next = head
+			t.exact.Put(k, r)
+			return
 		}
-		b := t.exact[k]
-		if b.one == nil {
-			b.one = r
-		} else {
-			b.more = append(b.more, r)
+		prev := head
+		for prev.next != nil && prev.next.Priority >= r.Priority {
+			prev = prev.next
 		}
-		t.exact[k] = b
+		r.next, prev.next = prev.next, r
 		return
 	}
+	r.next = nil
 	// Maintain wild in table order: descending priority, FIFO within equal.
 	pos := searchByOrder(t.wild, r.Priority, r.seq)
 	t.wild = append(t.wild, nil)
@@ -190,24 +201,21 @@ func (t *Table) indexInsert(r *Rule) {
 
 // indexRemove unregisters r.
 func (t *Table) indexRemove(r *Rule) {
-	if k, ok := indexKey(&r.Match); ok {
-		b := t.exact[k]
-		if b.one == r {
-			if n := len(b.more); n > 0 {
-				b.one, b.more = b.more[n-1], b.more[:n-1]
-				t.exact[k] = b
-			} else {
-				delete(t.exact, k)
+	if k, ok := ExactKey(&r.Match); ok {
+		switch head := t.exact.Get(k); {
+		case head != r:
+			for p := head; p != nil; p = p.next {
+				if p.next == r {
+					p.next = r.next
+					break
+				}
 			}
-			return
+		case r.next != nil:
+			t.exact.Put(k, r.next)
+		default:
+			t.exact.Del(k)
 		}
-		for i, rr := range b.more {
-			if rr == r {
-				b.more = append(b.more[:i], b.more[i+1:]...)
-				t.exact[k] = b
-				return
-			}
-		}
+		r.next = nil
 		return
 	}
 	if i, ok := findByOrder(t.wild, r); ok {
@@ -239,11 +247,8 @@ func findByOrder(rules []*Rule, r *Rule) (int, bool) {
 	return i, i < len(rules) && rules[i] == r
 }
 
-// Errors returned by table mutations.
-var (
-	ErrTableFull = errors.New("flowtable: table full")
-	ErrNotFound  = errors.New("flowtable: no matching rule")
-)
+// ErrNotFound is returned by Delete when no rule has the match and priority.
+var ErrNotFound = errors.New("flowtable: no matching rule")
 
 // Len returns the number of installed rules.
 func (t *Table) Len() int { return len(t.rules) }
@@ -284,19 +289,11 @@ func (t *Table) CountHigher(p uint16) int {
 	return lo
 }
 
-// Insert adds rule r at its priority position, stamping bookkeeping fields.
-// It returns the number of displaced entries, or ErrTableFull when at
-// capacity. Duplicate (match, priority) pairs overwrite the existing rule's
-// actions in place, per OpenFlow ADD semantics, at zero shift cost.
+// Insert adds rule r at its priority position, stamping bookkeeping fields,
+// and returns the number of displaced entries. No installed rule may have
+// r's match and priority: OpenFlow's ADD of an installed rule replaces it,
+// which is the caller's to do (Find it first). err is always nil.
 func (t *Table) Insert(r *Rule, now time.Time) (shifted int, err error) {
-	if existing := t.find(&r.Match, r.Priority); existing != nil {
-		existing.Actions = r.Actions
-		existing.Cookie = r.Cookie
-		return 0, nil
-	}
-	if t.Capacity > 0 && len(t.rules) >= t.Capacity {
-		return 0, ErrTableFull
-	}
 	pos := t.insertionPoint(r.Priority)
 	shifted = len(t.rules) - pos
 	r.seq = t.nextSeq
@@ -310,18 +307,13 @@ func (t *Table) Insert(r *Rule, now time.Time) (shifted int, err error) {
 	return shifted, nil
 }
 
-// find returns the rule with an identical match and priority, or nil. It is
-// served by the lookup index: an indexable match can only equal rules in its
-// exact bucket, any other match only rules in the wild residue — so the
-// duplicate check every Insert performs touches a handful of rules instead
-// of scanning the table.
-func (t *Table) find(m *Match, priority uint16) *Rule {
-	if k, ok := indexKey(m); ok {
-		b := t.exact[k]
-		if b.one != nil && b.one.Priority == priority && b.one.Match.Same(m) {
-			return b.one
-		}
-		for _, r := range b.more {
+// Find returns the installed rule with an identical match and priority, or
+// nil. It is an indexed point lookup, not a packet classification — use
+// Lookup to match frames: an indexable match can only equal rules in its
+// key's chain, any other match only rules in the wild residue.
+func (t *Table) Find(m *Match, priority uint16) *Rule {
+	if k, ok := ExactKey(m); ok {
+		for r := t.exact.Get(k); r != nil && r.Priority >= priority; r = r.next {
 			if r.Priority == priority && r.Match.Same(m) {
 				return r
 			}
@@ -336,14 +328,9 @@ func (t *Table) find(m *Match, priority uint16) *Rule {
 	return nil
 }
 
-// Find returns the installed rule with an identical match and priority, or
-// nil. It is an indexed point lookup, not a packet classification — use
-// Lookup to match frames.
-func (t *Table) Find(m *Match, priority uint16) *Rule { return t.find(m, priority) }
-
 // Delete removes the rule identified by (match, priority) and returns it.
 func (t *Table) Delete(m *Match, priority uint16) (*Rule, error) {
-	r := t.find(m, priority)
+	r := t.Find(m, priority)
 	if r == nil {
 		return nil, ErrNotFound
 	}
@@ -389,20 +376,12 @@ func (t *Table) Lookup(f *packet.Frame, inPort uint16) *Rule {
 // time this way.
 func (t *Table) LookupWhere(f *packet.Frame, inPort uint16, keep func(*Rule) bool) *Rule {
 	var best *Rule
-	if f.HasIPv4 {
-		if k, ok := packAddrs(f.IP.Src, f.IP.Dst); ok {
-			b := t.exact[k]
-			if b.one != nil && (keep == nil || keep(b.one)) && b.one.Match.Matches(f, inPort) {
-				best = b.one
-			}
-			for _, r := range b.more {
-				if (keep != nil && !keep(r)) || !r.Match.Matches(f, inPort) {
-					continue
-				}
-				if best == nil || r.Priority > best.Priority ||
-					(r.Priority == best.Priority && r.seq < best.seq) {
-					best = r
-				}
+	if k, ok := FrameKey(f); ok {
+		// The chain is in table order, so its first match is its best.
+		for r := t.exact.Get(k); r != nil; r = r.next {
+			if (keep == nil || keep(r)) && r.Match.Matches(f, inPort) {
+				best = r
+				break
 			}
 		}
 	}

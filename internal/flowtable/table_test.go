@@ -190,35 +190,6 @@ func TestInsertEqualPriorityFIFO(t *testing.T) {
 	}
 }
 
-func TestInsertDuplicateOverwrites(t *testing.T) {
-	var tbl Table
-	r := mkRule(1, 10)
-	if _, err := tbl.Insert(r, t0); err != nil {
-		t.Fatal(err)
-	}
-	dup := mkRule(1, 10)
-	dup.Actions = Output(9)
-	shifted, err := tbl.Insert(dup, t0)
-	if err != nil || shifted != 0 {
-		t.Fatalf("duplicate insert: shifted=%d err=%v", shifted, err)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("len = %d, want 1", tbl.Len())
-	}
-	if tbl.Rules()[0].Actions[0].Port != 9 {
-		t.Fatal("duplicate insert did not overwrite actions")
-	}
-}
-
-func TestCapacityEnforced(t *testing.T) {
-	tbl := Table{Capacity: 2}
-	tbl.Insert(mkRule(1, 1), t0)
-	tbl.Insert(mkRule(2, 1), t0)
-	if _, err := tbl.Insert(mkRule(3, 1), t0); !errors.Is(err, ErrTableFull) {
-		t.Fatalf("err = %v, want ErrTableFull", err)
-	}
-}
-
 func TestModifyDelete(t *testing.T) {
 	var tbl Table
 	tbl.Insert(mkRule(1, 10), t0)
@@ -384,16 +355,17 @@ func TestTableRandomOpsInvariant(t *testing.T) {
 		for op := 0; op < 200; op++ {
 			id := uint32(rng.Intn(50))
 			prio := uint16(rng.Intn(8) * 10)
+			m := ExactProbeMatch(id)
 			if rng.Float64() < 0.6 {
+				if tbl.Find(&m, prio) != nil {
+					continue // Insert's precondition: no identical rule
+				}
 				if _, err := tbl.Insert(mkRule(id, prio), t0); err != nil {
 					return false
 				}
 				alive[id] = prio
 			} else if p, ok := alive[id]; ok {
-				m := ExactProbeMatch(id)
 				if _, err := tbl.Delete(&m, p); err != nil {
-					// Duplicate (match,prio) inserts overwrite, so a delete
-					// can only fail if we never inserted this pair.
 					return false
 				}
 				delete(alive, id)
@@ -458,11 +430,21 @@ func TestLookupIndexEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var tbl Table
+		valid := true
+		insert := func(r *Rule) {
+			if tbl.Find(&r.Match, r.Priority) == nil { // Insert's precondition
+				tbl.Insert(r, t0)
+			}
+			if err := tbl.validate(); err != nil {
+				t.Error(err)
+				valid = false
+			}
+		}
 		// Exact probe rules over a small flow space (collisions intended).
 		for i := 0; i < 60; i++ {
 			id := uint32(rng.Intn(20))
 			prio := uint16(rng.Intn(5) * 10)
-			tbl.Insert(&Rule{Match: ExactProbeMatch(id), Priority: prio, Actions: Output(1), Cookie: uint64(i)}, t0)
+			insert(&Rule{Match: ExactProbeMatch(id), Priority: prio, Actions: Output(1), Cookie: uint64(i)})
 		}
 		// Wildcard rules: prefixes over the probe address space + match-all.
 		for i := 0; i < 10; i++ {
@@ -471,9 +453,12 @@ func TestLookupIndexEquivalence(t *testing.T) {
 				Fields: FieldNwSrc,
 				NwSrc:  netip.PrefixFrom(packet.ProbeSrcIP(uint32(rng.Intn(20))), bits).Masked(),
 			}
-			tbl.Insert(&Rule{Match: m, Priority: uint16(rng.Intn(5) * 10), Actions: Output(2), Cookie: uint64(i)}, t0)
+			insert(&Rule{Match: m, Priority: uint16(rng.Intn(5) * 10), Actions: Output(2), Cookie: uint64(i)})
 		}
-		tbl.Insert(&Rule{Match: Match{}, Priority: 0, Actions: Output(3)}, t0)
+		insert(&Rule{Match: Match{}, Priority: 0, Actions: Output(3)})
+		if !valid {
+			return false
+		}
 
 		for probe := 0; probe < 40; probe++ {
 			raw, err := packet.BuildProbe(packet.ProbeSpec{FlowID: uint32(rng.Intn(25))})
@@ -492,6 +477,10 @@ func TestLookupIndexEquivalence(t *testing.T) {
 		for _, r := range append([]*Rule(nil), tbl.Rules()...) {
 			if rng.Float64() < 0.3 {
 				tbl.Remove(r)
+				if err := tbl.validate(); err != nil {
+					t.Error(err)
+					return false
+				}
 			}
 		}
 		for probe := 0; probe < 40; probe++ {
@@ -508,8 +497,10 @@ func TestLookupIndexEquivalence(t *testing.T) {
 	}
 }
 
-// validate checks internal ordering invariants; tests call it after
-// randomised operation sequences.
+// validate checks internal ordering and index invariants; tests call it
+// after randomised operation sequences. Every rule is reachable from its key
+// (or sits in the wild residue), each key's chain is in table order, and the
+// index counts exactly its occupied slots.
 func (t *Table) validate() error {
 	for i := 1; i < len(t.rules); i++ {
 		a, b := t.rules[i-1], t.rules[i]
@@ -520,18 +511,46 @@ func (t *Table) validate() error {
 			return fmt.Errorf("flowtable: FIFO order violated among priority %d", a.Priority)
 		}
 	}
-	if t.Capacity > 0 && len(t.rules) > t.Capacity {
-		return fmt.Errorf("flowtable: %d rules exceed capacity %d", len(t.rules), t.Capacity)
-	}
 	for i := 1; i < len(t.wild); i++ {
 		a, b := t.wild[i-1], t.wild[i]
 		if a.Priority < b.Priority || (a.Priority == b.Priority && a.seq > b.seq) {
 			return fmt.Errorf("flowtable: wild index order violated at %d", i)
 		}
 	}
-	indexed := len(t.wild)
-	for _, b := range t.exact {
-		indexed += 1 + len(b.more)
+	for _, r := range t.rules {
+		k, ok := ExactKey(&r.Match)
+		if !ok {
+			if _, in := findByOrder(t.wild, r); !in {
+				return fmt.Errorf("flowtable: wild rule %v is not in the wild residue", r.Match)
+			}
+			continue
+		}
+		p := t.exact.Get(k)
+		for p != nil && p != r {
+			p = p.next
+		}
+		if p == nil {
+			return fmt.Errorf("flowtable: rule %v is unreachable from its key", r.Match)
+		}
+	}
+	indexed, occupied := len(t.wild), 0
+	for i, head := range t.exact.vals {
+		if head == nil {
+			continue
+		}
+		occupied++
+		for r := head; r != nil; r = r.next {
+			indexed++
+			if k, _ := ExactKey(&r.Match); k != t.exact.keys[i] {
+				return fmt.Errorf("flowtable: rule %v is chained under key %#x", r.Match, t.exact.keys[i])
+			}
+			if n := r.next; n != nil && (n.Priority > r.Priority || (n.Priority == r.Priority && n.seq < r.seq)) {
+				return fmt.Errorf("flowtable: key %#x chain out of table order", t.exact.keys[i])
+			}
+		}
+	}
+	if occupied != t.exact.used {
+		return fmt.Errorf("flowtable: exact index counts %d keys but holds %d", t.exact.used, occupied)
 	}
 	if indexed != len(t.rules) {
 		return fmt.Errorf("flowtable: index holds %d rules, table %d", indexed, len(t.rules))

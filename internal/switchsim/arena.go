@@ -2,19 +2,19 @@ package switchsim
 
 import "tango/internal/flowtable"
 
-// arena.go is the flat entry arena: every tracked rule's bookkeeping record
+// arena.go is the flat entry arena: every installed rule's bookkeeping record
 // lives in one contiguous []entry slice, addressed by int32 handles instead
 // of pointers. Handle 0 is reserved ("no entry"), so the zero value of
-// flowtable.Rule.Ext means untracked. Freed slots go on a free list and are
+// flowtable.Rule.Ext means no record. Freed slots go on a free list and are
 // reused by later adds — across delete, timeout expiry, and Reset — so a
 // long-running switch's arena footprint is bounded by its peak live rule
 // count, not its cumulative churn.
 //
 // The payoff is cache locality on the two profiled hot paths:
 //
-//   - classifyExact resolves frame-key → handle through an open-addressing
-//     table (keyindex.go) and lands directly on the flat record, replacing
-//     the byKey map probe that dominated SizeInference profiles;
+//   - classifyExact resolves a frame's key to its rule through the rule
+//     table's open-addressing index (flowtable/keyindex.go), and the rule's
+//     Ext handle lands directly on the flat record;
 //   - the eviction/promotion heaps (evictindex.go) become []int32 of
 //     handles, so sifts write only integers — no GC pointer-write barriers,
 //     which dominated allocation-phase samples during demote churn.
@@ -47,7 +47,7 @@ func (s *Switch) entryAt(h int32) *entry {
 	return nil
 }
 
-// entryOf resolves a tracked rule to its arena record via the rule's Ext
+// entryOf resolves an installed rule to its arena record via the rule's Ext
 // handle — the hot-path replacement for a map lookup or interface assertion.
 func (s *Switch) entryOf(r *flowtable.Rule) *entry {
 	return s.entryAt(r.Ext)

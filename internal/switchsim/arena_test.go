@@ -20,16 +20,15 @@ func (s *Switch) arenaLive() int {
 	return n - len(s.freeEnts)
 }
 
-// trackedRule returns the bookkeeping rule for flow id, or nil.
+// trackedRule returns the installed rule for flow id, or nil.
 func trackedRule(s *Switch, id uint32) *flowtable.Rule {
 	want := flowtable.ExactProbeMatch(id)
-	var found *flowtable.Rule
-	s.forEachTracked(func(r *flowtable.Rule) {
+	for _, r := range s.rules.Rules() {
 		if r.Match == want {
-			found = r
+			return r
 		}
-	})
-	return found
+	}
+	return nil
 }
 
 // TestArenaStaleHandleAfterDelete exercises the arena's use-after-free
@@ -196,181 +195,5 @@ func TestResetReusesArena(t *testing.T) {
 			t.Fatalf("post-Reset handles not ascending: flow %d got %d after %d", id, h, prev)
 		}
 		prev = h
-	}
-}
-
-// collidingKeys brute-forces n distinct nonzero keys whose hashed home
-// slot is exactly home under the given table mask.
-func collidingKeys(mask uint64, home uint64, n int) []uint64 {
-	keys := make([]uint64, 0, n)
-	for k := uint64(1); len(keys) < n; k++ {
-		if hashKey(k)&mask == home {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
-// checkExact verifies that every key in want resolves to its handle and
-// that every key in gone resolves to 0.
-func checkExact(t *testing.T, x *exactIndex, want map[uint64]int32, gone []uint64) {
-	t.Helper()
-	for k, h := range want {
-		if got := x.get(k); got != h {
-			t.Fatalf("get(%#x) = %d, want %d", k, got, h)
-		}
-	}
-	for _, k := range gone {
-		if got := x.get(k); got != 0 {
-			t.Fatalf("get(%#x) = %d after delete, want 0", k, got)
-		}
-	}
-}
-
-// TestExactIndexDeletionClustering drives the open-addressing table's
-// backward-shift deletion through its adversarial shapes: long runs of
-// same-home keys deleted front-first, back-first, and in random order;
-// interleaved chains from adjacent home slots; and a chain that wraps the
-// table boundary. After every single delete, every surviving key must
-// still resolve — the tombstone-free invariant.
-func TestExactIndexDeletionClustering(t *testing.T) {
-	newTable := func() (*exactIndex, uint64) {
-		x := &exactIndex{}
-		x.init(40) // capacity 64: holds 48 keys before growth
-		return x, uint64(len(x.slots) - 1)
-	}
-
-	deleteOrders := []struct {
-		name  string
-		order func(n int, rng *rand.Rand) []int
-	}{
-		{"front-first", func(n int, _ *rand.Rand) []int {
-			idx := make([]int, n)
-			for i := range idx {
-				idx[i] = i
-			}
-			return idx
-		}},
-		{"back-first", func(n int, _ *rand.Rand) []int {
-			idx := make([]int, n)
-			for i := range idx {
-				idx[i] = n - 1 - i
-			}
-			return idx
-		}},
-		{"random", func(n int, rng *rand.Rand) []int { return rng.Perm(n) }},
-	}
-
-	shapes := []struct {
-		name string
-		keys func(mask uint64) []uint64
-	}{
-		{"one-home", func(mask uint64) []uint64 {
-			return collidingKeys(mask, 5, 20)
-		}},
-		{"interleaved-homes", func(mask uint64) []uint64 {
-			a := collidingKeys(mask, 9, 8)
-			b := collidingKeys(mask, 10, 8)
-			c := collidingKeys(mask, 11, 8)
-			var keys []uint64
-			for i := 0; i < 8; i++ {
-				keys = append(keys, a[i], b[i], c[i])
-			}
-			return keys
-		}},
-		{"wrapping", func(mask uint64) []uint64 {
-			// Home at the last slot: the probe chain wraps through 0.
-			return collidingKeys(mask, mask, 16)
-		}},
-	}
-
-	for _, shape := range shapes {
-		for _, ord := range deleteOrders {
-			t.Run(shape.name+"/"+ord.name, func(t *testing.T) {
-				x, mask := newTable()
-				rng := rand.New(rand.NewSource(11))
-				keys := shape.keys(mask)
-				want := map[uint64]int32{}
-				for i, k := range keys {
-					h := int32(i + 1)
-					x.put(k, h)
-					want[k] = h
-				}
-				checkExact(t, x, want, nil)
-				var gone []uint64
-				for _, i := range ord.order(len(keys), rng) {
-					x.del(keys[i])
-					delete(want, keys[i])
-					gone = append(gone, keys[i])
-					checkExact(t, x, want, gone)
-				}
-				if x.used != 0 {
-					t.Fatalf("used = %d after deleting everything", x.used)
-				}
-			})
-		}
-	}
-}
-
-// TestExactIndexChurnAndGrow interleaves colliding inserts, deletes, and
-// re-inserts past the growth threshold, checking that growth rehashes
-// chains correctly and that deletion never strands a key.
-func TestExactIndexChurnAndGrow(t *testing.T) {
-	x := &exactIndex{}
-	x.init(0) // start at minimum capacity so growth happens mid-churn
-	startCap := len(x.slots)
-	rng := rand.New(rand.NewSource(23))
-	want := map[uint64]int32{}
-	var pool []uint64
-	next := int32(1)
-	for step := 0; step < 3000; step++ {
-		if rng.Intn(3) > 0 || len(pool) == 0 {
-			k := uint64(rng.Int63())&0xffff + 1 // small space: heavy collisions
-			if _, dup := want[k]; dup {
-				x.set(k, next)
-			} else {
-				x.put(k, next)
-				pool = append(pool, k)
-			}
-			want[k] = next
-			next++
-		} else {
-			i := rng.Intn(len(pool))
-			k := pool[i]
-			pool = append(pool[:i], pool[i+1:]...)
-			x.del(k)
-			delete(want, k)
-		}
-	}
-	if len(x.slots) <= startCap {
-		t.Fatalf("table never grew (cap %d); churn too small", len(x.slots))
-	}
-	if x.used != len(want) {
-		t.Fatalf("used = %d, want %d", x.used, len(want))
-	}
-	checkExact(t, x, want, nil)
-}
-
-// TestExactIndexZeroKey pins down the zero-key corner: emptiness is
-// signalled by slots[i]==0 (the nil handle), not keys[i]==0, so the
-// all-zero address pair is a perfectly valid key.
-func TestExactIndexZeroKey(t *testing.T) {
-	x := &exactIndex{}
-	x.init(0)
-	x.put(0, 7)
-	if got := x.get(0); got != 7 {
-		t.Fatalf("get(0) = %d, want 7", got)
-	}
-	x.set(0, 9)
-	if got := x.get(0); got != 9 {
-		t.Fatalf("get(0) = %d after set, want 9", got)
-	}
-	x.del(0)
-	if got := x.get(0); got != 0 {
-		t.Fatalf("get(0) = %d after delete, want 0", got)
-	}
-	x.del(0) // deleting an absent key is a no-op
-	if x.used != 0 {
-		t.Fatalf("used = %d, want 0", x.used)
 	}
 }

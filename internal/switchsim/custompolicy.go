@@ -136,7 +136,7 @@ type destAggState struct {
 	members    []destMember // by arena handle
 	groups     []destGroup  // slot 0 is the reserved "no group"
 	freeGroups []int32
-	byKey      exactIndex // group key → groups index
+	byKey      flowtable.KeyIndex[int32] // group key → groups index
 }
 
 // residualGroup collects rules whose match has no exact IPv4 destination.
@@ -157,7 +157,7 @@ func (st *destAggState) scoreOf(e *entry) uint64 {
 		g = st.members[e.self].group
 	}
 	if g == 0 {
-		g = st.byKey.get(uint64(groupKey(e)))
+		g = st.byKey.Get(uint64(groupKey(e)))
 	}
 	return st.groups[g].score // slot 0 scores 0
 }
@@ -179,7 +179,7 @@ func (st *destAggState) join(ar []entry, e *entry) (*destMember, *destGroup) {
 		return m, &st.groups[m.group]
 	}
 	key := groupKey(e)
-	gi := st.byKey.get(uint64(key))
+	gi := st.byKey.Get(uint64(key))
 	if gi == 0 {
 		if n := len(st.freeGroups); n > 0 {
 			gi = st.freeGroups[n-1]
@@ -189,7 +189,7 @@ func (st *destAggState) join(ar []entry, e *entry) (*destMember, *destGroup) {
 			st.groups = append(st.groups, destGroup{})
 		}
 		st.groups[gi] = destGroup{key: key}
-		st.byKey.put(uint64(key), gi)
+		st.byKey.Put(uint64(key), gi)
 	}
 	g := &st.groups[gi]
 	m.group, m.prev = gi, g.tail
@@ -303,7 +303,7 @@ func (st *destAggState) onRemove(s *Switch, e *entry) {
 	}
 	*m = destMember{}
 	if g.head == 0 {
-		st.byKey.del(uint64(g.key))
+		st.byKey.Del(uint64(g.key))
 		*g = destGroup{}
 		st.freeGroups = append(st.freeGroups, gi)
 		return

@@ -135,10 +135,10 @@ func checkGroups(t *testing.T, s *Switch, inTCAM, inSoft map[int32]bool) {
 	heapMembers(t, s, "promotion", s.promoteIdx, promoteReps)
 
 	traffic := map[uint32]uint64{} // Σ traffic per group key over every live entry
-	s.forEachTracked(func(r *flowtable.Rule) {
+	for _, r := range s.rules.Rules() {
 		e := s.entryOf(r)
 		traffic[groupKey(e)] += e.traffic
-	})
+	}
 
 	free := map[int32]bool{}
 	for _, gi := range st.freeGroups {
@@ -150,15 +150,14 @@ func checkGroups(t *testing.T, s *Switch, inTCAM, inSoft map[int32]bool) {
 	if st.groups[0] != (destGroup{}) {
 		t.Fatalf("reserved group 0 was written: %+v", st.groups[0])
 	}
-	liveGroups, joined := 0, 0
+	joined := 0
 	for i := 1; i < len(st.groups); i++ {
 		gi := int32(i)
 		if free[gi] {
 			continue
 		}
-		liveGroups++
 		g := st.groups[gi]
-		if got := st.byKey.get(uint64(g.key)); got != gi {
+		if got := st.byKey.Get(uint64(g.key)); got != gi {
 			t.Fatalf("group %d (key %#x) resolves to %d", gi, g.key, got)
 		}
 		if g.score != traffic[g.key] {
@@ -209,9 +208,6 @@ func checkGroups(t *testing.T, s *Switch, inTCAM, inSoft map[int32]bool) {
 	if len(evictReps) != 0 || len(promoteReps) != 0 {
 		t.Fatalf("heaps hold non-representatives: eviction %v, promotion %v", evictReps, promoteReps)
 	}
-	if st.byKey.used != liveGroups {
-		t.Fatalf("key index holds %d groups, %d are live", st.byKey.used, liveGroups)
-	}
 	for key, sum := range traffic {
 		if sum != 0 {
 			t.Fatalf("group %#x carried %d packets but has no score", key, sum)
@@ -234,42 +230,23 @@ func checkGroups(t *testing.T, s *Switch, inTCAM, inSoft map[int32]bool) {
 	}
 }
 
-// checkArena asserts the flat-arena bookkeeping invariants: every tracked
+// checkArena asserts the flat-arena bookkeeping invariants: every installed
 // rule resolves to a live arena record and vice versa (no leaks, no
-// dangling handles), every tracked exact-match rule is reachable from its
-// key in the exact index, the timed-rule list holds exactly the live
-// entries that carry a timeout, and every free-listed slot is dead — its
-// zeroed self field makes stale handles resolve to nil.
+// dangling handles), the timed-rule list holds exactly the live entries
+// that carry a timeout, and every free-listed slot is dead — its zeroed
+// self field makes stale handles resolve to nil. The table's own index
+// invariants are flowtable's validate.
 func checkArena(t *testing.T, s *Switch) {
 	t.Helper()
-	tracked := 0
-	s.forEachTracked(func(r *flowtable.Rule) {
-		tracked++
+	tracked := s.rules.Len()
+	for _, r := range s.rules.Rules() {
 		e := s.entryOf(r)
 		if e == nil {
-			t.Fatalf("tracked rule %v (handle %d) resolves to no arena record", r.Match, r.Ext)
+			t.Fatalf("installed rule %v (handle %d) resolves to no arena record", r.Match, r.Ext)
 		}
 		if e.rule != r {
 			t.Fatalf("arena record %d points at the wrong rule", e.self)
 		}
-		if k, ok := flowtable.ExactKey(&r.Match); ok {
-			h := s.exact.get(k)
-			for h != 0 && h != r.Ext {
-				h = s.entries[h].nextKey
-			}
-			if h == 0 {
-				t.Fatalf("tracked rule %v (handle %d) is unreachable from its key in the exact index", r.Match, r.Ext)
-			}
-		}
-	})
-	heads := 0
-	for _, h := range s.exact.slots {
-		if h != 0 {
-			heads++
-		}
-	}
-	if heads != s.exact.used {
-		t.Fatalf("exact index counts %d keys but holds %d", s.exact.used, heads)
 	}
 	timed := 0
 	for h := int32(1); int(h) < len(s.entries); h++ {
@@ -315,8 +292,8 @@ func checkArena(t *testing.T, s *Switch) {
 
 // checkTiers asserts the one-table invariants: no entry is in both tiers or
 // in neither; the TCAM budget holds exactly the units of the inTCAM
-// entries; the tier counts are the flag counts; and every tracked rule is in
-// the switch's one table exactly once.
+// entries; the tier counts are the flag counts; and every installed rule is
+// in the switch's one table exactly once, and is what Find returns for it.
 func checkTiers(t *testing.T, s *Switch, tracked int) {
 	t.Helper()
 	var want *flowtable.TCAM // the budget the inTCAM entries add up to
@@ -361,11 +338,11 @@ func checkTiers(t *testing.T, s *Switch, tracked int) {
 	if len(inTable) != tracked {
 		t.Fatalf("table holds %d rules, switch tracks %d", len(inTable), tracked)
 	}
-	s.forEachTracked(func(r *flowtable.Rule) {
-		if !inTable[r] || s.rules.Find(&r.Match, r.Priority) != r {
-			t.Fatalf("tracked rule %v is not the table's rule for its match and priority", r.Match)
+	for r := range inTable {
+		if s.rules.Find(&r.Match, r.Priority) != r {
+			t.Fatalf("installed rule %v is not the table's rule for its match and priority", r.Match)
 		}
-	})
+	}
 }
 
 // diffOpts shapes runDifferential's operation mix for the policy under test.

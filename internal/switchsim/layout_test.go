@@ -14,7 +14,6 @@ func TestHotStructLayouts(t *testing.T) {
 	for _, v := range []interface{}{
 		entry{},
 		kernelEntry{},
-		exactIndex{},
 		handleHeap{},
 		destMember{},
 		destGroup{},

@@ -152,9 +152,13 @@ func (s *Switch) statsReply(req *openflow.StatsRequest) *openflow.StatsReply {
 			})
 		}
 		if s.kernel != nil {
+			maxEntries := s.profile.softwareCap()
+			if s.profile.KernelCapacity > 0 {
+				maxEntries = s.profile.KernelCapacity
+			}
 			rep.Tables = append(rep.Tables, openflow.TableStats{
 				TableID: 2, Name: "kernel",
-				MaxEntries:  uint32(s.profile.softwareCap()),
+				MaxEntries:  uint32(maxEntries),
 				ActiveCount: uint32(len(s.kernel)),
 			})
 		}

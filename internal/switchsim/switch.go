@@ -72,10 +72,6 @@ type entry struct {
 	// heapIdx is the entry's position in the eviction/promotion index
 	// (evictindex.go); -1 while the entry is in neither heap.
 	heapIdx int32
-	// nextKey chains the tracked entries sharing one exact-match key (rules
-	// pinning the same address pair at other priorities or ports); 0
-	// terminates. The exact index (keyindex.go) stores only the head handle.
-	nextKey int32
 	// timedIdx is the entry's position in the switch's timed-rule list
 	// (expiry.go); -1 while the rule carries no timeout. Expiry sweeps walk
 	// only that list, so million-flow tables whose residents never expire
@@ -126,10 +122,12 @@ type Switch struct {
 	rng     *rand.Rand
 
 	// rules holds every installed rule of both tiers in the one priority
-	// order the agent charges shifts against. Which tier serves a rule is
-	// its entry's inTCAM/inSoft flag, and tcam is the TCAM's unit budget,
-	// charged for the inTCAM entries (nil for ManageMicroflow). A cache move
-	// flips the flags and moves the units; the table stays as it is.
+	// order the agent charges shifts against, and is the switch's only rule
+	// index: flow-mods and the exact classifier resolve rules through its
+	// exact-key chains. Which tier serves a rule is its entry's
+	// inTCAM/inSoft flag, and tcam is the TCAM's unit budget, charged for
+	// the inTCAM entries (nil for ManageMicroflow). A cache move flips the
+	// flags and moves the units; the table stays as it is.
 	rules  *flowtable.Table
 	tcam   *flowtable.TCAM
 	kernel map[packet.FiveTuple]kernelEntry
@@ -137,19 +135,13 @@ type Switch struct {
 	events uint64
 
 	// entries is the flat entry arena (arena.go): slot 0 is the reserved nil
-	// handle, freeEnts the reusable-slot free list. exact maps every tracked
-	// rule's packed exact-match word to its head handle and wildTracked
-	// holds the non-indexable residue. Together they are the switch's record
-	// of installed rules: flow-mod deletes resolve their victims from one
-	// key chain instead of scanning all tracked rules.
-	entries     []entry
-	freeEnts    []int32
-	exact       exactIndex
-	wildTracked []*flowtable.Rule
+	// handle, freeEnts the reusable-slot free list.
+	entries  []entry
+	freeEnts []int32
 
 	// timedEnts lists the handles of entries whose rules carry idle/hard
 	// timeouts, in schedule order; expiry sweeps iterate it instead of the
-	// whole tracked-rule set. Entries unlink on free via their timedIdx
+	// whole rule table. Entries unlink on free via their timedIdx
 	// back-pointer (swap-remove), so the list only ever holds live handles.
 	timedEnts []int32
 
@@ -244,12 +236,12 @@ func New(p Profile, opts ...Option) *Switch {
 		profile: p,
 		clock:   simclock.NewVirtual(),
 		rng:     rand.New(rand.NewSource(42)),
+		rules:   flowtable.NewTable(p.ruleHint()),
 	}
-	s.initTables()
+	s.initTCAM()
 	if p.Kind == ManageMicroflow {
 		s.kernel = make(map[packet.FiveTuple]kernelEntry)
 	}
-	s.exact.init(s.trackedHint())
 	s.initIndexes()
 	// Bind to the process-wide default telemetry (a no-op unless a command
 	// installed one).
@@ -267,20 +259,26 @@ func (p Profile) softwareCap() int {
 	return defaultSoftwareCapacity
 }
 
-// initTables installs an empty rule table and TCAM budget. The table's
-// capacity only sizes its lookup index: the tiers' own budgets, TCAM units
-// and the software bound, always run out first.
-func (s *Switch) initTables() {
-	p := s.profile
-	capacity := 0
+// ruleHint sizes the rule table's exact index for the rules the tiers can
+// hold, so probing installs that run straight to capacity never rehash. A
+// "virtually unlimited" software tier never actually fills, so the hint is
+// capped; the tiers' own bounds always refuse first.
+func (p Profile) ruleHint() int {
+	n := 0
 	if p.Kind != ManageMicroflow {
-		s.tcam = flowtable.NewTCAM(p.TCAM)
-		capacity = p.TCAM.CapacityNarrow + p.TCAM.CapacityWide
+		n = p.TCAM.CapacityNarrow
 	}
 	if p.Kind != ManageTCAMOnly {
-		capacity += p.softwareCap()
+		n += p.softwareCap()
 	}
-	s.rules = &flowtable.Table{Capacity: capacity}
+	return min(n, 2048)
+}
+
+// initTCAM installs an empty TCAM budget (none for ManageMicroflow).
+func (s *Switch) initTCAM() {
+	if s.profile.Kind != ManageMicroflow {
+		s.tcam = flowtable.NewTCAM(s.profile.TCAM)
+	}
 }
 
 func (s *Switch) installDefaultRoute() {
@@ -297,95 +295,8 @@ func (s *Switch) installDefaultRoute() {
 		s.freeRule(r)
 		return
 	}
-	s.install(r, s.clock.Now())
+	_, _ = s.rules.Insert(r, s.clock.Now()) // always nil
 	s.defaultRule = r
-}
-
-// trackedHint sizes the exact index for the full hierarchy up front: probing
-// installs run straight to capacity, and incremental growth would double the
-// rehash traffic. "Virtually unlimited" software tables are capped — they
-// never actually fill.
-func (s *Switch) trackedHint() int {
-	hint := s.profile.TCAM.CapacityNarrow + s.profile.softwareCap()
-	if hint > 2048 {
-		hint = 2048
-	}
-	return hint
-}
-
-// trackRule registers an installed rule in the tracked-rule index. Rules
-// sharing one exact key chain behind the index's head handle in insertion
-// order.
-func (s *Switch) trackRule(r *flowtable.Rule) {
-	if k, ok := flowtable.ExactKey(&r.Match); ok {
-		h := r.Ext
-		head := s.exact.get(k)
-		if head == 0 {
-			s.exact.put(k, h)
-			return
-		}
-		tail := &s.entries[head]
-		for tail.nextKey != 0 {
-			tail = &s.entries[tail.nextKey]
-		}
-		tail.nextKey = h
-		return
-	}
-	s.wildTracked = append(s.wildTracked, r)
-}
-
-// untrackRule removes r from the tracked-rule index, unlinking it from its
-// key chain (and updating or deleting the index head as needed).
-func (s *Switch) untrackRule(r *flowtable.Rule) {
-	if k, ok := flowtable.ExactKey(&r.Match); ok {
-		h := r.Ext
-		e := s.entryAt(h)
-		if e == nil {
-			return
-		}
-		head := s.exact.get(k)
-		if head == h {
-			if e.nextKey != 0 {
-				s.exact.set(k, e.nextKey)
-			} else {
-				s.exact.del(k)
-			}
-			e.nextKey = 0
-			return
-		}
-		for prev := head; prev != 0; {
-			pe := &s.entries[prev]
-			if pe.nextKey == h {
-				pe.nextKey = e.nextKey
-				e.nextKey = 0
-				return
-			}
-			prev = pe.nextKey
-		}
-		return
-	}
-	for i, rr := range s.wildTracked {
-		if rr == r {
-			s.wildTracked = append(s.wildTracked[:i], s.wildTracked[i+1:]...)
-			return
-		}
-	}
-}
-
-// forEachTracked visits every tracked rule. Visit order is deterministic
-// (index slot order, then chain order, then the wild residue) but otherwise
-// unspecified, as it was when tracking lived in a map.
-func (s *Switch) forEachTracked(fn func(r *flowtable.Rule)) {
-	for _, h := range s.exact.slots {
-		for h != 0 {
-			e := &s.entries[h]
-			fn(e.rule)
-			h = e.nextKey
-		}
-	}
-	for _, r := range s.wildTracked {
-		fn(r)
-	}
 }
 
 // Reset returns the switch to its power-on state: every flow table and the
@@ -397,10 +308,9 @@ func (s *Switch) forEachTracked(fn func(r *flowtable.Rule)) {
 func (s *Switch) Reset() {
 	s.mu.Lock()
 	hadDefault := s.defaultRule != nil
-	s.initTables()
+	s.rules.Reset()
+	s.initTCAM()
 	clear(s.kernel)
-	s.exact.reset()
-	s.wildTracked = s.wildTracked[:0]
 	s.resetArena()
 	s.initIndexes()
 	s.defaultRule = nil
@@ -553,7 +463,10 @@ func (s *Switch) add(fm *openflow.FlowMod) error {
 		return ErrTableFull
 	}
 	s.chargeInstall(fm.Priority)
-	s.install(rule, now)
+	// The table stamps the rule's install and last-use times. Insert's error
+	// is always nil, and its precondition holds: add replaces an installed
+	// identical rule before it gets here.
+	_, _ = s.rules.Insert(rule, now)
 	s.scheduleExpiry(rule, s.clock.Now())
 	return nil
 }
@@ -579,15 +492,6 @@ func (s *Switch) replace(r *flowtable.Rule, fm *openflow.FlowMod, now time.Time)
 	s.invalidateKernel(r)
 	s.untimeEntry(s.entryOf(r))
 	s.scheduleExpiry(r, now)
-}
-
-// install enters a placed rule into the table, which stamps its install and
-// last-use times, and into the tracked-rule index.
-func (s *Switch) install(r *flowtable.Rule, now time.Time) {
-	// place admitted r into a tier and no identical rule is installed, so
-	// the table, sized past both tiers' budgets, cannot refuse it.
-	_, _ = s.rules.Insert(r, now)
-	s.trackRule(r)
 }
 
 // place makes a new entry resident in the tier its switch kind and cache
@@ -705,39 +609,28 @@ func (s *Switch) modify(fm *openflow.FlowMod) error {
 }
 
 func (s *Switch) delete(fm *openflow.FlowMod) error {
-	strict := fm.Command == openflow.FlowDeleteStrict
 	victims := s.victims[:0]
-	if k, ok := flowtable.ExactKey(&fm.Match); ok {
-		// An exact (src/32, dst/32) delete match can only hit rules pinning
-		// the same address pair — strict by definition, non-strict because
-		// Covers requires the victim's prefixes to sit inside the /32s. So
-		// the victims all chain behind one exact-index head (same-bucket
-		// keys), which turns the dominant cost of bulk rule churn (a full
-		// tracked-rule scan per delete) into a handful of comparisons.
-		for h := s.exact.get(k); h != 0; {
-			e := &s.entries[h]
-			r := e.rule
-			if strict {
-				if r.Priority == fm.Priority && r.Match.Same(&fm.Match) {
-					victims = append(victims, r)
-				}
-			} else if fm.Match.Covers(&r.Match) {
-				victims = append(victims, r)
-			}
-			h = e.nextKey
+	switch k, exact := flowtable.ExactKey(&fm.Match); {
+	case fm.Command == openflow.FlowDeleteStrict:
+		if r := s.rules.Find(&fm.Match, fm.Priority); r != nil {
+			victims = append(victims, r)
 		}
-	} else if strict {
-		for _, r := range s.wildTracked {
-			if r.Priority == fm.Priority && r.Match.Same(&fm.Match) {
-				victims = append(victims, r)
-			}
-		}
-	} else {
-		s.forEachTracked(func(r *flowtable.Rule) {
+	case exact:
+		// A non-strict exact (src/32, dst/32) match covers only rules
+		// pinning the same address pair, since Covers requires the victim's
+		// prefixes to sit inside the /32s. So the victims all share its key,
+		// and bulk rule churn walks one chain per delete, not the table.
+		for r := s.rules.ExactRules(k); r != nil; r = r.NextExact() {
 			if fm.Match.Covers(&r.Match) {
 				victims = append(victims, r)
 			}
-		})
+		}
+	default:
+		for _, r := range s.rules.Rules() {
+			if fm.Match.Covers(&r.Match) {
+				victims = append(victims, r)
+			}
+		}
 	}
 	if len(victims) == 0 {
 		// Deleting nothing is not an error in OpenFlow, but it still costs
@@ -758,7 +651,6 @@ func (s *Switch) delete(fm *openflow.FlowMod) error {
 
 func (s *Switch) removeRule(r *flowtable.Rule) {
 	e := s.entryOf(r)
-	s.untrackRule(r)
 	s.untrack(e)
 	s.customRemove(e)
 	s.invalidateKernel(r)
@@ -965,16 +857,14 @@ func (s *Switch) classifyExact(f *packet.Frame, inPort uint16, size int, now tim
 		// Non-IPv4 frames cannot match exact-indexed rules.
 		return s.punt(), true
 	}
-	h := s.exact.get(k)
-	if h == 0 {
+	r := s.rules.ExactRules(k)
+	if r == nil {
 		return s.punt(), true
 	}
-	e := &s.entries[h]
-	if e.nextKey != 0 {
+	if r.NextExact() != nil {
 		// Several rules share the key; let the reference path pick.
 		return Result{}, false
 	}
-	r := e.rule
 	if defaultOnly && r.Priority <= s.defaultRule.Priority {
 		return Result{}, false
 	}
@@ -983,6 +873,7 @@ func (s *Switch) classifyExact(f *packet.Frame, inPort uint16, size int, now tim
 		// exact rule shares the key, so the frame misses every rule.
 		return s.punt(), true
 	}
+	e := &s.entries[r.Ext]
 	if e.inTCAM {
 		return s.tcamHit(e, r, size, now), true
 	}

@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -259,6 +260,108 @@ func TestMicroflowKernelLRUCapacity(t *testing.T) {
 	}
 	if res := sendProbe(t, s, 0); res.Path != PathSlow {
 		t.Fatalf("evicted flow path = %v, want slow", res.Path)
+	}
+}
+
+// TestKernelTableStatsReportKernelCapacity: an OVS profile whose microflow
+// cache is bounded reports that bound as the kernel table's size, and an
+// unbounded one the software table's.
+func TestKernelTableStatsReportKernelCapacity(t *testing.T) {
+	for _, c := range []struct {
+		kernelCap int
+		want      uint32
+	}{{2, 2}, {0, defaultSoftwareCapacity}} {
+		p := OVS()
+		p.KernelCapacity = c.kernelCap
+		s := New(p)
+		addFlow(t, s, 1, 100)
+		sendProbe(t, s, 1)
+		sr := s.Handle(&openflow.StatsRequest{StatsType: openflow.StatsTypeTable})[0].(*openflow.StatsReply)
+		var kernel *openflow.TableStats
+		for i := range sr.Tables {
+			if sr.Tables[i].Name == "kernel" {
+				kernel = &sr.Tables[i]
+			}
+		}
+		if kernel == nil || kernel.MaxEntries != c.want || kernel.ActiveCount != 1 {
+			t.Fatalf("KernelCapacity %d: kernel table stats %+v, want %d max entries and 1 active", c.kernelCap, kernel, c.want)
+		}
+	}
+}
+
+// TestNonStrictDeleteRemovesInTableOrder pins the order a non-strict delete
+// removes its victims in, which is the order of their FLOW_REMOVED
+// messages: table order, by descending priority and then by install order,
+// both for a wildcard match and for an exact match whose key several rules
+// share.
+func TestNonStrictDeleteRemovesInTableOrder(t *testing.T) {
+	s := New(OVS())
+	add := func(m flowtable.Match, prio uint16, cookie uint64) {
+		t.Helper()
+		if err := s.FlowMod(&openflow.FlowMod{
+			Command: openflow.FlowAdd, Match: m, Priority: prio, Cookie: cookie,
+			Flags: openflow.FlagSendFlowRem, Actions: flowtable.Output(1),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	removed := func(fm *openflow.FlowMod) []uint64 {
+		t.Helper()
+		if err := s.FlowMod(fm); err != nil {
+			t.Fatal(err)
+		}
+		var cookies []uint64
+		for _, fr := range s.TakeFlowRemoved() {
+			cookies = append(cookies, fr.Cookie)
+		}
+		return cookies
+	}
+
+	add(flowtable.ExactProbeMatch(7), 5, 100)
+	add(flowtable.ExactProbeMatch(7), 50, 101)
+	add(flowtable.L3ProbeMatch(7), 25, 102)
+	got := removed(&openflow.FlowMod{Command: openflow.FlowDelete, Match: flowtable.L3ProbeMatch(7)})
+	if want := []uint64{101, 102, 100}; !slices.Equal(got, want) {
+		t.Fatalf("exact-key delete removed cookies %v, want %v", got, want)
+	}
+
+	for i, prio := range []uint16{10, 30, 20, 30, 10, 20} {
+		add(flowtable.ExactProbeMatch(uint32(i)), prio, uint64(i))
+	}
+	add(flowtable.L2ProbeMatch(9), 20, 6)
+	got = removed(&openflow.FlowMod{Command: openflow.FlowDelete})
+	if want := []uint64{1, 3, 2, 5, 6, 0, 4}; !slices.Equal(got, want) {
+		t.Fatalf("wildcard delete removed cookies %v, want %v", got, want)
+	}
+}
+
+// TestSharedKeyTakesTheReferenceWalk: when several rules share a frame's
+// exact key, the exact classifier defers to the tier walk, which takes the
+// first rule that matches the whole frame, and a TCAM match before a
+// software one whatever their priorities.
+func TestSharedKeyTakesTheReferenceWalk(t *testing.T) {
+	add := func(s *Switch, m flowtable.Match, prio uint16) {
+		t.Helper()
+		if err := s.FlowMod(&openflow.FlowMod{Command: openflow.FlowAdd, Match: m, Priority: prio, Actions: flowtable.Output(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The key's first rule pins an in-port the probe does not arrive on.
+	s := New(Switch2())
+	onPort2 := flowtable.L3ProbeMatch(1)
+	onPort2.Fields |= flowtable.FieldInPort
+	onPort2.InPort = 2
+	add(s, onPort2, 50)
+	add(s, flowtable.L3ProbeMatch(1), 10)
+	if res := sendProbe(t, s, 1); res.Path != PathFast || res.Rule == nil || res.Rule.Priority != 10 {
+		t.Fatalf("probe on port 1 took %v via %+v, want the priority-10 rule's fast path", res.Path, res.Rule)
+	}
+	// The key's first rule is in software, a lower-priority one in the TCAM.
+	s = New(TestSwitch(1, PolicyFIFO))
+	add(s, flowtable.L3ProbeMatch(1), 10)
+	add(s, flowtable.ExactProbeMatch(1), 50)
+	if res := sendProbe(t, s, 1); res.Path != PathFast || res.Rule == nil || res.Rule.Priority != 10 {
+		t.Fatalf("probe took %v via %+v, want the TCAM rule's fast path", res.Path, res.Rule)
 	}
 }
 
