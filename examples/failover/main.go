@@ -88,8 +88,12 @@ func main() {
 	net1 := topo.Triangle()
 	fmt.Println("failing link s1-s2 ...")
 	switches["s1"].SetPortDown(2, true)
-	// Nudge the agent so it flushes the notification, then wait for it.
-	go ctrls["s1"].Echo()
+	// Nudge the agent so it flushes the notification. The switch sends it
+	// ahead of the echo reply, so the echo reads it on the way and it is
+	// queued by the time Echo returns.
+	if _, err := ctrls["s1"].Echo(); err != nil {
+		log.Fatal(err)
+	}
 	select {
 	case msg := <-ctrls["s1"].Notifications():
 		ps, ok := msg.(*openflow.PortStatus)
@@ -99,8 +103,8 @@ func main() {
 		fmt.Printf("PORT_STATUS: port %d of s1 link down=%v\n",
 			ps.Desc.PortNo, ps.Desc.State&openflow.PortStateLinkDown != 0)
 		net1.RemoveLink("s1", "s2")
-	case <-time.After(5 * time.Second):
-		log.Fatal("no PORT_STATUS notification")
+	default:
+		log.Fatal("no PORT_STATUS notification ahead of the echo reply")
 	}
 	newPath := net1.ShortestPath("s1", "s2")
 	fmt.Printf("recomputed path: %v\n\n", newPath)

@@ -82,10 +82,11 @@ func (c *Controller) FlowModBatch(fms []*openflow.FlowMod) ([]error, error) {
 
 // sendWindow is one flow-mod exchange: the ops and their barrier registered
 // together, written together, and the barrier's reply awaited. While it waits
-// readLoop stores each rejection the switch sends into the op's slot of errs;
-// the agent writes an op's error before the barrier reply, so on success every
-// rejection is already there. On failure the slots may hold some — the
-// deferred release is what makes them safe for the caller to overwrite.
+// the read token's holder — this caller or another — stores each rejection
+// the switch sends into the op's slot of errs; the agent writes an op's error
+// before the barrier reply, so on success every rejection is already there.
+// On failure the slots may hold some — the deferred release is what makes
+// them safe for the caller to overwrite.
 func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) error {
 	submit := c.tel.stamp()
 	first, ch, err := c.register(errs)

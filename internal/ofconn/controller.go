@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -17,12 +18,19 @@ import (
 // same inference code runs against an in-process emulated switch or a live
 // TCP endpoint. Its methods may be called from several goroutines: each call
 // writes its own exchange on the calling goroutine and waits for its own
-// reply, and the controller keeps nothing of a call that has returned. The
-// one goroutine it owns is readLoop.
+// reply, and the controller keeps nothing of a call that has returned. It owns
+// no goroutine: a caller awaiting a reply reads the connection itself while it
+// holds the read token (see await), so nothing is read between exchanges.
 type Controller struct {
 	conn net.Conn
 
-	// mu guards the xid table. nextXID is the last xid handed out.
+	// rd is the controller's one frame reader, used only by the holder of
+	// the read token; readTok holds that token while nobody reads.
+	rd      *openflow.Reader
+	readTok chan struct{}
+
+	// mu guards the xid table. nextXID is the last xid handed out. readErr is
+	// the fatal read error or ErrClosed; once set, no xid is handed out.
 	mu      sync.Mutex
 	nextXID uint32
 	pending map[uint32]pendingReply
@@ -156,7 +164,10 @@ func DialOptions(addr string, opts ControllerOptions) (*Controller, error) {
 }
 
 // NewControllerOptions wraps an established connection (also used in tests
-// over net.Pipe) and performs the handshake.
+// over net.Pipe) and performs the handshake. The controller reads only while
+// it awaits a reply, so it writes its HELLO before reading the switch's: a
+// peer that also writes first (the agent loop does) needs a transport that
+// buffers, as TCP does — over an unbuffered net.Pipe it must read first.
 func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, error) {
 	if opts.AsyncWindow < 0 {
 		conn.Close()
@@ -168,14 +179,16 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 	}
 	c := &Controller{
 		conn:    conn,
+		rd:      openflow.NewReader(conn),
+		readTok: make(chan struct{}, 1),
 		pending: make(map[uint32]pendingReply),
 		notify:  make(chan openflow.Message, 256),
 		timeout: opts.Timeout,
 		window:  window,
 	}
+	c.readTok <- struct{}{}
 	c.tel.init(opts)
 	c.tel.tracer.Instant("ofconn.dial", "", map[string]any{"remote": conn.RemoteAddr().String()})
-	go c.readLoop()
 	start := time.Now()
 	if err := c.handshake(); err != nil {
 		c.Close()
@@ -186,64 +199,71 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 	return c, nil
 }
 
-// pendingReply is one xid-table entry: where readLoop routes the message
+// pendingReply is one xid-table entry: where route delivers the message
 // that answers the xid. Exactly one field is set. The message that closes an
 // exchange (a request, a window's barrier) has its reply awaited on ch. A
 // flow-mod has nobody waiting — its only possible answer is a rejection — so
 // its entry points at the op's slot of the errs its FlowModBatch returns and
-// readLoop stores the rejection there.
+// route stores the rejection there.
 type pendingReply struct {
 	ch   chan openflow.Message
 	errp *error
 }
 
-func (c *Controller) readLoop() {
-	rd := openflow.NewReader(c.conn)
-	for {
-		msg, err := rd.ReadMessage()
-		if err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			for xid, p := range c.pending {
-				if p.ch != nil {
-					close(p.ch)
-				}
-				delete(c.pending, xid)
-			}
-			c.mu.Unlock()
-			return
-		}
-		c.tel.msgsIn.Add(1)
-		if msg.Type() == openflow.TypeHello {
-			continue // connection-opening pleasantry, not awaited
-		}
-		c.mu.Lock()
-		p, ok := c.pending[msg.XID()]
-		if ok {
-			delete(c.pending, msg.XID())
-			if oe, isErr := msg.(*openflow.Error); isErr && p.errp != nil {
-				// Stored under mu, which the window's sender takes (to release
-				// its xids) before it reads or overwrites the slot: the store
-				// is ordered before that whether the barrier was answered —
-				// its reply follows this message on the wire — or timed out.
-				*p.errp = rejection(oe)
-			}
-		}
-		c.mu.Unlock()
-		switch {
-		case p.ch != nil:
-			p.ch <- msg
-		case ok:
-			// A flow-mod's answer, recorded above.
-		case solicitedOnly(msg.Type()):
-			// The reply to an exchange that gave up waiting (await timed out
-			// and the xid was released). Nobody asked for it any more, and it
-			// is not something the switch volunteered.
-			c.tel.staleReplies.Add(1)
-		default:
-			c.notifyUnsolicited(msg)
+// route delivers one message the token holder read: an awaited reply into
+// its exchange's 1-buffered channel (the holder's own or another caller's), a
+// rejection into its op's slot, a stale reply to the counter and anything
+// the switch volunteered to Notifications().
+func (c *Controller) route(msg openflow.Message) {
+	c.tel.msgsIn.Add(1)
+	if msg.Type() == openflow.TypeHello {
+		return // connection-opening pleasantry, not awaited
+	}
+	c.mu.Lock()
+	p, ok := c.pending[msg.XID()]
+	if ok {
+		delete(c.pending, msg.XID())
+		if oe, isErr := msg.(*openflow.Error); isErr && p.errp != nil {
+			// Stored under mu, which the window's sender takes (to release
+			// its xids) before it reads or overwrites the slot: the store
+			// is ordered before that whether the barrier was answered —
+			// its reply follows this message on the wire — or timed out.
+			*p.errp = rejection(oe)
 		}
 	}
+	c.mu.Unlock()
+	switch {
+	case p.ch != nil:
+		p.ch <- msg // never blocks: the entry is gone, so ch gets one message
+	case ok:
+		// A flow-mod's answer, recorded above.
+	case solicitedOnly(msg.Type()):
+		// The reply to an exchange that gave up waiting (await timed out
+		// and the xid was released). Nobody asked for it any more, and it
+		// is not something the switch volunteered.
+		c.tel.staleReplies.Add(1)
+	default:
+		c.notifyUnsolicited(msg)
+	}
+}
+
+// fail ends the connection's read side: it records err (unless an earlier
+// failure or Close did) so register hands out no more xids, and closes every
+// awaited channel so each waiter returns ErrClosed — never a hang, never
+// success. A channel route has delivered to has left the table first, so
+// nothing is sent on a closed channel.
+func (c *Controller) fail(err error) {
+	c.mu.Lock()
+	if c.readErr == nil {
+		c.readErr = err
+	}
+	for xid, p := range c.pending {
+		if p.ch != nil {
+			close(p.ch)
+		}
+		delete(c.pending, xid)
+	}
+	c.mu.Unlock()
 }
 
 // solicitedOnly reports whether a message of type t can only be the answer
@@ -274,7 +294,10 @@ func (c *Controller) notifyUnsolicited(msg openflow.Message) {
 	}
 }
 
-// Notifications returns the stream of unsolicited switch messages.
+// Notifications returns the stream of unsolicited switch messages. The
+// controller reads the connection only while an exchange awaits its reply,
+// so a message the switch volunteers between exchanges waits in the socket
+// until the next one; it is queued here before that exchange returns.
 func (c *Controller) Notifications() <-chan openflow.Message { return c.notify }
 
 // register reserves len(errs)+1 consecutive xids in one critical section:
@@ -356,35 +379,75 @@ func (c *Controller) write(fms []*openflow.FlowMod, first uint32, last request) 
 }
 
 // await blocks for the reply on ch, bounded by the configured timeout (when
-// set). The caller releases the xid. A straggler that readLoop had already
-// matched lands in the 1-buffered channel and is garbage-collected with it;
-// one that arrives after the release finds no entry and is dropped as a stale
-// reply (see readLoop).
+// set). No goroutine reads for it: the caller waits for whichever comes
+// first — its reply, which another caller read and routed, the read token,
+// or its timer — and with the token it reads the connection itself
+// (readUntil), then hands the token back. The caller releases the xid. A
+// straggler already routed lands in the 1-buffered channel and is
+// garbage-collected with it; one read after the release finds no entry and
+// is dropped as a stale reply (see route).
 func (c *Controller) await(ch chan openflow.Message) (openflow.Message, error) {
-	if c.timeout <= 0 {
-		msg, ok := <-ch
-		if !ok {
-			return nil, ErrClosed
-		}
-		return msg, nil
+	var deadline time.Time
+	var expired <-chan time.Time
+	if c.timeout > 0 {
+		deadline = time.Now().Add(c.timeout)
+		t := time.NewTimer(c.timeout)
+		defer t.Stop()
+		expired = t.C
 	}
-	t := time.NewTimer(c.timeout)
-	defer t.Stop()
 	select {
 	case msg, ok := <-ch:
-		if !ok {
-			return nil, ErrClosed
-		}
-		return msg, nil
-	case <-t.C:
+		return delivered(msg, ok)
+	case <-c.readTok:
+		msg, err := c.readUntil(ch, deadline)
+		c.readTok <- struct{}{}
+		return msg, err
+	case <-expired:
 		return nil, ErrTimeout
 	}
 }
 
+// readUntil is the token holder's read loop: it reads and routes frames
+// until ch has its reply. A zero deadline reads without one. A deadline that
+// passes is ErrTimeout and leaves the connection usable — a frame cut short
+// stays in the reader's buffer for the next holder to finish. Any other read
+// error is fatal: fail wakes every waiter, the holder included.
+func (c *Controller) readUntil(ch chan openflow.Message, deadline time.Time) (openflow.Message, error) {
+	if !deadline.IsZero() {
+		// An error here means the connection is gone; the read reports it.
+		_ = c.conn.SetReadDeadline(deadline)
+	}
+	for {
+		select {
+		case msg, ok := <-ch:
+			return delivered(msg, ok)
+		default:
+		}
+		msg, err := c.rd.ReadMessage()
+		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				return nil, ErrTimeout
+			}
+			c.fail(err)
+			return nil, ErrClosed
+		}
+		c.route(msg)
+	}
+}
+
+// delivered is what a receive from an exchange's channel means: its reply,
+// or — closed by fail — ErrClosed.
+func delivered(msg openflow.Message, ok bool) (openflow.Message, error) {
+	if !ok {
+		return nil, ErrClosed
+	}
+	return msg, nil
+}
+
 // roundTrip is the one request/reply exchange every non-flow-mod operation
 // goes through: register an xid, write req, await the reply to it. rtt runs
-// from just before the write — made on this goroutine, so it holds no queue
-// hand-off — to the reply's arrival.
+// from just before the write to the reply's arrival; a serial caller makes
+// both the write and the read on this goroutine, so it holds no hand-off.
 func (c *Controller) roundTrip(req request) (reply openflow.Message, rtt time.Duration, _ error) {
 	xid, ch, err := c.register(nil)
 	if err != nil {
@@ -493,9 +556,12 @@ func (c *Controller) Now() time.Time { return time.Now() }
 // SimDevice.Sleep on the virtual-time path.
 func (c *Controller) Sleep(d time.Duration) { time.Sleep(d) }
 
-// Close tears down the connection. readLoop then fails every exchange still
-// awaiting a reply with ErrClosed — never a hang, never success — and exits.
+// Close tears down the connection and records ErrClosed, so every exchange
+// still awaiting a reply — the token holder's read fails too — returns
+// ErrClosed, never a hang, never success, and no later call registers.
 func (c *Controller) Close() error {
 	c.tel.tracer.Instant("ofconn.controller.close", "", nil)
-	return c.conn.Close()
+	err := c.conn.Close()
+	c.fail(ErrClosed)
+	return err
 }

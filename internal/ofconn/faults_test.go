@@ -63,7 +63,8 @@ func TestTimeoutWhenServerDropsReplies(t *testing.T) {
 // timed out (and released the xid) is nobody's — it must not surface on
 // Notifications() as if the switch had volunteered it, where a consumer that
 // expects only PORT_STATUS (examples/failover) would trip over it. It is
-// dropped and counted instead.
+// dropped and counted instead. Nothing reads between exchanges, so the late
+// reply is read by the next exchange, ahead of that exchange's own reply.
 func TestLateReplyIsNotANotification(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
 	inj := faults.NewInjector(faults.Config{Seed: 1, Delay: 1.0, DelayMean: 60 * time.Millisecond})
@@ -77,15 +78,12 @@ func TestLateReplyIsNotANotification(t *testing.T) {
 	if _, err := c.Echo(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Echo = %v, want ErrTimeout (the reply is held for 60 ms)", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for c.tel.staleReplies.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the late ECHO_REPLY never arrived")
-		}
-		time.Sleep(time.Millisecond)
+	c.timeout = 5 * time.Second // the next exchange waits out its own 60 ms
+	if _, err := c.Echo(); err != nil {
+		t.Fatalf("the exchange after the timeout: %v", err)
 	}
 	if n := c.tel.staleReplies.Value(); n != 1 {
-		t.Fatalf("stale_replies = %d, want 1", n)
+		t.Fatalf("stale_replies = %d, want 1 (the late ECHO_REPLY)", n)
 	}
 	select {
 	case msg := <-c.Notifications():
@@ -98,8 +96,10 @@ func TestLateReplyIsNotANotification(t *testing.T) {
 }
 
 // TestRejectionRacesTimeout drives the two writers of an op's outcome slot
-// at each other: readLoop storing a switch rejection, and a sender whose
-// barrier timed out overwriting it with ErrTimeout. The agent delays a fifth
+// at each other: the read token's holder storing a switch rejection, and a
+// sender whose barrier timed out overwriting it with ErrTimeout (the holder
+// may be that sender's neighbour or, a moment earlier, the sender itself —
+// its deadline passed mid-read). The agent delays a fifth
 // of the messages by a millisecond or so against a 3 ms timeout while four
 // goroutines send concurrently, which splits the ops about evenly between
 // rejected and timed out, with rejections landing on either side of a sender

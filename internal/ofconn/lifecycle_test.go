@@ -47,10 +47,10 @@ func controllerGoroutines() int {
 	return n
 }
 
-// TestControllerOwnsOneGoroutine: a dialled controller that has sent a batch
-// and a probe runs readLoop and nothing else (the parent also kept a writer);
-// a closed one runs nothing.
-func TestControllerOwnsOneGoroutine(t *testing.T) {
+// TestControllerOwnsNoGoroutine: a dialled controller that has sent a batch
+// and a probe runs no goroutine of its own — each caller read its reply
+// itself — and neither does a closed one.
+func TestControllerOwnsNoGoroutine(t *testing.T) {
 	settle := func(want int) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -61,7 +61,7 @@ func TestControllerOwnsOneGoroutine(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	settle(0) // earlier tests' controllers have wound down
+	settle(0) // earlier tests' callers have returned
 	c, _ := dialFlaky(t)
 	if _, err := c.FlowModBatch([]*openflow.FlowMod{probeAdd(1), probeAdd(2)}); err != nil {
 		t.Fatal(err)
@@ -73,11 +73,13 @@ func TestControllerOwnsOneGoroutine(t *testing.T) {
 	if _, _, err := c.SendProbe(data, 1); err != nil {
 		t.Fatal(err)
 	}
-	if n := controllerGoroutines(); n != 1 {
-		t.Fatalf("a controller in use owns %d goroutines, want 1 (readLoop)", n)
+	if n := controllerGoroutines(); n != 0 {
+		t.Fatalf("a controller in use owns %d goroutines, want 0", n)
 	}
 	c.Close()
-	settle(0)
+	if n := controllerGoroutines(); n != 0 {
+		t.Fatalf("a closed controller owns %d goroutines, want 0", n)
+	}
 }
 
 // TestAsyncWindowOneSerial pins the satellite contract: AsyncWindow=1

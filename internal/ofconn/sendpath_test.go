@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,12 +140,16 @@ func TestFlowModReportsOnlyItsOwnOutcome(t *testing.T) {
 }
 
 // TestConcurrentCallersOneConnection puts eight goroutines on one controller,
-// each looping a batch that overflows the small TCAM on its own, a single
-// flow-mod, probes and an echo. Every op's outcome must be its own. Each
-// caller owns a disjoint range of flows, so a probe is the oracle: a flow
-// whose add was confirmed is forwarded and one whose add was refused is
-// punted — a rejection that landed on another caller's op, or on a neighbour
-// in the same window, breaks both.
+// each looping a batch that overflows the small TCAM on its own, a flow-stats
+// request, a single flow-mod, probes and an echo. The controller has no
+// reader of its own: whichever caller holds the read token reads every
+// caller's replies, each under its own deadline. Every op's outcome must be
+// its own. Each caller owns a disjoint range of flows, so the stats reply and
+// a probe are the oracles: a flow whose add was confirmed is listed and
+// forwarded, one whose add was refused is neither — a rejection that landed
+// on another caller's op, or on a neighbour in the same window, and a stats
+// reply or PACKET_IN delivered to the wrong exchange, all break them. Run it
+// with -race -count=10.
 func TestConcurrentCallersOneConnection(t *testing.T) {
 	check := leakCheck(t)
 	const callers, rounds, batch, capacity = 8, 6, 16, 12
@@ -156,7 +161,8 @@ func TestConcurrentCallersOneConnection(t *testing.T) {
 	srv := NewServer(ln, sw, ServeOptions{})
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve() }()
-	c, err := DialOptions(srv.Addr().String(), ControllerOptions{AsyncWindow: 5})
+	// A timeout far beyond any reply: every token holder reads under a deadline.
+	c, err := DialOptions(srv.Addr().String(), ControllerOptions{AsyncWindow: 5, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +209,21 @@ func TestConcurrentCallersOneConnection(t *testing.T) {
 				if err != nil {
 					t.Errorf("caller %d round %d: FlowModBatch = %v", base, r, err)
 					return
+				}
+				flows, err := c.FlowStats()
+				if err != nil {
+					t.Errorf("caller %d round %d: FlowStats = %v", base, r, err)
+					return
+				}
+				listed := make(map[netip.Addr]bool, len(flows))
+				for _, f := range flows {
+					listed[f.Match.NwSrc.Addr()] = true
+				}
+				for i, e := range errs {
+					id := base + uint32(i)
+					if on := listed[packet.ProbeSrcIP(id)]; on != (e == nil) {
+						t.Errorf("flow %d: add = %v but listed in the stats reply = %v", id, e, on)
+					}
 				}
 				if _, err := c.Echo(); err != nil {
 					t.Errorf("caller %d round %d: Echo = %v", base, r, err)
