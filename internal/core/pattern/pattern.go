@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -342,10 +341,6 @@ func (e *Estimator) Total() time.Duration { return e.total }
 type DB struct {
 	mu     sync.RWMutex
 	scores map[string]*ScoreCard
-	// scoreVersion increments on every PutScore, letting callers that cache
-	// Score lookups (the scheduler memoizes cards per round) cheaply detect
-	// staleness. Atomic, so the per-batch staleness check takes no lock.
-	scoreVersion atomic.Uint64
 }
 
 // NewDB returns an empty database.
@@ -358,13 +353,7 @@ func (db *DB) PutScore(card *ScoreCard) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.scores[card.SwitchName] = card
-	db.scoreVersion.Add(1)
 }
-
-// ScoreVersion returns a counter that changes whenever a score card is
-// stored. A cached Score result is valid as long as the version it was
-// taken at still matches.
-func (db *DB) ScoreVersion() uint64 { return db.scoreVersion.Load() }
 
 // Score returns the score card for a switch.
 func (db *DB) Score(switchName string) (*ScoreCard, bool) {

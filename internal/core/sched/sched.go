@@ -86,43 +86,9 @@ type Tango struct {
 	scoreOnce sync.Once
 	hScore    *telemetry.Histogram
 
-	// cardMu guards the memoized DB.Score lookups below: one map lookup
-	// per Order call instead of a database round trip, invalidated by the
-	// database's score version.
-	cardMu      sync.RWMutex
-	cardVersion uint64
-	cardCache   map[string]*pattern.ScoreCard
 	// scratch pools the per-call ordering buffers, keeping Order
 	// allocation-lean and safe under concurrent per-switch calls.
 	scratch sync.Pool
-}
-
-// card resolves the switch's score card through the memoizing cache.
-func (t *Tango) card(switchName string) *pattern.ScoreCard {
-	if t.DB == nil {
-		return nil
-	}
-	v := t.DB.ScoreVersion()
-	t.cardMu.RLock()
-	if t.cardCache != nil && t.cardVersion == v {
-		if c, ok := t.cardCache[switchName]; ok {
-			t.cardMu.RUnlock()
-			return c
-		}
-	}
-	t.cardMu.RUnlock()
-	c, _ := t.DB.Score(switchName)
-	t.cardMu.Lock()
-	if t.cardCache == nil {
-		t.cardCache = make(map[string]*pattern.ScoreCard)
-	}
-	if t.cardVersion != v {
-		clear(t.cardCache)
-		t.cardVersion = v
-	}
-	t.cardCache[switchName] = c
-	t.cardMu.Unlock()
-	return c
 }
 
 // scoreHist lazily binds the pattern-score histogram.
@@ -300,7 +266,10 @@ func addDescCmp(a, b *Request) int {
 // plus the winning cost, -1 when the switch has no score card and the
 // universally safe fallback (deletes, modifies, adds ascending) was used.
 func (t *Tango) plan(switchName string, reqs []*Request, dst []*Request, scores []float64) ([]*Request, []float64, time.Duration) {
-	card := t.card(switchName)
+	var card *pattern.ScoreCard
+	if t.DB != nil {
+		card, _ = t.DB.Score(switchName)
+	}
 	sc := t.getScratch()
 	defer t.scratch.Put(sc)
 
@@ -552,17 +521,40 @@ func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, err
 	tango, _ := s.(*Tango)
 	res := &RunResult{}
 	var (
-		issue  []dag.NodeID
 		jobs   = map[string]*batchJob{}
 		active []*batchJob
 		round  int
 	)
+	// orderAndExecute orders and executes active[i]'s batch; it is built
+	// once per Run, so a round allocates no closure. Workers only read the
+	// graph; all mutation and accounting happens on the caller.
+	orderAndExecute := func(i int) {
+		job := active[i]
+		job.reqs = job.reqs[:0]
+		job.guards = 0
+		for _, id := range job.ids {
+			job.reqs = append(job.reqs, g.Payload(id))
+			if opts.Concurrent && g.InDegree(id) > 0 {
+				job.guards += opts.GuardTime
+			}
+		}
+		job.scores = job.scores[:0]
+		if tango != nil {
+			job.ordered, job.scores, _ = tango.plan(job.sw, job.reqs, job.ordered[:0], job.scores)
+		} else {
+			job.ordered = append(job.ordered[:0], s.Order(job.sw, job.reqs, job.ids, g)...)
+		}
+		job.ops = appendOps(job.ops[:0], job.ordered)
+		job.elapsed, job.err = exec.Execute(job.sw, job.ops)
+	}
 	for g.Len() > 0 {
 		indep := g.Frontier()
 		if len(indep) == 0 {
 			return nil, fmt.Errorf("sched: dependency graph stuck with %d nodes", g.Len())
 		}
-		issue = append(issue[:0], indep...)
+		// RemoveBatch never writes the frontier, so the round issues it in
+		// place; capping its capacity makes the extensions' appends copy.
+		issue := indep[:len(indep):len(indep)]
 		if opts.NonGreedy {
 			if est, ok := s.(BatchEstimator); ok {
 				issue = nonGreedyBatch(g, issue, est)
@@ -589,28 +581,7 @@ func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, err
 			job.ids = append(job.ids, id)
 		}
 		slices.SortFunc(active, func(a, b *batchJob) int { return strings.Compare(a.sw, b.sw) })
-
-		// Order and execute the round's batches in parallel. Workers only
-		// read the graph; all mutation and accounting happens below.
-		parallel.ForEach(len(active), opts.Workers, func(i int) {
-			job := active[i]
-			job.reqs = job.reqs[:0]
-			job.guards = 0
-			for _, id := range job.ids {
-				job.reqs = append(job.reqs, g.Payload(id))
-				if opts.Concurrent && g.InDegree(id) > 0 {
-					job.guards += opts.GuardTime
-				}
-			}
-			job.scores = job.scores[:0]
-			if tango != nil {
-				job.ordered, job.scores, _ = tango.plan(job.sw, job.reqs, job.ordered[:0], job.scores)
-			} else {
-				job.ordered = append(job.ordered[:0], s.Order(job.sw, job.reqs, job.ids, g)...)
-			}
-			job.ops = appendOps(job.ops[:0], job.ordered)
-			job.elapsed, job.err = exec.Execute(job.sw, job.ops)
-		})
+		parallel.ForEach(len(active), opts.Workers, orderAndExecute)
 
 		// Deterministic aggregation in sorted switch order: results,
 		// counters, histograms, and trace spans all fold in here, so they

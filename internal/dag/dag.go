@@ -9,6 +9,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -21,10 +22,11 @@ type NodeID int
 // The zero value is an empty graph ready for use.
 //
 // Alongside the adjacency lists the graph maintains an incremental Kahn
-// frontier: a live-indegree counter per node and the set of live nodes whose
-// counter is zero. RemoveBatch updates both in O(out-degree), so the
-// scheduler's round loop never rescans the whole graph. (The from-scratch
-// scan lives in frontier_test.go as the differential test's reference.)
+// frontier: a live-indegree counter per node and one bit per node that is
+// set exactly while the node is live with a zero counter. RemoveBatch updates
+// both in O(out-degree), so the scheduler's round loop never rescans the
+// whole graph and never sorts. (The from-scratch scan lives in
+// frontier_test.go as the differential test's reference.)
 type Graph[T any] struct {
 	payload []T
 	succ    [][]NodeID
@@ -33,17 +35,16 @@ type Graph[T any] struct {
 	live    int
 
 	// indeg[i] counts live predecessors of live node i (stale for removed
-	// nodes). inFrontier marks nodes with indeg zero; frontier lists them.
-	// While frontierClean holds, frontier is exactly the inFrontier nodes in
-	// ascending order: AddNode and RemoveBatch preserve that state, so the
-	// scheduler's Frontier → RemoveBatch loop sorts each round's newly
-	// unblocked nodes once and nothing else. AddEdge leaves stale entries
-	// behind (membership truth lives in inFrontier) and clears the flag;
-	// Frontier() then compacts lazily.
+	// nodes). Bit i%64 of ready[i/64] is set exactly when i is live with
+	// indeg zero: AddNode sets it, AddEdge clears its target's, and detach
+	// clears the removed node's and sets each node it unblocks. frontier is
+	// the set bits in ascending order, rebuilt by Frontier() only while
+	// frontierStale holds (after any mutation); AddNode keeps its capacity at
+	// one slot per node, so the rebuild never allocates.
 	indeg         []int
-	inFrontier    []bool
+	ready         []uint64
 	frontier      []NodeID
-	frontierClean bool
+	frontierStale bool
 	// unblocked is RemoveBatch's result buffer, reused across batches.
 	unblocked []NodeID
 
@@ -71,10 +72,12 @@ func (g *Graph[T]) AddNode(v T) NodeID {
 	g.removed = append(g.removed, false)
 	g.live++
 	g.indeg = append(g.indeg, 0)
-	g.inFrontier = append(g.inFrontier, true)
-	// Appending the new maximum ID preserves the compacted (sorted, no
-	// stale entries) state, so frontierClean is left as-is.
-	g.frontier = append(g.frontier, id)
+	if int(id)%64 == 0 {
+		g.ready = append(g.ready, 0)
+	}
+	g.setReady(id)
+	g.frontier = slices.Grow(g.frontier[:0], len(g.payload))
+	g.frontierStale = true
 	g.pathValid = false
 	return id
 }
@@ -112,15 +115,14 @@ func (g *Graph[T]) AddEdge(from, to NodeID) error {
 	g.succ[from] = append(g.succ[from], to)
 	g.pred[to] = append(g.pred[to], from)
 	g.indeg[to]++
+	g.clearReady(to)
+	g.frontierStale = true
 	g.pathValid = false
-	if g.inFrontier[to] {
-		// Lazy eviction: the stale slice entry is filtered on the next
-		// Frontier() compaction.
-		g.inFrontier[to] = false
-		g.frontierClean = false
-	}
 	return nil
 }
+
+func (g *Graph[T]) setReady(id NodeID)   { g.ready[id/64] |= 1 << (id % 64) }
+func (g *Graph[T]) clearReady(id NodeID) { g.ready[id/64] &^= 1 << (id % 64) }
 
 // reachable reports whether dst is reachable from src over live nodes.
 func (g *Graph[T]) reachable(src, dst NodeID) bool {
@@ -153,12 +155,12 @@ func (g *Graph[T]) Len() int { return g.live }
 func (g *Graph[T]) Payload(id NodeID) T { return g.payload[id] }
 
 // detach removes a checked-live node, decrements its live successors'
-// indegree counters, marks newly-unblocked successors as frontier members
-// and appends them to *emit.
+// indegree counters, marks newly-unblocked successors ready and appends them
+// to *emit.
 func (g *Graph[T]) detach(id NodeID, emit *[]NodeID) {
 	g.removed[id] = true
 	g.live--
-	g.inFrontier[id] = false
+	g.clearReady(id)
 	if g.indeg[id] > 0 {
 		// Chains from its live predecessors ran through this node.
 		g.pathValid = false
@@ -169,7 +171,7 @@ func (g *Graph[T]) detach(id NodeID, emit *[]NodeID) {
 		}
 		g.indeg[s]--
 		if g.indeg[s] == 0 {
-			g.inFrontier[s] = true
+			g.setReady(s)
 			*emit = append(*emit, s)
 		}
 	}
@@ -178,13 +180,11 @@ func (g *Graph[T]) detach(id NodeID, emit *[]NodeID) {
 // RemoveBatch removes every node in ids (all must be live; duplicates are
 // rejected as ErrBadNode on the second occurrence) and returns the nodes the
 // batch newly unblocked — live nodes whose last live predecessor was in the
-// batch — in ascending ID order. Nodes removed by the batch itself are never
-// reported, so issuing a frontier slice plus co-issued followers works. ids
-// may be the slice Frontier() returned. The result is owned by the graph and
-// valid until the next mutation. Cost is O(Σ out-degree(ids) + k log k + f)
-// for k unblocked nodes and f frontier entries, independent of graph size,
-// and it leaves a compacted frontier compacted: the k nodes are sorted here,
-// once, and merged into the surviving frontier.
+// batch — in the order it unblocked them. Nodes removed by the batch itself
+// are never reported, so issuing a frontier slice plus co-issued followers
+// works. ids may be the slice Frontier() returned: RemoveBatch never writes
+// it. The result is owned by the graph and valid until the next mutation.
+// Cost is O(Σ out-degree(ids)), independent of graph size.
 func (g *Graph[T]) RemoveBatch(ids []NodeID) ([]NodeID, error) {
 	for i, id := range ids {
 		err := g.check(id)
@@ -207,77 +207,29 @@ func (g *Graph[T]) RemoveBatch(ids []NodeID) ([]NodeID, error) {
 		g.detach(id, &promoted)
 	}
 	// A batch member can be "unblocked" by an earlier member before its own
-	// detach; filter those and sort what remains.
+	// detach; its detach cleared its bit, and the filter drops it here.
 	out := promoted[:0]
 	for _, id := range promoted {
 		if !g.removed[id] {
 			out = append(out, id)
 		}
 	}
-	slices.Sort(out)
 	g.unblocked = out
-	if g.frontierClean {
-		g.mergeIntoFrontier(out)
-	} else {
-		g.frontier = append(g.frontier, out...)
-	}
+	g.frontierStale = true
 	return out, nil
-}
-
-// mergeIntoFrontier rebuilds a compacted frontier after a batch removal: the
-// surviving entries (still sorted) merged with the sorted, disjoint set of
-// newly unblocked nodes. Runs only after the batch has been fully iterated,
-// so it may overwrite a caller's ids that alias the frontier.
-func (g *Graph[T]) mergeIntoFrontier(unblocked []NodeID) {
-	kept := g.frontierMembers()
-	// Merge from the back so survivors never need a second buffer.
-	i, j := len(kept)-1, len(unblocked)-1
-	merged := slices.Grow(kept, len(unblocked))[:len(kept)+len(unblocked)]
-	for k := len(merged) - 1; j >= 0; k-- {
-		if i >= 0 && merged[i] > unblocked[j] {
-			merged[k] = merged[i]
-			i--
-		} else {
-			merged[k] = unblocked[j]
-			j--
-		}
-	}
-	g.frontier = merged
-}
-
-// frontierMembers filters the frontier slice in place down to the entries
-// that are still members, keeping their order.
-func (g *Graph[T]) frontierMembers() []NodeID {
-	kept := g.frontier[:0]
-	for _, id := range g.frontier {
-		if g.inFrontier[id] {
-			kept = append(kept, id)
-		}
-	}
-	return kept
 }
 
 // Frontier returns the live nodes with no live predecessors in ascending ID
 // order: the requests the scheduler may issue now, maintained incrementally.
-// The returned slice is owned by the graph and valid until the next
-// mutation.
+// After a mutation it costs O(N/64 + f) for N nodes and f frontier members
+// (appendRoots into a buffer AddNode has already grown); otherwise it is a
+// field read. The returned slice is owned by the graph and valid until the
+// next mutation.
 func (g *Graph[T]) Frontier() []NodeID {
-	if !g.frontierClean {
-		g.compactFrontier()
+	if g.frontierStale {
+		g.frontier, g.frontierStale = g.appendRoots(g.frontier[:0]), false
 	}
 	return g.frontier
-}
-
-// compactFrontier drops stale and duplicate entries and sorts. Amortised
-// O(f log f) for f frontier entries: every entry was appended by exactly one
-// promotion (or AddNode), and compaction consumes them.
-func (g *Graph[T]) compactFrontier() {
-	kept := g.frontierMembers()
-	slices.Sort(kept)
-	// A node that left and re-entered the frontier between compactions
-	// appears twice.
-	g.frontier = slices.Compact(kept)
-	g.frontierClean = true
 }
 
 // Nodes returns the IDs of all live nodes in ascending order.
@@ -318,12 +270,13 @@ func (g *Graph[T]) Predecessors(id NodeID) []NodeID {
 }
 
 // appendRoots appends the live nodes without live predecessors to dst in
-// ascending order by scanning the counters — Frontier() without its lazy
-// compaction, so read-only and safe beside concurrent readers.
+// ascending order, reading the set bits off the ready words in O(N/64 + f).
+// It only reads, so it is safe beside concurrent readers.
 func (g *Graph[T]) appendRoots(dst []NodeID) []NodeID {
-	for i, d := range g.indeg {
-		if d == 0 && !g.removed[i] {
-			dst = append(dst, NodeID(i))
+	for w, word := range g.ready {
+		for word != 0 {
+			dst = append(dst, NodeID(w*64+bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
 	return dst

@@ -3,6 +3,7 @@ package dag
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -23,17 +24,28 @@ func (g *Graph[T]) IndependentSet() []NodeID {
 	return out
 }
 
-// sameIDs reports whether a and b are identical sequences.
-func sameIDs(a, b []NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// sameSet reports whether a and b hold the same IDs, each once, in any order.
+func sameSet(a, b []NodeID) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return len(slices.Compact(a)) == len(a) && slices.Equal(a, b)
+}
+
+// readyMismatch returns a node whose ready bit disagrees with the reference
+// (set exactly for live nodes with no live predecessors), or -1. Bits past
+// the last node must be clear.
+func (g *Graph[T]) readyMismatch() NodeID {
+	for w, word := range g.ready {
+		for b := 0; b < 64; b++ {
+			id := NodeID(w*64 + b)
+			want := int(id) < len(g.payload) && !g.removed[id] && len(g.Predecessors(id)) == 0
+			if (word>>b&1 == 1) != want {
+				return id
+			}
 		}
 	}
-	return true
+	return -1
 }
 
 // TestFrontierMatchesIndependentSet cross-checks the incremental frontier
@@ -44,7 +56,7 @@ func TestFrontierMatchesIndependentSet(t *testing.T) {
 	for g.Len() > 0 {
 		want := g.IndependentSet()
 		got := g.Frontier()
-		if !sameIDs(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("Frontier() = %v, IndependentSet() = %v", got, want)
 		}
 		if _, err := g.RemoveBatch(want[:1]); err != nil {
@@ -57,8 +69,8 @@ func TestFrontierMatchesIndependentSet(t *testing.T) {
 }
 
 // TestRemoveBatchUnblocks pins the O(out-degree) emission contract: only
-// nodes whose last live predecessor left with the batch are reported, in
-// ascending ID order, and batch members are never reported.
+// nodes whose last live predecessor left with the batch are reported, and
+// batch members are never reported.
 func TestRemoveBatchUnblocks(t *testing.T) {
 	g := New[string]()
 	a := g.AddNode("a")
@@ -76,7 +88,7 @@ func TestRemoveBatchUnblocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []NodeID{d}) {
+	if !sameSet(got, []NodeID{d}) {
 		t.Fatalf("unblocked = %v, want [d=%d]", got, d)
 	}
 	// Removing {b, c} unblocks e; c is unblocked by b's removal mid-batch
@@ -85,10 +97,10 @@ func TestRemoveBatchUnblocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []NodeID{e}) {
+	if !sameSet(got, []NodeID{e}) {
 		t.Fatalf("unblocked = %v, want [e=%d]", got, e)
 	}
-	if want := g.IndependentSet(); !sameIDs(g.Frontier(), want) {
+	if want := g.IndependentSet(); !slices.Equal(g.Frontier(), want) {
 		t.Fatalf("frontier %v != reference %v", g.Frontier(), want)
 	}
 }
@@ -107,7 +119,7 @@ func TestRemoveBatchRejectsBadAndDuplicateNodes(t *testing.T) {
 	if g.Len() != 2 || g.removed[a] || g.removed[b] {
 		t.Fatalf("failed batch mutated graph: len=%d", g.Len())
 	}
-	if want := g.IndependentSet(); !sameIDs(g.Frontier(), want) {
+	if want := g.IndependentSet(); !slices.Equal(g.Frontier(), want) {
 		t.Fatalf("frontier %v != reference %v", g.Frontier(), want)
 	}
 }
@@ -139,12 +151,12 @@ func (g *Graph[T]) referencePathLengths() map[NodeID]int {
 // copy, or a prefix of the very slice Frontier() returned, passed aliased),
 // one-element batches of frontier and non-frontier nodes, and late AddNode /
 // AddEdge calls. After every mutation the memoised LongestPathLengths must
-// equal a from-scratch recomputation and Frontier() the IndependentSet()
-// reference scan; after every RemoveBatch that started from a compacted
-// frontier, the frontier must already be exact *before* any Frontier() call
-// could compact it — the sort-once invariant the scheduler's round loop
-// leans on. This is the randomized gate for the incremental Kahn machinery;
-// the CI race job runs it under -race.
+// equal a from-scratch recomputation, the ready bits must be set for exactly
+// the live nodes with no live predecessors, and Frontier() must equal the
+// IndependentSet() reference scan. Every RemoveBatch must report, as a set,
+// exactly the nodes it moved onto the frontier, and must leave an aliased
+// batch unwritten. This is the randomized gate for the incremental Kahn
+// machinery; the CI race job runs it under -race.
 func TestFrontierDifferential(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -162,8 +174,6 @@ func TestFrontierDifferential(t *testing.T) {
 				}
 			}
 		}
-		// check compares the memo after every mutation and the frontier after
-		// about half of them, so batches start from dirty frontiers too.
 		check := func(after string) {
 			t.Helper()
 			got, want := g.LongestPathLengths(), g.referencePathLengths()
@@ -172,11 +182,35 @@ func TestFrontierDifferential(t *testing.T) {
 					t.Fatalf("seed %d after %s: path length of %d = %d, want %d", seed, after, id, got[id], l)
 				}
 			}
-			if rng.Intn(2) == 0 {
-				if got, want := g.Frontier(), g.IndependentSet(); !sameIDs(got, want) {
-					t.Fatalf("seed %d after %s: frontier %v != reference %v", seed, after, got, want)
+			if id := g.readyMismatch(); id >= 0 {
+				t.Fatalf("seed %d after %s: ready bit of %d disagrees with the reference", seed, after, id)
+			}
+			if got, want := g.Frontier(), g.IndependentSet(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d after %s: frontier %v != reference %v", seed, after, got, want)
+			}
+		}
+		// remove retires batch and checks what RemoveBatch reports against
+		// the frontier's growth, and that it left the batch as it was.
+		remove := func(batch []NodeID, after string) {
+			t.Helper()
+			before, given := g.IndependentSet(), slices.Clone(batch)
+			unblocked, err := g.RemoveBatch(batch)
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, after, err)
+			}
+			if !slices.Equal(batch, given) {
+				t.Fatalf("seed %d: %s wrote its batch: %v, was %v", seed, after, batch, given)
+			}
+			var want []NodeID
+			for _, id := range g.IndependentSet() {
+				if !slices.Contains(before, id) {
+					want = append(want, id)
 				}
 			}
+			if !sameSet(unblocked, want) {
+				t.Fatalf("seed %d: %s unblocked %v, want the set %v", seed, after, unblocked, want)
+			}
+			check(after)
 		}
 		growth := 15 // late AddNode / AddEdge calls left, so the drain ends
 		for g.Len() > 0 {
@@ -184,11 +218,7 @@ func TestFrontierDifferential(t *testing.T) {
 			switch action := rng.Intn(8); {
 			case action == 0:
 				// Any live node: off the frontier it takes chains with it.
-				if _, err := g.RemoveBatch(live[rng.Intn(len(live)):][:1]); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				check("RemoveBatch of one")
-				continue
+				remove(live[rng.Intn(len(live)):][:1], "RemoveBatch of one")
 			case action == 1 && growth > 0:
 				growth--
 				id := g.AddNode(-1)
@@ -198,7 +228,6 @@ func TestFrontierDifferential(t *testing.T) {
 					}
 				}
 				check("AddNode")
-				continue
 			case action == 2 && growth > 0 && len(live) > 1:
 				growth--
 				// Lower to higher ID keeps the graph acyclic by construction.
@@ -207,34 +236,13 @@ func TestFrontierDifferential(t *testing.T) {
 					t.Fatalf("seed %d: AddEdge: %v", seed, err)
 				}
 				check("AddEdge")
-				continue
-			}
-			wasClean := g.frontierClean
-			var batch []NodeID
-			if rng.Intn(2) == 0 {
+			case rng.Intn(2) == 0:
 				// Aliased: a prefix of the slice the graph itself holds.
 				f := g.Frontier()
-				wasClean = true
-				batch = f[:1+rng.Intn(len(f))]
-			} else {
-				batch = batchWithFollowers(g, rng)
+				remove(f[:1+rng.Intn(len(f))], "aliased RemoveBatch")
+			default:
+				remove(batchWithFollowers(g, rng), "RemoveBatch")
 			}
-			unblocked, err := g.RemoveBatch(batch)
-			if err != nil {
-				t.Fatalf("seed %d: RemoveBatch: %v", seed, err)
-			}
-			if wasClean && !(g.frontierClean && sameIDs(g.frontier, g.IndependentSet())) {
-				t.Fatalf("seed %d: RemoveBatch left frontier %v (clean=%v), reference %v",
-					seed, g.frontier, g.frontierClean, g.IndependentSet())
-			}
-			// All unblocked nodes are live with zero live predecessors, in
-			// ascending order.
-			for i, id := range unblocked {
-				if g.removed[id] || len(g.Predecessors(id)) != 0 || (i > 0 && unblocked[i-1] >= id) {
-					t.Fatalf("seed %d: unblocked %v: node %d not independent or out of order", seed, unblocked, id)
-				}
-			}
-			check("RemoveBatch")
 		}
 		if got := g.Frontier(); len(got) != 0 {
 			t.Fatalf("seed %d: drained frontier = %v", seed, got)

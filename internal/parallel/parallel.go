@@ -34,6 +34,10 @@ func (e *PanicError) Error() string {
 // tests compare against. Goroutines claim the next unclaimed index, so an
 // expensive job never holds up the ones behind it.
 //
+// The wait counts jobs, not goroutines: the caller returns as soon as the
+// last job finishes, even if a helper it spawned has not started yet. Such a
+// helper finds no index left, never calls fn, and exits unwaited.
+//
 // A panic in fn never unwinds a goroutine the caller cannot recover on. It
 // stops further indexes from being claimed, lets the jobs already running
 // finish, and is re-raised on the caller as a *PanicError. Indexes are
@@ -51,7 +55,7 @@ func ForEach(n, workers int, fn func(i int)) {
 		workers = n
 	}
 	r := &run{n: int64(n), fn: fn}
-	r.wg.Add(workers)
+	r.wg.Add(n)
 	for w := 1; w < workers; w++ {
 		go r.work()
 	}
@@ -63,6 +67,7 @@ func ForEach(n, workers int, fn func(i int)) {
 }
 
 // run is one ForEach call's shared state: a single allocation, whatever n.
+// wg counts the jobs not yet finished or written off.
 type run struct {
 	n    int64
 	fn   func(int)
@@ -75,7 +80,6 @@ type run struct {
 
 // work claims and runs jobs until none are left or one of them panics.
 func (r *run) work() {
-	defer r.wg.Done()
 	var i int64
 	defer func() {
 		if v := recover(); v != nil {
@@ -87,15 +91,20 @@ func (r *run) work() {
 			return
 		}
 		r.fn(int(i))
+		r.wg.Done()
 	}
 }
 
-// fail records the lowest-indexed panic and stops further claims.
+// fail records the lowest-indexed panic and stops further claims. It then
+// finishes the panicking job and the tail nobody will claim: the indexes
+// from the claim counter it swapped out up to n. Claims past n by other
+// goroutines are not jobs, and a second failure swaps out at least n.
 func (r *run) fail(e *PanicError) {
-	r.next.Store(r.n)
+	unclaimed := max(r.n-r.next.Swap(r.n), 0)
 	r.mu.Lock()
 	if r.failed == nil || e.Index < r.failed.Index {
 		r.failed = e
 	}
 	r.mu.Unlock()
+	r.wg.Add(-int(1 + unclaimed))
 }

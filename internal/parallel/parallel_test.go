@@ -57,6 +57,50 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// ForEach returns once its last job has: a helper that starts after that
+// claims nothing. The caller reuses the jobs' buffer the moment ForEach
+// returns, so a job still running then, or a late helper calling fn, is a
+// data race -race reports (CI runs this -race -count=20).
+func TestForEachLateHelperClaimsNothing(t *testing.T) {
+	buf := make([]int, 16)
+	for round := 1; round <= 2000; round++ {
+		n := 1 + round%len(buf)
+		ForEach(n, 8, func(i int) { buf[i] = round })
+		for i := range buf[:n] {
+			if buf[i] != round {
+				t.Fatalf("round %d: slot %d holds %d after ForEach returned", round, i, buf[i])
+			}
+			buf[i] = 0
+		}
+	}
+}
+
+// A panic early in a long run leaves almost every index unclaimed; the
+// failing goroutine must write those jobs off, or the caller's wait for
+// them never ends.
+func TestForEachPanicCreditsUnclaimedTail(t *testing.T) {
+	const n = 1 << 20
+	for _, workers := range []int{1, 2, 8} {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			ForEach(n, workers, func(i int) {
+				if i == 3 || i == 5 {
+					panicAt(i)
+				}
+			})
+		}()
+		select {
+		case got := <-done:
+			if pe, ok := got.(*PanicError); !ok || pe.Index != 3 {
+				t.Errorf("workers=%d: recovered %v, want the *PanicError of job 3", workers, got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: ForEach still waiting 10s after job 3 panicked", workers)
+		}
+	}
+}
+
 // goroutinesSettle waits for the goroutine count to fall back to base.
 func goroutinesSettle(t *testing.T, base int) {
 	t.Helper()
