@@ -15,9 +15,10 @@ import "tango/internal/flowtable"
 //   - classifyExact resolves a frame's key to its rule through the rule
 //     table's open-addressing index (flowtable/keyindex.go), and the rule's
 //     Ext handle lands directly on the flat record;
-//   - the eviction/promotion heaps (evictindex.go) become []int32 of
-//     handles, so sifts write only integers — no GC pointer-write barriers,
-//     which dominated allocation-phase samples during demote churn.
+//   - the eviction/promotion heaps (evictindex.go) hold handles beside
+//     their keys, so sifts write only integers — no GC pointer-write
+//     barriers, which dominated allocation-phase samples during demote
+//     churn.
 //
 // Entry pointers (*entry) are views into the arena: they stay valid between
 // allocArena calls (the only operation that can grow the slice) and must
@@ -28,9 +29,6 @@ import "tango/internal/flowtable"
 // (flow tables hold *Rule), so they are slab-allocated — slabs are never
 // reallocated, only retired to a pool on Reset.
 const ruleSlabSize = 256
-
-// noHeap is the heapIdx sentinel for "in neither heap".
-const noHeap int32 = -1
 
 // entryAt resolves a handle to its arena record. Handle 0 and out-of-range
 // or freed handles resolve to nil.
@@ -62,7 +60,7 @@ func (s *Switch) allocEntry() (int32, *entry) {
 		s.freeEnts = s.freeEnts[:n-1]
 		e := &s.entries[h]
 		kk := e.kernelKeys[:0] // slot reuse keeps the key slice's capacity
-		*e = entry{kernelKeys: kk, self: h, heapIdx: noHeap, timedIdx: noTimed}
+		*e = entry{kernelKeys: kk, self: h, timedIdx: noTimed}
 		return h, e
 	}
 	if s.entries == nil {
@@ -70,7 +68,7 @@ func (s *Switch) allocEntry() (int32, *entry) {
 		s.entries = make([]entry, 1, 1+ruleSlabSize)
 	}
 	h := int32(len(s.entries))
-	s.entries = append(s.entries, entry{self: h, heapIdx: noHeap, timedIdx: noTimed})
+	s.entries = append(s.entries, entry{self: h, timedIdx: noTimed})
 	return h, &s.entries[h]
 }
 

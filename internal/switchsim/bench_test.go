@@ -5,6 +5,7 @@ package switchsim
 // These bound how fast experiments and inference sweeps can run.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -239,6 +240,52 @@ func BenchmarkDemoteChurn(b *testing.B) { benchDemoteChurn(b, PolicyLRU) }
 func BenchmarkDemoteChurnCustom(b *testing.B) {
 	b.Run("destagg", func(b *testing.B) { benchDemoteChurn(b, PolicyDestAggregate()) })
 	b.Run("fdrc", func(b *testing.B) { benchDemoteChurn(b, PolicyFDRC(0)) })
+}
+
+// BenchmarkDemoteChurnLEX sends the same rotation through two more LEX
+// policies: LFU, and keepLowTraffic, whose touches lower keys, so its
+// eviction heap lists touched members and its promotion heap re-reads its
+// root.
+func BenchmarkDemoteChurnLEX(b *testing.B) {
+	b.Run("lfu", func(b *testing.B) { benchDemoteChurn(b, PolicyLFU) })
+	b.Run("keeplow", func(b *testing.B) { benchDemoteChurn(b, keepLowTraffic) })
+}
+
+// BenchmarkTouchThenFree is the deferral's worst case: every touch is
+// followed by a refill, so nothing a touch defers stays deferred for long.
+// Each op sends one packet to the next flow in rotation (a software
+// resident for 16 flows in 17 at 1 k rules), then strict-deletes the LFU TCAM's
+// worst entry, whose slot the promotion heap's root refills, and adds the
+// deleted rule back.
+func BenchmarkTouchThenFree(b *testing.B) {
+	for _, soft := range []int{1 << 10, 8 << 10} {
+		b.Run(fmt.Sprintf("soft=%d", soft), func(b *testing.B) {
+			const tcam = 64
+			flows := tcam + soft
+			s, frames := churnSwitch(b, PolicyLFU, tcam, flows)
+			actions := flowtable.Output(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cf := &frames[i%flows]
+				if _, err := s.SendFrameN(&cf.f, 1, cf.size, 1); err != nil {
+					b.Fatal(err)
+				}
+				s.mu.Lock()
+				worst := s.worstTCAMEntry().rule
+				fm := openflow.FlowMod{Match: worst.Match, Priority: worst.Priority, Actions: actions}
+				s.mu.Unlock()
+				fm.Command = openflow.FlowDeleteStrict
+				if err := s.FlowMod(&fm); err != nil {
+					b.Fatal(err)
+				}
+				fm.Command = openflow.FlowAdd
+				if err := s.FlowMod(&fm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestCustomPolicyAllocFree gates the custom policies' data path at zero

@@ -17,47 +17,48 @@ import "tango/internal/flowtable"
 //     previous epoch count, so idle flows decay to zero in two epochs
 //     regardless of lifetime totals.
 //
-// Both need per-switch mutable scoring state, which Policy.Better — a pure
-// function of two entries — cannot carry. A CustomPolicy therefore supplies
-// a state constructor; the switch instantiates the state in initIndexes,
-// orders its eviction and promotion heaps (evictindex.go) by the state's
-// comparator, and routes every touch and removal through the state, which
-// repairs the heaps in the same step. A touch here moves more than the
-// touched entry's key, so each state keeps the heaps in a form where that
-// still costs O(log n):
+// Both need per-switch mutable scoring state, which a LEX key — a pure
+// function of one entry — cannot carry. A CustomPolicy therefore supplies a
+// state constructor; the switch instantiates the state in initIndexes, keys
+// its eviction and promotion heaps (evictindex.go) through the state, and
+// routes every touch and removal through it. Between FDRC epoch rolls a
+// touch only raises keys, so the heaps defer touches as under a
+// keep-high LEX policy: the eviction heap re-reads its root on peek, the
+// promotion heap lists the member whose key rose. Every other key change is
+// applied when it happens. A touch here moves more than the touched
+// entry's key, so each state keeps the heaps in a form where one listed
+// member still covers it:
 //
 //   - dest-aggregate scores per group, so it indexes groups, not entries:
 //     the eviction heap holds one representative per group with TCAM
 //     members — its newest one, which is the member the policy would evict
 //     first — and the promotion heap each group's oldest TCAM-eligible
-//     software member. A touch, a removal or a tier move changes one
-//     group's key and re-sifts one representative per heap. (Keeping every
-//     member in the heap and fixing them one by one would be wrong, not
-//     just slow: with several keys stale at once a sift compares against
-//     stale neighbours. Min-heap P=1 → child C=2 → grandchild D=3, raise P
-//     to 10 and C to 11, fix P (stays), fix C (swaps with D): D=3 now sits
-//     under P=10.)
+//     software member. A touch raises one group's key, which the heaps see
+//     through its representatives; a removal lowers it, and both
+//     representatives are re-sifted at once. (Were every member in the
+//     heaps, a touch would have to list every software member of its
+//     group.)
 //   - FDRC scores per entry, and between epoch rolls only the touched
 //     entry's score and use time move, so every resident sits in the heaps
-//     as under a LEX policy and a touch is one fix. When the event count
-//     crosses a window boundary every score may drop at once; both heaps
-//     are then rebuilt bottom-up, O(n) once per window. Heap layout is
-//     unobservable — only the root is — so victims match a full scan's.
+//     as under a LEX policy. When the event count crosses a window boundary
+//     every score may drop at once; both heaps are then marked dirty and
+//     rebuilt bottom-up on their next peek, O(n) at most once per window.
+//     Heap layout is unobservable — only the root is — so victims match a
+//     full scan's.
 
 // customState is a custom policy's per-switch scoring state. The switch
-// calls better under its lock wherever it would consult the compiled LEX
-// comparator, and the hook methods on every attribute-changing event; the
-// hooks reach the heaps and the arena through the switch they are handed.
+// calls key under its lock wherever it needs an entry's place in the
+// policy's order, and the hook methods on every attribute-changing event;
+// the hooks reach the heaps and the arena through the switch they are
+// handed.
 type customState interface {
-	// better reports whether a should be kept over b; it must be a total
-	// order (tie-break on insertSeq like Policy.Better) and must not change
-	// the state: a contender is compared before it is admitted anywhere.
-	better(a, b *entry) bool
+	// key returns e's cache key, larger means kept; it must not change the
+	// state: a contender is keyed before it is admitted anywhere.
+	key(e *entry) cacheKey
 	// onTouch accounts n data-plane packets on e (called after e.traffic
-	// and e.useSeq have been advanced) and restores the order of s's
-	// eviction and promotion heaps, reporting whether any heap position had
-	// to be repaired.
-	onTouch(s *Switch, e *entry, n uint64) bool
+	// and e.useSeq have been advanced) and tells s's heaps which keys
+	// moved.
+	onTouch(s *Switch, e *entry, n uint64)
 	// onRemove forgets e (rule deleted or expired), which the switch has
 	// already untracked.
 	onRemove(s *Switch, e *entry)
@@ -162,12 +163,9 @@ func (st *destAggState) scoreOf(e *entry) uint64 {
 	return st.groups[g].score // slot 0 scores 0
 }
 
-func (st *destAggState) better(a, b *entry) bool {
-	sa, sb := st.scoreOf(a), st.scoreOf(b)
-	if sa != sb {
-		return sa > sb
-	}
-	return a.insertSeq < b.insertSeq
+// key orders by group score, then older first.
+func (st *destAggState) key(e *entry) cacheKey {
+	return cacheKey{hi: st.scoreOf(e), lo: ^e.insertSeq}
 }
 
 // join resolves e's group, creating the group and linking e as its newest
@@ -202,14 +200,14 @@ func (st *destAggState) join(ar []entry, e *entry) (*destMember, *destGroup) {
 	return m, g
 }
 
-// setRep replaces a group's representative in heap h: *rep names the old
-// one (0 = the group was absent from h), to the new one (0 = it leaves).
-func setRep(h *handleHeap, ar []entry, rep *int32, to int32) {
+// setRep replaces a group's representative in s's heap h: *rep names the
+// old one (0 = the group was absent from h), to the new one (0 = it leaves).
+func setRep(s *Switch, h *handleHeap, rep *int32, to int32) {
 	if *rep != 0 {
-		h.removeEntry(ar, &ar[*rep])
+		h.removeEntry(&s.entries[*rep])
 	}
 	if *rep = to; to != 0 {
-		h.push(ar, &ar[to])
+		h.push(s, &s.entries[to])
 	}
 }
 
@@ -218,7 +216,7 @@ func (st *destAggState) trackTCAM(s *Switch, e *entry) {
 	m, g := st.join(s.entries, e)
 	m.tier = tierTCAM
 	if g.tcamRep == 0 || e.insertSeq > s.entries[g.tcamRep].insertSeq {
-		setRep(s.evictIdx, s.entries, &g.tcamRep, e.self)
+		setRep(s, s.evictIdx, &g.tcamRep, e.self)
 	}
 }
 
@@ -228,7 +226,7 @@ func (st *destAggState) trackSoft(s *Switch, e *entry) {
 	m, g := st.join(s.entries, e)
 	m.tier = tierSoft
 	if g.softRep == 0 || e.insertSeq < s.entries[g.softRep].insertSeq {
-		setRep(s.promoteIdx, s.entries, &g.softRep, e.self)
+		setRep(s, s.promoteIdx, &g.softRep, e.self)
 	}
 }
 
@@ -252,33 +250,24 @@ func (st *destAggState) untrack(s *Switch, e *entry) bool {
 		for h != 0 && st.members[h].tier != tierTCAM {
 			h = st.members[h].prev
 		}
-		setRep(s.evictIdx, s.entries, &g.tcamRep, h)
+		setRep(s, s.evictIdx, &g.tcamRep, h)
 	case tier == tierSoft && g.softRep == e.self:
 		h := m.next
 		for h != 0 && st.members[h].tier != tierSoft {
 			h = st.members[h].next
 		}
-		setRep(s.promoteIdx, s.entries, &g.softRep, h)
+		setRep(s, s.promoteIdx, &g.softRep, h)
 	}
 	return true
 }
 
-// rekey restores heap order around g's representatives after its score
-// changed, reporting whether it had any.
-func (st *destAggState) rekey(s *Switch, g *destGroup) bool {
-	if g.tcamRep != 0 {
-		s.evictIdx.fix(s.entries, &s.entries[g.tcamRep])
-	}
-	if g.softRep != 0 {
-		s.promoteIdx.fix(s.entries, &s.entries[g.softRep])
-	}
-	return g.tcamRep != 0 || g.softRep != 0
-}
-
-func (st *destAggState) onTouch(s *Switch, e *entry, n uint64) bool {
+func (st *destAggState) onTouch(s *Switch, e *entry, n uint64) {
 	_, g := st.join(s.entries, e)
 	g.score += n
-	return st.rekey(s, g)
+	// The TCAM representative's key rose away from the eviction root.
+	if g.softRep != 0 {
+		s.promoteIdx.touched(g.softRep)
+	}
 }
 
 func (st *destAggState) onRemove(s *Switch, e *entry) {
@@ -308,9 +297,15 @@ func (st *destAggState) onRemove(s *Switch, e *entry) {
 		st.freeGroups = append(st.freeGroups, gi)
 		return
 	}
-	// The entry's own lifetime traffic leaves with it.
+	// The entry's own lifetime traffic leaves with it, and the group's
+	// representatives fall back at once.
 	g.score -= e.traffic
-	st.rekey(s, g)
+	if g.tcamRep != 0 {
+		s.evictIdx.fix(s, &s.entries[g.tcamRep])
+	}
+	if g.softRep != 0 {
+		s.promoteIdx.fix(s, &s.entries[g.softRep])
+	}
 }
 
 // PolicyFDRC returns a flow-driven rule-caching policy: switch-wide
@@ -378,18 +373,13 @@ func (st *fdrcState) scoreOf(e *entry) uint64 {
 	}
 }
 
-func (st *fdrcState) better(a, b *entry) bool {
-	sa, sb := st.scoreOf(a), st.scoreOf(b)
-	if sa != sb {
-		return sa > sb
-	}
-	if a.useSeq != b.useSeq {
-		return a.useSeq > b.useSeq
-	}
-	return a.insertSeq < b.insertSeq
+// key orders by score, then more recently used first. Use times are
+// unique, so the insertion-order tie-break never decides.
+func (st *fdrcState) key(e *entry) cacheKey {
+	return cacheKey{hi: st.scoreOf(e), lo: e.useSeq}
 }
 
-func (st *fdrcState) onTouch(s *Switch, e *entry, n uint64) bool {
+func (st *fdrcState) onTouch(s *Switch, e *entry, n uint64) {
 	st.events += n
 	ep := st.events / st.window
 	rolled := ep != st.epoch
@@ -406,24 +396,17 @@ func (st *fdrcState) onTouch(s *Switch, e *entry, n uint64) bool {
 	c.cur += n
 	if rolled {
 		// Every entry's view of its cell moved with the epoch.
-		s.evictIdx.heapify(s.entries)
-		s.promoteIdx.heapify(s.entries)
-		return true
+		s.evictIdx.markDirty()
+		s.promoteIdx.markDirty()
+		return
 	}
-	return s.evictIdx.fix(s.entries, e) || s.promoteIdx.fix(s.entries, e)
+	// e's key rose: away from the eviction root, toward the promotion root.
+	s.promoteIdx.touched(e.self)
 }
 
 func (st *fdrcState) onRemove(_ *Switch, e *entry) {
 	if int(e.self) < len(st.cells) {
 		st.cells[e.self] = fdrcCell{}
-	}
-}
-
-// customTouch routes a data-plane touch to the active custom policy state,
-// which also repairs the indexes. Callers hold s.mu.
-func (s *Switch) customTouch(e *entry, n uint64) {
-	if s.customState != nil && e != nil && s.customState.onTouch(s, e, n) {
-		s.tel.idxFixups.Add(1)
 	}
 }
 

@@ -3,6 +3,7 @@ package switchsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,10 +13,69 @@ import (
 	"tango/internal/simclock"
 )
 
+// better is the paper's LEX order written out directly, the reference the
+// compiled cache keys are checked against: entry a is kept over entry b
+// when it orders better under the first key they differ on; entries equal
+// on every key fall back to insertion order (older wins), which keeps the
+// order total as the paper's model requires.
+func (p Policy) better(a, b *entry) bool {
+	for _, k := range p.Keys {
+		va, vb := attrValue(a, k.Attr), attrValue(b, k.Attr)
+		if va == vb {
+			continue
+		}
+		if k.HighIsBetter {
+			return va > vb
+		}
+		return va < vb
+	}
+	return a.insertSeq < b.insertSeq
+}
+
+// better is dest-aggregate's reference order: higher group score kept,
+// then the older entry.
+func (st *destAggState) better(a, b *entry) bool {
+	sa, sb := st.scoreOf(a), st.scoreOf(b)
+	if sa != sb {
+		return sa > sb
+	}
+	return a.insertSeq < b.insertSeq
+}
+
+// better is FDRC's reference order: higher score kept, then the more
+// recently used entry, then the older one.
+func (st *fdrcState) better(a, b *entry) bool {
+	sa, sb := st.scoreOf(a), st.scoreOf(b)
+	if sa != sb {
+		return sa > sb
+	}
+	if a.useSeq != b.useSeq {
+		return a.useSeq > b.useSeq
+	}
+	return a.insertSeq < b.insertSeq
+}
+
+// better compares through the switch's reference order: its custom state's
+// when it has one, its LEX composite's otherwise.
+func (s *Switch) better(a, b *entry) bool {
+	switch st := s.customState.(type) {
+	case *destAggState:
+		return st.better(a, b)
+	case *fdrcState:
+		return st.better(a, b)
+	}
+	return s.profile.CachePolicy.better(a, b)
+}
+
+// worstTCAMEntry returns the next victim: the eviction index's root.
+func (s *Switch) worstTCAMEntry() *entry {
+	e, _ := s.evictIdx.peek(s)
+	return e
+}
+
 // worstTCAMEntryNaive is the oracle for victim selection: scan the TCAM
-// residents for the policy-worst. It compares through s.better — identical
-// to Policy.Better for compiled LEX policies, and the only comparator that
-// can see a custom policy's per-switch state.
+// residents for the policy-worst under the reference order, which shares
+// no code with the cache keys the heaps order by.
 func (s *Switch) worstTCAMEntryNaive() *entry {
 	var worst *entry
 	for h := int32(1); int(h) < len(s.entries); h++ {
@@ -45,13 +105,28 @@ func (s *Switch) bestSoftwareEntryNaive() *entry {
 // victim, same promotion candidate — and that the index's membership is
 // exactly the table residents the scans would consider. Called after every
 // operation of the differential test, it is the property that makes the
-// O(log n) index a pure optimization: better is a total order, so the heap
-// root and the full-scan extreme are the same unique entry.
+// O(log n) index a pure optimization: the key order is total, so the heap
+// root and the full-scan extreme are the same unique entry. Before the
+// peeks repair anything, it checks the deferral invariants those roots
+// rest on (checkDeferred).
 func checkIndexes(t *testing.T, s *Switch) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	if s.evictIdx != nil {
+		checkDeferred(t, s, "eviction", s.evictIdx)
+		checkDeferred(t, s, "promotion", s.promoteIdx)
+		inHeaps := 0
+		for _, p := range s.evictIdx.pos {
+			if p != 0 {
+				inHeaps++
+			}
+		}
+		if n := s.evictIdx.len() + s.promoteIdx.len(); inHeaps != n {
+			t.Fatalf("%d handles have a heap position, the heaps hold %d", inHeaps, n)
+		}
+	}
 	if got, want := s.worstTCAMEntry(), s.worstTCAMEntryNaive(); got != want {
 		t.Fatalf("worstTCAMEntry: index picked %+v, naive scan picked %+v", got, want)
 	}
@@ -103,21 +178,58 @@ func checkIndexes(t *testing.T, s *Switch) {
 }
 
 // heapMembers collects a heap's items into set, checking that each is a
-// live entry whose back-pointer names its slot.
+// live entry whose position names its slot.
 func heapMembers(t *testing.T, s *Switch, name string, h *handleHeap, set map[int32]bool) {
 	t.Helper()
 	for _, it := range h.items {
-		e := s.entryAt(it)
+		e := s.entryAt(it.h)
 		if e == nil {
-			t.Fatalf("%s index holds dead handle %d", name, it)
+			t.Fatalf("%s index holds dead handle %d", name, it.h)
 		}
-		if !h.contains(e) {
-			t.Fatalf("%s index back-pointer broken for %+v", name, e)
+		if !h.contains(it.h) {
+			t.Fatalf("%s index position broken for %+v", name, e)
 		}
-		if set[it] {
-			t.Fatalf("%s index holds handle %d twice", name, it)
+		if set[it.h] {
+			t.Fatalf("%s index holds handle %d twice", name, it.h)
 		}
-		set[it] = true
+		set[it.h] = true
+	}
+}
+
+// checkDeferred asserts the invariants that make a deferred heap's root
+// exact. A dirty heap promises nothing but its membership. Otherwise the
+// items are in heap order by stored key, and each stored key relates to its
+// member's current key as the heap's mode allows: equal in a static heap,
+// at or behind it (farther from the root) in a lazy one, and in a stale one
+// equal unless the member is listed, at or ahead of it if so.
+func checkDeferred(t *testing.T, s *Switch, name string, h *handleHeap) {
+	t.Helper()
+	if h.dirty {
+		if len(h.stale) != 0 {
+			t.Fatalf("dirty %s heap still lists %v", name, h.stale)
+		}
+		return
+	}
+	if h.mode != stale && len(h.stale) != 0 {
+		t.Fatalf("%s heap in mode %d lists %v", name, h.mode, h.stale)
+	}
+	listed := map[int32]bool{}
+	for _, x := range h.stale {
+		listed[x] = true
+	}
+	for i, it := range h.items {
+		if i > 0 && it.key.less(h.items[(i-1)/2].key) {
+			t.Fatalf("%s heap out of order at slot %d", name, i)
+		}
+		cur := h.keyOf(s, &s.entries[it.h])
+		switch {
+		case cur == it.key:
+		case h.mode == lazy && it.key.less(cur):
+		case h.mode == stale && listed[it.h] && cur.less(it.key):
+		default:
+			t.Fatalf("%s heap (mode %d) stores key %v for handle %d, whose key is %v (listed: %v)",
+				name, h.mode, it.key, it.h, cur, listed[it.h])
+		}
 	}
 }
 
@@ -492,6 +604,8 @@ func TestEvictionIndexDifferential(t *testing.T) {
 		{"lru", PolicyLRU, lex},
 		{"lfu", PolicyLFU, lex},
 		{"priority", PolicyPriority, lex},
+		{"mru", Policy{Keys: []SortKey{{AttrUseTime, false}}}, lex},
+		{"keeplow", keepLowTraffic, lex},
 		{"destagg", PolicyDestAggregate(), grouped},
 		{"destagg-residual", PolicyDestAggregate(), residual},
 		{"destagg-sparse", PolicyDestAggregate(), lex},
@@ -541,4 +655,166 @@ func randomLexPolicy(rng *rand.Rand) Policy {
 		serial = SortKey{Attr: AttrUseTime, HighIsBetter: true}
 	}
 	return Policy{Keys: append(keys, serial)}
+}
+
+// keepLowTraffic is a composite whose touches lower keys: its eviction heap
+// lists touched members and its promotion heap re-reads its root, the
+// mirror image of LRU's.
+var keepLowTraffic = Policy{Keys: []SortKey{{AttrTraffic, false}, {AttrPriority, true}, {AttrUseTime, true}}}
+
+// touchPolicies are the cache policies whose touches move keys.
+var touchPolicies = []struct {
+	name   string
+	policy Policy
+}{
+	{"lru", PolicyLRU},
+	{"lfu", PolicyLFU},
+	{"fdrc", PolicyFDRC(4096)},
+	{"destagg", PolicyDestAggregate()},
+	{"keeplow", keepLowTraffic},
+}
+
+// fullSwitch fills an 8-slot TCAM and a 24-rule software tier, returning
+// the installed flow IDs. With the software tier full a demotion has
+// nowhere to go, so no touch promotes.
+func fullSwitch(t *testing.T, policy Policy) (*Switch, []uint32) {
+	t.Helper()
+	p := TestSwitch(8, policy)
+	p.SoftwareCapacity = 24
+	s := New(p)
+	var ids []uint32
+	for i := uint32(0); i < 32; i++ {
+		if err := addFlowErr(s, 5*i, uint16(10+10*(i%2))); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, 5*i)
+	}
+	return s, ids
+}
+
+// sendTo sends an n-packet burst to flow id.
+func sendTo(t *testing.T, s *Switch, id uint32, n int) {
+	t.Helper()
+	raw, err := packet.BuildProbe(packet.ProbeSpec{FlowID: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SendPacketN(raw, 1, n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// heapItems copies both heaps' items.
+func heapItems(s *Switch) [2][]heapItem {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return [2][]heapItem{slices.Clone(s.evictIdx.items), slices.Clone(s.promoteIdx.items)}
+}
+
+// residents returns the flows of ids resident in the TCAM (tcam) or in
+// software, in ids' order.
+func residents(s *Switch, ids []uint32, tcam bool) []uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var in []uint32
+	for _, id := range ids {
+		if e := s.entryOf(s.rules.ExactRules(flowKey(id))); e.inTCAM == tcam {
+			in = append(in, id)
+		}
+	}
+	return in
+}
+
+// flowKey is flow id's exact-match key.
+func flowKey(id uint32) uint64 {
+	m := flowtable.ExactProbeMatch(id)
+	k, _ := flowtable.ExactKey(&m)
+	return k
+}
+
+// flowOf returns the flow of ids that e's rule matches.
+func flowOf(ids []uint32, e *entry) uint32 {
+	k, _ := flowtable.ExactKey(&e.rule.Match)
+	return ids[slices.IndexFunc(ids, func(id uint32) bool { return flowKey(id) == k })]
+}
+
+// TestTouchMovesNothing holds a data-plane touch to zero heap work under
+// every policy whose touches move keys: a TCAM hit, and a software hit that
+// does not promote, leave both heaps' items exactly as they were, and the
+// next victim and refill still equal the scans'. A second case touches
+// more than a quarter of the heap that lists touched members, which drops
+// the list for a rebuild, and then frees a TCAM slot: the refill must be
+// the scan's pick.
+func TestTouchMovesNothing(t *testing.T) {
+	for _, tc := range touchPolicies {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ids := fullSwitch(t, tc.policy)
+			inTCAM, inSoft := residents(s, ids, true), residents(s, ids, false)
+			if s.groups != nil {
+				// A touch raises the whole group's score, so a software hit
+				// that asks for a victim re-reads a TCAM representative it
+				// raised. Hit groups without one.
+				s.mu.Lock()
+				inSoft = slices.DeleteFunc(inSoft, func(id uint32) bool {
+					g := s.groups.members[s.rules.ExactRules(flowKey(id)).Ext].group
+					return s.groups.groups[g].tcamRep != 0
+				})
+				s.mu.Unlock()
+			}
+			for _, hit := range []struct {
+				what string
+				id   uint32
+				n    int
+			}{
+				{"TCAM hit", inTCAM[1], 3},
+				{"software hit", inSoft[1], 1},
+				{"TCAM hit", inTCAM[2], 1},
+				{"software hit", inSoft[2], 2},
+			} {
+				checkIndexes(t, s)
+				before := heapItems(s)
+				sendTo(t, s, hit.id, hit.n)
+				if after := heapItems(s); !slices.Equal(before[0], after[0]) || !slices.Equal(before[1], after[1]) {
+					t.Fatalf("%s on flow %d moved heap items", hit.what, hit.id)
+				}
+				if !slices.Equal(residents(s, ids, true), inTCAM) {
+					t.Fatalf("%s on flow %d moved a rule between tiers", hit.what, hit.id)
+				}
+				checkIndexes(t, s)
+			}
+
+			s, ids = fullSwitch(t, tc.policy)
+			inTCAM = residents(s, ids, true)
+			var touch []uint32
+			s.mu.Lock()
+			h := s.staleIdx
+			for _, it := range h.items[:h.len()/4+1] {
+				touch = append(touch, flowOf(ids, &s.entries[it.h]))
+			}
+			s.mu.Unlock()
+			for _, id := range touch {
+				sendTo(t, s, id, 1)
+			}
+			s.mu.Lock()
+			dirty := h.dirty
+			want := flowOf(ids, s.bestSoftwareEntryNaive())
+			s.mu.Unlock()
+			if !dirty {
+				t.Fatalf("%d touches on a %d-member heap left it clean", len(touch), h.len())
+			}
+			// The freed rule was never touched, so removing it moves no
+			// other key (a dest-aggregate group keeps its score).
+			i := slices.IndexFunc(inTCAM, func(id uint32) bool { return !slices.Contains(touch, id) })
+			if err := s.FlowMod(&openflow.FlowMod{
+				Command: openflow.FlowDeleteStrict, Match: flowtable.ExactProbeMatch(inTCAM[i]),
+				Priority: uint16(10 + 10*(inTCAM[i]/5%2)),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := residents(s, []uint32{want}, true); len(got) != 1 {
+				t.Fatalf("freed TCAM slot not refilled by the scan's pick, flow %d", want)
+			}
+			checkIndexes(t, s)
+		})
+	}
 }

@@ -15,7 +15,9 @@ import (
 // idle and hard timeouts), strict deletes, duplicate adds, data packets and
 // clock advances, and replays it on a small policy-cache switch under each
 // cache policy the dataplane_churn benchmark runs — FDRC with a window short
-// enough to roll within a sequence. After every op the eviction indexes must
+// enough to roll within a sequence — and under keepLowTraffic, whose touches
+// lower keys where the others raise them, so both of a heap's deferral
+// modes run (evictindex.go). After every op the eviction indexes must
 // agree with their full-scan oracles and the arena, exact-index, timed-list
 // and tier invariants must hold (checkIndexes), and a duplicate add must
 // leave the rule as the new ADD describes it (checkReplaced).
@@ -42,7 +44,7 @@ func FuzzSwitchOps(f *testing.F) {
 			// longer inputs only slow the fuzzer down.
 			ops = ops[:129]
 		}
-		for _, policy := range []Policy{PolicyFIFO, PolicyLRU, PolicyLFU, PolicyDestAggregate(), PolicyFDRC(8)} {
+		for _, policy := range []Policy{PolicyFIFO, PolicyLRU, PolicyLFU, PolicyDestAggregate(), PolicyFDRC(8), keepLowTraffic} {
 			replayOps(t, policy, ops)
 		}
 	})

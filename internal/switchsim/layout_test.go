@@ -15,6 +15,7 @@ func TestHotStructLayouts(t *testing.T) {
 		entry{},
 		kernelEntry{},
 		handleHeap{},
+		heapItem{},
 		destMember{},
 		destGroup{},
 		fdrcCell{},

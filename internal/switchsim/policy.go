@@ -72,9 +72,8 @@ func (k SortKey) String() string {
 //
 // Custom, when set, replaces the LEX composite with a policy outside the
 // paper's model (custompolicy.go); Keys is ignored. Custom policies score
-// entries through per-switch state, so the pure Policy.Better helper
-// cannot evaluate them and degenerates to insertion order — switches route
-// every comparison through their instantiated state instead.
+// entries through per-switch state, so a switch keys its entries through
+// its instantiated state instead of the composite.
 type Policy struct {
 	Keys   []SortKey
 	Custom *CustomPolicy
@@ -141,87 +140,110 @@ func attrValue(e *entry, a Attribute) uint64 {
 	return 0
 }
 
-// Better reports whether entry a should be preferred (kept in cache) over
-// entry b under the policy. Entries that compare equal on every key fall
-// back to insertion order (older wins), which keeps the ordering total as
-// the paper's model requires.
-func (p Policy) Better(a, b *entry) bool {
-	for _, k := range p.Keys {
-		va, vb := attrValue(a, k.Attr), attrValue(b, k.Attr)
-		if va == vb {
-			continue
-		}
-		if k.HighIsBetter {
-			return va > vb
-		}
-		return va < vb
-	}
-	return a.insertSeq < b.insertSeq
+// cacheKey is an entry's place in its cache policy's order: a fixed-width
+// unsigned tuple compared word by word, where larger means kept. The
+// eviction and promotion heaps (evictindex.go) store it inline, so a sift
+// compares integers and never reads the arena. Every cache policy has
+// exactly one definition of its order, its key function; the admission
+// test "contender beats victim" is a key comparison too.
+type cacheKey struct{ hi, lo uint64 }
+
+func (a cacheKey) less(b cacheKey) bool {
+	return a.hi < b.hi || a.hi == b.hi && a.lo < b.lo
 }
 
-// compile specialises Better for the policy's key list. Single-key policies
-// — the whole named matrix — get a comparator with the attribute access
-// inlined, replacing the per-comparison key loop and attribute switch that
-// dominate heap sift costs under touch-heavy probing. Multi-key composites
-// keep the generic form. Each branch reproduces Better exactly: primary
-// attribute, then the insertion-order tiebreak.
-func (p Policy) compile() func(a, b *entry) bool {
-	if len(p.Keys) != 1 {
-		return p.Better
+// trafficBits is traffic's width when priority shares its key word. A LEX
+// composite that ranks both priority and traffic ahead of its serial key
+// packs them into one word, priority's 16 bits and traffic's 48, so traffic
+// orders exactly up to 2^48 − 1 packets per rule. Past that bound it
+// saturates: the emulator would have to feed one rule 2^48 data-plane
+// packets, some 325 days at ten million emulated packets a second.
+const trafficBits = 48
+
+// keyField is one LEX component's place in a cache key.
+type keyField struct {
+	attr Attribute
+	high bool  // HighIsBetter
+	bits uint8 // width in its word
+}
+
+// value reads the field from e: saturated to its width, complemented
+// within it when low values are kept.
+func (f keyField) value(e *entry) uint64 {
+	mask := uint64(1)<<f.bits - 1 // all ones for 64 bits
+	v := min(attrValue(e, f.attr), mask)
+	if !f.high {
+		v ^= mask
 	}
-	k := p.Keys[0]
-	switch {
-	case k.Attr == AttrInsertion && k.HighIsBetter:
-		return func(a, b *entry) bool {
-			if a.insertSeq != b.insertSeq {
-				return a.insertSeq > b.insertSeq
-			}
-			return a.insertSeq < b.insertSeq
+	return v
+}
+
+// lexKey is a LEX composite compiled to a key: its components up to and
+// including the first serial key (insertion or use time), with ^insertSeq
+// appended when there is none. The serial component differs between any
+// two entries — insertion and use times are both drawn from the switch's
+// one event counter — so later keys and the insertion-order tie-break of
+// the paper's total order can never decide, and are dropped. The last
+// component fills the low word; the others share the high word.
+type lexKey struct {
+	fields [3]keyField
+	n      int // fields in use
+	// touch is +1 when a data-plane touch raises an entry's key, −1 when
+	// it lowers it, 0 when the key reads no touch-driven attribute. It is
+	// the direction of the first traffic or use-time component: a touch
+	// strictly advances both attributes, so the first one decides.
+	touch int
+}
+
+// lexKey compiles the policy's key. Repeated attributes are skipped: they
+// compare equal wherever their first occurrence does.
+func (p Policy) lexKey() lexKey {
+	var k lexKey
+	var seen [AttrPriority + 1]bool
+	serial := false
+	for _, sk := range p.Keys {
+		if sk.Attr < 0 || sk.Attr > AttrPriority || seen[sk.Attr] {
+			continue
 		}
-	case k.Attr == AttrInsertion:
-		return func(a, b *entry) bool { return a.insertSeq < b.insertSeq }
-	case k.Attr == AttrUseTime && k.HighIsBetter:
-		return func(a, b *entry) bool {
-			if a.useSeq != b.useSeq {
-				return a.useSeq > b.useSeq
-			}
-			return a.insertSeq < b.insertSeq
-		}
-	case k.Attr == AttrUseTime:
-		return func(a, b *entry) bool {
-			if a.useSeq != b.useSeq {
-				return a.useSeq < b.useSeq
-			}
-			return a.insertSeq < b.insertSeq
-		}
-	case k.Attr == AttrTraffic && k.HighIsBetter:
-		return func(a, b *entry) bool {
-			if a.traffic != b.traffic {
-				return a.traffic > b.traffic
-			}
-			return a.insertSeq < b.insertSeq
-		}
-	case k.Attr == AttrTraffic:
-		return func(a, b *entry) bool {
-			if a.traffic != b.traffic {
-				return a.traffic < b.traffic
-			}
-			return a.insertSeq < b.insertSeq
-		}
-	case k.Attr == AttrPriority && k.HighIsBetter:
-		return func(a, b *entry) bool {
-			if a.rule.Priority != b.rule.Priority {
-				return a.rule.Priority > b.rule.Priority
-			}
-			return a.insertSeq < b.insertSeq
-		}
-	case k.Attr == AttrPriority:
-		return func(a, b *entry) bool {
-			if a.rule.Priority != b.rule.Priority {
-				return a.rule.Priority < b.rule.Priority
-			}
-			return a.insertSeq < b.insertSeq
+		seen[sk.Attr] = true
+		k.fields[k.n] = keyField{attr: sk.Attr, high: sk.HighIsBetter, bits: 64}
+		k.n++
+		if sk.Attr == AttrInsertion || sk.Attr == AttrUseTime {
+			serial = true
+			break
 		}
 	}
-	return p.Better
+	if !serial {
+		k.fields[k.n] = keyField{attr: AttrInsertion, bits: 64}
+		k.n++
+	}
+	if k.n == 3 {
+		// Priority and traffic share the high word.
+		for i := range k.fields[:2] {
+			k.fields[i].bits = 16
+			if k.fields[i].attr == AttrTraffic {
+				k.fields[i].bits = trafficBits
+			}
+		}
+	}
+	for _, f := range k.fields[:k.n] {
+		if f.attr == AttrTraffic || f.attr == AttrUseTime {
+			k.touch = -1
+			if f.high {
+				k.touch = 1
+			}
+			break
+		}
+	}
+	return k
+}
+
+// of computes e's key.
+func (k *lexKey) of(e *entry) cacheKey {
+	last := k.n - 1
+	var hi uint64
+	for _, f := range k.fields[:last] {
+		hi = hi<<f.bits | f.value(e)
+	}
+	return cacheKey{hi: hi, lo: k.fields[last].value(e)}
 }

@@ -69,9 +69,6 @@ type entry struct {
 	// self is this record's own handle; freed slots zero it, which is what
 	// lets entryAt detect stale handles after free-list reuse.
 	self int32
-	// heapIdx is the entry's position in the eviction/promotion index
-	// (evictindex.go); -1 while the entry is in neither heap.
-	heapIdx int32
 	// timedIdx is the entry's position in the switch's timed-rule list
 	// (expiry.go); -1 while the rule carries no timeout. Expiry sweeps walk
 	// only that list, so million-flow tables whose residents never expire
@@ -156,19 +153,18 @@ type Switch struct {
 
 	// evictIdx and promoteIdx are the policy-ordered indexes over TCAM and
 	// software residents (evictindex.go); nil except for ManagePolicyCache.
-	// dynPolicy records whether the LEX cache policy reads attributes that
-	// change on data-plane touches (use time, traffic), which is what makes
-	// touch paths pay an O(log n) index fixup.
+	// staleIdx is the one of them that lists touched members, nil when
+	// touches move no key.
 	evictIdx   *handleHeap
 	promoteIdx *handleHeap
-	dynPolicy  bool
-	// better is the cache policy's comparator, compiled once per
-	// (re)initialisation — hot paths call it instead of Policy.Better.
-	better func(a, b *entry) bool
+	staleIdx   *handleHeap
+	// lex is a LEX cache policy compiled to its key (policy.go), once per
+	// (re)initialisation: the policy's only definition of its order.
+	lex lexKey
 	// customState is the per-switch scoring state of a CustomPolicy, nil
-	// for LEX policies. It orders the two heaps above through better and
-	// repairs them on every touch; groups is the same state again when it
-	// is the dest-aggregate one, which also picks the heaps' members.
+	// for LEX policies. It keys the two heaps above and tells them which
+	// keys a touch moved; groups is the same state again when it is the
+	// dest-aggregate one, which also picks the heaps' members.
 	customState customState
 	groups      *destAggState
 
@@ -242,10 +238,10 @@ func New(p Profile, opts ...Option) *Switch {
 	if p.Kind == ManageMicroflow {
 		s.kernel = make(map[packet.FiveTuple]kernelEntry)
 	}
-	s.initIndexes()
 	// Bind to the process-wide default telemetry (a no-op unless a command
-	// installed one).
+	// installed one) before the indexes take its repair counter.
 	s.tel.init(telemetry.Default(), telemetry.DefaultTracer(), p.Name)
+	s.initIndexes()
 	for _, o := range opts {
 		o(s)
 	}
@@ -542,20 +538,20 @@ func (s *Switch) tcamAdmits(w flowtable.Width) bool {
 	return s.tcam != nil && s.tcam.Admits(w)
 }
 
-// worstTCAMEntry returns the policy's eviction candidate among TCAM
-// residents: the root of the eviction index, for every cache policy.
-func (s *Switch) worstTCAMEntry() *entry {
-	return s.evictIdx.peek(s.entries)
-}
-
 // evictUntilFits evicts policy-worst TCAM entries (those worse than the
-// contender) into the software tier until width w fits. It returns false —
+// contender; the eviction index's root, for every cache policy) into the
+// software tier until width w fits. It returns false —
 // undoing nothing, since partial eviction still leaves a valid state — when
 // the remaining residents all order better than the contender.
 func (s *Switch) evictUntilFits(w flowtable.Width, contender *entry) bool {
+	if s.tcam.Fits(w) {
+		return true
+	}
+	// Demoting a victim moves no other entry's key.
+	ck := s.key(contender)
 	for !s.tcam.Fits(w) {
-		victim := s.worstTCAMEntry()
-		if victim == nil || !s.better(contender, victim) {
+		victim, vk := s.evictIdx.peek(s)
+		if victim == nil || !vk.less(ck) {
 			return false
 		}
 		if !s.demote(victim) {
@@ -695,7 +691,8 @@ func (s *Switch) refillTCAM() {
 // bestSoftwareEntry returns the policy-best TCAM-eligible software entry:
 // the root of the promotion index.
 func (s *Switch) bestSoftwareEntry() *entry {
-	return s.promoteIdx.peek(s.entries)
+	e, _ := s.promoteIdx.peek(s)
+	return e
 }
 
 // invalidateKernel removes microflow cache entries derived from rule r. The
@@ -787,8 +784,7 @@ func (s *Switch) sendLocked(f *packet.Frame, inPort uint16, size, n int, now tim
 			if e != nil {
 				e.traffic += uint64(n - 1)
 				e.useSeq = s.nextEvent()
-				s.indexFix(e)
-				s.customTouch(e, uint64(n-1))
+				s.noteTouch(e, uint64(n-1))
 			}
 			if e != nil && !e.inTCAM {
 				s.maybePromote(e)
@@ -1041,8 +1037,7 @@ func (s *Switch) touch(e *entry, r *flowtable.Rule, size int, now time.Time) {
 	if e != nil {
 		e.useSeq = s.nextEvent()
 		e.traffic++
-		s.indexFix(e)
-		s.customTouch(e, 1)
+		s.noteTouch(e, 1)
 	}
 }
 
