@@ -61,7 +61,7 @@ func TestSwitchdFleetLifecycle(t *testing.T) {
 		}
 		servers = append(servers, srv)
 		go func() { serveErrs <- srv.Serve() }()
-		c, err := ofconn.Dial(srv.Addr().String())
+		c, err := ofconn.DialOptions(srv.Addr().String(), ofconn.ControllerOptions{})
 		if err != nil {
 			t.Fatalf("connect %s: %v", cfg.profile, err)
 		}

@@ -22,7 +22,9 @@ var fieldExempt = map[string]string{
 
 // TestEveryFieldIsRead keeps DESIGN §20's rule: a struct field declared under
 // internal/, exported or not, is read by code outside _test.go files, or it
-// goes with the code that computes it. benchmark/ is part of the module, so a
+// goes with the code that computes it. Code outside _test.go files is the
+// root facade, internal/, the commands under cmd/ (the module's only main
+// packages, each tested) and benchmark/, which is part of the module, so a
 // field the benchmark reads counts as read. See fieldWalk for what is a read.
 func TestEveryFieldIsRead(t *testing.T) {
 	l := loadModule(t)

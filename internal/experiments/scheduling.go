@@ -199,20 +199,25 @@ func ExecutorFor(profiles map[string]switchsim.Profile, preload map[string]Prelo
 	for name, prof := range profiles {
 		s := switchsim.New(prof, switchsim.WithSeed(seed))
 		e := probe.NewEngine(probe.SimDevice{S: s})
-		spec := preload[name]
-		for i := 0; i < spec.ModTargets; i++ {
-			if err := e.Install(uint32(i), 100); err != nil {
-				break
-			}
-		}
-		for i := 0; i < spec.DelTargets; i++ {
-			if err := e.Install(uint32(delTargetBase+i), delTargetPriority); err != nil {
-				break
-			}
-		}
+		preloadRules(e, preload[name])
 		ex[name] = e
 	}
 	return ex
+}
+
+// preloadRules installs spec's resident rules through e, stopping each run
+// at the first rejection (a full table keeps what fit).
+func preloadRules(e *probe.Engine, spec PreloadSpec) {
+	for i := 0; i < spec.ModTargets; i++ {
+		if err := e.Install(uint32(i), 100); err != nil {
+			break
+		}
+	}
+	for i := 0; i < spec.DelTargets; i++ {
+		if err := e.Install(uint32(delTargetBase+i), delTargetPriority); err != nil {
+			break
+		}
+	}
 }
 
 // ExistingHigherFor returns the controller's table-state oracle for the

@@ -248,7 +248,7 @@ func TestFlowModAsyncBarrierFailure(t *testing.T) {
 func TestFlowModAsyncCloseWhileInflight(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
 	addr := startFaultySwitch(t, sw, faults.NewInjector(faults.Config{Seed: 1, Drop: 1.0}))
-	c, err := Dial(addr)
+	c, err := DialOptions(addr, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

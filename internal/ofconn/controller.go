@@ -148,13 +148,8 @@ func (timeoutError) Transient() bool { return true }
 // switch replies. Match it with errors.Is.
 var ErrTimeout error = timeoutError{}
 
-// Dial connects to an OpenFlow switch at addr, performs the HELLO and
-// FEATURES handshake, and returns a ready controller.
-func Dial(addr string) (*Controller, error) {
-	return DialOptions(addr, ControllerOptions{})
-}
-
-// DialOptions is Dial with explicit telemetry bindings.
+// DialOptions connects to an OpenFlow switch at addr, performs the HELLO
+// and FEATURES handshake, and returns a ready controller.
 func DialOptions(addr string, opts ControllerOptions) (*Controller, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -524,15 +519,6 @@ func (c *Controller) stats(req *openflow.StatsRequest) (*openflow.StatsReply, er
 		return nil, fmt.Errorf("ofconn: got %v, want STATS_REPLY", msg.Type())
 	}
 	return sr, nil
-}
-
-// TableStats fetches the switch's table statistics.
-func (c *Controller) TableStats() ([]openflow.TableStats, error) {
-	sr, err := c.stats(&openflow.StatsRequest{StatsType: openflow.StatsTypeTable})
-	if err != nil {
-		return nil, err
-	}
-	return sr.Tables, nil
 }
 
 // FlowStats fetches flow statistics for all rules.

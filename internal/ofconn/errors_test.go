@@ -23,7 +23,7 @@ func TestDialClosedListener(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	if _, err := Dial(addr); err == nil {
+	if _, err := DialOptions(addr, ControllerOptions{}); err == nil {
 		t.Fatal("Dial to closed listener succeeded")
 	}
 }
@@ -43,7 +43,7 @@ func TestHandshakeServerClosesImmediately(t *testing.T) {
 		}
 		conn.Close()
 	}()
-	c, err := Dial(ln.Addr().String())
+	c, err := DialOptions(ln.Addr().String(), ControllerOptions{})
 	if err == nil {
 		c.Close()
 		t.Fatal("handshake against immediately-closed server succeeded")
@@ -66,7 +66,7 @@ func TestHandshakeServerClosesMidHello(t *testing.T) {
 		conn.Write([]byte{0x01, 0x00, 0x00}) // half an OpenFlow header
 		conn.Close()
 	}()
-	c, err := Dial(ln.Addr().String())
+	c, err := DialOptions(ln.Addr().String(), ControllerOptions{})
 	if err == nil {
 		c.Close()
 		t.Fatal("handshake against mid-hello close succeeded")
@@ -82,7 +82,7 @@ func TestServeReturnsOnListenerClose(t *testing.T) {
 	}
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
 	done := make(chan error, 1)
-	go func() { done <- Serve(ln, sw) }()
+	go func() { done <- NewServer(ln, sw, ServeOptions{}).Serve() }()
 	time.Sleep(10 * time.Millisecond) // let Serve reach Accept
 	ln.Close()
 	select {
@@ -126,7 +126,7 @@ func TestServeWithInjectedLogger(t *testing.T) {
 	lg := log.New(&out, "", 0)
 	reg := telemetry.NewRegistry()
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
-	go ServeWith(ln, sw, ServeOptions{Logger: lg, Metrics: reg})
+	go NewServer(ln, sw, ServeOptions{Logger: lg, Metrics: reg}).Serve()
 
 	// A client that writes garbage mid-stream forces a read error on the
 	// server side (not EOF), which must be logged via the injected logger.

@@ -22,7 +22,7 @@ func startFaultySwitch(t *testing.T, sw *switchsim.Switch, inj *faults.Injector)
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go ServeWith(ln, sw, ServeOptions{Faults: inj})
+	go NewServer(ln, sw, ServeOptions{Faults: inj}).Serve()
 	return ln.Addr().String()
 }
 
@@ -62,7 +62,7 @@ func TestTimeoutWhenServerDropsReplies(t *testing.T) {
 // TestLateReplyIsNotANotification: a reply that arrives after its exchange
 // timed out (and released the xid) is nobody's — it must not surface on
 // Notifications() as if the switch had volunteered it, where a consumer that
-// expects only PORT_STATUS (examples/failover) would trip over it. It is
+// expects only PORT_STATUS (TestFailoverOverTCP in internal/experiments) would trip over it. It is
 // dropped and counted instead. Nothing reads between exchanges, so the late
 // reply is read by the next exchange, ahead of that exchange's own reply.
 func TestLateReplyIsNotANotification(t *testing.T) {

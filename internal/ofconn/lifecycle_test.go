@@ -173,7 +173,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve() }()
 
-	c, err := Dial(srv.Addr().String())
+	c, err := DialOptions(srv.Addr().String(), ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestServerShutdownDrains(t *testing.T) {
 		t.Fatal("no ops landed before shutdown")
 	}
 	// New connections are refused.
-	if c2, err := Dial(srv.Addr().String()); err == nil {
+	if c2, err := DialOptions(srv.Addr().String(), ControllerOptions{}); err == nil {
 		c2.Close()
 		t.Fatal("dial after shutdown succeeded")
 	}
@@ -241,7 +241,7 @@ func TestServerShutdownImmediate(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve() }()
 
-	c, err := Dial(srv.Addr().String())
+	c, err := DialOptions(srv.Addr().String(), ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,17 @@ func startSwitch(t *testing.T, sw *switchsim.Switch) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go Serve(ln, sw)
+	go NewServer(ln, sw, ServeOptions{}).Serve()
 	return ln.Addr().String()
+}
+
+// tableStats fetches the switch's table statistics.
+func tableStats(c *Controller) ([]openflow.TableStats, error) {
+	sr, err := c.stats(&openflow.StatsRequest{StatsType: openflow.StatsTypeTable})
+	if err != nil {
+		return nil, err
+	}
+	return sr.Tables, nil
 }
 
 // fastClock makes simulated latencies nearly instant so TCP tests stay fast.
@@ -36,7 +45,7 @@ func fastClock() simclock.Clock { return &simclock.Real{Scale: 1e-6} }
 func TestHandshake(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
 	addr := startSwitch(t, sw)
-	c, err := Dial(addr)
+	c, err := DialOptions(addr, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +58,7 @@ func TestHandshake(t *testing.T) {
 func TestFlowModAndProbeOverTCP(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2().WithTCAMCapacity(4), switchsim.WithClock(fastClock()))
 	addr := startSwitch(t, sw)
-	c, err := Dial(addr)
+	c, err := DialOptions(addr, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +105,7 @@ func TestFlowModAndProbeOverTCP(t *testing.T) {
 func TestEchoAndStatsOverTCP(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch1(), switchsim.WithClock(fastClock()))
 	addr := startSwitch(t, sw)
-	c, err := Dial(addr)
+	c, err := DialOptions(addr, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +121,7 @@ func TestEchoAndStatsOverTCP(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tables, err := c.TableStats()
+	tables, err := tableStats(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +145,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialOptions(addr, ControllerOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -166,7 +175,7 @@ func TestConcurrentClients(t *testing.T) {
 func TestClosedConnectionErrors(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
 	addr := startSwitch(t, sw)
-	c, err := Dial(addr)
+	c, err := DialOptions(addr, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +189,7 @@ func TestClosedConnectionErrors(t *testing.T) {
 func TestNotificationsOverTCP(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
 	addr := startSwitch(t, sw)
-	c, err := Dial(addr)
+	c, err := DialOptions(addr, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +216,7 @@ func TestFlowRemovedOverTCP(t *testing.T) {
 	clk := simclock.NewVirtual()
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(clk))
 	addr := startSwitch(t, sw)
-	c, err := Dial(addr)
+	c, err := DialOptions(addr, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +251,7 @@ func TestFlowRemovedOverTCP(t *testing.T) {
 func TestFlowModsBatch(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2().WithTCAMCapacity(5), switchsim.WithClock(fastClock()))
 	addr := startSwitch(t, sw)
-	c, err := Dial(addr)
+	c, err := DialOptions(addr, ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +290,7 @@ func TestFleetProbeAndSchedule(t *testing.T) {
 	ex := sched.EngineExecutor{}
 	for _, name := range []string{"a", "b"} {
 		sw := switchsim.New(switchsim.Switch1(), switchsim.WithClock(fastClock()))
-		c, err := Dial(startSwitch(t, sw))
+		c, err := DialOptions(startSwitch(t, sw), ControllerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

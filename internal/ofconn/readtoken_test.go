@@ -19,7 +19,7 @@ import (
 // nothing more for anyone. The holder must take the reply it finds rather
 // than block in a read until its deadline.
 func TestTokenHolderTakesARoutedReply(t *testing.T) {
-	c, err := Dial(startSwitch(t, switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))))
+	c, err := DialOptions(startSwitch(t, switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))), ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func readTokenState() (reading, waiting int) {
 // reading.
 func TestCloseWakesReaderAndWaiter(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
-	c, err := Dial(startFaultySwitch(t, sw, faults.NewInjector(faults.Config{Seed: 1, Drop: 1.0})))
+	c, err := DialOptions(startFaultySwitch(t, sw, faults.NewInjector(faults.Config{Seed: 1, Drop: 1.0})), ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCloseWakesReaderAndWaiter(t *testing.T) {
 	}
 
 	// Closed while idle, no read fails to record it: Close does.
-	idle, err := Dial(startSwitch(t, switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))))
+	idle, err := DialOptions(startSwitch(t, switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))), ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

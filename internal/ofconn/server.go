@@ -6,8 +6,8 @@
 //
 // The in-process probing path uses virtual time and is what experiments and
 // benchmarks run on; this package exists so the same inference code can be
-// pointed at a real socket (cmd/switchd + examples/inference), proving the
-// protocol implementation end to end.
+// pointed at a real socket (cmd/switchd + cmd/tangoprobe -connect), proving
+// the protocol implementation end to end.
 package ofconn
 
 import (
@@ -25,7 +25,7 @@ import (
 	"tango/internal/telemetry"
 )
 
-// ServeOptions configures ServeWith.
+// ServeOptions configures NewServer.
 type ServeOptions struct {
 	// Logger receives connection-lifecycle messages (errors ending a
 	// connection). Nil means log.Default(); tests inject a silenced or
@@ -46,8 +46,8 @@ type ServeOptions struct {
 	Faults *faults.Injector
 }
 
-// serverTelemetry bundles the per-listener handles resolved once in
-// ServeWith.
+// serverTelemetry bundles the per-listener handles NewServer resolves
+// once.
 type serverTelemetry struct {
 	tracer   *telemetry.Tracer
 	accepted *telemetry.Counter
@@ -57,24 +57,13 @@ type serverTelemetry struct {
 	connErrs *telemetry.Counter
 }
 
-// Serve accepts controller connections on ln and services each with sw,
-// with default options. It returns when the listener fails (e.g. is
-// closed). Each connection is handled on its own goroutine; the switch
-// itself serialises operations.
-func Serve(ln net.Listener, sw *switchsim.Switch) error {
-	return ServeWith(ln, sw, ServeOptions{})
-}
-
-// ServeWith is Serve with an injectable logger and telemetry.
-func ServeWith(ln net.Listener, sw *switchsim.Switch, opts ServeOptions) error {
-	return NewServer(ln, sw, opts).Serve()
-}
-
-// Server is a stoppable switch-side listener: the same accept/agent loop
-// ServeWith runs, plus connection tracking so Shutdown can drain in-flight
-// operations and release every goroutine — the lifecycle cmd/switchd and
-// the fleet service's in-process TCP members need. Construct with
-// NewServer, run Serve on its own goroutine, stop with Shutdown.
+// Server exposes one emulated switch on a listener: an accept loop that
+// services each controller connection with the switch on its own goroutine
+// (the switch serialises operations), plus connection tracking so Shutdown
+// can drain in-flight operations and release every goroutine — the
+// lifecycle cmd/switchd and the fleet service's in-process TCP members
+// need. Construct with NewServer, run Serve on its own goroutine, stop with
+// Shutdown.
 type Server struct {
 	ln      net.Listener
 	sw      *switchsim.Switch
@@ -87,8 +76,8 @@ type Server struct {
 	closing bool
 }
 
-// NewServer wraps an established listener; options resolve exactly as in
-// ServeWith.
+// NewServer wraps an established listener. A nil Logger, Metrics or Tracer
+// in opts falls back to the process default.
 func NewServer(ln net.Listener, sw *switchsim.Switch, opts ServeOptions) *Server {
 	lg := opts.Logger
 	if lg == nil {
@@ -120,8 +109,8 @@ func NewServer(ln net.Listener, sw *switchsim.Switch, opts ServeOptions) *Server
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Serve runs the accept loop until the listener fails or Shutdown is
-// called; a Shutdown-initiated stop returns nil, an external listener
-// failure returns its error — so ServeWith keeps its historical contract.
+// called. A Shutdown-initiated stop returns nil; an external listener
+// failure (the listener closed under it) returns the accept error.
 func (s *Server) Serve() error {
 	for {
 		conn, err := s.ln.Accept()

@@ -138,7 +138,7 @@ func TestRequestSendFailureReleasesXIDs(t *testing.T) {
 	}{
 		{"SendProbe", func() error { _, _, err := c.SendProbe([]byte{0}, 1); return err }},
 		{"Echo", func() error { _, err := c.Echo(); return err }},
-		{"TableStats", func() error { _, err := c.TableStats(); return err }},
+		{"TableStats", func() error { _, err := tableStats(c); return err }},
 		{"FlowStats", func() error { _, err := c.FlowStats(); return err }},
 	} {
 		if err := tc.call(); err == nil {
@@ -191,7 +191,7 @@ func TestPartialWritePoisonsConnection(t *testing.T) {
 func TestXIDBlockSkipsZeroAndPending(t *testing.T) {
 	clk := simclock.NewVirtual()
 	sw := switchsim.New(switchsim.Switch3().WithTCAMCapacity(6), switchsim.WithClock(clk))
-	c, err := Dial(startSwitch(t, sw))
+	c, err := DialOptions(startSwitch(t, sw), ControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,16 +144,6 @@ func (g *Graph) KShortestPaths(src, dst string, k int) [][]string {
 	return paths
 }
 
-// Triangle returns the three-switch hardware testbed of §7.2: s1, s2, s3
-// fully connected.
-func Triangle() *Graph {
-	g := NewGraph()
-	g.AddLink("s1", "s2", 10)
-	g.AddLink("s2", "s3", 10)
-	g.AddLink("s1", "s3", 10)
-	return g
-}
-
 // B4 returns a reconstruction of Google's 12-site B4 backbone from the
 // SIGCOMM'13 paper's topology figure. Exact link capacities were not
 // published; uniform capacities are used, which preserves everything the

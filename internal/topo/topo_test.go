@@ -7,8 +7,18 @@ import (
 	"testing/quick"
 )
 
+// triangle returns the three-switch hardware testbed of §7.2: s1, s2, s3
+// fully connected.
+func triangle() *Graph {
+	g := NewGraph()
+	g.AddLink("s1", "s2", 10)
+	g.AddLink("s2", "s3", 10)
+	g.AddLink("s1", "s3", 10)
+	return g
+}
+
 func TestTriangle(t *testing.T) {
-	g := Triangle()
+	g := triangle()
 	if len(g.Nodes()) != 3 {
 		t.Fatalf("nodes = %v", g.Nodes())
 	}
@@ -99,7 +109,7 @@ func TestShortestPathUnreachableAndSelf(t *testing.T) {
 }
 
 func TestKShortestPaths(t *testing.T) {
-	g := Triangle()
+	g := triangle()
 	paths := g.KShortestPaths("s1", "s2", 3)
 	if len(paths) != 2 {
 		t.Fatalf("paths = %v, want 2", paths)

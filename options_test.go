@@ -23,15 +23,20 @@ var optionExempt = map[string]string{}
 
 // TestEveryOptionIsSet keeps DESIGN §15's rule: an exported field of a struct
 // named *Options, *Config or *Opts that no caller sets is a constant, not an
-// option. It parses every Go file of the module, benchmark/ included, and
-// fails for each such field that no keyed composite literal and no field
-// assignment outside the struct's declaring file sets (a default written
+// option. It parses every Go file of the module and fails for each such
+// field that no keyed composite literal and no field assignment outside the
+// struct's declaring file sets (a default written
 // beside the declaration is the constant in question, not a caller). Syntax
 // only (go/parser and go/ast): an assignment counts when its target's type
 // can be read off a parameter, a receiver, a var declaration, or a := from a
 // literal or a call of a package-level function, through struct fields from
 // there. A field set only in a way that cannot be typed like that goes in
-// optionExempt with the reason.
+// optionExempt with the reason. A caller is any Go file of the module, tests
+// included: the root facade, internal/, the commands under cmd/ (the
+// module's only main packages) and benchmark/. A setting only a test makes
+// still runs the option, which a setting in an untested main package would
+// not; CI's "Every main package is a tested command" step keeps there from
+// being one.
 func TestEveryOptionIsSet(t *testing.T) {
 	fset := token.NewFileSet()
 	w := &optionWalk{

@@ -97,8 +97,6 @@ type InspectOptions struct {
 	MaxRules int
 	// SkipPolicy disables the (comparatively expensive) policy probe.
 	SkipPolicy bool
-	// SkipCosts disables control-cost fitting.
-	SkipCosts bool
 	// Retry bounds recovery from transient control-channel failures
 	// (timeouts, injected faults). The zero value keeps every operation
 	// single-attempt; probe.DefaultRetry suits lossy channels.
@@ -124,9 +122,6 @@ func Inspect(dev Device, opts InspectOptions) (*Model, error) {
 	}
 	if opts.SkipPolicy {
 		in.Skip |= infer.PhasePolicy
-	}
-	if opts.SkipCosts {
-		in.Skip |= infer.PhaseCosts
 	}
 	m, err := infer.Inspect(e, in)
 	if err != nil {

@@ -1,12 +1,17 @@
 package tango
 
 import (
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"tango/internal/conformance"
 	"tango/internal/core/pattern"
+	"tango/internal/ofconn"
+	"tango/internal/simclock"
 	"tango/internal/switchsim"
+	"tango/internal/telemetry"
 )
 
 func TestInspectPolicyCacheSwitch(t *testing.T) {
@@ -154,4 +159,60 @@ func relErr(est, actual int) float64 {
 		d = -d
 	}
 	return float64(d) / float64(actual)
+}
+
+// TestInspectOverTCP runs Inspect through a real socket — wire codec,
+// handshake, barriers and probe packets — against the four vendor models
+// served in-process. Emulated latencies are compressed 10^6x into wall time
+// and the capacities scaled down, so each inspection finishes in seconds.
+// Loopback RTTs carry microsecond TCP noise on top of the scaled latencies,
+// so the latency-ratio sensitive policy probe is skipped and the size levels
+// are not asserted (they do not cluster over loopback); what is asserted are
+// the rules installed and whether the switch said it was full, which come
+// from table-full rejections and are exact.
+func TestInspectOverTCP(t *testing.T) {
+	cases := []struct {
+		profile   switchsim.Profile
+		maxRules  int
+		installed int
+		full      bool
+	}{
+		{switchsim.OVS(), 512, 512, false},
+		{switchsim.Switch1().WithTCAMCapacity(256), 2048, 1024, true},
+		{switchsim.Switch2().WithTCAMCapacity(320), 2048, 320, true},
+		{switchsim.Switch3(), 2048, 369, true},
+	}
+	for _, c := range cases {
+		t.Run(c.profile.Name, func(t *testing.T) {
+			prof := c.profile
+			if prof.Kind == switchsim.ManagePolicyCache {
+				prof.SoftwareCapacity = 3 * prof.TCAM.CapacityNarrow
+			}
+			sw := switchsim.New(prof,
+				switchsim.WithClock(&simclock.Real{Scale: 1e-6}),
+				switchsim.WithSeed(9))
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := ofconn.NewServer(ln, sw, ofconn.ServeOptions{Metrics: telemetry.NewRegistry()})
+			go srv.Serve()
+			defer srv.Shutdown(time.Second)
+			ctrl, err := ofconn.DialOptions(srv.Addr().String(), ofconn.ControllerOptions{Metrics: telemetry.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctrl.Close()
+
+			m, err := Inspect(ctrl, InspectOptions{Name: prof.Name, MaxRules: c.maxRules, SkipPolicy: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s", m)
+			if m.Sizes.RulesInstalled != c.installed || m.Sizes.CacheFull != c.full {
+				t.Fatalf("rules installed %d, full %v; want %d, %v",
+					m.Sizes.RulesInstalled, m.Sizes.CacheFull, c.installed, c.full)
+			}
+		})
+	}
 }
