@@ -97,7 +97,7 @@ var ErrNoRules = errors.New("infer: could not install any rules")
 //     p̂ = Σx/(k+Σx) gives the layer's fraction of the m installed rules.
 //
 // The procedure is asymptotically optimal: O(n) rule installations in
-// O(log n) batches and O(n) probe packets (§5.2).
+// O(log n) doubling rounds and O(n) probe packets (§5.2).
 func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -105,65 +105,37 @@ func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
 	tr := e.Tracer()
 	sizeStart := e.Device().Now()
 
-	// Stage 1: doubling installation. Over a pipelined channel each round's
-	// installs go out as one batch behind shared barriers, then every new
-	// rule gets its allocation packet — the packets only drive traffic-led
-	// cache placement, so they need not interleave with the installs.
-	// Serial devices keep the install/probe interleave, which leaves
-	// emulator runs (virtual clock, one shared RNG stream) byte-identical
-	// to the pre-pipelining engine. Measurement probes (stages 2 and 3) are
-	// strictly serial on every device: each RTT classifies a rule into a
-	// latency tier, and pipelining them would fold queueing delay into the
-	// very signal being clustered.
+	// Stage 1: doubling installation. On every device each rule is installed
+	// and sent its allocation packet, so a traffic-driven cache places it,
+	// before the next rule is installed. Batching a round's installs ahead
+	// of its packets changes what Algorithm 1 concludes (DESIGN §13), and one
+	// order is what lets a wire run on the switch's virtual clock reproduce
+	// the emulator's exactly. Measurement probes (stages 2 and 3) are
+	// strictly serial too: each RTT classifies a rule into a latency tier,
+	// and pipelining them would fold queueing delay into the very signal
+	// being clustered.
 	installed := 0
-	pipelined := e.Pipelined()
-	var roundIDs []uint32
 	for target := 1; !res.CacheFull && installed < opts.MaxRules; target *= 2 {
 		if target > opts.MaxRules {
 			target = opts.MaxRules
 		}
 		roundStart := e.Device().Now()
-		if pipelined {
-			roundIDs = roundIDs[:0]
-			for i := installed; i < target; i++ {
-				roundIDs = append(roundIDs, opts.FlowIDBase+uint32(i))
-			}
-			roundBase := installed
-			n, err := e.InstallBatch(roundIDs, opts.Priority)
-			installed += n
-			if err != nil {
+		for i := installed; i < target; i++ {
+			if err := e.Install(opts.FlowIDBase+uint32(i), opts.Priority); err != nil {
 				// Only a genuine capacity rejection terminates the doubling;
-				// anything else (channel fault) is a real failure the caller
-				// must see.
+				// anything else (channel fault, exhausted retries) is a real
+				// failure the caller must see.
 				if !errors.Is(err, switchsim.ErrTableFull) {
-					return nil, fmt.Errorf("infer: install rule %d: %w", installed, err)
+					return nil, fmt.Errorf("infer: install rule %d: %w", i, err)
 				}
 				res.CacheFull = true
+				break
 			}
-			for i := roundBase; i < installed; i++ {
-				if _, _, err := e.Probe(opts.FlowIDBase + uint32(i)); err != nil {
-					return nil, err
-				}
-				res.ProbesSent++
+			installed++
+			if _, _, err := e.Probe(opts.FlowIDBase + uint32(i)); err != nil {
+				return nil, err
 			}
-		} else {
-			for i := installed; i < target; i++ {
-				if err := e.Install(opts.FlowIDBase+uint32(i), opts.Priority); err != nil {
-					// Only a genuine capacity rejection terminates the doubling;
-					// anything else (channel fault, exhausted retries) is a real
-					// failure the caller must see.
-					if !errors.Is(err, switchsim.ErrTableFull) {
-						return nil, fmt.Errorf("infer: install rule %d: %w", i, err)
-					}
-					res.CacheFull = true
-					break
-				}
-				installed++
-				if _, _, err := e.Probe(opts.FlowIDBase + uint32(i)); err != nil {
-					return nil, err
-				}
-				res.ProbesSent++
-			}
+			res.ProbesSent++
 		}
 		if tr != nil {
 			tr.Record("probe.round", "", roundStart, e.Device().Now().Sub(roundStart),

@@ -59,9 +59,9 @@ type FrameDevice interface {
 // applies the ops in order with a shared trailing barrier and returns per-op
 // outcomes — errs has len(fms), errs[i] nil when op i was accepted, and the
 // second return reports channel-level failures only. Later ops still execute
-// after a rejection (OpenFlow has no transactional abort). The emulator's
-// virtual clock makes barriers free, so an in-process device keeps the
-// confirmed per-op path, which leaves emulator runs byte-identical.
+// after a rejection (OpenFlow has no transactional abort). An in-process
+// device has no batch: a batching emulator allocates per batch and changes
+// Algorithm 1's results (DESIGN §13), so it keeps the confirmed per-op path.
 type PipelinedDevice interface {
 	Device
 	FlowModBatch(fms []*openflow.FlowMod) ([]error, error)
@@ -449,10 +449,10 @@ func (e *Engine) TimeOps(ops []pattern.Op) (time.Duration, error) {
 	return e.dev.Now().Sub(start), nil
 }
 
-// Pipelined reports whether batch operations will ride the device's
+// pipelined reports whether batch operations will ride the device's
 // pipelined path. Retry-hardened engines stay serial: the retry policy's
 // scrub-and-reissue semantics are defined per confirmed op, not per batch.
-func (e *Engine) Pipelined() bool {
+func (e *Engine) pipelined() bool {
 	return e.pipeDev != nil && !e.Retry.enabled()
 }
 
@@ -465,7 +465,7 @@ func (e *Engine) Pipelined() bool {
 // once a table rejects an add, it rejects every later one too — so the two
 // are interchangeable: same count, same resident rules, same error.
 func (e *Engine) InstallBatch(ids []uint32, p uint16) (int, error) {
-	if !e.Pipelined() {
+	if !e.pipelined() {
 		for i, id := range ids {
 			if err := e.Install(id, p); err != nil {
 				return i, err
@@ -492,7 +492,7 @@ func (e *Engine) InstallBatch(ids []uint32, p uint16) (int, error) {
 // same ascending order as the serial loop and rejections are ignored (a
 // no-op delete is not an error), so both paths leave identical state.
 func (e *Engine) ClearBatch(base, n uint32, p uint16) {
-	if !e.Pipelined() {
+	if !e.pipelined() {
 		for id := base; id < base+n; id++ {
 			_ = e.Delete(id, p)
 		}

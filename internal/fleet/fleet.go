@@ -11,12 +11,13 @@
 // samples) lives in one member struct, and within a round exactly one
 // worker — whichever claimed the member from parallel.ForEach — touches it,
 // so the hot path takes no global lock, and cross-member aggregation happens
-// only in the fold, on the caller's goroutine, in member order. Measurement
-// probes stay strictly serial per switch (the invariant RTT clustering
-// depends on: a queued probe would fold queueing delay into the measured
-// RTT), while installs ride the pipelined async flow-mod channel;
-// concurrency comes from multiplexing many switches' serial schedules
-// across the workers.
+// only in the fold, on the caller's goroutine, in member order. Every op a
+// member sends is serial and confirmed: simulated members install, probe and
+// clear one op at a time on their SimDevice, and TCP members run only the
+// cost fit, whose flow-mods each wait for their barrier. Measurement probes
+// must stay serial (a queued probe would fold queueing delay into the RTT
+// that clustering reads); concurrency comes from multiplexing many
+// switches' serial schedules across the workers.
 //
 // # Pacing
 //

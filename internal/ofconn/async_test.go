@@ -322,35 +322,50 @@ func TestSyncOpsFenceWindow(t *testing.T) {
 
 // TestEngineBatchOverPipelinedChannel drives the probe engine's batch
 // helpers end to end over TCP: InstallBatch lands every rule, and
-// ClearProbeRules (riding ClearBatch) removes them all again.
+// ClearProbeRules (riding ClearBatch) removes them all again. Both ride the
+// pipelined path, so each costs ⌈150/64⌉ = 3 socket writes, not 150.
 func TestEngineBatchOverPipelinedChannel(t *testing.T) {
-	c, _ := dialFlaky(t)
-	e := probe.NewEngine(c)
-	if !e.Pipelined() {
-		t.Fatal("engine over ofconn.Controller should be pipelined")
+	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
+	reg := telemetry.NewRegistry()
+	c, err := DialOptions(startSwitch(t, sw), ControllerOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ids := make([]uint32, 150)
+	defer c.Close()
+	e := probe.NewEngine(c)
+	writes := reg.Counter("ofconn.controller.async_writes")
+	const n, perBatch = 150, 3 // ⌈150/asyncWindow⌉
+	ids := make([]uint32, n)
 	for i := range ids {
 		ids[i] = uint32(i)
 	}
-	n, err := e.InstallBatch(ids, 10)
-	if err != nil || n != len(ids) {
-		t.Fatalf("InstallBatch = %d, %v; want %d, nil", n, err, len(ids))
+	got, err := e.InstallBatch(ids, 10)
+	if err != nil || got != n {
+		t.Fatalf("InstallBatch = %d, %v; want %d, nil", got, err, n)
+	}
+	if w := writes.Value(); w != perBatch {
+		t.Fatalf("InstallBatch of %d took %d socket writes, want %d", n, w, perBatch)
 	}
 	flows, err := c.FlowStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(flows) != len(ids) {
-		t.Fatalf("flow count = %d, want %d", len(flows), len(ids))
+	if len(flows) != n {
+		t.Fatalf("flow count = %d, want %d", len(flows), n)
 	}
-	e.ClearProbeRules(0, uint32(len(ids)), 10)
+	e.ClearProbeRules(0, n, 10)
+	if w := writes.Value(); w != 2*perBatch {
+		t.Fatalf("clear of %d took %d socket writes, want %d", n, w-perBatch, perBatch)
+	}
 	flows, err = c.FlowStats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(flows) != 0 {
 		t.Fatalf("flow count after clear = %d, want 0", len(flows))
+	}
+	if got := c.pendingLen(); got != 0 {
+		t.Fatalf("pending XIDs = %d, want 0", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"tango/internal/core/probe"
 	"tango/internal/openflow"
+	"tango/internal/simclock"
 	"tango/internal/telemetry"
 )
 
@@ -51,6 +52,10 @@ type Controller struct {
 
 	features *openflow.FeaturesReply
 	timeout  time.Duration
+	// clock is what Now, Sleep and a round trip's RTT read: the wall clock,
+	// unless a test puts the controller on its switch's virtual clock. Reply
+	// deadlines stay on socket time.
+	clock simclock.Clock
 	// window is the resolved bound on flow-mods per barrier (ControllerOptions.
 	// AsyncWindow, defaulted); immutable after construction.
 	window int
@@ -180,6 +185,7 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 		notify:  make(chan openflow.Message, 256),
 		timeout: opts.Timeout,
 		window:  window,
+		clock:   wallClock,
 	}
 	c.readTok <- struct{}{}
 	c.tel.init(opts)
@@ -193,6 +199,9 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 	c.tel.hHandshake.Observe(float64(time.Since(start)))
 	return c, nil
 }
+
+// wallClock is every controller's measurement clock outside tests.
+var wallClock simclock.Clock = &simclock.Real{}
 
 // pendingReply is one xid-table entry: where route delivers the message
 // that answers the xid. Exactly one field is set. The message that closes an
@@ -441,15 +450,16 @@ func delivered(msg openflow.Message, ok bool) (openflow.Message, error) {
 
 // roundTrip is the one request/reply exchange every non-flow-mod operation
 // goes through: register an xid, write req, await the reply to it. rtt runs
-// from just before the write to the reply's arrival; a serial caller makes
-// both the write and the read on this goroutine, so it holds no hand-off.
+// from just before the write to the reply's arrival, on the controller's
+// measurement clock; a serial caller makes both the write and the read on
+// this goroutine, so it holds no hand-off.
 func (c *Controller) roundTrip(req request) (reply openflow.Message, rtt time.Duration, _ error) {
 	xid, ch, err := c.register(nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer c.release(xid, 1)
-	start := time.Now()
+	start := c.clock.Now()
 	if err := c.write(nil, xid, req); err != nil {
 		return nil, 0, err
 	}
@@ -457,7 +467,7 @@ func (c *Controller) roundTrip(req request) (reply openflow.Message, rtt time.Du
 	if err != nil {
 		return nil, 0, err
 	}
-	return reply, time.Since(start), nil
+	return reply, c.clock.Now().Sub(start), nil
 }
 
 func (c *Controller) handshake() error {
@@ -534,13 +544,13 @@ func (c *Controller) FlowStats() ([]openflow.FlowStats, error) {
 	return sr.Flows, nil
 }
 
-// Now returns the wall-clock time; with a TCP device, probing measures real
-// elapsed time.
-func (c *Controller) Now() time.Time { return time.Now() }
+// Now returns the time on the clock RTTs are measured against: wall time, so
+// probing over a live channel measures real elapsed time.
+func (c *Controller) Now() time.Time { return c.clock.Now() }
 
-// Sleep implements probe.Device by blocking for d of wall time, mirroring
-// SimDevice.Sleep on the virtual-time path.
-func (c *Controller) Sleep(d time.Duration) { time.Sleep(d) }
+// Sleep implements probe.Device by charging d to that clock — blocking for
+// d of wall time — mirroring SimDevice.Sleep on the virtual-time path.
+func (c *Controller) Sleep(d time.Duration) { c.clock.Sleep(d) }
 
 // Close tears down the connection and records ErrClosed, so every exchange
 // still awaiting a reply — the token holder's read fails too — returns

@@ -169,7 +169,9 @@ func relErr(est, actual int) float64 {
 // so the latency-ratio sensitive policy probe is skipped and the size levels
 // are not asserted (they do not cluster over loopback); what is asserted are
 // the rules installed and whether the switch said it was full, which come
-// from table-full rejections and are exact.
+// from table-full rejections and are exact. Exact agreement with the
+// emulator — model, virtual time, counters — is checked on the switch's
+// virtual clock instead, by TestInspectOverWireMatchesSim in internal/ofconn.
 func TestInspectOverTCP(t *testing.T) {
 	cases := []struct {
 		profile   switchsim.Profile
