@@ -82,7 +82,11 @@ type Rule struct {
 // Table is not safe for concurrent use; the switch emulator serialises
 // access.
 type Table struct {
+	// rules is the table in order. It ends where its backing array, all of
+	// which buf spans, ends: the slots ahead of it are the ones front
+	// removals vacated (see Remove), which makeRoom takes back.
 	rules   []*Rule
+	buf     []*Rule
 	nextSeq uint64
 
 	// exact indexes rules that pin both IPv4 endpoints to single addresses
@@ -109,7 +113,7 @@ func NewTable(keys int) *Table {
 // capacity.
 func (t *Table) Reset() {
 	clear(t.rules)
-	t.rules = t.rules[:0]
+	t.rules = t.buf[:0]
 	clear(t.wild)
 	t.wild = t.wild[:0]
 	t.exact.reset()
@@ -300,11 +304,32 @@ func (t *Table) Insert(r *Rule, now time.Time) (shifted int, err error) {
 	t.nextSeq++
 	r.InstalledAt = now
 	r.LastUsedAt = now
+	t.makeRoom()
 	t.rules = append(t.rules, nil)
 	copy(t.rules[pos+1:], t.rules[pos:])
 	t.rules[pos] = r
 	t.indexInsert(r)
 	return shifted, nil
+}
+
+// makeRoom makes sure the rules slice can take one more rule without
+// growing its backing array when the slots front removals vacated are at
+// least a quarter of the rules: it slides the rules down over them, so a
+// table that is emptied from the front and refilled — a probing clear, then
+// the next fill — reuses one array. Otherwise it grows the array, which is
+// what keeps the slide amortized O(1) per insert.
+func (t *Table) makeRoom() {
+	if len(t.rules) < cap(t.rules) {
+		return
+	}
+	if vacated := cap(t.buf) - cap(t.rules); vacated > 0 && vacated >= len(t.rules)/4 {
+		n := copy(t.buf, t.rules)
+		clear(t.buf[n:])
+		t.rules = t.buf[:n]
+		return
+	}
+	t.rules = append(t.rules, nil)[:len(t.rules)]
+	t.buf = t.rules[:cap(t.rules)]
 }
 
 // Find returns the installed rule with an identical match and priority, or

@@ -63,6 +63,57 @@ func TestMatchesProbeFrame(t *testing.T) {
 	}
 }
 
+// TestProbeFrameSatisfiesItsOwnRules holds the minted frame to the minted
+// rules at every byte carry of the flow ID: the frame of id matches id's
+// exact, L3 and L2 probe rules and none of id±1's, and its addresses are the
+// documented ones. Agreement between the minting paths alone would pass with
+// a wrong constant they share.
+func TestProbeFrameSatisfiesItsOwnRules(t *testing.T) {
+	for _, tc := range []struct {
+		id       uint32
+		src, dst string
+	}{
+		{0, "10.83.0.0", "10.84.0.0"},
+		{255, "10.83.0.255", "10.84.0.255"},
+		{256, "10.83.1.0", "10.84.1.0"},
+		{65535, "10.83.255.255", "10.84.255.255"},
+		{65536, "10.84.0.0", "10.85.0.0"},
+		{1<<24 - 1, "10.82.255.255", "10.83.255.255"}, // the second octet wraps
+		{1<<32 - 1, "10.82.255.255", "10.83.255.255"},
+	} {
+		raw, err := packet.BuildProbe(packet.ProbeSpec{FlowID: tc.id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := decodeFrame(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var built packet.Frame
+		packet.BuildProbeFrame(&built, packet.ProbeSpec{FlowID: tc.id})
+		for _, f := range []*packet.Frame{decoded, &built} {
+			if f.IP.Src.String() != tc.src || f.IP.Dst.String() != tc.dst {
+				t.Fatalf("flow %d: frame %v -> %v, want %s -> %s", tc.id, f.IP.Src, f.IP.Dst, tc.src, tc.dst)
+			}
+			rules := func(id uint32) map[string]Match {
+				return map[string]Match{"exact": ExactProbeMatch(id), "L3": L3ProbeMatch(id), "L2": L2ProbeMatch(id)}
+			}
+			for kind, m := range rules(tc.id) {
+				if !m.Matches(f, 1) {
+					t.Errorf("flow %d: the frame misses its own %s rule", tc.id, kind)
+				}
+			}
+			for _, other := range []uint32{tc.id - 1, tc.id + 1} {
+				for kind, m := range rules(other) {
+					if m.Matches(f, 1) {
+						t.Errorf("flow %d: the frame matches flow %d's %s rule", tc.id, other, kind)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatchInPortAndWildcard(t *testing.T) {
 	raw, _ := packet.BuildProbe(packet.ProbeSpec{FlowID: 1})
 	f, _ := decodeFrame(raw)
@@ -187,6 +238,38 @@ func TestInsertEqualPriorityFIFO(t *testing.T) {
 		if r.seq != uint64(i) {
 			t.Fatalf("equal-priority order broken at %d", i)
 		}
+	}
+}
+
+// TestFrontClearThenRefillReusesArray: clearing a same-priority fill from
+// its oldest rule on leaves the rules at the back of their array; the refill
+// takes the vacated front back instead of growing a new array every cycle.
+func TestFrontClearThenRefillReusesArray(t *testing.T) {
+	const n = 512
+	rules := make([]*Rule, n)
+	for i := range rules {
+		rules[i] = mkRule(uint32(i), 7)
+	}
+	var tb Table
+	cycle := func() {
+		for _, r := range rules {
+			tb.Insert(r, t0)
+		}
+		if err := tb.validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rules {
+			if !tb.Remove(r) {
+				t.Fatalf("rule %v not found", r.Match)
+			}
+		}
+		if err := tb.validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("a fill and front clear of %d rules allocated %.0f times, want 0", n, allocs)
 	}
 }
 
@@ -502,6 +585,14 @@ func TestLookupIndexEquivalence(t *testing.T) {
 // (or sits in the wild residue), each key's chain is in table order, and the
 // index counts exactly its occupied slots.
 func (t *Table) validate() error {
+	if c := cap(t.rules); c > 0 && &t.rules[:c][c-1] != &t.buf[:cap(t.buf)][cap(t.buf)-1] {
+		return fmt.Errorf("flowtable: the rules do not end where buf does")
+	}
+	for _, r := range t.buf[:cap(t.buf)-cap(t.rules)] {
+		if r != nil {
+			return fmt.Errorf("flowtable: a vacated slot holds a rule")
+		}
+	}
 	for i := 1; i < len(t.rules); i++ {
 		a, b := t.rules[i-1], t.rules[i]
 		if a.Priority < b.Priority {

@@ -27,8 +27,9 @@ const asyncWindow = 64
 // *openflow.Error (table-full as switchsim.ErrTableFull). The flow-mod's XID
 // is assigned by the controller.
 func (c *Controller) FlowMod(fm *openflow.FlowMod) error {
-	errs, err := c.FlowModBatch([]*openflow.FlowMod{fm})
-	if err != nil {
+	fms := [1]*openflow.FlowMod{fm}
+	var errs [1]error
+	if err := c.sendWindow(fms[:], errs[:]); err != nil {
 		return err
 	}
 	return errs[0]
@@ -83,18 +84,18 @@ func (c *Controller) FlowModBatch(fms []*openflow.FlowMod) ([]error, error) {
 // sendWindow is one flow-mod exchange: the ops and their barrier registered
 // together, written together, and the barrier's reply awaited. While it waits
 // the read token's holder — this caller or another — stores each rejection
-// the switch sends into the op's slot of errs; the agent writes an op's error
-// before the barrier reply, so on success every rejection is already there.
-// On failure the slots may hold some — the deferred release is what makes
-// them safe for the caller to overwrite.
-func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) error {
+// the switch sends in the op's xid entry; the agent writes an op's error
+// before the barrier reply, so on success every rejection is there when the
+// deferred release collects them into errs. On failure errs may hold some,
+// which the caller overwrites.
+func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) (err error) {
 	submit := c.tel.stamp()
-	first, ch, err := c.register(errs)
+	first, ch, err := c.register(len(fms))
 	if err != nil {
 		return err
 	}
-	defer c.release(first, len(errs)+1)
-	if err := c.write(fms, first, &openflow.BarrierRequest{}); err != nil {
+	defer func() { c.release(first, errs, ch, err == nil) }()
+	if err := c.write(fms, first, barrierRequest); err != nil {
 		return err
 	}
 	c.tel.asyncWrites.Add(1)
@@ -103,7 +104,7 @@ func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) error {
 		c.tel.asyncFlushes.Add(1)
 	}
 	wrote := c.tel.stamp()
-	if _, err := c.await(ch); err != nil {
+	if err := c.await(ch, false, nil); err != nil {
 		return err
 	}
 	if !submit.IsZero() {
@@ -112,12 +113,14 @@ func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) error {
 	return nil
 }
 
-// rejection maps a switch's error reply to the error the op reports.
-func rejection(oe *openflow.Error) error {
+// rejection maps a switch's error reply, decoded from frame into the read
+// token holder's scratch, to the error the op reports: table-full as
+// switchsim.ErrTableFull, anything else as a message of its own.
+func rejection(oe *openflow.Error, frame []byte) error {
 	if oe.IsTableFull() {
 		return switchsim.ErrTableFull
 	}
-	return oe
+	return kept(frame).(*openflow.Error)
 }
 
 // noteWindow records a confirmed window's two segments: entry → bytes written

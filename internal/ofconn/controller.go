@@ -1,6 +1,7 @@
 package ofconn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -25,16 +26,21 @@ import (
 type Controller struct {
 	conn net.Conn
 
-	// rd is the controller's one frame reader, used only by the holder of
-	// the read token; readTok holds that token while nobody reads.
+	// rd is the controller's one frame reader and dec the decoder its frames
+	// go through, both used only by the holder of the read token; readTok
+	// holds that token while nobody reads.
 	rd      *openflow.Reader
+	dec     openflow.Decoder
 	readTok chan struct{}
 
-	// mu guards the xid table. nextXID is the last xid handed out. readErr is
-	// the fatal read error or ErrClosed; once set, no xid is handed out.
+	// mu guards the xid table and spare. nextXID is the last xid handed out.
+	// spare holds reply channels whose exchange got its reply, for the next
+	// exchanges to reuse. readErr is the fatal read error or ErrClosed; once
+	// set, no xid is handed out.
 	mu      sync.Mutex
 	nextXID uint32
 	pending map[uint32]pendingReply
+	spare   []chan openflow.Message
 	readErr error
 
 	// wmu is the write lock: it orders whole exchanges on the wire and guards
@@ -203,42 +209,53 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 // wallClock is every controller's measurement clock outside tests.
 var wallClock simclock.Clock = &simclock.Real{}
 
-// pendingReply is one xid-table entry: where route delivers the message
-// that answers the xid. Exactly one field is set. The message that closes an
-// exchange (a request, a window's barrier) has its reply awaited on ch. A
-// flow-mod has nobody waiting — its only possible answer is a rejection — so
-// its entry points at the op's slot of the errs its FlowModBatch returns and
-// route stores the rejection there.
+// pendingReply is one xid-table entry. The message that closes an exchange
+// (a request, a window's barrier) has its reply awaited on ch. A flow-mod has
+// nobody waiting — its only possible answer is a rejection — so route stores
+// the rejection in err, where the window's sender collects it when it
+// releases the xids.
 type pendingReply struct {
-	ch   chan openflow.Message
-	errp *error
+	ch  chan openflow.Message
+	err error
 }
 
-// route delivers one message the token holder read: an awaited reply into
-// its exchange's 1-buffered channel (the holder's own or another caller's), a
-// rejection into its op's slot, a stale reply to the counter and anything
-// the switch volunteered to Notifications().
-func (c *Controller) route(msg openflow.Message) {
+// route delivers one message the token holder read and decoded into its
+// scratch, and reports whether it is the reply the holder's own exchange
+// awaits on own, which the holder takes where it lies. Anything that outlives
+// the read is decoded again from frame into a message of its own: another
+// caller's reply, which goes into that exchange's 1-buffered channel, a
+// rejection that is not table-full, which goes into its op's entry, and
+// anything the switch volunteered, which goes to Notifications(). A stale
+// reply is only counted.
+func (c *Controller) route(msg openflow.Message, frame []byte, own chan openflow.Message) bool {
 	c.tel.msgsIn.Add(1)
 	if msg.Type() == openflow.TypeHello {
-		return // connection-opening pleasantry, not awaited
+		return false // connection-opening pleasantry, not awaited
 	}
 	c.mu.Lock()
 	p, ok := c.pending[msg.XID()]
-	if ok {
+	switch {
+	case !ok:
+	case p.ch != nil:
 		delete(c.pending, msg.XID())
-		if oe, isErr := msg.(*openflow.Error); isErr && p.errp != nil {
-			// Stored under mu, which the window's sender takes (to release
-			// its xids) before it reads or overwrites the slot: the store
-			// is ordered before that whether the barrier was answered —
-			// its reply follows this message on the wire — or timed out.
-			*p.errp = rejection(oe)
+	case p.err != nil:
+		ok = false // the op's answer came already: this one is a duplicate
+	default:
+		if oe, isErr := msg.(*openflow.Error); isErr {
+			// Stored under mu, which the window's sender takes to collect it:
+			// the store is ordered before that whether the barrier was
+			// answered — its reply follows this message on the wire — or
+			// timed out.
+			p.err = rejection(oe, frame)
+			c.pending[msg.XID()] = p
 		}
 	}
 	c.mu.Unlock()
 	switch {
-	case p.ch != nil:
-		p.ch <- msg // never blocks: the entry is gone, so ch gets one message
+	case ok && p.ch == own:
+		return true
+	case ok && p.ch != nil:
+		p.ch <- kept(frame) // never blocks: the entry is gone, so ch gets one message
 	case ok:
 		// A flow-mod's answer, recorded above.
 	case solicitedOnly(msg.Type()):
@@ -247,8 +264,16 @@ func (c *Controller) route(msg openflow.Message) {
 		// is not something the switch volunteered.
 		c.tel.staleReplies.Add(1)
 	default:
-		c.notifyUnsolicited(msg)
+		c.notifyUnsolicited(kept(frame))
 	}
+	return false
+}
+
+// kept decodes a frame the token holder has already decoded once into a
+// message of its own, which outlives the next read.
+func kept(frame []byte) openflow.Message {
+	msg, _ := openflow.Decode(frame) // cannot fail: it decoded before
+	return msg
 }
 
 // fail ends the connection's read side: it records err (unless an earlier
@@ -304,15 +329,14 @@ func (c *Controller) notifyUnsolicited(msg openflow.Message) {
 // until the next one; it is queued here before that exchange returns.
 func (c *Controller) Notifications() <-chan openflow.Message { return c.notify }
 
-// register reserves len(errs)+1 consecutive xids in one critical section:
-// one per flow-mod, its entry pointing at the op's slot of errs, then one for
-// the message that closes the exchange, whose reply arrives on the returned
-// 1-buffered channel. No xid is 0 — switches send what they volunteer
-// (FLOW_REMOVED, PORT_STATUS) with xid 0 — and none is still in the table,
-// which the 32-bit counter would otherwise revisit on a long-lived connection.
-func (c *Controller) register(errs []error) (first uint32, ch chan openflow.Message, err error) {
-	ch = make(chan openflow.Message, 1)
-	n := uint32(len(errs)) + 1
+// register reserves ops+1 consecutive xids in one critical section: one per
+// flow-mod, then one for the message that closes the exchange, whose reply
+// arrives on the returned 1-buffered channel — a spare one when there is one.
+// No xid is 0 — switches send what they volunteer (FLOW_REMOVED, PORT_STATUS)
+// with xid 0 — and none is still in the table, which the 32-bit counter would
+// otherwise revisit on a long-lived connection.
+func (c *Controller) register(ops int) (first uint32, ch chan openflow.Message, err error) {
+	n := uint32(ops) + 1
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.readErr != nil {
@@ -328,39 +352,48 @@ func (c *Controller) register(errs []error) (first uint32, ch chan openflow.Mess
 		i++
 	}
 	c.nextXID = first + n - 1
-	for i := range errs {
-		c.pending[first+uint32(i)] = pendingReply{errp: &errs[i]}
+	for i := uint32(0); i < n-1; i++ {
+		c.pending[first+i] = pendingReply{}
+	}
+	if k := len(c.spare); k > 0 {
+		ch, c.spare = c.spare[k-1], c.spare[:k-1]
+	} else {
+		ch = make(chan openflow.Message, 1)
 	}
 	c.pending[c.nextXID] = pendingReply{ch: ch}
 	return first, ch, nil
 }
 
-// release drops the n xids from first that are still registered. Every
-// exchange defers it, so no path — write failure, timeout, close, success —
-// leaves an entry behind to misroute a later reply.
-func (c *Controller) release(first uint32, n int) {
+// release ends an exchange registered from first with len(errs) flow-mods:
+// it collects each op's rejection into errs and drops every xid still
+// registered. Every exchange defers it, so no path — write failure, timeout,
+// close, success — leaves an entry behind to misroute a later reply. ch goes
+// back to spare only when replied says the exchange took its reply, so it is
+// empty and nobody holds it; a channel that timed out may yet receive a
+// straggler, and is left to the collector.
+func (c *Controller) release(first uint32, errs []error, ch chan openflow.Message, replied bool) {
 	c.mu.Lock()
-	for i := 0; i < n; i++ {
-		delete(c.pending, first+uint32(i))
+	for i := range errs {
+		x := first + uint32(i)
+		errs[i] = c.pending[x].err
+		delete(c.pending, x)
+	}
+	delete(c.pending, first+uint32(len(errs)))
+	if replied {
+		c.spare = append(c.spare, ch)
 	}
 	c.mu.Unlock()
 }
 
-// request is a message the controller assigns the transaction ID of.
-type request interface {
-	openflow.Message
-	SetXID(uint32)
-}
-
 // write is the only place bytes reach the connection: the calling goroutine
-// numbers one whole exchange from first — the flow-mods, then the message
-// that closes it — marshals it into the controller's one buffer and writes it
-// once, all under the write lock, so exchanges never interleave on the wire
-// and a window's barrier directly follows its ops. Nothing stays buffered
-// when it returns. A failed write may have been partial, and the stream
-// cannot resume mid-frame: the failure is kept and every later write reports
-// it without touching the connection.
-func (c *Controller) write(fms []*openflow.FlowMod, first uint32, last request) error {
+// numbers one whole exchange from first — the flow-mods, then last, the wire
+// form of the message that closes it — marshals it into the controller's one
+// buffer and writes it once, all under the write lock, so exchanges never
+// interleave on the wire and a window's barrier directly follows its ops.
+// Nothing stays buffered when it returns. A failed write may have been
+// partial, and the stream cannot resume mid-frame: the failure is kept and
+// every later write reports it without touching the connection.
+func (c *Controller) write(fms []*openflow.FlowMod, first uint32, last []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.werr != nil {
@@ -371,8 +404,9 @@ func (c *Controller) write(fms []*openflow.FlowMod, first uint32, last request) 
 		fm.SetXID(first + uint32(i))
 		buf = fm.Marshal(buf)
 	}
-	last.SetXID(first + uint32(len(fms)))
-	buf = last.Marshal(buf)
+	off := len(buf)
+	buf = append(buf, last...)
+	binary.BigEndian.PutUint32(buf[off+4:off+8], first+uint32(len(fms))) // its header's xid
 	c.wbuf = buf
 	if _, err := c.conn.Write(buf); err != nil {
 		c.werr = err
@@ -383,14 +417,15 @@ func (c *Controller) write(fms []*openflow.FlowMod, first uint32, last request) 
 }
 
 // await blocks for the reply on ch, bounded by the configured timeout (when
-// set). No goroutine reads for it: the caller waits for whichever comes
+// set), and hands it to use (nil: the reply carries nothing the caller
+// reads). No goroutine reads for it: the caller waits for whichever comes
 // first — its reply, which another caller read and routed, the read token,
 // or its timer — and with the token it reads the connection itself
-// (readUntil), then hands the token back. The caller releases the xid. A
-// straggler already routed lands in the 1-buffered channel and is
-// garbage-collected with it; one read after the release finds no entry and
-// is dropped as a stale reply (see route).
-func (c *Controller) await(ch chan openflow.Message) (openflow.Message, error) {
+// (readUntil), then hands the token back. A nil error means the reply came.
+// The caller releases the xid; a straggler routed after a timeout lands in
+// the 1-buffered channel and is garbage-collected with it, and one read after
+// the release finds no entry and is dropped as a stale reply (see route).
+func (c *Controller) await(ch chan openflow.Message, keep bool, use func(openflow.Message)) error {
 	var deadline time.Time
 	var expired <-chan time.Time
 	if c.timeout > 0 {
@@ -401,22 +436,26 @@ func (c *Controller) await(ch chan openflow.Message) (openflow.Message, error) {
 	}
 	select {
 	case msg, ok := <-ch:
-		return delivered(msg, ok)
+		return delivered(msg, ok, use)
 	case <-c.readTok:
-		msg, err := c.readUntil(ch, deadline)
+		err := c.readUntil(ch, deadline, keep, use)
 		c.readTok <- struct{}{}
-		return msg, err
+		return err
 	case <-expired:
-		return nil, ErrTimeout
+		return ErrTimeout
 	}
 }
 
-// readUntil is the token holder's read loop: it reads and routes frames
-// until ch has its reply. A zero deadline reads without one. A deadline that
-// passes is ErrTimeout and leaves the connection usable — a frame cut short
-// stays in the reader's buffer for the next holder to finish. Any other read
-// error is fatal: fail wakes every waiter, the holder included.
-func (c *Controller) readUntil(ch chan openflow.Message, deadline time.Time) (openflow.Message, error) {
+// readUntil is the token holder's read loop: it reads, decodes and routes
+// frames until ch has its reply. Its own reply it hands to use while it still
+// holds the token, decoded in the holder's scratch unless keep asks for a
+// message of its own, so an exchange that only looks at its reply copies
+// nothing. A zero deadline reads without one. A deadline that passes is
+// ErrTimeout and leaves the connection usable — a frame cut short stays in
+// the reader's buffer for the next holder to finish. Any other read error, or
+// a frame that does not decode, is fatal: fail wakes every waiter, the holder
+// included.
+func (c *Controller) readUntil(ch chan openflow.Message, deadline time.Time, keep bool, use func(openflow.Message)) error {
 	if !deadline.IsZero() {
 		// An error here means the connection is gone; the read reports it.
 		_ = c.conn.SetReadDeadline(deadline)
@@ -424,63 +463,97 @@ func (c *Controller) readUntil(ch chan openflow.Message, deadline time.Time) (op
 	for {
 		select {
 		case msg, ok := <-ch:
-			return delivered(msg, ok)
+			return delivered(msg, ok, use)
 		default:
 		}
-		msg, err := c.rd.ReadMessage()
+		frame, err := c.rd.ReadFrame()
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
-				return nil, ErrTimeout
+				return ErrTimeout
 			}
 			c.fail(err)
-			return nil, ErrClosed
+			return ErrClosed
 		}
-		c.route(msg)
+		msg, err := c.dec.Decode(frame)
+		if err != nil {
+			c.fail(err)
+			return ErrClosed
+		}
+		if c.route(msg, frame, ch) {
+			if keep {
+				msg = kept(frame)
+			}
+			return delivered(msg, true, use)
+		}
 	}
 }
 
 // delivered is what a receive from an exchange's channel means: its reply,
-// or — closed by fail — ErrClosed.
-func delivered(msg openflow.Message, ok bool) (openflow.Message, error) {
+// handed to use, or — closed by fail — ErrClosed.
+func delivered(msg openflow.Message, ok bool, use func(openflow.Message)) error {
 	if !ok {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	return msg, nil
+	if use != nil {
+		use(msg)
+	}
+	return nil
 }
 
 // roundTrip is the one request/reply exchange every non-flow-mod operation
-// goes through: register an xid, write req, await the reply to it. rtt runs
-// from just before the write to the reply's arrival, on the controller's
-// measurement clock; a serial caller makes both the write and the read on
-// this goroutine, so it holds no hand-off.
-func (c *Controller) roundTrip(req request) (reply openflow.Message, rtt time.Duration, _ error) {
-	xid, ch, err := c.register(nil)
+// goes through: register an xid, write req (the request's wire form; write
+// numbers it), await the reply to it and hand it to use — the read token
+// holder's scratch unless keep asks for a message the caller may keep, so use
+// must copy what it needs out of it. rtt runs from just before the write to
+// the reply's arrival, on the controller's measurement clock; a serial caller
+// makes both the write and the read on this goroutine, so it holds no
+// hand-off.
+func (c *Controller) roundTrip(req []byte, keep bool, use func(openflow.Message)) (rtt time.Duration, err error) {
+	xid, ch, err := c.register(0)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	defer c.release(xid, 1)
+	replied := false
+	defer func() { c.release(xid, nil, ch, replied) }()
 	start := c.clock.Now()
 	if err := c.write(nil, xid, req); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	reply, err = c.await(ch)
-	if err != nil {
-		return nil, 0, err
-	}
-	return reply, c.clock.Now().Sub(start), nil
+	err = c.await(ch, keep, func(msg openflow.Message) {
+		rtt = c.clock.Now().Sub(start)
+		if use != nil {
+			use(msg)
+		}
+	})
+	replied = err == nil
+	return rtt, err
 }
 
+// The wire form of each request that takes no argument, xid 0 (write numbers
+// it).
+var (
+	helloMsg        = (&openflow.Hello{}).Marshal(nil)
+	featuresRequest = (&openflow.FeaturesRequest{}).Marshal(nil)
+	barrierRequest  = (&openflow.BarrierRequest{}).Marshal(nil)
+	echoRequest     = (&openflow.EchoRequest{Data: []byte("tango")}).Marshal(nil)
+	flowStatsAll    = (&openflow.StatsRequest{
+		StatsType:   openflow.StatsTypeFlow,
+		FlowTableID: 0xff,
+		FlowOutPort: openflow.PortNone,
+	}).Marshal(nil)
+)
+
 func (c *Controller) handshake() error {
-	if err := c.write(nil, 0, &openflow.Hello{}); err != nil {
+	if err := c.write(nil, 0, helloMsg); err != nil {
 		return err
 	}
-	msg, _, err := c.roundTrip(&openflow.FeaturesRequest{})
-	if err != nil {
+	var reply openflow.Message
+	if _, err := c.roundTrip(featuresRequest, true, func(m openflow.Message) { reply = m }); err != nil {
 		return err
 	}
-	fr, ok := msg.(*openflow.FeaturesReply)
+	fr, ok := reply.(*openflow.FeaturesReply)
 	if !ok {
-		return fmt.Errorf("ofconn: handshake got %v, want FEATURES_REPLY", msg.Type())
+		return fmt.Errorf("ofconn: handshake got %v, want FEATURES_REPLY", reply.Type())
 	}
 	c.features = fr
 	return nil
@@ -501,45 +574,38 @@ func (c *Controller) TelemetryLabel() string {
 // until the reflected PACKET_IN returns. punted reports whether the switch
 // punted the frame (NO_MATCH) rather than forwarding it.
 func (c *Controller) SendProbe(data []byte, inPort uint16) (rtt time.Duration, punted bool, err error) {
-	msg, rtt, err := c.roundTrip(&openflow.PacketOut{BufferID: 0xffffffff, InPort: inPort, Data: data})
+	var buf [128]byte // a probe's PACKET_OUT, marshalled on the stack
+	po := openflow.PacketOut{BufferID: 0xffffffff, InPort: inPort, Data: data}
+	var reply openflow.MsgType
+	rtt, err = c.roundTrip(po.Marshal(buf[:0]), false, func(m openflow.Message) {
+		reply = m.Type()
+		if pin, ok := m.(*openflow.PacketIn); ok {
+			punted = pin.Reason == openflow.ReasonNoMatch
+		}
+	})
 	if err != nil {
 		return 0, false, err
 	}
-	pin, ok := msg.(*openflow.PacketIn)
-	if !ok {
-		return 0, false, fmt.Errorf("ofconn: probe got %v, want PACKET_IN", msg.Type())
+	if reply != openflow.TypePacketIn {
+		return 0, false, fmt.Errorf("ofconn: probe got %v, want PACKET_IN", reply)
 	}
-	return rtt, pin.Reason == openflow.ReasonNoMatch, nil
+	return rtt, punted, nil
 }
 
 // Echo measures a control-channel round trip.
 func (c *Controller) Echo() (time.Duration, error) {
-	_, rtt, err := c.roundTrip(&openflow.EchoRequest{Data: []byte("tango")})
-	return rtt, err
-}
-
-// stats runs one stats request and narrows the reply.
-func (c *Controller) stats(req *openflow.StatsRequest) (*openflow.StatsReply, error) {
-	msg, _, err := c.roundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	sr, ok := msg.(*openflow.StatsReply)
-	if !ok {
-		return nil, fmt.Errorf("ofconn: got %v, want STATS_REPLY", msg.Type())
-	}
-	return sr, nil
+	return c.roundTrip(echoRequest, false, nil)
 }
 
 // FlowStats fetches flow statistics for all rules.
 func (c *Controller) FlowStats() ([]openflow.FlowStats, error) {
-	sr, err := c.stats(&openflow.StatsRequest{
-		StatsType:   openflow.StatsTypeFlow,
-		FlowTableID: 0xff,
-		FlowOutPort: openflow.PortNone,
-	})
-	if err != nil {
+	var reply openflow.Message
+	if _, err := c.roundTrip(flowStatsAll, true, func(m openflow.Message) { reply = m }); err != nil {
 		return nil, err
+	}
+	sr, ok := reply.(*openflow.StatsReply)
+	if !ok {
+		return nil, fmt.Errorf("ofconn: got %v, want STATS_REPLY", reply.Type())
 	}
 	return sr.Flows, nil
 }

@@ -2,6 +2,7 @@ package ofconn
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -32,11 +33,26 @@ func startSwitch(t *testing.T, sw *switchsim.Switch) string {
 
 // tableStats fetches the switch's table statistics.
 func tableStats(c *Controller) ([]openflow.TableStats, error) {
-	sr, err := c.stats(&openflow.StatsRequest{StatsType: openflow.StatsTypeTable})
+	req := (&openflow.StatsRequest{StatsType: openflow.StatsTypeTable}).Marshal(nil)
+	var reply openflow.Message
+	if _, err := c.roundTrip(req, true, func(m openflow.Message) { reply = m }); err != nil {
+		return nil, err
+	}
+	sr, ok := reply.(*openflow.StatsReply)
+	if !ok {
+		return nil, fmt.Errorf("got %v, want STATS_REPLY", reply.Type())
+	}
+	return sr.Tables, nil
+}
+
+// readMessage reads the next frame from rd and decodes it into a message of
+// its own.
+func readMessage(rd *openflow.Reader) (openflow.Message, error) {
+	frame, err := rd.ReadFrame()
 	if err != nil {
 		return nil, err
 	}
-	return sr.Tables, nil
+	return openflow.Decode(frame)
 }
 
 // fastClock makes simulated latencies nearly instant so TCP tests stay fast.

@@ -1,10 +1,12 @@
 package ofconn
 
 import (
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
 
+	"tango/internal/flowtable"
 	"tango/internal/openflow"
 	"tango/internal/packet"
 	"tango/internal/switchsim"
@@ -117,10 +119,10 @@ func TestReadsFollowWrites(t *testing.T) {
 }
 
 // TestFlowModAllocationBudget bounds what one flow-mod of a window allocates
-// across both ends of the channel: nothing on the controller, the decoded
-// message and its action list on the agent — 2 (the parent: 4, with a
-// completion and a queued frame copy per op) — plus a window's shared costs
-// (errs, the barrier exchange). A synchronous FlowMod is a window of one.
+// across both ends of the channel: nothing (the parent: 2 — the agent's
+// decoded message and its action list) — plus a window's shared costs, which
+// are one: the errs FlowModBatch returns. A synchronous FlowMod is a window
+// of one, and its outcome needs no errs.
 func TestFlowModAllocationBudget(t *testing.T) {
 	c, _ := dialFlaky(t)
 	fms := make([]*openflow.FlowMod, asyncWindow)
@@ -134,17 +136,68 @@ func TestFlowModAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const shared = 10 // measured: 8 — a window costs 136 in all, the parent's 275
-	if limit := float64(2*asyncWindow + shared); perWindow > limit {
-		t.Fatalf("a %d-op window allocated %.0f times, want at most %.0f (%.2f per flow-mod)",
-			asyncWindow, perWindow, limit, perWindow/asyncWindow)
+	const shared = 1 // the parent: 8, and 136 for the whole window
+	if perWindow > shared {
+		t.Fatalf("a %d-op window allocated %.0f times, want at most %d (%.2f per flow-mod)",
+			asyncWindow, perWindow, shared, perWindow/asyncWindow)
 	}
 	perSync := testing.AllocsPerRun(20, func() {
 		if err := c.FlowMod(fms[0]); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if perSync > 2+shared {
-		t.Fatalf("a synchronous FlowMod allocated %.0f times, want at most %d (the parent: 15)", perSync, 2+shared)
+	if perSync != 0 {
+		t.Fatalf("a synchronous FlowMod allocated %.0f times, want 0 (the parent: 15)", perSync)
+	}
+}
+
+// TestExchangeAllocationBudget: in steady state a serial probe, an echo and a
+// synchronous flow-mod allocate nothing on either end. Each frame is decoded
+// where it was read, the agent writes its replies as bytes, the request is
+// marshalled on the caller's stack and the reply channel is a spare one.
+func TestExchangeAllocationBudget(t *testing.T) {
+	c, _ := dialFlaky(t)
+	add := probeAdd(1)
+	if err := c.FlowMod(add); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := packet.BuildProbe(packet.ProbeSpec{FlowID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss, err := packet.BuildProbe(packet.ProbeSpec{FlowID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := &openflow.FlowMod{Command: openflow.FlowDeleteStrict, Match: flowtable.ExactProbeMatch(3), Priority: 10}
+	for _, tc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"SendProbe hit", func() error {
+			_, punted, err := c.SendProbe(hit, 1)
+			if err == nil && punted {
+				err = fmt.Errorf("punted")
+			}
+			return err
+		}},
+		{"SendProbe miss", func() error {
+			_, punted, err := c.SendProbe(miss, 1)
+			if err == nil && !punted {
+				err = fmt.Errorf("forwarded")
+			}
+			return err
+		}},
+		{"Echo", func() error { _, err := c.Echo(); return err }},
+		{"FlowMod add", func() error { return c.FlowMod(add) }},
+		{"FlowMod delete", func() error { return c.FlowMod(del) }},
+	} {
+		if n := testing.AllocsPerRun(50, func() {
+			if err := tc.op(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}); n != 0 {
+			t.Errorf("%s allocated %.0f times across both ends, want 0", tc.name, n)
+		}
 	}
 }

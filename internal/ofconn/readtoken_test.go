@@ -24,13 +24,15 @@ func TestTokenHolderTakesARoutedReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	xid, ch, err := c.register(nil)
+	xid, ch, err := c.register(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.route(&openflow.EchoReply{Header: openflow.Header{Xid: xid}}) // what the earlier holder did
+	frame := (&openflow.EchoReply{Header: openflow.Header{Xid: xid}}).Marshal(nil)
+	c.route(kept(frame), frame, make(chan openflow.Message, 1)) // what the earlier holder did
 	<-c.readTok
-	msg, err := c.readUntil(ch, time.Now().Add(time.Second))
+	var msg openflow.Message
+	err = c.readUntil(ch, time.Now().Add(time.Second), false, func(m openflow.Message) { msg = m })
 	c.readTok <- struct{}{}
 	if err != nil {
 		t.Fatalf("readUntil = %v, want the routed reply", err)
@@ -57,7 +59,7 @@ func TestSplitFrameOutlivesTimeout(t *testing.T) {
 		defer close(requests)
 		rd := openflow.NewReader(swEnd)
 		for {
-			msg, err := rd.ReadMessage()
+			msg, err := readMessage(rd)
 			if err != nil {
 				return
 			}
@@ -112,7 +114,8 @@ func TestSplitFrameOutlivesTimeout(t *testing.T) {
 			_, _ = swEnd.Write(append(tail, echoReply(req, "own")...))
 		}
 	}()
-	reply, _, err := c.roundTrip(&openflow.EchoRequest{})
+	var reply openflow.Message
+	_, err = c.roundTrip((&openflow.EchoRequest{}).Marshal(nil), true, func(m openflow.Message) { reply = m })
 	if err != nil {
 		t.Fatalf("the exchange after the timeout: %v", err)
 	}

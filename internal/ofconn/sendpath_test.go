@@ -57,7 +57,7 @@ func (c *tapConn) drain(t *testing.T) (writes int, replies []openflow.Message) {
 	defer c.mu.Unlock()
 	rd := openflow.NewReader(&c.read)
 	for {
-		msg, err := rd.ReadMessage()
+		msg, err := readMessage(rd)
 		if err == io.EOF {
 			return c.writes, replies
 		}

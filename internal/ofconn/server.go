@@ -11,6 +11,7 @@
 package ofconn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -222,83 +223,105 @@ func handshakeMsg(msg openflow.Message) bool {
 	return false
 }
 
+// agent is the switch side of one connection: the switch, the fault
+// injector (nil: none) and the reply bytes a reorder fault holds back.
+type agent struct {
+	sw   *switchsim.Switch
+	inj  *faults.Injector
+	held []byte
+}
+
+// step is one request's turn: it draws the request's fault decision,
+// applies the request to the switch (or not) and appends to out the reply
+// bytes that go on the wire now. Every fault kind acts on the byte range the
+// request's replies occupy. msg is read only during the call.
+func (a *agent) step(out []byte, msg openflow.Message) []byte {
+	var dec faults.Decision
+	// The handshake is exempt: a connection that cannot complete
+	// HELLO/FEATURES is indistinguishable from a dead listener, which is
+	// outside the fault model (we perturb channels, not kill them).
+	if !handshakeMsg(msg) {
+		dec = a.inj.Decide() // nil injector never fires
+	}
+	start := len(out)
+	fm, isFlowMod := msg.(*openflow.FlowMod)
+	switch {
+	case !dec.Fire:
+		out = a.sw.AppendReplies(out, msg)
+	case dec.Kind == faults.KindDrop:
+		if dec.AckLoss {
+			// Applied by the switch; the replies vanish in transit.
+			a.sw.AppendReplies(out, msg)
+		}
+	case dec.Kind == faults.KindOverflow && isFlowMod:
+		// Spurious agent-side rejection: the op is not applied.
+		out = (&openflow.Error{
+			Header:  fm.Header,
+			ErrType: openflow.ErrTypeFlowModFailed,
+			Code:    openflow.ErrCodeAllTablesFull,
+		}).Marshal(out)
+	default:
+		switch dec.Kind {
+		case faults.KindDelay:
+			time.Sleep(dec.Delay)
+		case faults.KindReset:
+			a.sw.Reset()
+		}
+		out = a.sw.AppendReplies(out, msg)
+	}
+	switch {
+	case dec.Fire && dec.Kind == faults.KindDuplicate:
+		out = append(out, out[start:]...)
+	case dec.Fire && dec.Kind == faults.KindReorder && len(a.held) == 0:
+		// Held back until the next request's replies have gone out, swapping
+		// the two on the wire.
+		a.held = append(a.held, out[start:]...)
+		return out[:start]
+	}
+	out = append(out, a.held...)
+	a.held = a.held[:0]
+	return out
+}
+
+// frames counts the whole frames in b.
+func frames(b []byte) (n int64) {
+	for len(b) >= 4 {
+		b = b[binary.BigEndian.Uint16(b[2:4]):]
+		n++
+	}
+	return n
+}
+
 // handleConn runs the per-connection agent loop: an initial HELLO, then a
-// strict request→replies cycle driven by the switch's Handle method. A
-// non-nil injector draws one fault decision per inbound message and
-// perturbs the cycle accordingly.
+// strict request→replies cycle, one agent step per request. Each frame is
+// decoded where the reader holds it, and a request's replies are written
+// from the connection's one out buffer, so a steady stream of requests
+// allocates nothing.
 func handleConn(conn net.Conn, sw *switchsim.Switch, tel serverTelemetry, inj *faults.Injector) error {
-	// out is the connection's write buffer: the opening HELLO, then every
-	// reply one request draws, marshalled together and written once.
 	out := (&openflow.Hello{}).Marshal(nil)
 	if _, err := conn.Write(out); err != nil {
 		return err
 	}
 	tel.msgsOut.Add(1)
 	rd := openflow.NewReader(conn)
-	// held carries replies deferred by a reorder fault; they go out after
-	// the next message's replies, swapping the two on the wire.
-	var held []openflow.Message
+	var dec openflow.Decoder
+	a := agent{sw: sw, inj: inj}
 	for {
-		msg, err := rd.ReadMessage()
+		frame, err := rd.ReadFrame()
+		if err != nil {
+			return err
+		}
+		msg, err := dec.Decode(frame)
 		if err != nil {
 			return err
 		}
 		tel.msgsIn.Add(1)
-		var replies []openflow.Message
-		var dec faults.Decision
-		// The handshake is exempt: a connection that cannot complete
-		// HELLO/FEATURES is indistinguishable from a dead listener, which is
-		// outside the fault model (we perturb channels, not kill them).
-		if !handshakeMsg(msg) {
-			dec = inj.Decide() // nil injector never fires
-		}
-		apply := true
-		if dec.Fire {
-			switch dec.Kind {
-			case faults.KindDrop:
-				if dec.AckLoss {
-					// Applied by the switch; the replies vanish in transit.
-					sw.Handle(msg)
-				}
-				apply = false
-			case faults.KindDelay:
-				time.Sleep(dec.Delay)
-			case faults.KindReset:
-				sw.Reset()
-			case faults.KindOverflow:
-				if fm, ok := msg.(*openflow.FlowMod); ok {
-					// Spurious agent-side rejection: the op is not applied.
-					replies = []openflow.Message{&openflow.Error{
-						Header:  openflow.Header{Xid: fm.XID()},
-						ErrType: openflow.ErrTypeFlowModFailed,
-						Code:    openflow.ErrCodeAllTablesFull,
-					}}
-					apply = false
-				}
-			}
-		}
-		if apply {
-			replies = sw.Handle(msg) // nothing was put in replies above
-		}
-		if dec.Fire && dec.Kind == faults.KindDuplicate {
-			replies = append(replies, replies...)
-		}
-		if dec.Fire && dec.Kind == faults.KindReorder && held == nil {
-			held = replies
+		if out = a.step(out[:0], msg); len(out) == 0 {
 			continue
-		}
-		replies = append(replies, held...)
-		held = nil
-		if len(replies) == 0 {
-			continue
-		}
-		out = out[:0]
-		for _, reply := range replies {
-			out = reply.Marshal(out)
 		}
 		if _, err := conn.Write(out); err != nil {
 			return err
 		}
-		tel.msgsOut.Add(int64(len(replies)))
+		tel.msgsOut.Add(frames(out))
 	}
 }

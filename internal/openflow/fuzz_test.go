@@ -69,8 +69,10 @@ func FuzzDecode(f *testing.F) {
 // arbitrary segments (the cut sizes are drawn from the fuzz input too). It
 // must never panic and must be indistinguishable from decoding the stream
 // frame by frame: the same messages, then the same first error, with exactly
-// the returned frames consumed however the bytes arrived — and messages
-// returned earlier must survive the refills that follow them.
+// the returned frames consumed however the bytes arrived. A Decoder's value
+// of each frame must equal Decode's, and the messages Decode returned must
+// survive the refills that follow them, as documented — the frames and the
+// Decoder's values need not.
 func FuzzReader(f *testing.F) {
 	var stream []byte
 	for _, m := range fuzzSeeds() {
@@ -93,6 +95,7 @@ func FuzzReader(f *testing.F) {
 			rest = rest[n:]
 		}
 		rd := NewReader(src)
+		var dec Decoder
 		var got []Message
 		var wires [][]byte
 		off := 0 // the reference's position in stream
@@ -117,7 +120,12 @@ func FuzzReader(f *testing.F) {
 					off += n
 				}
 			}
-			msg, err := rd.ReadMessage()
+			frame, err := rd.ReadFrame()
+			var msg, scratch Message
+			if err == nil {
+				scratch, _ = dec.Decode(frame)
+				msg, err = Decode(frame)
+			}
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("message %d: err = %v, want %v", len(got), err, wantErr)
 			}
@@ -129,6 +137,9 @@ func FuzzReader(f *testing.F) {
 			}
 			if !reflect.DeepEqual(msg, want) {
 				t.Fatalf("message %d: got %+v, want %+v", len(got), msg, want)
+			}
+			if !reflect.DeepEqual(scratch, msg) {
+				t.Fatalf("message %d: Decoder got %+v, Decode %+v", len(got), scratch, msg)
 			}
 			got = append(got, msg)
 			wires = append(wires, msg.Marshal(nil))

@@ -129,6 +129,9 @@ func unmarshalMatch(b []byte) (flowtable.Match, error) {
 	return m, nil
 }
 
+// actionLen is the encoded size of one ofp_action_output.
+const actionLen = 8
+
 // marshalActions encodes a rule action list as ofp_action_output structs.
 func marshalActions(b []byte, actions []flowtable.Action) []byte {
 	for _, a := range actions {
@@ -137,15 +140,43 @@ func marshalActions(b []byte, actions []flowtable.Action) []byte {
 			port = PortController
 		}
 		b = binary.BigEndian.AppendUint16(b, ActionTypeOutput)
-		b = binary.BigEndian.AppendUint16(b, 8) // length
+		b = binary.BigEndian.AppendUint16(b, actionLen)
 		b = binary.BigEndian.AppendUint16(b, port)
 		b = binary.BigEndian.AppendUint16(b, 0xffff) // max_len (to controller)
 	}
 	return b
 }
 
-// unmarshalActions decodes a packed action list.
+// Shared single-action lists: an output to port p below len(outputTo) is
+// outputTo[p:p+1:p+1], an output to the controller toController. They are
+// never written after init; the capacity cap keeps an append from reaching a
+// neighbour.
+var (
+	outputTo     [256]flowtable.Action
+	toController = []flowtable.Action{{Type: flowtable.ActionController}}
+)
+
+func init() {
+	for p := range outputTo {
+		outputTo[p] = flowtable.Action{Type: flowtable.ActionOutput, Port: uint16(p)}
+	}
+}
+
+// unmarshalActions decodes a packed action list. A list of one output — the
+// only shape a probe rule or a PACKET_OUT carries — decodes to a shared
+// immutable slice, so decoding it allocates nothing and never aliases the
+// frame: a switch keeps a rule's actions past the frame that installed it.
+// Every other list is fresh.
 func unmarshalActions(b []byte) ([]flowtable.Action, error) {
+	if len(b) == actionLen && binary.BigEndian.Uint16(b[0:2]) == ActionTypeOutput &&
+		binary.BigEndian.Uint16(b[2:4]) == actionLen {
+		switch port := binary.BigEndian.Uint16(b[4:6]); {
+		case port == PortController:
+			return toController, nil
+		case int(port) < len(outputTo):
+			return outputTo[port : port+1 : port+1], nil
+		}
+	}
 	var out []flowtable.Action
 	for len(b) > 0 {
 		if len(b) < 4 {

@@ -216,9 +216,8 @@ func (m *PacketOut) Marshal(b []byte) []byte {
 	b, off := putHeader(b, TypePacketOut, m.Xid)
 	b = binary.BigEndian.AppendUint32(b, m.BufferID)
 	b = binary.BigEndian.AppendUint16(b, m.InPort)
-	actions := marshalActions(nil, m.Actions)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(actions)))
-	b = append(b, actions...)
+	b = binary.BigEndian.AppendUint16(b, uint16(actionLen*len(m.Actions)))
+	b = marshalActions(b, m.Actions)
 	b = append(b, m.Data...)
 	return patchLen(b, off)
 }
@@ -293,17 +292,17 @@ func (m *FlowRemoved) Marshal(b []byte) []byte {
 	return patchLen(b, off)
 }
 
-func decodeFlowRemoved(xid uint32, body []byte) (Message, error) {
+func decodeFlowRemoved(m *FlowRemoved, hdr Header, body []byte) error {
 	if len(body) < matchLen+40 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	match, err := unmarshalMatch(body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p := body[matchLen:]
-	return &FlowRemoved{
-		Header:       Header{xid},
+	*m = FlowRemoved{
+		Header:       hdr,
 		Match:        match,
 		Cookie:       binary.BigEndian.Uint64(p[0:8]),
 		Priority:     binary.BigEndian.Uint16(p[8:10]),
@@ -313,7 +312,8 @@ func decodeFlowRemoved(xid uint32, body []byte) (Message, error) {
 		IdleTimeout:  binary.BigEndian.Uint16(p[20:22]),
 		PacketCount:  binary.BigEndian.Uint64(p[24:32]),
 		ByteCount:    binary.BigEndian.Uint64(p[32:40]),
-	}, nil
+	}
+	return nil
 }
 
 // Error reports a failure; Data holds (a prefix of) the offending message.
@@ -353,9 +353,74 @@ var ErrTruncated = errors.New("openflow: truncated message")
 
 // Decode parses a single complete message from data, which must contain
 // exactly one message. The result shares no memory with data: every byte a
-// message keeps is copied, which is what lets Reader decode out of a buffer
-// it goes on to refill.
+// message keeps is copied, so it stays valid however data is reused later.
 func Decode(data []byte) (Message, error) {
+	var fresh Decoder // holds no value yet, so every one it fills is new
+	return fresh.decode(data, true)
+}
+
+// Decoder decodes frames into values it holds, one per message type, so a
+// steady stream of frames decodes without allocating. A message it returns
+// aliases the frame it came from and is overwritten by the next frame of its
+// type: it is valid until the frame's bytes change or the Decoder decodes
+// again, whichever comes first. A caller that keeps a message longer decodes
+// the frame with Decode instead. Action lists are the exception: they never
+// alias the frame, so a switch may keep a rule's actions (see
+// unmarshalActions). A Decoder is not safe for concurrent use.
+type Decoder struct {
+	hello      *Hello
+	echoReq    *EchoRequest
+	echoReply  *EchoReply
+	featReq    *FeaturesRequest
+	featReply  *FeaturesReply
+	flowMod    *FlowMod
+	packetIn   *PacketIn
+	packetOut  *PacketOut
+	removed    *FlowRemoved
+	portStatus *PortStatus
+	getConfig  *GetConfigRequest
+	config     *SwitchConfig
+	barrierReq *BarrierRequest
+	barrierRep *BarrierReply
+	errMsg     *Error
+	statsReq   *StatsRequest
+	statsReply *StatsReply
+}
+
+// Decode parses one complete frame into the Decoder's value of its type.
+func (d *Decoder) Decode(frame []byte) (Message, error) { return d.decode(frame, false) }
+
+// held returns the value *p holds, creating it on first use.
+func held[T any](p **T) *T {
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
+}
+
+// keep is how a decoded message holds the bytes b of its frame: copied when
+// it must own them, otherwise aliased, capacity-capped so an append by the
+// holder cannot write over the frame's next bytes.
+func keep(b []byte, own bool) []byte {
+	switch {
+	case len(b) == 0:
+		return nil
+	case own:
+		return append([]byte(nil), b...)
+	}
+	return b[:len(b):len(b)]
+}
+
+// filled is m once err says it was decoded whole, and no message otherwise.
+func filled(m Message, err error) (Message, error) {
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decode is both forms of Decode: own copies every byte a message keeps.
+func (d *Decoder) decode(data []byte, own bool) (Message, error) {
 	if len(data) < headerLen {
 		return nil, ErrTruncated
 	}
@@ -367,67 +432,83 @@ func Decode(data []byte) (Message, error) {
 	if length != len(data) {
 		return nil, fmt.Errorf("openflow: header length %d != buffer %d", length, len(data))
 	}
-	xid := binary.BigEndian.Uint32(data[4:8])
+	hdr := Header{binary.BigEndian.Uint32(data[4:8])}
 	body := data[headerLen:]
 	switch t {
 	case TypeHello:
-		return &Hello{Header{xid}}, nil
+		m := held(&d.hello)
+		*m = Hello{hdr}
+		return m, nil
 	case TypeEchoRequest:
-		return &EchoRequest{Header{xid}, cloneBytes(body)}, nil
+		m := held(&d.echoReq)
+		*m = EchoRequest{hdr, keep(body, own)}
+		return m, nil
 	case TypeEchoReply:
-		return &EchoReply{Header{xid}, cloneBytes(body)}, nil
+		m := held(&d.echoReply)
+		*m = EchoReply{hdr, keep(body, own)}
+		return m, nil
 	case TypeFeaturesRequest:
-		return &FeaturesRequest{Header{xid}}, nil
+		m := held(&d.featReq)
+		*m = FeaturesRequest{hdr}
+		return m, nil
 	case TypeFeaturesReply:
-		return decodeFeaturesReply(xid, body)
+		m := held(&d.featReply)
+		return filled(m, decodeFeaturesReply(m, hdr, body))
 	case TypeFlowMod:
-		return decodeFlowMod(xid, body)
+		m := held(&d.flowMod)
+		return filled(m, decodeFlowMod(m, hdr, body))
 	case TypePacketIn:
-		return decodePacketIn(xid, body)
+		m := held(&d.packetIn)
+		return filled(m, decodePacketIn(m, hdr, body, own))
 	case TypePacketOut:
-		return decodePacketOut(xid, body)
+		m := held(&d.packetOut)
+		return filled(m, decodePacketOut(m, hdr, body, own))
 	case TypeFlowRemoved:
-		return decodeFlowRemoved(xid, body)
+		m := held(&d.removed)
+		return filled(m, decodeFlowRemoved(m, hdr, body))
 	case TypePortStatus:
-		return decodePortStatus(xid, body)
+		m := held(&d.portStatus)
+		return filled(m, decodePortStatus(m, hdr, body))
 	case TypeGetConfigReq:
-		return &GetConfigRequest{Header{xid}}, nil
-	case TypeGetConfigReply:
-		return decodeSwitchConfig(xid, body, false)
-	case TypeSetConfig:
-		return decodeSwitchConfig(xid, body, true)
+		m := held(&d.getConfig)
+		*m = GetConfigRequest{hdr}
+		return m, nil
+	case TypeGetConfigReply, TypeSetConfig:
+		m := held(&d.config)
+		return filled(m, decodeSwitchConfig(m, hdr, body, t == TypeSetConfig))
 	case TypeBarrierRequest:
-		return &BarrierRequest{Header{xid}}, nil
+		m := held(&d.barrierReq)
+		*m = BarrierRequest{hdr}
+		return m, nil
 	case TypeBarrierReply:
-		return &BarrierReply{Header{xid}}, nil
+		m := held(&d.barrierRep)
+		*m = BarrierReply{hdr}
+		return m, nil
 	case TypeError:
 		if len(body) < 4 {
 			return nil, ErrTruncated
 		}
-		return &Error{Header{xid}, binary.BigEndian.Uint16(body[0:2]),
-			binary.BigEndian.Uint16(body[2:4]), cloneBytes(body[4:])}, nil
+		m := held(&d.errMsg)
+		*m = Error{hdr, binary.BigEndian.Uint16(body[0:2]),
+			binary.BigEndian.Uint16(body[2:4]), keep(body[4:], own)}
+		return m, nil
 	case TypeStatsRequest:
-		return decodeStatsRequest(xid, body)
+		m := held(&d.statsReq)
+		return filled(m, decodeStatsRequest(m, hdr, body))
 	case TypeStatsReply:
-		return decodeStatsReply(xid, body)
+		m := held(&d.statsReply)
+		return filled(m, decodeStatsReply(m, hdr, body))
 	default:
 		return nil, fmt.Errorf("openflow: unsupported message type %d", t)
 	}
 }
 
-func cloneBytes(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func decodeFeaturesReply(xid uint32, body []byte) (Message, error) {
+func decodeFeaturesReply(m *FeaturesReply, hdr Header, body []byte) error {
 	if len(body) < 24 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	fr := &FeaturesReply{
-		Header:       Header{xid},
+	*m = FeaturesReply{
+		Header:       hdr,
 		DatapathID:   binary.BigEndian.Uint64(body[0:8]),
 		NBuffers:     binary.BigEndian.Uint32(body[8:12]),
 		NTables:      body[12],
@@ -435,26 +516,26 @@ func decodeFeaturesReply(xid uint32, body []byte) (Message, error) {
 		Actions:      binary.BigEndian.Uint32(body[20:24]),
 	}
 	for p := body[24:]; len(p) >= portDescLen; p = p[portDescLen:] {
-		fr.Ports = append(fr.Ports, unmarshalPortDesc(p[:portDescLen]))
+		m.Ports = append(m.Ports, unmarshalPortDesc(p[:portDescLen]))
 	}
-	return fr, nil
+	return nil
 }
 
-func decodeFlowMod(xid uint32, body []byte) (Message, error) {
+func decodeFlowMod(m *FlowMod, hdr Header, body []byte) error {
 	if len(body) < matchLen+24 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	match, err := unmarshalMatch(body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p := body[matchLen:]
 	actions, err := unmarshalActions(p[24:])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &FlowMod{
-		Header:      Header{xid},
+	*m = FlowMod{
+		Header:      hdr,
 		Match:       match,
 		Cookie:      binary.BigEndian.Uint64(p[0:8]),
 		Command:     FlowModCommand(binary.BigEndian.Uint16(p[8:10])),
@@ -465,40 +546,43 @@ func decodeFlowMod(xid uint32, body []byte) (Message, error) {
 		OutPort:     binary.BigEndian.Uint16(p[20:22]),
 		Flags:       binary.BigEndian.Uint16(p[22:24]),
 		Actions:     actions,
-	}, nil
+	}
+	return nil
 }
 
-func decodePacketIn(xid uint32, body []byte) (Message, error) {
+func decodePacketIn(m *PacketIn, hdr Header, body []byte, own bool) error {
 	if len(body) < 10 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	return &PacketIn{
-		Header:   Header{xid},
+	*m = PacketIn{
+		Header:   hdr,
 		BufferID: binary.BigEndian.Uint32(body[0:4]),
 		TotalLen: binary.BigEndian.Uint16(body[4:6]),
 		InPort:   binary.BigEndian.Uint16(body[6:8]),
 		Reason:   body[8],
-		Data:     cloneBytes(body[10:]),
-	}, nil
+		Data:     keep(body[10:], own),
+	}
+	return nil
 }
 
-func decodePacketOut(xid uint32, body []byte) (Message, error) {
+func decodePacketOut(m *PacketOut, hdr Header, body []byte, own bool) error {
 	if len(body) < 8 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	alen := int(binary.BigEndian.Uint16(body[6:8]))
 	if 8+alen > len(body) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	actions, err := unmarshalActions(body[8 : 8+alen])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &PacketOut{
-		Header:   Header{xid},
+	*m = PacketOut{
+		Header:   hdr,
 		BufferID: binary.BigEndian.Uint32(body[0:4]),
 		InPort:   binary.BigEndian.Uint16(body[4:6]),
 		Actions:  actions,
-		Data:     cloneBytes(body[8+alen:]),
-	}, nil
+		Data:     keep(body[8+alen:], own),
+	}
+	return nil
 }

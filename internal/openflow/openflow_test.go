@@ -300,8 +300,13 @@ func TestReadWriteMessageStream(t *testing.T) {
 		buf.Write(m.Marshal(nil))
 	}
 	rd := NewReader(&buf)
+	var dec Decoder
 	for i, want := range msgs {
-		got, err := rd.ReadMessage()
+		frame, err := rd.ReadFrame()
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		got, err := dec.Decode(frame)
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
@@ -309,7 +314,7 @@ func TestReadWriteMessageStream(t *testing.T) {
 			t.Fatalf("message %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := rd.ReadMessage(); err != io.EOF {
+	if _, err := rd.ReadFrame(); err != io.EOF {
 		t.Fatalf("read past end = %v, want io.EOF", err)
 	}
 }
@@ -317,7 +322,7 @@ func TestReadWriteMessageStream(t *testing.T) {
 func TestReadMessageRejectsBadLength(t *testing.T) {
 	// Header claiming a 4-byte total length is impossible.
 	bad := []byte{Version, byte(TypeHello), 0, 4, 0, 0, 0, 0}
-	if _, err := NewReader(bytes.NewReader(bad)).ReadMessage(); err == nil {
+	if _, err := NewReader(bytes.NewReader(bad)).ReadFrame(); err == nil {
 		t.Fatal("accepted length < header size")
 	}
 }

@@ -86,15 +86,16 @@ func (m *PortStatus) Marshal(b []byte) []byte {
 	return patchLen(b, off)
 }
 
-func decodePortStatus(xid uint32, body []byte) (Message, error) {
+func decodePortStatus(m *PortStatus, hdr Header, body []byte) error {
 	if len(body) < 8+portDescLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	return &PortStatus{
-		Header: Header{xid},
+	*m = PortStatus{
+		Header: hdr,
 		Reason: body[0],
 		Desc:   unmarshalPortDesc(body[8:]),
-	}, nil
+	}
+	return nil
 }
 
 // GetConfigRequest asks for the switch configuration.
@@ -134,14 +135,15 @@ func (m *SwitchConfig) Marshal(b []byte) []byte {
 	return patchLen(b, off)
 }
 
-func decodeSwitchConfig(xid uint32, body []byte, set bool) (Message, error) {
+func decodeSwitchConfig(m *SwitchConfig, hdr Header, body []byte, set bool) error {
 	if len(body) < 4 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	return &SwitchConfig{
-		Header:      Header{xid},
+	*m = SwitchConfig{
+		Header:      hdr,
 		Set:         set,
 		Flags:       binary.BigEndian.Uint16(body[0:2]),
 		MissSendLen: binary.BigEndian.Uint16(body[2:4]),
-	}, nil
+	}
+	return nil
 }

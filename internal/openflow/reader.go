@@ -7,13 +7,13 @@ import (
 	"io"
 )
 
-// Reader frames and decodes the OpenFlow messages arriving on one end of a
-// connection. It reads the connection through a single MaxMessageLen buffer,
-// so one read of the underlying stream delivers every frame the peer has
-// coalesced into it, and each message is decoded straight out of that buffer.
-// Decode copies every byte a message keeps, so returned messages are
-// caller-owned and stay valid across later calls. A Reader is not safe for
-// concurrent use.
+// Reader frames the OpenFlow messages arriving on one end of a connection.
+// It reads the connection through a single MaxMessageLen buffer, so one read
+// of the underlying stream delivers every frame the peer has coalesced into
+// it, and it hands each frame out where it lies in that buffer: a frame is
+// valid until the next ReadFrame. Decoding it with a Decoder allocates
+// nothing; Decode makes a message that outlives the frame. A Reader is not
+// safe for concurrent use.
 type Reader struct {
 	br *bufio.Reader
 }
@@ -23,13 +23,13 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, MaxMessageLen)}
 }
 
-// ReadMessage decodes the next message. A stream that ends at a frame
-// boundary returns io.EOF; one that ends inside a frame — header or body —
-// returns io.ErrUnexpectedEOF, which is how a server tells a peer that hung
-// up from one that died mid-message. An implausible length field is reported
-// with nothing consumed (the stream cannot be re-framed past it); a frame
-// that fails Decode is consumed, and nothing after it is.
-func (r *Reader) ReadMessage() (Message, error) {
+// ReadFrame returns the next frame, header included, and consumes it. A
+// stream that ends at a frame boundary returns io.EOF; one that ends inside a
+// frame — header or body — returns io.ErrUnexpectedEOF, which is how a server
+// tells a peer that hung up from one that died mid-message. An implausible
+// length field is reported with nothing consumed (the stream cannot be
+// re-framed past it).
+func (r *Reader) ReadFrame() ([]byte, error) {
 	hdr, err := r.br.Peek(headerLen)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -48,8 +48,8 @@ func (r *Reader) ReadMessage() (Message, error) {
 		}
 		return nil, err
 	}
-	msg, err := Decode(frame)
-	// Cannot fail: the frame was just peeked.
+	// Cannot fail: the frame was just peeked. The bytes stay where they are
+	// until the next Peek refills the buffer.
 	_, _ = r.br.Discard(length)
-	return msg, err
+	return frame[:length:length], nil
 }

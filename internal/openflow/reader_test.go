@@ -99,8 +99,12 @@ func TestReaderFraming(t *testing.T) {
 			var got []Message
 			var err error
 			for {
+				var frame []byte
+				if frame, err = rd.ReadFrame(); err != nil {
+					break
+				}
 				var m Message
-				if m, err = rd.ReadMessage(); err != nil {
+				if m, err = Decode(frame); err != nil {
 					break
 				}
 				got = append(got, m)

@@ -34,28 +34,28 @@ func (m *StatsRequest) Marshal(b []byte) []byte {
 	return patchLen(b, off)
 }
 
-func decodeStatsRequest(xid uint32, body []byte) (Message, error) {
+func decodeStatsRequest(m *StatsRequest, hdr Header, body []byte) error {
 	if len(body) < 4 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	m := &StatsRequest{
-		Header:    Header{xid},
+	*m = StatsRequest{
+		Header:    hdr,
 		StatsType: binary.BigEndian.Uint16(body[0:2]),
 		Flags:     binary.BigEndian.Uint16(body[2:4]),
 	}
 	if m.StatsType == StatsTypeFlow || m.StatsType == StatsTypeAggregate {
 		if len(body) < 4+matchLen+4 {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		match, err := unmarshalMatch(body[4:])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.FlowMatch = match
 		m.FlowTableID = body[4+matchLen]
 		m.FlowOutPort = binary.BigEndian.Uint16(body[4+matchLen+2 : 4+matchLen+4])
 	}
-	return m, nil
+	return nil
 }
 
 // FlowStats is one entry of a flow-stats reply.
@@ -160,12 +160,12 @@ func marshalTableStats(b []byte, ts *TableStats) []byte {
 	return b
 }
 
-func decodeStatsReply(xid uint32, body []byte) (Message, error) {
+func decodeStatsReply(m *StatsReply, hdr Header, body []byte) error {
 	if len(body) < 4 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	m := &StatsReply{
-		Header:    Header{xid},
+	*m = StatsReply{
+		Header:    hdr,
 		StatsType: binary.BigEndian.Uint16(body[0:2]),
 		Flags:     binary.BigEndian.Uint16(body[2:4]),
 	}
@@ -174,15 +174,15 @@ func decodeStatsReply(xid uint32, body []byte) (Message, error) {
 	case StatsTypeFlow:
 		for len(p) > 0 {
 			if len(p) < 2 {
-				return nil, ErrTruncated
+				return ErrTruncated
 			}
 			elen := int(binary.BigEndian.Uint16(p[0:2]))
 			if elen < 88 || elen > len(p) {
-				return nil, ErrTruncated
+				return ErrTruncated
 			}
 			fs, err := unmarshalFlowStats(p[:elen])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			m.Flows = append(m.Flows, fs)
 			p = p[elen:]
@@ -194,7 +194,7 @@ func decodeStatsReply(xid uint32, body []byte) (Message, error) {
 		}
 	case StatsTypeAggregate:
 		if len(p) < 20 {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		m.Aggregate = AggregateStats{
 			PacketCount: binary.BigEndian.Uint64(p[0:8]),
@@ -202,7 +202,7 @@ func decodeStatsReply(xid uint32, body []byte) (Message, error) {
 			FlowCount:   binary.BigEndian.Uint32(p[16:20]),
 		}
 	}
-	return m, nil
+	return nil
 }
 
 func unmarshalFlowStats(p []byte) (FlowStats, error) {

@@ -122,27 +122,35 @@ type ProbeSpec struct {
 	Payload []byte
 }
 
-// probeBase* define the address blocks probe traffic is minted from. The
-// 10.83.0.0/16 block is private and unlikely to collide with pre-installed
-// rules on a device under test.
-var (
-	probeBaseSrc = [4]byte{10, 83, 0, 0}
-	probeBaseDst = [4]byte{10, 84, 0, 0}
+// probeBase* define the address blocks probe traffic is minted from, as
+// big-endian words. The 10.83.0.0/16 block is private and unlikely to collide
+// with pre-installed rules on a device under test.
+const (
+	probeBaseSrc uint32 = 10<<24 | 83<<16
+	probeBaseDst uint32 = 10<<24 | 84<<16
 )
 
-// probeIP4 offsets flow id into base's address block.
-func probeIP4(base [4]byte, id uint32) [4]byte {
-	base[1] += byte(id >> 16) // spill into the second octet past 65536 flows
-	base[2] = byte(id >> 8)
-	base[3] = byte(id)
-	return base
+// probeIP4 offsets flow id into base's address block: the low 16 bits of id
+// are the last two octets, and id's third byte spills into the second octet
+// (past 65536 flows), wrapping within it. The address is computed as one word
+// and stored whole, never assembled octet by octet and reloaded.
+func probeIP4(base, id uint32) uint32 {
+	second := (base>>16 + id>>16) & 0xff
+	return base&0xff000000 | second<<16 | id&0xffff
+}
+
+// addrFromWord is the IPv4 address whose big-endian form is w.
+func addrFromWord(w uint32) netip.Addr {
+	var a [4]byte
+	binary.BigEndian.PutUint32(a[:], w)
+	return netip.AddrFrom4(a)
 }
 
 // ProbeSrcIP returns the source address assigned to flow id.
-func ProbeSrcIP(id uint32) netip.Addr { return netip.AddrFrom4(probeIP4(probeBaseSrc, id)) }
+func ProbeSrcIP(id uint32) netip.Addr { return addrFromWord(probeIP4(probeBaseSrc, id)) }
 
 // ProbeDstIP returns the destination address assigned to flow id.
-func ProbeDstIP(id uint32) netip.Addr { return netip.AddrFrom4(probeIP4(probeBaseDst, id)) }
+func ProbeDstIP(id uint32) netip.Addr { return addrFromWord(probeIP4(probeBaseDst, id)) }
 
 // BuildProbe mints the wire bytes of the probe frame for spec. Frames for
 // the same FlowID are always byte-identical except for the payload.
@@ -203,10 +211,10 @@ func RetargetProbeFrame(f *Frame, id uint32) {
 	f.Eth.Dst = MACFromUint64(0x0200_0000_0000 | uint64(id))
 	f.Eth.Src = MACFromUint64(0x0200_0100_0000 | uint64(id))
 	src, dst := probeIP4(probeBaseSrc, id), probeIP4(probeBaseDst, id)
-	f.IP.Src = netip.AddrFrom4(src)
-	f.IP.Dst = netip.AddrFrom4(dst)
+	f.IP.Src = addrFromWord(src)
+	f.IP.Dst = addrFromWord(dst)
 	f.IP.ID = uint16(id)
-	f.IP.addrWord = uint64(binary.BigEndian.Uint32(src[:]))<<32 | uint64(binary.BigEndian.Uint32(dst[:]))
+	f.IP.addrWord = uint64(src)<<32 | uint64(dst)
 	port := 1024 + uint16(id%50000)
 	switch {
 	case f.HasTCP:

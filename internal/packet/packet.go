@@ -42,15 +42,13 @@ func (m MAC) String() string {
 }
 
 // MACFromUint64 builds a MAC from the low 48 bits of v. Probing uses this to
-// mint dense, unique source addresses for generated flows.
+// mint dense, unique source addresses for generated flows. The MAC is stored
+// as a 4-byte and a 2-byte big-endian word, the two halves a MAC copy loads,
+// so the copy reads each back whole instead of from six octet stores.
 func MACFromUint64(v uint64) MAC {
 	var m MAC
-	m[0] = byte(v >> 40)
-	m[1] = byte(v >> 32)
-	m[2] = byte(v >> 24)
-	m[3] = byte(v >> 16)
-	m[4] = byte(v >> 8)
-	m[5] = byte(v)
+	binary.BigEndian.PutUint32(m[0:4], uint32(v>>16))
+	binary.BigEndian.PutUint16(m[4:6], uint16(v))
 	return m
 }
 

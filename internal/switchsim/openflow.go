@@ -1,11 +1,21 @@
 package switchsim
 
-import "tango/internal/openflow"
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
 
-// Handle processes one OpenFlow message the way the emulated switch's agent
-// would, returning any reply messages. The TCP daemon (internal/ofconn)
-// feeds its connection through this; in-process callers may use the typed
-// methods directly.
+	"tango/internal/openflow"
+)
+
+// AppendReplies processes one OpenFlow message the way the emulated switch's
+// agent would and appends the wire form of every message it draws to b: the
+// pending asynchronous notifications (FLOW_REMOVED, then PORT_STATUS) ahead of
+// the reply, which is how a single-threaded agent flushes its queue. It is the
+// one place replies are made; the TCP agent (internal/ofconn) writes them
+// straight from its out buffer. msg is read only during the call: what the
+// switch keeps of it is copied, a flow-mod's actions excepted, which are
+// shared and never written.
 //
 // PacketOut frames are run through the forwarding pipeline. Frames that are
 // forwarded out a port are reflected back to the controller as a PacketIn
@@ -13,82 +23,103 @@ import "tango/internal/openflow"
 // attaches behind the switch — so a controller can measure data-path RTT
 // entirely over the OpenFlow channel. Punted frames come back with reason
 // NO_MATCH.
-func (s *Switch) Handle(msg openflow.Message) []openflow.Message {
+func (s *Switch) AppendReplies(b []byte, msg openflow.Message) []byte {
 	s.ExpireNow() // any agent activity sweeps due timeouts
-	replies := s.handle(msg)
-	// Pending async notifications (FLOW_REMOVED, PORT_STATUS) ride ahead of
-	// the reply, which is how a single-threaded agent flushes its queue.
+	start := len(b)
+	b = s.appendReply(b, msg)
 	removed := s.TakeFlowRemoved()
 	ports := s.TakePortStatus()
 	if len(removed) == 0 && len(ports) == 0 {
-		return replies
+		return b
 	}
-	out := make([]openflow.Message, 0, len(removed)+len(ports)+len(replies))
+	reply := len(b) - start
 	for _, fr := range removed {
-		out = append(out, fr)
+		b = fr.Marshal(b)
 	}
 	for _, ps := range ports {
-		out = append(out, ps)
+		b = ps.Marshal(b)
 	}
-	return append(out, replies...)
+	// Rotate the reply behind the notifications handling it queued.
+	slices.Reverse(b[start : start+reply])
+	slices.Reverse(b[start+reply:])
+	slices.Reverse(b[start:])
+	return b
 }
 
-func (s *Switch) handle(msg openflow.Message) []openflow.Message {
+// Handle is AppendReplies for callers that want messages: the replies
+// decoded, each caller-owned. A reply must fit one frame: a flow-stats reply
+// of more than about 680 rules, which the agent does not yet split into
+// OFPSF_REPLY_MORE parts, overflows its 16-bit length and panics here.
+func (s *Switch) Handle(msg openflow.Message) []openflow.Message {
+	var out []openflow.Message
+	for b := s.AppendReplies(nil, msg); len(b) > 0; {
+		n := int(binary.BigEndian.Uint16(b[2:4])) // the header's length field
+		m, err := openflow.Decode(b[:n])
+		if err != nil {
+			panic(fmt.Sprintf("switchsim: a reply the switch encoded does not decode: %v", err))
+		}
+		out = append(out, m)
+		b = b[n:]
+	}
+	return out
+}
+
+// appendReply applies msg and appends its reply, if it draws one. Each reply
+// is built on the stack and marshalled in place.
+func (s *Switch) appendReply(b []byte, msg openflow.Message) []byte {
 	switch m := msg.(type) {
 	case *openflow.Hello:
-		return []openflow.Message{&openflow.Hello{Header: openflow.Header{Xid: m.Xid}}}
+		return (&openflow.Hello{Header: m.Header}).Marshal(b)
 
 	case *openflow.EchoRequest:
-		return []openflow.Message{&openflow.EchoReply{Header: openflow.Header{Xid: m.Xid}, Data: m.Data}}
+		return (&openflow.EchoReply{Header: m.Header, Data: m.Data}).Marshal(b)
 
 	case *openflow.FeaturesRequest:
-		return []openflow.Message{s.featuresReply(m.Xid)}
+		return s.featuresReply(m.Xid).Marshal(b)
 
 	case *openflow.FlowMod:
 		if err := s.FlowMod(m); err != nil {
-			return []openflow.Message{&openflow.Error{
-				Header:  openflow.Header{Xid: m.Xid},
+			return (&openflow.Error{
+				Header:  m.Header,
 				ErrType: openflow.ErrTypeFlowModFailed,
 				Code:    openflow.ErrCodeAllTablesFull,
-			}}
+			}).Marshal(b)
 		}
-		return nil
+		return b
 
 	case *openflow.BarrierRequest:
 		// The emulator applies operations synchronously, so by the time the
 		// barrier is read every preceding op has completed.
-		return []openflow.Message{&openflow.BarrierReply{Header: openflow.Header{Xid: m.Xid}}}
+		return (&openflow.BarrierReply{Header: m.Header}).Marshal(b)
 
 	case *openflow.PacketOut:
 		res, err := s.SendPacket(m.Data, m.InPort)
 		if err != nil {
-			return []openflow.Message{&openflow.Error{
-				Header:  openflow.Header{Xid: m.Xid},
-				ErrType: openflow.ErrTypeBadRequest,
-			}}
+			return (&openflow.Error{Header: m.Header, ErrType: openflow.ErrTypeBadRequest}).Marshal(b)
 		}
 		reason := openflow.ReasonAction
 		if res.Path == PathControl {
 			reason = openflow.ReasonNoMatch
 		}
-		return []openflow.Message{&openflow.PacketIn{
-			Header:   openflow.Header{Xid: m.Xid},
+		return (&openflow.PacketIn{
+			Header:   m.Header,
 			BufferID: 0xffffffff,
 			TotalLen: uint16(len(m.Data)),
 			InPort:   m.InPort,
 			Reason:   reason,
 			Data:     m.Data,
-		}}
+		}).Marshal(b)
 
 	case *openflow.StatsRequest:
-		return []openflow.Message{s.statsReply(m)}
+		rep := s.statsReply(m)
+		return rep.Marshal(b)
 
 	case *openflow.GetConfigRequest:
 		s.mu.Lock()
 		cfg := s.config
 		s.mu.Unlock()
 		cfg.SetXID(m.Xid)
-		return []openflow.Message{&cfg}
+		return cfg.Marshal(b)
 
 	case *openflow.SwitchConfig:
 		if m.Set {
@@ -97,10 +128,10 @@ func (s *Switch) handle(msg openflow.Message) []openflow.Message {
 			s.config.MissSendLen = m.MissSendLen
 			s.mu.Unlock()
 		}
-		return nil
+		return b
 
 	default:
-		return nil
+		return b
 	}
 }
 
@@ -128,8 +159,8 @@ func (s *Switch) featuresReply(xid uint32) *openflow.FeaturesReply {
 	}
 }
 
-func (s *Switch) statsReply(req *openflow.StatsRequest) *openflow.StatsReply {
-	rep := &openflow.StatsReply{
+func (s *Switch) statsReply(req *openflow.StatsRequest) openflow.StatsReply {
+	rep := openflow.StatsReply{
 		Header:    openflow.Header{Xid: req.Xid},
 		StatsType: req.StatsType,
 	}
