@@ -67,23 +67,43 @@ func TestInspectGolden(t *testing.T) {
 	}
 }
 
-// TestInspectAllocBudget bounds what one inspection allocates. Switch3 is the
-// catalog's cheapest member that runs sizing, the clear and the cost fit: 369
-// rules installed and deleted, then 1,152 pattern ops. With one engine-owned
-// frame, one scratch flow-mod and a switch-owned victim list it allocates 101
-// times — result slices, the patterns, the tables' growth. A flow-mod per
-// pattern op or a slice per delete multiplies that; a per-flow frame cache
-// adds only a slab per 256 flows here, and is held to zero by the probe
+// TestInspectAllocBudget bounds what one inspection allocates, switch
+// construction included, for every kind of switch in the benchmark's
+// catalog at its 4,096-rule budget: the four vendor profiles and the
+// policy-cache specs GenerateSpecs draws. An inspection allocates what its
+// switch grows (rule slabs, the arena, the heaps, a microflow cache past its
+// hint) and O(1) scratch per phase: the size probe's samples, one probe
+// block and one cluster.Finder per policy probe, one op buffer for the cost
+// fit. Switch3, the cheapest that runs sizing, the clear and the cost fit,
+// allocates 41 times; OVS, whose 4,096 rules each cache a microflow, 99; the
+// policy-cache specs 61–68. A slice per rule, per round or per permutation
+// draw multiplies these. A per-flow frame cache is held to zero by the probe
 // package's TestProbeAllocFree instead.
 func TestInspectAllocBudget(t *testing.T) {
-	const budget = 128
-	n := testing.AllocsPerRun(5, func() {
-		sw := switchsim.New(switchsim.Switch3(), switchsim.WithSeed(1))
-		if _, err := Inspect(probe.SimDevice{S: sw}, InspectOptions{Seed: 1, MaxRules: 4096}); err != nil {
-			t.Fatal(err)
+	type budget struct {
+		profile switchsim.Profile
+		max     float64
+	}
+	budgets := []budget{
+		{switchsim.OVS(), 106},
+		{switchsim.Switch1(), 104},
+		{switchsim.Switch2(), 66},
+		{switchsim.Switch3(), 46},
+	}
+	for _, s := range conformance.GenerateSpecs(14, 1) {
+		if s.Profile.Kind == switchsim.ManagePolicyCache {
+			budgets = append(budgets, budget{s.Profile, 74})
 		}
-	})
-	if n > budget {
-		t.Errorf("an inspection of Switch3 allocates %v times, budget %d", n, budget)
+	}
+	for _, b := range budgets {
+		n := testing.AllocsPerRun(2, func() {
+			sw := switchsim.New(b.profile, switchsim.WithSeed(1))
+			if _, err := Inspect(probe.SimDevice{S: sw}, InspectOptions{Seed: 1, MaxRules: 4096}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > b.max {
+			t.Errorf("an inspection of %s allocates %v times, budget %v", b.profile.Name, n, b.max)
+		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Cluster describes one latency tier found in a sample set.
@@ -74,24 +73,59 @@ const (
 var ErrEmpty = errors.New("cluster: no samples")
 
 // Find clusters xs into latency tiers. The returned tiers are sorted by
-// ascending mean; Assignment[i] gives the tier of xs[i].
+// ascending mean; Assignment[i] gives the tier of xs[i]. It is a one-shot
+// Finder; code that clusters again and again keeps a Finder instead.
 func Find(xs []float64, _ Options) (Result, error) {
+	var f Finder
+	return f.Find(xs)
+}
+
+// Finder runs Find's three stages in buffers it keeps from one call to the
+// next, so a caller that clusters round after round allocates only while
+// its inputs grow. The zero value is ready to use. A Result's slices are
+// the Finder's own and valid until its next Find; copy what must outlive
+// it.
+type Finder struct {
+	ss []sample
+	// floats backs the sorted values and their gaps, ints the sorted and
+	// the input-order assignments.
+	floats   []float64
+	ints     []int
+	big      []bigGap
+	clusters []Cluster
+	// Per-cluster scratch: there are never more than maxClusters.
+	bounds, counts, remap [maxClusters]int
+	centroids, sums       [maxClusters]float64
+}
+
+// bigGap is a candidate boundary: the sorted index it starts a segment at,
+// and the gap's width.
+type bigGap struct {
+	pos int
+	g   float64
+}
+
+// Find is the package-level Find on f's buffers.
+func (f *Finder) Find(xs []float64) (Result, error) {
 	if len(xs) == 0 {
 		return Result{}, ErrEmpty
 	}
-	ss := make([]sample, len(xs))
+	n := len(xs)
+	ss := grow(f.ss, n)
+	f.ss = ss
 	for i, v := range xs {
 		ss[i] = sample{v, i}
 	}
+	f.floats = grow(f.floats, 2*n)
+	f.ints = grow(f.ints, 2*n)
 	sortSamples(ss)
 
-	// Stage 1: find boundaries at large gaps.
-	boundaries := gapBoundaries(ss)
-
-	// Build initial centroids from the gap segments.
-	centroids := make([]float64, 0, len(boundaries)+1)
+	// Stage 1: find boundaries at large gaps, and build initial centroids
+	// from the gap segments.
+	boundaries := append(f.gapBoundaries(), len(ss))
+	centroids := f.centroids[:0]
 	start := 0
-	for _, b := range append(boundaries, len(ss)) {
+	for _, b := range boundaries {
 		var sum float64
 		for i := start; i < b; i++ {
 			sum += ss[i].v
@@ -101,21 +135,22 @@ func Find(xs []float64, _ Options) (Result, error) {
 	}
 
 	// Stage 2: k-means refinement on the sorted values.
-	values := make([]float64, len(ss))
+	values := f.floats[:n]
 	for i, s := range ss {
 		values[i] = s.v
 	}
-	assignSorted := kmeans1D(values, centroids, kmeansIterations)
+	k := len(centroids)
+	assignSorted := kmeans1D(values, centroids, f.ints[:n], f.sums[:k], f.counts[:k], kmeansIterations)
 
 	// Assemble clusters and map assignments back to input order.
-	k := len(centroids)
-	clusters := make([]Cluster, k)
+	f.clusters = grow(f.clusters, maxClusters)
+	clusters := f.clusters[:k]
 	for i := range clusters {
-		clusters[i].Min = math.Inf(1)
-		clusters[i].Max = math.Inf(-1)
+		clusters[i] = Cluster{Min: math.Inf(1), Max: math.Inf(-1)}
 	}
-	assignment := make([]int, len(xs))
-	sums := make([]float64, k)
+	assignment := f.ints[n:]
+	sums := f.sums[:k]
+	clear(sums)
 	for i, s := range ss {
 		c := assignSorted[i]
 		assignment[s.idx] = c
@@ -130,7 +165,7 @@ func Find(xs []float64, _ Options) (Result, error) {
 		}
 	}
 	// Drop empty clusters (k-means can abandon a centroid) and renumber.
-	remap := make([]int, k)
+	remap := f.remap[:k]
 	kept := clusters[:0]
 	for i, cl := range clusters {
 		if cl.Count == 0 {
@@ -151,6 +186,16 @@ func Find(xs []float64, _ Options) (Result, error) {
 	// like genuine latency tiers, which differ multiplicatively.
 	kept, assignment = mergeIndistinct(kept, assignment)
 	return Result{Clusters: kept, Assignment: assignment}, nil
+}
+
+// grow returns buf resized to n elements, reallocating only when its
+// capacity falls short. The elements keep whatever they held: every caller
+// writes each one before reading it.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // mergeIndistinct repeatedly merges adjacent clusters (sorted by mean) whose
@@ -208,27 +253,26 @@ func sortSamples(ss []sample) {
 	})
 }
 
-// gapBoundaries returns sorted-sample indices where a new cluster begins,
-// capped so at most maxClusters segments result.
-func gapBoundaries(ss []sample) []int {
+// gapBoundaries returns the sorted-sample indices of f.ss where a new
+// cluster begins, capped so at most maxClusters segments result.
+func (f *Finder) gapBoundaries() []int {
+	ss := f.ss
+	// Room for one more than the boundaries kept: Find's closing one.
+	out := f.bounds[:0]
 	if len(ss) < 2 {
-		return nil
+		return out
 	}
 	n := len(ss)
-	gaps := make([]float64, n-1)
+	gaps := f.floats[n : 2*n-1]
 	var total float64
-	for i := 0; i+1 < n; i++ {
+	for i := range gaps {
 		gaps[i] = ss[i+1].v - ss[i].v
 		total += gaps[i]
 	}
 	meanGap := total / float64(n-1)
 	floor := (ss[n-1].v - ss[0].v) * spanFloor
 
-	type bigGap struct {
-		pos int
-		g   float64
-	}
-	var big []bigGap
+	big := f.big[:0]
 	for i, g := range gaps {
 		if g <= 0 || g <= meanGap*gapFactor {
 			continue
@@ -239,31 +283,40 @@ func gapBoundaries(ss []sample) []int {
 			big = append(big, bigGap{i + 1, g})
 		}
 	}
-	// Keep only the largest maxClusters-1 boundaries.
-	sort.Slice(big, func(a, b int) bool { return big[a].g > big[b].g })
+	f.big = big
+	// Keep only the largest maxClusters-1 boundaries. Which of several
+	// equal gaps survive the cut is this unstable sort's tie order, so a
+	// different sort moves boundaries on tied inputs.
+	slices.SortFunc(big, func(a, b bigGap) int {
+		switch {
+		case a.g > b.g:
+			return -1
+		case a.g < b.g:
+			return 1
+		default:
+			return 0
+		}
+	})
 	if len(big) > maxClusters-1 {
 		big = big[:maxClusters-1]
 	}
-	out := make([]int, len(big))
-	for i, b := range big {
-		out[i] = b.pos
+	for _, b := range big {
+		out = append(out, b.pos)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
 // kmeans1D runs Lloyd's algorithm on sorted values with the given initial
-// centroids and returns per-value cluster assignments. Because values are
-// sorted and centroids stay sorted, assignment reduces to threshold search.
-func kmeans1D(values, centroids []float64, iters int) []int {
+// centroids and returns per-value cluster assignments in assign. Because
+// values are sorted and centroids stay sorted, assignment reduces to
+// threshold search. assign has len(values) entries; whatever they held, the
+// first pass leaves each at its nearest centroid and never ends the loop.
+// sums and counts are the k-entry accumulators.
+func kmeans1D(values, centroids []float64, assign []int, sums []float64, counts []int, iters int) []int {
 	k := len(centroids)
-	assign := make([]int, len(values))
-	// Accumulator scratch is hoisted out of the iteration loop; Lloyd's
-	// refinement otherwise allocates two fresh slices per pass.
-	sums := make([]float64, k)
-	counts := make([]int, k)
 	for it := 0; it < iters; it++ {
-		sort.Float64s(centroids)
+		slices.Sort(centroids)
 		changed := false
 		c := 0
 		for i, v := range values {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -179,5 +180,71 @@ func TestFindInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFinderReuseMatchesFind runs one Finder over inputs that grow and
+// shrink — tiered mixtures, single samples, constants and quantised values
+// with tied gaps — and requires exactly what a fresh Find returns on each.
+// A buffer that kept a previous input's values, assignments or cluster
+// counts would show here.
+func TestFinderReuseMatchesFind(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	var f Finder
+	for trial := 0; trial < 3000; trial++ {
+		var xs []float64
+		switch trial % 5 {
+		case 0:
+			xs = []float64{float64(rng.Intn(1000))}
+		case 1:
+			xs = make([]float64, 1+rng.Intn(40))
+			for i := range xs {
+				xs[i] = 700
+			}
+		default:
+			centres := []float64{500, 3700, 7500, 20000}[:1+rng.Intn(4)]
+			xs, _ = tiered(rng, centres, 1+rng.Intn(600))
+			if trial%5 == 4 {
+				for i, v := range xs {
+					xs[i] = float64(int(v) / 50 * 50)
+				}
+			}
+		}
+		want, err := Find(xs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Find(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Clusters, want.Clusters) || !reflect.DeepEqual(got.Assignment, want.Assignment) {
+			t.Fatalf("trial %d (%d samples): reused Finder\n got %+v\nwant %+v", trial, len(xs), got, want)
+		}
+	}
+	if _, err := f.Find(nil); err != ErrEmpty {
+		t.Fatalf("empty input: %v, want ErrEmpty", err)
+	}
+}
+
+// TestFinderReuseAllocatesNothing: once its buffers have grown to an input,
+// a Finder clusters an input no larger without allocating.
+func TestFinderReuseAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	big, _ := tiered(rng, []float64{500, 3700, 7500}, 400)
+	small, _ := tiered(rng, []float64{500, 3700}, 50)
+	var f Finder
+	if _, err := f.Find(big); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := f.Find(small); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Find(big); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a reused Finder allocates %v times per two inputs", n)
 	}
 }

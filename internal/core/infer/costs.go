@@ -46,9 +46,14 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	n := opts.Samples
 	card := &pattern.ScoreCard{SwitchName: switchName, PriorityCurves: map[pattern.Order][]pattern.CurvePoint{}}
 
+	// Every phase's ops are built in one buffer, sized for the largest
+	// (phase 6's pairs): a phase is done with its ops before the next one
+	// builds its own.
+	buf := make([]pattern.Op, 2*n)
+
 	// Phase 1: same-priority adds.
 	base := costFlowIDBase
-	sameOps := make([]pattern.Op, n)
+	sameOps := buf[:n]
 	for i := range sameOps {
 		sameOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: costBasePriority}
 	}
@@ -60,7 +65,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	card.AddSamePriority = meanLatency(res.Latencies[1:])
 
 	// Phase 2: modify sweep over the same rules.
-	modOps := make([]pattern.Op, n)
+	modOps := buf[:n]
 	for i := range modOps {
 		modOps[i] = pattern.Op{Kind: pattern.OpMod, FlowID: base + uint32(i), Priority: costBasePriority}
 	}
@@ -70,7 +75,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	card.Mod = meanLatency(res.Latencies)
 
 	// Phase 3: delete sweep.
-	delOps := make([]pattern.Op, n)
+	delOps := buf[:n]
 	for i := range delOps {
 		delOps[i] = pattern.Op{Kind: pattern.OpDel, FlowID: base + uint32(i), Priority: costBasePriority}
 	}
@@ -83,7 +88,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	// higher-priority entries exist and the per-op cost is the clean
 	// new-priority baseline.
 	base += uint32(n)
-	ascOps := make([]pattern.Op, n)
+	ascOps := buf[:n]
 	for i := range ascOps {
 		ascOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: costBasePriority + 1 + uint16(i)}
 	}
@@ -98,15 +103,15 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	// Phase 5: descending-priority adds — op i sees i higher-priority
 	// entries; the latency slope over i is the per-entry shift cost.
 	base += uint32(n)
-	descOps := make([]pattern.Op, n)
+	descOps := buf[:n]
 	for i := range descOps {
 		descOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: costBasePriority - 1 - uint16(i)}
 	}
 	if res, err = e.Run(pattern.Pattern{Name: "cost/desc", Ops: descOps}); err != nil {
 		return nil, err
 	}
-	xs := make([]float64, len(res.Latencies))
-	ys := make([]float64, len(res.Latencies))
+	xy := make([]float64, 2*len(res.Latencies))
+	xs, ys := xy[:len(res.Latencies)], xy[len(res.Latencies):]
 	for i, d := range res.Latencies {
 		xs[i] = float64(i)
 		ys[i] = float64(d)
@@ -121,7 +126,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	// Phase 6: alternating add/delete pairs expose the batching effect —
 	// the per-op surcharge agents pay when the operation class changes.
 	base += uint32(n)
-	altOps := make([]pattern.Op, 0, 2*n)
+	altOps := buf[:0]
 	for i := 0; i < n; i++ {
 		altOps = append(altOps,
 			pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: costBasePriority},

@@ -113,6 +113,7 @@ func Inspect(e *probe.Engine, opts InspectOptions) (*Model, error) {
 		if m.Costs, err = MeasureCosts(e, opts.Name, cost); err != nil {
 			return nil, &PhaseError{Phase: "cost", Err: err}
 		}
+		m.Costs.PathLatency = make([]time.Duration, 0, len(m.Sizes.Levels))
 		for _, l := range m.Sizes.Levels {
 			m.Costs.PathLatency = append(m.Costs.PathLatency, l.MeanRTT)
 		}

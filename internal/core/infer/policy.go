@@ -86,14 +86,17 @@ func ProbePolicy(e *probe.Engine, opts PolicyOptions) (*PolicyResult, error) {
 		return nil, ErrBadCacheSize
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	res := &PolicyResult{}
-	fixed := map[switchsim.Attribute]bool{}
+	res := &PolicyResult{
+		Policy: switchsim.Policy{Keys: make([]switchsim.SortKey, 0, maxPolicyRounds)},
+		Rounds: make([]Round, 0, maxPolicyRounds),
+	}
+	b := newProbeBlock(2 * opts.CacheSize)
 
 	for round := 0; round < maxPolicyRounds; round++ {
 		base := policyFlowIDBase + uint32(round)*uint32(16*opts.CacheSize+8192)
-		var r *Round
+		var r Round
 		var err error
-		if fixed[switchsim.AttrTraffic] {
+		if b.fixed[switchsim.AttrTraffic] {
 			// Once traffic count is a fixed (constant) prefix key, every
 			// measurement packet perturbs exactly that key: probing a
 			// non-resident bumps its count above the field and promotes it,
@@ -105,68 +108,97 @@ func ProbePolicy(e *probe.Engine, opts PolicyOptions) (*PolicyResult, error) {
 			// cache hits (which never change membership) and non-residents
 			// afterwards can no longer out-rank them, so only the correct
 			// hypothesis produces a clean fast-then-slow step.
-			r, err = verifyRound(e, opts, rng, base, fixed)
+			r, err = verifyRound(e, opts, rng, base, b)
 		} else {
-			r, err = probeRound(e, opts, rng, base, fixed)
+			r, err = probeRound(e, rng, base, b)
 		}
 		if err != nil {
 			return nil, err
 		}
-		res.Rounds = append(res.Rounds, *r)
+		res.Rounds = append(res.Rounds, r)
 		if !r.Accepted {
 			res.Inconclusive = len(res.Policy.Keys) == 0
 			return res, nil
 		}
 		res.Policy.Keys = append(res.Policy.Keys, r.Chosen)
-		fixed[r.Chosen.Attr] = true
+		b.fixed[r.Chosen.Attr] = true
 		if serialAttrs[r.Chosen.Attr] {
 			return res, nil
 		}
-		if len(fixed) == len(switchsim.Attributes) {
+		if len(res.Policy.Keys) == len(switchsim.Attributes) {
 			return res, nil
 		}
 	}
 	return res, nil
 }
 
-// probeBlock is one initialised block of Algorithm 2's probe flows: the
+// numAttrs is the number of policy attributes, which index probeBlock's
+// per-attribute arrays.
+const numAttrs = int(switchsim.AttrPriority) + 1
+
+// probeBlock is one initialised block of Algorithm 2's probe flows — the
 // 2×CacheSize rules at base, flow i holding value rank perm[attr][i] of each
-// attribute.
+// attribute — and the working memory of the ProbePolicy call that owns it.
+// Every block of a call has the same flows, so one probeBlock is allocated
+// per call and re-initialised by every round, hypothesis and draw.
 type probeBlock struct {
 	base       uint32
 	priorities []uint16
-	// perm maps every attribute to its value permutation over the flows.
+	// perm holds every attribute's value permutation over the flows.
 	// Insertion is the identity by construction: flows install in index
 	// order.
-	perm map[switchsim.Attribute][]int
+	perm [numAttrs][]int
+	// fperm is perm as floats, for the decorrelation test and the
+	// residency correlations.
+	fperm [numAttrs][]float64
+	// fixed marks the attributes earlier rounds accepted, held constant.
+	fixed [numAttrs]bool
+	// order is a flow order (an inverse permutation), rtts the block's
+	// measured RTTs and cached its residency vector.
+	order        []int
+	rtts, cached []float64
+	finder       cluster.Finder
+}
+
+// newProbeBlock allocates a block of s flows: its integer and its float
+// vectors are carved out of one slab each.
+func newProbeBlock(s int) *probeBlock {
+	ints := make([]int, (numAttrs+1)*s)
+	floats := make([]float64, (numAttrs+2)*s)
+	carve := func() ([]int, []float64) {
+		i, f := ints[:s:s], floats[:s:s]
+		ints, floats = ints[s:], floats[s:]
+		return i, f
+	}
+	b := &probeBlock{priorities: make([]uint16, s)}
+	for a := range b.perm {
+		b.perm[a], b.fperm[a] = carve()
+	}
+	b.order, b.rtts = carve()
+	b.cached = floats
+	for i := range b.perm[switchsim.AttrInsertion] {
+		b.perm[switchsim.AttrInsertion][i] = i
+		b.fperm[switchsim.AttrInsertion][i] = float64(i)
+	}
+	return b
 }
 
 // initBlock is Algorithm 2's initialisation, shared by the correlation round
-// and hypothesis verification: install the block's flows, then drive each
-// free attribute to its permuted value. Fixed attributes are held constant.
-func initBlock(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, base uint32, fixed map[switchsim.Attribute]bool) (*probeBlock, error) {
-	s := 2 * opts.CacheSize
-
+// and hypothesis verification: install the block's flows at base, then drive
+// each free attribute to its permuted value. Fixed attributes are held
+// constant.
+func initBlock(e *probe.Engine, rng *rand.Rand, base uint32, b *probeBlock) error {
+	b.base = base
 	// Pairwise-decorrelated value permutations for the free attributes.
 	// Insertion order is the identity by construction; priority, traffic
 	// and use-order get independent random permutations re-drawn until no
 	// pair correlates above 0.15 — ensuring "no subset of flows satisfies
 	// the half-above/half-below condition for more than one attribute".
-	prioPerm, trafPerm, usePerm := decorrelatedPerms(rng, s)
-	b := &probeBlock{
-		base:       base,
-		priorities: make([]uint16, s),
-		perm: map[switchsim.Attribute][]int{
-			switchsim.AttrInsertion: make([]int, s),
-			switchsim.AttrUseTime:   usePerm,
-			switchsim.AttrTraffic:   trafPerm,
-			switchsim.AttrPriority:  prioPerm,
-		},
-	}
+	b.decorrelatedPerms(rng)
+	prioPerm := b.perm[switchsim.AttrPriority]
 	for i := range b.priorities {
-		b.perm[switchsim.AttrInsertion][i] = i
 		b.priorities[i] = policyBasePriority
-		if !fixed[switchsim.AttrPriority] {
+		if !b.fixed[switchsim.AttrPriority] {
 			b.priorities[i] += uint16(prioPerm[i])
 		}
 	}
@@ -174,7 +206,7 @@ func initBlock(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, base uint32,
 	// Install phase (insertion attribute = install order).
 	for i, p := range b.priorities {
 		if err := e.Install(base+uint32(i), p); err != nil {
-			return nil, fmt.Errorf("infer: policy probe install %d: %w", i, err)
+			return fmt.Errorf("infer: policy probe install %d: %w", i, err)
 		}
 	}
 
@@ -183,22 +215,23 @@ func initBlock(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, base uint32,
 	// frequency policies. Skipped when traffic is held constant. Bursts go
 	// through the engine's batched traffic path, which keeps the quadratic
 	// total packet count affordable even for multi-thousand entry caches.
-	if !fixed[switchsim.AttrTraffic] {
-		for _, i := range inversePerm(trafPerm) {
+	if !b.fixed[switchsim.AttrTraffic] {
+		trafPerm := b.perm[switchsim.AttrTraffic]
+		for _, i := range inversePerm(b.order, trafPerm) {
 			if err := e.SendTraffic(base+uint32(i), trafficGap*(trafPerm[i]+1)); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 
 	// Use-time phase: one packet per flow in usePerm order; the flow with
 	// usePerm rank s-1 ends up most recently used.
-	for _, i := range inversePerm(usePerm) {
+	for _, i := range inversePerm(b.order, b.perm[switchsim.AttrUseTime]) {
 		if _, _, err := e.Probe(base + uint32(i)); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return b, nil
+	return nil
 }
 
 // clear removes the block's probe rules so the next block starts from a
@@ -210,23 +243,23 @@ func (b *probeBlock) clear(e *probe.Engine) {
 }
 
 // keepOrder lists the block's flows in the order a cache ordered by hyp
-// would keep them, best-kept first. The attribute's values are a permutation
-// of the flows, so sorting the flows by value is inverting it: ascending for
-// keep-low, reversed for keep-high.
+// would keep them, best-kept first, in b.order. The attribute's values are a
+// permutation of the flows, so sorting the flows by value is inverting it:
+// ascending for keep-low, reversed for keep-high.
 func (b *probeBlock) keepOrder(hyp switchsim.SortKey) []int {
-	order := inversePerm(b.perm[hyp.Attr])
+	order := inversePerm(b.order, b.perm[hyp.Attr])
 	if hyp.HighIsBetter {
 		slices.Reverse(order)
 	}
 	return order
 }
 
-// inversePerm returns the inverse of a permutation of [0, len(perm)):
-// out[perm[i]] = i. Read as a list it is the indices sorted ascending by
-// perm — which is how Algorithm 2 orders flows by an attribute, every
-// attribute's values being a permutation of the flows.
-func inversePerm(perm []int) []int {
-	out := make([]int, len(perm))
+// inversePerm writes the inverse of a permutation of [0, len(perm)) into
+// out, which has perm's length, and returns it: out[perm[i]] = i. Read as a
+// list it is the indices sorted ascending by perm — which is how Algorithm 2
+// orders flows by an attribute, every attribute's values being a
+// permutation of the flows.
+func inversePerm(out, perm []int) []int {
 	for i, r := range perm {
 		out[r] = i
 	}
@@ -234,33 +267,33 @@ func inversePerm(perm []int) []int {
 }
 
 // probeRound performs one initialization + measurement + correlation round.
-func probeRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase uint32, fixed map[switchsim.Attribute]bool) (*Round, error) {
-	s := 2 * opts.CacheSize
-	b, err := initBlock(e, opts, rng, flowBase, fixed)
-	if err != nil {
-		return nil, err
+func probeRound(e *probe.Engine, rng *rand.Rand, flowBase uint32, b *probeBlock) (Round, error) {
+	s := len(b.priorities)
+	if err := initBlock(e, rng, flowBase, b); err != nil {
+		return Round{}, err
 	}
 
 	// Measurement phase: most-recently-used first, so each flow's
 	// classification reflects the pre-measurement cache state.
-	rtts := make([]float64, s)
-	orderByUse := inversePerm(b.perm[switchsim.AttrUseTime])
+	rtts := b.rtts
+	orderByUse := inversePerm(b.order, b.perm[switchsim.AttrUseTime])
 	for rank := s - 1; rank >= 0; rank-- {
 		i := orderByUse[rank]
 		rtt, _, err := e.Probe(flowBase + uint32(i))
 		if err != nil {
-			return nil, err
+			return Round{}, err
 		}
 		rtts[i] = float64(rtt)
 	}
 
 	// Classify: the fastest RTT cluster is the cache under test.
-	cl, err := cluster.Find(rtts, cluster.Options{})
+	cl, err := b.finder.Find(rtts)
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
-	round := &Round{Correlations: map[switchsim.Attribute]float64{}}
-	cached := make([]float64, s)
+	round := Round{Correlations: map[switchsim.Attribute]float64{}}
+	cached := b.cached
+	clear(cached)
 	if len(cl.Clusters) >= 2 {
 		for i, a := range cl.Assignment {
 			if a == 0 {
@@ -276,22 +309,15 @@ func probeRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase ui
 	}
 
 	// Correlate each free attribute's value vector with residency.
-	values := func(attr switchsim.Attribute) []float64 {
-		v := make([]float64, s)
-		for i, r := range b.perm[attr] {
-			v[i] = float64(r)
-		}
-		return v
-	}
 	best := switchsim.SortKey{}
 	bestCorr := 0.0
 	for _, attr := range switchsim.Attributes {
-		if fixed[attr] {
+		if b.fixed[attr] {
 			continue
 		}
-		r, err := stats.Pearson(values(attr), cached)
+		r, err := stats.Pearson(b.fperm[attr], cached)
 		if err != nil {
-			return nil, err
+			return Round{}, err
 		}
 		round.Correlations[attr] = r
 		if math.Abs(r) > math.Abs(bestCorr) {
@@ -312,24 +338,24 @@ func probeRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase ui
 // re-initializing the probe flows and measuring them in the hypothesis's
 // keep-order. The accuracy of the predicted fast/slow step scores the
 // hypothesis; the best one wins if it clears the acceptance threshold.
-func verifyRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase uint32, fixed map[switchsim.Attribute]bool) (*Round, error) {
+func verifyRound(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase uint32, b *probeBlock) (Round, error) {
 	s := 2 * opts.CacheSize
 	n := opts.CacheSize
-	round := &Round{Correlations: map[switchsim.Attribute]float64{}}
+	round := Round{Correlations: map[switchsim.Attribute]float64{}}
 	best := switchsim.SortKey{}
 	bestScore := -1.0
 	sub := uint32(0)
 	for _, attr := range switchsim.Attributes {
-		if fixed[attr] {
+		if b.fixed[attr] {
 			continue
 		}
-		for _, high := range []bool{true, false} {
+		for _, high := range [...]bool{true, false} {
 			base := flowBase + sub*uint32(2*s+256)
 			sub++
-			score, err := verifyHypothesis(e, opts, rng, base, fixed,
+			score, err := verifyHypothesis(e, n, rng, base, b,
 				switchsim.SortKey{Attr: attr, HighIsBetter: high})
 			if err != nil {
-				return nil, err
+				return Round{}, err
 			}
 			// Record the better-direction score per attribute, signed by
 			// direction so diagnostics read like a correlation.
@@ -366,17 +392,15 @@ func absFloat(v float64) float64 {
 // verifyHypothesis initializes one fresh flow block (fixed attributes held
 // constant, free attributes decorrelated as in the correlation round),
 // measures the flows in the hypothesis keep-order, and returns the fraction
-// of flows whose observed tier matches the hypothesis's prediction.
-func verifyHypothesis(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowBase uint32, fixed map[switchsim.Attribute]bool, hyp switchsim.SortKey) (float64, error) {
-	s := 2 * opts.CacheSize
-	n := opts.CacheSize
-	b, err := initBlock(e, opts, rng, flowBase, fixed)
-	if err != nil {
+// of flows whose observed tier matches the hypothesis's prediction: the n
+// best-kept flows fast, the rest slow.
+func verifyHypothesis(e *probe.Engine, n int, rng *rand.Rand, flowBase uint32, b *probeBlock, hyp switchsim.SortKey) (float64, error) {
+	if err := initBlock(e, rng, flowBase, b); err != nil {
 		return 0, err
 	}
 
 	order := b.keepOrder(hyp)
-	rtts := make([]float64, s)
+	rtts := b.rtts
 	for _, i := range order {
 		rtt, _, err := e.Probe(flowBase + uint32(i))
 		if err != nil {
@@ -386,7 +410,7 @@ func verifyHypothesis(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowB
 	}
 	b.clear(e)
 
-	cl, err := cluster.Find(rtts, cluster.Options{})
+	cl, err := b.finder.Find(rtts)
 	if err != nil {
 		return 0, err
 	}
@@ -401,48 +425,55 @@ func verifyHypothesis(e *probe.Engine, opts PolicyOptions, rng *rand.Rand, flowB
 			correct++
 		}
 	}
-	return float64(correct) / float64(s), nil
+	return float64(correct) / float64(len(order)), nil
 }
 
-// decorrelatedPerms draws three permutations of [0,s) whose pairwise
-// correlations (including with the identity) stay below 0.15.
-func decorrelatedPerms(rng *rand.Rand, s int) (prio, traf, use []int) {
-	identity := make([]float64, s)
-	for i := range identity {
-		identity[i] = float64(i)
-	}
-	draw := func(existing ...[]int) []int {
+// decorrelatedPerms redraws the block's priority, traffic and use-time
+// permutations, and their float copies, so that their pairwise correlations
+// (including with the identity, the insertion order) stay below 0.15. Each
+// attempt draws one permutation in place with drawPermInto, which consumes
+// rng exactly as rng.Perm would.
+func (b *probeBlock) decorrelatedPerms(rng *rand.Rand) {
+	identity := b.fperm[switchsim.AttrInsertion]
+	draw := func(attr switchsim.Attribute, existing ...switchsim.Attribute) {
+		p, pf := b.perm[attr], b.fperm[attr]
 		for attempt := 0; attempt < 200; attempt++ {
-			p := rng.Perm(s)
-			pf := make([]float64, s)
-			for i, v := range p {
-				pf[i] = float64(v)
-			}
+			drawPermInto(rng, p, pf)
 			ok := true
 			if r, _ := stats.Pearson(identity, pf); math.Abs(r) > 0.15 {
 				ok = false
 			}
 			for _, ex := range existing {
-				ef := make([]float64, s)
-				for i, v := range ex {
-					ef[i] = float64(v)
-				}
-				if r, _ := stats.Pearson(ef, pf); math.Abs(r) > 0.15 {
+				if r, _ := stats.Pearson(b.fperm[ex], pf); math.Abs(r) > 0.15 {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				return p
+				return
 			}
 		}
-		// Statistically unreachable for s ≥ 16; fall back to the last draw.
-		return rng.Perm(s)
+		// Statistically unreachable for s ≥ 16; fall back to the next draw.
+		drawPermInto(rng, p, pf)
 	}
-	prio = draw()
-	traf = draw(prio)
-	use = draw(prio, traf)
-	return prio, traf, use
+	draw(switchsim.AttrPriority)
+	draw(switchsim.AttrTraffic, switchsim.AttrPriority)
+	draw(switchsim.AttrUseTime, switchsim.AttrPriority, switchsim.AttrTraffic)
+}
+
+// drawPermInto fills p with a pseudo-random permutation of [0, len(p)) and
+// pf with the same values as floats. It makes exactly rand.Perm's draws —
+// one Intn(i+1) per element, in order — so p is what rng.Perm(len(p)) would
+// have returned and rng is left where rng.Perm would have left it.
+func drawPermInto(rng *rand.Rand, p []int, pf []float64) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	for i, v := range p {
+		pf[i] = float64(v)
+	}
 }
 
 // InitPattern is the post-initialization attribute state Algorithm 2 sets
@@ -461,18 +492,16 @@ type InitPattern struct {
 func InitializationPattern(cacheSize int, seed int64) InitPattern {
 	s := 2 * cacheSize
 	rng := rand.New(rand.NewSource(seed))
-	prio, traf, use := decorrelatedPerms(rng, s)
+	b := newProbeBlock(s)
+	b.decorrelatedPerms(rng)
 	p := InitPattern{
-		Insertion: make([]int, s),
-		Use:       make([]int, s),
-		Priority:  make([]int, s),
+		Insertion: b.perm[switchsim.AttrInsertion],
+		Use:       b.perm[switchsim.AttrUseTime],
+		Priority:  b.perm[switchsim.AttrPriority],
 		Traffic:   make([]int, s),
 	}
-	for i := 0; i < s; i++ {
-		p.Insertion[i] = i
-		p.Use[i] = use[i]
-		p.Priority[i] = prio[i]
-		p.Traffic[i] = trafficGap * (traf[i] + 1)
+	for i, r := range b.perm[switchsim.AttrTraffic] {
+		p.Traffic[i] = trafficGap * (r + 1)
 	}
 	return p
 }

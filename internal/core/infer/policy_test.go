@@ -3,6 +3,7 @@ package infer
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tango/internal/switchsim"
@@ -52,14 +53,13 @@ func TestOrdersMatchSortOracle(t *testing.T) {
 		sizes = append(sizes, s)
 	}
 	for _, s := range sizes {
-		b := &probeBlock{perm: map[switchsim.Attribute][]int{
-			switchsim.AttrInsertion: identityPerm(s),
-			switchsim.AttrUseTime:   rng.Perm(s),
-			switchsim.AttrTraffic:   rng.Perm(s),
-			switchsim.AttrPriority:  rng.Perm(s),
-		}}
-		for attr, perm := range b.perm {
-			if got, want := inversePerm(perm), sortByRank(identityPerm(s), perm); !reflect.DeepEqual(got, want) {
+		b := newProbeBlock(s)
+		for _, attr := range []switchsim.Attribute{switchsim.AttrUseTime, switchsim.AttrTraffic, switchsim.AttrPriority} {
+			b.perm[attr] = rng.Perm(s)
+		}
+		for a, perm := range b.perm {
+			attr := switchsim.Attribute(a)
+			if got, want := inversePerm(make([]int, s), perm), sortByRank(identityPerm(s), perm); !reflect.DeepEqual(got, want) {
 				t.Fatalf("size %d, %v: inversePerm = %v, sortByRank = %v", s, attr, got, want)
 			}
 			for _, high := range []bool{true, false} {
@@ -75,6 +75,35 @@ func TestOrdersMatchSortOracle(t *testing.T) {
 					t.Fatalf("size %d, %v keep-high=%v: keepOrder = %v, sortBy = %v", s, attr, high, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestDrawPermIntoMatchesPerm: the in-place permutation Algorithm 2 draws is
+// rand.Perm's, value for value, and leaves the generator where rand.Perm
+// leaves it — so every later draw of an inspection is unchanged too.
+func TestDrawPermIntoMatchesPerm(t *testing.T) {
+	p := make([]int, 5000)
+	pf := make([]float64, 5000)
+	for _, seed := range []int64{0, 1, 7, 42, 1 << 40} {
+		ref := rand.New(rand.NewSource(seed))
+		got := rand.New(rand.NewSource(seed))
+		for n := 0; n <= 5000; n++ {
+			want := ref.Perm(n)
+			// Stale values from the previous, one shorter, draw must not
+			// leak into this one.
+			drawPermInto(got, p[:n], pf[:n])
+			if !slices.Equal(p[:n], want) {
+				t.Fatalf("seed %d, n %d: drawPermInto differs from rand.Perm", seed, n)
+			}
+			for i, v := range want {
+				if pf[i] != float64(v) {
+					t.Fatalf("seed %d, n %d: float copy [%d] = %v, want %d", seed, n, i, pf[i], v)
+				}
+			}
+		}
+		if a, b := ref.Int63(), got.Int63(); a != b {
+			t.Fatalf("seed %d: generator state diverged (%d vs %d)", seed, a, b)
 		}
 	}
 }

@@ -163,6 +163,7 @@ func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
 		return nil, err
 	}
 	res.Clusters = cl.Clusters
+	res.Levels = make([]LevelEstimate, 0, len(cl.Clusters))
 
 	// With a single tier everything fits in one layer and the estimate is m
 	// itself (sampling would degenerate to p̂→1 with capped runs), so the

@@ -167,6 +167,9 @@ type Engine struct {
 	// next: the device serializes a batch before it returns.
 	slab  []openflow.FlowMod
 	batch []*openflow.FlowMod
+	// lat backs the latencies Run returns, grown to the longest pattern and
+	// refilled by the next Run.
+	lat []time.Duration
 
 	// Telemetry handles. All nil-safe: an engine built with no registry
 	// (and no process default installed) records nothing at no cost.
@@ -409,9 +412,13 @@ func (e *Engine) SendTraffic(id uint32, count int) error {
 }
 
 // Run executes a pattern: every op in sequence (timed individually), then
-// the traffic steps. Op errors abort the run.
+// the traffic steps. Op errors abort the run. The result's Latencies are the
+// engine's buffer, valid until its next Run.
 func (e *Engine) Run(p pattern.Pattern) (pattern.Result, error) {
-	res := pattern.Result{Latencies: make([]time.Duration, 0, len(p.Ops))}
+	if cap(e.lat) < len(p.Ops) {
+		e.lat = make([]time.Duration, 0, len(p.Ops))
+	}
+	res := pattern.Result{Latencies: e.lat[:0]}
 	start := e.dev.Now()
 	for _, op := range p.Ops {
 		opStart := e.dev.Now()

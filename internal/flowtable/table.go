@@ -100,11 +100,13 @@ type Table struct {
 	wild  []*Rule
 }
 
-// NewTable returns an empty table whose exact index is sized for about
-// keys rules, so a table filled to that size never rehashes on the way.
-// The zero Table is usable too; its index grows from empty.
+// NewTable returns an empty table whose rule slice and exact index are
+// sized for about keys rules, so a table filled to that size neither grows
+// nor rehashes on the way. The zero Table is usable too; it grows from
+// empty.
 func NewTable(keys int) *Table {
-	t := &Table{}
+	t := &Table{buf: make([]*Rule, keys)}
+	t.rules = t.buf[:0]
 	t.exact.init(keys)
 	return t
 }

@@ -1,6 +1,10 @@
 package switchsim
 
-import "tango/internal/flowtable"
+import (
+	"slices"
+
+	"tango/internal/flowtable"
+)
 
 // arena.go is the flat entry arena: every installed rule's bookkeeping record
 // lives in one contiguous []entry slice, addressed by int32 handles instead
@@ -59,8 +63,7 @@ func (s *Switch) allocEntry() (int32, *entry) {
 		h := s.freeEnts[n-1]
 		s.freeEnts = s.freeEnts[:n-1]
 		e := &s.entries[h]
-		kk := e.kernelKeys[:0] // slot reuse keeps the key slice's capacity
-		*e = entry{kernelKeys: kk, self: h, timedIdx: noTimed}
+		*e = entry{self: h, timedIdx: noTimed}
 		return h, e
 	}
 	if s.entries == nil {
@@ -73,15 +76,19 @@ func (s *Switch) allocEntry() (int32, *entry) {
 }
 
 // freeEntry returns e's slot to the free list. The slot's self field is
-// zeroed so stale handles fail entryAt's identity check; the kernel-key
-// slice keeps its capacity for the slot's next tenant. Timed entries
+// zeroed so stale handles fail entryAt's identity check. Its kernel chain is
+// empty: removeRule invalidates it first. Timed entries
 // swap-remove themselves from the expiry list first, keeping the invariant
 // that timedEnts holds only live handles.
 func (s *Switch) freeEntry(e *entry) {
 	s.untimeEntry(e)
 	h := e.self
-	kk := e.kernelKeys[:0]
-	*e = entry{kernelKeys: kk}
+	*e = entry{}
+	if len(s.freeEnts) == cap(s.freeEnts) {
+		// The list never holds more than the arena's slots, so it grows to
+		// them in one step: a table emptied rule by rule grows it once.
+		s.freeEnts = slices.Grow(s.freeEnts, len(s.entries)-len(s.freeEnts))
+	}
 	s.freeEnts = append(s.freeEnts, h)
 }
 
@@ -111,8 +118,13 @@ func (s *Switch) newRule() *flowtable.Rule {
 	return r
 }
 
-// freeRule recycles a removed rule's slab slot for the next add.
+// freeRule recycles a removed rule's slab slot for the next add. Like the
+// entry free list, the rule free list grows to every rule the live slabs
+// hold in one step.
 func (s *Switch) freeRule(r *flowtable.Rule) {
+	if len(s.freeRules) == cap(s.freeRules) {
+		s.freeRules = slices.Grow(s.freeRules, len(s.liveSlabs)*ruleSlabSize-len(s.freeRules))
+	}
 	s.freeRules = append(s.freeRules, r)
 }
 
@@ -125,9 +137,7 @@ func (s *Switch) resetArena() {
 	s.timedEnts = s.timedEnts[:0]
 	s.freeEnts = s.freeEnts[:0]
 	for i := len(s.entries) - 1; i >= 1; i-- {
-		e := &s.entries[i]
-		kk := e.kernelKeys[:0]
-		*e = entry{kernelKeys: kk}
+		s.entries[i] = entry{}
 		s.freeEnts = append(s.freeEnts, int32(i))
 	}
 	s.freeRules = s.freeRules[:0]

@@ -7,6 +7,7 @@ import (
 
 	"tango/internal/flowtable"
 	"tango/internal/openflow"
+	"tango/internal/packet"
 	"tango/internal/simclock"
 )
 
@@ -141,33 +142,28 @@ func TestArenaGrowthMidChurn(t *testing.T) {
 }
 
 // TestResetReusesArena is the pooling contract for Reset(): the entry
-// arena's backing array, the rule slabs, and the per-slot kernel-key
-// slices must all survive a Reset and be reused by the next generation of
-// rules — a fleet resetting switches between inference rounds must not
-// leak one arena per round.
+// arena's backing array, the rule slabs, and the kernel slot array must all
+// survive a Reset and be reused by the next generation of rules — a fleet
+// resetting switches between inference rounds must not leak one arena per
+// round.
 func TestResetReusesArena(t *testing.T) {
 	s := New(OVS())
 	const n = 40
 	for id := uint32(0); id < n; id++ {
 		addFlow(t, s, id, 100)
 	}
-	// Populate a kernel entry so one arena slot owns a kernel-key slice.
-	sendProbe(t, s, 3)
-	var kkHandle int32
-	var kkCap int
-	for h := int32(1); int(h) < len(s.entries); h++ {
-		if e := s.entryAt(h); e != nil && cap(e.kernelKeys) > 0 {
-			kkHandle, kkCap = h, cap(e.kernelKeys)
-			break
-		}
+	// Populate kernel entries so the slot array has grown.
+	for id := uint32(0); id < n; id++ {
+		sendProbe(t, s, id)
 	}
-	if kkHandle == 0 {
-		t.Fatal("no arena slot acquired a kernel-key slice")
+	if len(s.kslots) != n+1 {
+		t.Fatalf("%d kernel slots for %d cached microflows", len(s.kslots)-1, n)
 	}
 
 	entryCap := cap(s.entries)
 	entryBase := &s.entries[0]
 	slabBase := &s.liveSlabs[0][0]
+	slotBase, slotCap := &s.kslots[0], cap(s.kslots)
 
 	s.Reset()
 
@@ -176,6 +172,7 @@ func TestResetReusesArena(t *testing.T) {
 	}
 	for id := uint32(0); id < n; id++ {
 		addFlow(t, s, id, 100)
+		sendProbe(t, s, id)
 	}
 	if &s.entries[0] != entryBase || cap(s.entries) != entryCap {
 		t.Fatal("Reset reallocated the entry arena instead of reusing it")
@@ -183,9 +180,10 @@ func TestResetReusesArena(t *testing.T) {
 	if &s.liveSlabs[0][0] != slabBase {
 		t.Fatal("Reset did not recycle the rule slab through the pool")
 	}
-	if got := cap(s.entries[kkHandle].kernelKeys); got != kkCap {
-		t.Fatalf("kernel-key slice capacity not retained across Reset: %d, want %d", got, kkCap)
+	if &s.kslots[0] != slotBase || cap(s.kslots) != slotCap {
+		t.Fatal("Reset reallocated the kernel slot array instead of reusing it")
 	}
+	checkArena(t, s)
 	// Handles are handed back in ascending order after Reset, keeping
 	// replayed experiments deterministic.
 	prev := int32(0)
@@ -196,4 +194,111 @@ func TestResetReusesArena(t *testing.T) {
 		}
 		prev = h
 	}
+}
+
+// checkKernel asserts the microflow cache's invariants: every mapped key's
+// slot holds that key and a live owner, and sits on that owner's chain;
+// every chain holds only its owner's mapped slots; and every other slot is
+// on the free list.
+func checkKernel(t *testing.T, s *Switch) {
+	t.Helper()
+	if s.kernel == nil {
+		return
+	}
+	onChain := make([]bool, len(s.kslots))
+	chained := 0
+	for h := int32(1); int(h) < len(s.entries); h++ {
+		e := s.entryAt(h)
+		if e == nil {
+			continue
+		}
+		for sl := e.kernelHead; sl != 0; sl = s.kslots[sl].next {
+			ks := &s.kslots[sl]
+			if onChain[sl] {
+				t.Fatalf("kernel slot %d is on two chains, or twice on entry %d's", sl, h)
+			}
+			onChain[sl] = true
+			chained++
+			if ks.owner != h {
+				t.Fatalf("kernel slot %d on entry %d's chain names owner %d", sl, h, ks.owner)
+			}
+			if got, ok := s.kernel[ks.key]; !ok || got != sl {
+				t.Fatalf("kernel slot %d on entry %d's chain is not mapped from its key", sl, h)
+			}
+		}
+	}
+	if chained != len(s.kernel) {
+		t.Fatalf("owner chains hold %d kernel slots, the map %d", chained, len(s.kernel))
+	}
+	free := 0
+	for sl := s.kfree; sl != 0; sl = s.kslots[sl].next {
+		if onChain[sl] || s.kslots[sl].owner != 0 {
+			t.Fatalf("free kernel slot %d is also owned", sl)
+		}
+		onChain[sl] = true
+		free++
+	}
+	if chained+free != len(s.kslots)-1 {
+		t.Fatalf("%d kernel slots, %d owned and %d free", len(s.kslots)-1, chained, free)
+	}
+}
+
+// TestKernelKeysBoundedUnderEviction churns three rules' microflows through
+// a two-entry kernel cache. Every miss re-installs a key the LRU evicted a
+// moment earlier, so a chain that kept evicted keys would grow by one per
+// probe and an invalidation would walk all of them. Each owner's chain must
+// stay within the live kernel entries it owns, and the steady churn must
+// allocate nothing.
+func TestKernelKeysBoundedUnderEviction(t *testing.T) {
+	p := OVS()
+	p.KernelCapacity = 2
+	s := New(p)
+	const rules = 3
+	frames := make([][]byte, rules)
+	for id := range frames {
+		addFlow(t, s, uint32(id), 100)
+		raw, err := packet.BuildProbe(packet.ProbeSpec{FlowID: uint32(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[id] = raw
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := s.SendPacket(frames[i%rules], 1); err != nil {
+			t.Fatal(err)
+		}
+		for id := uint32(0); id < rules; id++ {
+			e := s.entryOf(trackedRule(s, id))
+			owned, chain := 0, 0
+			for _, sl := range s.kernel {
+				if s.kslots[sl].owner == e.self {
+					owned++
+				}
+			}
+			for sl := e.kernelHead; sl != 0; sl = s.kslots[sl].next {
+				chain++
+			}
+			if chain > owned {
+				t.Fatalf("probe %d: flow %d's kernel chain holds %d keys, it owns %d live entries", i, id, chain, owned)
+			}
+		}
+	}
+	checkArena(t, s)
+	if ev := s.Stats().Evictions; ev < 2900 {
+		t.Fatalf("%d kernel evictions in 3000 cycling probes; the cache is not churning", ev)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := s.SendPacket(frames[i%rules], 1); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("a kernel-cache miss with eviction allocates %v times", n)
+	}
+	// Invalidation walks only the live chain.
+	if err := s.FlowMod(&openflow.FlowMod{Command: openflow.FlowDeleteStrict, Match: flowtable.ExactProbeMatch(0), Priority: 100}); err != nil {
+		t.Fatal(err)
+	}
+	checkArena(t, s)
 }

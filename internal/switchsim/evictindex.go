@@ -274,7 +274,12 @@ func (s *Switch) initIndexes() {
 		return
 	}
 	if s.evictIdx == nil {
-		s.evictIdx, s.promoteIdx = &handleHeap{}, &handleHeap{}
+		// Each heap is sized for the tier it indexes, like the rule table,
+		// so filling the tiers does not grow it step by step.
+		tcam := min(s.profile.TCAM.CapacityNarrow, maxSizeHint)
+		soft := min(s.profile.softwareCap(), maxSizeHint)
+		s.evictIdx = &handleHeap{items: make([]heapItem, 0, tcam)}
+		s.promoteIdx = &handleHeap{items: make([]heapItem, 0, soft)}
 	}
 	clear(s.evictIdx.pos)
 	switch touch {

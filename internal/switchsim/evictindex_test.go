@@ -384,6 +384,7 @@ func checkArena(t *testing.T, s *Switch) {
 		t.Fatalf("arena holds %d live records, switch tracks %d rules", live, tracked)
 	}
 	checkTiers(t, s, tracked)
+	checkKernel(t, s)
 	onFree := map[int32]bool{}
 	for _, h := range s.freeEnts {
 		if onFree[h] {

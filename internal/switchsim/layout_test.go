@@ -13,7 +13,7 @@ import (
 func TestHotStructLayouts(t *testing.T) {
 	for _, v := range []interface{}{
 		entry{},
-		kernelEntry{},
+		kernelSlot{},
 		handleHeap{},
 		heapItem{},
 		destMember{},

@@ -54,15 +54,10 @@ var ErrTableFull = errors.New("switchsim: all tables full")
 // The hot fields the eviction heaps and the exact classifier read are all
 // scalars, so touching them writes no GC-visible pointers.
 type entry struct {
-	rule *flowtable.Rule
-	// kernelKeys records the microflow-cache keys derived from this rule, so
-	// invalidation walks the owner's few keys instead of the whole kernel
-	// table. Keys whose cache slot was since evicted or re-owned are skipped
-	// by an ownership check, so stale keys are harmless.
-	kernelKeys []packet.FiveTuple
-	insertSeq  uint64
-	useSeq     uint64
-	traffic    uint64
+	rule      *flowtable.Rule
+	insertSeq uint64
+	useSeq    uint64
+	traffic   uint64
 	// tcamSeq orders TCAM residents of equal priority by when they entered
 	// the TCAM, which is how tcamTier ranks their slots.
 	tcamSeq uint64
@@ -74,18 +69,25 @@ type entry struct {
 	// only that list, so million-flow tables whose residents never expire
 	// pay nothing for a handful of churning timed rules.
 	timedIdx int32
+	// kernelHead is the first of the microflow-cache slots derived from this
+	// rule (0: none), chained through kernelSlot.next, so invalidation walks
+	// the owner's live keys instead of the whole kernel table.
+	kernelHead int32
 	// inTCAM and inSoft say which tier serves the rule; every installed
 	// rule is in exactly one. A cache move flips them.
 	inTCAM bool
 	inSoft bool
 }
 
-// kernelEntry is one exact-match microflow cache entry (OVS kernel table),
-// stored by value so the kernel map needs no per-entry allocation. owner is
-// the installing rule's arena handle.
-type kernelEntry struct {
+// kernelSlot is one exact-match microflow cache entry (OVS kernel table) in
+// the switch's slot array, which the kernel map indexes by key. owner is the
+// installing rule's arena handle, 0 on a free slot; next links the owner's
+// chain of slots, or the free list's, and 0 ends either.
+type kernelSlot struct {
+	key    packet.FiveTuple
 	useSeq uint64
 	owner  int32
+	next   int32
 }
 
 // Result reports the outcome of injecting one data-plane frame.
@@ -125,9 +127,14 @@ type Switch struct {
 	// inTCAM/inSoft flag, and tcam is the TCAM's unit budget, charged for
 	// the inTCAM entries (nil for ManageMicroflow). A cache move flips the
 	// flags and moves the units; the table stays as it is.
-	rules  *flowtable.Table
-	tcam   *flowtable.TCAM
-	kernel map[packet.FiveTuple]kernelEntry
+	rules *flowtable.Table
+	tcam  *flowtable.TCAM
+	// kernel maps a microflow key to its slot in kslots (slot 0 is the
+	// reserved "none"); kfree heads the chain of free slots. A slot is
+	// on exactly one chain: its owner's or the free list.
+	kernel map[packet.FiveTuple]int32
+	kslots []kernelSlot
+	kfree  int32
 
 	events uint64
 
@@ -236,7 +243,9 @@ func New(p Profile, opts ...Option) *Switch {
 	}
 	s.initTCAM()
 	if p.Kind == ManageMicroflow {
-		s.kernel = make(map[packet.FiveTuple]kernelEntry)
+		n := p.kernelHint()
+		s.kernel = make(map[packet.FiveTuple]int32, n)
+		s.kslots = make([]kernelSlot, 1, 1+n)
 	}
 	// Bind to the process-wide default telemetry (a no-op unless a command
 	// installed one) before the indexes take its repair counter.
@@ -255,10 +264,14 @@ func (p Profile) softwareCap() int {
 	return defaultSoftwareCapacity
 }
 
-// ruleHint sizes the rule table's exact index for the rules the tiers can
-// hold, so probing installs that run straight to capacity never rehash. A
-// "virtually unlimited" software tier never actually fills, so the hint is
-// capped; the tiers' own bounds always refuse first.
+// maxSizeHint caps every structure New sizes for its tier's capacity: a
+// "virtually unlimited" software tier never actually fills, and past the
+// cap a structure grows as it fills.
+const maxSizeHint = 2048
+
+// ruleHint sizes the rule table for the rules the tiers can hold, so
+// probing installs that run straight to capacity never grow or rehash it;
+// the tiers' own bounds always refuse first.
 func (p Profile) ruleHint() int {
 	n := 0
 	if p.Kind != ManageMicroflow {
@@ -267,7 +280,18 @@ func (p Profile) ruleHint() int {
 	if p.Kind != ManageTCAMOnly {
 		n += p.softwareCap()
 	}
-	return min(n, 2048)
+	return min(n, maxSizeHint)
+}
+
+// kernelHint sizes the microflow cache the same way: one entry per rule the
+// software tier holds, or the cache's own bound (plus the entry that
+// crosses it) when that is smaller.
+func (p Profile) kernelHint() int {
+	n := p.ruleHint()
+	if p.KernelCapacity > 0 {
+		n = min(n, p.KernelCapacity+1)
+	}
+	return n
 }
 
 // initTCAM installs an empty TCAM budget (none for ManageMicroflow).
@@ -306,7 +330,7 @@ func (s *Switch) Reset() {
 	hadDefault := s.defaultRule != nil
 	s.rules.Reset()
 	s.initTCAM()
-	clear(s.kernel)
+	s.resetKernel()
 	s.resetArena()
 	s.initIndexes()
 	s.defaultRule = nil
@@ -695,27 +719,55 @@ func (s *Switch) bestSoftwareEntry() *entry {
 	return e
 }
 
-// invalidateKernel removes microflow cache entries derived from rule r. The
-// owner's recorded keys bound the walk; the ownership check skips keys whose
-// slot was evicted and re-filled by another rule since.
+// invalidateKernel removes the microflow cache entries derived from rule r:
+// the chain its arena record heads.
 func (s *Switch) invalidateKernel(r *flowtable.Rule) {
+	e := s.entryOf(r)
+	if s.kernel == nil || e == nil {
+		return
+	}
+	for sl := e.kernelHead; sl != 0; {
+		ks := &s.kslots[sl]
+		next := ks.next
+		delete(s.kernel, ks.key)
+		s.freeKernelSlot(sl)
+		sl = next
+	}
+	e.kernelHead = 0
+}
+
+// cacheMicroflow installs ft's kernel entry for the rule whose arena record
+// is e, at the head of e's chain.
+func (s *Switch) cacheMicroflow(ft packet.FiveTuple, e *entry) {
+	sl := s.kfree
+	if sl != 0 {
+		s.kfree = s.kslots[sl].next
+	} else {
+		sl = int32(len(s.kslots))
+		s.kslots = append(s.kslots, kernelSlot{})
+	}
+	s.kslots[sl] = kernelSlot{key: ft, useSeq: s.nextEvent(), owner: e.self, next: e.kernelHead}
+	e.kernelHead = sl
+	s.kernel[ft] = sl
+}
+
+// freeKernelSlot puts slot sl, already out of the map and its owner's chain,
+// on the free list.
+func (s *Switch) freeKernelSlot(sl int32) {
+	s.kslots[sl] = kernelSlot{next: s.kfree}
+	s.kfree = sl
+}
+
+// resetKernel empties the microflow cache, keeping the map's and the slot
+// array's capacity.
+func (s *Switch) resetKernel() {
 	if s.kernel == nil {
 		return
 	}
-	if e := s.entryOf(r); e != nil {
-		for _, ft := range e.kernelKeys {
-			if ke, ok := s.kernel[ft]; ok && ke.owner == e.self {
-				delete(s.kernel, ft)
-			}
-		}
-		e.kernelKeys = e.kernelKeys[:0]
-		return
-	}
-	for ft, ke := range s.kernel {
-		if oe := s.entryAt(ke.owner); oe != nil && oe.rule == r {
-			delete(s.kernel, ft)
-		}
-	}
+	clear(s.kernel)
+	clear(s.kslots)
+	s.kslots = s.kslots[:1]
+	s.kfree = 0
 }
 
 // SendPacket injects a data-plane frame on inPort and returns the
@@ -971,10 +1023,10 @@ func (s *Switch) maybePromote(e *entry) {
 func (s *Switch) microflowPipeline(f *packet.Frame, inPort uint16, size int, now time.Time) Result {
 	ft, ftOK := f.FiveTuple()
 	if ftOK {
-		if ke, hit := s.kernel[ft]; hit {
-			ke.useSeq = s.nextEvent()
-			s.kernel[ft] = ke
-			owner := s.entryAt(ke.owner)
+		if sl, hit := s.kernel[ft]; hit {
+			ks := &s.kslots[sl]
+			ks.useSeq = s.nextEvent()
+			owner := s.entryAt(ks.owner)
 			r := owner.rule
 			s.touch(owner, r, size, now)
 			if isController(r) {
@@ -996,10 +1048,7 @@ func (s *Switch) microflowPipeline(f *packet.Frame, inPort uint16, size int, now
 		// Install the exact-match microflow entry so the flow's next packet
 		// takes the kernel fast path (the 1-to-N user→kernel mapping).
 		if ftOK {
-			s.kernel[ft] = kernelEntry{owner: r.Ext, useSeq: s.nextEvent()}
-			if e != nil {
-				e.kernelKeys = append(e.kernelKeys, ft)
-			}
+			s.cacheMicroflow(ft, e)
 			s.evictKernelIfNeeded()
 		}
 		s.stats.SlowHits++
@@ -1011,25 +1060,30 @@ func (s *Switch) microflowPipeline(f *packet.Frame, inPort uint16, size int, now
 }
 
 // evictKernelIfNeeded applies LRU eviction to the kernel microflow cache
-// when a capacity is configured.
+// when a capacity is configured. The victim leaves its owner's chain with
+// it, so a chain never holds more than the owner's live kernel entries.
 func (s *Switch) evictKernelIfNeeded() {
 	cap := s.profile.KernelCapacity
 	if cap <= 0 || len(s.kernel) <= cap {
 		return
 	}
-	var victimKey packet.FiveTuple
-	var victimSeq uint64
-	found := false
-	for k, ke := range s.kernel {
-		if !found || ke.useSeq < victimSeq {
-			found, victimSeq, victimKey = true, ke.useSeq, k
+	victim := int32(0)
+	for sl := 1; sl < len(s.kslots); sl++ {
+		ks := &s.kslots[sl]
+		if ks.owner != 0 && (victim == 0 || ks.useSeq < s.kslots[victim].useSeq) {
+			victim = int32(sl)
 		}
 	}
-	if found {
-		delete(s.kernel, victimKey)
-		s.stats.Evictions++
-		s.tel.evictions.Add(1)
+	ks := &s.kslots[victim]
+	delete(s.kernel, ks.key)
+	link := &s.entries[ks.owner].kernelHead
+	for *link != victim {
+		link = &s.kslots[*link].next
 	}
+	*link = ks.next
+	s.freeKernelSlot(victim)
+	s.stats.Evictions++
+	s.tel.evictions.Add(1)
 }
 
 func (s *Switch) touch(e *entry, r *flowtable.Rule, size int, now time.Time) {
