@@ -2,12 +2,12 @@ package ofconn
 
 // async.go is the controller's flow-mod send path — the only one: FlowMod is
 // a batch of one, FlowMods is FlowModBatch plus the first rejection. A window
-// of ops and the barrier that confirms them are one exchange: registered in
-// one critical section, marshalled into one buffer and written once by the
-// calling goroutine (Controller.write), so n ops cost ⌈n/window⌉ writes and
-// round trips, where confirming each on its own (window 1, or FlowMod in a
-// loop) costs n of both. The controller keeps nothing between calls: when
-// FlowModBatch returns, no xid of its is registered and no byte is buffered.
+// of ops and the barrier that confirms them are one exchange: numbered as one
+// block, marshalled into one buffer and written once by the calling goroutine
+// (Controller.write), so n ops cost ⌈n/window⌉ writes and round trips, where
+// confirming each on its own (window 1, or FlowMod in a loop) costs n of
+// both. The controller keeps nothing between calls: when FlowModBatch
+// returns, no byte of it is buffered.
 
 import (
 	"time"
@@ -81,21 +81,17 @@ func (c *Controller) FlowModBatch(fms []*openflow.FlowMod) ([]error, error) {
 	}
 }
 
-// sendWindow is one flow-mod exchange: the ops and their barrier registered
-// together, written together, and the barrier's reply awaited. While it waits
-// the read token's holder — this caller or another — stores each rejection
-// the switch sends in the op's xid entry; the agent writes an op's error
-// before the barrier reply, so on success every rejection is there when the
-// deferred release collects them into errs. On failure errs may hold some,
-// which the caller overwrites.
-func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) (err error) {
+// sendWindow is one flow-mod exchange: the ops and their barrier written
+// together, then read until the barrier's reply. The read loop puts each
+// rejection the switch sends into the op's slot of errs; the agent writes an
+// op's error before the barrier reply, so on success every rejection is
+// there. On failure errs may hold some, which the caller overwrites.
+func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) error {
 	submit := c.tel.stamp()
-	first, ch, err := c.register(len(fms))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	first, err := c.write(fms, barrierRequest)
 	if err != nil {
-		return err
-	}
-	defer func() { c.release(first, errs, ch, err == nil) }()
-	if err := c.write(fms, first, barrierRequest); err != nil {
 		return err
 	}
 	c.tel.asyncWrites.Add(1)
@@ -104,7 +100,7 @@ func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) (err erro
 		c.tel.asyncFlushes.Add(1)
 	}
 	wrote := c.tel.stamp()
-	if err := c.await(ch, false, nil); err != nil {
+	if err := c.readReply(first, errs, false, nil); err != nil {
 		return err
 	}
 	if !submit.IsZero() {
@@ -113,8 +109,8 @@ func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) (err erro
 	return nil
 }
 
-// rejection maps a switch's error reply, decoded from frame into the read
-// token holder's scratch, to the error the op reports: table-full as
+// rejection maps a switch's error reply, decoded from frame into the
+// controller's scratch, to the error the op reports: table-full as
 // switchsim.ErrTableFull, anything else as a message of its own.
 func rejection(oe *openflow.Error, frame []byte) error {
 	if oe.IsTableFull() {
@@ -124,7 +120,7 @@ func rejection(oe *openflow.Error, frame []byte) error {
 }
 
 // noteWindow records a confirmed window's two segments: entry → bytes written
-// (registration, marshalling, any wait for the write lock, the write itself —
+// (any wait for another caller's exchange, marshalling, the write itself —
 // everything the controller adds) and bytes written → barrier reply (wire
 // round trip plus switch processing).
 func (t *ctrlTelemetry) noteWindow(first uint32, ops int, submit, wrote, resolved time.Time) {

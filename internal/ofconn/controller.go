@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tango/internal/core/probe"
@@ -18,37 +20,30 @@ import (
 // Controller is one controller-side OpenFlow connection to a switch. It is
 // the probing engine's wire kind of device (probe.PipelinedDevice), so the
 // same inference code runs against an in-process emulated switch or a live
-// TCP endpoint. Its methods may be called from several goroutines: each call
-// writes its own exchange on the calling goroutine and waits for its own
-// reply, and the controller keeps nothing of a call that has returned. It owns
-// no goroutine: a caller awaiting a reply reads the connection itself while it
-// holds the read token (see await), so nothing is read between exchanges.
+// TCP endpoint. It is a serial channel: each call holds the controller's one
+// lock for its whole exchange — it writes, then reads on its own goroutine
+// until its reply is in — so callers on several goroutines take turns, and
+// the controller keeps nothing of a call that has returned. It owns no
+// goroutine, and nothing is read between exchanges.
 type Controller struct {
 	conn net.Conn
 
-	// rd is the controller's one frame reader and dec the decoder its frames
-	// go through, both used only by the holder of the read token; readTok
-	// holds that token while nobody reads.
+	// mu is held for a whole exchange and guards every field down to err:
+	// the one frame reader and the decoder its frames go through, the one
+	// buffer exchanges are marshalled into, the last xid handed out and the
+	// connection's first failure. Once err is set nothing more is written:
+	// a failed write may have been partial, and a failed read leaves no
+	// stream to resume (err is then ErrClosed).
+	mu      sync.Mutex
 	rd      *openflow.Reader
 	dec     openflow.Decoder
-	readTok chan struct{}
-
-	// mu guards the xid table and spare. nextXID is the last xid handed out.
-	// spare holds reply channels whose exchange got its reply, for the next
-	// exchanges to reuse. readErr is the fatal read error or ErrClosed; once
-	// set, no xid is handed out.
-	mu      sync.Mutex
+	wbuf    []byte
 	nextXID uint32
-	pending map[uint32]pendingReply
-	spare   []chan openflow.Message
-	readErr error
+	err     error
 
-	// wmu is the write lock: it orders whole exchanges on the wire and guards
-	// the one buffer they are marshalled into (see write). werr is the first
-	// write failure; once set, nothing more is written.
-	wmu  sync.Mutex
-	wbuf []byte
-	werr error
+	// closed is set by Close, which never takes mu: an exchange the close
+	// breaks and every later one report ErrClosed.
+	closed atomic.Bool
 
 	// notify buffers unsolicited switch messages (FLOW_REMOVED,
 	// PORT_STATUS, async PACKET_IN). When full, the oldest notification is
@@ -77,11 +72,12 @@ type ControllerOptions struct {
 	// msgs_out, notify_dropped, stale_replies) and the handshake-latency
 	// histogram. Nil falls back to the process default.
 	Metrics *telemetry.Registry
-	// Timeout bounds every await for a switch reply (barrier, probe,
-	// echo, stats, handshake). Zero keeps the historical block-forever
-	// behaviour; set it whenever the peer may lose messages (fault
-	// injection, flaky networks) so drops surface as ErrTimeout instead
-	// of hangs.
+	// Timeout bounds every wait for a switch reply (barrier, probe, echo,
+	// stats, handshake), from the moment the exchange's bytes are written;
+	// a caller queued behind another goroutine's exchange first waits for
+	// that one. Zero keeps the historical block-forever behaviour; set it
+	// whenever the peer may lose messages (fault injection, flaky networks)
+	// so drops surface as ErrTimeout instead of hangs.
 	Timeout time.Duration
 	// AsyncWindow bounds how many flow-mods of a batch share one write and
 	// one trailing barrier (see async.go). Zero selects the default (64); 1
@@ -186,14 +182,11 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 	c := &Controller{
 		conn:    conn,
 		rd:      openflow.NewReader(conn),
-		readTok: make(chan struct{}, 1),
-		pending: make(map[uint32]pendingReply),
 		notify:  make(chan openflow.Message, 256),
 		timeout: opts.Timeout,
 		window:  window,
 		clock:   wallClock,
 	}
-	c.readTok <- struct{}{}
 	c.tel.init(opts)
 	c.tel.tracer.Instant("ofconn.dial", "", map[string]any{"remote": conn.RemoteAddr().String()})
 	start := time.Now()
@@ -209,90 +202,12 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 // wallClock is every controller's measurement clock outside tests.
 var wallClock simclock.Clock = &simclock.Real{}
 
-// pendingReply is one xid-table entry. The message that closes an exchange
-// (a request, a window's barrier) has its reply awaited on ch. A flow-mod has
-// nobody waiting — its only possible answer is a rejection — so route stores
-// the rejection in err, where the window's sender collects it when it
-// releases the xids.
-type pendingReply struct {
-	ch  chan openflow.Message
-	err error
-}
-
-// route delivers one message the token holder read and decoded into its
-// scratch, and reports whether it is the reply the holder's own exchange
-// awaits on own, which the holder takes where it lies. Anything that outlives
-// the read is decoded again from frame into a message of its own: another
-// caller's reply, which goes into that exchange's 1-buffered channel, a
-// rejection that is not table-full, which goes into its op's entry, and
-// anything the switch volunteered, which goes to Notifications(). A stale
-// reply is only counted.
-func (c *Controller) route(msg openflow.Message, frame []byte, own chan openflow.Message) bool {
-	c.tel.msgsIn.Add(1)
-	if msg.Type() == openflow.TypeHello {
-		return false // connection-opening pleasantry, not awaited
-	}
-	c.mu.Lock()
-	p, ok := c.pending[msg.XID()]
-	switch {
-	case !ok:
-	case p.ch != nil:
-		delete(c.pending, msg.XID())
-	case p.err != nil:
-		ok = false // the op's answer came already: this one is a duplicate
-	default:
-		if oe, isErr := msg.(*openflow.Error); isErr {
-			// Stored under mu, which the window's sender takes to collect it:
-			// the store is ordered before that whether the barrier was
-			// answered — its reply follows this message on the wire — or
-			// timed out.
-			p.err = rejection(oe, frame)
-			c.pending[msg.XID()] = p
-		}
-	}
-	c.mu.Unlock()
-	switch {
-	case ok && p.ch == own:
-		return true
-	case ok && p.ch != nil:
-		p.ch <- kept(frame) // never blocks: the entry is gone, so ch gets one message
-	case ok:
-		// A flow-mod's answer, recorded above.
-	case solicitedOnly(msg.Type()):
-		// The reply to an exchange that gave up waiting (await timed out
-		// and the xid was released). Nobody asked for it any more, and it
-		// is not something the switch volunteered.
-		c.tel.staleReplies.Add(1)
-	default:
-		c.notifyUnsolicited(kept(frame))
-	}
-	return false
-}
-
-// kept decodes a frame the token holder has already decoded once into a
-// message of its own, which outlives the next read.
+// kept decodes a frame that has already been decoded once into the
+// controller's scratch into a message of its own, which outlives the next
+// read.
 func kept(frame []byte) openflow.Message {
 	msg, _ := openflow.Decode(frame) // cannot fail: it decoded before
 	return msg
-}
-
-// fail ends the connection's read side: it records err (unless an earlier
-// failure or Close did) so register hands out no more xids, and closes every
-// awaited channel so each waiter returns ErrClosed — never a hang, never
-// success. A channel route has delivered to has left the table first, so
-// nothing is sent on a closed channel.
-func (c *Controller) fail(err error) {
-	c.mu.Lock()
-	if c.readErr == nil {
-		c.readErr = err
-	}
-	for xid, p := range c.pending {
-		if p.ch != nil {
-			close(p.ch)
-		}
-		delete(c.pending, xid)
-	}
-	c.mu.Unlock()
 }
 
 // solicitedOnly reports whether a message of type t can only be the answer
@@ -324,81 +239,32 @@ func (c *Controller) notifyUnsolicited(msg openflow.Message) {
 }
 
 // Notifications returns the stream of unsolicited switch messages. The
-// controller reads the connection only while an exchange awaits its reply,
-// so a message the switch volunteers between exchanges waits in the socket
-// until the next one; it is queued here before that exchange returns.
+// controller reads the connection only during an exchange, so a message the
+// switch volunteers between exchanges waits in the socket until the next
+// one; it is queued here before that exchange returns.
 func (c *Controller) Notifications() <-chan openflow.Message { return c.notify }
 
-// register reserves ops+1 consecutive xids in one critical section: one per
-// flow-mod, then one for the message that closes the exchange, whose reply
-// arrives on the returned 1-buffered channel — a spare one when there is one.
-// No xid is 0 — switches send what they volunteer (FLOW_REMOVED, PORT_STATUS)
-// with xid 0 — and none is still in the table, which the 32-bit counter would
-// otherwise revisit on a long-lived connection.
-func (c *Controller) register(ops int) (first uint32, ch chan openflow.Message, err error) {
-	n := uint32(ops) + 1
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readErr != nil {
-		return 0, nil, ErrClosed
+// write is the only place bytes reach the connection, called with mu held:
+// it numbers one whole exchange — the flow-mods fms, then last, the wire
+// form of the message that closes it — from a fresh block of consecutive
+// xids, marshals it into the controller's one buffer and writes it once, so
+// a window's barrier directly follows its ops. No xid is 0: switches send
+// what they volunteer (FLOW_REMOVED, PORT_STATUS) with xid 0, so a block
+// that would run through it starts at 1 instead. Nothing stays buffered
+// when it returns. A failed write is final (see err).
+func (c *Controller) write(fms []*openflow.FlowMod, last []byte) (first uint32, err error) {
+	if c.closed.Load() {
+		return 0, ErrClosed
 	}
+	if c.err != nil {
+		return 0, c.err
+	}
+	n := uint32(len(fms)) + 1
 	first = c.nextXID + 1
-	for i := uint32(0); i < n; {
-		x := first + i
-		if _, busy := c.pending[x]; busy || x == 0 {
-			first, i = x+1, 0 // restart the block past the obstacle
-			continue
-		}
-		i++
+	if c.nextXID > math.MaxUint32-n {
+		first = 1
 	}
 	c.nextXID = first + n - 1
-	for i := uint32(0); i < n-1; i++ {
-		c.pending[first+i] = pendingReply{}
-	}
-	if k := len(c.spare); k > 0 {
-		ch, c.spare = c.spare[k-1], c.spare[:k-1]
-	} else {
-		ch = make(chan openflow.Message, 1)
-	}
-	c.pending[c.nextXID] = pendingReply{ch: ch}
-	return first, ch, nil
-}
-
-// release ends an exchange registered from first with len(errs) flow-mods:
-// it collects each op's rejection into errs and drops every xid still
-// registered. Every exchange defers it, so no path — write failure, timeout,
-// close, success — leaves an entry behind to misroute a later reply. ch goes
-// back to spare only when replied says the exchange took its reply, so it is
-// empty and nobody holds it; a channel that timed out may yet receive a
-// straggler, and is left to the collector.
-func (c *Controller) release(first uint32, errs []error, ch chan openflow.Message, replied bool) {
-	c.mu.Lock()
-	for i := range errs {
-		x := first + uint32(i)
-		errs[i] = c.pending[x].err
-		delete(c.pending, x)
-	}
-	delete(c.pending, first+uint32(len(errs)))
-	if replied {
-		c.spare = append(c.spare, ch)
-	}
-	c.mu.Unlock()
-}
-
-// write is the only place bytes reach the connection: the calling goroutine
-// numbers one whole exchange from first — the flow-mods, then last, the wire
-// form of the message that closes it — marshals it into the controller's one
-// buffer and writes it once, all under the write lock, so exchanges never
-// interleave on the wire and a window's barrier directly follows its ops.
-// Nothing stays buffered when it returns. A failed write may have been
-// partial, and the stream cannot resume mid-frame: the failure is kept and
-// every later write reports it without touching the connection.
-func (c *Controller) write(fms []*openflow.FlowMod, first uint32, last []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.werr != nil {
-		return c.werr
-	}
 	buf := c.wbuf[:0]
 	for i, fm := range fms {
 		fm.SetXID(first + uint32(i))
@@ -406,126 +272,101 @@ func (c *Controller) write(fms []*openflow.FlowMod, first uint32, last []byte) e
 	}
 	off := len(buf)
 	buf = append(buf, last...)
-	binary.BigEndian.PutUint32(buf[off+4:off+8], first+uint32(len(fms))) // its header's xid
+	binary.BigEndian.PutUint32(buf[off+4:off+8], c.nextXID) // its header's xid
 	c.wbuf = buf
 	if _, err := c.conn.Write(buf); err != nil {
-		c.werr = err
-		return err
-	}
-	c.tel.msgsOut.Add(int64(len(fms) + 1))
-	return nil
-}
-
-// await blocks for the reply on ch, bounded by the configured timeout (when
-// set), and hands it to use (nil: the reply carries nothing the caller
-// reads). No goroutine reads for it: the caller waits for whichever comes
-// first — its reply, which another caller read and routed, the read token,
-// or its timer — and with the token it reads the connection itself
-// (readUntil), then hands the token back. A nil error means the reply came.
-// The caller releases the xid; a straggler routed after a timeout lands in
-// the 1-buffered channel and is garbage-collected with it, and one read after
-// the release finds no entry and is dropped as a stale reply (see route).
-func (c *Controller) await(ch chan openflow.Message, keep bool, use func(openflow.Message)) error {
-	var deadline time.Time
-	var expired <-chan time.Time
-	if c.timeout > 0 {
-		deadline = time.Now().Add(c.timeout)
-		t := time.NewTimer(c.timeout)
-		defer t.Stop()
-		expired = t.C
-	}
-	select {
-	case msg, ok := <-ch:
-		return delivered(msg, ok, use)
-	case <-c.readTok:
-		err := c.readUntil(ch, deadline, keep, use)
-		c.readTok <- struct{}{}
-		return err
-	case <-expired:
-		return ErrTimeout
-	}
-}
-
-// readUntil is the token holder's read loop: it reads, decodes and routes
-// frames until ch has its reply. Its own reply it hands to use while it still
-// holds the token, decoded in the holder's scratch unless keep asks for a
-// message of its own, so an exchange that only looks at its reply copies
-// nothing. A zero deadline reads without one. A deadline that passes is
-// ErrTimeout and leaves the connection usable — a frame cut short stays in
-// the reader's buffer for the next holder to finish. Any other read error, or
-// a frame that does not decode, is fatal: fail wakes every waiter, the holder
-// included.
-func (c *Controller) readUntil(ch chan openflow.Message, deadline time.Time, keep bool, use func(openflow.Message)) error {
-	if !deadline.IsZero() {
-		// An error here means the connection is gone; the read reports it.
-		_ = c.conn.SetReadDeadline(deadline)
-	}
-	for {
-		select {
-		case msg, ok := <-ch:
-			return delivered(msg, ok, use)
-		default:
+		if c.closed.Load() {
+			err = ErrClosed
 		}
+		c.err = err
+		return 0, err
+	}
+	c.tel.msgsOut.Add(int64(n))
+	return first, nil
+}
+
+// readReply is the exchange's read loop, called with mu held after write
+// numbered it from first: it reads and decodes frames until the reply to the
+// exchange's last message, xid first+len(errs), and hands it to use (nil:
+// the reply carries nothing the caller reads) — in the controller's scratch
+// unless keep asks for a message of its own, so an exchange that only looks
+// at its reply copies nothing. A stats reply in OFPSF_REPLY_MORE parts comes
+// to use part by part, up to the one that is not flagged. On the way it puts
+// a rejection of one of the exchange's own flow-mods into that op's slot of
+// errs, counts a reply nobody awaits any more — a straggler of an exchange
+// that timed out — as stale, and queues anything else on Notifications(). A
+// passing deadline is ErrTimeout and leaves the connection usable: a frame
+// cut short stays in the reader's buffer for the next exchange to finish.
+// Any other read error, or a frame that does not decode, is final:
+// ErrClosed.
+func (c *Controller) readReply(first uint32, errs []error, keep bool, use func(openflow.Message)) error {
+	if c.timeout > 0 {
+		// An error here means the connection is gone; the read reports it.
+		_ = c.conn.SetReadDeadline(time.Now().Add(c.timeout))
+	}
+	last := first + uint32(len(errs))
+	for {
 		frame, err := c.rd.ReadFrame()
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				return ErrTimeout
 			}
-			c.fail(err)
+			c.err = ErrClosed
 			return ErrClosed
 		}
 		msg, err := c.dec.Decode(frame)
 		if err != nil {
-			c.fail(err)
+			c.err = ErrClosed
 			return ErrClosed
 		}
-		if c.route(msg, frame, ch) {
+		c.tel.msgsIn.Add(1)
+		oe, isErr := msg.(*openflow.Error)
+		switch x := msg.XID(); {
+		case msg.Type() == openflow.TypeHello:
+			// A connection-opening pleasantry, not a reply.
+		case x == last:
+			more := false
+			if sr, ok := msg.(*openflow.StatsReply); ok {
+				more = sr.Flags&openflow.StatsReplyMore != 0
+			}
 			if keep {
 				msg = kept(frame)
 			}
-			return delivered(msg, true, use)
+			if use != nil {
+				use(msg)
+			}
+			if !more {
+				return nil
+			}
+		case isErr && x-first < uint32(len(errs)):
+			errs[x-first] = rejection(oe, frame)
+		case solicitedOnly(msg.Type()):
+			c.tel.staleReplies.Add(1)
+		default:
+			c.notifyUnsolicited(kept(frame))
 		}
 	}
 }
 
-// delivered is what a receive from an exchange's channel means: its reply,
-// handed to use, or — closed by fail — ErrClosed.
-func delivered(msg openflow.Message, ok bool, use func(openflow.Message)) error {
-	if !ok {
-		return ErrClosed
-	}
-	if use != nil {
-		use(msg)
-	}
-	return nil
-}
-
 // roundTrip is the one request/reply exchange every non-flow-mod operation
-// goes through: register an xid, write req (the request's wire form; write
-// numbers it), await the reply to it and hand it to use — the read token
-// holder's scratch unless keep asks for a message the caller may keep, so use
-// must copy what it needs out of it. rtt runs from just before the write to
-// the reply's arrival, on the controller's measurement clock; a serial caller
-// makes both the write and the read on this goroutine, so it holds no
-// hand-off.
+// goes through: write req (the request's wire form; write numbers it), read
+// until its reply and hand that to use, as readReply does. rtt runs from just
+// before the write to the reply's arrival (its last part's), on the
+// controller's measurement clock.
 func (c *Controller) roundTrip(req []byte, keep bool, use func(openflow.Message)) (rtt time.Duration, err error) {
-	xid, ch, err := c.register(0)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	start := c.clock.Now()
+	xid, err := c.write(nil, req)
 	if err != nil {
 		return 0, err
 	}
-	replied := false
-	defer func() { c.release(xid, nil, ch, replied) }()
-	start := c.clock.Now()
-	if err := c.write(nil, xid, req); err != nil {
-		return 0, err
-	}
-	err = c.await(ch, keep, func(msg openflow.Message) {
+	err = c.readReply(xid, nil, keep, func(msg openflow.Message) {
 		rtt = c.clock.Now().Sub(start)
 		if use != nil {
 			use(msg)
 		}
 	})
-	replied = err == nil
 	return rtt, err
 }
 
@@ -543,8 +384,10 @@ var (
 	}).Marshal(nil)
 )
 
+// handshake opens the connection: the controller's HELLO on its own — nobody
+// else holds c yet — then the FEATURES exchange.
 func (c *Controller) handshake() error {
-	if err := c.write(nil, 0, helloMsg); err != nil {
+	if _, err := c.write(nil, helloMsg); err != nil {
 		return err
 	}
 	var reply openflow.Message
@@ -597,17 +440,26 @@ func (c *Controller) Echo() (time.Duration, error) {
 	return c.roundTrip(echoRequest, false, nil)
 }
 
-// FlowStats fetches flow statistics for all rules.
+// FlowStats fetches flow statistics for all rules, gathering a reply the
+// switch sent in OFPSF_REPLY_MORE parts. A flow's actions never alias the
+// frame it was decoded from, so the flows are copied out of scratch.
 func (c *Controller) FlowStats() ([]openflow.FlowStats, error) {
-	var reply openflow.Message
-	if _, err := c.roundTrip(flowStatsAll, true, func(m openflow.Message) { reply = m }); err != nil {
+	var flows []openflow.FlowStats
+	reply := openflow.TypeStatsReply
+	_, err := c.roundTrip(flowStatsAll, false, func(m openflow.Message) {
+		if sr, ok := m.(*openflow.StatsReply); ok {
+			flows = append(flows, sr.Flows...)
+		} else {
+			reply = m.Type()
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	sr, ok := reply.(*openflow.StatsReply)
-	if !ok {
-		return nil, fmt.Errorf("ofconn: got %v, want STATS_REPLY", reply.Type())
+	if reply != openflow.TypeStatsReply {
+		return nil, fmt.Errorf("ofconn: got %v, want STATS_REPLY", reply)
 	}
-	return sr.Flows, nil
+	return flows, nil
 }
 
 // Now returns the time on the clock RTTs are measured against: wall time, so
@@ -618,12 +470,12 @@ func (c *Controller) Now() time.Time { return c.clock.Now() }
 // d of wall time — mirroring SimDevice.Sleep on the virtual-time path.
 func (c *Controller) Sleep(d time.Duration) { c.clock.Sleep(d) }
 
-// Close tears down the connection and records ErrClosed, so every exchange
-// still awaiting a reply — the token holder's read fails too — returns
-// ErrClosed, never a hang, never success, and no later call registers.
+// Close records that the controller is closed and tears down the
+// connection without waiting for the exchange in flight: its read or write
+// fails, and it returns ErrClosed — never a hang, never success — as does
+// every call queued behind it and every later one, without a byte written.
 func (c *Controller) Close() error {
 	c.tel.tracer.Instant("ofconn.controller.close", "", nil)
-	err := c.conn.Close()
-	c.fail(ErrClosed)
-	return err
+	c.closed.Store(true)
+	return c.conn.Close()
 }

@@ -60,7 +60,7 @@ func TestTimeoutWhenServerDropsReplies(t *testing.T) {
 }
 
 // TestLateReplyIsNotANotification: a reply that arrives after its exchange
-// timed out (and released the xid) is nobody's — it must not surface on
+// timed out is nobody's — it must not surface on
 // Notifications() as if the switch had volunteered it, where a consumer that
 // expects only PORT_STATUS (TestFailoverOverTCP in internal/experiments) would trip over it. It is
 // dropped and counted instead. Nothing reads between exchanges, so the late
@@ -90,21 +90,16 @@ func TestLateReplyIsNotANotification(t *testing.T) {
 		t.Fatalf("late reply surfaced as a notification: %T", msg)
 	default:
 	}
-	if n := c.pendingLen(); n != 0 {
-		t.Fatalf("%d XIDs left pending", n)
-	}
 }
 
-// TestRejectionRacesTimeout drives the two writers of an op's outcome slot
-// at each other: the read token's holder storing a switch rejection, and a
-// sender whose barrier timed out overwriting it with ErrTimeout (the holder
-// may be that sender's neighbour or, a moment earlier, the sender itself —
-// its deadline passed mid-read). The agent delays a fifth
-// of the messages by a millisecond or so against a 3 ms timeout while four
-// goroutines send concurrently, which splits the ops about evenly between
-// rejected and timed out, with rejections landing on either side of a sender
-// giving up. Every op must resolve with one of the three possible outcomes,
-// no xid may stay registered, and the race detector must stay quiet.
+// TestRejectionRacesTimeout drives an op's rejection against its barrier's
+// deadline: a rejection read in time lands in the op's slot, one that comes
+// after the deadline is read by the next exchange — another goroutine's —
+// while the sender reports ErrTimeout. The agent delays a fifth of the
+// messages by a millisecond or so against a 3 ms timeout while four
+// goroutines take turns on the connection, which splits the ops about evenly
+// between rejected and timed out. Every op must resolve with one of the three
+// possible outcomes, and the race detector must stay quiet.
 func TestRejectionRacesTimeout(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2().WithTCAMCapacity(4), switchsim.WithClock(fastClock()))
 	inj := faults.NewInjector(faults.Config{Seed: 3, Delay: 0.2, DelayMean: time.Millisecond, DelayStdDev: time.Millisecond})
@@ -129,9 +124,6 @@ func TestRejectionRacesTimeout(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := c.pendingLen(); n != 0 {
-		t.Fatalf("%d XIDs left pending", n)
-	}
 }
 
 func TestServerInjectedOverflowSurfacesTableFull(t *testing.T) {

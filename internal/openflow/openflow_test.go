@@ -252,6 +252,68 @@ func TestStatsFlowRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsFlowReplyInParts: a flow-stats reply too long for one frame goes
+// out as OFPSF_REPLY_MORE parts under its xid — every part a frame whose
+// length field holds, each as full as it can be without splitting an entry,
+// all but the last flagged — and the parts' flows, in order, are the reply's.
+func TestStatsFlowReplyInParts(t *testing.T) {
+	rep := &StatsReply{Header: Header{13}, StatsType: StatsTypeFlow, Flags: 4}
+	for i := 0; i < 1000; i++ {
+		fs := FlowStats{Match: flowtable.ExactProbeMatch(uint32(i)), Priority: uint16(i), Cookie: uint64(i)}
+		if i%3 == 0 {
+			fs.Actions = flowtable.Output(uint16(i%7 + 1))
+		}
+		rep.Flows = append(rep.Flows, fs)
+	}
+	rd := NewReader(bytes.NewReader(rep.Marshal(nil)))
+	var flows []FlowStats
+	var sizes, firstEntry []int // per part: its length, and its first entry's
+	var flagged []bool
+	for {
+		frame, err := rd.ReadFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("part %d: %v", len(sizes), err)
+		}
+		m, err := Decode(frame)
+		if err != nil {
+			t.Fatalf("part %d: %v", len(sizes), err)
+		}
+		part := m.(*StatsReply)
+		if part.Xid != rep.Xid || part.StatsType != StatsTypeFlow || part.Flags&^StatsReplyMore != rep.Flags {
+			t.Fatalf("part %d: xid %d type %d flags %#x", len(sizes), part.Xid, part.StatsType, part.Flags)
+		}
+		sizes = append(sizes, len(frame))
+		firstEntry = append(firstEntry, int(binary.BigEndian.Uint16(frame[12:14])))
+		flagged = append(flagged, part.Flags&StatsReplyMore != 0)
+		flows = append(flows, part.Flows...)
+	}
+	if len(sizes) < 2 {
+		t.Fatalf("%d flows went out as %d frames, want parts", len(rep.Flows), len(sizes))
+	}
+	for i, n := range sizes {
+		last := i == len(sizes)-1
+		if flagged[i] == last {
+			t.Fatalf("part %d of %d: flagged more = %v", i, len(sizes), flagged[i])
+		}
+		if !last && n+firstEntry[i+1] <= 0xffff {
+			t.Fatalf("part %d is %d bytes: the next part's %d-byte first entry fit", i, n, firstEntry[i+1])
+		}
+	}
+	if len(flows) != len(rep.Flows) {
+		t.Fatalf("parts carry %d flows, want %d", len(flows), len(rep.Flows))
+	}
+	for i := range flows {
+		got, want := &flows[i], &rep.Flows[i]
+		if !got.Match.Same(&want.Match) || got.Priority != want.Priority || got.Cookie != want.Cookie ||
+			len(got.Actions) != len(want.Actions) {
+			t.Fatalf("flow %d: %+v, want %+v", i, *got, *want)
+		}
+	}
+}
+
 func TestStatsTableRoundTrip(t *testing.T) {
 	rep := &StatsReply{
 		Header:    Header{12},

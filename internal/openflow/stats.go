@@ -90,6 +90,10 @@ type AggregateStats struct {
 	FlowCount   uint32
 }
 
+// StatsReplyMore is OFPSF_REPLY_MORE: more parts of this reply follow, under
+// the same xid.
+const StatsReplyMore uint16 = 1
+
 // StatsReply answers a StatsRequest.
 type StatsReply struct {
 	Header
@@ -103,7 +107,10 @@ type StatsReply struct {
 // Type implements Message.
 func (*StatsReply) Type() MsgType { return TypeStatsReply }
 
-// Marshal implements Message.
+// Marshal implements Message. A flow-stats reply too long for one frame's
+// 16-bit length goes out as consecutive parts under its xid, each as full as
+// a frame allows and all but the last flagged StatsReplyMore; a reply that
+// fits is one frame.
 func (m *StatsReply) Marshal(b []byte) []byte {
 	b, off := putHeader(b, TypeStatsReply, m.Xid)
 	b = binary.BigEndian.AppendUint16(b, m.StatsType)
@@ -111,7 +118,19 @@ func (m *StatsReply) Marshal(b []byte) []byte {
 	switch m.StatsType {
 	case StatsTypeFlow:
 		for i := range m.Flows {
-			b = marshalFlowStats(b, &m.Flows[i])
+			at := len(b)
+			if b = marshalFlowStats(b, &m.Flows[i]); len(b)-off < MaxMessageLen {
+				continue
+			}
+			// The entry overflows this part: close the part before it, and
+			// slide it behind the next part's header.
+			binary.BigEndian.PutUint16(b[off+10:off+12], m.Flags|StatsReplyMore)
+			patchLen(b[:at], off)
+			b = append(b, b[at:at+statsReplyHeaderLen]...)
+			copy(b[at+statsReplyHeaderLen:], b[at:len(b)-statsReplyHeaderLen])
+			copy(b[at:], b[off:off+statsReplyHeaderLen])
+			binary.BigEndian.PutUint16(b[at+10:at+12], m.Flags)
+			off = at
 		}
 	case StatsTypeTable:
 		for i := range m.Tables {
@@ -125,6 +144,10 @@ func (m *StatsReply) Marshal(b []byte) []byte {
 	}
 	return patchLen(b, off)
 }
+
+// statsReplyHeaderLen is a stats reply's OpenFlow header and its type and
+// flags.
+const statsReplyHeaderLen = 12
 
 func marshalFlowStats(b []byte, fs *FlowStats) []byte {
 	start := len(b)

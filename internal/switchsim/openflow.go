@@ -47,9 +47,8 @@ func (s *Switch) AppendReplies(b []byte, msg openflow.Message) []byte {
 }
 
 // Handle is AppendReplies for callers that want messages: the replies
-// decoded, each caller-owned. A reply must fit one frame: a flow-stats reply
-// of more than about 680 rules, which the agent does not yet split into
-// OFPSF_REPLY_MORE parts, overflows its 16-bit length and panics here.
+// decoded, each caller-owned. A flow-stats reply too long for one frame
+// comes back as its OFPSF_REPLY_MORE parts, one message each.
 func (s *Switch) Handle(msg openflow.Message) []openflow.Message {
 	var out []openflow.Message
 	for b := s.AppendReplies(nil, msg); len(b) > 0; {
