@@ -9,12 +9,14 @@ import (
 )
 
 // TestPlanAndExecuteAllocFree gates the round loop's two per-batch calls: a
-// warmed Tango.plan — with and without the ExistingHigher oracle — and a
-// warmed CardExecutor.Execute allocate nothing, on a batch the size
-// sched_plan's rounds produce and on a big one. Their buffers live in
-// sync.Pools, which drop a quarter of all Puts under the race detector, so
-// there the calls run (for the detector's sake) but the count is not held
-// to zero.
+// warmed Tango.plan — with and without the ExistingHigher oracle — on a
+// scratch its caller keeps, as each of Run's jobs does, and a warmed
+// CardExecutor.Execute allocate nothing, on a batch the size sched_plan's
+// rounds produce and on a big one. Execute's estimator still comes from a
+// sync.Pool in pattern (as the scratch of Tango.Order and EstimateBatch
+// comes from Tango.scratch), and a sync.Pool drops a quarter of all Puts
+// under the race detector, so there the calls run (for the detector's sake)
+// but the count is not held to zero.
 func TestPlanAndExecuteAllocFree(t *testing.T) {
 	db := testDB("s")
 	// 40 resident rules at priority 3000, a closure like experiments.ExistingHigherFor.
@@ -33,13 +35,17 @@ func TestPlanAndExecuteAllocFree(t *testing.T) {
 		}
 		ops := appendOps(nil, reqs)
 		dst := make([]*Request, 0, size)
-		var scoreBuf [12]float64
+		var (
+			scoreBuf [12]float64
+			sc       orderScratch
+		)
+		card, _ := db.Score("s")
 		for _, tg := range []*Tango{
 			{DB: db, SortPriorities: true},
 			{DB: db, SortPriorities: true, ExistingHigher: higher},
 		} {
 			name := fmt.Sprintf("plan/%d/oracle=%v", size, tg.ExistingHigher != nil)
-			requireAllocFree(t, name, func() { tg.plan("s", reqs, dst[:0], scoreBuf[:0]) })
+			requireAllocFree(t, name, func() { tg.plan(&sc, card, "s", reqs, dst[:0], scoreBuf[:0]) })
 		}
 		exec := CardExecutor{DB: db}
 		requireAllocFree(t, fmt.Sprintf("execute/%d", size), func() {

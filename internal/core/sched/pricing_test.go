@@ -204,7 +204,7 @@ func TestPlanPricingDifferential(t *testing.T) {
 		reqs := randomBatch(sw, rng)
 
 		wantOrder, wantScores, wantCost := oraclePlan(tg, sw, reqs)
-		gotOrder, gotScores, gotCost := tg.plan(sw, reqs, nil, nil)
+		gotOrder, gotScores, gotCost := tg.plan(new(orderScratch), tg.card(sw), sw, reqs, nil, nil)
 		label := fmt.Sprintf("seed %d (%d reqs, sort=%v, oracle=%v)", seed, len(reqs), tg.SortPriorities, tg.ExistingHigher != nil)
 		if !slices.Equal(gotScores, wantScores) {
 			t.Fatalf("%s: scores\n got %v\nwant %v", label, gotScores, wantScores)

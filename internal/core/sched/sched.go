@@ -86,8 +86,9 @@ type Tango struct {
 	scoreOnce sync.Once
 	hScore    *telemetry.Histogram
 
-	// scratch pools the per-call ordering buffers, keeping Order
-	// allocation-lean and safe under concurrent per-switch calls.
+	// scratch pools plan's buffers for Order and EstimateBatch, keeping them
+	// allocation-lean and safe under concurrent per-switch calls. Run's jobs
+	// do not use it: each plans with the orderScratch it keeps across runs.
 	scratch sync.Pool
 }
 
@@ -115,9 +116,29 @@ func (t *Tango) Name() string {
 func (t *Tango) Order(switchName string, reqs []*Request, _ []dag.NodeID, _ *Graph) []*Request {
 	// 12 = the 6 type-permutations × up to 2 add orders.
 	var scoreBuf [12]float64
-	ordered, scores, _ := t.plan(switchName, reqs, make([]*Request, 0, len(reqs)), scoreBuf[:0])
+	ordered, scores, _ := t.pooledPlan(switchName, reqs, make([]*Request, 0, len(reqs)), scoreBuf[:0])
 	t.observeScores(scores)
 	return ordered
+}
+
+// card returns the switch's score card, or nil when it has none.
+func (t *Tango) card(switchName string) *pattern.ScoreCard {
+	if t.DB == nil {
+		return nil
+	}
+	card, _ := t.DB.Score(switchName)
+	return card
+}
+
+// pooledPlan is plan on a scratch from the Tango's pool, with the switch's
+// card looked up now.
+func (t *Tango) pooledPlan(switchName string, reqs, dst []*Request, scores []float64) ([]*Request, []float64, time.Duration) {
+	sc, _ := t.scratch.Get().(*orderScratch)
+	if sc == nil {
+		sc = new(orderScratch)
+	}
+	defer t.scratch.Put(sc)
+	return t.plan(sc, t.card(switchName), switchName, reqs, dst, scores)
 }
 
 // observeScores folds candidate costs collected by plan into the
@@ -143,7 +164,8 @@ const (
 
 // orderScratch holds the buffers one plan call needs: the three op-type
 // groups (adds once per order), the pattern.Op mirrors of the groups the
-// estimator prices, and the streaming estimator. Pooled on the Tango so
+// estimator prices, and the streaming estimator. Run's jobs each keep one;
+// Order and EstimateBatch take theirs from the Tango's pool. Either way
 // steady-state ordering allocates nothing.
 type orderScratch struct {
 	dels, mods []*Request
@@ -152,9 +174,10 @@ type orderScratch struct {
 	opsAdd     [2][]pattern.Op
 	est        pattern.Estimator
 
-	// existing is the method value of existingHigher, bound once per scratch
-	// so handing the estimator a per-switch oracle allocates no closure; sw
-	// and oracle are what it reads, set by each plan call.
+	// existing is the method value of existingHigher, bound by the first
+	// plan call that needs it so handing the estimator a per-switch oracle
+	// allocates no closure after that; sw and oracle are what it reads, set
+	// by each plan call.
 	existing func(uint16) int
 	sw       string
 	oracle   func(switchName string, p uint16) int
@@ -200,13 +223,16 @@ func delsBeforeAdds(perm [3]pattern.OpKind) bool {
 	return false
 }
 
-func (t *Tango) getScratch() *orderScratch {
-	if sc, ok := t.scratch.Get().(*orderScratch); ok {
-		return sc
+// reset drops everything a plan call left in sc that is not sc's own: the
+// requests in its groups, the estimator's card and the caller's oracle.
+func (sc *orderScratch) reset() {
+	clear(sc.dels[:cap(sc.dels)])
+	clear(sc.mods[:cap(sc.mods)])
+	for o := range sc.adds {
+		clear(sc.adds[o][:cap(sc.adds[o])])
 	}
-	sc := &orderScratch{}
-	sc.existing = sc.existingHigher
-	return sc
+	sc.est.Begin(nil, nil)
+	sc.sw, sc.oracle = "", nil
 }
 
 // deadlineCmp orders deadline-carrying requests first (earliest deadline
@@ -242,10 +268,11 @@ func addDescCmp(a, b *Request) int {
 	return cmp.Compare(b.Priority, a.Priority)
 }
 
-// plan is the core of Order: it partitions reqs by op type into pooled
-// scratch groups in a single pass, prices the six type-permutations crossed
-// with the add orders against the switch's score card in closed form, then
-// appends the winning ordering to dst.
+// plan is the core of Order: it partitions reqs by op type into sc's groups
+// in a single pass, prices the six type-permutations crossed with the add
+// orders against the switch's score card in closed form, then appends the
+// winning ordering to dst. The caller supplies the scratch and the card (nil
+// when the switch has none), so Run looks each card up once per run.
 //
 // The candidates differ only in the order the three groups are concatenated
 // in, and every group is homogeneous in kind, so each candidate costs the
@@ -265,14 +292,7 @@ func addDescCmp(a, b *Request) int {
 // replay them in deterministic order. Returns the extended dst and scores
 // plus the winning cost, -1 when the switch has no score card and the
 // universally safe fallback (deletes, modifies, adds ascending) was used.
-func (t *Tango) plan(switchName string, reqs []*Request, dst []*Request, scores []float64) ([]*Request, []float64, time.Duration) {
-	var card *pattern.ScoreCard
-	if t.DB != nil {
-		card, _ = t.DB.Score(switchName)
-	}
-	sc := t.getScratch()
-	defer t.scratch.Put(sc)
-
+func (t *Tango) plan(sc *orderScratch, card *pattern.ScoreCard, switchName string, reqs, dst []*Request, scores []float64) ([]*Request, []float64, time.Duration) {
 	dels, mods, adds := sc.dels[:0], sc.mods[:0], sc.adds[ascending][:0]
 	for _, r := range reqs {
 		switch r.Op {
@@ -328,6 +348,9 @@ func (t *Tango) plan(switchName string, reqs []*Request, dst []*Request, scores 
 	var existing func(uint16) int
 	delsMatter := false
 	if t.ExistingHigher != nil {
+		if sc.existing == nil {
+			sc.existing = sc.existingHigher
+		}
 		sc.sw, sc.oracle = switchName, t.ExistingHigher
 		existing = sc.existing
 		if delsMatter = len(dels) > 0 && len(adds) > 0; delsMatter {
@@ -459,7 +482,7 @@ func (t *Tango) EstimateBatch(switchName string, reqs []*Request) (time.Duration
 		return 0, false
 	}
 	var scoreBuf [12]float64
-	_, scores, cost := t.plan(switchName, reqs, nil, scoreBuf[:0])
+	_, scores, cost := t.pooledPlan(switchName, reqs, nil, scoreBuf[:0])
 	t.observeScores(scores)
 	if cost < 0 {
 		return 0, false
@@ -479,26 +502,105 @@ type RunResult struct {
 
 // batchJob carries one switch's batch through a round: ids are assigned by
 // the grouping pass, the middle fields are filled by a worker, and the
-// aggregation pass folds them into the result. Jobs are pooled per switch
-// across rounds so their slices reach a steady state and stop allocating.
+// aggregation pass folds them into the result. A job lives in a runState,
+// across rounds and across runs, so its slices reach a steady state and
+// stop allocating.
 type batchJob struct {
-	sw      string
-	round   int
+	sw    string
+	round int
+	// peak is the largest batch the job held in this run.
+	peak int
+	// card is the switch's score card under a Tango scheduler, looked up by
+	// the job's first round of each run.
+	card    *pattern.ScoreCard
 	ids     []dag.NodeID
 	reqs    []*Request
 	ordered []*Request
 	ops     []pattern.Op
 	scores  []float64
+	scratch orderScratch
 	guards  time.Duration
 	elapsed time.Duration
 	err     error
+}
+
+// runState is what Run keeps of a run for the next one: the switch→job map
+// and the round's active list.
+type runState struct {
+	jobs   map[string]*batchJob
+	active []*batchJob
+	// mapPeak is the most jobs the map has held since it was made: a Go
+	// map keeps the buckets of its largest size.
+	mapPeak int
+}
+
+// freeStates holds the idle run state for the next Run: a leaky buffer,
+// which a GC does not empty as it does a sync.Pool. It has one slot
+// because every caller that is measured runs one Run at a time; a Run that
+// overlaps another finds it empty, makes a state, and drops it at the end
+// if the slot is full again.
+var freeStates = make(chan *runState, 1)
+
+// A kept job's buffers are all sized by the batches it held, and ids holds
+// each batch whole, so cap(ids) stands for all of them. release keeps a
+// job only while cap(ids) is at most keepSlack times the largest batch the
+// switch had in the run, or keepFloor: one large update does not pin its
+// buffers for the life of the process.
+const (
+	keepSlack = 4
+	keepFloor = 64
+)
+
+func takeState() *runState {
+	select {
+	case st := <-freeStates:
+		return st
+	default:
+		return &runState{jobs: map[string]*batchJob{}}
+	}
+}
+
+// release returns st to the free list clean, whether the run succeeded,
+// failed or panicked: it drops the jobs of switches the run did not touch
+// and of those whose buffers outgrew the run's batches, resets the others
+// to round 0 — so no round of the next run takes one for already grouped —
+// and clears every slot that held a request of the consumed graph, a card,
+// an error or an oracle. A map that once held more than twice the jobs
+// it keeps is rebuilt, since a Go map never gives back its buckets.
+func (st *runState) release() {
+	st.mapPeak = max(st.mapPeak, len(st.jobs))
+	for sw, job := range st.jobs {
+		if job.round == 0 || cap(job.ids) > max(keepFloor, keepSlack*job.peak) {
+			delete(st.jobs, sw)
+			continue
+		}
+		job.round, job.peak, job.card, job.err = 0, 0, nil, nil
+		clear(job.reqs[:cap(job.reqs)])
+		clear(job.ordered[:cap(job.ordered)])
+		job.scratch.reset()
+	}
+	if st.mapPeak > 2*len(st.jobs) {
+		jobs := make(map[string]*batchJob, len(st.jobs))
+		for sw, job := range st.jobs {
+			jobs[sw] = job
+		}
+		st.jobs, st.mapPeak = jobs, len(jobs)
+	}
+	clear(st.active[:cap(st.active)])
+	st.active = st.active[:0]
+	select {
+	case freeStates <- st:
+	default:
+	}
 }
 
 // Run drains the graph with the given scheduler and executor, returning
 // the simulated network-wide makespan. Each round reads the incremental
 // dependency frontier, orders and executes the per-switch batches on a
 // worker pool (RunOptions.Workers), folds the outcomes in deterministically,
-// and retires the round with one O(out-degree) batch removal.
+// and retires the round with one O(out-degree) batch removal. The per-switch
+// jobs and their buffers come from an earlier run's state, so a warm Run
+// allocates a few objects of its own and the fan-out's one or two a round.
 func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, error) {
 	reg := opts.Metrics
 	if reg == nil {
@@ -520,16 +622,15 @@ func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, err
 	// record from inside Order and are on their own under Workers > 1.
 	tango, _ := s.(*Tango)
 	res := &RunResult{}
-	var (
-		jobs   = map[string]*batchJob{}
-		active []*batchJob
-		round  int
-	)
-	// orderAndExecute orders and executes active[i]'s batch; it is built
+	st := takeState()
+	defer st.release()
+	round := 0
+	// orderAndExecute orders and executes st.active[i]'s batch; it is built
 	// once per Run, so a round allocates no closure. Workers only read the
 	// graph; all mutation and accounting happens on the caller.
 	orderAndExecute := func(i int) {
-		job := active[i]
+		job := st.active[i]
+		job.peak = max(job.peak, len(job.ids))
 		job.reqs = job.reqs[:0]
 		job.guards = 0
 		for _, id := range job.ids {
@@ -540,7 +641,7 @@ func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, err
 		}
 		job.scores = job.scores[:0]
 		if tango != nil {
-			job.ordered, job.scores, _ = tango.plan(job.sw, job.reqs, job.ordered[:0], job.scores)
+			job.ordered, job.scores, _ = tango.plan(&job.scratch, job.card, job.sw, job.reqs, job.ordered[:0], job.scores)
 		} else {
 			job.ordered = append(job.ordered[:0], s.Order(job.sw, job.reqs, job.ids, g)...)
 		}
@@ -563,31 +664,36 @@ func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, err
 		if opts.Concurrent {
 			issue = append(issue, crossSwitchFollowers(g, issue)...)
 		}
-		// Group by switch onto pooled jobs.
+		// Group by switch onto the state's jobs.
 		round++
-		active = active[:0]
+		st.active = st.active[:0]
 		for _, id := range issue {
 			sw := g.Payload(id).Switch
-			job := jobs[sw]
+			job := st.jobs[sw]
 			if job == nil {
 				job = &batchJob{sw: sw}
-				jobs[sw] = job
+				st.jobs[sw] = job
 			}
 			if job.round != round {
+				if job.round == 0 && tango != nil {
+					// The switch's first batch of this run: its card is
+					// read now, once for the whole run.
+					job.card = tango.card(sw)
+				}
 				job.round = round
 				job.ids = job.ids[:0]
-				active = append(active, job)
+				st.active = append(st.active, job)
 			}
 			job.ids = append(job.ids, id)
 		}
-		slices.SortFunc(active, func(a, b *batchJob) int { return strings.Compare(a.sw, b.sw) })
-		parallel.ForEach(len(active), opts.Workers, orderAndExecute)
+		slices.SortFunc(st.active, func(a, b *batchJob) int { return strings.Compare(a.sw, b.sw) })
+		parallel.ForEach(len(st.active), opts.Workers, orderAndExecute)
 
 		// Deterministic aggregation in sorted switch order: results,
 		// counters, histograms, and trace spans all fold in here, so they
 		// are bit-for-bit independent of the worker count.
 		var roundMax time.Duration
-		for _, job := range active {
+		for _, job := range st.active {
 			if job.err != nil {
 				return nil, fmt.Errorf("sched: executing %d ops on %s: %w", len(job.ordered), job.sw, job.err)
 			}

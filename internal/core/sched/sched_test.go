@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -397,5 +400,135 @@ func TestDeadlineOrderingAndMisses(t *testing.T) {
 	}
 	if got := reg.Counter("sched.deadline_misses").Value(); got != 3 {
 		t.Fatalf("misses = %d, want 3", got)
+	}
+}
+
+// TestReleasedStateIsClean: however a run ends — drained, failed or
+// panicked — the state it hands back to the free list holds no request of
+// its graph, no card, error or oracle, no job past round 0, and no job of a
+// switch the run did not touch.
+func TestReleasedStateIsClean(t *testing.T) {
+	DrainFreeStates()
+	db := testDB("s1", "s2", "s3", "s4")
+	oracle := func(string, uint16) int { return 1 }
+	build := func(switches ...string) *Graph {
+		g := NewGraph()
+		var prev dag.NodeID
+		for i := 0; i < 24; i++ {
+			id := g.AddNode(&Request{Switch: switches[i%len(switches)], Op: pattern.OpKind(i % 3),
+				FlowID: uint32(i), Priority: uint16(10 + i%5), HasPriority: true})
+			if i%4 == 3 {
+				_ = g.AddEdge(prev, id)
+			}
+			prev = id
+		}
+		return g
+	}
+	for _, c := range []struct {
+		name    string
+		run     func()
+		touched []string
+	}{
+		{"drained", func() {
+			tg := &Tango{DB: db, SortPriorities: true, ExistingHigher: oracle}
+			if _, err := Run(build("s1", "s2"), tg, CardExecutor{DB: db}, RunOptions{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"s1", "s2"}},
+		{"failed", func() {
+			if _, err := Run(build("s2", "s3"), &Tango{DB: db}, EngineExecutor{}, RunOptions{Workers: 2}); err == nil {
+				t.Fatal("a switch with no engine ran")
+			}
+		}, []string{"s2", "s3"}},
+		{"panicked", func() {
+			defer func() { _ = recover() }()
+			_, _ = Run(build("s3", "s4"), &Tango{DB: db, ExistingHigher: oracle}, panicOn{CardExecutor{DB: db}, "s4"}, RunOptions{Workers: 2})
+			t.Fatal("the panicking batch did not reach the caller")
+		}, []string{"s3", "s4"}},
+	} {
+		c.run()
+		st := <-freeStates
+		if len(st.jobs) != len(c.touched) {
+			t.Errorf("%s: %d jobs kept, want the %d of %v", c.name, len(st.jobs), len(c.touched), c.touched)
+		}
+		held := func(reqs []*Request) bool {
+			return slices.ContainsFunc(reqs[:cap(reqs)], func(r *Request) bool { return r != nil })
+		}
+		for _, sw := range c.touched {
+			job := st.jobs[sw]
+			if job == nil {
+				t.Errorf("%s: no job kept for %s", c.name, sw)
+				continue
+			}
+			sc := &job.scratch
+			if job.round != 0 || job.card != nil || job.err != nil || sc.oracle != nil {
+				t.Errorf("%s: %s's job kept round %d, card %v, error %v, oracle set %v", c.name, sw, job.round, job.card, job.err, sc.oracle != nil)
+			}
+			for _, reqs := range [][]*Request{job.reqs, job.ordered, sc.dels, sc.mods, sc.adds[0], sc.adds[1]} {
+				if held(reqs) {
+					t.Errorf("%s: %s's job holds a request of the consumed graph", c.name, sw)
+				}
+			}
+		}
+		if slices.ContainsFunc(st.active[:cap(st.active)], func(j *batchJob) bool { return j != nil }) {
+			t.Errorf("%s: the active list holds a job", c.name)
+		}
+		freeStates <- st
+	}
+}
+
+// TestReleasedStateStaysSmall: what a kept state holds follows the last
+// run, not the largest one. After one batch of 4,096 requests on a switch
+// and then a run of 8 on it, the state keeps no buffer the small run would
+// not have grown; and once the switch→job map has held more than twice the
+// jobs a run leaves, it is a new map, not the old one with its buckets.
+func TestReleasedStateStaysSmall(t *testing.T) {
+	DrainFreeStates()
+	names := make([]string, 200)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%03d", i)
+	}
+	db := testDB(names...)
+	run := func(switches []string, n int) *runState {
+		g := NewGraph()
+		for i := 0; i < n; i++ {
+			g.AddNode(&Request{Switch: switches[i%len(switches)], Op: pattern.OpAdd,
+				FlowID: uint32(i), Priority: uint16(i % 50), HasPriority: true})
+		}
+		if _, err := Run(g, &Tango{DB: db, SortPriorities: true}, CardExecutor{DB: db}, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		st := <-freeStates
+		freeStates <- st
+		return st
+	}
+	if st := run(names[:1], 4096); cap(st.jobs["s000"].ids) < 4096 {
+		t.Fatalf("the large run kept no job for its batch: cap %d", cap(st.jobs["s000"].ids))
+	}
+	st := run(names[:1], 8)
+	if job := st.jobs["s000"]; job != nil {
+		sc := &job.scratch
+		for _, c := range []int{cap(job.ids), cap(job.reqs), cap(job.ordered), cap(job.ops),
+			cap(sc.dels), cap(sc.mods), cap(sc.adds[0]), cap(sc.adds[1]), cap(sc.opsAdd[0]), cap(sc.opsAdd[1])} {
+			if c > keepFloor {
+				t.Fatalf("after a run of 8, the kept job still has a buffer of %d", c)
+			}
+		}
+	}
+
+	same := func(a, b map[string]*batchJob) bool {
+		return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+	}
+	big := run(names, 400).jobs
+	if len(big) != len(names) {
+		t.Fatalf("the 200-switch run kept %d jobs", len(big))
+	}
+	// 110 switches: the map once held fewer than twice that, so it stays.
+	if mid := run(names[:110], 220).jobs; len(mid) != 110 || !same(mid, big) {
+		t.Fatalf("after a run on 110 switches the state kept %d jobs, same map %v", len(mid), same(mid, big))
+	}
+	// 60: the map still has the buckets of 200, more than twice 60.
+	if small := run(names[:60], 120).jobs; len(small) != 60 || same(small, big) {
+		t.Fatalf("after a run on 60 switches the state kept %d jobs, same map %v", len(small), same(small, big))
 	}
 }

@@ -3,10 +3,14 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"tango/internal/core/pattern"
 	"tango/internal/core/sched"
+	"tango/internal/dag"
+	"tango/internal/parallel"
 	"tango/internal/telemetry"
 )
 
@@ -24,16 +28,28 @@ type schedRunOutput struct {
 // memoizes per-instance state; graphs are consumed by the run).
 func runSchedOnce(t *testing.T, g *sched.Graph, s sched.Scheduler, exec sched.Executor, opts sched.RunOptions) schedRunOutput {
 	t.Helper()
+	out, err := schedOnce(g, s, exec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// schedOnce is runSchedOnce for a goroutine other than the test's.
+func schedOnce(g *sched.Graph, s sched.Scheduler, exec sched.Executor, opts sched.RunOptions) (schedRunOutput, error) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(nil)
 	opts.Metrics = reg
 	opts.Tracer = tr
-	if tg, ok := s.(*sched.Tango); ok {
+	switch tg := s.(type) {
+	case *sched.Tango:
+		tg.Metrics = reg
+	case viaOrder:
 		tg.Metrics = reg
 	}
 	res, err := sched.Run(g, s, exec, opts)
 	if err != nil {
-		t.Fatal(err)
+		return schedRunOutput{}, err
 	}
 	snap := reg.Snapshot()
 	snap.TakenAt = time.Time{}
@@ -41,7 +57,7 @@ func runSchedOnce(t *testing.T, g *sched.Graph, s sched.Scheduler, exec sched.Ex
 	for i := range events {
 		events[i].Wall = time.Time{}
 	}
-	return schedRunOutput{res: res, snap: snap, events: events}
+	return schedRunOutput{res: res, snap: snap, events: events}, nil
 }
 
 // diffOutputs fails the test if two runs differ anywhere: result fields,
@@ -174,5 +190,120 @@ func TestSchedGolden(t *testing.T) {
 		if tango.Makespan > dio.Makespan {
 			t.Errorf("%s: tango makespan %v exceeds dionysus %v (dio/tango ratio below 1)", label, tango.Makespan, dio.Makespan)
 		}
+	}
+}
+
+// viaOrder hides a Tango from sched.Run, which then orders each batch with
+// Tango.Order: the card is looked up on every call, on a scratch from the
+// Tango's pool. At one worker its output is the direct path's, byte for
+// byte.
+type viaOrder struct{ *sched.Tango }
+
+// panicOn is a card executor with a bug on one switch.
+type panicOn struct {
+	sched.CardExecutor
+	sw string
+}
+
+func (x panicOn) Execute(sw string, ops []pattern.Op) (time.Duration, error) {
+	if sw == x.sw {
+		panic("executor bug on " + sw)
+	}
+	return x.CardExecutor.Execute(sw, ops)
+}
+
+// TestRunStateReuse: sched.Run keeps its per-switch state from one run for
+// the next, so here one process drains, in turn, graph A; a run that fails
+// on a missing engine; one whose batch panics; one on switches A never
+// uses; A after one of its cards was replaced, which must price with the
+// new card; and A again, which must reproduce the first run's result,
+// snapshot and spans. Then two goroutines drain A at once (CI runs this
+// under -race).
+func TestRunStateReuse(t *testing.T) {
+	const switches, requests, levels, seed = 8, 400, 10, 4
+	_, db := SchedWorkload(switches, requests, levels, seed)
+	runA := func(s sched.Scheduler, workers int) schedRunOutput {
+		g, _ := SchedWorkload(switches, requests, levels, seed)
+		return runSchedOnce(t, g, s, sched.CardExecutor{DB: db}, sched.RunOptions{Workers: workers})
+	}
+	newTango := func() *sched.Tango { return &sched.Tango{DB: db, SortPriorities: true} }
+	first := runA(newTango(), 2)
+
+	// Cards for the switches A never uses.
+	other := pattern.NewDB()
+	for i := 0; i < 4; i++ {
+		other.PutScore(&pattern.ScoreCard{SwitchName: fmt.Sprintf("other-%d", i),
+			AddSamePriority: time.Millisecond, AddNewPriority: 2 * time.Millisecond, ShiftPerEntry: 10 * time.Microsecond,
+			Mod: 3 * time.Millisecond, Del: time.Millisecond, TypeSwitch: 100 * time.Microsecond})
+	}
+
+	g := sched.NewGraph()
+	g.AddNode(&sched.Request{Switch: "ghost", Op: pattern.OpAdd, FlowID: 1})
+	if _, err := sched.Run(g, newTango(), sched.EngineExecutor{}, sched.RunOptions{}); err == nil {
+		t.Fatal("a switch with no engine ran")
+	}
+
+	g = sched.NewGraph()
+	for i := 0; i < 4; i++ {
+		g.AddNode(&sched.Request{Switch: fmt.Sprintf("other-%d", i), Op: pattern.OpMod, FlowID: 1, Priority: 1, HasPriority: true})
+	}
+	func() {
+		defer func() {
+			if _, ok := recover().(*parallel.PanicError); !ok {
+				t.Fatal("the panicking batch did not reach the caller")
+			}
+		}()
+		_, _ = sched.Run(g, &sched.Tango{DB: other}, panicOn{sched.CardExecutor{DB: other}, "other-2"}, sched.RunOptions{Workers: 2})
+	}()
+
+	g = sched.NewGraph()
+	var prev []dag.NodeID
+	for i := 0; i < 48; i++ {
+		id := g.AddNode(&sched.Request{Switch: fmt.Sprintf("other-%d", i%4), Op: pattern.OpKind(i % 3),
+			FlowID: uint32(i), Priority: uint16(100 + i%7), HasPriority: true})
+		if len(prev) >= 4 {
+			_ = g.AddEdge(prev[len(prev)-4], id)
+		}
+		prev = append(prev, id)
+	}
+	runSchedOnce(t, g, &sched.Tango{DB: other, SortPriorities: true}, sched.CardExecutor{DB: other}, sched.RunOptions{Workers: 2})
+
+	const replaced = "bench-03"
+	orig, _ := db.Score(replaced)
+	card := *orig
+	card.AddNewPriority += time.Millisecond
+	card.ShiftPerEntry *= 3
+	db.PutScore(&card)
+	want := runA(viaOrder{newTango()}, 1)
+	got := runA(newTango(), 2)
+	diffOutputs(t, "A with "+replaced+"'s card replaced", want, got)
+	if reflect.DeepEqual(got.snap, first.snap) {
+		t.Fatalf("replacing %s's card changed nothing", replaced)
+	}
+	db.PutScore(orig)
+
+	// These runs came one after another, so each took the one idle state
+	// the run before it gave back: A again runs on what all of them left.
+	diffOutputs(t, "A again", first, runA(newTango(), 2))
+
+	var (
+		wg   sync.WaitGroup
+		outs [2]schedRunOutput
+		errs [2]error
+	)
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, _ := SchedWorkload(switches, requests, levels, seed)
+			outs[i], errs[i] = schedOnce(g, newTango(), sched.CardExecutor{DB: db}, sched.RunOptions{Workers: 2})
+		}()
+	}
+	wg.Wait()
+	for i := range outs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		diffOutputs(t, fmt.Sprintf("A on goroutine %d of 2", i), first, outs[i])
 	}
 }

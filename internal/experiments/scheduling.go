@@ -563,6 +563,10 @@ func SchedWorkload(switches, total, levels int, seed int64) (*sched.Graph, *patt
 	if switches <= 0 || total <= 0 || levels <= 0 {
 		panic("experiments: SchedWorkload needs positive sizes")
 	}
+	names := make([]string, switches)
+	for s := range names {
+		names[s] = fmt.Sprintf("bench-%02d", s)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	g := sched.NewGraph()
 	var prevLevel []dag.NodeID
@@ -575,8 +579,7 @@ func SchedWorkload(switches, total, levels int, seed int64) (*sched.Graph, *patt
 		}
 		cur := make([]dag.NodeID, 0, count)
 		for i := 0; i < count; i++ {
-			sw := fmt.Sprintf("bench-%02d", idx%switches)
-			r := &sched.Request{Switch: sw, HasPriority: true}
+			r := &sched.Request{Switch: names[idx%switches], HasPriority: true}
 			switch rng.Intn(4) {
 			case 0:
 				r.Op = pattern.OpMod
@@ -609,7 +612,7 @@ func SchedWorkload(switches, total, levels int, seed int64) (*sched.Graph, *patt
 	for s := 0; s < switches; s++ {
 		v := time.Duration(s)
 		db.PutScore(&pattern.ScoreCard{
-			SwitchName:      fmt.Sprintf("bench-%02d", s),
+			SwitchName:      names[s],
 			AddSamePriority: 400*time.Microsecond + v*3*time.Microsecond,
 			AddNewPriority:  900*time.Microsecond + v*5*time.Microsecond,
 			ShiftPerEntry:   14*time.Microsecond + v*time.Microsecond/4,
