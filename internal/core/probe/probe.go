@@ -338,23 +338,24 @@ var (
 )
 
 // fillFlowMod populates fm in place for one pattern op, so batch paths can
-// reuse a single scratch struct instead of allocating per op. The actions
-// alias the shared slices above and must not be mutated.
+// reuse a single scratch struct instead of allocating per op. Every field
+// is set one by one: a FlowMod literal assigned through fm would be built
+// on the stack and copied whole. The actions alias the shared slices above
+// and must not be mutated.
 func fillFlowMod(fm *openflow.FlowMod, op pattern.Op) {
-	*fm = openflow.FlowMod{
-		Match:    flowtable.ExactProbeMatch(op.FlowID),
-		Priority: op.Priority,
-		Actions:  probeActions,
-	}
+	fm.Header = openflow.Header{}
+	fm.Match = flowtable.ExactProbeMatch(op.FlowID)
+	fm.Cookie = 0
+	fm.IdleTimeout, fm.HardTimeout = 0, 0
+	fm.Priority = op.Priority
+	fm.BufferID, fm.OutPort, fm.Flags = 0, 0, 0
 	switch op.Kind {
-	case pattern.OpAdd:
-		fm.Command = openflow.FlowAdd
 	case pattern.OpMod:
-		fm.Command = openflow.FlowModifyStrict
-		fm.Actions = modifyActions
+		fm.Command, fm.Actions = openflow.FlowModifyStrict, modifyActions
 	case pattern.OpDel:
-		fm.Command = openflow.FlowDeleteStrict
-		fm.Actions = nil
+		fm.Command, fm.Actions = openflow.FlowDeleteStrict, nil
+	default:
+		fm.Command, fm.Actions = openflow.FlowAdd, probeActions
 	}
 }
 

@@ -53,8 +53,8 @@ func (x *KeyIndex[V]) init(n int) {
 	x.used = 0
 }
 
-// reset empties the index in place, keeping capacity.
-func (x *KeyIndex[V]) reset() {
+// Reset empties the index in place, keeping capacity.
+func (x *KeyIndex[V]) Reset() {
 	clear(x.keys)
 	clear(x.vals)
 	x.used = 0

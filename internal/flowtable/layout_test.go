@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"testing"
+	"unsafe"
 
 	"tango/internal/structlayout"
 )
@@ -10,6 +11,9 @@ import (
 // rules are slab-allocated by the thousands and scanned on every lookup
 // miss, so declared field order is part of the performance contract.
 func TestHotStructLayouts(t *testing.T) {
+	if n := unsafe.Sizeof(Rule{}); n > 184 {
+		t.Errorf("a rule takes %d bytes, more than 184", n)
+	}
 	for _, v := range []interface{}{
 		Rule{},
 		Match{},

@@ -1,9 +1,7 @@
 package flowtable
 
 import (
-	"encoding/binary"
 	"errors"
-	"net/netip"
 	"time"
 
 	"tango/internal/packet"
@@ -45,9 +43,11 @@ type Rule struct {
 	Packets uint64
 	Bytes   uint64
 
-	// InstalledAt and LastUsedAt are bookkeeping for cache policies.
-	InstalledAt time.Time
-	LastUsedAt  time.Time
+	// InstalledAt and LastUsedAt are bookkeeping for timeouts, in Unix
+	// nanoseconds: integers, so a touch writes no pointer and a rule
+	// carries no location.
+	InstalledAt int64
+	LastUsedAt  int64
 
 	// seq is a monotonically increasing insertion sequence number used to
 	// keep ordering deterministic among equal-priority rules and to serve
@@ -118,19 +118,8 @@ func (t *Table) Reset() {
 	t.rules = t.buf[:0]
 	clear(t.wild)
 	t.wild = t.wild[:0]
-	t.exact.reset()
+	t.exact.Reset()
 	t.nextSeq = 0
-}
-
-// packAddrs packs two IPv4 addresses into the exact-index key. ok is false
-// if either address is not IPv4.
-func packAddrs(src, dst netip.Addr) (key uint64, ok bool) {
-	if !src.Is4() || !dst.Is4() {
-		return 0, false
-	}
-	s, d := src.As4(), dst.As4()
-	return uint64(binary.BigEndian.Uint32(s[:]))<<32 |
-		uint64(binary.BigEndian.Uint32(d[:])), true
 }
 
 // ExactKey returns the exact-index key for m, and whether m is indexable: it
@@ -143,7 +132,7 @@ func ExactKey(m *Match) (uint64, bool) {
 	if m.NwSrc.Bits() != 32 || m.NwDst.Bits() != 32 {
 		return 0, false
 	}
-	return packAddrs(m.NwSrc.Addr(), m.NwDst.Addr())
+	return packet.PackAddrs(m.NwSrc.Addr(), m.NwDst.Addr())
 }
 
 // FrameKey returns the exact-index key for frame f's IPv4 addresses; ok is
@@ -153,10 +142,7 @@ func FrameKey(f *packet.Frame) (uint64, bool) {
 	if !f.HasIPv4 {
 		return 0, false
 	}
-	if k, ok := f.IP.AddrWord(); ok {
-		return k, true
-	}
-	return packAddrs(f.IP.Src, f.IP.Dst)
+	return f.IP.Addrs()
 }
 
 // ExactRules returns the first, in table order, of the rules whose ExactKey
@@ -304,8 +290,8 @@ func (t *Table) Insert(r *Rule, now time.Time) (shifted int, err error) {
 	shifted = len(t.rules) - pos
 	r.seq = t.nextSeq
 	t.nextSeq++
-	r.InstalledAt = now
-	r.LastUsedAt = now
+	r.InstalledAt = now.UnixNano()
+	r.LastUsedAt = r.InstalledAt
 	t.makeRoom()
 	t.rules = append(t.rules, nil)
 	copy(t.rules[pos+1:], t.rules[pos:])
@@ -428,5 +414,5 @@ func (t *Table) LookupWhere(f *packet.Frame, inPort uint16, keep func(*Rule) boo
 func (r *Rule) Touch(bytes int, now time.Time) {
 	r.Packets++
 	r.Bytes += uint64(bytes)
-	r.LastUsedAt = now
+	r.LastUsedAt = now.UnixNano()
 }

@@ -330,7 +330,7 @@ func TestTouch(t *testing.T) {
 	if r.Packets != 2 || r.Bytes != 150 {
 		t.Fatalf("stats = %d pkts %d bytes", r.Packets, r.Bytes)
 	}
-	if !r.LastUsedAt.Equal(t0.Add(2 * time.Second)) {
+	if r.LastUsedAt != t0.Add(2*time.Second).UnixNano() {
 		t.Fatal("LastUsedAt not updated")
 	}
 }

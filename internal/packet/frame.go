@@ -87,21 +87,28 @@ func (f *Frame) AppendSerialize(b []byte) ([]byte, error) {
 	return append(b, f.Payload...), nil
 }
 
-// FiveTuple is a canonical flow identity used as a map key by the emulated
-// kernel microflow cache (exact-match table).
+// FiveTuple is a canonical flow identity: what the emulated kernel
+// microflow cache (exact-match table) matches a frame on. Both addresses
+// are in Addrs, packed as IPv4.Addrs packs them, so a tuple holds no
+// pointer and compares as two words.
 type FiveTuple struct {
-	Src, Dst         netip.Addr
-	Proto            IPProtocol
+	Addrs            uint64
 	SrcPort, DstPort uint16
+	Proto            IPProtocol
 }
 
 // FiveTuple extracts the flow identity of an IPv4 frame. The boolean is
-// false for non-IP frames, which exact-match caches ignore.
+// false for non-IP frames, which exact-match caches ignore, and for frames
+// whose addresses are not both IPv4.
 func (f *Frame) FiveTuple() (FiveTuple, bool) {
 	if !f.HasIPv4 {
 		return FiveTuple{}, false
 	}
-	ft := FiveTuple{Src: f.IP.Src, Dst: f.IP.Dst, Proto: f.IP.Protocol}
+	addrs, ok := f.IP.Addrs()
+	if !ok {
+		return FiveTuple{}, false
+	}
+	ft := FiveTuple{Addrs: addrs, Proto: f.IP.Protocol}
 	switch {
 	case f.HasTCP:
 		ft.SrcPort, ft.DstPort = f.TCP.SrcPort, f.TCP.DstPort

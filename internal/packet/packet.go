@@ -98,14 +98,30 @@ type IPv4 struct {
 	// decode time, so exact-match classifiers keying on the address pair
 	// read one integer instead of re-packing two netip.Addr values per
 	// packet. Zero means "not cached" (hand-built headers, or the all-zero
-	// address pair) and consumers fall back to packing the addresses.
+	// address pair) and Addrs falls back to packing the addresses.
 	addrWord uint64
 }
 
-// AddrWord returns the cached packed (src<<32 | dst) address word; ok is
-// false when the header was not produced by DecodeFromBytes and the caller
-// must derive the word from Src and Dst itself.
-func (ip *IPv4) AddrWord() (uint64, bool) { return ip.addrWord, ip.addrWord != 0 }
+// PackAddrs packs two IPv4 addresses into one word, src<<32 | dst in
+// big-endian order: the key exact-match classifiers index an address pair
+// by. ok is false if either address is not IPv4.
+func PackAddrs(src, dst netip.Addr) (word uint64, ok bool) {
+	if !src.Is4() || !dst.Is4() {
+		return 0, false
+	}
+	s, d := src.As4(), dst.As4()
+	return uint64(binary.BigEndian.Uint32(s[:]))<<32 | uint64(binary.BigEndian.Uint32(d[:])), true
+}
+
+// Addrs returns the header's packed address word (PackAddrs): the one
+// cached at decode time, or Src and Dst packed; ok is false when they are
+// not both IPv4.
+func (ip *IPv4) Addrs() (uint64, bool) {
+	if ip.addrWord != 0 {
+		return ip.addrWord, true
+	}
+	return PackAddrs(ip.Src, ip.Dst)
+}
 
 const ipv4HeaderLen = 20
 

@@ -6,41 +6,58 @@ import (
 	"tango/internal/flowtable"
 )
 
-// arena.go is the flat entry arena: every installed rule's bookkeeping record
-// lives in one contiguous []entry slice, addressed by int32 handles instead
-// of pointers. Handle 0 is reserved ("no entry"), so the zero value of
-// flowtable.Rule.Ext means no record. Freed slots go on a free list and are
-// reused by later adds — across delete, timeout expiry, and Reset — so a
-// long-running switch's arena footprint is bounded by its peak live rule
-// count, not its cumulative churn.
+// arena.go is the rule arena: every installed rule and its bookkeeping
+// record live side by side in fixed-size slabs, both addressed by one int32
+// handle instead of pointers. Handle 0 is reserved ("no entry"), so the zero
+// value of flowtable.Rule.Ext means no record; handle h lives at position
+// h-1 of the handle space, slot (h-1)%ruleSlabSize of slab (h-1)/ruleSlabSize.
+// Freed handles go on a free list and are reused by later adds — across
+// delete, timeout expiry, and Reset — so a long-running switch's footprint
+// is bounded by its peak live rule count, not its cumulative churn.
 //
 // The payoff is cache locality on the two profiled hot paths:
 //
 //   - classifyExact resolves a frame's key to its rule through the rule
 //     table's open-addressing index (flowtable/keyindex.go), and the rule's
-//     Ext handle lands directly on the flat record;
+//     Ext handle lands on the record beside it;
 //   - the eviction/promotion heaps (evictindex.go) hold handles beside
 //     their keys, so sifts write only integers — no GC pointer-write
 //     barriers, which dominated allocation-phase samples during demote
 //     churn.
 //
-// Entry pointers (*entry) are views into the arena: they stay valid between
-// allocArena calls (the only operation that can grow the slice) and must
-// never be retained across one. Everything that outlives an operation is a
-// handle.
+// A slab is never copied or reallocated, only retired to a pool on Reset,
+// so *flowtable.Rule and *entry pointers stay valid for as long as their
+// handle is allocated. Everything that outlives the rule is a handle.
 
-// ruleSlabSize is the rule-slab allocation unit. Rules need stable addresses
-// (flow tables hold *Rule), so they are slab-allocated — slabs are never
-// reallocated, only retired to a pool on Reset.
+// ruleSlabSize is the number of rules, and of their records, a slab holds.
 const ruleSlabSize = 256
+
+// ruleSlot is one handle's storage: the rule and its record.
+type ruleSlot struct {
+	rule flowtable.Rule
+	e    entry
+}
+
+// slab is the arena's allocation unit.
+type slab [ruleSlabSize]ruleSlot
+
+// slot returns handle h's storage. h must lie in 1..s.handles.
+func (s *Switch) slot(h int32) *ruleSlot {
+	i := uint32(h - 1)
+	return &s.slabs[i/ruleSlabSize][i%ruleSlabSize]
+}
+
+// ent returns handle h's record without checking that it is live. Callers
+// hold a handle some structure recorded for a live rule.
+func (s *Switch) ent(h int32) *entry { return &s.slot(h).e }
 
 // entryAt resolves a handle to its arena record. Handle 0 and out-of-range
 // or freed handles resolve to nil.
 func (s *Switch) entryAt(h int32) *entry {
-	if h <= 0 || int(h) >= len(s.entries) {
+	if h <= 0 || h > s.handles {
 		return nil
 	}
-	if e := &s.entries[h]; e.self == h {
+	if e := s.ent(h); e.self == h {
 		return e
 	}
 	// Freed slots zero their self field, so a stale handle — one recorded
@@ -55,94 +72,87 @@ func (s *Switch) entryOf(r *flowtable.Rule) *entry {
 	return s.entryAt(r.Ext)
 }
 
-// allocEntry hands out a fresh arena record, reusing a free-listed slot when
-// one exists and growing the arena otherwise. The returned pointer is valid
-// until the next allocEntry call.
-func (s *Switch) allocEntry() (int32, *entry) {
-	if n := len(s.freeEnts); n > 0 {
-		h := s.freeEnts[n-1]
-		s.freeEnts = s.freeEnts[:n-1]
-		e := &s.entries[h]
-		*e = entry{self: h, timedIdx: noTimed}
-		return h, e
+// allocRule hands out a zeroed rule and its fresh record, linked to each
+// other under one handle: the most recently freed handle when one exists,
+// the next unused one otherwise. Slabs drawn from the reset pool are
+// reused in place.
+func (s *Switch) allocRule() (*flowtable.Rule, *entry) {
+	var h int32
+	if n := len(s.freeHandles); n > 0 {
+		h = s.freeHandles[n-1]
+		s.freeHandles = s.freeHandles[:n-1]
+	} else {
+		if int(s.handles) == len(s.slabs)*ruleSlabSize {
+			if n := len(s.slabPool); n > 0 {
+				s.slabs = append(s.slabs, s.slabPool[n-1])
+				s.slabPool = s.slabPool[:n-1]
+			} else {
+				s.slabs = append(s.slabs, new(slab))
+			}
+		}
+		s.handles++
+		h = s.handles
 	}
-	if s.entries == nil {
-		// Slot 0 is the reserved nil handle.
-		s.entries = make([]entry, 1, 1+ruleSlabSize)
-	}
-	h := int32(len(s.entries))
-	s.entries = append(s.entries, entry{self: h, timedIdx: noTimed})
-	return h, &s.entries[h]
+	sl := s.slot(h)
+	sl.rule = flowtable.Rule{Ext: h}
+	sl.e = entry{rule: &sl.rule, self: h, timedIdx: noTimed}
+	return &sl.rule, &sl.e
 }
 
-// freeEntry returns e's slot to the free list. The slot's self field is
-// zeroed so stale handles fail entryAt's identity check. Its kernel chain is
-// empty: removeRule invalidates it first. Timed entries
-// swap-remove themselves from the expiry list first, keeping the invariant
-// that timedEnts holds only live handles.
-func (s *Switch) freeEntry(e *entry) {
+// freeRule returns e's handle, and the rule it records, to the free list.
+// The record is zeroed so stale handles fail entryAt's identity check; the
+// rule keeps its fields until the handle's next tenant, so a caller still
+// holding it reads the rule as it was removed. Its kernel chain is empty:
+// removeRule invalidates it first. Timed entries swap-remove themselves
+// from the expiry list first, keeping the invariant that timedEnts holds
+// only live handles.
+func (s *Switch) freeRule(e *entry) {
 	s.untimeEntry(e)
 	h := e.self
+	e.rule.Ext = 0
 	*e = entry{}
-	if len(s.freeEnts) == cap(s.freeEnts) {
-		// The list never holds more than the arena's slots, so it grows to
-		// them in one step: a table emptied rule by rule grows it once.
-		s.freeEnts = slices.Grow(s.freeEnts, len(s.entries)-len(s.freeEnts))
+	if len(s.freeHandles) == cap(s.freeHandles) {
+		// The list never holds more than the handles handed out, so it
+		// grows to them in one step: a table emptied rule by rule grows it
+		// once.
+		s.freeHandles = slices.Grow(s.freeHandles, int(s.handles)-len(s.freeHandles))
 	}
-	s.freeEnts = append(s.freeEnts, h)
+	s.freeHandles = append(s.freeHandles, h)
 }
 
-// newRule hands out a zeroed rule: from the rule free list when delete or
-// expiry recycled one, from the current slab otherwise. Slabs drawn from the
-// reset pool are reused in place.
-func (s *Switch) newRule() *flowtable.Rule {
-	if n := len(s.freeRules); n > 0 {
-		r := s.freeRules[n-1]
-		s.freeRules = s.freeRules[:n-1]
-		*r = flowtable.Rule{}
-		return r
-	}
-	if s.ruleUsed == len(s.ruleChunk) {
-		if n := len(s.slabPool); n > 0 {
-			s.ruleChunk = s.slabPool[n-1]
-			s.slabPool = s.slabPool[:n-1]
-		} else {
-			s.ruleChunk = make([]flowtable.Rule, ruleSlabSize)
-		}
-		s.liveSlabs = append(s.liveSlabs, s.ruleChunk)
-		s.ruleUsed = 0
-	}
-	r := &s.ruleChunk[s.ruleUsed]
-	s.ruleUsed++
-	*r = flowtable.Rule{}
-	return r
-}
-
-// freeRule recycles a removed rule's slab slot for the next add. Like the
-// entry free list, the rule free list grows to every rule the live slabs
-// hold in one step.
-func (s *Switch) freeRule(r *flowtable.Rule) {
-	if len(s.freeRules) == cap(s.freeRules) {
-		s.freeRules = slices.Grow(s.freeRules, len(s.liveSlabs)*ruleSlabSize-len(s.freeRules))
-	}
-	s.freeRules = append(s.freeRules, r)
-}
-
-// resetArena returns every arena slot to the free list and every rule slab
-// to the reset pool, keeping all capacity — a long-running fleet that resets
-// its switches between inference rounds reuses one arena instead of leaking
-// one per reset. Free-list order is rebuilt descending so post-reset adds
-// reuse handles in ascending order, keeping replays deterministic.
+// resetArena frees every handle and returns every slab, uncleared, to the
+// reset pool (allocRule zeroes what it hands out), keeping all capacity — a
+// long-running fleet that resets its switches between inference rounds
+// reuses one arena instead of leaking one per reset. Handles restart at 1 and ascend, as a free list rebuilt in
+// descending order would hand them out, keeping replays deterministic.
 func (s *Switch) resetArena() {
 	s.timedEnts = s.timedEnts[:0]
-	s.freeEnts = s.freeEnts[:0]
-	for i := len(s.entries) - 1; i >= 1; i-- {
-		s.entries[i] = entry{}
-		s.freeEnts = append(s.freeEnts, int32(i))
+	s.freeHandles = s.freeHandles[:0]
+	s.slabPool = append(s.slabPool, s.slabs...)
+	clear(s.slabs)
+	s.slabs = s.slabs[:0]
+	s.handles = 0
+}
+
+// handleSpan returns the length per-handle state indexed by handle grows to
+// so that it covers handle h: one more than a power-of-two handle count of
+// at least a slab's, doubled from n, the state's current length. State that
+// follows the handle space thus reallocates O(log n) times, never per slab,
+// and 4,096 handles fit in 4,097 slots.
+func handleSpan(n int, h int32) int {
+	c := max(n-1, ruleSlabSize)
+	for c < int(h) {
+		c *= 2
 	}
-	s.freeRules = s.freeRules[:0]
-	s.slabPool = append(s.slabPool, s.liveSlabs...)
-	s.liveSlabs = s.liveSlabs[:0]
-	s.ruleChunk = nil
-	s.ruleUsed = 0
+	return c + 1
+}
+
+// growForHandle returns per-handle state st extended to cover handle h.
+func growForHandle[T any](st []T, h int32) []T {
+	if int(h) < len(st) {
+		return st
+	}
+	grown := make([]T, handleSpan(len(st), h))
+	copy(grown, st)
+	return grown
 }

@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,11 +15,7 @@ import (
 // arenaLive counts live (allocated) arena records, to assert free-list
 // reuse.
 func (s *Switch) arenaLive() int {
-	n := len(s.entries)
-	if n > 0 {
-		n--
-	}
-	return n - len(s.freeEnts)
+	return int(s.handles) - len(s.freeHandles)
 }
 
 // trackedRule returns the installed rule for flow id, or nil.
@@ -35,7 +32,7 @@ func trackedRule(s *Switch, id uint32) *flowtable.Rule {
 // TestArenaStaleHandleAfterDelete exercises the arena's use-after-free
 // defence: a handle captured before its rule is deleted must resolve to
 // nil afterwards — even once the slot has been recycled for a new rule —
-// because freeEntry zeroes the slot's self field and allocEntry stamps the
+// because freeRule zeroes the slot's self field and allocRule stamps the
 // new tenant's own handle.
 func TestArenaStaleHandleAfterDelete(t *testing.T) {
 	s := New(Switch2())
@@ -89,16 +86,16 @@ func TestArenaHandleReuseAfterExpiry(t *testing.T) {
 }
 
 // TestArenaGrowthMidChurn exhausts the free list while entry pointers are
-// live in neither heap nor index, forcing arena growth (slice
-// reallocation) between adds, then verifies all handles still resolve to
-// the right rules — the property that makes handles, not pointers, the
-// durable reference.
+// live in neither heap nor index, forcing arena growth (a new slab) between
+// adds, then verifies all handles still resolve to the right rules, and
+// that records and rules never moved: slabs are not copied to grow.
 func TestArenaGrowthMidChurn(t *testing.T) {
 	p := TestSwitch(64, PolicyLRU)
 	p.SoftwareCapacity = 1024
 	s := New(p)
 	rng := rand.New(rand.NewSource(7))
 	live := map[uint32]int32{}
+	where := map[uint32]*entry{}
 	nextID := uint32(0)
 	for step := 0; step < 2000; step++ {
 		if rng.Intn(3) > 0 || len(live) == 0 {
@@ -107,7 +104,8 @@ func TestArenaGrowthMidChurn(t *testing.T) {
 			if addFlowErr(s, id, 100) != nil {
 				continue
 			}
-			live[id] = trackedRule(s, id).Ext
+			r := trackedRule(s, id)
+			live[id], where[id] = r.Ext, s.entryOf(r)
 		} else {
 			var id uint32
 			for id = range live {
@@ -124,13 +122,16 @@ func TestArenaGrowthMidChurn(t *testing.T) {
 			delete(live, id)
 		}
 	}
-	if len(s.entries) <= 1+ruleSlabSize {
-		t.Fatalf("arena never grew past its first slab (%d slots); churn too small", len(s.entries))
+	if len(s.slabs) < 2 {
+		t.Fatalf("arena never grew past its first slab (%d handles); churn too small", s.handles)
 	}
 	for id, h := range live {
 		e := s.entryAt(h)
 		if e == nil {
 			t.Fatalf("live flow %d lost its arena record", id)
+		}
+		if e != where[id] || e.rule != &s.slot(h).rule {
+			t.Fatalf("flow %d's record or rule moved while the arena grew", id)
 		}
 		if e.rule.Match != flowtable.ExactProbeMatch(id) {
 			t.Fatalf("handle %d resolves to the wrong rule", h)
@@ -141,11 +142,10 @@ func TestArenaGrowthMidChurn(t *testing.T) {
 	}
 }
 
-// TestResetReusesArena is the pooling contract for Reset(): the entry
-// arena's backing array, the rule slabs, and the kernel slot array must all
-// survive a Reset and be reused by the next generation of rules — a fleet
-// resetting switches between inference rounds must not leak one arena per
-// round.
+// TestResetReusesArena is the pooling contract for Reset(): the slabs of
+// rules and records, and the kernel slot array, must all survive a Reset
+// and be reused by the next generation of rules — a fleet resetting
+// switches between inference rounds must not leak one arena per round.
 func TestResetReusesArena(t *testing.T) {
 	s := New(OVS())
 	const n = 40
@@ -160,9 +160,7 @@ func TestResetReusesArena(t *testing.T) {
 		t.Fatalf("%d kernel slots for %d cached microflows", len(s.kslots)-1, n)
 	}
 
-	entryCap := cap(s.entries)
-	entryBase := &s.entries[0]
-	slabBase := &s.liveSlabs[0][0]
+	slabBase := s.slabs[0]
 	slotBase, slotCap := &s.kslots[0], cap(s.kslots)
 
 	s.Reset()
@@ -174,11 +172,8 @@ func TestResetReusesArena(t *testing.T) {
 		addFlow(t, s, id, 100)
 		sendProbe(t, s, id)
 	}
-	if &s.entries[0] != entryBase || cap(s.entries) != entryCap {
-		t.Fatal("Reset reallocated the entry arena instead of reusing it")
-	}
-	if &s.liveSlabs[0][0] != slabBase {
-		t.Fatal("Reset did not recycle the rule slab through the pool")
+	if len(s.slabs) != 1 || s.slabs[0] != slabBase || len(s.slabPool) != 0 {
+		t.Fatal("Reset did not recycle the slab through the pool")
 	}
 	if &s.kslots[0] != slotBase || cap(s.kslots) != slotCap {
 		t.Fatal("Reset reallocated the kernel slot array instead of reusing it")
@@ -196,18 +191,19 @@ func TestResetReusesArena(t *testing.T) {
 	}
 }
 
-// checkKernel asserts the microflow cache's invariants: every mapped key's
-// slot holds that key and a live owner, and sits on that owner's chain;
-// every chain holds only its owner's mapped slots; and every other slot is
-// on the free list.
+// checkKernel asserts the microflow cache's invariants: every index entry
+// leads to a chain of live slots holding its address word, each of whose
+// 5-tuples is cached once; every live slot is on its live owner's chain and
+// on its word's index chain, and every other slot is on the free list; and
+// RuleCount's kernel count is the number of live slots.
 func checkKernel(t *testing.T, s *Switch) {
 	t.Helper()
-	if s.kernel == nil {
+	if s.kslots == nil {
 		return
 	}
 	onChain := make([]bool, len(s.kslots))
 	chained := 0
-	for h := int32(1); int(h) < len(s.entries); h++ {
+	for h := int32(1); h <= s.handles; h++ {
 		e := s.entryAt(h)
 		if e == nil {
 			continue
@@ -222,13 +218,42 @@ func checkKernel(t *testing.T, s *Switch) {
 			if ks.owner != h {
 				t.Fatalf("kernel slot %d on entry %d's chain names owner %d", sl, h, ks.owner)
 			}
-			if got, ok := s.kernel[ks.key]; !ok || got != sl {
-				t.Fatalf("kernel slot %d on entry %d's chain is not mapped from its key", sl, h)
+			if got := s.kernelLookup(ks.key); got != sl {
+				t.Fatalf("kernel slot %d on entry %d's chain is found as slot %d from its key", sl, h, got)
 			}
 		}
 	}
-	if chained != len(s.kernel) {
-		t.Fatalf("owner chains hold %d kernel slots, the map %d", chained, len(s.kernel))
+	indexed := 0
+	// The index has no iterator outside its package; its two slot arrays
+	// are read here through reflect.
+	ix := reflect.ValueOf(&s.kernel).Elem()
+	keys, vals := ix.FieldByName("keys"), ix.FieldByName("vals")
+	for i := 0; i < vals.Len(); i++ {
+		addr, head := keys.Index(i).Uint(), int32(vals.Index(i).Int())
+		if head == 0 {
+			continue
+		}
+		seen := map[packet.FiveTuple]bool{}
+		for sl := head; sl != 0; sl = s.kslots[sl].inext {
+			ks := s.kslots[sl]
+			if ks.key.Addrs != addr || ks.owner == 0 || s.entryAt(ks.owner) == nil {
+				t.Fatalf("index chain of %#x holds slot %d: %+v", addr, sl, ks)
+			}
+			if !onChain[sl] {
+				t.Fatalf("indexed kernel slot %d is on no owner's chain", sl)
+			}
+			if seen[ks.key] {
+				t.Fatalf("index chain of %#x caches %+v twice", addr, ks.key)
+			}
+			seen[ks.key] = true
+			indexed++
+		}
+	}
+	if chained != indexed {
+		t.Fatalf("owner chains hold %d kernel slots, the index chains %d", chained, indexed)
+	}
+	if s.kernelLen != chained {
+		t.Fatalf("RuleCount reports %d kernel entries, %d slots are live", s.kernelLen, chained)
 	}
 	free := 0
 	for sl := s.kfree; sl != 0; sl = s.kslots[sl].next {
@@ -270,7 +295,7 @@ func TestKernelKeysBoundedUnderEviction(t *testing.T) {
 		for id := uint32(0); id < rules; id++ {
 			e := s.entryOf(trackedRule(s, id))
 			owned, chain := 0, 0
-			for _, sl := range s.kernel {
+			for sl := range s.kslots {
 				if s.kslots[sl].owner == e.self {
 					owned++
 				}
@@ -299,6 +324,73 @@ func TestKernelKeysBoundedUnderEviction(t *testing.T) {
 	// Invalidation walks only the live chain.
 	if err := s.FlowMod(&openflow.FlowMod{Command: openflow.FlowDeleteStrict, Match: flowtable.ExactProbeMatch(0), Priority: 100}); err != nil {
 		t.Fatal(err)
+	}
+	checkArena(t, s)
+}
+
+// TestKernelChainSharesAddrWord sends one rule's flow from five source ports
+// through a four-entry kernel cache. The microflows share an address word,
+// so one index chain holds all their slots: each must hit its own slot, the
+// LRU eviction must unlink the least recently used one from the middle of
+// the chain, and deleting the rule must empty the chain and its index entry.
+func TestKernelChainSharesAddrWord(t *testing.T) {
+	p := OVS()
+	p.KernelCapacity = 4
+	s := New(p)
+	const id = 7
+	addFlow(t, s, id, 100)
+	addr, _ := packet.PackAddrs(packet.ProbeSrcIP(id), packet.ProbeDstIP(id))
+	frames := make([]packet.Frame, 5)
+	for k := range frames {
+		packet.BuildProbeFrame(&frames[k], packet.ProbeSpec{FlowID: id})
+		frames[k].TCP.SrcPort += uint16(k)
+	}
+	send := func(k int, want PathKind) {
+		t.Helper()
+		raw, err := frames[k].AppendSerialize(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.SendPacket(raw, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Path != want {
+			t.Fatalf("port +%d took the %v path, want %v", k, res.Path, want)
+		}
+		checkArena(t, s)
+	}
+	cached := func(k int) bool {
+		ft, _ := frames[k].FiveTuple()
+		return s.kernelLookup(ft) != 0
+	}
+	chainLen := func() (n int) {
+		for sl := s.kernel.Get(addr); sl != 0; sl = s.kslots[sl].inext {
+			n++
+		}
+		return n
+	}
+	for k := 0; k < 4; k++ {
+		send(k, PathSlow)
+	}
+	if n := chainLen(); n != 4 {
+		t.Fatalf("four microflows of one address pair: index chain of %d slots", n)
+	}
+	for _, k := range []int{0, 1, 2, 3, 2, 0} {
+		send(k, PathFast)
+	}
+	// Port +1 is now the least recently used, and the chain is newest
+	// first: 3, 2, 1, 0.
+	send(4, PathSlow)
+	if cached(1) || !cached(4) || chainLen() != 4 {
+		t.Fatalf("after an eviction: port +1 cached %v, port +4 cached %v, chain of %d", cached(1), cached(4), chainLen())
+	}
+	send(1, PathSlow)
+	if err := s.FlowMod(&openflow.FlowMod{Command: openflow.FlowDeleteStrict, Match: flowtable.ExactProbeMatch(id), Priority: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if _, kern, _ := s.RuleCount(); kern != 0 || s.kernel.Get(addr) != 0 {
+		t.Fatalf("deleting the rule left %d kernel entries, index head %d", kern, s.kernel.Get(addr))
 	}
 	checkArena(t, s)
 }

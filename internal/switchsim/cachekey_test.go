@@ -117,7 +117,7 @@ func TestCacheKeyOrder(t *testing.T) {
 			b.rule.Match = flowtable.ExactProbeMatch(uint32(rng.Intn(48)))
 			for _, e := range []*entry{a, b} {
 				if rng.Intn(4) > 0 { // else a contender, scored by key lookup
-					_, g := st.join(ar, e)
+					_, g := st.join(e)
 					g.score = uint64(rng.Intn(3))
 				}
 			}

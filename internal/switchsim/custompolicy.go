@@ -76,18 +76,6 @@ type CustomPolicy struct {
 	newState func() customState
 }
 
-// growToArena returns per-handle state s extended to cover every handle of
-// arena ar. It sizes to the arena's capacity, so per-handle state reallocates
-// only when the arena itself did.
-func growToArena[T any](s []T, ar []entry) []T {
-	if len(s) >= len(ar) {
-		return s
-	}
-	grown := make([]T, cap(ar))
-	copy(grown, s)
-	return grown
-}
-
 // PolicyDestAggregate returns a destination-based rule-aggregation policy:
 // entries whose destination addresses share a /28 form a group, a group's
 // score is its members' cumulative matched-packet count, and eviction removes
@@ -170,8 +158,8 @@ func (st *destAggState) key(e *entry) cacheKey {
 
 // join resolves e's group, creating the group and linking e as its newest
 // member on first use.
-func (st *destAggState) join(ar []entry, e *entry) (*destMember, *destGroup) {
-	st.members = growToArena(st.members, ar)
+func (st *destAggState) join(e *entry) (*destMember, *destGroup) {
+	st.members = growForHandle(st.members, e.self)
 	m := &st.members[e.self]
 	if m.group != 0 {
 		return m, &st.groups[m.group]
@@ -204,18 +192,18 @@ func (st *destAggState) join(ar []entry, e *entry) (*destMember, *destGroup) {
 // old one (0 = the group was absent from h), to the new one (0 = it leaves).
 func setRep(s *Switch, h *handleHeap, rep *int32, to int32) {
 	if *rep != 0 {
-		h.removeEntry(&s.entries[*rep])
+		h.removeEntry(s.ent(*rep))
 	}
 	if *rep = to; to != 0 {
-		h.push(s, &s.entries[to])
+		h.push(s, s.ent(to))
 	}
 }
 
 // trackTCAM counts e towards the eviction heap after it entered the TCAM.
 func (st *destAggState) trackTCAM(s *Switch, e *entry) {
-	m, g := st.join(s.entries, e)
+	m, g := st.join(e)
 	m.tier = tierTCAM
-	if g.tcamRep == 0 || e.insertSeq > s.entries[g.tcamRep].insertSeq {
+	if g.tcamRep == 0 || e.insertSeq > s.ent(g.tcamRep).insertSeq {
 		setRep(s, s.evictIdx, &g.tcamRep, e.self)
 	}
 }
@@ -223,9 +211,9 @@ func (st *destAggState) trackTCAM(s *Switch, e *entry) {
 // trackSoft counts e towards the promotion heap after it entered the
 // software table.
 func (st *destAggState) trackSoft(s *Switch, e *entry) {
-	m, g := st.join(s.entries, e)
+	m, g := st.join(e)
 	m.tier = tierSoft
-	if g.softRep == 0 || e.insertSeq < s.entries[g.softRep].insertSeq {
+	if g.softRep == 0 || e.insertSeq < s.ent(g.softRep).insertSeq {
 		setRep(s, s.promoteIdx, &g.softRep, e.self)
 	}
 }
@@ -262,7 +250,7 @@ func (st *destAggState) untrack(s *Switch, e *entry) bool {
 }
 
 func (st *destAggState) onTouch(s *Switch, e *entry, n uint64) {
-	_, g := st.join(s.entries, e)
+	_, g := st.join(e)
 	g.score += n
 	// The TCAM representative's key rose away from the eviction root.
 	if g.softRep != 0 {
@@ -301,10 +289,10 @@ func (st *destAggState) onRemove(s *Switch, e *entry) {
 	// representatives fall back at once.
 	g.score -= e.traffic
 	if g.tcamRep != 0 {
-		s.evictIdx.fix(s, &s.entries[g.tcamRep])
+		s.evictIdx.fix(s, s.ent(g.tcamRep))
 	}
 	if g.softRep != 0 {
-		s.promoteIdx.fix(s, &s.entries[g.softRep])
+		s.promoteIdx.fix(s, s.ent(g.softRep))
 	}
 }
 
@@ -384,7 +372,7 @@ func (st *fdrcState) onTouch(s *Switch, e *entry, n uint64) {
 	ep := st.events / st.window
 	rolled := ep != st.epoch
 	st.epoch = ep
-	st.cells = growToArena(st.cells, s.entries)
+	st.cells = growForHandle(st.cells, e.self)
 	c := &st.cells[e.self]
 	switch {
 	case c.epoch == st.epoch:

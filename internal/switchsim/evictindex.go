@@ -101,7 +101,6 @@ func (h *handleHeap) set(i int, it heapItem) {
 // peek returns the root entry and its key after repairing whatever the
 // heap deferred; nil when empty.
 func (h *handleHeap) peek(s *Switch) (*entry, cacheKey) {
-	ar := s.entries
 	switch {
 	case h.dirty:
 		h.rebuild(s)
@@ -111,7 +110,7 @@ func (h *handleHeap) peek(s *Switch) (*entry, cacheKey) {
 				continue
 			}
 			i := int(h.pos[x] - 1)
-			if k := h.keyOf(s, &ar[x]); k != h.items[i].key {
+			if k := h.keyOf(s, s.ent(x)); k != h.items[i].key {
 				h.items[i].key = k
 				h.up(i)
 				h.repairs.Add(1)
@@ -124,7 +123,7 @@ func (h *handleHeap) peek(s *Switch) (*entry, cacheKey) {
 	}
 	if h.mode == lazy {
 		for {
-			root := &ar[h.items[0].h]
+			root := s.ent(h.items[0].h)
 			k := h.keyOf(s, root)
 			if k == h.items[0].key {
 				break
@@ -135,7 +134,7 @@ func (h *handleHeap) peek(s *Switch) (*entry, cacheKey) {
 		}
 	}
 	k := h.items[0].key
-	return &ar[h.items[0].h], cacheKey{hi: k.hi ^ h.flip, lo: k.lo ^ h.flip}
+	return s.ent(h.items[0].h), cacheKey{hi: k.hi ^ h.flip, lo: k.lo ^ h.flip}
 }
 
 // touched notes that x's key moved in the policy's touch direction.
@@ -205,7 +204,7 @@ func (h *handleHeap) fix(s *Switch, e *entry) {
 // (Floyd, O(n)).
 func (h *handleHeap) rebuild(s *Switch) {
 	for i := range h.items {
-		h.items[i].key = h.keyOf(s, &s.entries[h.items[i].h])
+		h.items[i].key = h.keyOf(s, s.ent(h.items[i].h))
 	}
 	for i := len(h.items)/2 - 1; i >= 0; i-- {
 		h.down(i)
@@ -306,17 +305,17 @@ func (h *handleHeap) reset(s *Switch, mode heapMode, flip uint64) {
 	}
 }
 
-// growIndexes extends the position array to cover every arena handle. Like
-// growToArena it sizes to the arena's capacity, so it reallocates only when
-// the arena did. The one heap that lists stale members gets its list's
+// growIndexes extends the position array to cover handle h. Like
+// growForHandle it doubles, so it reallocates O(log n) times as the handle
+// space grows. The one heap that lists stale members gets its list's
 // largest length — a quarter of the heap, plus the entry that crosses it —
 // from the same allocation, so a touch never allocates.
-func (s *Switch) growIndexes() {
+func (s *Switch) growIndexes(h int32) {
 	pos := s.evictIdx.pos
-	if len(pos) >= len(s.entries) {
+	if int(h) < len(pos) {
 		return
 	}
-	n := cap(s.entries)
+	n := handleSpan(len(pos), h)
 	buf := make([]int32, n+n/4+1)
 	copy(buf, pos)
 	pos = buf[:n:n]
@@ -331,7 +330,7 @@ func (s *Switch) trackTCAM(e *entry) {
 	if s.evictIdx == nil {
 		return
 	}
-	s.growIndexes()
+	s.growIndexes(e.self)
 	if s.groups != nil {
 		s.groups.trackTCAM(s, e)
 	} else {
@@ -347,7 +346,7 @@ func (s *Switch) trackSoft(e *entry) {
 	if s.promoteIdx == nil {
 		return
 	}
-	s.growIndexes() // e may leave through untrack even when it was never a candidate
+	s.growIndexes(e.self) // e may leave through untrack even when it was never a candidate
 	if !s.tcamAdmits(e.rule.Match.Width()) {
 		return
 	}

@@ -78,7 +78,7 @@ func (s *Switch) worstTCAMEntry() *entry {
 // no code with the cache keys the heaps order by.
 func (s *Switch) worstTCAMEntryNaive() *entry {
 	var worst *entry
-	for h := int32(1); int(h) < len(s.entries); h++ {
+	for h := int32(1); h <= s.handles; h++ {
 		if e := s.entryAt(h); e != nil && e.inTCAM && (worst == nil || s.better(worst, e)) {
 			worst = e
 		}
@@ -89,7 +89,7 @@ func (s *Switch) worstTCAMEntryNaive() *entry {
 // bestSoftwareEntryNaive is the oracle scan for promotion.
 func (s *Switch) bestSoftwareEntryNaive() *entry {
 	var best *entry
-	for h := int32(1); int(h) < len(s.entries); h++ {
+	for h := int32(1); h <= s.handles; h++ {
 		e := s.entryAt(h)
 		if e == nil || !e.inSoft || !s.tcamAdmits(e.rule.Match.Width()) {
 			continue
@@ -127,6 +127,11 @@ func checkIndexes(t *testing.T, s *Switch) {
 			t.Fatalf("%d handles have a heap position, the heaps hold %d", inHeaps, n)
 		}
 	}
+	if s.evictIdx == nil {
+		// No cache policy orders this switch's tiers.
+		checkArena(t, s)
+		return
+	}
 	if got, want := s.worstTCAMEntry(), s.worstTCAMEntryNaive(); got != want {
 		t.Fatalf("worstTCAMEntry: index picked %+v, naive scan picked %+v", got, want)
 	}
@@ -145,7 +150,7 @@ func checkIndexes(t *testing.T, s *Switch) {
 		heapMembers(t, s, "promotion", s.promoteIdx, inPromote)
 	}
 	tcam, eligible := 0, 0
-	for h := int32(1); int(h) < len(s.entries); h++ {
+	for h := int32(1); h <= s.handles; h++ {
 		switch e := s.entryAt(h); {
 		case e == nil:
 		case e.inTCAM:
@@ -168,7 +173,7 @@ func checkIndexes(t *testing.T, s *Switch) {
 	}
 
 	if st, ok := s.customState.(*fdrcState); ok {
-		for _, h := range s.freeEnts {
+		for _, h := range s.freeHandles {
 			if int(h) < len(st.cells) && st.cells[h] != (fdrcCell{}) {
 				t.Fatalf("free handle %d keeps FDRC cell %+v", h, st.cells[h])
 			}
@@ -221,7 +226,7 @@ func checkDeferred(t *testing.T, s *Switch, name string, h *handleHeap) {
 		if i > 0 && it.key.less(h.items[(i-1)/2].key) {
 			t.Fatalf("%s heap out of order at slot %d", name, i)
 		}
-		cur := h.keyOf(s, &s.entries[it.h])
+		cur := h.keyOf(s, s.ent(it.h))
 		switch {
 		case cur == it.key:
 		case h.mode == lazy && it.key.less(cur):
@@ -335,7 +340,7 @@ func checkGroups(t *testing.T, s *Switch, inTCAM, inSoft map[int32]bool) {
 	if joined != 0 {
 		t.Fatalf("%d joined handles are on no group's list", -joined)
 	}
-	for _, h := range s.freeEnts {
+	for _, h := range s.freeHandles {
 		if int(h) < len(st.members) && st.members[h] != (destMember{}) {
 			t.Fatalf("free handle %d keeps group state %+v", h, st.members[h])
 		}
@@ -361,7 +366,7 @@ func checkArena(t *testing.T, s *Switch) {
 		}
 	}
 	timed := 0
-	for h := int32(1); int(h) < len(s.entries); h++ {
+	for h := int32(1); h <= s.handles; h++ {
 		e := s.entryAt(h)
 		if e == nil {
 			continue
@@ -386,16 +391,16 @@ func checkArena(t *testing.T, s *Switch) {
 	checkTiers(t, s, tracked)
 	checkKernel(t, s)
 	onFree := map[int32]bool{}
-	for _, h := range s.freeEnts {
+	for _, h := range s.freeHandles {
 		if onFree[h] {
 			t.Fatalf("handle %d free-listed twice", h)
 		}
 		onFree[h] = true
-		if h <= 0 || int(h) >= len(s.entries) {
+		if h <= 0 || h > s.handles {
 			t.Fatalf("free list holds out-of-range handle %d", h)
 		}
-		if s.entries[h].self != 0 {
-			t.Fatalf("free slot %d still claims self=%d; stale handles would resolve", h, s.entries[h].self)
+		if self := s.ent(h).self; self != 0 {
+			t.Fatalf("free slot %d still claims self=%d; stale handles would resolve", h, self)
 		}
 		if s.entryAt(h) != nil {
 			t.Fatalf("freed handle %d still resolves", h)
@@ -414,7 +419,7 @@ func checkTiers(t *testing.T, s *Switch, tracked int) {
 		want = flowtable.NewTCAM(s.profile.TCAM)
 	}
 	inTCAM, inSoft := 0, 0
-	for h := int32(1); int(h) < len(s.entries); h++ {
+	for h := int32(1); h <= s.handles; h++ {
 		e := s.entryAt(h)
 		switch {
 		case e == nil:
@@ -790,7 +795,7 @@ func TestTouchMovesNothing(t *testing.T) {
 			s.mu.Lock()
 			h := s.staleIdx
 			for _, it := range h.items[:h.len()/4+1] {
-				touch = append(touch, flowOf(ids, &s.entries[it.h]))
+				touch = append(touch, flowOf(ids, s.ent(it.h)))
 			}
 			s.mu.Unlock()
 			for _, id := range touch {

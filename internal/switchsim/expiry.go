@@ -21,16 +21,16 @@ const noTimed int32 = -1
 // scheduleExpiry records that a rule with timeouts exists: the rule's entry
 // joins the timed-rule list (once) and the next sweep deadline is pulled
 // forward. Callers hold s.mu and have set r.Ext.
-func (s *Switch) scheduleExpiry(r *flowtable.Rule, now time.Time) {
-	d := ruleDeadline(r, now)
-	if d.IsZero() {
+func (s *Switch) scheduleExpiry(r *flowtable.Rule) {
+	d := ruleDeadline(r)
+	if d == 0 {
 		return
 	}
 	if e := s.entryAt(r.Ext); e != nil && e.timedIdx == noTimed {
 		e.timedIdx = int32(len(s.timedEnts))
 		s.timedEnts = append(s.timedEnts, e.self)
 	}
-	if s.nextExpiry.IsZero() || d.Before(s.nextExpiry) {
+	if s.nextExpiry == 0 || d < s.nextExpiry {
 		s.nextExpiry = d
 	}
 }
@@ -46,23 +46,37 @@ func (s *Switch) untimeEntry(e *entry) {
 	if int(i) != last {
 		moved := s.timedEnts[last]
 		s.timedEnts[i] = moved
-		s.entries[moved].timedIdx = i
+		s.ent(moved).timedIdx = i
 	}
 	s.timedEnts = s.timedEnts[:last]
 }
 
-// ruleDeadline returns the earliest instant at which r could expire, or the
-// zero time when it never does.
-func ruleDeadline(r *flowtable.Rule, now time.Time) time.Time {
-	var d time.Time
-	if r.HardTimeout > 0 {
-		d = r.InstalledAt.Add(time.Duration(r.HardTimeout) * time.Second)
+// Rule times are Unix nanoseconds (flowtable.Rule.InstalledAt): every clock
+// here reads after 1970, so a deadline, an install time plus at least a
+// second, is never 0, and 0 can mean "never".
+
+// hardDeadline and idleDeadline return when r's hard or idle timeout fires,
+// 0 when it has none.
+func hardDeadline(r *flowtable.Rule) int64 {
+	if r.HardTimeout == 0 {
+		return 0
 	}
-	if r.IdleTimeout > 0 {
-		idle := r.LastUsedAt.Add(time.Duration(r.IdleTimeout) * time.Second)
-		if d.IsZero() || idle.Before(d) {
-			d = idle
-		}
+	return r.InstalledAt + int64(r.HardTimeout)*int64(time.Second)
+}
+
+func idleDeadline(r *flowtable.Rule) int64 {
+	if r.IdleTimeout == 0 {
+		return 0
+	}
+	return r.LastUsedAt + int64(r.IdleTimeout)*int64(time.Second)
+}
+
+// ruleDeadline returns the earliest instant at which r could expire, or 0
+// when it never does.
+func ruleDeadline(r *flowtable.Rule) int64 {
+	d, idle := hardDeadline(r), idleDeadline(r)
+	if idle != 0 && (d == 0 || idle < d) {
+		d = idle
 	}
 	return d
 }
@@ -71,29 +85,31 @@ func ruleDeadline(r *flowtable.Rule, now time.Time) time.Time {
 // queueing FLOW_REMOVED notifications for rules that asked for them.
 // Callers hold s.mu.
 func (s *Switch) expireLocked(now time.Time) {
-	if s.nextExpiry.IsZero() || now.Before(s.nextExpiry) {
+	if s.nextExpiry == 0 {
 		return
 	}
-	s.nextExpiry = time.Time{}
+	t := now.UnixNano()
+	if t < s.nextExpiry {
+		return
+	}
+	s.nextExpiry = 0
 	var victims []*flowtable.Rule
 	var reasons []uint8
 	// Walk only the timed-rule list, in schedule (install) order. Victims
-	// are collected first — removeRule below unlinks them via freeEntry, so
+	// are collected first — removeRule below unlinks them via freeRule, so
 	// mutating during iteration would skip the swapped-in tail handles.
 	for _, h := range s.timedEnts {
-		e := &s.entries[h]
-		r := e.rule
-		switch {
-		case r.HardTimeout > 0 && !now.Before(r.InstalledAt.Add(time.Duration(r.HardTimeout)*time.Second)):
+		r := s.ent(h).rule
+		switch hard, idle := hardDeadline(r), idleDeadline(r); {
+		case hard != 0 && t >= hard:
 			victims = append(victims, r)
 			reasons = append(reasons, openflow.RemovedHardTimeout)
-		case r.IdleTimeout > 0 && !now.Before(r.LastUsedAt.Add(time.Duration(r.IdleTimeout)*time.Second)):
+		case idle != 0 && t >= idle:
 			victims = append(victims, r)
 			reasons = append(reasons, openflow.RemovedIdleTimeout)
 		default:
 			// Still alive: fold its deadline into the next sweep.
-			if d := ruleDeadline(r, now); !d.IsZero() &&
-				(s.nextExpiry.IsZero() || d.Before(s.nextExpiry)) {
+			if d := ruleDeadline(r); d != 0 && (s.nextExpiry == 0 || d < s.nextExpiry) {
 				s.nextExpiry = d
 			}
 		}
@@ -114,10 +130,7 @@ func (s *Switch) noteRemoved(r *flowtable.Rule, reason uint8, now time.Time) {
 	if !r.SendFlowRem {
 		return
 	}
-	dur := now.Sub(r.InstalledAt)
-	if dur < 0 {
-		dur = 0
-	}
+	dur := time.Duration(max(now.UnixNano()-r.InstalledAt, 0))
 	s.removedQueue = append(s.removedQueue, &openflow.FlowRemoved{
 		Match:        r.Match,
 		Cookie:       r.Cookie,
@@ -147,10 +160,7 @@ func (s *Switch) TakeFlowRemoved() []*openflow.FlowRemoved {
 func (s *Switch) ExpireNow() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.nextExpiry.IsZero() {
-		now := s.clock.Now()
-		if !now.Before(s.nextExpiry) {
-			s.expireLocked(now)
-		}
+	if s.nextExpiry != 0 {
+		s.expireLocked(s.clock.Now())
 	}
 }

@@ -147,7 +147,7 @@ func TestNoTimeoutRulesCostNothing(t *testing.T) {
 	// nextExpiry must remain unset so sweeps stay O(1).
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.nextExpiry.IsZero() {
+	if s.nextExpiry != 0 {
 		t.Fatal("expiry deadline set without any timed rules")
 	}
 }
@@ -246,18 +246,18 @@ func TestFullHierarchyTimedExpiry(t *testing.T) {
 	expire("idle sweep", idleTimeout*time.Second, idle, openflow.RemovedIdleTimeout)
 	live -= len(idle)
 	checkCounts("after the idle sweep", tcamCap, live-tcamCap, 0)
-	if !s.nextExpiry.IsZero() {
-		t.Fatalf("no timed rule left, but the next sweep is due at %v", s.nextExpiry)
+	if s.nextExpiry != 0 {
+		t.Fatalf("no timed rule left, but the next sweep is due at %v", time.Unix(0, s.nextExpiry))
 	}
 
 	// The expired rules' arena slots are reused: refilling to capacity grows
 	// nothing, and the table is full again at the same count.
-	arena := len(s.entries)
+	handles, slabs := s.handles, len(s.slabs)
 	for _, id := range append(hard, idle...) {
 		addFlow(t, s, id, prio)
 	}
-	if len(s.entries) != arena {
-		t.Fatalf("refill grew the arena from %d to %d slots", arena, len(s.entries))
+	if s.handles != handles || len(s.slabs) != slabs {
+		t.Fatalf("refill grew the arena from %d handles in %d slabs to %d in %d", handles, slabs, s.handles, len(s.slabs))
 	}
 	if err := addFlowErr(s, uint32(capacity), prio); !errors.Is(err, ErrTableFull) {
 		t.Fatalf("add past %d rules after the refill: err = %v, want ErrTableFull", capacity, err)

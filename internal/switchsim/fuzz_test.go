@@ -17,10 +17,12 @@ import (
 // cache policy the dataplane_churn benchmark runs — FDRC with a window short
 // enough to roll within a sequence — and under keepLowTraffic, whose touches
 // lower keys where the others raise them, so both of a heap's deferral
-// modes run (evictindex.go). After every op the eviction indexes must
-// agree with their full-scan oracles and the arena, exact-index, timed-list
-// and tier invariants must hold (checkIndexes), and a duplicate add must
-// leave the rule as the new ADD describes it (checkReplaced).
+// modes run (evictindex.go); then on a small microflow switch whose kernel
+// cache holds four flows, so its LRU eviction runs, and whose flows share
+// address words. After every op the eviction indexes must agree with their
+// full-scan oracles and the arena, exact-index, timed-list, tier and kernel
+// invariants must hold (checkIndexes), and a duplicate add must leave the
+// rule as the new ADD describes it (checkReplaced).
 //
 // The first byte picks whether the switch starts with a default route; every
 // op after it is two bytes, a and b (testdata/fuzz/FuzzSwitchOps holds the
@@ -32,7 +34,8 @@ import (
 //	2    strict delete
 //	3    duplicate add  of installed rule b%n, new actions and cookie,
 //	                    timeouts as for a timed add
-//	4    packet burst   of a/18%8+1 packets
+//	4    packet burst   of a/18%8+1 packets, TCP source port moved by
+//	                    b>>7 + a/144*2 (the rules match any)
 //	5    clock advance  b%4 s, then an expiry sweep
 func FuzzSwitchOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -45,16 +48,19 @@ func FuzzSwitchOps(f *testing.F) {
 			ops = ops[:129]
 		}
 		for _, policy := range []Policy{PolicyFIFO, PolicyLRU, PolicyLFU, PolicyDestAggregate(), PolicyFDRC(8), keepLowTraffic} {
-			replayOps(t, policy, ops)
+			p := TestSwitch(4, policy)
+			p.SoftwareCapacity = 12
+			replayOps(t, p, ops)
 		}
+		p := OVS()
+		p.SoftwareCapacity, p.KernelCapacity = 12, 4
+		replayOps(t, p, ops)
 	})
 }
 
-// replayOps runs one decoded op sequence (see FuzzSwitchOps) on a 4-entry
-// TCAM over a 12-rule software tier, checking the invariants after each op.
-func replayOps(t *testing.T, policy Policy, ops []byte) {
-	p := TestSwitch(4, policy)
-	p.SoftwareCapacity = 12
+// replayOps runs one decoded op sequence (see FuzzSwitchOps) on a switch
+// built from p, checking the invariants after each op.
+func replayOps(t *testing.T, p Profile, ops []byte) {
 	clk := simclock.NewVirtual()
 	opts := []Option{WithClock(clk)}
 	if ops[0]&1 == 1 {
@@ -103,7 +109,10 @@ func replayOps(t *testing.T, policy Policy, ops []byte) {
 				checkReplaced(t, s, &fm, before, clk.Now())
 			}
 		case 4:
-			raw, berr := packet.BuildProbe(packet.ProbeSpec{FlowID: id})
+			var f packet.Frame
+			packet.BuildProbeFrame(&f, packet.ProbeSpec{FlowID: id})
+			f.TCP.SrcPort += uint16(b>>7) + uint16(a/144)*2
+			raw, berr := f.AppendSerialize(nil)
 			if berr != nil {
 				t.Fatal(berr)
 			}
@@ -113,7 +122,7 @@ func replayOps(t *testing.T, policy Policy, ops []byte) {
 			s.ExpireNow()
 		}
 		if err != nil && !errors.Is(err, ErrTableFull) {
-			t.Fatalf("%v, op %d (%d, %d): %v", policy, i/2, a, b, err)
+			t.Fatalf("%s %v, op %d (%d, %d): %v", p.Kind, p.CachePolicy, i/2, a, b, err)
 		}
 		checkIndexes(t, s)
 	}
@@ -135,7 +144,7 @@ func checkReplaced(t *testing.T, s *Switch, fm *openflow.FlowMod, from, to time.
 		t.Fatalf("re-add left %+v, want the ADD's actions, cookie, timeouts and flags", r)
 	case r.Packets != 0 || r.Bytes != 0:
 		t.Fatalf("re-add kept the counters: %d packets, %d bytes", r.Packets, r.Bytes)
-	case r.InstalledAt.Before(from) || r.InstalledAt.After(to) || !r.LastUsedAt.Equal(r.InstalledAt):
-		t.Fatalf("re-add during [%v, %v] left install %v, last use %v", from, to, r.InstalledAt, r.LastUsedAt)
+	case r.InstalledAt < from.UnixNano() || r.InstalledAt > to.UnixNano() || r.LastUsedAt != r.InstalledAt:
+		t.Fatalf("re-add during [%v, %v] left install %v, last use %v", from, to, time.Unix(0, r.InstalledAt), time.Unix(0, r.LastUsedAt))
 	}
 }

@@ -2,16 +2,25 @@ package switchsim
 
 import (
 	"testing"
+	"unsafe"
 
 	"tango/internal/structlayout"
 )
 
 // TestHotStructLayouts gates the arena's per-entry structs on zero padding
-// waste. The whole point of the flat arena is cache density — entries per
+// waste, and the two a switch holds one of per rule or per microflow on
+// their size: the arena's point is bytes and cache density — entries per
 // line — so a field added in the wrong place is a perf regression even
 // though no benchmark names it.
 func TestHotStructLayouts(t *testing.T) {
+	if n := unsafe.Sizeof(ruleSlot{}); n > 240 {
+		t.Errorf("a rule and its record take %d bytes, more than 240", n)
+	}
+	if n := unsafe.Sizeof(kernelSlot{}); n > 40 {
+		t.Errorf("a microflow slot takes %d bytes, more than 40", n)
+	}
 	for _, v := range []interface{}{
+		ruleSlot{},
 		entry{},
 		kernelSlot{},
 		handleHeap{},

@@ -181,7 +181,7 @@ func (s *Switch) statsReply(req *openflow.StatsRequest) openflow.StatsReply {
 				ActiveCount: uint32(s.softLen()),
 			})
 		}
-		if s.kernel != nil {
+		if s.kslots != nil {
 			maxEntries := s.profile.softwareCap()
 			if s.profile.KernelCapacity > 0 {
 				maxEntries = s.profile.KernelCapacity
@@ -189,7 +189,7 @@ func (s *Switch) statsReply(req *openflow.StatsRequest) openflow.StatsReply {
 			rep.Tables = append(rep.Tables, openflow.TableStats{
 				TableID: 2, Name: "kernel",
 				MaxEntries:  uint32(maxEntries),
-				ActiveCount: uint32(len(s.kernel)),
+				ActiveCount: uint32(s.kernelLen),
 			})
 		}
 	case openflow.StatsTypeAggregate:
@@ -208,7 +208,7 @@ func (s *Switch) statsReply(req *openflow.StatsRequest) openflow.StatsReply {
 				continue
 			}
 			tableID := uint8(1) // the software tier
-			if s.entries[r.Ext].inTCAM {
+			if s.ent(r.Ext).inTCAM {
 				tableID = 0
 			}
 			rep.Flows = append(rep.Flows, openflow.FlowStats{

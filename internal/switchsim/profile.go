@@ -78,7 +78,7 @@ type Profile struct {
 }
 
 // numPorts returns the effective port count.
-func (p Profile) numPorts() int {
+func (p *Profile) numPorts() int {
 	if p.NumPorts > 0 {
 		return p.NumPorts
 	}

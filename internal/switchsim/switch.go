@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,14 +81,17 @@ type entry struct {
 }
 
 // kernelSlot is one exact-match microflow cache entry (OVS kernel table) in
-// the switch's slot array, which the kernel map indexes by key. owner is the
-// installing rule's arena handle, 0 on a free slot; next links the owner's
-// chain of slots, or the free list's, and 0 ends either.
+// the switch's slot array. The kernel index maps a 5-tuple's address word,
+// which is the frame's flowtable.FrameKey, to the first of the slots whose
+// tuple has that word, chained through inext. owner is the installing
+// rule's arena handle, 0 on a free slot; next links the owner's chain of
+// slots, or the free list's, and 0 ends every chain.
 type kernelSlot struct {
 	key    packet.FiveTuple
 	useSeq uint64
 	owner  int32
 	next   int32
+	inext  int32
 }
 
 // Result reports the outcome of injecting one data-plane frame.
@@ -129,34 +133,31 @@ type Switch struct {
 	// flags and moves the units; the table stays as it is.
 	rules *flowtable.Table
 	tcam  *flowtable.TCAM
-	// kernel maps a microflow key to its slot in kslots (slot 0 is the
-	// reserved "none"); kfree heads the chain of free slots. A slot is
-	// on exactly one chain: its owner's or the free list.
-	kernel map[packet.FiveTuple]int32
-	kslots []kernelSlot
-	kfree  int32
+	// kernel maps a frame's address word to the first slot in kslots that
+	// holds it (slot 0 is the reserved "none"; kslots is nil except for
+	// ManageMicroflow); kfree heads the chain of free slots and kernelLen
+	// counts the live ones. A slot is on exactly one of the owner chains
+	// and the free list, and a live one also on its word's index chain.
+	kernel    flowtable.KeyIndex[int32]
+	kslots    []kernelSlot
+	kfree     int32
+	kernelLen int
 
 	events uint64
 
-	// entries is the flat entry arena (arena.go): slot 0 is the reserved nil
-	// handle, freeEnts the reusable-slot free list.
-	entries  []entry
-	freeEnts []int32
+	// slabs hold every handed-out handle's rule and record (arena.go):
+	// handles 1..handles, freeHandles the ones free for reuse, slabPool the
+	// slabs Reset retired.
+	slabs       []*slab
+	slabPool    []*slab
+	freeHandles []int32
+	handles     int32
 
 	// timedEnts lists the handles of entries whose rules carry idle/hard
 	// timeouts, in schedule order; expiry sweeps iterate it instead of the
 	// whole rule table. Entries unlink on free via their timedIdx
 	// back-pointer (swap-remove), so the list only ever holds live handles.
 	timedEnts []int32
-
-	// Rule storage: rules need stable addresses (tables hold *Rule), so they
-	// come from append-only slabs; removed rules recycle through freeRules,
-	// and Reset retires whole slabs to slabPool for reuse.
-	ruleChunk []flowtable.Rule
-	ruleUsed  int
-	liveSlabs [][]flowtable.Rule
-	slabPool  [][]flowtable.Rule
-	freeRules []*flowtable.Rule
 
 	// evictIdx and promoteIdx are the policy-ordered indexes over TCAM and
 	// software residents (evictindex.go); nil except for ManagePolicyCache.
@@ -199,10 +200,11 @@ type Switch struct {
 	lastOpClass     openflow.FlowModCommand
 	haveLastOp      bool
 
-	// nextExpiry is the earliest instant any rule with a timeout could
-	// expire; zero when no such rule exists. removedQueue holds pending
-	// FLOW_REMOVED notifications, portQueue pending PORT_STATUS ones.
-	nextExpiry   time.Time
+	// nextExpiry is the earliest instant, in Unix nanoseconds, any rule
+	// with a timeout could expire; zero when no such rule exists.
+	// removedQueue holds pending FLOW_REMOVED notifications, portQueue
+	// pending PORT_STATUS ones.
+	nextExpiry   int64
 	removedQueue []*openflow.FlowRemoved
 	portQueue    []*openflow.PortStatus
 	portsDown    map[uint16]bool
@@ -243,9 +245,7 @@ func New(p Profile, opts ...Option) *Switch {
 	}
 	s.initTCAM()
 	if p.Kind == ManageMicroflow {
-		n := p.kernelHint()
-		s.kernel = make(map[packet.FiveTuple]int32, n)
-		s.kslots = make([]kernelSlot, 1, 1+n)
+		s.kslots = make([]kernelSlot, 1, 1+p.kernelHint())
 	}
 	// Bind to the process-wide default telemetry (a no-op unless a command
 	// installed one) before the indexes take its repair counter.
@@ -257,7 +257,7 @@ func New(p Profile, opts ...Option) *Switch {
 	return s
 }
 
-func (p Profile) softwareCap() int {
+func (p *Profile) softwareCap() int {
 	if p.SoftwareCapacity > 0 {
 		return p.SoftwareCapacity
 	}
@@ -272,7 +272,7 @@ const maxSizeHint = 2048
 // ruleHint sizes the rule table for the rules the tiers can hold, so
 // probing installs that run straight to capacity never grow or rehash it;
 // the tiers' own bounds always refuse first.
-func (p Profile) ruleHint() int {
+func (p *Profile) ruleHint() int {
 	n := 0
 	if p.Kind != ManageMicroflow {
 		n = p.TCAM.CapacityNarrow
@@ -286,7 +286,7 @@ func (p Profile) ruleHint() int {
 // kernelHint sizes the microflow cache the same way: one entry per rule the
 // software tier holds, or the cache's own bound (plus the entry that
 // crosses it) when that is smaller.
-func (p Profile) kernelHint() int {
+func (p *Profile) kernelHint() int {
 	n := p.ruleHint()
 	if p.KernelCapacity > 0 {
 		n = min(n, p.KernelCapacity+1)
@@ -304,15 +304,12 @@ func (s *Switch) initTCAM() {
 func (s *Switch) installDefaultRoute() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, e := s.allocEntry()
-	r := s.newRule()
+	r, e := s.allocRule()
 	r.Priority = 0
 	r.Actions = []flowtable.Action{{Type: flowtable.ActionController}}
-	r.Ext = h
-	e.rule, e.insertSeq = r, s.nextEvent()
+	e.insertSeq = s.nextEvent()
 	if !s.place(e) {
-		s.freeEntry(e)
-		s.freeRule(r)
+		s.freeRule(e)
 		return
 	}
 	_, _ = s.rules.Insert(r, s.clock.Now()) // always nil
@@ -335,7 +332,7 @@ func (s *Switch) Reset() {
 	s.initIndexes()
 	s.defaultRule = nil
 	s.haveLastAdd, s.haveLastOp = false, false
-	s.nextExpiry = time.Time{}
+	s.nextExpiry = 0
 	s.removedQueue = nil
 	s.portQueue = nil
 	s.tel.resets.Add(1)
@@ -376,7 +373,7 @@ func (s *Switch) RuleCount() (tcam, kernel, software int) {
 	if s.tcam != nil {
 		tcam = s.tcam.Len()
 	}
-	return tcam, len(s.kernel), s.softLen()
+	return tcam, s.kernelLen, s.softLen()
 }
 
 // softLen counts the software tier's rules: every rule the TCAM does not
@@ -466,20 +463,17 @@ func (s *Switch) add(fm *openflow.FlowMod) error {
 		s.replace(r, fm, now)
 		return nil
 	}
-	h, e := s.allocEntry()
-	rule := s.newRule()
+	rule, e := s.allocRule()
 	rule.Match = fm.Match
 	rule.Priority = fm.Priority
 	setFromAdd(rule, fm)
-	rule.Ext = h
-	e.rule, e.insertSeq = rule, s.nextEvent()
+	e.insertSeq = s.nextEvent()
 	e.useSeq = e.insertSeq
 	now := s.clock.Now()
 	if !s.place(e) {
 		// Rejections are fast: the agent fails before touching hardware.
 		s.clock.Sleep(s.profile.Costs.opCost(s.rng, s.profile.Costs.AddBase))
-		s.freeEntry(e)
-		s.freeRule(rule)
+		s.freeRule(e)
 		return ErrTableFull
 	}
 	s.chargeInstall(fm.Priority)
@@ -487,7 +481,7 @@ func (s *Switch) add(fm *openflow.FlowMod) error {
 	// is always nil, and its precondition holds: add replaces an installed
 	// identical rule before it gets here.
 	_, _ = s.rules.Insert(rule, now)
-	s.scheduleExpiry(rule, s.clock.Now())
+	s.scheduleExpiry(rule)
 	return nil
 }
 
@@ -508,10 +502,11 @@ func setFromAdd(r *flowtable.Rule, fm *openflow.FlowMod) {
 func (s *Switch) replace(r *flowtable.Rule, fm *openflow.FlowMod, now time.Time) {
 	setFromAdd(r, fm)
 	r.Packets, r.Bytes = 0, 0
-	r.InstalledAt, r.LastUsedAt = now, now
+	r.InstalledAt = now.UnixNano()
+	r.LastUsedAt = r.InstalledAt
 	s.invalidateKernel(r)
 	s.untimeEntry(s.entryOf(r))
-	s.scheduleExpiry(r, now)
+	s.scheduleExpiry(r)
 }
 
 // place makes a new entry resident in the tier its switch kind and cache
@@ -679,14 +674,12 @@ func (s *Switch) removeRule(r *flowtable.Rule) {
 	if inTCAM {
 		s.tcam.Release(r.Match.Width())
 	}
-	r.Ext = 0
 	if r == s.defaultRule {
 		// The rule's storage recycles below; a dangling default pointer
 		// would alias whatever rule reuses the slot.
 		s.defaultRule = nil
 	}
-	s.freeEntry(e)
-	s.freeRule(r)
+	s.freeRule(e)
 	if inTCAM {
 		// A freed TCAM slot is refilled by the best software resident —
 		// Switch #1 "pushes the oldest software entry into TCAM whenever an
@@ -723,51 +716,87 @@ func (s *Switch) bestSoftwareEntry() *entry {
 // the chain its arena record heads.
 func (s *Switch) invalidateKernel(r *flowtable.Rule) {
 	e := s.entryOf(r)
-	if s.kernel == nil || e == nil {
+	if s.kslots == nil || e == nil {
 		return
 	}
 	for sl := e.kernelHead; sl != 0; {
-		ks := &s.kslots[sl]
-		next := ks.next
-		delete(s.kernel, ks.key)
+		next := s.kslots[sl].next
+		s.unindexKernelSlot(sl)
 		s.freeKernelSlot(sl)
 		sl = next
 	}
 	e.kernelHead = 0
 }
 
-// cacheMicroflow installs ft's kernel entry for the rule whose arena record
-// is e, at the head of e's chain.
+// kernelLookup returns the live slot caching flow ft, or 0.
+func (s *Switch) kernelLookup(ft packet.FiveTuple) int32 {
+	sl := s.kernel.Get(ft.Addrs)
+	for sl != 0 && s.kslots[sl].key != ft {
+		sl = s.kslots[sl].inext
+	}
+	return sl
+}
+
+// cacheMicroflow installs flow ft's kernel entry for the rule whose arena
+// record is e, at the head of e's chain and of its address word's index
+// chain. The slot array grows by doubling.
 func (s *Switch) cacheMicroflow(ft packet.FiveTuple, e *entry) {
 	sl := s.kfree
 	if sl != 0 {
 		s.kfree = s.kslots[sl].next
 	} else {
+		if len(s.kslots) == cap(s.kslots) {
+			s.kslots = slices.Grow(s.kslots, len(s.kslots))
+		}
 		sl = int32(len(s.kslots))
-		s.kslots = append(s.kslots, kernelSlot{})
+		s.kslots = s.kslots[:sl+1]
 	}
-	s.kslots[sl] = kernelSlot{key: ft, useSeq: s.nextEvent(), owner: e.self, next: e.kernelHead}
+	s.kslots[sl] = kernelSlot{
+		key: ft, useSeq: s.nextEvent(), owner: e.self, next: e.kernelHead, inext: s.kernel.Get(ft.Addrs),
+	}
 	e.kernelHead = sl
-	s.kernel[ft] = sl
+	s.kernel.Put(ft.Addrs, sl)
+	s.kernelLen++
 }
 
-// freeKernelSlot puts slot sl, already out of the map and its owner's chain,
-// on the free list.
+// unindexKernelSlot takes live slot sl off its address word's index chain.
+func (s *Switch) unindexKernelSlot(sl int32) {
+	ks := &s.kslots[sl]
+	addr := ks.key.Addrs
+	head := s.kernel.Get(addr)
+	switch {
+	case head != sl:
+		p := &s.kslots[head]
+		for p.inext != sl {
+			p = &s.kslots[p.inext]
+		}
+		p.inext = ks.inext
+	case ks.inext != 0:
+		s.kernel.Put(addr, ks.inext)
+	default:
+		s.kernel.Del(addr)
+	}
+	s.kernelLen--
+}
+
+// freeKernelSlot puts slot sl, already off its index chain and its owner's
+// chain, on the free list.
 func (s *Switch) freeKernelSlot(sl int32) {
 	s.kslots[sl] = kernelSlot{next: s.kfree}
 	s.kfree = sl
 }
 
-// resetKernel empties the microflow cache, keeping the map's and the slot
+// resetKernel empties the microflow cache, keeping the index's and the slot
 // array's capacity.
 func (s *Switch) resetKernel() {
-	if s.kernel == nil {
+	if s.kslots == nil {
 		return
 	}
-	clear(s.kernel)
+	s.kernel.Reset()
 	clear(s.kslots)
 	s.kslots = s.kslots[:1]
 	s.kfree = 0
+	s.kernelLen = 0
 }
 
 // SendPacket injects a data-plane frame on inPort and returns the
@@ -868,12 +897,11 @@ func (s *Switch) hardwarePipeline(f *packet.Frame, inPort uint16, size int, now 
 	// The reference walk, one tier at a time: a TCAM match beats any
 	// software match whatever their priorities, but the default route,
 	// though it sits in the TCAM, is the last resort of the whole pipeline.
-	ar := s.entries
-	if r := s.rules.LookupWhere(f, inPort, func(r *flowtable.Rule) bool { return ar[r.Ext].inTCAM }); r != nil && r != s.defaultRule {
-		return s.tcamHit(&ar[r.Ext], r, size, now)
+	if r := s.rules.LookupWhere(f, inPort, func(r *flowtable.Rule) bool { return s.ent(r.Ext).inTCAM }); r != nil && r != s.defaultRule {
+		return s.tcamHit(s.ent(r.Ext), r, size, now)
 	}
-	if r := s.rules.LookupWhere(f, inPort, func(r *flowtable.Rule) bool { return ar[r.Ext].inSoft }); r != nil {
-		return s.softHit(&ar[r.Ext], r, size, now)
+	if r := s.rules.LookupWhere(f, inPort, func(r *flowtable.Rule) bool { return s.ent(r.Ext).inSoft }); r != nil {
+		return s.softHit(s.ent(r.Ext), r, size, now)
 	}
 	return s.punt()
 }
@@ -895,7 +923,7 @@ func (s *Switch) classifyExact(f *packet.Frame, inPort uint16, size int, now tim
 		// untouched), so only shadowing against equal-or-lower-priority exact
 		// rules — guarded below — could distinguish the paths.
 		d := s.defaultRule
-		if d == nil || s.rules.WildSingleton() != d || !s.entries[d.Ext].inTCAM {
+		if d == nil || s.rules.WildSingleton() != d || !s.ent(d.Ext).inTCAM {
 			return Result{}, false
 		}
 		defaultOnly = true
@@ -921,7 +949,7 @@ func (s *Switch) classifyExact(f *packet.Frame, inPort uint16, size int, now tim
 		// exact rule shares the key, so the frame misses every rule.
 		return s.punt(), true
 	}
-	e := &s.entries[r.Ext]
+	e := s.ent(r.Ext)
 	if e.inTCAM {
 		return s.tcamHit(e, r, size, now), true
 	}
@@ -994,7 +1022,7 @@ func (s *Switch) tcamTier(e *entry) (PathKind, LatencyDist) {
 		if ahead+left < slots || r.Priority < p {
 			break // nothing later can rank ahead often enough
 		}
-		o := &s.entries[r.Ext]
+		o := s.ent(r.Ext)
 		if r.Priority == p && o.insertSeq > e.tcamSeq {
 			break
 		}
@@ -1023,10 +1051,10 @@ func (s *Switch) maybePromote(e *entry) {
 func (s *Switch) microflowPipeline(f *packet.Frame, inPort uint16, size int, now time.Time) Result {
 	ft, ftOK := f.FiveTuple()
 	if ftOK {
-		if sl, hit := s.kernel[ft]; hit {
+		if sl := s.kernelLookup(ft); sl != 0 {
 			ks := &s.kslots[sl]
 			ks.useSeq = s.nextEvent()
-			owner := s.entryAt(ks.owner)
+			owner := s.ent(ks.owner)
 			r := owner.rule
 			s.touch(owner, r, size, now)
 			if isController(r) {
@@ -1064,7 +1092,7 @@ func (s *Switch) microflowPipeline(f *packet.Frame, inPort uint16, size int, now
 // it, so a chain never holds more than the owner's live kernel entries.
 func (s *Switch) evictKernelIfNeeded() {
 	cap := s.profile.KernelCapacity
-	if cap <= 0 || len(s.kernel) <= cap {
+	if cap <= 0 || s.kernelLen <= cap {
 		return
 	}
 	victim := int32(0)
@@ -1074,9 +1102,9 @@ func (s *Switch) evictKernelIfNeeded() {
 			victim = int32(sl)
 		}
 	}
+	s.unindexKernelSlot(victim)
 	ks := &s.kslots[victim]
-	delete(s.kernel, ks.key)
-	link := &s.entries[ks.owner].kernelHead
+	link := &s.ent(ks.owner).kernelHead
 	for *link != victim {
 		link = &s.kslots[*link].next
 	}

@@ -101,7 +101,7 @@ func (s *Switch) updateOccupancy() {
 	if s.profile.Kind != ManageTCAMOnly {
 		s.tel.softOcc.Set(int64(s.softLen()))
 	}
-	if s.kernel != nil {
-		s.tel.kernelOcc.Set(int64(len(s.kernel)))
+	if s.kslots != nil {
+		s.tel.kernelOcc.Set(int64(s.kernelLen))
 	}
 }
