@@ -86,7 +86,6 @@ func Find(xs []float64, _ Options) (Result, error) {
 // the Finder's own and valid until its next Find; copy what must outlive
 // it.
 type Finder struct {
-	ss []sample
 	// floats backs the sorted values and their gaps, ints the sorted and
 	// the input-order assignments.
 	floats   []float64
@@ -94,8 +93,8 @@ type Finder struct {
 	big      []bigGap
 	clusters []Cluster
 	// Per-cluster scratch: there are never more than maxClusters.
-	bounds, counts, remap [maxClusters]int
-	centroids, sums       [maxClusters]float64
+	bounds, counts  [maxClusters]int
+	centroids, sums [maxClusters]float64
 }
 
 // bigGap is a candidate boundary: the sorted index it starts a segment at,
@@ -111,73 +110,69 @@ func (f *Finder) Find(xs []float64) (Result, error) {
 		return Result{}, ErrEmpty
 	}
 	n := len(xs)
-	ss := grow(f.ss, n)
-	f.ss = ss
-	for i, v := range xs {
-		ss[i] = sample{v, i}
-	}
 	f.floats = grow(f.floats, 2*n)
 	f.ints = grow(f.ints, 2*n)
-	sortSamples(ss)
+	values := f.floats[:n]
+	copy(values, xs)
+	slices.Sort(values)
 
 	// Stage 1: find boundaries at large gaps, and build initial centroids
 	// from the gap segments.
-	boundaries := append(f.gapBoundaries(), len(ss))
+	boundaries := append(f.gapBoundaries(values), n)
 	centroids := f.centroids[:0]
 	start := 0
 	for _, b := range boundaries {
 		var sum float64
-		for i := start; i < b; i++ {
-			sum += ss[i].v
+		for _, v := range values[start:b] {
+			sum += v
 		}
 		centroids = append(centroids, sum/float64(b-start))
 		start = b
 	}
 
 	// Stage 2: k-means refinement on the sorted values.
-	values := f.floats[:n]
-	for i, s := range ss {
-		values[i] = s.v
-	}
 	k := len(centroids)
 	assignSorted := kmeans1D(values, centroids, f.ints[:n], f.sums[:k], f.counts[:k], kmeansIterations)
 
-	// Assemble clusters and map assignments back to input order.
+	// Assemble clusters from the sorted values.
 	f.clusters = grow(f.clusters, maxClusters)
 	clusters := f.clusters[:k]
 	for i := range clusters {
 		clusters[i] = Cluster{Min: math.Inf(1), Max: math.Inf(-1)}
 	}
-	assignment := f.ints[n:]
 	sums := f.sums[:k]
 	clear(sums)
-	for i, s := range ss {
+	for i, v := range values {
 		c := assignSorted[i]
-		assignment[s.idx] = c
 		cl := &clusters[c]
 		cl.Count++
-		sums[c] += s.v
-		if s.v < cl.Min {
-			cl.Min = s.v
+		sums[c] += v
+		if v < cl.Min {
+			cl.Min = v
 		}
-		if s.v > cl.Max {
-			cl.Max = s.v
+		if v > cl.Max {
+			cl.Max = v
 		}
 	}
 	// Drop empty clusters (k-means can abandon a centroid) and renumber.
-	remap := f.remap[:k]
 	kept := clusters[:0]
 	for i, cl := range clusters {
 		if cl.Count == 0 {
-			remap[i] = -1
 			continue
 		}
 		cl.Mean = sums[i] / float64(cl.Count)
-		remap[i] = len(kept)
 		kept = append(kept, cl)
 	}
-	for i, a := range assignment {
-		assignment[i] = remap[a]
+	// Map each input to its tier. Every k-means pass assigns equal values
+	// alike and keeps tiers in ascending runs of the sorted values, so a
+	// value's tier is the first one whose Max reaches it.
+	assignment := f.ints[n:]
+	for i, v := range xs {
+		c := 0
+		for v > kept[c].Max {
+			c++
+		}
+		assignment[i] = c
 	}
 
 	// Validation pass: k-means happily bisects a unimodal tier (a tail
@@ -230,47 +225,24 @@ func mergeIndistinct(clusters []Cluster, assignment []int) ([]Cluster, []int) {
 	}
 }
 
-// sample pairs a value with its position in the caller's input slice.
-type sample struct {
-	v   float64
-	idx int
-}
-
-// sortSamples orders samples by value. The generic sort avoids the
-// reflection-based swapper of sort.Slice, which showed up in inference
-// profiles (clustering sorts thousands of RTTs per level). Ties carry equal
-// values, so the unstable order never changes boundaries or assignments.
-func sortSamples(ss []sample) {
-	slices.SortFunc(ss, func(a, b sample) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
-// gapBoundaries returns the sorted-sample indices of f.ss where a new
-// cluster begins, capped so at most maxClusters segments result.
-func (f *Finder) gapBoundaries() []int {
-	ss := f.ss
+// gapBoundaries returns the indices of the sorted values where a new
+// cluster begins, capped so at most maxClusters segments result. The gaps
+// go in f.floats after the values.
+func (f *Finder) gapBoundaries(values []float64) []int {
 	// Room for one more than the boundaries kept: Find's closing one.
 	out := f.bounds[:0]
-	if len(ss) < 2 {
+	n := len(values)
+	if n < 2 {
 		return out
 	}
-	n := len(ss)
 	gaps := f.floats[n : 2*n-1]
 	var total float64
 	for i := range gaps {
-		gaps[i] = ss[i+1].v - ss[i].v
+		gaps[i] = values[i+1] - values[i]
 		total += gaps[i]
 	}
 	meanGap := total / float64(n-1)
-	floor := (ss[n-1].v - ss[0].v) * spanFloor
+	floor := (values[n-1] - values[0]) * spanFloor
 
 	big := f.big[:0]
 	for i, g := range gaps {
@@ -278,7 +250,7 @@ func (f *Finder) gapBoundaries() []int {
 			continue
 		}
 		// A tier step qualifies even when it is small against the full span.
-		lo, hi := ss[i].v, ss[i+1].v
+		lo, hi := values[i], values[i+1]
 		if g >= floor || (lo > 0 && hi >= lo*StepRatio) {
 			big = append(big, bigGap{i + 1, g})
 		}

@@ -24,10 +24,13 @@ const (
 
 func (o CostOptions) withDefaults() CostOptions {
 	if o.Samples == 0 {
-		o.Samples = 128
+		o.Samples = defaultCostSamples
 	}
 	return o
 }
+
+// defaultCostSamples is CostOptions.Samples' default.
+const defaultCostSamples = 128
 
 // MeasureCosts fits a control-channel ScoreCard for the device by timing
 // four rewriting patterns:
@@ -45,11 +48,14 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	opts = opts.withDefaults()
 	n := opts.Samples
 	card := &pattern.ScoreCard{SwitchName: switchName, PriorityCurves: map[pattern.Order][]pattern.CurvePoint{}}
+	w := takeScratch()
+	defer w.release()
 
 	// Every phase's ops are built in one buffer, sized for the largest
 	// (phase 6's pairs): a phase is done with its ops before the next one
 	// builds its own.
-	buf := make([]pattern.Op, 2*n)
+	w.ops = resize(w.ops, 2*n)
+	buf := w.ops
 
 	// Phase 1: same-priority adds.
 	base := costFlowIDBase
@@ -110,7 +116,8 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	if res, err = e.Run(pattern.Pattern{Name: "cost/desc", Ops: descOps}); err != nil {
 		return nil, err
 	}
-	xy := make([]float64, 2*len(res.Latencies))
+	w.xy = resize(w.xy, 2*len(res.Latencies))
+	xy := w.xy
 	xs, ys := xy[:len(res.Latencies)], xy[len(res.Latencies):]
 	for i, d := range res.Latencies {
 		xs[i] = float64(i)

@@ -85,12 +85,14 @@ func ProbePolicy(e *probe.Engine, opts PolicyOptions) (*PolicyResult, error) {
 	if opts.CacheSize <= 0 {
 		return nil, ErrBadCacheSize
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	w := takeScratch()
+	defer w.release()
+	rng := w.seeded(opts.Seed)
 	res := &PolicyResult{
 		Policy: switchsim.Policy{Keys: make([]switchsim.SortKey, 0, maxPolicyRounds)},
 		Rounds: make([]Round, 0, maxPolicyRounds),
 	}
-	b := newProbeBlock(2 * opts.CacheSize)
+	b := w.resetBlock(2 * opts.CacheSize)
 
 	for round := 0; round < maxPolicyRounds; round++ {
 		base := policyFlowIDBase + uint32(round)*uint32(16*opts.CacheSize+8192)
@@ -139,8 +141,8 @@ const numAttrs = int(switchsim.AttrPriority) + 1
 // probeBlock is one initialised block of Algorithm 2's probe flows — the
 // 2×CacheSize rules at base, flow i holding value rank perm[attr][i] of each
 // attribute — and the working memory of the ProbePolicy call that owns it.
-// Every block of a call has the same flows, so one probeBlock is allocated
-// per call and re-initialised by every round, hypothesis and draw.
+// Every block of a call has the same flows, so a call carves one probeBlock
+// from its scratch and every round, hypothesis and draw re-initialises it.
 type probeBlock struct {
 	base       uint32
 	priorities []uint16
@@ -157,25 +159,28 @@ type probeBlock struct {
 	// measured RTTs and cached its residency vector.
 	order        []int
 	rtts, cached []float64
-	finder       cluster.Finder
+	finder       *cluster.Finder
 }
 
-// newProbeBlock allocates a block of s flows: its integer and its float
-// vectors are carved out of one slab each.
-func newProbeBlock(s int) *probeBlock {
-	ints := make([]int, (numAttrs+1)*s)
-	floats := make([]float64, (numAttrs+2)*s)
+// resetBlock returns w's block, reset to s flows with no attribute fixed:
+// its integer and its float vectors are carved out of one slab each.
+func (w *scratch) resetBlock(s int) *probeBlock {
+	w.ints = resize(w.ints, (numAttrs+1)*s)
+	w.floats = resize(w.floats, (numAttrs+2)*s)
+	w.prios = resize(w.prios, s)
+	ints, floats := w.ints, w.floats
 	carve := func() ([]int, []float64) {
 		i, f := ints[:s:s], floats[:s:s]
 		ints, floats = ints[s:], floats[s:]
 		return i, f
 	}
-	b := &probeBlock{priorities: make([]uint16, s)}
+	b := &w.block
+	*b = probeBlock{priorities: w.prios, finder: &w.finder}
 	for a := range b.perm {
 		b.perm[a], b.fperm[a] = carve()
 	}
 	b.order, b.rtts = carve()
-	b.cached = floats
+	b.cached = floats[:s:s]
 	for i := range b.perm[switchsim.AttrInsertion] {
 		b.perm[switchsim.AttrInsertion][i] = i
 		b.fperm[switchsim.AttrInsertion][i] = float64(i)
@@ -461,18 +466,24 @@ func (b *probeBlock) decorrelatedPerms(rng *rand.Rand) {
 	draw(switchsim.AttrUseTime, switchsim.AttrPriority, switchsim.AttrTraffic)
 }
 
-// drawPermInto fills p with a pseudo-random permutation of [0, len(p)) and
-// pf with the same values as floats. It makes exactly rand.Perm's draws —
-// one Intn(i+1) per element, in order — so p is what rng.Perm(len(p)) would
-// have returned and rng is left where rng.Perm would have left it.
+// drawPermInto fills p with a pseudo-random permutation by permInto and pf
+// with the same values as floats.
 func drawPermInto(rng *rand.Rand, p []int, pf []float64) {
+	permInto(rng, p)
+	for i, v := range p {
+		pf[i] = float64(v)
+	}
+}
+
+// permInto fills p with a pseudo-random permutation of [0, len(p)). It makes
+// exactly rand.Perm's draws — one Intn(i+1) per element, in order — so p is
+// what rng.Perm(len(p)) would have returned and rng is left where rng.Perm
+// would have left it.
+func permInto(rng *rand.Rand, p []int) {
 	for i := range p {
 		j := rng.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
-	}
-	for i, v := range p {
-		pf[i] = float64(v)
 	}
 }
 
@@ -488,11 +499,12 @@ type InitPattern struct {
 
 // InitializationPattern returns the attribute initialization the policy
 // probe would use for the given cache size and seed, for inspection and
-// plotting without touching a switch.
+// plotting without touching a switch. The pattern keeps its block, so the
+// block comes from a scratch of its own.
 func InitializationPattern(cacheSize int, seed int64) InitPattern {
 	s := 2 * cacheSize
 	rng := rand.New(rand.NewSource(seed))
-	b := newProbeBlock(s)
+	b := new(scratch).resetBlock(s)
 	b.decorrelatedPerms(rng)
 	p := InitPattern{
 		Insertion: b.perm[switchsim.AttrInsertion],

@@ -53,7 +53,7 @@ func TestOrdersMatchSortOracle(t *testing.T) {
 		sizes = append(sizes, s)
 	}
 	for _, s := range sizes {
-		b := newProbeBlock(s)
+		b := new(scratch).resetBlock(s)
 		for _, attr := range []switchsim.Attribute{switchsim.AttrUseTime, switchsim.AttrTraffic, switchsim.AttrPriority} {
 			b.perm[attr] = rng.Perm(s)
 		}

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"tango/internal/cluster"
@@ -46,10 +47,13 @@ func (o SizeOptions) withDefaults() SizeOptions {
 		o.Priority = 1000
 	}
 	if o.MaxRules == 0 {
-		o.MaxRules = 16384
+		o.MaxRules = defaultMaxRules
 	}
 	return o
 }
+
+// defaultMaxRules is SizeOptions.MaxRules' default.
+const defaultMaxRules = 16384
 
 // LevelEstimate describes one inferred flow-table layer.
 type LevelEstimate struct {
@@ -100,7 +104,9 @@ var ErrNoRules = errors.New("infer: could not install any rules")
 // O(log n) doubling rounds and O(n) probe packets (§5.2).
 func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	w := takeScratch()
+	defer w.release()
+	rng := w.seeded(opts.Seed)
 	res := &SizeResult{}
 	tr := e.Tracer()
 	sizeStart := e.Device().Now()
@@ -148,9 +154,12 @@ func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
 	m := installed
 	res.RulesInstalled = m
 
-	// Stage 2: one RTT sample per rule, in random order, then cluster.
-	rtts := make([]float64, m)
-	for _, i := range rng.Perm(m) {
+	// Stage 2: one RTT sample per rule, in random order, then cluster. The
+	// tiers are copied out of the finder, which the next phase reuses.
+	w.rtts, w.perm = resize(w.rtts, m), resize(w.perm, m)
+	rtts := w.rtts
+	permInto(rng, w.perm)
+	for _, i := range w.perm {
 		rtt, _, err := e.Probe(opts.FlowIDBase + uint32(i))
 		if err != nil {
 			return nil, err
@@ -158,22 +167,23 @@ func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
 		res.ProbesSent++
 		rtts[i] = float64(rtt)
 	}
-	cl, err := cluster.Find(rtts, cluster.Options{})
+	cl, err := w.finder.Find(rtts)
 	if err != nil {
 		return nil, err
 	}
-	res.Clusters = cl.Clusters
-	res.Levels = make([]LevelEstimate, 0, len(cl.Clusters))
+	clusters := slices.Clone(cl.Clusters)
+	res.Clusters = clusters
+	res.Levels = make([]LevelEstimate, 0, len(clusters))
 
 	// With a single tier everything fits in one layer and the estimate is m
 	// itself (sampling would degenerate to p̂→1 with capped runs), so the
 	// sampling stage — thousands of probes whose outcome is ignored — is
 	// skipped entirely.
-	if len(cl.Clusters) == 1 {
+	if len(clusters) == 1 {
 		res.Levels = append(res.Levels, LevelEstimate{
-			MeanRTT: time.Duration(cl.Clusters[0].Mean),
+			MeanRTT: time.Duration(clusters[0].Mean),
 			Size:    m,
-			Census:  cl.Clusters[0].Count,
+			Census:  clusters[0].Count,
 		})
 		if tr != nil {
 			tr.Record("infer.size", "", sizeStart, e.Device().Now().Sub(sizeStart),
@@ -183,17 +193,17 @@ func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
 	}
 
 	// Stage 3: negative-binomial sampling per level.
-	for level := range cl.Clusters {
+	for level := range clusters {
 		levelStart := e.Device().Now()
-		size, probes, err := estimateLevel(e, rng, opts, m, cl.Clusters, level)
+		size, probes, err := estimateLevel(e, rng, opts, m, clusters, level)
 		if err != nil {
 			return nil, err
 		}
 		res.ProbesSent += probes
 		res.Levels = append(res.Levels, LevelEstimate{
-			MeanRTT: time.Duration(cl.Clusters[level].Mean),
+			MeanRTT: time.Duration(clusters[level].Mean),
 			Size:    size,
-			Census:  cl.Clusters[level].Count,
+			Census:  clusters[level].Count,
 		})
 		if tr != nil {
 			tr.Record("infer.sample", "", levelStart, e.Device().Now().Sub(levelStart),

@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"slices"
+	"unsafe"
 
 	"tango/internal/flowtable"
 )
@@ -29,8 +30,15 @@ import (
 // so *flowtable.Rule and *entry pointers stay valid for as long as their
 // handle is allocated. Everything that outlives the rule is a handle.
 
-// ruleSlabSize is the number of rules, and of their records, a slab holds.
-const ruleSlabSize = 256
+// ruleSlabSize is the number of rules, and of their records, a slab holds:
+// as many as fit in 64 KiB. A slab is a large object, which Go's allocator
+// rounds up to whole 8 KiB pages, so a slab short of a page boundary pays
+// for slots it does not have. Handle arithmetic divides by this constant.
+const ruleSlabSize = int((64 << 10) / unsafe.Sizeof(ruleSlot{}))
+
+// minHandleSpan is the handle count per-handle state starts at: the power of
+// two nearest a slab's.
+const minHandleSpan = 256
 
 // ruleSlot is one handle's storage: the rule and its record.
 type ruleSlot struct {
@@ -44,7 +52,7 @@ type slab [ruleSlabSize]ruleSlot
 // slot returns handle h's storage. h must lie in 1..s.handles.
 func (s *Switch) slot(h int32) *ruleSlot {
 	i := uint32(h - 1)
-	return &s.slabs[i/ruleSlabSize][i%ruleSlabSize]
+	return &s.slabs[i/uint32(ruleSlabSize)][i%uint32(ruleSlabSize)]
 }
 
 // ent returns handle h's record without checking that it is live. Callers
@@ -136,11 +144,11 @@ func (s *Switch) resetArena() {
 
 // handleSpan returns the length per-handle state indexed by handle grows to
 // so that it covers handle h: one more than a power-of-two handle count of
-// at least a slab's, doubled from n, the state's current length. State that
-// follows the handle space thus reallocates O(log n) times, never per slab,
-// and 4,096 handles fit in 4,097 slots.
+// at least minHandleSpan, doubled from n, the state's current length. State
+// that follows the handle space thus reallocates O(log n) times, never per
+// slab, and 4,096 handles fit in 4,097 slots.
 func handleSpan(n int, h int32) int {
-	c := max(n-1, ruleSlabSize)
+	c := max(n-1, minHandleSpan)
 	for c < int(h) {
 		c *= 2
 	}

@@ -240,7 +240,6 @@ func New(p Profile, opts ...Option) *Switch {
 	s := &Switch{
 		profile: p,
 		clock:   simclock.NewVirtual(),
-		rng:     rand.New(rand.NewSource(42)),
 		rules:   flowtable.NewTable(p.ruleHint()),
 	}
 	s.initTCAM()
@@ -253,6 +252,11 @@ func New(p Profile, opts ...Option) *Switch {
 	s.initIndexes()
 	for _, o := range opts {
 		o(s)
+	}
+	// A source is 4.9 KiB; seed the default one only when WithSeed did not
+	// replace it. No option draws from it.
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(42))
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -462,6 +463,36 @@ func TestDefaultRouteOccupiesSlot(t *testing.T) {
 	// A total miss hits the default route and punts.
 	if res := sendProbe(t, s, 12345); res.Path != PathControl {
 		t.Fatalf("miss path = %v", res.Path)
+	}
+}
+
+// TestOptionOrder: New seeds its default source only when no option set
+// one, so the default route installs before WithSeed as well as after it,
+// the two orders build the same switch, and a switch without WithSeed draws
+// what WithSeed(42) draws.
+func TestOptionOrder(t *testing.T) {
+	p := TestSwitch(4, PolicyFIFO)
+	run := func(opts ...Option) ([]time.Duration, Stats) {
+		s := New(p, opts...)
+		var rtts []time.Duration
+		for id := uint32(0); id < 6; id++ {
+			addFlow(t, s, id, 100)
+			rtts = append(rtts, sendProbe(t, s, id).RTT, sendProbe(t, s, 1000+id).RTT)
+		}
+		if s.defaultRule == nil {
+			t.Fatal("no default route")
+		}
+		return rtts, s.Stats()
+	}
+	seedFirst, stats := run(WithSeed(7), WithDefaultRoute())
+	routeFirst, stats2 := run(WithDefaultRoute(), WithSeed(7))
+	if !reflect.DeepEqual(seedFirst, routeFirst) || stats != stats2 {
+		t.Errorf("WithSeed then WithDefaultRoute: %v %+v\nthe other order:            %v %+v", seedFirst, stats, routeFirst, stats2)
+	}
+	unseeded, _ := run(WithDefaultRoute())
+	seeded42, _ := run(WithDefaultRoute(), WithSeed(42))
+	if !reflect.DeepEqual(unseeded, seeded42) {
+		t.Errorf("no WithSeed draws %v, WithSeed(42) %v", unseeded, seeded42)
 	}
 }
 
