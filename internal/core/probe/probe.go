@@ -57,8 +57,9 @@ type FrameDevice interface {
 // PipelinedDevice is the wire kind — a control channel that can pipeline
 // flow-mods (ofconn.Controller's asynchronous send path): FlowModBatch
 // applies the ops in order with a shared trailing barrier and returns per-op
-// outcomes — errs has len(fms), errs[i] nil when op i was accepted, and the
-// second return reports channel-level failures only. Later ops still execute
+// outcomes — errs is nil when every op was accepted, and otherwise has
+// len(fms), errs[i] nil when op i was accepted — and the second return
+// reports channel-level failures only. Later ops still execute
 // after a rejection (OpenFlow has no transactional abort). An in-process
 // device has no batch: a batching emulator allocates per batch and changes
 // Algorithm 1's results (DESIGN §13), so it keeps the confirmed per-op path.

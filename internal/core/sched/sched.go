@@ -599,8 +599,9 @@ func (st *runState) release() {
 // dependency frontier, orders and executes the per-switch batches on a
 // worker pool (RunOptions.Workers), folds the outcomes in deterministically,
 // and retires the round with one O(out-degree) batch removal. The per-switch
-// jobs and their buffers come from an earlier run's state, so a warm Run
-// allocates a few objects of its own and the fan-out's one or two a round.
+// jobs and their buffers come from an earlier run's state, and the fan-out
+// keeps its own between calls, so a warm Run allocates a few objects of its
+// own, however many rounds it runs.
 func Run(g *Graph, s Scheduler, exec Executor, opts RunOptions) (*RunResult, error) {
 	reg := opts.Metrics
 	if reg == nil {

@@ -7,7 +7,7 @@ package ofconn
 // (Controller.write), so n ops cost ⌈n/window⌉ writes and round trips, where
 // confirming each on its own (window 1, or FlowMod in a loop) costs n of
 // both. The controller keeps nothing between calls: when FlowModBatch
-// returns, no byte of it is buffered.
+// returns, no byte of it is buffered and no outcome of it is held.
 
 import (
 	"time"
@@ -29,7 +29,7 @@ const asyncWindow = 64
 func (c *Controller) FlowMod(fm *openflow.FlowMod) error {
 	fms := [1]*openflow.FlowMod{fm}
 	var errs [1]error
-	if err := c.sendWindow(fms[:], errs[:]); err != nil {
+	if _, err := c.sendWindow(fms[:], errs[:], 0, 1); err != nil {
 		return err
 	}
 	return errs[0]
@@ -56,20 +56,23 @@ func (c *Controller) FlowMods(fms []*openflow.FlowMod) error {
 
 // FlowModBatch applies the flow-mods in order, a window at a time, each
 // window confirmed by its trailing barrier before the next is sent. It
-// returns per-op outcomes: errs has len(fms) and errs[i] is nil when op i was
-// accepted, switchsim.ErrTableFull or the switch's *openflow.Error when it
-// was rejected. Later ops still execute after a rejection (OpenFlow has no
+// returns per-op outcomes: errs is nil when every op was accepted, and
+// otherwise has len(fms), errs[i] nil when op i was accepted and
+// switchsim.ErrTableFull or the switch's *openflow.Error when it was
+// rejected. Later ops still execute after a rejection (OpenFlow has no
 // transactional abort). The batch-level error reports channel failures only;
 // on one, every op from the failed window on carries it and earlier windows
 // keep their own outcomes. An empty batch is a bare barrier. fms are
 // serialized before return, so the caller may reuse or mutate them. This
 // method is the controller's implementation of the probe engine's
 // PipelinedDevice contract.
-func (c *Controller) FlowModBatch(fms []*openflow.FlowMod) ([]error, error) {
-	errs := make([]error, len(fms))
+func (c *Controller) FlowModBatch(fms []*openflow.FlowMod) (errs []error, err error) {
 	for lo := 0; ; lo += c.window {
 		hi := min(lo+c.window, len(fms))
-		if err := c.sendWindow(fms[lo:hi], errs[lo:hi]); err != nil {
+		if errs, err = c.sendWindow(fms[lo:hi], errs, lo, len(fms)); err != nil {
+			if errs == nil {
+				errs = make([]error, len(fms))
+			}
 			for i := lo; i < len(errs); i++ {
 				errs[i] = err
 			}
@@ -83,16 +86,20 @@ func (c *Controller) FlowModBatch(fms []*openflow.FlowMod) ([]error, error) {
 
 // sendWindow is one flow-mod exchange: the ops and their barrier written
 // together, then read until the barrier's reply. The read loop puts each
-// rejection the switch sends into the op's slot of errs; the agent writes an
-// op's error before the barrier reply, so on success every rejection is
-// there. On failure errs may hold some, which the caller overwrites.
-func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) error {
+// rejection the switch sends into the op's slot of c.werrs, a buffer only
+// the exchange holding c.mu touches; the agent writes an op's error before
+// the barrier reply, so on success every rejection is there. sendWindow
+// then moves them to errs[at:], making errs with one slot for each of the
+// batch's total ops at the first rejection when it is nil, and returns it.
+// On failure it returns errs as it was, and the caller overwrites the
+// window.
+func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error, at, total int) ([]error, error) {
 	submit := c.tel.stamp()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	first, err := c.write(fms, barrierRequest)
 	if err != nil {
-		return err
+		return errs, err
 	}
 	c.tel.asyncWrites.Add(1)
 	c.tel.asyncQueued.Add(int64(len(fms)))
@@ -100,13 +107,26 @@ func (c *Controller) sendWindow(fms []*openflow.FlowMod, errs []error) error {
 		c.tel.asyncFlushes.Add(1)
 	}
 	wrote := c.tel.stamp()
-	if err := c.readReply(first, errs, false, nil); err != nil {
-		return err
+	if len(fms) > len(c.werrs) {
+		c.werrs = make([]error, len(fms))
+	}
+	werrs := c.werrs[:len(fms)]
+	defer clear(werrs)
+	if err := c.readReply(first, werrs, false, nil); err != nil {
+		return errs, err
+	}
+	for i, e := range werrs {
+		if e != nil {
+			if errs == nil {
+				errs = make([]error, total)
+			}
+			errs[at+i] = e
+		}
 	}
 	if !submit.IsZero() {
 		c.tel.noteWindow(first, len(fms), submit, wrote, time.Now())
 	}
-	return nil
+	return errs, nil
 }
 
 // rejection maps a switch's error reply, decoded from frame into the

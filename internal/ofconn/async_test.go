@@ -75,6 +75,9 @@ func TestFlowModBatchTableFullPerOp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FlowModBatch: %v", err)
 	}
+	if len(errs) != n {
+		t.Fatalf("a batch with rejections returned %d outcomes, want %d", len(errs), n)
+	}
 	installed := 0
 	for ; installed < n && errs[installed] == nil; installed++ {
 	}

@@ -30,7 +30,8 @@ type Controller struct {
 
 	// mu is held for a whole exchange and guards every field down to err:
 	// the one frame reader and the decoder its frames go through, the one
-	// buffer exchanges are marshalled into, the last xid handed out and the
+	// buffer exchanges are marshalled into, the rejections a flow-mod
+	// window collects (async.go), the last xid handed out and the
 	// connection's first failure. Once err is set nothing more is written:
 	// a failed write may have been partial, and a failed read leaves no
 	// stream to resume (err is then ErrClosed).
@@ -38,6 +39,7 @@ type Controller struct {
 	rd      *openflow.Reader
 	dec     openflow.Decoder
 	wbuf    []byte
+	werrs   []error
 	nextXID uint32
 	err     error
 

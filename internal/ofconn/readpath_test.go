@@ -118,9 +118,9 @@ func TestReadsFollowWrites(t *testing.T) {
 
 // TestFlowModAllocationBudget bounds what one flow-mod of a window allocates
 // across both ends of the channel: nothing (the parent: 2 — the agent's
-// decoded message and its action list) — plus a window's shared costs, which
-// are one: the errs FlowModBatch returns. A synchronous FlowMod is a window
-// of one, and its outcome needs no errs.
+// decoded message and its action list) — plus a window's shared costs,
+// which are none: FlowModBatch makes no errs when every op is accepted. A
+// synchronous FlowMod is a window of one, and its outcome needs no errs.
 func TestFlowModAllocationBudget(t *testing.T) {
 	c, _ := dialFlaky(t)
 	fms := make([]*openflow.FlowMod, asyncWindow)
@@ -130,11 +130,15 @@ func TestFlowModAllocationBudget(t *testing.T) {
 	// Re-adding the same rules overwrites them in place, so the switch model
 	// reaches a steady state after the warm-up run AllocsPerRun makes.
 	perWindow := testing.AllocsPerRun(20, func() {
-		if _, err := c.FlowModBatch(fms); err != nil {
+		errs, err := c.FlowModBatch(fms)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if errs != nil {
+			t.Fatalf("an accepted window returned %d outcomes, want nil", len(errs))
+		}
 	})
-	const shared = 1 // the parent: 8, and 136 for the whole window
+	const shared = 0 // the parent: 1 (its errs), 8 before it, 136 for the whole window
 	if perWindow > shared {
 		t.Fatalf("a %d-op window allocated %.0f times, want at most %d (%.2f per flow-mod)",
 			asyncWindow, perWindow, shared, perWindow/asyncWindow)

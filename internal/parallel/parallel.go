@@ -27,7 +27,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: job %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// ForEach calls fn(i) once for every i in [0, n) on min(workers, n)
+// ForEach calls fn(i) once for every i in [0, n) on at most min(workers, n)
 // goroutines, the caller's among them, and returns when every call has
 // returned. workers <= 0 means GOMAXPROCS; with one worker every call runs
 // on the caller in index order — the serial reference the differential
@@ -36,7 +36,11 @@ func (e *PanicError) Error() string {
 //
 // The wait counts jobs, not goroutines: the caller returns as soon as the
 // last job finishes, even if a helper it spawned has not started yet. Such a
-// helper finds no index left, never calls fn, and exits unwaited.
+// helper finds no index left, never calls fn, and exits unwaited. A call
+// starts no helper while workers-1 helpers, its own or any other call's,
+// are still out, so the process never has more helpers out than its widest
+// call asked for and late ones cannot pile up. The caller claims jobs like
+// any helper, so no job waits for a helper to start.
 //
 // A panic in fn never unwinds a goroutine the caller cannot recover on. It
 // stops further indexes from being claimed, lets the jobs already running
@@ -54,28 +58,97 @@ func ForEach(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	r := &run{n: int64(n), fn: fn}
+	r := takeRun()
+	r.n, r.fn = int64(n), fn
+	r.next.Store(0)
 	r.wg.Add(n)
-	for w := 1; w < workers; w++ {
-		go r.work()
+	helpers := reserveHelpers(int64(workers - 1))
+	r.live.Store(1 + helpers)
+	for range helpers {
+		go r.helperFn()
 	}
 	r.work()
 	r.wg.Wait()
-	if r.failed != nil {
-		panic(r.failed)
+	failed := r.failed
+	r.leave()
+	if failed != nil {
+		panic(failed)
 	}
 }
 
-// run is one ForEach call's shared state: a single allocation, whatever n.
-// wg counts the jobs not yet finished or written off.
+// helpersOut counts the helpers started and not yet exited, process-wide.
+var helpersOut atomic.Int64
+
+// reserveHelpers counts out up to want more helpers, as many as keep
+// helpersOut at or below want, and returns how many it counted.
+func reserveHelpers(want int64) int64 {
+	for {
+		out := helpersOut.Load()
+		k := want - out
+		if k <= 0 {
+			return 0
+		}
+		if helpersOut.CompareAndSwap(out, out+k) {
+			return k
+		}
+	}
+}
+
+// freeRuns holds idle runs: a leaky buffer, which a GC does not empty as
+// it does a sync.Pool. A run goes back only when the last goroutine using
+// it leaves, so a call can find its predecessor's run still held by a
+// helper that has not run yet; with at most workers-1 helpers out, 16
+// slots keep every call up to 16 workers from allocating. A call that finds
+// the buffer empty makes a run, and one that finds it full drops its own.
+var freeRuns = make(chan *run, 16)
+
+func takeRun() *run {
+	select {
+	case r := <-freeRuns:
+		return r
+	default:
+		r := &run{}
+		r.helperFn = r.helper
+		return r
+	}
+}
+
+// run is one ForEach call's shared state, kept between calls.
+// wg counts the jobs not yet finished or written off; live counts the
+// goroutines — the caller and its helpers — that have not yet left.
 type run struct {
 	n    int64
 	fn   func(int)
 	next atomic.Int64
 	wg   sync.WaitGroup
+	live atomic.Int64
+	// helperFn is r.helper, bound once so that a go statement allocates no
+	// method value.
+	helperFn func()
 
 	mu     sync.Mutex
 	failed *PanicError
+}
+
+// helper is a spawned goroutine's whole life: claim jobs, then leave.
+func (r *run) helper() {
+	r.work()
+	helpersOut.Add(-1)
+	r.leave()
+}
+
+// leave drops one goroutine's hold on r. The last to leave clears what the
+// call handed in and returns r to the free list: no goroutine still holding
+// r ever sees it reset for the next call.
+func (r *run) leave() {
+	if r.live.Add(-1) != 0 {
+		return
+	}
+	r.fn, r.failed = nil, nil
+	select {
+	case freeRuns <- r:
+	default:
+	}
 }
 
 // work claims and runs jobs until none are left or one of them panics.

@@ -75,6 +75,68 @@ func TestForEachLateHelperClaimsNothing(t *testing.T) {
 	}
 }
 
+// A warm ForEach allocates nothing: its run comes back from the free list
+// and a helper's go statement takes the method value bound when the run was
+// made. Run with GOMAXPROCS 1, as AllocsPerRun does, the caller finishes
+// every job before a helper starts, so without the cap on helpers out they
+// pile up, each holding a run the next call cannot have.
+func TestForEachAllocatesNothing(t *testing.T) {
+	var sink [32]int
+	fn := func(i int) { sink[i]++ }
+	for _, workers := range []int{1, 2, 8} {
+		got := testing.AllocsPerRun(2000, func() { ForEach(len(sink), workers, fn) })
+		if got != 0 {
+			t.Errorf("workers=%d: %v allocations per ForEach, want 0", workers, got)
+		}
+	}
+}
+
+// Runs are recycled while late helpers are still out, from several callers
+// at once. Every call's fn records its own call id: each index must run
+// exactly once, under its own call's fn, and never after its ForEach
+// returned. A run handed to the next call while a helper still holds it
+// lets that helper claim the new call's indexes against the old count or
+// fn; the owner writes then race with the caller's reads, which -race
+// reports (CI runs this -race -count=20).
+func TestForEachRecycledRunsStayPrivate(t *testing.T) {
+	const callers, calls, maxN = 4, 1000, 24
+	done := make(chan struct{})
+	for c := 0; c < callers; c++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			var owner [maxN]int
+			var returned atomic.Int64
+			for call := 1; call <= calls; call++ {
+				n := 1 + (call*7+c)%maxN
+				ForEach(n, 8, func(i int) {
+					if returned.Load() >= int64(call) {
+						t.Errorf("caller %d: call %d ran index %d after it returned", c, call, i)
+					}
+					if owner[i] != 0 {
+						t.Errorf("caller %d: call %d ran index %d twice", c, call, i)
+					}
+					owner[i] = call
+				})
+				returned.Store(int64(call))
+				for i := range owner {
+					want := call
+					if i >= n {
+						want = 0
+					}
+					if owner[i] != want {
+						t.Errorf("caller %d: call %d left index %d = %d, want %d", c, call, i, owner[i], want)
+						return
+					}
+					owner[i] = 0
+				}
+			}
+		}()
+	}
+	for c := 0; c < callers; c++ {
+		<-done
+	}
+}
+
 // A panic early in a long run leaves almost every index unclaimed; the
 // failing goroutine must write those jobs off, or the caller's wait for
 // them never ends.

@@ -43,8 +43,13 @@ func MinMax(xs []float64) (min, max float64, err error) {
 	return min, max, nil
 }
 
+// shortSample is the longest input Percentile sorts in a copy on its stack;
+// a longer one is copied to the heap.
+const shortSample = 32
+
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. xs need not be sorted.
+// interpolation between closest ranks. xs need not be sorted, and is left
+// as it is.
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
@@ -55,7 +60,8 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if p > 100 {
 		p = 100
 	}
-	s := append([]float64(nil), xs...)
+	var short [shortSample]float64
+	s := append(short[:0], xs...)
 	sort.Float64s(s)
 	if len(s) == 1 {
 		return s[0], nil

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +77,55 @@ func TestMedianSingleton(t *testing.T) {
 	got, err := Median([]float64{42})
 	if err != nil || got != 42 {
 		t.Fatalf("Median([42]) = %v, %v", got, err)
+	}
+}
+
+// DetectMicroflowCaching takes the median of 7 RTT samples twice per
+// inspection; a sample that short is sorted in a copy on the stack.
+func TestMedianOfShortSampleAllocatesNothing(t *testing.T) {
+	xs := []float64{7, 3, 9, 1, 5, 3, 8}
+	var got float64
+	if n := testing.AllocsPerRun(100, func() { got, _ = Median(xs) }); n != 0 {
+		t.Fatalf("Median of %d samples allocated %v times, want 0", len(xs), n)
+	}
+	if got != 5 {
+		t.Fatalf("Median = %v, want 5", got)
+	}
+}
+
+// Either side of the stack copy's length, Percentile interpolates over a
+// sorted copy and leaves its input unsorted.
+func TestPercentileCopiesAtEveryLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, shortSample - 1, shortSample, shortSample + 1, 3 * shortSample} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Round(rng.NormFloat64()*100) / 4
+		}
+		orig := append([]float64(nil), xs...)
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, p := range []float64{0, 10, 50, 90, 99.9, 100} {
+			got, err := Percentile(xs, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rank := p / 100 * float64(n-1)
+			lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+			want := sorted[lo]
+			if lo != hi {
+				frac := rank - float64(lo)
+				want = sorted[lo]*(1-frac) + sorted[hi]*frac
+			}
+			if got != want {
+				t.Errorf("n=%d p=%v: %v, want %v", n, p, got, want)
+			}
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				t.Fatalf("n=%d: input changed at %d", n, i)
+			}
+		}
 	}
 }
 
