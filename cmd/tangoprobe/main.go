@@ -126,7 +126,7 @@ func main() {
 		model.Sizes.RulesInstalled, model.Sizes.ProbesSent)
 
 	if *channel {
-		rep, err := probe.BenchmarkChannel(tango.NewEngine(dev), probe.ChannelBenchOptions{})
+		rep, err := probe.BenchmarkChannel(tango.NewEngine(dev))
 		if err != nil {
 			log.Fatalf("tangoprobe: channel benchmark: %v", err)
 		}

@@ -127,10 +127,8 @@ func scaleCosts(p *switchsim.Profile, rng *rand.Rand) {
 // Options configures a conformance run.
 type Options struct {
 	// Faults enables the injector; the zero value probes a clean channel.
+	// An enabled injector hardens the probe engine with probe.DefaultRetry.
 	Faults faults.Config
-	// Retry is the probe engine's hardening policy. Zero selects
-	// probe.DefaultRetry when faults are enabled, single-attempt otherwise.
-	Retry probe.Retry
 	// Workers caps the number of specs recovered concurrently; 0 means
 	// GOMAXPROCS, 1 forces the old sequential behavior.
 	Workers int
@@ -198,8 +196,7 @@ func RunSpec(spec Spec, opts Options) Result {
 	inj := faults.NewInjector(opts.Faults)
 	sw := switchsim.New(spec.Profile, switchsim.WithSeed(spec.Seed))
 	e := probe.NewEngine(faults.WrapDevice(probe.SimDevice{S: sw}, inj))
-	e.Retry = opts.Retry
-	if e.Retry.MaxAttempts <= 1 && inj != nil {
+	if inj != nil {
 		e.Retry = probe.DefaultRetry
 	}
 

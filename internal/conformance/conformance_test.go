@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"tango/internal/core/infer"
 	"tango/internal/core/probe"
 	"tango/internal/faults"
 	"tango/internal/switchsim"
@@ -201,24 +202,31 @@ func TestFaultGolden(t *testing.T) {
 	}
 }
 
-// TestRetryDisabledSurfacesTypedErrors checks the fail-cleanly path: with
-// retry explicitly reduced to one attempt, injected drops must surface as
+// TestRetryDisabledSurfacesTypedErrors checks the fail-cleanly path: on a
+// single-attempt engine (the zero Retry), injected drops must surface as
 // typed fault errors rather than hangs or organic failures.
 func TestRetryDisabledSurfacesTypedErrors(t *testing.T) {
-	specs := GenerateSpecs(2, cleanSeed)
-	results := Run(specs, Options{
-		Faults: faults.Config{Seed: 3, Drop: 0.2},
-		Retry:  probe.Retry{MaxAttempts: 1},
-	})
-	for _, r := range results {
-		if r.Err == nil {
+	failed := 0
+	for _, spec := range GenerateSpecs(2, cleanSeed) {
+		inj := faults.NewInjector(faults.Config{Seed: 3, Drop: 0.2})
+		sw := switchsim.New(spec.Profile, switchsim.WithSeed(spec.Seed))
+		e := probe.NewEngine(faults.WrapDevice(probe.SimDevice{S: sw}, inj))
+		_, err := infer.Inspect(e, infer.InspectOptions{
+			Name: spec.Name,
+			Size: infer.SizeOptions{Seed: spec.Seed + 1, MaxRules: 8 * spec.CacheSize},
+		})
+		if err == nil {
 			continue // survived by luck of the draw
 		}
-		if !r.FaultTyped {
-			t.Errorf("%s: error not typed: %v", r.Spec.Name, r.Err)
+		failed++
+		if !faultTyped(err) {
+			t.Errorf("%s: error not typed: %v", spec.Name, err)
 		}
-		if !errors.Is(r.Err, faults.ErrInjected) && !errors.Is(r.Err, probe.ErrExhausted) {
-			t.Errorf("%s: error chain lost the fault: %v", r.Spec.Name, r.Err)
+		if !errors.Is(err, faults.ErrInjected) && !errors.Is(err, probe.ErrExhausted) {
+			t.Errorf("%s: error chain lost the fault: %v", spec.Name, err)
 		}
+	}
+	if failed == 0 {
+		t.Fatal("no spec failed under 20% drops with one attempt")
 	}
 }

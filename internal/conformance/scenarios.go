@@ -157,7 +157,7 @@ func attackProfile(name string, cache, softCap int) switchsim.Profile {
 func runAttackTiming(sc Scenario) ScenarioResult {
 	const cache = 128
 	res := ScenarioResult{Scenario: sc}
-	det := switchsim.NewOverflowDetector(switchsim.DetectorOptions{})
+	det := switchsim.NewOverflowDetector()
 	sw := switchsim.New(attackProfile("adv-attack-lru", cache, 1024),
 		switchsim.WithSeed(sc.Seed), switchsim.WithDetector(det))
 	e := probe.NewEngine(probe.SimDevice{S: sw})
@@ -165,7 +165,7 @@ func runAttackTiming(sc Scenario) ScenarioResult {
 	aopts := workload.AttackOptions{Canaries: 16, Step: 16, MaxFills: 320}
 	ops := workload.OverflowAttack(aopts)
 	aopts = aopts.WithDefaults()
-	base := aopts.FlowBase
+	base := workload.AttackFlowBase
 	fillBase := base + uint32(aopts.Canaries)
 
 	var baselineMax time.Duration
@@ -247,7 +247,7 @@ func runCleanZipf(sc Scenario) ScenarioResult {
 		packets = 30000
 	)
 	res := ScenarioResult{Scenario: sc}
-	det := switchsim.NewOverflowDetector(switchsim.DetectorOptions{})
+	det := switchsim.NewOverflowDetector()
 	sw := switchsim.New(attackProfile("adv-clean-lru", cache, 4096),
 		switchsim.WithSeed(sc.Seed), switchsim.WithDetector(det))
 	e := probe.NewEngine(probe.SimDevice{S: sw})

@@ -47,7 +47,7 @@ const defaultCostSamples = 128
 func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*pattern.ScoreCard, error) {
 	opts = opts.withDefaults()
 	n := opts.Samples
-	card := &pattern.ScoreCard{SwitchName: switchName, PriorityCurves: map[pattern.Order][]pattern.CurvePoint{}}
+	card := &pattern.ScoreCard{SwitchName: switchName}
 	w := takeScratch()
 	defer w.release()
 

@@ -28,8 +28,8 @@ func (o CurveOptions) withDefaults() CurveOptions {
 
 // MeasurePriorityCurves measures the total installation time of n fresh
 // rules under each of the four priority orderings, for each n in Counts —
-// the probing pattern behind Figure 3(c) and the source of the score
-// database's PriorityCurves. The device's tables are restored between runs
+// the probing pattern behind Figure 3(c). It returns the curves; the score
+// card does not keep them. The device's tables are restored between runs
 // by deleting the installed rules, so a single (initially empty) device
 // serves the whole sweep.
 func MeasurePriorityCurves(e *probe.Engine, opts CurveOptions) (map[pattern.Order][]pattern.CurvePoint, error) {

@@ -39,6 +39,10 @@ const (
 	policyFlowIDBase = 1 << 20
 )
 
+// trafficTarget is the packet count Algorithm 2 initializes the flow of
+// traffic rank r to: counts spaced trafficGap apart, the lowest above 0.
+func trafficTarget(r int) int { return trafficGap * (r + 1) }
+
 // Round records the diagnostics of one recursion round of Algorithm 2.
 type Round struct {
 	// Correlations maps attribute → Pearson correlation between the
@@ -223,7 +227,7 @@ func initBlock(e *probe.Engine, rng *rand.Rand, base uint32, b *probeBlock) erro
 	if !b.fixed[switchsim.AttrTraffic] {
 		trafPerm := b.perm[switchsim.AttrTraffic]
 		for _, i := range inversePerm(b.order, trafPerm) {
-			if err := e.SendTraffic(base+uint32(i), trafficGap*(trafPerm[i]+1)); err != nil {
+			if err := e.SendTraffic(base+uint32(i), trafficTarget(trafPerm[i])); err != nil {
 				return err
 			}
 		}
@@ -513,7 +517,7 @@ func InitializationPattern(cacheSize int, seed int64) InitPattern {
 		Traffic:   make([]int, s),
 	}
 	for i, r := range b.perm[switchsim.AttrTraffic] {
-		p.Traffic[i] = trafficGap * (r + 1)
+		p.Traffic[i] = trafficTarget(r)
 	}
 	return p
 }

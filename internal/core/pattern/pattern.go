@@ -206,9 +206,6 @@ type ScoreCard struct {
 	// grouping deletes/modifies/additions profitable even on switches with
 	// flat per-op costs.
 	TypeSwitch time.Duration
-	// PriorityCurves holds measured total installation times by ordering
-	// and rule count, for reporting and plotting (Figure 3(b)/(c)).
-	PriorityCurves map[Order][]CurvePoint
 	// PathLatency maps inferred forwarding-tier index (0 = fastest) to its
 	// mean RTT, from size probing.
 	PathLatency []time.Duration

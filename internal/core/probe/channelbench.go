@@ -56,39 +56,24 @@ func summarize(samples []float64) (RTTSummary, error) {
 	}, nil
 }
 
-// ChannelBenchOptions tunes BenchmarkChannel.
-type ChannelBenchOptions struct {
-	// Ops is the number of flow-mods per rate measurement. Zero means 200.
-	Ops int
-	// Probes is the number of RTT samples per path. Zero means 200.
-	Probes int
-}
-
 const (
 	// benchFlowIDBase offsets BenchmarkChannel's probe flows.
 	benchFlowIDBase uint32 = 6 << 20
 	// benchPriority is the priority of the benchmark rules.
 	benchPriority uint16 = 700
+	// benchOps is the number of flow-mods per rate measurement.
+	benchOps = 200
+	// benchProbes is the number of RTT samples per path.
+	benchProbes = 200
 )
-
-func (o ChannelBenchOptions) withDefaults() ChannelBenchOptions {
-	if o.Ops == 0 {
-		o.Ops = 200
-	}
-	if o.Probes == 0 {
-		o.Probes = 200
-	}
-	return o
-}
 
 // BenchmarkChannel measures the device's raw control-channel rates and
 // data-path RTT distributions. The device is left clean.
-func BenchmarkChannel(e *Engine, opts ChannelBenchOptions) (*ChannelReport, error) {
-	opts = opts.withDefaults()
+func BenchmarkChannel(e *Engine) (*ChannelReport, error) {
 	rep := &ChannelReport{}
 
 	rate := func(kind pattern.OpKind) (float64, error) {
-		ops := make([]pattern.Op, opts.Ops)
+		ops := make([]pattern.Op, benchOps)
 		for i := range ops {
 			ops[i] = pattern.Op{Kind: kind, FlowID: benchFlowIDBase + uint32(i), Priority: benchPriority}
 		}
@@ -99,7 +84,7 @@ func BenchmarkChannel(e *Engine, opts ChannelBenchOptions) (*ChannelReport, erro
 		if d <= 0 {
 			return 0, fmt.Errorf("probe: zero elapsed time")
 		}
-		return float64(opts.Ops) / d.Seconds(), nil
+		return float64(benchOps) / d.Seconds(), nil
 	}
 	var err error
 	if rep.AddPerSec, err = rate(pattern.OpAdd); err != nil {
@@ -110,9 +95,9 @@ func BenchmarkChannel(e *Engine, opts ChannelBenchOptions) (*ChannelReport, erro
 	}
 
 	// RTT distributions while the rules are installed.
-	fast := make([]float64, 0, opts.Probes)
-	for i := 0; i < opts.Probes; i++ {
-		rtt, punted, err := e.Probe(benchFlowIDBase + uint32(i%opts.Ops))
+	fast := make([]float64, 0, benchProbes)
+	for i := 0; i < benchProbes; i++ {
+		rtt, punted, err := e.Probe(benchFlowIDBase + uint32(i%benchOps))
 		if err != nil {
 			return nil, err
 		}
@@ -123,9 +108,9 @@ func BenchmarkChannel(e *Engine, opts ChannelBenchOptions) (*ChannelReport, erro
 	if rep.FastRTT, err = summarize(fast); err != nil {
 		return nil, fmt.Errorf("probe: fast path: %w", err)
 	}
-	punt := make([]float64, 0, opts.Probes)
-	missBase := benchFlowIDBase + uint32(opts.Ops) + 1000
-	for i := 0; i < opts.Probes; i++ {
+	punt := make([]float64, 0, benchProbes)
+	missBase := benchFlowIDBase + uint32(benchOps) + 1000
+	for i := 0; i < benchProbes; i++ {
 		rtt, punted, err := e.Probe(missBase + uint32(i))
 		if err != nil {
 			return nil, err

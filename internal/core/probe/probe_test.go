@@ -132,7 +132,7 @@ func TestClearProbeRules(t *testing.T) {
 
 func TestBenchmarkChannel(t *testing.T) {
 	e, sw := newEngine(switchsim.Switch1())
-	rep, err := BenchmarkChannel(e, ChannelBenchOptions{Ops: 100, Probes: 100})
+	rep, err := BenchmarkChannel(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,10 +99,9 @@ type Options struct {
 	// the generated profiles' bounded tables reject well before that).
 	MaxRules int
 	// ProbeRate is each member's probe budget in probes/sec; 0 disables
-	// pacing (and keeps wall time deterministic-friendly). ProbeBurst is
-	// the bucket depth (default: one round's worth, 4*MaxRules).
-	ProbeRate  float64
-	ProbeBurst float64
+	// pacing (and keeps wall time deterministic-friendly). The bucket holds
+	// one round's worth, 4*MaxRules.
+	ProbeRate float64
 	// MaxInflight bounds how many members may be mid-round at once across
 	// all workers; 0 means no bound.
 	MaxInflight int
@@ -132,9 +131,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRules <= 0 {
 		o.MaxRules = 1024
-	}
-	if o.ProbeBurst <= 0 {
-		o.ProbeBurst = float64(4 * o.MaxRules)
 	}
 	if o.Registry == nil {
 		o.Registry = telemetry.Default()
@@ -314,7 +310,7 @@ func (r *runner) initMember(m *member) {
 	if r.o.Flight != nil {
 		m.trk = r.o.Flight.Track(m.name)
 	}
-	m.bkt = newTokenBucket(r.o.ProbeRate, r.o.ProbeBurst, r.o.now, r.o.sleep)
+	m.bkt = newTokenBucket(r.o.ProbeRate, float64(4*r.o.MaxRules), r.o.now, r.o.sleep)
 	r.members = append(r.members, m)
 }
 

@@ -75,15 +75,19 @@ func TestTokenBucketRefillCapsAtBurst(t *testing.T) {
 // overdraw the per-switch budget, admissions wait, and the throttle ledger
 // records it — while inference results stay identical to the unpaced run.
 func TestFleetPacingThrottles(t *testing.T) {
-	base, err := Run(testOptions(9))
+	// The bucket holds 4*MaxRules probes; four rounds spend more than that.
+	const rounds = 4
+	opts := testOptions(9)
+	opts.Rounds = rounds
+	base, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ft := newFakeTime()
 	o := testOptions(9)
+	o.Rounds = rounds
 	o.Workers = 1 // the fake clock is not goroutine-safe
 	o.ProbeRate = 50
-	o.ProbeBurst = 100
 	o.now, o.sleep = ft.now, ft.sleep
 	paced, err := Run(o)
 	if err != nil {

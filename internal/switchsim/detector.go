@@ -16,40 +16,22 @@ import (
 // organic traffic (Zipf-popular flows over a randomly assigned address
 // space) is novelty-heavy only briefly and essentially never sequential.
 
-// DetectorOptions tunes the overflow detector. Zero values select defaults.
-type DetectorOptions struct {
-	// Window is the number of data-plane observations per analysis window
-	// (default 128).
-	Window int
-	// NovelFrac is the minimum fraction of a window's observations that
-	// must be first-seen flows (default 0.5).
-	NovelFrac float64
-	// SeqFrac is the minimum fraction of the window's novel flows whose
-	// destination address directly follows the previous novel flow's
-	// (default 0.5). Sequential novelty is the scan signature.
-	SeqFrac float64
-}
-
-func (o DetectorOptions) withDefaults() DetectorOptions {
-	if o.Window <= 0 {
-		o.Window = 128
-	}
-	if o.NovelFrac <= 0 {
-		o.NovelFrac = 0.5
-	}
-	if o.SeqFrac <= 0 {
-		o.SeqFrac = 0.5
-	}
-	return o
-}
+// The detector's thresholds. A window is detWindow data-plane observations;
+// it alarms when at least detNovelFrac of them are first-seen flows and at
+// least detSeqFrac of those novel flows' destinations directly follow the
+// previous novel flow's. Sequential novelty is the scan signature.
+const (
+	detWindow    = 128
+	detNovelFrac = 0.5
+	detSeqFrac   = 0.5
+)
 
 // OverflowDetector watches one switch's data plane for the overflow-probing
 // pattern. Attach it with WithDetector; read the verdict with Alarms. The
 // detector has its own lock so tests can read counters while a scenario is
 // still driving the switch.
 type OverflowDetector struct {
-	mu   sync.Mutex
-	opts DetectorOptions
+	mu sync.Mutex
 
 	// seen maps flow keys to state bits (bit 0: observed before;
 	// bit 1: last observation ran on a fast tier).
@@ -73,12 +55,9 @@ const (
 	detWasFast uint8 = 1 << 1
 )
 
-// NewOverflowDetector builds a detector with the given options.
-func NewOverflowDetector(opts DetectorOptions) *OverflowDetector {
-	return &OverflowDetector{
-		opts: opts.withDefaults(),
-		seen: make(map[uint64]uint8),
-	}
+// NewOverflowDetector builds a detector.
+func NewOverflowDetector() *OverflowDetector {
+	return &OverflowDetector{seen: make(map[uint64]uint8)}
 }
 
 // WithDetector attaches d to the switch: every data-plane send (a burst
@@ -136,7 +115,7 @@ func (d *OverflowDetector) observe(key uint64, ok bool, path PathKind) {
 		}
 		d.seen[key] = bits
 	}
-	if d.obs >= d.opts.Window {
+	if d.obs >= detWindow {
 		d.closeWindow()
 	}
 }
@@ -147,8 +126,8 @@ func (d *OverflowDetector) closeWindow() {
 	if d.windowCtr != nil {
 		d.windowCtr.Add(1)
 	}
-	novelOK := float64(d.novel) >= d.opts.NovelFrac*float64(d.obs)
-	seqOK := d.novel > 0 && float64(d.seqNovel) >= d.opts.SeqFrac*float64(d.novel)
+	novelOK := float64(d.novel) >= detNovelFrac*float64(d.obs)
+	seqOK := d.novel > 0 && float64(d.seqNovel) >= detSeqFrac*float64(d.novel)
 	if novelOK && seqOK {
 		d.alarms++
 		if d.alarmCtr != nil {

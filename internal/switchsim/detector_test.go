@@ -9,7 +9,7 @@ func detKey(src, dst uint32) uint64 {
 }
 
 func TestDetectorAlarmsOnSequentialScan(t *testing.T) {
-	d := NewOverflowDetector(DetectorOptions{})
+	d := NewOverflowDetector()
 	// An overflow attacker's fill phase: every packet a never-seen flow,
 	// destinations in address order, all missing the fast path.
 	for i := uint32(0); i < 256; i++ {
@@ -24,7 +24,7 @@ func TestDetectorAlarmsOnSequentialScan(t *testing.T) {
 }
 
 func TestDetectorIgnoresShuffledNovelty(t *testing.T) {
-	d := NewOverflowDetector(DetectorOptions{})
+	d := NewOverflowDetector()
 	// Novelty-heavy but address-shuffled traffic (e.g. a flash crowd over a
 	// hashed address space): stride 3 never produces dst adjacency.
 	for i := uint32(0); i < 256; i++ {
@@ -39,7 +39,7 @@ func TestDetectorIgnoresShuffledNovelty(t *testing.T) {
 }
 
 func TestDetectorIgnoresRepeatedTraffic(t *testing.T) {
-	d := NewOverflowDetector(DetectorOptions{})
+	d := NewOverflowDetector()
 	// Steady-state traffic over a tiny working set: almost no novelty.
 	for i := 0; i < 256; i++ {
 		d.observe(detKey(7, uint32(i%4)), true, PathFast)
@@ -50,7 +50,7 @@ func TestDetectorIgnoresRepeatedTraffic(t *testing.T) {
 }
 
 func TestDetectorCountsRevisitDemotions(t *testing.T) {
-	d := NewOverflowDetector(DetectorOptions{})
+	d := NewOverflowDetector()
 	k := detKey(7, 42)
 	d.observe(k, true, PathFast) // canary installed, rides the fast path
 	d.observe(k, true, PathSlow) // canary evicted: revisit comes back slow
@@ -72,7 +72,7 @@ func TestDetectorCountsRevisitDemotions(t *testing.T) {
 }
 
 func TestDetectorNonIPv4FramesNeverNovel(t *testing.T) {
-	d := NewOverflowDetector(DetectorOptions{})
+	d := NewOverflowDetector()
 	// Unparseable frames fill windows but cannot look like a scan.
 	for i := 0; i < 128; i++ {
 		d.observe(0, false, PathControl)
@@ -82,18 +82,51 @@ func TestDetectorNonIPv4FramesNeverNovel(t *testing.T) {
 	}
 }
 
-func TestDetectorDefaultsAndCustomWindow(t *testing.T) {
-	// The window's first novel flow has no predecessor, so at window 8 a pure
-	// scan yields 7/8 sequential novels — SeqFrac must stay at or below that.
-	d := NewOverflowDetector(DetectorOptions{Window: 8, NovelFrac: 0.9, SeqFrac: 0.8})
-	for i := uint32(0); i < 8; i++ {
-		d.observe(detKey(1, i), true, PathControl)
+// TestDetectorThresholds drives 128-observation windows at each threshold's
+// edge: half the window novel and half the novel flows sequential alarm, one
+// fewer of either does not.
+func TestDetectorThresholds(t *testing.T) {
+	d := NewOverflowDetector()
+	// window observes n novel sequential flows from base and fills the rest
+	// of the window with frames that are never novel.
+	window := func(base uint32, n int) {
+		for i := 0; i < n; i++ {
+			d.observe(detKey(1, base+uint32(i)), true, PathControl)
+		}
+		for i := n; i < detWindow; i++ {
+			d.observe(0, false, PathControl)
+		}
 	}
-	if a := d.Alarms(); a != 1 {
-		t.Fatalf("alarms = %d with window 8, want 1", a)
+	// pairs observes novel flows in adjacent pairs, seq of them sequential.
+	pairs := func(base uint32, seq int) {
+		for i := 0; i < detWindow/2; i++ {
+			d.observe(detKey(1, base+uint32(4*i)), true, PathControl)
+			next := base + uint32(4*i) + 1
+			if i >= seq {
+				next++
+			}
+			d.observe(detKey(1, next), true, PathControl)
+		}
 	}
-	if got := (DetectorOptions{}).withDefaults(); got.Window != 128 || got.NovelFrac != 0.5 || got.SeqFrac != 0.5 {
-		t.Fatalf("defaults = %+v", got)
+	steps := []struct {
+		name  string
+		run   func()
+		alarm bool
+	}{
+		{"half novel", func() { window(10000, detWindow/2) }, true},
+		{"one short of half novel", func() { window(20000, detWindow/2-1) }, false},
+		{"half sequential", func() { pairs(30000, detWindow/2) }, true},
+		{"one short of half sequential", func() { pairs(40000, detWindow/2-1) }, false},
+	}
+	want := 0
+	for _, st := range steps {
+		st.run()
+		if st.alarm {
+			want++
+		}
+		if a := d.Alarms(); a != want {
+			t.Fatalf("%s: alarms = %d, want %d", st.name, a, want)
+		}
 	}
 }
 
@@ -101,14 +134,14 @@ func TestDetectorDefaultsAndCustomWindow(t *testing.T) {
 // data-plane send is classified exactly once (a burst counts once, matching
 // its single pipeline decision).
 func TestDetectorOnSwitchObservesBursts(t *testing.T) {
-	d := NewOverflowDetector(DetectorOptions{Window: 8})
+	d := NewOverflowDetector()
 	s := New(TestSwitch(4, PolicyLRU), WithDetector(d))
 	addFlow(t, s, 1, 100)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 2*detWindow; i++ {
 		sendProbe(t, s, 1)
 	}
 	if w := d.Windows(); w != 2 {
-		t.Fatalf("windows = %d after 16 sends with window 8, want 2", w)
+		t.Fatalf("windows = %d after %d sends, want 2", w, 2*detWindow)
 	}
 	if a := d.Alarms(); a != 0 {
 		t.Fatalf("alarms = %d on single-flow traffic, want 0", a)

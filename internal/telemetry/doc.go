@@ -67,7 +67,7 @@
 // interval windows: per-counter deltas, rates and EWMA-smoothed rates,
 // per-histogram window quantiles (from bucket deltas between ticks), and
 // runtime health (heap, GC pause, goroutines). Each window is stamped on
-// both clocks. Series() returns the retained windows; the HTTP exporter
+// the wall clock. Series() returns the retained windows; the HTTP exporter
 // serves them at /metrics/series.
 //
 // # Flight recorder

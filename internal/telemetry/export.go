@@ -174,16 +174,13 @@ type HandlerOptions struct {
 	Sampler *Sampler
 	// Flight backs /flight with the per-switch RTT flight recorder JSONL.
 	Flight *FlightRecorder
-	// DisablePprof removes the /debug/pprof routes (served by default: the
-	// exporter is a diagnostics endpoint, and live profiles are half the
-	// point of having one).
-	DisablePprof bool
 }
 
 // HandlerFor returns the telemetry HTTP handler: the four documents in the
 // route table below (labeled children appear in /metrics under their
-// family{key="value"} names), live Go profiles under /debug/pprof/ (unless
-// DisablePprof), and at / a plain-text index of them all.
+// family{key="value"} names), live Go profiles under /debug/pprof/ (the
+// exporter is a diagnostics endpoint, and live profiles are half the point
+// of having one), and at / a plain-text index of them all.
 func HandlerFor(opts HandlerOptions) http.Handler {
 	routes := []struct {
 		path, ctype, help string
@@ -205,14 +202,12 @@ func HandlerFor(opts HandlerOptions) http.Handler {
 		})
 		index += fmt.Sprintf("  %-16s %s\n", rt.path, rt.help)
 	}
-	if !opts.DisablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		index += "  /debug/pprof/    live Go profiles\n"
-	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	index += "  /debug/pprof/    live Go profiles\n"
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
 			http.NotFound(w, req)

@@ -4,11 +4,10 @@ package telemetry
 // (package docs, "Windowed time series"): each tick appends one window per
 // metric to a bounded ring — counters as deltas with a rate and an EWMA,
 // gauges as sampled values, histograms as count/sum plus quantiles of the
-// interval's bucket deltas — stamped on both clocks, so emulator runs can be
-// asked "what happened over the last 30 virtual seconds" and TCP runs "over
-// the last 30 real ones". Every tick also captures runtime health, the drift
-// detector's baseline for separating switch-side change from
-// controller-side load.
+// interval's bucket deltas — stamped on the wall clock, so a run can be asked
+// "what happened over the last 30 seconds". Every tick also captures runtime
+// health, the drift detector's baseline for separating switch-side change
+// from controller-side load.
 
 import (
 	"encoding/json"
@@ -20,52 +19,37 @@ import (
 	"time"
 )
 
-// Sampler defaults.
 const (
 	// DefaultSampleInterval is Start's wall-clock tick period.
 	DefaultSampleInterval = time.Second
-	// DefaultWindows is the per-metric ring capacity: with the default
+	// seriesWindows is the per-metric ring capacity: at the default
 	// interval, two minutes of history.
-	DefaultWindows = 120
-	// DefaultEWMAAlpha is the rate-smoothing factor (weight of the newest
-	// window).
-	DefaultEWMAAlpha = 0.3
+	seriesWindows = 120
+	// ewmaAlpha is the rate-smoothing factor (weight of the newest window).
+	ewmaAlpha = 0.3
 )
 
-// SamplerOptions configures NewSampler. The zero value selects the defaults
-// above with wall-clock stamping only.
+// SamplerOptions configures NewSampler.
 type SamplerOptions struct {
 	// Interval is the wall period of Start's loop; Tick may additionally be
-	// driven by hand (tests, virtual-time harnesses). Zero means
-	// DefaultSampleInterval.
+	// driven by hand. Zero means DefaultSampleInterval.
 	Interval time.Duration
-	// Windows bounds each series ring. Zero means DefaultWindows.
-	Windows int
-	// VirtNow supplies the virtual clock for window stamps; nil stamps
-	// virtual time with wall time.
-	VirtNow func() time.Time
-	// Alpha is the EWMA smoothing factor in (0,1]. Zero means
-	// DefaultEWMAAlpha.
-	Alpha float64
 }
 
 // CounterPoint is one counter window: the delta accumulated over the
 // interval, its rate, and the smoothed rate.
 type CounterPoint struct {
-	Wall    time.Time     `json:"wall"`
-	Virt    time.Time     `json:"virt"`
-	Dur     time.Duration `json:"dur_ns"`
-	VirtDur time.Duration `json:"virt_dur_ns"`
-	Delta   int64         `json:"delta"`
-	Total   int64         `json:"total"`
-	Rate    float64       `json:"rate_per_s"`
-	EWMA    float64       `json:"ewma_per_s"`
+	Wall  time.Time     `json:"wall"`
+	Dur   time.Duration `json:"dur_ns"`
+	Delta int64         `json:"delta"`
+	Total int64         `json:"total"`
+	Rate  float64       `json:"rate_per_s"`
+	EWMA  float64       `json:"ewma_per_s"`
 }
 
 // GaugePoint is one sampled gauge value.
 type GaugePoint struct {
 	Wall  time.Time `json:"wall"`
-	Virt  time.Time `json:"virt"`
 	Value int64     `json:"value"`
 }
 
@@ -73,24 +57,21 @@ type GaugePoint struct {
 // over the interval, with quantiles interpolated from the interval's bucket
 // deltas (not the lifetime distribution).
 type HistogramPoint struct {
-	Wall    time.Time     `json:"wall"`
-	Virt    time.Time     `json:"virt"`
-	Dur     time.Duration `json:"dur_ns"`
-	VirtDur time.Duration `json:"virt_dur_ns"`
-	Count   int64         `json:"count"`
-	Sum     float64       `json:"sum"`
-	Mean    float64       `json:"mean"`
-	P50     float64       `json:"p50"`
-	P90     float64       `json:"p90"`
-	P99     float64       `json:"p99"`
-	Rate    float64       `json:"rate_per_s"`
-	EWMA    float64       `json:"ewma_per_s"`
+	Wall  time.Time     `json:"wall"`
+	Dur   time.Duration `json:"dur_ns"`
+	Count int64         `json:"count"`
+	Sum   float64       `json:"sum"`
+	Mean  float64       `json:"mean"`
+	P50   float64       `json:"p50"`
+	P90   float64       `json:"p90"`
+	P99   float64       `json:"p99"`
+	Rate  float64       `json:"rate_per_s"`
+	EWMA  float64       `json:"ewma_per_s"`
 }
 
 // RuntimePoint is one runtime-health sample.
 type RuntimePoint struct {
 	Wall         time.Time     `json:"wall"`
-	Virt         time.Time     `json:"virt"`
 	HeapAlloc    uint64        `json:"heap_alloc_bytes"`
 	HeapObjects  uint64        `json:"heap_objects"`
 	Goroutines   int           `json:"goroutines"`
@@ -156,7 +137,6 @@ type Sampler struct {
 	runtime  ring[RuntimePoint]
 	prevGC   time.Duration
 	lastWall time.Time
-	lastVirt time.Time
 	ticks    int64
 
 	startMu sync.Mutex
@@ -170,19 +150,13 @@ func NewSampler(reg *Registry, opts SamplerOptions) *Sampler {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultSampleInterval
 	}
-	if opts.Windows <= 0 {
-		opts.Windows = DefaultWindows
-	}
-	if opts.Alpha <= 0 || opts.Alpha > 1 {
-		opts.Alpha = DefaultEWMAAlpha
-	}
 	return &Sampler{
 		reg:      reg,
 		opts:     opts,
 		counters: map[string]*counterSeries{},
 		gauges:   map[string]*gaugeSeries{},
 		hists:    map[string]*histSeries{},
-		runtime:  newRing[RuntimePoint](opts.Windows),
+		runtime:  newRing[RuntimePoint](seriesWindows),
 	}
 }
 
@@ -231,17 +205,12 @@ func (s *Sampler) Stop() {
 }
 
 // Tick takes one interval snapshot immediately. It is the loop body of
-// Start, exported so tests and virtual-time harnesses can drive windows
-// deterministically.
+// Start, exported so tests can drive windows by hand.
 func (s *Sampler) Tick() {
 	if s == nil {
 		return
 	}
 	wall := time.Now()
-	virt := wall
-	if s.opts.VirtNow != nil {
-		virt = s.opts.VirtNow()
-	}
 
 	// Copy the handle tables under the registry lock, then read the atomics
 	// outside it.
@@ -264,15 +233,14 @@ func (s *Sampler) Tick() {
 	defer s.mu.Unlock()
 	first := s.ticks == 0
 	dur := wall.Sub(s.lastWall)
-	virtDur := virt.Sub(s.lastVirt)
-	s.lastWall, s.lastVirt = wall, virt
+	s.lastWall = wall
 	s.ticks++
 	secs := dur.Seconds()
 
 	for name, c := range cs {
 		ser := s.counters[name]
 		if ser == nil {
-			ser = &counterSeries{ring: newRing[CounterPoint](s.opts.Windows)}
+			ser = &counterSeries{ring: newRing[CounterPoint](seriesWindows)}
 			s.counters[name] = ser
 		}
 		total := c.Value()
@@ -287,24 +255,24 @@ func (s *Sampler) Tick() {
 		if secs > 0 {
 			rate = float64(delta) / secs
 		}
-		ser.ewma = s.opts.Alpha*rate + (1-s.opts.Alpha)*ser.ewma
+		ser.ewma = ewmaAlpha*rate + (1-ewmaAlpha)*ser.ewma
 		ser.ring.push(CounterPoint{
-			Wall: wall, Virt: virt, Dur: dur, VirtDur: virtDur,
+			Wall: wall, Dur: dur,
 			Delta: delta, Total: total, Rate: rate, EWMA: ser.ewma,
 		})
 	}
 	for name, g := range gs {
 		ser := s.gauges[name]
 		if ser == nil {
-			ser = &gaugeSeries{newRing[GaugePoint](s.opts.Windows)}
+			ser = &gaugeSeries{newRing[GaugePoint](seriesWindows)}
 			s.gauges[name] = ser
 		}
-		ser.ring.push(GaugePoint{Wall: wall, Virt: virt, Value: g.Value()})
+		ser.ring.push(GaugePoint{Wall: wall, Value: g.Value()})
 	}
 	for name, h := range hs {
 		ser := s.hists[name]
 		if ser == nil {
-			ser = &histSeries{prevBucket: make([]int64, len(h.buckets)), ring: newRing[HistogramPoint](s.opts.Windows)}
+			ser = &histSeries{prevBucket: make([]int64, len(h.buckets)), ring: newRing[HistogramPoint](seriesWindows)}
 			s.hists[name] = ser
 		}
 		count := h.count.Load()
@@ -322,7 +290,7 @@ func (s *Sampler) Tick() {
 			continue
 		}
 		pt := HistogramPoint{
-			Wall: wall, Virt: virt, Dur: dur, VirtDur: virtDur,
+			Wall: wall, Dur: dur,
 			Count: dCount, Sum: dSum,
 		}
 		if dCount > 0 {
@@ -334,15 +302,14 @@ func (s *Sampler) Tick() {
 		if secs > 0 {
 			pt.Rate = float64(dCount) / secs
 		}
-		ser.ewma = s.opts.Alpha*pt.Rate + (1-s.opts.Alpha)*ser.ewma
+		ser.ewma = ewmaAlpha*pt.Rate + (1-ewmaAlpha)*ser.ewma
 		pt.EWMA = ser.ewma
 		ser.ring.push(pt)
 	}
 
 	gcPause := time.Duration(ms.PauseTotalNs)
 	rp := RuntimePoint{
-		Wall: wall, Virt: virt,
-		HeapAlloc: ms.HeapAlloc, HeapObjects: ms.HeapObjects,
+		Wall: wall, HeapAlloc: ms.HeapAlloc, HeapObjects: ms.HeapObjects,
 		Goroutines: goroutines, NumGC: ms.NumGC,
 		GCPauseTotal: gcPause, GCPauseDelta: gcPause - s.prevGC,
 	}

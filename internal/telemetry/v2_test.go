@@ -147,19 +147,16 @@ func TestSamplerWindows(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops")
 	h := r.Histogram("lat", 10, 100, 1000)
-	virt := time.Unix(0, 0)
-	s := NewSampler(r, SamplerOptions{
-		Interval: time.Second,
-		Windows:  4,
-		VirtNow:  func() time.Time { return virt },
-	})
+	s := NewSampler(r, SamplerOptions{Interval: time.Second})
 
 	s.Tick() // baseline: records prev state, no windows yet
+	base := s.Series().Runtime[0].Wall
 	c.Add(10)
 	h.Observe(50)
 	h.Observe(500)
-	virt = virt.Add(time.Second)
+	before := time.Now()
 	s.Tick()
+	after := time.Now()
 
 	ss := s.Series()
 	if ss.Ticks != 2 {
@@ -172,8 +169,8 @@ func TestSamplerWindows(t *testing.T) {
 	if cp[0].Rate <= 0 || cp[0].EWMA <= 0 {
 		t.Fatalf("rate/ewma not positive: %+v", cp[0])
 	}
-	if !cp[0].Virt.Equal(virt) {
-		t.Fatalf("virtual stamp = %v, want %v", cp[0].Virt, virt)
+	if cp[0].Wall.Before(before) || cp[0].Wall.After(after) || cp[0].Dur != cp[0].Wall.Sub(base) {
+		t.Fatalf("window stamp %v over %v, want the tick's wall clock in [%v, %v] since %v", cp[0].Wall, cp[0].Dur, before, after, base)
 	}
 	hp := ss.Histograms["lat"]
 	if len(hp) != 1 || hp[0].Count != 2 {
@@ -192,14 +189,13 @@ func TestSamplerWindows(t *testing.T) {
 		t.Fatalf("runtime sample empty: %+v", ss.Runtime[1])
 	}
 
-	// Windows ring: 5 more ticks with the 4-window bound retains 4.
-	for i := 0; i < 5; i++ {
+	// The ring keeps the last seriesWindows windows.
+	for i := 0; i < seriesWindows; i++ {
 		c.Add(1)
-		virt = virt.Add(time.Second)
 		s.Tick()
 	}
-	if got := len(s.Series().Counters["ops"]); got != 4 {
-		t.Fatalf("retained windows = %d, want 4", got)
+	if got := len(s.Series().Counters["ops"]); got != seriesWindows {
+		t.Fatalf("retained windows = %d, want %d", got, seriesWindows)
 	}
 }
 
@@ -210,10 +206,10 @@ func TestSamplerWindows(t *testing.T) {
 // that the last EWMA is a weighted mean of the rates seen — inside [min, max],
 // short of full weight only by the seed's (1−α)^n share.
 func TestSamplerEWMAConverges(t *testing.T) {
-	const alpha, ticks = 0.5, 12
+	const alpha, ticks = ewmaAlpha, 12
 	r := NewRegistry()
 	c := r.Counter("ops")
-	s := NewSampler(r, SamplerOptions{Interval: time.Second, Alpha: alpha})
+	s := NewSampler(r, SamplerOptions{Interval: time.Second})
 	s.Tick()
 	for i := 0; i < ticks; i++ {
 		c.Add(100)
@@ -395,14 +391,6 @@ func TestHandlerErrorPaths(t *testing.T) {
 		if rec.Code != 200 {
 			t.Fatalf("GET %s with nil options = %d", path, rec.Code)
 		}
-	}
-
-	// DisablePprof removes the profile routes.
-	noPprof := HandlerFor(HandlerOptions{DisablePprof: true})
-	rec = httptest.NewRecorder()
-	noPprof.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
-	if rec.Code != 404 {
-		t.Fatalf("GET /debug/pprof/cmdline with DisablePprof = %d, want 404", rec.Code)
 	}
 
 	// Partial wiring: tracer-only and registry-only combinations.

@@ -41,14 +41,15 @@ type AttackOp struct {
 	Flow uint32
 }
 
+// AttackFlowBase is the first flow ID the attacker mints. It keeps the
+// attack's probe addresses clear of any concurrent inference traffic: probe
+// IPs repeat every 1<<24 flow IDs, so the base is well below that and away
+// from the inference engines' ID ranges.
+const AttackFlowBase uint32 = 3 << 20
+
 // AttackOptions parameterises OverflowAttack. The zero value selects
 // defaults suitable for caches up to a few hundred entries.
 type AttackOptions struct {
-	// FlowBase is the first flow ID the attacker mints. It must keep the
-	// attack's probe addresses clear of any concurrent inference traffic:
-	// probe IPs repeat every 1<<24 flow IDs, so bases are chosen well below
-	// that and away from the inference engines' ID ranges.
-	FlowBase uint32
 	// Canaries is the number of sentinel flows installed up front. Each is
 	// revisited exactly once, so refreshing a canary's recency (which would
 	// shield it from LRU-style eviction) can never happen twice.
@@ -65,9 +66,6 @@ type AttackOptions struct {
 // WithDefaults resolves zero fields to the documented defaults. Schedule
 // executors call it to recover the same flow-ID layout the generator used.
 func (o AttackOptions) WithDefaults() AttackOptions {
-	if o.FlowBase == 0 {
-		o.FlowBase = 3 << 20
-	}
 	if o.Canaries <= 0 {
 		o.Canaries = 16
 	}
@@ -88,7 +86,7 @@ func (o AttackOptions) WithDefaults() AttackOptions {
 func OverflowAttack(opts AttackOptions) []AttackOp {
 	opts = opts.WithDefaults()
 	ops := make([]AttackOp, 0, 2*opts.Canaries+2*opts.MaxFills+opts.MaxFills/opts.Step+1)
-	base := opts.FlowBase
+	base := AttackFlowBase
 	for i := 0; i < opts.Canaries; i++ {
 		c := base + uint32(i)
 		ops = append(ops, AttackOp{AttackInstall, c}, AttackOp{AttackProbe, c})

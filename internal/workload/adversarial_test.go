@@ -7,23 +7,27 @@ import (
 )
 
 // TestOverflowAttackGoldenSmall pins the exact schedule for a hand-checkable
-// configuration: 2 canaries, a canary revisit every 2 fills, 4 fills. The
-// generator is a pure function, so any diff here is a semantic change to the
-// attack, not noise.
+// configuration: 2 canaries, a canary revisit every 2 fills, 4 fills, from
+// AttackFlowBase. The generator is a pure function, so any diff here is a
+// semantic change to the attack, not noise.
 func TestOverflowAttackGoldenSmall(t *testing.T) {
-	got := OverflowAttack(AttackOptions{FlowBase: 100, Canaries: 2, Step: 2, MaxFills: 4})
+	got := OverflowAttack(AttackOptions{Canaries: 2, Step: 2, MaxFills: 4})
+	const b = AttackFlowBase
 	want := []AttackOp{
 		// Canary phase: install and baseline-probe each sentinel.
-		{AttackInstall, 100}, {AttackProbe, 100},
-		{AttackInstall, 101}, {AttackProbe, 101},
+		{AttackInstall, b}, {AttackProbe, b},
+		{AttackInstall, b + 1}, {AttackProbe, b + 1},
 		// Fill phase: every fill is installed and timed; after every 2nd
 		// fill the next unchecked canary is revisited exactly once.
-		{AttackInstall, 102}, {AttackProbe, 102},
-		{AttackInstall, 103}, {AttackProbe, 103},
-		{AttackProbe, 100}, // canary 0 checked after 2 fills
-		{AttackInstall, 104}, {AttackProbe, 104},
-		{AttackInstall, 105}, {AttackProbe, 105},
-		{AttackProbe, 101}, // canary 1 checked after 4 fills
+		{AttackInstall, b + 2}, {AttackProbe, b + 2},
+		{AttackInstall, b + 3}, {AttackProbe, b + 3},
+		{AttackProbe, b}, // canary 0 checked after 2 fills
+		{AttackInstall, b + 4}, {AttackProbe, b + 4},
+		{AttackInstall, b + 5}, {AttackProbe, b + 5},
+		{AttackProbe, b + 1}, // canary 1 checked after 4 fills
+	}
+	if AttackFlowBase != 3<<20 {
+		t.Fatalf("AttackFlowBase = %d, want 3<<20", AttackFlowBase)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("schedule mismatch:\n got: %v\nwant: %v", got, want)
@@ -39,7 +43,7 @@ func TestOverflowAttackDefaults(t *testing.T) {
 		t.Fatalf("default schedule length = %d, want %d", len(ops), 2*16+2*320+16)
 	}
 	opts := AttackOptions{}.WithDefaults()
-	if opts.FlowBase != 3<<20 || opts.Canaries != 16 || opts.Step != 16 || opts.MaxFills != 320 {
+	if opts.Canaries != 16 || opts.Step != 16 || opts.MaxFills != 320 {
 		t.Fatalf("defaults = %+v", opts)
 	}
 	// Each canary is probed exactly twice across the whole schedule: the
@@ -48,7 +52,7 @@ func TestOverflowAttackDefaults(t *testing.T) {
 	// attack's bracketing logic.
 	probes := make(map[uint32]int)
 	for _, op := range ops {
-		if op.Kind == AttackProbe && op.Flow < opts.FlowBase+uint32(opts.Canaries) {
+		if op.Kind == AttackProbe && op.Flow < AttackFlowBase+uint32(opts.Canaries) {
 			probes[op.Flow]++
 		}
 	}
@@ -72,17 +76,21 @@ func TestAttackOpKindString(t *testing.T) {
 }
 
 // TestChurnGoldenSmall pins a full small schedule for seed 9: fixed 500ms
-// spacing, flows from the 4-flow population, exactly one timeout field set
-// per install.
+// spacing, flows from the 4-flow population at churnFlowBase, exactly one
+// timeout field set per install.
 func TestChurnGoldenSmall(t *testing.T) {
-	got := Churn(ChurnOptions{FlowBase: 200, Flows: 4, Rate: 2, Duration: 3 * time.Second, Seed: 9})
+	got := Churn(ChurnOptions{Flows: 4, Rate: 2, Duration: 3 * time.Second, Seed: 9})
+	const b = churnFlowBase
 	want := []ChurnEvent{
-		{At: 500 * time.Millisecond, Kind: ChurnTouch, Flow: 201},
-		{At: 1000 * time.Millisecond, Kind: ChurnInstall, Flow: 202, IdleTimeout: 1},
-		{At: 1500 * time.Millisecond, Kind: ChurnInstall, Flow: 203, IdleTimeout: 3},
-		{At: 2000 * time.Millisecond, Kind: ChurnInstall, Flow: 201, IdleTimeout: 3},
-		{At: 2500 * time.Millisecond, Kind: ChurnTouch, Flow: 201},
-		{At: 3000 * time.Millisecond, Kind: ChurnInstall, Flow: 203, IdleTimeout: 3},
+		{At: 500 * time.Millisecond, Kind: ChurnTouch, Flow: b + 1},
+		{At: 1000 * time.Millisecond, Kind: ChurnInstall, Flow: b + 2, IdleTimeout: 1},
+		{At: 1500 * time.Millisecond, Kind: ChurnInstall, Flow: b + 3, IdleTimeout: 3},
+		{At: 2000 * time.Millisecond, Kind: ChurnInstall, Flow: b + 1, IdleTimeout: 3},
+		{At: 2500 * time.Millisecond, Kind: ChurnTouch, Flow: b + 1},
+		{At: 3000 * time.Millisecond, Kind: ChurnInstall, Flow: b + 3, IdleTimeout: 3},
+	}
+	if churnFlowBase != 5<<20 {
+		t.Fatalf("churnFlowBase = %d, want 5<<20", churnFlowBase)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("schedule mismatch:\n got: %v\nwant: %v", got, want)

@@ -44,11 +44,12 @@ type ChurnEvent struct {
 	HardTimeout uint16 // seconds; 0 = none (ChurnInstall only)
 }
 
+// churnFlowBase is the first flow ID of the churning population; see
+// AttackFlowBase for the aliasing constraint.
+const churnFlowBase uint32 = 5 << 20
+
 // ChurnOptions parameterises Churn.
 type ChurnOptions struct {
-	// FlowBase is the first flow ID of the churning population; see
-	// AttackOptions.FlowBase for the aliasing constraint.
-	FlowBase uint32
 	// Flows is the population size; events pick flows uniformly from it
 	// (default 128). Re-installing a still-live flow is an OpenFlow
 	// overwrite-in-place no-op, so the effective install rate is governed
@@ -73,9 +74,6 @@ type ChurnOptions struct {
 const minTimeout, maxTimeout = 1, 3
 
 func (o ChurnOptions) withDefaults() ChurnOptions {
-	if o.FlowBase == 0 {
-		o.FlowBase = 5 << 20
-	}
 	if o.Flows <= 0 {
 		o.Flows = 128
 	}
@@ -104,7 +102,7 @@ func Churn(opts ChurnOptions) []ChurnEvent {
 	}
 	var out []ChurnEvent
 	for at := interval; at <= opts.Duration; at += interval {
-		ev := ChurnEvent{At: at, Flow: opts.FlowBase + uint32(rng.Intn(opts.Flows))}
+		ev := ChurnEvent{At: at, Flow: churnFlowBase + uint32(rng.Intn(opts.Flows))}
 		if rng.Float64() < opts.TouchFrac {
 			ev.Kind = ChurnTouch
 		} else {
