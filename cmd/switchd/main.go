@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	switchd -listen :6633 -profile switch1 -scale 0.001
+//	switchd -listen :6633 -profile switch1 -scale 0.01
 //
-// The -scale flag compresses the emulated latencies into wall time (0.001
-// turns a simulated 6 ms flow-mod into 6 µs) so interactive probing remains
+// The -scale flag compresses the emulated latencies into wall time (0.01
+// turns a simulated 6 ms flow-mod into 60 µs) so interactive probing remains
 // fast while relative magnitudes — which is all Tango's inference needs —
 // are preserved.
 //
@@ -79,7 +79,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:6633", "address to listen on")
 	flag.StringVar(&cfg.profile, "profile", "switch1", "switch profile: ovs, switch1, switch2, switch3, fig5")
-	flag.Float64Var(&cfg.scale, "scale", 0.001, "wall-time scale for emulated latencies")
+	flag.Float64Var(&cfg.scale, "scale", 0.01, "wall-time scale for emulated latencies")
 	flag.BoolVar(&cfg.defaultRoute, "default-route", false, "pre-install the punt-to-controller default route")
 	flag.Int64Var(&cfg.seed, "seed", 42, "latency model RNG seed")
 	flag.StringVar(&cfg.faultSpec, "faults", "", `inject control-channel faults, e.g. "drop=0.01,delay=0.05,seed=7" (kinds: drop, delay, duplicate, reorder, reset, overflow)`)

@@ -105,8 +105,8 @@ func main() {
 	fmt.Println(model)
 	fmt.Printf("layers:\n")
 	for i, l := range model.Sizes.Levels {
-		fmt.Printf("  level %d: ~%d entries (census %d), mean RTT %v\n",
-			i, l.Size, l.Census, l.MeanRTT.Round(10*time.Microsecond))
+		fmt.Printf("  level %d: ~%d entries [%d, %d] (census %d), mean RTT %v\n",
+			i, l.Size, l.Lo, l.Hi, l.Census, l.MeanRTT.Round(10*time.Microsecond))
 	}
 	if model.Policy != nil {
 		for i, r := range model.Policy.Rounds {

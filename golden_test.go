@@ -33,14 +33,14 @@ func TestInspectGolden(t *testing.T) {
 	}{
 		{switchsim.OVS(), 31190459584, 9358, 8206,
 			"switch OVS: m=4096 full=false levels=[{3ms:4096}] caching=microflow costs{add=52µs addNew=52µs shift=0s mod=55µs del=46µs}"},
-		{switchsim.Switch1(), 55665132604820, 17550, 25237522,
-			"switch Switch#1: m=4096 full=false levels=[{660µs:2054} {3.7ms:2045}] policy=insertion(keep-low) costs{add=421µs addNew=902µs shift=13.988µs mod=6.036ms del=2.01ms}"},
+		{switchsim.Switch1(), 55524184913853, 17550, 25193250,
+			"switch Switch#1: m=4096 full=false levels=[{660µs:2028} {3.7ms:2035}] policy=insertion(keep-low) costs{add=417µs addNew=898µs shift=13.516µs mod=6.057ms del=2.001ms}"},
 		{switchsim.Switch3(), 5473629209, 1905, 752,
 			"switch Switch#3: m=369 full=true levels=[{500µs:369}] costs{add=599µs addNew=1.103ms shift=148.634µs mod=7.007ms del=2.513ms}"},
-		{specs[0].Profile, 138560441017, 5795, 58436,
-			"switch conf-00-cache-89: m=356 full=true levels=[{380µs:87} {3.94ms:273}] policy=traffic(keep-low),priority(keep-high),use_time(keep-high) costs{add=474µs addNew=674µs shift=9.835µs mod=2.578ms del=1.057ms}"},
-		{specs[8].Profile, 171886330053, 2287, 66358,
-			"switch conf-08-cache-70: m=280 full=true levels=[{620µs:68} {4.28ms:210}] policy=priority(keep-low),insertion(keep-low) costs{add=189µs addNew=394µs shift=14.378µs mod=4.838ms del=901µs}"},
+		{specs[0].Profile, 131080694301, 5795, 56221,
+			"switch conf-00-cache-89: m=356 full=true levels=[{380µs:87} {3.94ms:268}] policy=traffic(keep-low),priority(keep-high),use_time(keep-high) costs{add=474µs addNew=672µs shift=9.792µs mod=2.583ms del=1.053ms}"},
+		{specs[8].Profile, 164440783076, 2287, 64263,
+			"switch conf-08-cache-70: m=280 full=true levels=[{620µs:68} {4.28ms:203}] policy=priority(keep-low),insertion(keep-low) costs{add=190µs addNew=392µs shift=14.706µs mod=4.864ms del=899µs}"},
 	}
 	const seed = 7
 	for i, c := range cases {

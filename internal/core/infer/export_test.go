@@ -4,7 +4,43 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+
+	"tango/internal/core/probe"
 )
+
+// SampledRun is one ProbeSizes run with what its stop rule saw.
+type SampledRun struct {
+	*SizeResult
+	// LevelProbes are the probes each sampled level spent, in level order.
+	LevelProbes []int
+	// TightFirst lists, in level order, whether the interval was tight at
+	// some trial boundary before the level's budget was spent.
+	TightFirst []bool
+}
+
+// ProbeSizesTraced is ProbeSizes under Algorithm 1's stop rule or, when
+// budgetOnly, under the rule it had before the interval: an adaptive level
+// samples past 64 trials until max(6×m, 3000) probes are spent. The
+// budget-only run is the oracle the interval rule is held to.
+func ProbeSizesTraced(e *probe.Engine, opts SizeOptions, budgetOnly bool) (SampledRun, error) {
+	var run SampledRun
+	tight := false
+	res, err := probeSizes(e, opts, func(k, sum, probes, budget int) bool {
+		tight = tight || probes < budget && stopWhenTight(k, sum, probes, budget)
+		stop := k >= minTrials && probes >= budget
+		if !budgetOnly {
+			stop = stopWhenTight(k, sum, probes, budget)
+		}
+		if stop {
+			run.LevelProbes = append(run.LevelProbes, probes)
+			run.TightFirst = append(run.TightFirst, tight)
+			tight = false
+		}
+		return stop
+	})
+	run.SizeResult = res
+	return run, err
+}
 
 // DrainScratch empties the working-memory free list, so the next phase
 // starts from a struct of its own whatever ran earlier in the test binary.

@@ -9,6 +9,7 @@ package infer
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -30,10 +31,12 @@ type SizeOptions struct {
 	// SizeResult.CacheFull=false. Zero means 16384.
 	MaxRules int
 	// Trials fixes k, the number of sampling trials per cache level. Zero
-	// selects an adaptive budget: trials continue until roughly 6×m probe
-	// packets have been spent on the level, which puts the estimator's
-	// standard error within the paper's 5%-of-actual accuracy bound for
-	// level fractions down to ~15% of m.
+	// stops a level at the first trial boundary past 64 trials where its
+	// 95% interval's half-width is within 4% of the estimate, or
+	// where max(6×m, 3000) probe packets have been spent on it, whichever
+	// comes first. The budget alone puts the standard error within the
+	// paper's 5%-of-actual accuracy bound for level fractions down to ~15%
+	// of m; the interval ends a level sooner once it is measured well.
 	Trials int
 	// Seed fixes the sampling RNG.
 	Seed int64
@@ -67,6 +70,9 @@ type LevelEstimate struct {
 	// usually the tighter estimate. The ablation benchmarks compare the
 	// two estimators.
 	Census int
+	// Lo and Hi bound Size's 95% interval, m·p̂'s Fisher interval rounded
+	// outwards. A single-tier result is [m, m]: nothing was sampled.
+	Lo, Hi int
 }
 
 // SizeResult is the outcome of Algorithm 1.
@@ -103,6 +109,12 @@ var ErrNoRules = errors.New("infer: could not install any rules")
 // The procedure is asymptotically optimal: O(n) rule installations in
 // O(log n) doubling rounds and O(n) probe packets (§5.2).
 func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
+	return probeSizes(e, opts, stopWhenTight)
+}
+
+// probeSizes is ProbeSizes with the rule that ends an adaptive level's
+// sampling (SizeOptions.Trials = 0) passed in.
+func probeSizes(e *probe.Engine, opts SizeOptions, stop stopRule) (*SizeResult, error) {
 	opts = opts.withDefaults()
 	w := takeScratch()
 	defer w.release()
@@ -184,6 +196,8 @@ func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
 			MeanRTT: time.Duration(clusters[0].Mean),
 			Size:    m,
 			Census:  clusters[0].Count,
+			Lo:      m,
+			Hi:      m,
 		})
 		if tr != nil {
 			tr.Record("infer.size", "", sizeStart, e.Device().Now().Sub(sizeStart),
@@ -195,19 +209,17 @@ func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
 	// Stage 3: negative-binomial sampling per level.
 	for level := range clusters {
 		levelStart := e.Device().Now()
-		size, probes, err := estimateLevel(e, rng, opts, m, clusters, level)
+		est, probes, err := estimateLevel(e, rng, opts, stop, m, clusters, level)
 		if err != nil {
 			return nil, err
 		}
 		res.ProbesSent += probes
-		res.Levels = append(res.Levels, LevelEstimate{
-			MeanRTT: time.Duration(clusters[level].Mean),
-			Size:    size,
-			Census:  clusters[level].Count,
-		})
+		est.MeanRTT = time.Duration(clusters[level].Mean)
+		est.Census = clusters[level].Count
+		res.Levels = append(res.Levels, est)
 		if tr != nil {
 			tr.Record("infer.sample", "", levelStart, e.Device().Now().Sub(levelStart),
-				map[string]any{"level": level, "size": size, "probes": probes})
+				map[string]any{"level": level, "size": est.Size, "probes": probes})
 		}
 	}
 	if tr != nil {
@@ -217,14 +229,43 @@ func ProbeSizes(e *probe.Engine, opts SizeOptions) (*SizeResult, error) {
 	return res, nil
 }
 
-// estimateLevel runs the per-level sampling experiment of Algorithm 1,
-// returning the size estimate and the number of probes consumed.
-func estimateLevel(e *probe.Engine, rng *rand.Rand, opts SizeOptions, m int, clusters []cluster.Cluster, level int) (int, int, error) {
-	slack := clusterSlack(clusters, level)
-	targetProbes := 6 * m
-	if targetProbes < 3000 {
-		targetProbes = 3000
+// minTrials is the fewest trials an adaptive level samples before its stop
+// rule is consulted.
+const minTrials = 64
+
+// intervalShare is the adaptive stop rule's target precision: sampling ends
+// once the 95% interval's half-width is within this share of p̂, about a 2%
+// relative standard error.
+const intervalShare = 0.04
+
+// stopRule reports whether a level's adaptive sampling ends after k trials
+// whose run lengths total sum, having spent probes of its budget.
+type stopRule func(k, sum, probes, budget int) bool
+
+// stopWhenTight is Algorithm 1's stop rule: past minTrials, end at the first
+// trial boundary where either the budget is spent or the interval is tight.
+// It ends no later than the budget alone would, and where the budget runs
+// out first it ends exactly where the budget alone does. The comparison is
+// strict so that a level with no runs yet (p̂ = 0, a [0, 0] interval) keeps
+// sampling.
+func stopWhenTight(k, sum, probes, budget int) bool {
+	if k < minTrials {
+		return false
 	}
+	if probes >= budget {
+		return true
+	}
+	p, _ := stats.NegBinomialMLESums(k, sum)
+	lo, hi, _ := stats.NegBinomialInterval(k, sum)
+	return hi-lo < 2*intervalShare*p
+}
+
+// estimateLevel runs the per-level sampling experiment of Algorithm 1,
+// returning the level's size estimate with its interval and the number of
+// probes consumed.
+func estimateLevel(e *probe.Engine, rng *rand.Rand, opts SizeOptions, stop stopRule, m int, clusters []cluster.Cluster, level int) (LevelEstimate, int, error) {
+	slack := clusterSlack(clusters, level)
+	budget := max(6*m, 3000)
 	// Only the MLE's sufficient statistics (trial count and total run
 	// length) are kept; the per-trial slice would be thousands of entries
 	// of pure append traffic.
@@ -235,7 +276,7 @@ func estimateLevel(e *probe.Engine, rng *rand.Rand, opts SizeOptions, m int, clu
 			if trialK >= opts.Trials {
 				break
 			}
-		} else if trialK >= 64 && probes >= targetProbes {
+		} else if stop(trialK, trialSum, probes, budget) {
 			break
 		}
 		j := 0
@@ -243,7 +284,7 @@ func estimateLevel(e *probe.Engine, rng *rand.Rand, opts SizeOptions, m int, clu
 			id := opts.FlowIDBase + uint32(rng.Intn(m))
 			rtt, _, err := e.Probe(id)
 			if err != nil {
-				return 0, probes, err
+				return LevelEstimate{}, probes, err
 			}
 			probes++
 			if !cluster.Within(clusters[level], float64(rtt), slack) {
@@ -256,9 +297,15 @@ func estimateLevel(e *probe.Engine, rng *rand.Rand, opts SizeOptions, m int, clu
 	}
 	p, err := stats.NegBinomialMLESums(trialK, trialSum)
 	if err != nil {
-		return 0, probes, err
+		return LevelEstimate{}, probes, err
 	}
-	return int(float64(m)*p + 0.5), probes, nil
+	lo, hi, _ := stats.NegBinomialInterval(trialK, trialSum)
+	n := float64(m)
+	return LevelEstimate{
+		Size: int(n*p + 0.5),
+		Lo:   int(math.Floor(n * lo)),
+		Hi:   int(math.Ceil(n * hi)),
+	}, probes, nil
 }
 
 // clusterSlack widens a cluster's acceptance band to half the gap to its

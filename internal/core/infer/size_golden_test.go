@@ -28,8 +28,8 @@ func TestProbeSizesGolden(t *testing.T) {
 		// One TCAM layer, hard rejection at 600: recovered exactly.
 		{"switch2-tcam-600", switchsim.Switch2().WithTCAMCapacity(600), 41, []int{600}},
 		// Cache + software hierarchies: both layer estimates pinned as-is.
-		{"cache-128-fifo", bounded(128, switchsim.PolicyFIFO, 384), 42, []int{130, 382}},
-		{"cache-96-lru", bounded(96, switchsim.PolicyLRU, 288), 43, []int{95, 288}},
+		{"cache-128-fifo", bounded(128, switchsim.PolicyFIFO, 384), 42, []int{130, 370}},
+		{"cache-96-lru", bounded(96, switchsim.PolicyLRU, 288), 43, []int{95, 292}},
 	}
 	for _, c := range cases {
 		c := c

@@ -7,6 +7,7 @@
 package simclock
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -81,7 +82,14 @@ type Real struct {
 // Now returns the wall-clock time.
 func (r *Real) Now() time.Time { return time.Now() }
 
-// Sleep blocks for d scaled by r.Scale.
+// spinWindow is the last stretch of a Real sleep that is spun out rather
+// than slept. A bare time.Sleep can overshoot by about a millisecond, which
+// at a compressed Scale is larger than the latencies being emulated.
+const spinWindow = 2 * time.Millisecond
+
+// Sleep blocks for d scaled by r.Scale. It sleeps until spinWindow before
+// its deadline, then polls the wall clock, yielding between polls, so it
+// wakes within microseconds of the deadline instead of a timer tick late.
 func (r *Real) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
@@ -89,5 +97,11 @@ func (r *Real) Sleep(d time.Duration) {
 	if r.Scale > 0 {
 		d = time.Duration(float64(d) * r.Scale)
 	}
-	time.Sleep(d)
+	deadline := time.Now().Add(d)
+	if d > spinWindow {
+		time.Sleep(d - spinWindow)
+	}
+	for time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
 }

@@ -1,6 +1,8 @@
 package simclock
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -87,5 +89,38 @@ func TestRealScaledSleep(t *testing.T) {
 	r.Sleep(-time.Second) // must not panic or block
 	if r.Now().IsZero() {
 		t.Fatal("Real.Now returned zero time")
+	}
+}
+
+// TestRealSleepKeepsDeadline bounds how late a Real sleep wakes. A bare
+// time.Sleep overshoots by 0.4–1.1 ms for short sleeps, which at a
+// compressed Scale swamps the latencies being emulated; the spun-out tail
+// wakes within microseconds. Preemption by other processes on a shared host
+// comes in bursts that can push any percentile of one round past the bound,
+// so the test passes on the best of a few rounds and logs each.
+func TestRealSleepKeepsDeadline(t *testing.T) {
+	const bound = 250 * time.Microsecond
+	r := &Real{}
+	best := time.Duration(math.MaxInt64)
+	for round := 0; round < 3 && best > bound; round++ {
+		var over []time.Duration
+		for _, d := range []time.Duration{time.Microsecond, 20 * time.Microsecond, 200 * time.Microsecond, time.Millisecond, 3 * time.Millisecond} {
+			for i := 0; i < 40; i++ {
+				start := time.Now()
+				r.Sleep(d)
+				late := time.Since(start) - d
+				if late < 0 {
+					t.Fatalf("Sleep(%v) woke %v early", d, -late)
+				}
+				over = append(over, late)
+			}
+		}
+		slices.Sort(over)
+		p99 := over[len(over)*99/100]
+		t.Logf("round %d, overshoot over %d sleeps: p50 %v, p99 %v, max %v", round, len(over), over[len(over)/2], p99, over[len(over)-1])
+		best = min(best, p99)
+	}
+	if best > bound {
+		t.Fatalf("p99 overshoot %v in the best round, want ≤ %v", best, bound)
 	}
 }

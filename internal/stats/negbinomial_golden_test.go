@@ -75,3 +75,60 @@ func TestNegBinomialMLEExact(t *testing.T) {
 		}
 	}
 }
+
+// TestNegBinomialIntervalExact checks the Fisher interval
+// p̂ ± z·(1−p̂)·√(p̂/k) on hand-computable inputs: its clipping at both ends,
+// its collapse when no run was seen, and that quadrupling k at the same p̂
+// halves it.
+func TestNegBinomialIntervalExact(t *testing.T) {
+	cases := []struct {
+		k, sum         int
+		wantLo, wantHi float64
+	}{
+		{4, 4, 0.1535240439125805, 0.8464759560874195},         // p̂ = 1/2, half = z/2·√(1/8)
+		{100, 300, 0.7075655349721436, 0.7924344650278564},     // p̂ = 3/4, half = z/4·√0.0075
+		{400, 1200, 0.7287827674860717, 0.7712172325139283},    // same p̂, four times k: half the width
+		{1000, 10, 0.003794860322272868, 0.016007119875746934}, // p̂ = 1/101
+		{1, 1, 0, 1},  // clipped at both ends
+		{64, 0, 0, 0}, // no runs: p̂ = 0 and a [0, 0] interval
+	}
+	for _, c := range cases {
+		lo, hi, err := NegBinomialInterval(c.k, c.sum)
+		if err != nil {
+			t.Fatalf("k=%d sum=%d: %v", c.k, c.sum, err)
+		}
+		if math.Abs(lo-c.wantLo) > 1e-15 || math.Abs(hi-c.wantHi) > 1e-15 {
+			t.Errorf("NegBinomialInterval(%d, %d) = [%.17g, %.17g], want [%.17g, %.17g]", c.k, c.sum, lo, hi, c.wantLo, c.wantHi)
+		}
+	}
+	if _, _, err := NegBinomialInterval(0, 0); err != ErrEmpty {
+		t.Errorf("k=0: err = %v, want ErrEmpty", err)
+	}
+}
+
+// TestNegBinomialIntervalCoverage draws 1,000 seeded experiments of 500
+// geometric trials at each of three p and counts how often the interval
+// holds p: a 95% interval must do so close to 95% of the time.
+func TestNegBinomialIntervalCoverage(t *testing.T) {
+	for i, p := range []float64{0.25, 0.5, 0.75} {
+		covered := 0
+		const reps = 1000
+		for r := 0; r < reps; r++ {
+			sum := 0
+			for _, x := range geometricTrials(int64(1000*i+r), p, 500) {
+				sum += x
+			}
+			lo, hi, err := NegBinomialInterval(500, sum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo <= p && p <= hi {
+				covered++
+			}
+		}
+		t.Logf("p=%v: covered in %d of %d", p, covered, reps)
+		if covered < 930 || covered > 970 {
+			t.Errorf("p=%v: the interval held p in %d of %d experiments, want 930–970", p, covered, reps)
+		}
+	}
+}

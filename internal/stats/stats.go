@@ -201,3 +201,25 @@ func NegBinomialMLESums(k, sum int) (float64, error) {
 	s := float64(sum)
 	return s / (float64(k) + s), nil
 }
+
+// z95 is the standard normal's 97.5th percentile: a two-sided 95% interval
+// spans ±z95 standard errors.
+const z95 = 1.959963984540054
+
+// NegBinomialInterval is the 95% Wald interval around NegBinomialMLESums'
+// p̂ for k trials whose run lengths total sum. The Fisher information of k
+// NB(1, p) trials is I(p) = k / (p·(1−p)²), so the interval is
+//
+//	p̂ ± z·(1−p̂)·√(p̂/k)
+//
+// clipped to [0, 1]. Both statistics enter through p̂: more trials with the
+// same p̂ tighten it as 1/√k. With no runs at all (sum = 0) it collapses to
+// [0, 0], where the Wald form carries no information.
+func NegBinomialInterval(k, sum int) (lo, hi float64, err error) {
+	p, err := NegBinomialMLESums(k, sum)
+	if err != nil {
+		return 0, 0, err
+	}
+	half := z95 * (1 - p) * math.Sqrt(p/float64(k))
+	return math.Max(0, p-half), math.Min(1, p+half), nil
+}
