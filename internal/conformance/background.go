@@ -11,70 +11,20 @@ import (
 )
 
 // background.go interleaves adversarial or churn traffic with whatever
-// engine is driving a device. A Background is stepped synchronously at the
-// entry of every wrapped device operation — on the device's own (virtual)
-// clock, before the foreground op runs — so schedules replay
-// deterministically: the interleaving is a pure function of the foreground
-// op sequence and the schedule, with no wall-clock goroutine races.
+// engine is driving a device. A Background is stepped synchronously by the
+// conformance device (newDevice) at the entry of every foreground operation —
+// on the switch's own (virtual) clock, before the foreground op runs — so
+// schedules replay deterministically: the interleaving is a pure function of
+// the foreground op sequence and the schedule, with no wall-clock goroutine
+// races.
 
 // Background is a traffic source running concurrently with the foreground
-// engine. Step is called with the *unwrapped* device before each foreground
+// engine. Step is called with the bare device before each foreground
 // operation; implementations apply whatever schedule entries are due and
 // return. Step must not retain dev.
 type Background interface {
 	Step(dev probe.FrameDevice)
 }
-
-// WrapBackground returns a device that steps bg before every foreground
-// operation. A nil bg returns dev unchanged, and so does the nil *ChurnDriver
-// NewChurnDriver returns for an empty schedule: stored in a Background it is
-// a non-nil interface, and stepping it would dereference nil.
-func WrapBackground(dev probe.SimDevice, bg Background) probe.FrameDevice {
-	if cd, ok := bg.(*ChurnDriver); bg == nil || ok && cd == nil {
-		return dev
-	}
-	return &backgroundDevice{dev: dev, bg: bg}
-}
-
-// backgroundDevice steps the background source before each operation. Like
-// faults.Device it is typed on the emulator's device, the only one ever
-// wrapped, holds it in a named field and implements exactly
-// probe.FrameDevice: the engine resolves the same send path as on the bare
-// device, which the wrapper-transparency differential pins.
-type backgroundDevice struct {
-	dev probe.SimDevice
-	bg  Background
-}
-
-var _ probe.FrameDevice = (*backgroundDevice)(nil)
-
-// FlowMod implements probe.Device.
-func (d *backgroundDevice) FlowMod(fm *openflow.FlowMod) error {
-	d.bg.Step(d.dev)
-	return d.dev.FlowMod(fm)
-}
-
-// SendProbe implements probe.Device.
-func (d *backgroundDevice) SendProbe(data []byte, inPort uint16) (time.Duration, bool, error) {
-	d.bg.Step(d.dev)
-	return d.dev.SendProbe(data, inPort)
-}
-
-// SendFrameN implements probe.FrameDevice.
-func (d *backgroundDevice) SendFrameN(f *packet.Frame, inPort uint16, size, n int) (time.Duration, bool, error) {
-	d.bg.Step(d.dev)
-	return d.dev.SendFrameN(f, inPort, size, n)
-}
-
-// Now implements probe.Device. Reading the clock is not a foreground
-// operation and does not advance the schedule; nor are Sleep and the label.
-func (d *backgroundDevice) Now() time.Time { return d.dev.Now() }
-
-// Sleep implements probe.Device.
-func (d *backgroundDevice) Sleep(dur time.Duration) { d.dev.Sleep(dur) }
-
-// TelemetryLabel implements probe.Device.
-func (d *backgroundDevice) TelemetryLabel() string { return d.dev.TelemetryLabel() }
 
 // touch sends one packet of flow id: f is the calling driver's one frame,
 // built on first use (drivers are also made as struct literals) and
@@ -106,7 +56,7 @@ type ChurnDriver struct {
 const churnPriority = 10
 
 // NewChurnDriver wraps a schedule; an empty schedule (rate 0) returns nil,
-// which WrapBackground treats as no background at all.
+// which newDevice treats as no background at all.
 func NewChurnDriver(events []workload.ChurnEvent) *ChurnDriver {
 	if len(events) == 0 {
 		return nil

@@ -195,7 +195,7 @@ func RunSpec(spec Spec, opts Options) Result {
 	res := Result{Spec: spec, PolicyChecked: spec.Profile.Kind == switchsim.ManagePolicyCache}
 	inj := faults.NewInjector(opts.Faults)
 	sw := switchsim.New(spec.Profile, switchsim.WithSeed(spec.Seed))
-	e := probe.NewEngine(faults.WrapDevice(probe.SimDevice{S: sw}, inj))
+	e := probe.NewEngine(newDevice(sw, inj, nil))
 	if inj != nil {
 		e.Retry = probe.DefaultRetry
 	}

@@ -160,10 +160,10 @@ func TestFaultRunDeterministic(t *testing.T) {
 
 // TestFaultGolden pins the fault path the way the root package's
 // TestInspectGolden pins the clean one: Result.String() of twelve specs under
-// eight fault mixes, 96 rows, recorded on the commit before faults.Device and
-// the engine's retry loop were rewritten around one send path (PR 20's
-// parent). A change to either must reproduce every row, or say which fault
-// kind's semantics it moved and re-record testdata/fault_golden.txt.
+// eight fault mixes, 96 rows, recorded before the fault device and the
+// engine's retry loop were rewritten around one send path. A change to either
+// must reproduce every row, or say which fault kind's semantics it moved and
+// re-record testdata/fault_golden.txt.
 func TestFaultGolden(t *testing.T) {
 	mixes := []faults.Config{
 		{Seed: 7, Drop: .02, Delay: .03, Duplicate: .01},
@@ -210,7 +210,7 @@ func TestRetryDisabledSurfacesTypedErrors(t *testing.T) {
 	for _, spec := range GenerateSpecs(2, cleanSeed) {
 		inj := faults.NewInjector(faults.Config{Seed: 3, Drop: 0.2})
 		sw := switchsim.New(spec.Profile, switchsim.WithSeed(spec.Seed))
-		e := probe.NewEngine(faults.WrapDevice(probe.SimDevice{S: sw}, inj))
+		e := probe.NewEngine(newDevice(sw, inj, nil))
 		_, err := infer.Inspect(e, infer.InspectOptions{
 			Name: spec.Name,
 			Size: infer.SizeOptions{Seed: spec.Seed + 1, MaxRules: 8 * spec.CacheSize},

@@ -1,25 +1,28 @@
-package faults
+package conformance
 
 import (
 	"sync"
 	"time"
 
 	"tango/internal/core/probe"
+	"tango/internal/faults"
 	"tango/internal/openflow"
 	"tango/internal/packet"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
 )
 
-// Device wraps the emulator's device and perturbs its control channel with
-// injected faults. It is typed on probe.SimDevice because that is all anyone
-// wraps — a socket is perturbed inside the agent loop instead
-// (ofconn.ServeOptions.Faults) — holds it in a named field and implements
-// exactly probe.FrameDevice, so no call can bypass the injector and a faulty
-// switch is a drop-in replacement anywhere a healthy emulated one is accepted.
-type Device struct {
+// device is the one interposer between a probing engine and the emulator:
+// before each foreground operation it steps the background source on the
+// bare switch, then applies the fault injector's decision to the operation.
+// A socket is perturbed inside the agent loop instead
+// (ofconn.ServeOptions.Faults). The device holds the SimDevice in a named
+// field and implements exactly probe.FrameDevice, so no call can bypass it
+// and it is a drop-in replacement anywhere a bare emulated switch is accepted.
+type device struct {
 	dev probe.SimDevice
-	inj *Injector
+	inj *faults.Injector // nil injects nothing
+	bg  Background       // nil steps nothing
 
 	mu sync.Mutex
 	// held is a flow-mod deferred by a reorder fault; it applies after the
@@ -31,34 +34,46 @@ type Device struct {
 	lateErrs *telemetry.Counter
 }
 
-var _ probe.FrameDevice = (*Device)(nil)
+var _ probe.FrameDevice = (*device)(nil)
 
-// WrapDevice wraps dev with fault injection. A nil injector returns dev
-// unchanged, so a disabled fault configuration costs nothing.
-func WrapDevice(dev probe.SimDevice, inj *Injector) probe.FrameDevice {
-	if inj == nil {
+// newDevice interposes inj and bg on sw. With neither — a nil injector (a
+// disabled fault configuration) and no background, which includes the nil
+// *ChurnDriver an empty schedule yields — it returns the bare device, so a
+// clean run costs nothing.
+func newDevice(sw *switchsim.Switch, inj *faults.Injector, bg Background) probe.FrameDevice {
+	if cd, ok := bg.(*ChurnDriver); ok && cd == nil {
+		bg = nil
+	}
+	dev := probe.SimDevice{S: sw}
+	if inj == nil && bg == nil {
 		return dev
 	}
-	return &Device{
-		dev:      dev,
-		inj:      inj,
-		lateErrs: telemetry.Default().Counter("faults.late_errors"),
+	d := &device{dev: dev, inj: inj, bg: bg}
+	if inj != nil {
+		d.lateErrs = telemetry.Default().Counter("faults.late_errors")
 	}
+	return d
 }
 
-// Now implements probe.Device.
-func (d *Device) Now() time.Time { return d.dev.Now() }
+// Now implements probe.Device. Reading the clock is not a foreground
+// operation and does not advance the background; nor are Sleep and the label.
+func (d *device) Now() time.Time { return d.dev.Now() }
 
 // Sleep implements probe.Device.
-func (d *Device) Sleep(dur time.Duration) { d.dev.Sleep(dur) }
+func (d *device) Sleep(dur time.Duration) { d.dev.Sleep(dur) }
 
-// TelemetryLabel implements probe.Device: a faulty switch keeps its name.
-func (d *Device) TelemetryLabel() string { return d.dev.TelemetryLabel() }
+// TelemetryLabel implements probe.Device: an interposed switch keeps its name.
+func (d *device) TelemetryLabel() string { return d.dev.TelemetryLabel() }
 
-// takeHeld pops the reorder-deferred flow-mod, if any. Each operation pops
-// at entry and flushes at exit (via flushHeld), so a held op applies after
-// the operation that overtook it — never at the end of its own call.
-func (d *Device) takeHeld() *openflow.FlowMod {
+// begin runs at the entry of every foreground operation: it steps the
+// background on the bare device and pops the reorder-deferred flow-mod, if
+// any, which the operation flushes at exit (via flushHeld), so a held op
+// applies after the operation that overtook it — never at the end of its own
+// call.
+func (d *device) begin() *openflow.FlowMod {
+	if d.bg != nil {
+		d.bg.Step(d.dev)
+	}
 	d.mu.Lock()
 	fm := d.held
 	d.held = nil
@@ -69,7 +84,7 @@ func (d *Device) takeHeld() *openflow.FlowMod {
 // flushHeld applies a reorder-deferred flow-mod after the operation that
 // overtook it. Its ack was already (optimistically) returned, so a late
 // failure is invisible to the caller — it is only counted.
-func (d *Device) flushHeld(fm *openflow.FlowMod) {
+func (d *device) flushHeld(fm *openflow.FlowMod) {
 	if fm == nil {
 		return
 	}
@@ -79,14 +94,14 @@ func (d *Device) flushHeld(fm *openflow.FlowMod) {
 }
 
 // FlowMod implements probe.Device with fault injection.
-func (d *Device) FlowMod(fm *openflow.FlowMod) error {
-	defer d.flushHeld(d.takeHeld())
+func (d *device) FlowMod(fm *openflow.FlowMod) error {
+	defer d.flushHeld(d.begin())
 	dec := d.inj.Decide()
 	if !dec.Fire {
 		return d.dev.FlowMod(fm)
 	}
 	switch dec.Kind {
-	case KindDrop:
+	case faults.KindDrop:
 		if dec.AckLoss {
 			// The switch applied the op; only the confirmation vanished.
 			if err := d.dev.FlowMod(fm); err != nil {
@@ -94,11 +109,11 @@ func (d *Device) FlowMod(fm *openflow.FlowMod) error {
 			}
 		}
 		d.Sleep(d.inj.DropTimeout())
-		return &Error{Kind: KindDrop, Op: "flowmod"}
-	case KindDelay:
+		return &faults.Error{Kind: faults.KindDrop, Op: "flowmod"}
+	case faults.KindDelay:
 		d.Sleep(dec.Delay)
 		return d.dev.FlowMod(fm)
-	case KindDuplicate:
+	case faults.KindDuplicate:
 		if err := d.dev.FlowMod(fm); err != nil {
 			return err
 		}
@@ -111,7 +126,7 @@ func (d *Device) FlowMod(fm *openflow.FlowMod) error {
 			}
 		}
 		return nil
-	case KindReorder:
+	case faults.KindReorder:
 		d.mu.Lock()
 		free := d.held == nil
 		if free {
@@ -123,18 +138,18 @@ func (d *Device) FlowMod(fm *openflow.FlowMod) error {
 			return nil // optimistic ack; applies after the next op
 		}
 		return d.dev.FlowMod(fm)
-	case KindReset:
-		d.dev.Reset()
-		return &Error{Kind: KindReset, Op: "flowmod"}
-	case KindOverflow:
-		return &Error{Kind: KindOverflow, Op: "flowmod", Wrapped: switchsim.ErrTableFull}
+	case faults.KindReset:
+		d.dev.S.Reset()
+		return &faults.Error{Kind: faults.KindReset, Op: "flowmod"}
+	case faults.KindOverflow:
+		return &faults.Error{Kind: faults.KindOverflow, Op: "flowmod", Wrapped: switchsim.ErrTableFull}
 	}
 	return d.dev.FlowMod(fm)
 }
 
 // SendProbe implements probe.Device: an encoded packet is a one-packet burst
 // of its decoding.
-func (d *Device) SendProbe(data []byte, inPort uint16) (time.Duration, bool, error) {
+func (d *device) SendProbe(data []byte, inPort uint16) (time.Duration, bool, error) {
 	var f packet.Frame
 	if err := packet.DecodeInto(&f, data); err != nil {
 		return 0, false, err
@@ -145,8 +160,8 @@ func (d *Device) SendProbe(data []byte, inPort uint16) (time.Duration, bool, err
 // SendFrameN implements probe.FrameDevice with fault injection. A burst is
 // one control-channel message, so it draws one fault decision; the typed
 // error names it "probe" when it is one packet and "traffic" otherwise.
-func (d *Device) SendFrameN(f *packet.Frame, inPort uint16, size, n int) (time.Duration, bool, error) {
-	defer d.flushHeld(d.takeHeld())
+func (d *device) SendFrameN(f *packet.Frame, inPort uint16, size, n int) (time.Duration, bool, error) {
+	defer d.flushHeld(d.begin())
 	dec := d.inj.Decide()
 	if !dec.Fire {
 		return d.dev.SendFrameN(f, inPort, size, n)
@@ -156,7 +171,7 @@ func (d *Device) SendFrameN(f *packet.Frame, inPort uint16, size, n int) (time.D
 		op = "probe"
 	}
 	switch dec.Kind {
-	case KindDrop:
+	case faults.KindDrop:
 		if dec.AckLoss {
 			// The frames traversed the switch (touching counters and cache
 			// state); only the reflected copy was lost.
@@ -165,19 +180,19 @@ func (d *Device) SendFrameN(f *packet.Frame, inPort uint16, size, n int) (time.D
 			}
 		}
 		d.Sleep(d.inj.DropTimeout())
-		return 0, false, &Error{Kind: KindDrop, Op: op}
-	case KindDelay:
+		return 0, false, &faults.Error{Kind: faults.KindDrop, Op: op}
+	case faults.KindDelay:
 		rtt, punted, err := d.dev.SendFrameN(f, inPort, size, n)
 		if err != nil {
 			return rtt, punted, err
 		}
 		d.Sleep(dec.Delay)
 		return rtt + dec.Delay, punted, nil
-	case KindDuplicate:
+	case faults.KindDuplicate:
 		return d.dev.SendFrameN(f, inPort, size, n+1)
-	case KindReset:
-		d.dev.Reset()
-		return 0, false, &Error{Kind: KindReset, Op: op}
+	case faults.KindReset:
+		d.dev.S.Reset()
+		return 0, false, &faults.Error{Kind: faults.KindReset, Op: op}
 	}
 	// Reorder and overflow have no data-plane analogue for a synchronous
 	// send: deliver it untouched.

@@ -1,42 +1,68 @@
-package faults
+package conformance
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"tango/internal/core/infer"
 	"tango/internal/core/probe"
+	"tango/internal/faults"
 	"tango/internal/openflow"
 	"tango/internal/packet"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
+	"tango/internal/workload"
 )
 
-// testSwitch builds a small policy-cache switch and its wrapped device.
-func testSwitch(t *testing.T, cfg Config) (*switchsim.Switch, probe.Device) {
+// testSwitch builds a small policy-cache switch and its faulty device.
+func testSwitch(t *testing.T, cfg faults.Config) (*switchsim.Switch, probe.Device) {
 	t.Helper()
 	sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyFIFO), switchsim.WithSeed(1))
-	return sw, WrapDevice(probe.SimDevice{S: sw}, NewInjector(cfg))
+	return sw, newDevice(sw, faults.NewInjector(cfg), nil)
 }
 
-func TestWrapDeviceNilInjectorIsPassThrough(t *testing.T) {
-	sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyFIFO))
-	inner := probe.SimDevice{S: sw}
-	if dev := WrapDevice(inner, nil); dev != probe.Device(inner) {
-		t.Fatal("nil injector must return the device unchanged")
+// TestNewDeviceIdentity pins when newDevice interposes: nothing to inject and
+// no background — a nil interface, or the nil driver an empty schedule
+// yields, which is a non-nil interface that would dereference nil if stepped
+// — return the bare switch, and an interposed switch keeps its name.
+func TestNewDeviceIdentity(t *testing.T) {
+	quiet := faults.Config{Seed: 1, Drop: 1e-300}
+	for _, c := range []struct {
+		name string
+		inj  faults.Config
+		bg   Background
+		bare bool
+	}{
+		{"nothing", faults.Config{}, nil, true},
+		{"nil driver", faults.Config{}, NewChurnDriver(nil), true},
+		{"faults", quiet, nil, false},
+		{"background", faults.Config{}, &ChurnDriver{}, false},
+		{"faults+nil driver", quiet, NewChurnDriver(nil), false},
+		{"faults+background", quiet, &ChurnDriver{}, false},
+	} {
+		sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyLRU))
+		got := newDevice(sw, faults.NewInjector(c.inj), c.bg)
+		if bare := got == probe.FrameDevice(probe.SimDevice{S: sw}); bare != c.bare {
+			t.Errorf("%s: newDevice = %T, bare %v, want bare %v", c.name, got, bare, c.bare)
+		}
+		if label, want := got.TelemetryLabel(), sw.Profile().Name; label != want {
+			t.Errorf("%s: label = %q, want the switch's %q", c.name, label, want)
+		}
 	}
 }
 
 func TestDropReturnsTypedTimeout(t *testing.T) {
-	sw, dev := testSwitch(t, Config{Seed: 2, Drop: 1.0, DropTimeout: time.Millisecond})
+	sw, dev := testSwitch(t, faults.Config{Seed: 2, Drop: 1.0, DropTimeout: time.Millisecond})
 	e := probe.NewEngine(dev)
 	before := sw.Now()
 	err := e.Install(1, 100)
 	if err == nil {
 		t.Fatal("dropped flow-mod reported success")
 	}
-	var fe *Error
-	if !errors.As(err, &fe) || fe.Kind != KindDrop {
+	var fe *faults.Error
+	if !errors.As(err, &fe) || fe.Kind != faults.KindDrop {
 		t.Fatalf("got %v, want injected drop", err)
 	}
 	if !probe.Transient(err) {
@@ -52,7 +78,7 @@ func TestDropAckLossStillApplies(t *testing.T) {
 	// With drop=1 roughly half the draws are ack losses; after enough
 	// installs of distinct flows, some rules must be resident even though
 	// every call returned an error.
-	sw, dev := testSwitch(t, Config{Seed: 3, Drop: 1.0})
+	sw, dev := testSwitch(t, faults.Config{Seed: 3, Drop: 1.0})
 	e := probe.NewEngine(dev)
 	for i := uint32(0); i < 16; i++ {
 		if err := e.Install(i, 100); err == nil {
@@ -69,13 +95,13 @@ func TestDropAckLossStillApplies(t *testing.T) {
 }
 
 func TestOverflowWrapsTableFull(t *testing.T) {
-	_, dev := testSwitch(t, Config{Seed: 4, Overflow: 1.0})
+	_, dev := testSwitch(t, faults.Config{Seed: 4, Overflow: 1.0})
 	e := probe.NewEngine(dev)
 	err := e.Install(1, 100)
 	if !errors.Is(err, switchsim.ErrTableFull) {
 		t.Fatalf("overflow error %v does not wrap ErrTableFull", err)
 	}
-	if !errors.Is(err, ErrInjected) {
+	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatal("overflow error lost the injected marker")
 	}
 	if !probe.Transient(err) {
@@ -84,17 +110,17 @@ func TestOverflowWrapsTableFull(t *testing.T) {
 }
 
 func TestResetClearsSwitchAndIsNotTransient(t *testing.T) {
-	sw, _ := testSwitch(t, Config{})
+	sw, _ := testSwitch(t, faults.Config{})
 	healthy := probe.NewEngine(probe.SimDevice{S: sw})
 	for i := uint32(0); i < 4; i++ {
 		if err := healthy.Install(i, 100); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dev := WrapDevice(probe.SimDevice{S: sw}, NewInjector(Config{Seed: 5, Reset: 1.0}))
+	dev := newDevice(sw, faults.NewInjector(faults.Config{Seed: 5, Reset: 1.0}), nil)
 	err := probe.NewEngine(dev).Install(9, 100)
-	var fe *Error
-	if !errors.As(err, &fe) || fe.Kind != KindReset {
+	var fe *faults.Error
+	if !errors.As(err, &fe) || fe.Kind != faults.KindReset {
 		t.Fatalf("got %v, want injected reset", err)
 	}
 	if probe.Transient(err) {
@@ -107,7 +133,7 @@ func TestResetClearsSwitchAndIsNotTransient(t *testing.T) {
 }
 
 func TestDuplicateAddDoesNotLeakSlots(t *testing.T) {
-	sw, dev := testSwitch(t, Config{Seed: 6, Duplicate: 1.0})
+	sw, dev := testSwitch(t, faults.Config{Seed: 6, Duplicate: 1.0})
 	e := probe.NewEngine(dev)
 	const n = 12
 	for i := uint32(0); i < n; i++ {
@@ -124,7 +150,7 @@ func TestDuplicateAddDoesNotLeakSlots(t *testing.T) {
 func TestReorderDelaysFlowModsOneSlot(t *testing.T) {
 	// With reorder=1 every flow-mod is held and applied during the next
 	// operation, so the switch always trails the controller by one op.
-	sw, dev := testSwitch(t, Config{Seed: 7, Reorder: 1.0})
+	sw, dev := testSwitch(t, faults.Config{Seed: 7, Reorder: 1.0})
 	e := probe.NewEngine(dev)
 	const n = 5
 	for i := uint32(0); i < n; i++ {
@@ -157,7 +183,7 @@ func TestReorderDelaysFlowModsOneSlot(t *testing.T) {
 }
 
 func TestDelayChargesClock(t *testing.T) {
-	sw, dev := testSwitch(t, Config{Seed: 8, Delay: 1.0, DelayMean: 5 * time.Millisecond, DelayStdDev: time.Microsecond})
+	sw, dev := testSwitch(t, faults.Config{Seed: 8, Delay: 1.0, DelayMean: 5 * time.Millisecond, DelayStdDev: time.Microsecond})
 	e := probe.NewEngine(dev)
 	before := sw.Now()
 	if err := e.Install(1, 100); err != nil {
@@ -172,7 +198,7 @@ func TestDelayChargesClock(t *testing.T) {
 // controller waited, so it shows in the RTT the probe reports as well as on
 // the switch clock.
 func TestDelayedProbeRTTIncludesDelay(t *testing.T) {
-	sw, dev := testSwitch(t, Config{Seed: 8, Delay: 1.0, DelayMean: 5 * time.Millisecond, DelayStdDev: time.Microsecond})
+	sw, dev := testSwitch(t, faults.Config{Seed: 8, Delay: 1.0, DelayMean: 5 * time.Millisecond, DelayStdDev: time.Microsecond})
 	if err := probe.NewEngine(probe.SimDevice{S: sw}).Install(1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +232,11 @@ func TestDuplicatedBurstIsOneMorePacket(t *testing.T) {
 	if err := probe.NewEngine(probe.SimDevice{S: sw}).Install(1, 100); err != nil {
 		t.Fatal(err)
 	}
-	inj := NewInjector(Config{Seed: 6, Duplicate: 1.0})
+	inj := faults.NewInjector(faults.Config{Seed: 6, Duplicate: 1.0})
 	reg := telemetry.NewRegistry()
 	inj.SetTelemetry(reg)
 	const count = 5
-	if err := probe.NewEngine(WrapDevice(probe.SimDevice{S: sw}, inj)).SendTraffic(1, count); err != nil {
+	if err := probe.NewEngine(newDevice(sw, inj, nil)).SendTraffic(1, count); err != nil {
 		t.Fatal(err)
 	}
 	rep := sw.Handle(&openflow.StatsRequest{StatsType: openflow.StatsTypeAggregate})[0].(*openflow.StatsReply)
@@ -223,7 +249,7 @@ func TestDuplicatedBurstIsOneMorePacket(t *testing.T) {
 }
 
 func TestProbeFaults(t *testing.T) {
-	sw, dev := testSwitch(t, Config{Seed: 9, Drop: 0.5, Delay: 0.5})
+	sw, dev := testSwitch(t, faults.Config{Seed: 9, Drop: 0.5, Delay: 0.5})
 	healthy := probe.NewEngine(probe.SimDevice{S: sw})
 	if err := healthy.Install(1, 100); err != nil {
 		t.Fatal(err)
@@ -235,7 +261,7 @@ func TestProbeFaults(t *testing.T) {
 		switch {
 		case err == nil:
 			oks++
-		case errors.Is(err, ErrInjected):
+		case errors.Is(err, faults.ErrInjected):
 			drops++
 		default:
 			t.Fatalf("probe %d: unexpected error %v", i, err)
@@ -250,7 +276,7 @@ func TestProbeFaults(t *testing.T) {
 // hardening: a lossy channel plus the engine's retry policy still executes
 // every operation successfully.
 func TestEngineRetryRecoversFromDrops(t *testing.T) {
-	sw, dev := testSwitch(t, Config{Seed: 10, Drop: 0.3})
+	sw, dev := testSwitch(t, faults.Config{Seed: 10, Drop: 0.3})
 	e := probe.NewEngine(dev)
 	e.Retry = probe.DefaultRetry
 	for i := uint32(0); i < 32; i++ {
@@ -266,5 +292,51 @@ func TestEngineRetryRecoversFromDrops(t *testing.T) {
 	tcam, _, software := sw.RuleCount()
 	if tcam+software != 32 {
 		t.Fatalf("%d rules resident, want 32 (scrubbed re-adds)", tcam+software)
+	}
+}
+
+// TestFaultsWithBackgroundDeterministic runs one spec's whole inspection with
+// live faults and a live churn tenant on the same device, twice: the two runs
+// must agree on the model (or the error), the switch, its clock and the
+// engine's ledger, so the composition replays from its seeds like each half.
+func TestFaultsWithBackgroundDeterministic(t *testing.T) {
+	spec := GenerateSpecs(1, cleanSeed)[0]
+	type outcome struct {
+		model          *infer.Model
+		err            string
+		sw             switchsim.Stats
+		now            time.Time
+		eng            probe.EngineStats
+		applied        int
+		faultsInjected int64
+	}
+	run := func() outcome {
+		sw := switchsim.New(spec.Profile, switchsim.WithSeed(spec.Seed))
+		inj := faults.NewInjector(faults.Config{Seed: 7, Drop: .02, Delay: .03, Duplicate: .01, Reorder: .01})
+		reg := telemetry.NewRegistry()
+		inj.SetTelemetry(reg)
+		cd := NewChurnDriver(workload.Churn(workload.ChurnOptions{
+			Flows: spec.CacheSize, Rate: 40, Duration: 5 * time.Minute, TouchFrac: 0.3, Seed: spec.Seed + 3,
+		}))
+		e := probe.NewEngine(newDevice(sw, inj, cd))
+		e.Retry = probe.DefaultRetry
+		m, err := infer.Inspect(e, infer.InspectOptions{
+			Name: spec.Name,
+			Size: infer.SizeOptions{Seed: spec.Seed + 1, MaxRules: 8 * spec.CacheSize},
+		})
+		o := outcome{model: m, sw: sw.Stats(), now: sw.Now(), eng: e.Stats(),
+			applied: cd.Applied(), faultsInjected: reg.Counter("faults.injected.total").Value()}
+		if err != nil {
+			o.err = err.Error()
+		}
+		return o
+	}
+	a, b := run(), run()
+	if a.applied == 0 || a.faultsInjected == 0 {
+		t.Fatalf("vacuous: %d churn events applied, %d faults injected", a.applied, a.faultsInjected)
+	}
+	t.Logf("%s: %d churn events, %d faults, err %q", spec.Name, a.applied, a.faultsInjected, a.err)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("replay diverged:\n first: %+v\nsecond: %+v", a, b)
 	}
 }

@@ -298,7 +298,7 @@ func runInferUnderAttack(sc Scenario) ScenarioResult {
 	ad := &AttackDriver{Ops: workload.OverflowAttack(workload.AttackOptions{
 		Canaries: 16, Step: 16, MaxFills: 256,
 	})}
-	e := probe.NewEngine(WrapBackground(probe.SimDevice{S: sw}, ad))
+	e := probe.NewEngine(newDevice(sw, nil, ad))
 
 	sres, err := infer.ProbeSizes(e, infer.SizeOptions{Seed: sc.Seed + 1, MaxRules: 4 * cache})
 	res.BackgroundApplied = ad.Applied()
@@ -336,7 +336,7 @@ func runChurnSize(sc Scenario, policy switchsim.Policy, rate float64, touchFrac 
 		Flows: cache, Rate: rate, Duration: 5 * time.Minute,
 		TouchFrac: touchFrac, Seed: sc.Seed + 1,
 	}))
-	e := probe.NewEngine(WrapBackground(probe.SimDevice{S: sw}, cd))
+	e := probe.NewEngine(newDevice(sw, nil, cd))
 
 	sres, err := infer.ProbeSizes(e, infer.SizeOptions{Seed: sc.Seed + 2, MaxRules: 4 * cache})
 	res.BackgroundApplied = cd.Applied()
@@ -377,7 +377,7 @@ func runChurnPolicy(sc Scenario) ScenarioResult {
 		Flows: cache, Rate: 60, Duration: 10 * time.Minute,
 		TouchFrac: 0.3, Seed: sc.Seed + 1,
 	}))
-	e := probe.NewEngine(WrapBackground(probe.SimDevice{S: sw}, cd))
+	e := probe.NewEngine(newDevice(sw, nil, cd))
 
 	pres, err := infer.ProbePolicy(e, infer.PolicyOptions{CacheSize: cache, Seed: sc.Seed + 2})
 	res.BackgroundApplied = cd.Applied()

@@ -83,9 +83,9 @@ func TestScenarioCatalogShape(t *testing.T) {
 }
 
 // TestWrapperTransparency is the no-observer-effect gate for everything that
-// can sit between an engine and the emulator: a wrapper that has nothing to do
-// — a live injector that never fires, a background driver with no events —
-// and a retry policy that never has to retry must leave the inference, the
+// can sit between an engine and the emulator: a device that has nothing to do
+// — a live injector that never fires, a background driver with no events, or
+// both — and a retry policy that never has to retry must leave the inference, the
 // switch (counters and virtual clock) and the engine (op ledger and telemetry
 // label) exactly as the bare single-attempt run leaves them. Size inference
 // runs on an LRU cache, policy inference — the SendTraffic path — on an LFU,
@@ -95,9 +95,8 @@ func TestWrapperTransparency(t *testing.T) {
 	if NewChurnDriver(workload.Churn(workload.ChurnOptions{Rate: 0})) != nil {
 		t.Fatal("rate-0 churn schedule must produce a nil driver")
 	}
-	quiet := func(dev probe.SimDevice) probe.Device {
-		return faults.WrapDevice(dev, faults.NewInjector(faults.Config{Seed: 1, Drop: 1e-300}))
-	}
+	quietInj := func() *faults.Injector { return faults.NewInjector(faults.Config{Seed: 1, Drop: 1e-300}) }
+	quiet := func(dev probe.SimDevice) probe.Device { return newDevice(dev.S, quietInj(), nil) }
 	rows := []struct {
 		name  string
 		wrap  func(probe.SimDevice) probe.Device
@@ -107,7 +106,8 @@ func TestWrapperTransparency(t *testing.T) {
 		{"bare+retry", func(dev probe.SimDevice) probe.Device { return dev }, probe.DefaultRetry},
 		{"faults", quiet, probe.Retry{}},
 		{"faults+retry", quiet, probe.DefaultRetry},
-		{"background", func(dev probe.SimDevice) probe.Device { return WrapBackground(dev, &ChurnDriver{}) }, probe.Retry{}},
+		{"background", func(dev probe.SimDevice) probe.Device { return newDevice(dev.S, nil, &ChurnDriver{}) }, probe.Retry{}},
+		{"faults+background", func(dev probe.SimDevice) probe.Device { return newDevice(dev.S, quietInj(), &ChurnDriver{}) }, probe.DefaultRetry},
 	}
 
 	// stage is everything one inference leaves behind.
@@ -180,29 +180,5 @@ func TestWrapperTransparency(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestWrapBackgroundNil pins that no background is the identity, whether it
-// arrives as a nil interface or as the nil driver an empty schedule yields.
-func TestWrapBackgroundNil(t *testing.T) {
-	sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyLRU))
-	dev := probe.SimDevice{S: sw}
-	if got := WrapBackground(dev, nil); got != probe.Device(dev) {
-		t.Errorf("WrapBackground(dev, nil) = %T, want the device unchanged", got)
-	}
-	if got := WrapBackground(dev, NewChurnDriver(nil)); got != probe.Device(dev) {
-		t.Errorf("WrapBackground(dev, nil driver) = %T, want the device unchanged", got)
-	}
-}
-
-// TestWrapBackgroundKeepsFastPaths: that the wrapper is a FrameDevice is the
-// compile-time assertion beside its type; what is left to check at run time
-// is that the label it forwards is the switch's.
-func TestWrapBackgroundKeepsFastPaths(t *testing.T) {
-	sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyLRU))
-	wrapped := WrapBackground(probe.SimDevice{S: sw}, &ChurnDriver{})
-	if got, want := wrapped.TelemetryLabel(), sw.Profile().Name; got != want {
-		t.Errorf("wrapped label = %q, want the switch's %q", got, want)
 	}
 }

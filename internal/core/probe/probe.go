@@ -98,10 +98,6 @@ func (d SimDevice) TelemetryLabel() string { return d.S.Profile().Name }
 // Sleep implements Device by advancing the switch's virtual clock.
 func (d SimDevice) Sleep(dur time.Duration) { d.S.Clock().Sleep(dur) }
 
-// Reset power-cycles the underlying emulated switch (used by fault
-// injection to model mid-probe agent restarts).
-func (d SimDevice) Reset() { d.S.Reset() }
-
 // SendTraffic is a burst of an encoded packet. Nothing in this module calls
 // it: benchmark/wrappers.go, which may not change between re-baselines,
 // overrides it by name. It goes at the next benchmark re-baseline.

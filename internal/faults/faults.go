@@ -13,14 +13,14 @@
 // Injected faults are observable through telemetry as per-kind counters
 // (faults.injected.<kind>).
 //
-// Two injection points cover the repo's two transports:
-//
-//   - Device (this package) wraps the in-process emulator's device
-//     (probe.SimDevice) and perturbs its FlowMod and SendFrameN calls.
-//   - ofconn.ServeOptions.Faults hands an *Injector to the TCP agent loop,
-//     which drops, delays, duplicates, and reorders reply messages on the
-//     wire; the controller side surfaces the resulting silence as typed
-//     timeout errors (ofconn.ErrTimeout).
+// This package is only the fault model: the kinds, their typed error, the
+// configuration and the seeded decision stream. Two places interpret it, one
+// per transport: the conformance harness's device (internal/conformance)
+// perturbs the in-process emulator's flow-mods and frame bursts, and
+// ofconn.ServeOptions.Faults hands an *Injector to the TCP agent loop, which
+// drops, delays, duplicates, and reorders messages on the wire; the
+// controller side surfaces the resulting silence as typed timeout errors
+// (ofconn.ErrTimeout).
 package faults
 
 import (

@@ -76,6 +76,10 @@ const (
 	// against a sentinel rule; their RTTs feed the fleet's p50/p99 and the
 	// flight tracks.
 	sentinelProbes = 8
+	// rttWindow bounds the sentinel RTTs a member keeps to its last 64
+	// rounds' worth: a Service re-infers until it is stopped, and an
+	// unbounded history grows by sentinelProbes samples per member per round.
+	rttWindow = 64 * sentinelProbes
 )
 
 // Options configures a fleet run. The zero value is a small all-simulation
@@ -110,8 +114,8 @@ type Options struct {
 	// in-process servers).
 	TCP []TCPMember
 	// Registry receives the fleet-level fold (default: the process
-	// registry); per-member engines always record into private registries
-	// so the fold stays deterministic.
+	// registry); per-member engines record no telemetry, so the fold stays
+	// deterministic.
 	Registry *telemetry.Registry
 	// Flight receives per-switch sentinel RTT samples (default: the
 	// process flight recorder, if installed).
@@ -189,8 +193,9 @@ type Result struct {
 	Probes   int64
 	Punted   int64
 
-	// Sentinel RTT distribution. Simulated members contribute virtual
-	// durations (deterministic); TCP members wall-clock ones.
+	// Sentinel RTT distribution over each member's last rttWindow samples.
+	// Simulated members contribute virtual durations (deterministic); TCP
+	// members wall-clock ones.
 	RTTSamples  int
 	P50ProbeRTT time.Duration
 	P99ProbeRTT time.Duration
@@ -229,7 +234,6 @@ type member struct {
 	tcp  bool
 	sw   *switchsim.Switch // nil for TCP members
 	eng  *probe.Engine
-	reg  *telemetry.Registry
 	trk  *telemetry.FlightTrack
 	bkt  *tokenBucket
 
@@ -241,7 +245,8 @@ type member struct {
 	cards     int
 	levels    int
 	cacheSize int
-	rtts      []time.Duration
+	rtts      []time.Duration // a ring of at most rttWindow samples
+	rttNext   int             // the oldest sample once rtts is full
 	throttles int64
 	throttle  time.Duration
 }
@@ -275,12 +280,12 @@ func newRunner(o Options) (*runner, error) {
 			switchsim.WithClock(simclock.NewVirtual()),
 			switchsim.WithSeed(spec.Seed),
 		)
-		m := &member{idx: i, name: name, sw: sw, reg: telemetry.NewRegistry()}
+		m := &member{idx: i, name: name, sw: sw}
 		m.eng = probe.NewEngine(probe.SimDevice{S: sw})
 		r.initMember(m)
 	}
 	for _, t := range o.TCP {
-		m := &member{idx: len(r.members), name: t.Name, tcp: true, reg: telemetry.NewRegistry()}
+		m := &member{idx: len(r.members), name: t.Name, tcp: true}
 		m.eng = probe.NewEngine(t.Ctrl)
 		r.initMember(m)
 	}
@@ -299,12 +304,12 @@ func newRunner(o Options) (*runner, error) {
 	return r, nil
 }
 
-// initMember finishes a member's wiring: private telemetry (the engine's
-// wall-clock flight binding is dropped — the runner records its own samples
-// on the member timeline), the member-name label, pacing bucket, and the
-// fleet flight track.
+// initMember finishes a member's wiring: no engine telemetry (and no
+// wall-clock flight binding — the runner records its own samples on the
+// member timeline), the member-name label, pacing bucket, and the fleet
+// flight track.
 func (r *runner) initMember(m *member) {
-	m.eng.SetTelemetry(m.reg, nil)
+	m.eng.SetTelemetry(nil, nil)
 	m.eng.SetFlight(nil)
 	m.eng.SetLabel(m.name)
 	if r.o.Flight != nil {
@@ -393,7 +398,7 @@ func (r *runner) runMember(m *member, round int) {
 				m.fail(err)
 				break
 			}
-			m.rtts = append(m.rtts, rtt)
+			m.keepRTT(rtt)
 			if m.trk != nil {
 				now := m.now()
 				m.trk.Record(now, now, rtt, sid, punted)
@@ -406,6 +411,17 @@ func (r *runner) runMember(m *member, round int) {
 	st := m.eng.Stats()
 	m.bkt.charge(float64(st.Probes - m.last.Probes))
 	m.last = st
+}
+
+// keepRTT adds one sentinel RTT to the member's window, overwriting the
+// oldest once the window is full.
+func (m *member) keepRTT(rtt time.Duration) {
+	if len(m.rtts) < rttWindow {
+		m.rtts = append(m.rtts, rtt)
+		return
+	}
+	m.rtts[m.rttNext] = rtt
+	m.rttNext = (m.rttNext + 1) % rttWindow
 }
 
 // fail counts one failed step and keeps its cause.

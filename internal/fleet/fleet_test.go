@@ -185,3 +185,34 @@ func TestFleetServiceStartStop(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceBoundsRTTWindow runs the service past the RTT window: each
+// member keeps at most its last rttWindow sentinel RTTs, and the fold's
+// sample count and fleet.probe_rtt_ns agree on what was kept.
+func TestServiceBoundsRTTWindow(t *testing.T) {
+	o := testOptions(29)
+	o.Switches = 2
+	o.MaxRules = 256
+	s, err := Start(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for s.Rounds() <= rttWindow/sentinelProbes {
+		if time.Now().After(deadline) {
+			s.Stop()
+			t.Fatalf("service finished %d rounds, want more than %d", s.Rounds(), rttWindow/sentinelProbes)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	res := s.Stop()
+	if res.InferErrs != 0 {
+		t.Fatalf("inference errors: %d", res.InferErrs)
+	}
+	if want := o.Switches * rttWindow; res.RTTSamples != want {
+		t.Fatalf("kept %d RTT samples after %d rounds, want the window's %d", res.RTTSamples, res.Rounds, want)
+	}
+	if h := o.Registry.Snapshot().Histograms["fleet.probe_rtt_ns"]; h.Count != int64(res.RTTSamples) {
+		t.Fatalf("fleet.probe_rtt_ns count %d, want %d", h.Count, res.RTTSamples)
+	}
+}
