@@ -23,29 +23,57 @@ func testSwitch(t *testing.T, cfg faults.Config) (*switchsim.Switch, probe.Devic
 	return sw, newDevice(sw, faults.NewInjector(cfg), nil)
 }
 
-// TestNewDeviceIdentity pins when newDevice interposes: nothing to inject and
-// no background — a nil interface, or the nil driver an empty schedule
-// yields, which is a non-nil interface that would dereference nil if stepped
-// — return the bare switch, and an interposed switch keeps its name.
+// TestNewDeviceNilInjectorIsPassThrough pins that nothing to inject and no
+// background returns the bare switch.
+func TestNewDeviceNilInjectorIsPassThrough(t *testing.T) {
+	sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyFIFO))
+	if dev := newDevice(sw, nil, nil); dev != probe.FrameDevice(probe.SimDevice{S: sw}) {
+		t.Fatalf("newDevice(sw, nil, nil) = %T, want the bare switch", dev)
+	}
+}
+
+// TestWrapBackgroundNil pins that no background is the identity, whether it
+// arrives as a nil interface or as the nil driver an empty schedule yields —
+// a non-nil interface that would dereference nil if stepped.
+func TestWrapBackgroundNil(t *testing.T) {
+	sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyLRU))
+	bare := probe.FrameDevice(probe.SimDevice{S: sw})
+	if got := newDevice(sw, nil, nil); got != bare {
+		t.Errorf("newDevice(sw, nil, nil) = %T, want the bare switch", got)
+	}
+	if got := newDevice(sw, nil, NewChurnDriver(nil)); got != bare {
+		t.Errorf("newDevice(sw, nil, nil driver) = %T, want the bare switch", got)
+	}
+}
+
+// TestWrapBackgroundKeepsFastPaths: that the interposer is a FrameDevice is
+// the compile-time assertion beside its type; what is left to check at run
+// time is that the label it forwards is the switch's.
+func TestWrapBackgroundKeepsFastPaths(t *testing.T) {
+	sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyLRU))
+	dev := newDevice(sw, nil, &ChurnDriver{})
+	if got, want := dev.TelemetryLabel(), sw.Profile().Name; got != want {
+		t.Errorf("interposed label = %q, want the switch's %q", got, want)
+	}
+}
+
+// TestNewDeviceIdentity pins that any injector interposes, with or without a
+// background (the nil driver among them), and that an interposed switch
+// keeps its name.
 func TestNewDeviceIdentity(t *testing.T) {
 	quiet := faults.Config{Seed: 1, Drop: 1e-300}
 	for _, c := range []struct {
 		name string
-		inj  faults.Config
 		bg   Background
-		bare bool
 	}{
-		{"nothing", faults.Config{}, nil, true},
-		{"nil driver", faults.Config{}, NewChurnDriver(nil), true},
-		{"faults", quiet, nil, false},
-		{"background", faults.Config{}, &ChurnDriver{}, false},
-		{"faults+nil driver", quiet, NewChurnDriver(nil), false},
-		{"faults+background", quiet, &ChurnDriver{}, false},
+		{"faults", nil},
+		{"faults+nil driver", NewChurnDriver(nil)},
+		{"faults+background", &ChurnDriver{}},
 	} {
 		sw := switchsim.New(switchsim.TestSwitch(8, switchsim.PolicyLRU))
-		got := newDevice(sw, faults.NewInjector(c.inj), c.bg)
-		if bare := got == probe.FrameDevice(probe.SimDevice{S: sw}); bare != c.bare {
-			t.Errorf("%s: newDevice = %T, bare %v, want bare %v", c.name, got, bare, c.bare)
+		got := newDevice(sw, faults.NewInjector(quiet), c.bg)
+		if got == probe.FrameDevice(probe.SimDevice{S: sw}) {
+			t.Errorf("%s: newDevice returned the bare switch, want it interposed", c.name)
 		}
 		if label, want := got.TelemetryLabel(), sw.Profile().Name; label != want {
 			t.Errorf("%s: label = %q, want the switch's %q", c.name, label, want)
