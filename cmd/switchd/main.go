@@ -51,9 +51,9 @@ type config struct {
 // buildServer constructs the emulated switch and its listener-bound server.
 // The caller runs Serve and owns Shutdown.
 func buildServer(cfg config, serveOpts ofconn.ServeOptions) (*ofconn.Server, error) {
-	prof, err := profileByName(cfg.profile)
+	prof, err := switchsim.ProfileByName(cfg.profile)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("switchd: %w", err)
 	}
 	faultCfg, err := faults.ParseSpec(cfg.faultSpec)
 	if err != nil {
@@ -111,7 +111,7 @@ func main() {
 	if cfg.faultSpec != "" {
 		log.Printf("switchd: injecting faults: %s", cfg.faultSpec)
 	}
-	prof, _ := profileByName(cfg.profile)
+	prof, _ := switchsim.ProfileByName(cfg.profile)
 	log.Printf("switchd: %s (%s, dpid=%#x) listening on %s, scale=%g",
 		prof.Name, prof.Kind, prof.DatapathID, srv.Addr(), cfg.scale)
 
@@ -133,22 +133,4 @@ func main() {
 		log.Fatalf("switchd: %v", serveErr)
 	}
 	log.Print("switchd: stopped")
-}
-
-// profileByName maps the flag value to a vendor profile.
-func profileByName(name string) (switchsim.Profile, error) {
-	switch name {
-	case "ovs":
-		return switchsim.OVS(), nil
-	case "switch1":
-		return switchsim.Switch1(), nil
-	case "switch2":
-		return switchsim.Switch2(), nil
-	case "switch3":
-		return switchsim.Switch3(), nil
-	case "fig5":
-		return switchsim.FigureFiveSwitch(), nil
-	default:
-		return switchsim.Profile{}, fmt.Errorf("switchd: unknown profile %q (want ovs, switch1, switch2, switch3, fig5)", name)
-	}
 }

@@ -9,20 +9,30 @@ import (
 
 	"tango/internal/fleet"
 	"tango/internal/ofconn"
+	"tango/internal/switchsim"
 	"tango/internal/telemetry"
 )
 
+// TestProfileByName checks that every -profile value the flag's help lists
+// selects its vendor model.
 func TestProfileByName(t *testing.T) {
-	for _, name := range []string{"ovs", "switch1", "switch2", "switch3", "fig5"} {
-		p, err := profileByName(name)
+	want := map[string]string{
+		"ovs":     switchsim.OVS().Name,
+		"switch1": switchsim.Switch1().Name,
+		"switch2": switchsim.Switch2().Name,
+		"switch3": switchsim.Switch3().Name,
+		"fig5":    switchsim.FigureFiveSwitch().Name,
+	}
+	for name, prof := range want {
+		p, err := switchsim.ProfileByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if p.Name == "" {
-			t.Fatalf("%s: empty profile", name)
+		if p.Name != prof {
+			t.Fatalf("%s: profile %q, want %q", name, p.Name, prof)
 		}
 	}
-	if _, err := profileByName("nope"); err == nil {
+	if _, err := switchsim.ProfileByName("nope"); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
 }

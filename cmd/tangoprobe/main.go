@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		profile  = flag.String("profile", "", "emulated profile: ovs, switch1, switch2, switch3")
+		profile  = flag.String("profile", "", "emulated profile: ovs, switch1, switch2, switch3, fig5")
 		policy   = flag.String("policy", "", "override cache policy for emulated profile: fifo, lru, lfu, priority")
 		connect  = flag.String("connect", "", "probe a live OpenFlow switch at this TCP address instead")
 		maxRules = flag.Int("max-rules", 0, "size-probing budget (0 = default)")
@@ -70,9 +70,9 @@ func main() {
 			hardened = probe.DefaultRetry
 		}
 	case *profile != "":
-		prof, err := byName(*profile)
+		prof, err := switchsim.ProfileByName(*profile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(os.Stderr, "tangoprobe:", err)
 			os.Exit(2)
 		}
 		if *policy != "" {
@@ -84,8 +84,7 @@ func main() {
 			prof = prof.WithPolicy(p)
 		}
 		name = prof.Name
-		sw := tango.NewEmulatedSwitch(prof, switchsim.WithSeed(*seed))
-		dev = tango.EngineFor(sw).Device()
+		dev = probe.SimDevice{S: tango.NewEmulatedSwitch(prof, switchsim.WithSeed(*seed))}
 	default:
 		fmt.Fprintln(os.Stderr, "tangoprobe: need -profile or -connect")
 		os.Exit(2)
@@ -151,21 +150,6 @@ func main() {
 
 	if err := flush(); err != nil {
 		log.Fatalf("tangoprobe: %v", err)
-	}
-}
-
-func byName(name string) (switchsim.Profile, error) {
-	switch name {
-	case "ovs":
-		return switchsim.OVS(), nil
-	case "switch1":
-		return switchsim.Switch1(), nil
-	case "switch2":
-		return switchsim.Switch2(), nil
-	case "switch3":
-		return switchsim.Switch3(), nil
-	default:
-		return switchsim.Profile{}, fmt.Errorf("tangoprobe: unknown profile %q", name)
 	}
 }
 

@@ -1,14 +1,20 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
+	"tango/internal/switchsim"
+)
+
+// TestByName checks that every -profile value the flag's help lists
+// resolves.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"ovs", "switch1", "switch2", "switch3"} {
-		if _, err := byName(name); err != nil {
+	for _, name := range []string{"ovs", "switch1", "switch2", "switch3", "fig5"} {
+		if _, err := switchsim.ProfileByName(name); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := byName("zz"); err == nil {
+	if _, err := switchsim.ProfileByName("zz"); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
 }

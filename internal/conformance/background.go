@@ -101,23 +101,25 @@ func (c *ChurnDriver) apply(dev probe.FrameDevice, ev workload.ChurnEvent) {
 func (c *ChurnDriver) Applied() int { return c.next }
 
 // AttackDriver replays a workload.OverflowAttack schedule as background
-// noise: every Every-th foreground operation applies a burst of attack ops.
-// Unlike the attacker-in-the-foreground scenario (which interprets canary
-// timings), the driver just executes the schedule — it models a concurrent
-// tenant running the attack while Tango infers.
+// noise: every attackEvery-th foreground operation applies a burst of
+// attackBurst attack ops. Unlike the attacker-in-the-foreground scenario
+// (which interprets canary timings), it just executes the schedule: it
+// models a concurrent tenant running the attack while Tango infers.
 type AttackDriver struct {
 	// Ops is the attack schedule.
 	Ops []workload.AttackOp
-	// Every is the number of foreground ops between bursts (default 4).
-	Every int
-	// Burst is the number of attack ops applied per active step (default 4).
-	Burst int
-	// Priority is the attack rules' priority (default 900).
-	Priority uint16
 
 	calls, next int
 	frame       packet.Frame
 }
+
+// The attack's pace and rules: attackBurst ops every attackEvery foreground
+// ops, installs at attackPriority.
+const (
+	attackEvery    = 4
+	attackBurst    = 4
+	attackPriority = 900
+)
 
 // Step implements Background.
 func (a *AttackDriver) Step(dev probe.FrameDevice) {
@@ -125,18 +127,10 @@ func (a *AttackDriver) Step(dev probe.FrameDevice) {
 		return
 	}
 	a.calls++
-	every := a.Every
-	if every <= 0 {
-		every = 4
-	}
-	if a.calls%every != 0 {
+	if a.calls%attackEvery != 0 {
 		return
 	}
-	burst := a.Burst
-	if burst <= 0 {
-		burst = 4
-	}
-	for i := 0; i < burst && a.next < len(a.Ops); i++ {
+	for i := 0; i < attackBurst && a.next < len(a.Ops); i++ {
 		op := a.Ops[a.next]
 		a.next++
 		a.apply(dev, op)
@@ -148,14 +142,10 @@ func (a *AttackDriver) Step(dev probe.FrameDevice) {
 func (a *AttackDriver) apply(dev probe.FrameDevice, op workload.AttackOp) {
 	switch op.Kind {
 	case workload.AttackInstall:
-		prio := a.Priority
-		if prio == 0 {
-			prio = 900
-		}
 		fm := &openflow.FlowMod{
 			Command:  openflow.FlowAdd,
 			Match:    flowtable.ExactProbeMatch(op.Flow),
-			Priority: prio,
+			Priority: attackPriority,
 			Actions:  flowtable.Output(2),
 		}
 		_ = dev.FlowMod(fm)

@@ -44,15 +44,13 @@ func MeasurePriorityCurves(e *probe.Engine, opts CurveOptions) (map[pattern.Orde
 			rng := rand.New(rand.NewSource(opts.Seed + int64(n)))
 			p := pattern.PriorityInstall(n, order, rng)
 			// Rebase flow IDs into the dedicated block.
-			ops := make([]pattern.Op, len(p.Ops))
-			for i, op := range p.Ops {
-				op.FlowID += curveFlowIDBase
-				ops[i] = op
+			for i := range p.Ops {
+				p.Ops[i].FlowID += curveFlowIDBase
 			}
-			total, err := e.TimeOps(ops)
+			res, err := e.Run(p)
 			// Restore the device before judging the outcome (deletes of
 			// never-installed rules are no-ops).
-			for _, op := range ops {
+			for _, op := range p.Ops {
 				_ = e.Delete(op.FlowID, op.Priority)
 			}
 			if err != nil {
@@ -61,7 +59,7 @@ func MeasurePriorityCurves(e *probe.Engine, opts CurveOptions) (map[pattern.Orde
 				maxN = n - 1
 				continue
 			}
-			out[order] = append(out[order], pattern.CurvePoint{N: n, Total: total})
+			out[order] = append(out[order], pattern.CurvePoint{N: n, Total: res.Total})
 		}
 	}
 	return out, nil

@@ -37,26 +37,19 @@ func (k OpKind) String() string {
 }
 
 // Op is one flow-mod step of a pattern. FlowID selects the probe rule the
-// op targets (see packet.BuildProbe / flowtable.ExactProbeMatch); SendProbe
-// asks the engine to follow the op with a matching data-plane packet.
+// op targets (see packet.BuildProbe / flowtable.ExactProbeMatch).
 type Op struct {
-	Kind      OpKind
-	FlowID    uint32
-	Priority  uint16
-	SendProbe bool
+	Kind     OpKind
+	FlowID   uint32
+	Priority uint16
 }
 
-// TrafficStep is one step of a pattern's data-traffic component.
-type TrafficStep struct {
-	FlowID uint32
-	Count  int
-}
-
-// Pattern is a named probing recipe.
+// Pattern is a named flow-mod sequence. Its data-traffic half is sent by
+// the algorithm that runs it, through the engine's Probe and SendTraffic,
+// because what it sends depends on what the switch answered.
 type Pattern struct {
-	Name    string
-	Ops     []Op
-	Traffic []TrafficStep
+	Name string
+	Ops  []Op
 }
 
 // Order enumerates the priority orderings of §3's installation experiments.

@@ -77,14 +77,14 @@ func BenchmarkChannel(e *Engine) (*ChannelReport, error) {
 		for i := range ops {
 			ops[i] = pattern.Op{Kind: kind, FlowID: benchFlowIDBase + uint32(i), Priority: benchPriority}
 		}
-		d, err := e.TimeOps(ops)
+		res, err := e.Run(pattern.Pattern{Name: "channel/rate", Ops: ops})
 		if err != nil {
 			return 0, err
 		}
-		if d <= 0 {
+		if res.Total <= 0 {
 			return 0, fmt.Errorf("probe: zero elapsed time")
 		}
-		return float64(benchOps) / d.Seconds(), nil
+		return float64(benchOps) / res.Total.Seconds(), nil
 	}
 	var err error
 	if rep.AddPerSec, err = rate(pattern.OpAdd); err != nil {

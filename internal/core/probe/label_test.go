@@ -17,8 +17,7 @@ func TestEngineAutoLabelFeedsVecAndFlight(t *testing.T) {
 	fr := telemetry.NewFlightRecorder(16)
 	s := switchsim.New(switchsim.Switch2())
 	e := NewEngine(SimDevice{S: s})
-	e.SetFlight(fr)
-	e.SetTelemetry(reg, nil)
+	e.SetTelemetry(reg, nil, fr)
 
 	if e.Label() != "Switch#2" && e.Label() != s.Profile().Name {
 		t.Fatalf("auto label = %q, want profile name %q", e.Label(), s.Profile().Name)
@@ -66,10 +65,9 @@ func TestEngineSetLabelRebindAndClear(t *testing.T) {
 	fr := telemetry.NewFlightRecorder(8)
 	s := switchsim.New(switchsim.OVS())
 	e := NewEngine(SimDevice{S: s})
-	e.SetFlight(fr)
-	e.SetTelemetry(reg, nil)
+	e.SetTelemetry(reg, nil, fr)
 
-	e.SetLabel("member-a")
+	e.setLabel("member-a")
 	if err := e.Install(1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func TestEngineSetLabelRebindAndClear(t *testing.T) {
 		t.Fatalf("member-a flight samples = %d, want 1", got)
 	}
 
-	e.SetLabel("")
+	e.setLabel("")
 	if _, _, err := e.Probe(1); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func TestEngineSetLabelRebindAndClear(t *testing.T) {
 func TestEngineLabelNilTelemetryIsFree(t *testing.T) {
 	s := switchsim.New(switchsim.Switch1())
 	e := NewEngine(SimDevice{S: s}) // no registry, no flight recorder installed
-	e.SetLabel("anything")
+	e.setLabel("anything")
 	if err := e.Install(1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +105,7 @@ func TestEngineLabelNilTelemetryIsFree(t *testing.T) {
 	if err != nil || rtt <= 0 {
 		t.Fatalf("probe under nil telemetry: rtt=%v err=%v", rtt, err)
 	}
-	e.SetFlight(nil)
-	e.SetTelemetry(nil, nil)
+	e.SetTelemetry(nil, nil, nil)
 	if _, _, err := e.Probe(1); err != nil {
 		t.Fatal(err)
 	}

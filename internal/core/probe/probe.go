@@ -1,9 +1,9 @@
 // Package probe implements Tango's probing engine (§4): it applies Tango
-// patterns — flow-mod sequences plus matching data traffic — to a switch
-// and collects timing measurements. The engine is transport-agnostic: it
-// drives anything satisfying Device, which both the in-process emulator
-// adapter (SimDevice, virtual time) and the TCP controller
-// (internal/ofconn.Controller, wall time) do.
+// patterns to a switch — flow-mod sequences through Run, the matching data
+// traffic through Probe and SendTraffic — and collects timing measurements.
+// The engine is transport-agnostic: it drives anything satisfying Device,
+// which both the in-process emulator adapter (SimDevice, virtual time) and
+// the TCP controller (internal/ofconn.Controller, wall time) do.
 package probe
 
 import (
@@ -141,9 +141,6 @@ type Engine struct {
 	// construction; nil when dev is not of that kind.
 	frameDev FrameDevice
 	pipeDev  PipelinedDevice
-	// InPort is the ingress port probe frames claim; the default 1 works
-	// for all emulated profiles.
-	InPort uint16
 	// Retry bounds recovery from transient channel failures; the zero
 	// value keeps the engine single-attempt.
 	Retry Retry
@@ -154,10 +151,9 @@ type Engine struct {
 	// sent instead.
 	frame packet.Frame
 	buf   [64]byte
-	// opScratch is the flow-mod every serial op path (Install, Delete, Run,
-	// TimeOps) fills in place: the device send is synchronous
-	// and devices copy what they keep, so a flow-mod per op would be pure
-	// collector load.
+	// opScratch is the flow-mod every serial op path (Install, Delete, Run)
+	// fills in place: the device send is synchronous and devices copy what
+	// they keep, so a flow-mod per op would be pure collector load.
 	opScratch openflow.FlowMod
 	// slab and batch are the flow-mods of a pipelined batch and the pointers
 	// FlowModBatch takes, grown to the largest batch and refilled by the
@@ -179,12 +175,12 @@ type Engine struct {
 	mRetries   *telemetry.Counter
 	mExhausted *telemetry.Counter
 	hRTT       *telemetry.Histogram
-	// hRTTSw is the per-switch probe.rtt_ns{switch=...} child, bound by
-	// SetLabel; nil on unlabeled engines, so the fleet aggregate hRTT keeps
-	// its meaning either way.
+	// hRTTSw is the per-switch probe.rtt_ns{switch=...} child of the
+	// engine's label; nil on unlabeled engines, so the fleet aggregate hRTT
+	// keeps its meaning either way.
 	hRTTSw *telemetry.Histogram
 	// flightRec/flight feed the per-switch RTT flight recorder: flight is
-	// this engine's track in flightRec, bound by SetLabel.
+	// this engine's track in flightRec, bound to its label.
 	flightRec *telemetry.FlightRecorder
 	flight    *telemetry.FlightTrack
 	label     string
@@ -197,30 +193,33 @@ type Engine struct {
 // reads for per-interval deltas.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
+// probeInPort is the ingress port probe frames claim; it works for every
+// emulated profile.
+const probeInPort uint16 = 1
+
 // NewEngine returns an engine driving dev, bound to the process-wide
 // default telemetry (a no-op unless a command installed one) and labeled
-// with the device's TelemetryLabel, so its RTTs land in the per-switch
-// histogram child and flight track without any caller wiring. The two
-// assertions below are the only place a device is asked what kind it is;
-// they look at the method set of the value handed in, so a wrapper that
-// embeds a device and overrides methods by name is seen on every call.
+// for good with the device's TelemetryLabel, so its RTTs land in the
+// per-switch histogram child and flight track without any caller wiring.
+// The two assertions below are the only place a device is asked what kind
+// it is; they look at the method set of the value handed in, so a wrapper
+// that embeds a device and overrides methods by name is seen on every call.
 func NewEngine(dev Device) *Engine {
-	e := &Engine{dev: dev, InPort: 1}
+	e := &Engine{dev: dev, label: dev.TelemetryLabel()}
 	packet.BuildProbeFrame(&e.frame, packet.ProbeSpec{})
 	e.frameDev, _ = dev.(FrameDevice)
 	e.pipeDev, _ = dev.(PipelinedDevice)
-	e.flightRec = telemetry.DefaultFlight()
-	e.SetTelemetry(telemetry.Default(), telemetry.DefaultTracer())
-	e.SetLabel(dev.TelemetryLabel())
+	e.SetTelemetry(telemetry.Default(), telemetry.DefaultTracer(), telemetry.DefaultFlight())
 	return e
 }
 
-// SetTelemetry rebinds the engine's metrics and tracer. Either argument may
-// be nil to disable that half. A label bound earlier is re-applied against
-// the new registry.
-func (e *Engine) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
+// SetTelemetry rebinds the engine's metrics, tracer and flight recorder, and
+// the label's histogram child and flight track in them. Any argument may be
+// nil to disable that part.
+func (e *Engine) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer, fr *telemetry.FlightRecorder) {
 	e.reg = reg
 	e.tracer = tr
+	e.flightRec = fr
 	e.mFlowMods = reg.Counter("probe.flowmods")
 	e.mProbes = reg.Counter("probe.probes_sent")
 	e.mPunted = reg.Counter("probe.punted")
@@ -228,29 +227,14 @@ func (e *Engine) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	e.mRetries = reg.Counter("probe.retries")
 	e.mExhausted = reg.Counter("probe.retry_exhausted")
 	e.hRTT = reg.Histogram("probe.rtt_ns")
-	e.hRTTSw = nil
-	if e.label != "" {
-		e.SetLabel(e.label)
-	}
+	e.setLabel(e.label)
 }
 
-// SetFlight rebinds the engine's flight recorder (picked up from
-// telemetry.DefaultFlight at construction). The current label's track is
-// rebound; pass nil to stop recording flight samples.
-func (e *Engine) SetFlight(fr *telemetry.FlightRecorder) {
-	e.flightRec = fr
-	e.flight = nil
-	if e.label != "" {
-		e.SetLabel(e.label)
-	}
-}
-
-// SetLabel names the switch this engine probes. It binds the per-switch
+// setLabel names the switch this engine probes. It binds the per-switch
 // probe.rtt_ns{switch=label} histogram child (observed alongside the fleet
 // aggregate) and the label's flight-recorder track. An empty label unbinds
-// both. NewEngine calls this with the device's own label; fleets relabel TCP
-// members by their member names.
-func (e *Engine) SetLabel(label string) {
+// both.
+func (e *Engine) setLabel(label string) {
 	e.label = label
 	if label == "" {
 		e.hRTTSw = nil
@@ -261,7 +245,7 @@ func (e *Engine) SetLabel(label string) {
 	e.flight = e.flightRec.Track(label)
 }
 
-// Label returns the switch label bound by SetLabel ("" when unlabeled).
+// Label returns the engine's switch label ("" when unlabeled).
 func (e *Engine) Label() string { return e.label }
 
 // Tracer returns the engine's tracer (possibly nil). The inference
@@ -304,13 +288,13 @@ func (e *Engine) flowMod(fm *openflow.FlowMod) error {
 func (e *Engine) send(id uint32, n int) (time.Duration, bool, error) {
 	if e.frameDev != nil {
 		packet.RetargetProbeFrame(&e.frame, id)
-		return e.frameDev.SendFrameN(&e.frame, e.InPort, packet.ProbeFrameLen, n)
+		return e.frameDev.SendFrameN(&e.frame, probeInPort, packet.ProbeFrameLen, n)
 	}
 	data, err := packet.AppendBuildProbe(e.buf[:0], packet.ProbeSpec{FlowID: id})
 	if err != nil {
 		return 0, false, err
 	}
-	return e.dev.SendProbe(data, e.InPort)
+	return e.dev.SendProbe(data, probeInPort)
 }
 
 // sendRetry is send with transient failures retried under the engine's Retry
@@ -409,8 +393,9 @@ func (e *Engine) SendTraffic(id uint32, count int) error {
 	return nil
 }
 
-// Run executes a pattern: every op in sequence (timed individually), then
-// the traffic steps. Op errors abort the run. The result's Latencies are the
+// Run executes a pattern's ops in sequence, timing each and the whole. It is
+// the engine's one op runner: a caller that needs only the total reads
+// Result.Total. Op errors abort the run. The result's Latencies are the
 // engine's buffer, valid until its next Run.
 func (e *Engine) Run(p pattern.Pattern) (pattern.Result, error) {
 	if cap(e.lat) < len(p.Ops) {
@@ -425,18 +410,6 @@ func (e *Engine) Run(p pattern.Pattern) (pattern.Result, error) {
 			return res, fmt.Errorf("probe: op %s flow %d: %w", op.Kind, op.FlowID, err)
 		}
 		res.Latencies = append(res.Latencies, e.dev.Now().Sub(opStart))
-		if op.SendProbe {
-			if _, _, err := e.Probe(op.FlowID); err != nil {
-				return res, err
-			}
-		}
-	}
-	for _, ts := range p.Traffic {
-		for i := 0; i < ts.Count; i++ {
-			if _, _, err := e.Probe(ts.FlowID); err != nil {
-				return res, err
-			}
-		}
 	}
 	res.Total = e.dev.Now().Sub(start)
 	if e.tracer != nil {
@@ -444,19 +417,6 @@ func (e *Engine) Run(p pattern.Pattern) (pattern.Result, error) {
 			map[string]any{"pattern": p.Name, "ops": len(p.Ops)})
 	}
 	return res, nil
-}
-
-// TimeOps executes ops (without traffic) and returns only the total time —
-// the measurement the scheduler experiments need.
-func (e *Engine) TimeOps(ops []pattern.Op) (time.Duration, error) {
-	start := e.dev.Now()
-	for _, op := range ops {
-		fillFlowMod(&e.opScratch, op)
-		if err := e.flowMod(&e.opScratch); err != nil {
-			return e.dev.Now().Sub(start), err
-		}
-	}
-	return e.dev.Now().Sub(start), nil
 }
 
 // pipelined reports whether batch operations will ride the device's

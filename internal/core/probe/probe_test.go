@@ -75,23 +75,6 @@ func TestRunPatternTimings(t *testing.T) {
 	}
 }
 
-func TestRunPatternWithTrafficAndProbes(t *testing.T) {
-	e, sw := newEngine(switchsim.OVS())
-	p := pattern.Pattern{
-		Name: "t",
-		Ops: []pattern.Op{
-			{Kind: pattern.OpAdd, FlowID: 1, Priority: 10, SendProbe: true},
-		},
-		Traffic: []pattern.TrafficStep{{FlowID: 1, Count: 3}},
-	}
-	if _, err := e.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	if st := sw.Stats(); st.PacketsSeen != 4 {
-		t.Fatalf("packets = %d, want 4", st.PacketsSeen)
-	}
-}
-
 func TestRunAbortsOnRejection(t *testing.T) {
 	e, _ := newEngine(switchsim.Switch2().WithTCAMCapacity(2))
 	p := pattern.PriorityInstall(5, pattern.OrderSame, nil)
@@ -101,18 +84,6 @@ func TestRunAbortsOnRejection(t *testing.T) {
 	}
 	if len(res.Latencies) != 2 {
 		t.Fatalf("completed ops = %d, want 2", len(res.Latencies))
-	}
-}
-
-func TestTimeOps(t *testing.T) {
-	e, _ := newEngine(switchsim.OVS())
-	ops := pattern.PriorityInstall(10, pattern.OrderSame, nil).Ops
-	d, err := e.TimeOps(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Fatal("no time charged")
 	}
 }
 

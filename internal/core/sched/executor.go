@@ -19,7 +19,8 @@ func (x EngineExecutor) Execute(switchName string, ops []pattern.Op) (time.Durat
 	if !ok {
 		return 0, fmt.Errorf("sched: no engine for switch %q", switchName)
 	}
-	return e.TimeOps(ops)
+	res, err := e.Run(pattern.Pattern{Name: "sched/batch", Ops: ops})
+	return res.Total, err
 }
 
 // CardExecutor estimates batch durations from score cards instead of

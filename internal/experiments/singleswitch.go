@@ -185,20 +185,17 @@ func runPermutation(perm [3]pattern.OpKind, seed int) time.Duration {
 			panic(err)
 		}
 	}
-	ops := make([]pattern.Op, len(p.Ops))
 	for i, op := range p.Ops {
-		switch op.Kind {
-		case pattern.OpMod, pattern.OpDel:
-			op.FlowID += 2000
-			op.Priority = 2500
+		if op.Kind != pattern.OpAdd {
+			p.Ops[i].FlowID += 2000
+			p.Ops[i].Priority = 2500
 		}
-		ops[i] = op
 	}
-	d, err := e.TimeOps(ops)
+	res, err := e.Run(p)
 	if err != nil {
 		panic(err)
 	}
-	return d
+	return res.Total
 }
 
 // Figure3b reproduces Figure 3(b): total time to add n new rules versus
@@ -221,24 +218,24 @@ func Figure3b(counts []int) *Figure {
 			for i := 0; i < n; i++ {
 				ops[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: uint32(i), Priority: uint16(20000 - i)}
 			}
-			dAdd, err := e.TimeOps(ops)
+			res, err := e.Run(pattern.Pattern{Name: "fig3b/add", Ops: ops})
 			if err != nil {
 				panic(err)
 			}
 			add.X = append(add.X, float64(n))
-			add.Y = append(add.Y, seconds(dAdd))
+			add.Y = append(add.Y, seconds(res.Total))
 
 			// Mods over the now-installed rules.
 			mops := make([]pattern.Op, n)
 			for i := 0; i < n; i++ {
 				mops[i] = pattern.Op{Kind: pattern.OpMod, FlowID: uint32(i), Priority: uint16(20000 - i)}
 			}
-			dMod, err := e.TimeOps(mops)
+			res, err = e.Run(pattern.Pattern{Name: "fig3b/mod", Ops: mops})
 			if err != nil {
 				panic(err)
 			}
 			mod.X = append(mod.X, float64(n))
-			mod.Y = append(mod.Y, seconds(dMod))
+			mod.Y = append(mod.Y, seconds(res.Total))
 		}
 		fig.Series = append(fig.Series, add, mod)
 	}

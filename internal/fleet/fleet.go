@@ -304,14 +304,11 @@ func newRunner(o Options) (*runner, error) {
 	return r, nil
 }
 
-// initMember finishes a member's wiring: no engine telemetry (and no
-// wall-clock flight binding — the runner records its own samples on the
-// member timeline), the member-name label, pacing bucket, and the fleet
-// flight track.
+// initMember finishes a member's wiring: an engine bound to no telemetry
+// (the runner records the member's samples itself, on the member timeline
+// under the member's name), the pacing bucket, and the fleet flight track.
 func (r *runner) initMember(m *member) {
-	m.eng.SetTelemetry(nil, nil)
-	m.eng.SetFlight(nil)
-	m.eng.SetLabel(m.name)
+	m.eng.SetTelemetry(nil, nil, nil)
 	if r.o.Flight != nil {
 		m.trk = r.o.Flight.Track(m.name)
 	}

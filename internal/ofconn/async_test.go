@@ -421,8 +421,7 @@ func TestControllerAutoLabel(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	e.SetTelemetry(reg, nil)
-	e.SetFlight(telemetry.NewFlightRecorder(16))
+	e.SetTelemetry(reg, nil, telemetry.NewFlightRecorder(16))
 	if err := e.Install(1, 10); err != nil {
 		t.Fatal(err)
 	}

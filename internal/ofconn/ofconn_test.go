@@ -354,7 +354,6 @@ func TestFleetProbeAndSchedule(t *testing.T) {
 		}
 		defer c.Close()
 		e := probe.NewEngine(c)
-		e.SetLabel(name)
 		card, err := infer.MeasureCosts(e, name, infer.CostOptions{Samples: 16})
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,10 @@
 package switchsim
 
-import "tango/internal/flowtable"
+import (
+	"fmt"
+
+	"tango/internal/flowtable"
+)
 
 // TableKind identifies the management style of a switch's table hierarchy.
 type TableKind int
@@ -274,4 +278,21 @@ func FigureFiveSwitch() Profile {
 	p.MidPath = LatencyDist{Mean: ms(0.55), StdDev: ms(0.015)}
 	p.SlowPath = LatencyDist{Mean: ms(1.40), StdDev: ms(0.06)}
 	return p
+}
+
+// ProfileByName returns the vendor profile a command-line name selects.
+func ProfileByName(name string) (Profile, error) {
+	switch name {
+	case "ovs":
+		return OVS(), nil
+	case "switch1":
+		return Switch1(), nil
+	case "switch2":
+		return Switch2(), nil
+	case "switch3":
+		return Switch3(), nil
+	case "fig5":
+		return FigureFiveSwitch(), nil
+	}
+	return Profile{}, fmt.Errorf("switchsim: unknown profile %q (want ovs, switch1, switch2, switch3, fig5)", name)
 }
