@@ -16,7 +16,7 @@ func ExampleInspect() {
 	profile.SoftwareCapacity = 384
 	sw := tango.NewEmulatedSwitch(profile, switchsim.WithSeed(1))
 
-	model, err := tango.Inspect(tango.EngineFor(sw).Device(), tango.InspectOptions{
+	model, err := tango.Inspect(tango.SimDevice{S: sw}, tango.InspectOptions{
 		Name: "example-switch",
 		Seed: 1,
 	})

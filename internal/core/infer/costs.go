@@ -18,8 +18,13 @@ type CostOptions struct {
 const (
 	// costBasePriority anchors the priority ranges MeasureCosts uses.
 	costBasePriority uint16 = 20000
-	// costFlowIDBase offsets MeasureCosts' probe flow IDs.
-	costFlowIDBase uint32 = 3 << 20
+	// costFlowIDBase offsets MeasureCosts' probe flow IDs. Its clears are
+	// wildcard deletes that take every probe-shaped rule on the block's
+	// flows, so the block shares no flow with another writer's: not the
+	// overflow attacker's (3<<20), the churn population's and the priority
+	// curves' (5<<20), BenchmarkChannel's (6<<20) nor the microflow
+	// check's (9<<20).
+	costFlowIDBase uint32 = 7 << 20
 )
 
 func (o CostOptions) withDefaults() CostOptions {
@@ -102,9 +107,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 		return nil, err
 	}
 	card.AddNewPriority = meanLatency(res.Latencies)
-	for i := range ascOps {
-		_ = e.Delete(base+uint32(i), ascOps[i].Priority)
-	}
+	e.ClearProbeRules(base, uint32(n), costBasePriority)
 
 	// Phase 5: descending-priority adds — op i sees i higher-priority
 	// entries; the latency slope over i is the per-entry shift cost.
@@ -126,9 +129,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	if _, slope, err := stats.LinearFit(xs, ys); err == nil && slope > 0 {
 		card.ShiftPerEntry = time.Duration(slope)
 	}
-	for i := range descOps {
-		_ = e.Delete(base+uint32(i), descOps[i].Priority)
-	}
+	e.ClearProbeRules(base, uint32(n), costBasePriority)
 
 	// Phase 6: alternating add/delete pairs expose the batching effect —
 	// the per-op surcharge agents pay when the operation class changes.

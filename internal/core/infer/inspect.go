@@ -74,7 +74,7 @@ type PhaseError struct {
 func (e *PhaseError) Error() string { return e.Phase + " stage: " + e.Err.Error() }
 func (e *PhaseError) Unwrap() error { return e.Err }
 
-// microflowFlowBase is clear of the size (0), policy (1<<20) and cost (3<<20) blocks.
+// microflowFlowBase is clear of the size (0), policy (1<<20) and cost (7<<20) blocks.
 const microflowFlowBase = 9 << 20
 
 // Inspect is the one place the inference chain is written (DESIGN §14):

@@ -243,12 +243,10 @@ func initBlock(e *probe.Engine, rng *rand.Rand, base uint32, b *probeBlock) erro
 	return nil
 }
 
-// clear removes the block's probe rules so the next block starts from a
-// clean cache.
+// clear removes the block's probe rules, whatever their priorities, so the
+// next block starts from a clean cache.
 func (b *probeBlock) clear(e *probe.Engine) {
-	for i, p := range b.priorities {
-		_ = e.Delete(b.base+uint32(i), p)
-	}
+	e.ClearProbeRules(b.base, uint32(len(b.priorities)), policyBasePriority)
 }
 
 // keepOrder lists the block's flows in the order a cache ordered by hyp

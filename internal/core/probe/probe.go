@@ -8,6 +8,7 @@ package probe
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"tango/internal/core/pattern"
@@ -458,9 +459,11 @@ func (e *Engine) InstallBatch(ids []uint32, p uint16) (int, error) {
 }
 
 // ClearBatch deletes the probe rules for flows [base, base+n) at priority
-// p, batched over the pipelined path when available. Deletes go out in the
-// same ascending order as the serial loop and rejections are ignored (a
-// no-op delete is not an error), so both paths leave identical state.
+// p, one strict delete per flow in ascending order, batched over the
+// pipelined path when available. Rejections are ignored (a no-op delete is
+// not an error), so both paths leave identical state. Its flow-mods grow
+// with the rules, which is what a caller timing per-rule channel work
+// wants; ClearProbeRules removes the same rules in a flow-mod per block.
 func (e *Engine) ClearBatch(base, n uint32, p uint16) {
 	if !e.pipelined() {
 		for id := base; id < base+n; id++ {
@@ -473,11 +476,77 @@ func (e *Engine) ClearBatch(base, n uint32, p uint16) {
 	})
 }
 
+// ClearProbeRules removes the probe rules for flows [base, base+n),
+// restoring a switch between probing rounds. It sends one non-strict delete
+// per aligned block of up to 65,536 flows (flowtable.ProbeBlockMatch) —
+// serially, or as one pipelined window — so a clear costs a handful of
+// flow-mods however many rules it removes. A non-strict delete takes every
+// probe-shaped rule on the block's flows, at any priority and from any
+// source address, so p is unused and the range must be the caller's own:
+// ClearBatch would leave another writer's rules there. Where each flow in
+// the range has one rule, at p, the switch charges what ClearBatch's strict
+// deletes would and ends where they leave it when the rules' table order is
+// their flow order.
+func (e *Engine) ClearProbeRules(base, n uint32, _ uint16) {
+	end := uint64(base) + uint64(n)
+	if !e.pipelined() {
+		for lo := uint64(base); lo < end; {
+			lo = fillBlockDelete(&e.opScratch, lo, end)
+			_ = e.flowMod(&e.opScratch)
+		}
+		return
+	}
+	blocks := 0
+	for lo := uint64(base); lo < end; lo += 1 << blockBits(lo, end) {
+		blocks++
+	}
+	fms := e.window(blocks)
+	for i, lo := 0, uint64(base); lo < end; i++ {
+		lo = fillBlockDelete(fms[i], lo, end)
+	}
+	_, _ = e.sendWindow(fms)
+}
+
+// maxBlockBits bounds a clear's blocks to 2^16 flows: past that, a flow's
+// destination address spills into its second octet, which wraps.
+const maxBlockBits = 16
+
+// blockBits returns k for the largest block of 2^k flows that starts at lo,
+// is aligned to its size and ends by end.
+func blockBits(lo, end uint64) int {
+	k := min(bits.TrailingZeros64(lo), maxBlockBits)
+	for lo+1<<k > end {
+		k--
+	}
+	return k
+}
+
+// fillBlockDelete fills fm in place with the non-strict delete of the
+// largest block of flows blockBits allows at lo, and returns the flow after
+// the block.
+func fillBlockDelete(fm *openflow.FlowMod, lo, end uint64) uint64 {
+	k := blockBits(lo, end)
+	fillFlowMod(fm, pattern.Op{Kind: pattern.OpDel})
+	fm.Command = openflow.FlowDelete
+	fm.Match = flowtable.ProbeBlockMatch(uint32(lo), k)
+	return lo + 1<<k
+}
+
 // pipeline counts and sends the n flow-mods op yields down the pipelined
-// path. FlowModBatch takes the batch whole, so its ops cannot share the
-// serial scratch; they are filled in the engine's slab instead, which only
-// the first batch of each new size high-water mark allocates.
+// path.
 func (e *Engine) pipeline(n int, op func(i int) pattern.Op) ([]error, error) {
+	fms := e.window(n)
+	for i, fm := range fms {
+		fillFlowMod(fm, op(i))
+	}
+	return e.sendWindow(fms)
+}
+
+// window returns n flow-mods for one pipelined batch. FlowModBatch takes the
+// batch whole, so its ops cannot share the serial scratch; they are filled
+// in the engine's slab instead, which only the first batch of each new size
+// high-water mark allocates.
+func (e *Engine) window(n int) []*openflow.FlowMod {
 	if n > len(e.slab) {
 		e.slab = make([]openflow.FlowMod, n)
 		e.batch = make([]*openflow.FlowMod, n)
@@ -485,17 +554,12 @@ func (e *Engine) pipeline(n int, op func(i int) pattern.Op) ([]error, error) {
 			e.batch[i] = &e.slab[i]
 		}
 	}
-	fms := e.batch[:n]
-	for i, fm := range fms {
-		fillFlowMod(fm, op(i))
-	}
-	e.mFlowMods.Add(int64(n))
-	e.stats.FlowMods += int64(n)
-	return e.pipeDev.FlowModBatch(fms)
+	return e.batch[:n]
 }
 
-// ClearProbeRules removes the probe rules for flows [base, base+n) at
-// priority p, restoring a switch between probing rounds.
-func (e *Engine) ClearProbeRules(base, n uint32, p uint16) {
-	e.ClearBatch(base, n, p)
+// sendWindow counts fms and sends them down the pipelined path as one batch.
+func (e *Engine) sendWindow(fms []*openflow.FlowMod) ([]error, error) {
+	e.mFlowMods.Add(int64(len(fms)))
+	e.stats.FlowMods += int64(len(fms))
+	return e.pipeDev.FlowModBatch(fms)
 }

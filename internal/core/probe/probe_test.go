@@ -1,10 +1,13 @@
 package probe
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"tango/internal/core/pattern"
+	"tango/internal/flowtable"
+	"tango/internal/openflow"
 	"tango/internal/switchsim"
 )
 
@@ -98,6 +101,57 @@ func TestClearProbeRules(t *testing.T) {
 	_, _, software := sw.RuleCount()
 	if software != 0 {
 		t.Fatalf("rules left: %d", software)
+	}
+}
+
+// matchRecorder is a device that accepts every flow-mod and keeps a copy.
+type matchRecorder struct{ fms []openflow.FlowMod }
+
+func (d *matchRecorder) FlowMod(fm *openflow.FlowMod) error {
+	d.fms = append(d.fms, *fm)
+	return nil
+}
+func (d *matchRecorder) SendProbe([]byte, uint16) (time.Duration, bool, error) { return 0, false, nil }
+func (d *matchRecorder) Now() time.Time                                        { return time.Time{} }
+func (d *matchRecorder) Sleep(time.Duration)                                   {}
+func (d *matchRecorder) TelemetryLabel() string                                { return "" }
+
+// TestClearProbeRulesTilesTheRange: the wildcard deletes ClearProbeRules
+// sends tile [base, base+n) with aligned blocks of at most 65,536 flows, in
+// ascending order, and each covers the exact probe rules of its own flows
+// and of no flow beside it.
+func TestClearProbeRulesTilesTheRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ranges := [][2]uint32{{0, 150}, {1000, 150}, {1<<16 - 70, 140}, {77, 1}, {500, 0}, {3 << 20, 1 << 17}, {1<<20 + 3, 3 << 16}}
+	for i := 0; i < 200; i++ {
+		ranges = append(ranges, [2]uint32{uint32(rng.Intn(1 << 21)), uint32(rng.Intn(1 << 18))})
+	}
+	for _, r := range ranges {
+		base, n := r[0], r[1]
+		dev := &matchRecorder{}
+		NewEngine(dev).ClearProbeRules(base, n, 100)
+		next := base
+		for _, fm := range dev.fms {
+			bits := 32 - fm.Match.NwDst.Bits()
+			a := fm.Match.NwDst.Addr().As4()
+			lo := uint32(a[1]-84)<<16 | uint32(a[2])<<8 | uint32(a[3])
+			switch {
+			case fm.Command != openflow.FlowDelete:
+				t.Fatalf("[%d, +%d): sent %v, want a non-strict delete", base, n, fm.Command)
+			case bits > 16 || lo != next || lo%(1<<bits) != 0 || lo>>16 != next>>16:
+				t.Fatalf("[%d, +%d): block %d/%d after flow %d", base, n, lo, bits, next)
+			}
+			for _, id := range []uint32{lo - 1, lo, lo + 1<<bits - 1, lo + 1<<bits} {
+				m := flowtable.ExactProbeMatch(id)
+				if in := id-lo < 1<<bits; fm.Match.Covers(&m) != in {
+					t.Fatalf("[%d, +%d): block %d/%d covers flow %d: %v", base, n, lo, bits, id, !in)
+				}
+			}
+			next = lo + 1<<bits
+		}
+		if next != base+n || len(dev.fms) > 2*17 {
+			t.Fatalf("[%d, +%d): %d blocks end at %d", base, n, len(dev.fms), next)
+		}
 	}
 }
 

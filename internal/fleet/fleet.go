@@ -55,7 +55,7 @@ import (
 
 // Flow-ID regions keep the service's probe traffic disjoint: size probing
 // sweeps upward from sizeFlowBase with a fresh per-round block, cost
-// fitting uses MeasureCosts' own default block (3<<20), and the sentinel
+// fitting uses MeasureCosts' own default block (7<<20), and the sentinel
 // RTT probe sits far above both.
 const (
 	probePriority        = 1000

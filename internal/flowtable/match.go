@@ -337,6 +337,20 @@ func ExactProbeMatch(id uint32) Match {
 	}
 }
 
+// ProbeBlockMatch returns the match a non-strict delete takes to cover the
+// exact probe rules of flows [lo, lo+2^bits), at every priority. lo must be
+// a multiple of 2^bits and bits at most 16: such a block shares its flows'
+// destination address but for the low bits, so it is one nw_dst prefix.
+// nw_src goes wildcarded, and the match pins what ExactProbeMatch pins
+// besides, so it covers no rule of another shape.
+func ProbeBlockMatch(lo uint32, bits int) Match {
+	m := ExactProbeMatch(lo)
+	m.Fields &^= FieldNwSrc
+	m.NwSrc = netip.Prefix{}
+	m.NwDst = netip.PrefixFrom(m.NwDst.Addr(), 32-bits)
+	return m
+}
+
 // L3ProbeMatch returns an L3-only match for flow id (used when probing
 // single-wide TCAM modes).
 func L3ProbeMatch(id uint32) Match {

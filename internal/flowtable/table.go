@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"tango/internal/packet"
@@ -194,25 +195,30 @@ func (t *Table) indexInsert(r *Rule) {
 // indexRemove unregisters r.
 func (t *Table) indexRemove(r *Rule) {
 	if k, ok := ExactKey(&r.Match); ok {
-		switch head := t.exact.Get(k); {
-		case head != r:
-			for p := head; p != nil; p = p.next {
-				if p.next == r {
-					p.next = r.next
-					break
-				}
-			}
-		case r.next != nil:
-			t.exact.Put(k, r.next)
-		default:
-			t.exact.Del(k)
-		}
-		r.next = nil
+		t.unlinkExact(k, r)
 		return
 	}
 	if i, ok := findByOrder(t.wild, r); ok {
 		t.wild = append(t.wild[:i], t.wild[i+1:]...)
 	}
+}
+
+// unlinkExact takes r out of key k's chain.
+func (t *Table) unlinkExact(k uint64, r *Rule) {
+	switch head := t.exact.Get(k); {
+	case head != r:
+		for p := head; p != nil; p = p.next {
+			if p.next == r {
+				p.next = r.next
+				break
+			}
+		}
+	case r.next != nil:
+		t.exact.Put(k, r.next)
+	default:
+		t.exact.Del(k)
+	}
+	r.next = nil
 }
 
 // searchByOrder returns the index at which a rule with the given (priority,
@@ -373,6 +379,30 @@ func (t *Table) Remove(target *Rule) bool {
 	}
 	t.indexRemove(target)
 	return true
+}
+
+// RemoveCovered removes every rule m covers — a non-strict delete's victims
+// — in one pass over the table. It calls gone with each victim, in table
+// order, once the table has let go of it; gone must not use the table,
+// whose rule slice the pass closes up as it goes. Nothing is searched for
+// per victim and nothing is allocated: the survivors slide down over the
+// victims' slots.
+func (t *Table) RemoveCovered(m *Match, gone func(*Rule)) {
+	t.wild = slices.DeleteFunc(t.wild, func(r *Rule) bool { return m.Covers(&r.Match) })
+	kept := 0
+	for _, r := range t.rules {
+		if !m.Covers(&r.Match) {
+			t.rules[kept] = r
+			kept++
+			continue
+		}
+		if k, ok := ExactKey(&r.Match); ok {
+			t.unlinkExact(k, r)
+		}
+		gone(r)
+	}
+	clear(t.rules[kept:])
+	t.rules = t.rules[:kept]
 }
 
 // Lookup returns the highest-priority rule matching frame f on inPort, or

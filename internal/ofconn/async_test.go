@@ -294,9 +294,10 @@ func TestSyncOpsFenceWindow(t *testing.T) {
 }
 
 // TestEngineBatchOverPipelinedChannel drives the probe engine's batch
-// helpers end to end over TCP: InstallBatch lands every rule, and
-// ClearProbeRules (riding ClearBatch) removes them all again. Both ride the
-// pipelined path, so each costs ⌈150/64⌉ = 3 socket writes, not 150.
+// helpers end to end over TCP: InstallBatch lands every rule, costing
+// ⌈150/64⌉ = 3 socket writes, not 150, and ClearProbeRules removes them all
+// again with four wildcard deletes (flows 0–127, 128–143, 144–147 and
+// 148–149) in one pipelined window: 1 socket write.
 func TestEngineBatchOverPipelinedChannel(t *testing.T) {
 	sw := switchsim.New(switchsim.Switch2(), switchsim.WithClock(fastClock()))
 	reg := telemetry.NewRegistry()
@@ -326,9 +327,13 @@ func TestEngineBatchOverPipelinedChannel(t *testing.T) {
 	if len(flows) != n {
 		t.Fatalf("flow count = %d, want %d", len(flows), n)
 	}
+	flowMods := e.Stats().FlowMods
 	e.ClearProbeRules(0, n, 10)
-	if w := writes.Value(); w != 2*perBatch {
-		t.Fatalf("clear of %d took %d socket writes, want %d", n, w-perBatch, perBatch)
+	if w := writes.Value(); w != perBatch+1 {
+		t.Fatalf("clear of %d took %d socket writes, want 1", n, w-perBatch)
+	}
+	if d := e.Stats().FlowMods - flowMods; d != 4 {
+		t.Fatalf("clear of %d sent %d flow-mods, want 4", n, d)
 	}
 	flows, err = c.FlowStats()
 	if err != nil {

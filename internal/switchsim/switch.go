@@ -184,11 +184,6 @@ type Switch struct {
 	// the data-plane hot loop does not allocate per packet.
 	frame packet.Frame
 
-	// victims is delete's scratch list of matched rules, empty between
-	// calls: bulk rule churn is one delete per rule, and a slice per delete
-	// was most of an inspection's allocations.
-	victims []*flowtable.Rule
-
 	// defaultRule is the pre-installed table-miss punt rule, when present.
 	// Although it occupies a TCAM slot, it is logically the last resort of
 	// the whole pipeline: a frame matching only the default rule must still
@@ -627,53 +622,66 @@ func (s *Switch) modify(fm *openflow.FlowMod) error {
 	return nil
 }
 
+// delete applies a DELETE or DELETE_STRICT. A non-strict delete removes
+// every rule its match covers, at any priority, in table order: a wildcard
+// one in a single pass over the table, an exact (src/32, dst/32) one along
+// its key's chain. Each victim goes as a strict delete of it would —
+// released, its TCAM slot refilled, its cost drawn — so the switch, its
+// clock and its RNG end where one strict delete per victim leaves them.
 func (s *Switch) delete(fm *openflow.FlowMod) error {
-	victims := s.victims[:0]
+	now := s.clock.Now()
+	n := 0
+	drop := func(r *flowtable.Rule) {
+		s.noteRemoved(r, openflow.RemovedDelete, now)
+		s.dropRule(r)
+		s.clock.Sleep(s.profile.Costs.opCost(s.rng, s.profile.Costs.DelBase))
+		n++
+	}
 	switch k, exact := flowtable.ExactKey(&fm.Match); {
 	case fm.Command == openflow.FlowDeleteStrict:
 		if r := s.rules.Find(&fm.Match, fm.Priority); r != nil {
-			victims = append(victims, r)
+			s.rules.Remove(r)
+			drop(r)
 		}
 	case exact:
-		// A non-strict exact (src/32, dst/32) match covers only rules
-		// pinning the same address pair, since Covers requires the victim's
-		// prefixes to sit inside the /32s. So the victims all share its key,
-		// and bulk rule churn walks one chain per delete, not the table.
-		for r := s.rules.ExactRules(k); r != nil; r = r.NextExact() {
+		// A non-strict exact match covers only rules pinning the same
+		// address pair, since Covers requires the victim's prefixes to sit
+		// inside the /32s, so the victims all share its key's chain.
+		for r, next := s.rules.ExactRules(k), (*flowtable.Rule)(nil); r != nil; r = next {
+			next = r.NextExact()
 			if fm.Match.Covers(&r.Match) {
-				victims = append(victims, r)
+				s.rules.Remove(r)
+				drop(r)
 			}
 		}
 	default:
-		for _, r := range s.rules.Rules() {
-			if fm.Match.Covers(&r.Match) {
-				victims = append(victims, r)
-			}
-		}
+		s.rules.RemoveCovered(&fm.Match, drop)
 	}
-	if len(victims) == 0 {
+	if n == 0 {
 		// Deleting nothing is not an error in OpenFlow, but it still costs
 		// a channel round trip.
 		s.clock.Sleep(s.profile.Costs.opCost(s.rng, s.profile.Costs.DelBase))
-		return nil
 	}
-	now := s.clock.Now()
-	for _, r := range victims {
-		s.noteRemoved(r, openflow.RemovedDelete, now)
-		s.removeRule(r)
-		s.clock.Sleep(s.profile.Costs.opCost(s.rng, s.profile.Costs.DelBase))
-	}
-	clear(victims)
-	s.victims = victims[:0]
 	return nil
 }
 
+// removeRule removes r from the table and everything the switch keeps for
+// it.
 func (s *Switch) removeRule(r *flowtable.Rule) {
+	s.rules.Remove(r)
+	s.dropRule(r)
+}
+
+// dropRule releases everything the switch keeps for r, which the table no
+// longer holds — its index membership, policy state, microflows, TCAM
+// units and arena handle — and refills the TCAM slot r may have freed. It
+// reads nothing of the table, so a one-pass delete calls it mid-walk: the
+// refill promotes only what fits the freed units, so it demotes nothing.
+func (s *Switch) dropRule(r *flowtable.Rule) {
 	e := s.entryOf(r)
 	s.untrack(e)
 	s.customRemove(e)
 	s.invalidateKernel(r)
-	s.rules.Remove(r)
 	inTCAM := e.inTCAM
 	if inTCAM {
 		s.tcam.Release(r.Match.Width())

@@ -44,7 +44,9 @@ type AttackOp struct {
 // AttackFlowBase is the first flow ID the attacker mints. It keeps the
 // attack's probe addresses clear of any concurrent inference traffic: probe
 // IPs repeat every 1<<24 flow IDs, so the base is well below that and away
-// from the inference engines' ID ranges.
+// from the inference engines' ID blocks — size from 0, policy from 1<<20,
+// the cost fit from 7<<20 — whose clears delete every probe rule on their
+// flows, at any priority.
 const AttackFlowBase uint32 = 3 << 20
 
 // AttackOptions parameterises OverflowAttack. The zero value selects

@@ -18,6 +18,9 @@ type (
 	// switch (SimDevice) or a live TCP OpenFlow endpoint
 	// (internal/ofconn.Controller satisfies it).
 	Device = probe.Device
+	// SimDevice is the Device of an emulated switch, on its virtual clock:
+	// tango.Inspect(tango.SimDevice{S: sw}, opts).
+	SimDevice = probe.SimDevice
 	// Engine is the probing engine that applies Tango patterns.
 	Engine = probe.Engine
 	// Profile describes an emulated switch model.
@@ -77,7 +80,7 @@ func NewEngine(dev Device) *Engine { return probe.NewEngine(dev) }
 // EngineFor wraps an emulated switch in a probing engine on its virtual
 // clock.
 func EngineFor(s *Switch) *Engine {
-	return probe.NewEngine(probe.SimDevice{S: s})
+	return probe.NewEngine(SimDevice{S: s})
 }
 
 // NewDB returns an empty pattern/score database.

@@ -18,7 +18,7 @@ func TestInspectPolicyCacheSwitch(t *testing.T) {
 	p := switchsim.TestSwitch(200, PolicyLRU)
 	p.SoftwareCapacity = 600
 	sw := NewEmulatedSwitch(p, switchsim.WithSeed(5))
-	m, err := Inspect(EngineFor(sw).Device(), InspectOptions{Name: "dev"})
+	m, err := Inspect(SimDevice{S: sw}, InspectOptions{Name: "dev"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestInspectPolicyCacheSwitch(t *testing.T) {
 
 func TestInspectOVS(t *testing.T) {
 	sw := NewEmulatedSwitch(ProfileOVS())
-	m, err := Inspect(EngineFor(sw).Device(), InspectOptions{Name: "ovs", MaxRules: 512})
+	m, err := Inspect(SimDevice{S: sw}, InspectOptions{Name: "ovs", MaxRules: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestInspectOVS(t *testing.T) {
 
 func TestInspectTCAMOnly(t *testing.T) {
 	sw := NewEmulatedSwitch(ProfileSwitch2().WithTCAMCapacity(700), switchsim.WithSeed(2))
-	m, err := Inspect(EngineFor(sw).Device(), InspectOptions{Name: "s2"})
+	m, err := Inspect(SimDevice{S: sw}, InspectOptions{Name: "s2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestInspectSmallTCAMOnly(t *testing.T) {
 		conformance.GenerateSpecs(24, 26)[11],
 	} {
 		sw := NewEmulatedSwitch(spec.Profile, switchsim.WithSeed(spec.Seed))
-		m, err := Inspect(EngineFor(sw).Device(), InspectOptions{
+		m, err := Inspect(SimDevice{S: sw}, InspectOptions{
 			Name: spec.Name, Seed: spec.Seed + 1, MaxRules: 8 * spec.CacheSize,
 		})
 		if err != nil {
