@@ -7,6 +7,7 @@ import (
 
 	"tango/internal/core/infer"
 	"tango/internal/core/probe"
+	"tango/internal/packet"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
 	"tango/internal/workload"
@@ -164,8 +165,7 @@ func runAttackTiming(sc Scenario) ScenarioResult {
 
 	aopts := workload.AttackOptions{Canaries: 16, Step: 16, MaxFills: 320}
 	ops := workload.OverflowAttack(aopts)
-	aopts = aopts.WithDefaults()
-	base := workload.AttackFlowBase
+	base := packet.AttackFlows.Base()
 	fillBase := base + uint32(aopts.Canaries)
 
 	var baselineMax time.Duration

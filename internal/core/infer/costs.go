@@ -5,6 +5,7 @@ import (
 
 	"tango/internal/core/pattern"
 	"tango/internal/core/probe"
+	"tango/internal/packet"
 	"tango/internal/stats"
 )
 
@@ -15,17 +16,8 @@ type CostOptions struct {
 	Samples int
 }
 
-const (
-	// costBasePriority anchors the priority ranges MeasureCosts uses.
-	costBasePriority uint16 = 20000
-	// costFlowIDBase offsets MeasureCosts' probe flow IDs. Its clears are
-	// wildcard deletes that take every probe-shaped rule on the block's
-	// flows, so the block shares no flow with another writer's: not the
-	// overflow attacker's (3<<20), the churn population's and the priority
-	// curves' (5<<20), BenchmarkChannel's (6<<20) nor the microflow
-	// check's (9<<20).
-	costFlowIDBase uint32 = 7 << 20
-)
+// costBasePriority anchors the priority ranges MeasureCosts uses.
+const costBasePriority uint16 = 20000
 
 func (o CostOptions) withDefaults() CostOptions {
 	if o.Samples == 0 {
@@ -63,7 +55,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	buf := w.ops
 
 	// Phase 1: same-priority adds.
-	base := costFlowIDBase
+	base := packet.CostFlows.Base()
 	sameOps := buf[:n]
 	for i := range sameOps {
 		sameOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: costBasePriority}

@@ -5,6 +5,7 @@ import (
 
 	"tango/internal/core/pattern"
 	"tango/internal/core/probe"
+	"tango/internal/packet"
 )
 
 // CurveOptions tunes MeasurePriorityCurves.
@@ -15,9 +16,6 @@ type CurveOptions struct {
 	// Seed drives the random ordering.
 	Seed int64
 }
-
-// curveFlowIDBase offsets MeasurePriorityCurves' probe flow IDs.
-const curveFlowIDBase = 5 << 20
 
 func (o CurveOptions) withDefaults() CurveOptions {
 	if len(o.Counts) == 0 {
@@ -42,11 +40,7 @@ func MeasurePriorityCurves(e *probe.Engine, opts CurveOptions) (map[pattern.Orde
 				continue // exceeded device capacity in an earlier order
 			}
 			rng := rand.New(rand.NewSource(opts.Seed + int64(n)))
-			p := pattern.PriorityInstall(n, order, rng)
-			// Rebase flow IDs into the dedicated block.
-			for i := range p.Ops {
-				p.Ops[i].FlowID += curveFlowIDBase
-			}
+			p := pattern.PriorityInstall(packet.CurveFlows.Base(), n, order, rng)
 			res, err := e.Run(p)
 			// Restore the device before judging the outcome (deletes of
 			// never-installed rules are no-ops).

@@ -7,6 +7,7 @@ import (
 
 	"tango/internal/core/pattern"
 	"tango/internal/core/probe"
+	"tango/internal/packet"
 	"tango/internal/switchsim"
 )
 
@@ -190,6 +191,25 @@ func TestProbePolicyBadCacheSize(t *testing.T) {
 	e, _ := engineFor(switchsim.OVS())
 	if _, err := ProbePolicy(e, PolicyOptions{}); err != ErrBadCacheSize {
 		t.Fatalf("err = %v, want ErrBadCacheSize", err)
+	}
+}
+
+// TestProbersStayInTheirBlocks: Algorithm 2's rounds fit packet.PolicyFlows
+// up to a cache of 32,256 entries, and the next size is ErrBadCacheSize
+// before any flow-mod; a MaxRules past packet.SizeFlows is capped at it.
+func TestProbersStayInTheirBlocks(t *testing.T) {
+	e, _ := engineFor(switchsim.OVS())
+	if _, err := ProbePolicy(e, PolicyOptions{CacheSize: 32257}); err != ErrBadCacheSize {
+		t.Fatalf("cache size 32257: err = %v, want ErrBadCacheSize", err)
+	}
+	if n := e.Stats().FlowMods; n != 0 {
+		t.Fatalf("the rejected call sent %d flow-mods, want 0", n)
+	}
+	if _, err := ProbePolicy(e, PolicyOptions{CacheSize: 32256}); err != nil {
+		t.Fatalf("cache size 32256: %v", err)
+	}
+	if got := (SizeOptions{MaxRules: 1 << 30}).withDefaults().MaxRules; got != int(packet.SizeFlows.Len()) {
+		t.Fatalf("MaxRules 1<<30 resolves to %d, want the size block's %d flows", got, packet.SizeFlows.Len())
 	}
 }
 

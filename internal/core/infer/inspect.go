@@ -6,6 +6,7 @@ import (
 
 	"tango/internal/core/pattern"
 	"tango/internal/core/probe"
+	"tango/internal/packet"
 )
 
 // Phases is a mask over the pipeline's optional phases. Size probing has no
@@ -74,9 +75,6 @@ type PhaseError struct {
 func (e *PhaseError) Error() string { return e.Phase + " stage: " + e.Err.Error() }
 func (e *PhaseError) Unwrap() error { return e.Err }
 
-// microflowFlowBase is clear of the size (0), policy (1<<20) and cost (7<<20) blocks.
-const microflowFlowBase = 9 << 20
-
 // Inspect is the one place the inference chain is written (DESIGN §14):
 // ProbeSizes, whose rules it then removes (later phases remove their own);
 // DetectMicroflowCaching; ProbePolicy on a cache of Levels[0].Census entries,
@@ -92,10 +90,10 @@ func Inspect(e *probe.Engine, opts InspectOptions) (*Model, error) {
 	if m.Sizes, err = ProbeSizes(e, size); err != nil {
 		return nil, &PhaseError{Phase: "size", Err: err}
 	}
-	e.ClearProbeRules(size.FlowIDBase, uint32(m.Sizes.RulesInstalled), size.Priority)
+	e.ClearProbeRules(packet.SizeFlows.Base(), uint32(m.Sizes.RulesInstalled), size.Priority)
 
 	if opts.Skip&PhaseMicroflow == 0 {
-		if m.Microflow, _, err = DetectMicroflowCaching(e, microflowFlowBase, size.Priority); err != nil {
+		if m.Microflow, _, err = DetectMicroflowCaching(e, packet.MicroflowFlows.Base(), size.Priority); err != nil {
 			return nil, &PhaseError{Phase: "microflow", Err: err}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"tango/internal/cluster"
 	"tango/internal/core/probe"
+	"tango/internal/packet"
 	"tango/internal/stats"
 	"tango/internal/switchsim"
 )
@@ -35,8 +36,6 @@ const (
 	corrThreshold = 0.4
 	// maxPolicyRounds bounds the LEX recursion: one round per attribute.
 	maxPolicyRounds = 4
-	// policyFlowIDBase offsets probe flow IDs; each round uses a fresh block.
-	policyFlowIDBase = 1 << 20
 )
 
 // trafficTarget is the packet count Algorithm 2 initializes the flow of
@@ -68,8 +67,9 @@ type PolicyResult struct {
 	Inconclusive bool
 }
 
-// ErrBadCacheSize rejects non-positive cache sizes.
-var ErrBadCacheSize = errors.New("infer: cache size must be positive")
+// ErrBadCacheSize rejects a cache size that is not positive or whose rounds
+// would leave packet.PolicyFlows.
+var ErrBadCacheSize = errors.New("infer: cache size must be positive and its rounds fit the policy flow block")
 
 // serialAttrs are the attributes with unique per-flow values; once one is
 // chosen the ordering is total and the recursion stops (line 27 of
@@ -86,7 +86,10 @@ var serialAttrs = map[switchsim.Attribute]bool{
 // that attribute held constant until a serial attribute terminates the
 // lexicographic ordering.
 func ProbePolicy(e *probe.Engine, opts PolicyOptions) (*PolicyResult, error) {
-	if opts.CacheSize <= 0 {
+	// Each round starts a stride on, as dest-aggregate keys on addresses; no
+	// hypothesis reaches past maxPolicyRounds strides into packet.PolicyFlows.
+	stride := 16*opts.CacheSize + 8192
+	if opts.CacheSize <= 0 || maxPolicyRounds*stride > int(packet.PolicyFlows.Len()) {
 		return nil, ErrBadCacheSize
 	}
 	w := takeScratch()
@@ -99,7 +102,7 @@ func ProbePolicy(e *probe.Engine, opts PolicyOptions) (*PolicyResult, error) {
 	b := w.resetBlock(2 * opts.CacheSize)
 
 	for round := 0; round < maxPolicyRounds; round++ {
-		base := policyFlowIDBase + uint32(round)*uint32(16*opts.CacheSize+8192)
+		base := packet.PolicyFlows.Base() + uint32(round*stride)
 		var r Round
 		var err error
 		if b.fixed[switchsim.AttrTraffic] {

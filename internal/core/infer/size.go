@@ -16,6 +16,7 @@ import (
 
 	"tango/internal/cluster"
 	"tango/internal/core/probe"
+	"tango/internal/packet"
 	"tango/internal/stats"
 	"tango/internal/switchsim"
 )
@@ -28,7 +29,7 @@ type SizeOptions struct {
 	// MaxRules caps the doubling phase. Software tables are "virtually
 	// unlimited", so a switch that never rejects would otherwise absorb an
 	// unbounded probing budget; reaching the cap is reported via
-	// SizeResult.CacheFull=false. Zero means 16384.
+	// SizeResult.CacheFull=false. Zero means 16384; packet.SizeFlows caps it.
 	MaxRules int
 	// Trials fixes k, the number of sampling trials per cache level. Zero
 	// stops a level at the first trial boundary past 64 trials where its
@@ -40,9 +41,6 @@ type SizeOptions struct {
 	Trials int
 	// Seed fixes the sampling RNG.
 	Seed int64
-	// FlowIDBase offsets probe flow IDs so repeated inferences against one
-	// switch use fresh flows.
-	FlowIDBase uint32
 }
 
 func (o SizeOptions) withDefaults() SizeOptions {
@@ -52,6 +50,7 @@ func (o SizeOptions) withDefaults() SizeOptions {
 	if o.MaxRules == 0 {
 		o.MaxRules = defaultMaxRules
 	}
+	o.MaxRules = min(o.MaxRules, int(packet.SizeFlows.Len()))
 	return o
 }
 
@@ -139,7 +138,7 @@ func probeSizes(e *probe.Engine, opts SizeOptions, stop stopRule) (*SizeResult, 
 		}
 		roundStart := e.Device().Now()
 		for i := installed; i < target; i++ {
-			if err := e.Install(opts.FlowIDBase+uint32(i), opts.Priority); err != nil {
+			if err := e.Install(packet.SizeFlows.Base()+uint32(i), opts.Priority); err != nil {
 				// Only a genuine capacity rejection terminates the doubling;
 				// anything else (channel fault, exhausted retries) is a real
 				// failure the caller must see.
@@ -150,7 +149,7 @@ func probeSizes(e *probe.Engine, opts SizeOptions, stop stopRule) (*SizeResult, 
 				break
 			}
 			installed++
-			if _, _, err := e.Probe(opts.FlowIDBase + uint32(i)); err != nil {
+			if _, _, err := e.Probe(packet.SizeFlows.Base() + uint32(i)); err != nil {
 				return nil, err
 			}
 			res.ProbesSent++
@@ -172,7 +171,7 @@ func probeSizes(e *probe.Engine, opts SizeOptions, stop stopRule) (*SizeResult, 
 	rtts := w.rtts
 	permInto(rng, w.perm)
 	for _, i := range w.perm {
-		rtt, _, err := e.Probe(opts.FlowIDBase + uint32(i))
+		rtt, _, err := e.Probe(packet.SizeFlows.Base() + uint32(i))
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +280,7 @@ func estimateLevel(e *probe.Engine, rng *rand.Rand, opts SizeOptions, stop stopR
 		}
 		j := 0
 		for j < m {
-			id := opts.FlowIDBase + uint32(rng.Intn(m))
+			id := packet.SizeFlows.Base() + uint32(rng.Intn(m))
 			rtt, _, err := e.Probe(id)
 			if err != nil {
 				return LevelEstimate{}, probes, err

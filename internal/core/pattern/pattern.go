@@ -107,13 +107,13 @@ func (o Order) Priorities(n int, rng *rand.Rand) []uint16 {
 	return out
 }
 
-// PriorityInstall builds the pattern that installs n fresh flows with the
-// given priority ordering — the Figure 3(c) experiment.
-func PriorityInstall(n int, order Order, rng *rand.Rand) Pattern {
+// PriorityInstall builds the pattern that installs n fresh flows from base
+// with the given priority ordering — the Figure 3(c) experiment.
+func PriorityInstall(base uint32, n int, order Order, rng *rand.Rand) Pattern {
 	prios := order.Priorities(n, rng)
 	ops := make([]Op, n)
 	for i := range ops {
-		ops[i] = Op{Kind: OpAdd, FlowID: uint32(i), Priority: prios[i]}
+		ops[i] = Op{Kind: OpAdd, FlowID: base + uint32(i), Priority: prios[i]}
 	}
 	return Pattern{
 		Name: fmt.Sprintf("priority-install/%s/%d", order, n),

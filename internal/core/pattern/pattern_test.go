@@ -39,7 +39,7 @@ func TestOrderPriorities(t *testing.T) {
 }
 
 func TestPriorityInstallPattern(t *testing.T) {
-	p := PriorityInstall(5, OrderAscending, nil)
+	p := PriorityInstall(0, 5, OrderAscending, nil)
 	if len(p.Ops) != 5 {
 		t.Fatalf("ops = %d", len(p.Ops))
 	}

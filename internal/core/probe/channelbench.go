@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tango/internal/core/pattern"
+	"tango/internal/packet"
 	"tango/internal/stats"
 )
 
@@ -57,8 +58,6 @@ func summarize(samples []float64) (RTTSummary, error) {
 }
 
 const (
-	// benchFlowIDBase offsets BenchmarkChannel's probe flows.
-	benchFlowIDBase uint32 = 6 << 20
 	// benchPriority is the priority of the benchmark rules.
 	benchPriority uint16 = 700
 	// benchOps is the number of flow-mods per rate measurement.
@@ -75,7 +74,7 @@ func BenchmarkChannel(e *Engine) (*ChannelReport, error) {
 	rate := func(kind pattern.OpKind) (float64, error) {
 		ops := make([]pattern.Op, benchOps)
 		for i := range ops {
-			ops[i] = pattern.Op{Kind: kind, FlowID: benchFlowIDBase + uint32(i), Priority: benchPriority}
+			ops[i] = pattern.Op{Kind: kind, FlowID: packet.BenchFlows.Base() + uint32(i), Priority: benchPriority}
 		}
 		res, err := e.Run(pattern.Pattern{Name: "channel/rate", Ops: ops})
 		if err != nil {
@@ -97,7 +96,7 @@ func BenchmarkChannel(e *Engine) (*ChannelReport, error) {
 	// RTT distributions while the rules are installed.
 	fast := make([]float64, 0, benchProbes)
 	for i := 0; i < benchProbes; i++ {
-		rtt, punted, err := e.Probe(benchFlowIDBase + uint32(i%benchOps))
+		rtt, punted, err := e.Probe(packet.BenchFlows.Base() + uint32(i%benchOps))
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +108,7 @@ func BenchmarkChannel(e *Engine) (*ChannelReport, error) {
 		return nil, fmt.Errorf("probe: fast path: %w", err)
 	}
 	punt := make([]float64, 0, benchProbes)
-	missBase := benchFlowIDBase + uint32(benchOps) + 1000
+	missBase := packet.BenchFlows.Base() + uint32(benchOps) + 1000
 	for i := 0; i < benchProbes; i++ {
 		rtt, punted, err := e.Probe(missBase + uint32(i))
 		if err != nil {

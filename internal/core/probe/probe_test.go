@@ -58,7 +58,7 @@ func TestModifyChangesActions(t *testing.T) {
 
 func TestRunPatternTimings(t *testing.T) {
 	e, _ := newEngine(switchsim.Switch1())
-	p := pattern.PriorityInstall(20, pattern.OrderAscending, nil)
+	p := pattern.PriorityInstall(0, 20, pattern.OrderAscending, nil)
 	res, err := e.Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestRunPatternTimings(t *testing.T) {
 
 func TestRunAbortsOnRejection(t *testing.T) {
 	e, _ := newEngine(switchsim.Switch2().WithTCAMCapacity(2))
-	p := pattern.PriorityInstall(5, pattern.OrderSame, nil)
+	p := pattern.PriorityInstall(0, 5, pattern.OrderSame, nil)
 	res, err := e.Run(p)
 	if err == nil {
 		t.Fatal("expected table-full abort")

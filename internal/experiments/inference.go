@@ -5,6 +5,7 @@ import (
 
 	"tango/internal/core/infer"
 	"tango/internal/core/probe"
+	"tango/internal/packet"
 	"tango/internal/parallel"
 	"tango/internal/switchsim"
 )
@@ -153,7 +154,7 @@ func PolicyAccuracy(o Options) *Table {
 		}
 	}
 	micro := "no"
-	if ok, _, err := infer.DetectMicroflowCaching(e, 1<<24, 9000); err == nil && ok {
+	if ok, _, err := infer.DetectMicroflowCaching(e, packet.MicroflowFlows.Base(), 9000); err == nil && ok {
 		micro = "yes"
 	}
 	t.Rows = append(t.Rows, []string{"OVS (traffic-driven)", status, "microflow detected: " + micro, "-"})

@@ -47,20 +47,15 @@ import (
 	"tango/internal/core/infer"
 	"tango/internal/core/pattern"
 	"tango/internal/core/probe"
+	"tango/internal/packet"
 	"tango/internal/parallel"
 	"tango/internal/simclock"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
 )
 
-// Flow-ID regions keep the service's probe traffic disjoint: size probing
-// sweeps upward from sizeFlowBase with a fresh per-round block, cost
-// fitting uses MeasureCosts' own default block (7<<20), and the sentinel
-// RTT probe sits far above both.
 const (
-	probePriority        = 1000
-	sizeFlowBase  uint32 = 1 << 16
-	sentinelBase  uint32 = 1 << 30
+	probePriority = 1000
 
 	// sizeTrials fixes the sampling trials per cache level at two instead of
 	// the adaptive default: a member re-infers every round, so a round's
@@ -364,8 +359,7 @@ func (r *runner) runMember(m *member, round int) {
 				Trials:   sizeTrials,
 				// Per-(member, round) seed: worker count must never reach the
 				// sampling RNG.
-				Seed:       r.o.Seed + int64(m.idx)*1_000_003 + int64(round)*7919,
-				FlowIDBase: sizeFlowBase + uint32(round)*uint32(2*r.o.MaxRules),
+				Seed: r.o.Seed + int64(m.idx)*1_000_003 + int64(round)*7919,
 			},
 			Cost: infer.CostOptions{Samples: costSamples},
 			Skip: skip,
@@ -385,7 +379,7 @@ func (r *runner) runMember(m *member, round int) {
 
 	// Sentinel RTT probes: install one rule, measure it serially, remove
 	// it. These are the fleet's probe-latency signal under load.
-	sid := sentinelBase + uint32(round)
+	sid := packet.SentinelFlows.Base()
 	if err := m.eng.Install(sid, probePriority); err != nil {
 		m.fail(err)
 	} else {

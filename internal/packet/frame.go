@@ -129,9 +129,8 @@ type ProbeSpec struct {
 	Payload []byte
 }
 
-// probeBase* define the address blocks probe traffic is minted from, as
-// big-endian words. The 10.83.0.0/16 block is private and unlikely to collide
-// with pre-installed rules on a device under test.
+// probeBase* are flow 0's source and destination addresses as big-endian
+// words: private, and unlikely to collide with a device's own rules.
 const (
 	probeBaseSrc uint32 = 10<<24 | 83<<16
 	probeBaseDst uint32 = 10<<24 | 84<<16
@@ -145,6 +144,48 @@ func probeIP4(base, id uint32) uint32 {
 	second := (base>>16 + id>>16) & 0xff
 	return base&0xff000000 | second<<16 | id&0xffff
 }
+
+// FlowSpace is the number of distinct probe flows: probeIP4 keeps 24 bits of
+// a flow ID, so IDs FlowSpace apart share their probe addresses.
+const FlowSpace = 1 << 24
+
+// FlowBlock names the flows [Base, Base+Len) one prober owns. Probers that
+// can share a switch must not share a flow: a probe clear takes every
+// probe-shaped rule on its flows, and dest-aggregate keys on addresses.
+type FlowBlock uint8
+
+// The blocks, one per prober; flowBlocks lays them out.
+const (
+	SizeFlows FlowBlock = iota
+	PolicyFlows
+	AttackFlows
+	CurveFlows
+	ChurnFlows
+	BenchFlows
+	CostFlows
+	MicroflowFlows
+	SentinelFlows
+)
+
+// flowBlocks is the one table of blocks, with what each owner puts there.
+// TestFlowBlocksAreDisjoint holds them apart and inside FlowSpace.
+var flowBlocks = [...]struct{ base, n uint32 }{
+	SizeFlows:      {0, 1 << 20},        // Algorithm 1: MaxRules, capped at Len
+	PolicyFlows:    {1 << 20, 2 << 20},  // Algorithm 2: ProbePolicy refuses rounds past Len
+	AttackFlows:    {3 << 20, 1 << 20},  // the overflow attacker: 336 at its defaults
+	CurveFlows:     {4 << 20, 1 << 20},  // MeasurePriorityCurves: its largest count
+	ChurnFlows:     {5 << 20, 1 << 20},  // the churning population: 128 at its default
+	BenchFlows:     {6 << 20, 1 << 20},  // BenchmarkChannel: 1,400
+	CostFlows:      {7 << 20, 2 << 20},  // MeasureCosts: 4 × Samples
+	MicroflowFlows: {9 << 20, 1 << 20},  // DetectMicroflowCaching: 7
+	SentinelFlows:  {10 << 20, 1 << 20}, // the fleet's sentinel: 1
+}
+
+// Base is the block's first flow ID.
+func (b FlowBlock) Base() uint32 { return flowBlocks[b].base }
+
+// Len is the number of flows in the block.
+func (b FlowBlock) Len() uint32 { return flowBlocks[b].n }
 
 // addrFromWord is the IPv4 address whose big-endian form is w.
 func addrFromWord(w uint32) netip.Addr {

@@ -623,9 +623,8 @@ func (s *Switch) modify(fm *openflow.FlowMod) error {
 }
 
 // delete applies a DELETE or DELETE_STRICT. A non-strict delete removes
-// every rule its match covers, at any priority, in table order: a wildcard
-// one in a single pass over the table, an exact (src/32, dst/32) one along
-// its key's chain. Each victim goes as a strict delete of it would —
+// every rule its match covers, at any priority, in table order, in one pass
+// over the table. Each victim goes as a strict delete of it would —
 // released, its TCAM slot refilled, its cost drawn — so the switch, its
 // clock and its RNG end where one strict delete per victim leaves them.
 func (s *Switch) delete(fm *openflow.FlowMod) error {
@@ -637,24 +636,12 @@ func (s *Switch) delete(fm *openflow.FlowMod) error {
 		s.clock.Sleep(s.profile.Costs.opCost(s.rng, s.profile.Costs.DelBase))
 		n++
 	}
-	switch k, exact := flowtable.ExactKey(&fm.Match); {
-	case fm.Command == openflow.FlowDeleteStrict:
+	if fm.Command == openflow.FlowDeleteStrict {
 		if r := s.rules.Find(&fm.Match, fm.Priority); r != nil {
 			s.rules.Remove(r)
 			drop(r)
 		}
-	case exact:
-		// A non-strict exact match covers only rules pinning the same
-		// address pair, since Covers requires the victim's prefixes to sit
-		// inside the /32s, so the victims all share its key's chain.
-		for r, next := s.rules.ExactRules(k), (*flowtable.Rule)(nil); r != nil; r = next {
-			next = r.NextExact()
-			if fm.Match.Covers(&r.Match) {
-				s.rules.Remove(r)
-				drop(r)
-			}
-		}
-	default:
+	} else {
 		s.rules.RemoveCovered(&fm.Match, drop)
 	}
 	if n == 0 {

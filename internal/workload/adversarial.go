@@ -13,6 +13,8 @@ package workload
 // harness's job (internal/conformance), so the same schedule can drive both
 // the attacker-succeeds experiment and the switch-side detector.
 
+import "tango/internal/packet"
+
 // AttackOpKind distinguishes the two operations an overflow attacker can
 // perform against the device under attack.
 type AttackOpKind int
@@ -41,14 +43,6 @@ type AttackOp struct {
 	Flow uint32
 }
 
-// AttackFlowBase is the first flow ID the attacker mints. It keeps the
-// attack's probe addresses clear of any concurrent inference traffic: probe
-// IPs repeat every 1<<24 flow IDs, so the base is well below that and away
-// from the inference engines' ID blocks — size from 0, policy from 1<<20,
-// the cost fit from 7<<20 — whose clears delete every probe rule on their
-// flows, at any priority.
-const AttackFlowBase uint32 = 3 << 20
-
 // AttackOptions parameterises OverflowAttack. The zero value selects
 // defaults suitable for caches up to a few hundred entries.
 type AttackOptions struct {
@@ -65,9 +59,8 @@ type AttackOptions struct {
 	MaxFills int
 }
 
-// WithDefaults resolves zero fields to the documented defaults. Schedule
-// executors call it to recover the same flow-ID layout the generator used.
-func (o AttackOptions) WithDefaults() AttackOptions {
+// withDefaults resolves zero fields to the documented defaults.
+func (o AttackOptions) withDefaults() AttackOptions {
 	if o.Canaries <= 0 {
 		o.Canaries = 16
 	}
@@ -86,9 +79,9 @@ func (o AttackOptions) WithDefaults() AttackOptions {
 // options — the attack carries no randomness, which is exactly what makes its
 // traffic detectable: fresh sequential flows at a near-constant rate.
 func OverflowAttack(opts AttackOptions) []AttackOp {
-	opts = opts.WithDefaults()
+	opts = opts.withDefaults()
 	ops := make([]AttackOp, 0, 2*opts.Canaries+2*opts.MaxFills+opts.MaxFills/opts.Step+1)
-	base := AttackFlowBase
+	base := packet.AttackFlows.Base()
 	for i := 0; i < opts.Canaries; i++ {
 		c := base + uint32(i)
 		ops = append(ops, AttackOp{AttackInstall, c}, AttackOp{AttackProbe, c})

@@ -4,15 +4,17 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"tango/internal/packet"
 )
 
 // TestOverflowAttackGoldenSmall pins the exact schedule for a hand-checkable
 // configuration: 2 canaries, a canary revisit every 2 fills, 4 fills, from
-// AttackFlowBase. The generator is a pure function, so any diff here is a
+// packet.AttackFlows. The generator is a pure function, so any diff here is a
 // semantic change to the attack, not noise.
 func TestOverflowAttackGoldenSmall(t *testing.T) {
 	got := OverflowAttack(AttackOptions{Canaries: 2, Step: 2, MaxFills: 4})
-	const b = AttackFlowBase
+	b := packet.AttackFlows.Base()
 	want := []AttackOp{
 		// Canary phase: install and baseline-probe each sentinel.
 		{AttackInstall, b}, {AttackProbe, b},
@@ -26,8 +28,8 @@ func TestOverflowAttackGoldenSmall(t *testing.T) {
 		{AttackInstall, b + 5}, {AttackProbe, b + 5},
 		{AttackProbe, b + 1}, // canary 1 checked after 4 fills
 	}
-	if AttackFlowBase != 3<<20 {
-		t.Fatalf("AttackFlowBase = %d, want 3<<20", AttackFlowBase)
+	if b != 3<<20 {
+		t.Fatalf("attack flows start at %d, want 3<<20", b)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("schedule mismatch:\n got: %v\nwant: %v", got, want)
@@ -42,7 +44,7 @@ func TestOverflowAttackDefaults(t *testing.T) {
 	if len(ops) != 2*16+2*320+16 {
 		t.Fatalf("default schedule length = %d, want %d", len(ops), 2*16+2*320+16)
 	}
-	opts := AttackOptions{}.WithDefaults()
+	opts := AttackOptions{}.withDefaults()
 	if opts.Canaries != 16 || opts.Step != 16 || opts.MaxFills != 320 {
 		t.Fatalf("defaults = %+v", opts)
 	}
@@ -52,7 +54,7 @@ func TestOverflowAttackDefaults(t *testing.T) {
 	// attack's bracketing logic.
 	probes := make(map[uint32]int)
 	for _, op := range ops {
-		if op.Kind == AttackProbe && op.Flow < AttackFlowBase+uint32(opts.Canaries) {
+		if op.Kind == AttackProbe && op.Flow < packet.AttackFlows.Base()+uint32(opts.Canaries) {
 			probes[op.Flow]++
 		}
 	}
@@ -76,11 +78,11 @@ func TestAttackOpKindString(t *testing.T) {
 }
 
 // TestChurnGoldenSmall pins a full small schedule for seed 9: fixed 500ms
-// spacing, flows from the 4-flow population at churnFlowBase, exactly one
+// spacing, flows from the 4-flow population in packet.ChurnFlows, exactly one
 // timeout field set per install.
 func TestChurnGoldenSmall(t *testing.T) {
 	got := Churn(ChurnOptions{Flows: 4, Rate: 2, Duration: 3 * time.Second, Seed: 9})
-	const b = churnFlowBase
+	b := packet.ChurnFlows.Base()
 	want := []ChurnEvent{
 		{At: 500 * time.Millisecond, Kind: ChurnTouch, Flow: b + 1},
 		{At: 1000 * time.Millisecond, Kind: ChurnInstall, Flow: b + 2, IdleTimeout: 1},
@@ -89,8 +91,8 @@ func TestChurnGoldenSmall(t *testing.T) {
 		{At: 2500 * time.Millisecond, Kind: ChurnTouch, Flow: b + 1},
 		{At: 3000 * time.Millisecond, Kind: ChurnInstall, Flow: b + 3, IdleTimeout: 3},
 	}
-	if churnFlowBase != 5<<20 {
-		t.Fatalf("churnFlowBase = %d, want 5<<20", churnFlowBase)
+	if b != 5<<20 {
+		t.Fatalf("churn flows start at %d, want 5<<20", b)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("schedule mismatch:\n got: %v\nwant: %v", got, want)

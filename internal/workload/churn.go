@@ -3,6 +3,8 @@ package workload
 import (
 	"math/rand"
 	"time"
+
+	"tango/internal/packet"
 )
 
 // churn.go generates heavy-churn control-plane workloads: a population of
@@ -43,10 +45,6 @@ type ChurnEvent struct {
 	IdleTimeout uint16 // seconds; 0 = none (ChurnInstall only)
 	HardTimeout uint16 // seconds; 0 = none (ChurnInstall only)
 }
-
-// churnFlowBase is the first flow ID of the churning population; see
-// AttackFlowBase for the aliasing constraint.
-const churnFlowBase uint32 = 5 << 20
 
 // ChurnOptions parameterises Churn.
 type ChurnOptions struct {
@@ -102,7 +100,7 @@ func Churn(opts ChurnOptions) []ChurnEvent {
 	}
 	var out []ChurnEvent
 	for at := interval; at <= opts.Duration; at += interval {
-		ev := ChurnEvent{At: at, Flow: churnFlowBase + uint32(rng.Intn(opts.Flows))}
+		ev := ChurnEvent{At: at, Flow: packet.ChurnFlows.Base() + uint32(rng.Intn(opts.Flows))}
 		if rng.Float64() < opts.TouchFrac {
 			ev.Kind = ChurnTouch
 		} else {
