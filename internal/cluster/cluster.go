@@ -19,7 +19,7 @@
 //     control path, 5–10×), so a boundary only an absolute gap supports is
 //     noise inside one tier, not a layer.
 //
-// DESIGN §15 has the populations that show why none of the three can go.
+// DESIGN §6 has the populations that show why none of the three can go.
 package cluster
 
 import (

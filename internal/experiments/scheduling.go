@@ -526,9 +526,7 @@ func Figure12(flows int) *Table {
 	}
 
 	run := func(s sched.Scheduler) time.Duration {
-		gCopy, err := update.Plan(changes, update.PlanOptions{
-			FlowIDBase: 40000, AssignPriorities: true, Seed: 9,
-		})
+		gCopy, err := update.Plan(changes, update.PlanOptions{AssignPriorities: true, Seed: 9})
 		if err != nil {
 			panic(err)
 		}

@@ -19,8 +19,6 @@ import (
 
 // PlanOptions tunes Plan.
 type PlanOptions struct {
-	// FlowIDBase offsets the rule flow IDs used for new-path rules.
-	FlowIDBase uint32
 	// AssignPriorities controls how rule priorities are chosen:
 	// true assigns each change a unique priority from a seeded shuffle
 	// (app-specified, 1-1 style); false leaves priorities unassigned so
@@ -30,8 +28,13 @@ type PlanOptions struct {
 	Seed int64
 }
 
-// basePriority anchors assigned priorities.
-const basePriority = 1000
+const (
+	// basePriority anchors assigned priorities.
+	basePriority = 1000
+	// flowIDBase is the flow ID of the first planned rule; change i gets
+	// flowIDBase+i.
+	flowIDBase = 40000
+)
 
 // Plan builds the request DAG for a set of rule changes. Each change's
 // DependsOn edge becomes a DAG edge, serialising every flow's updates from
@@ -58,7 +61,7 @@ func Plan(changes []topo.RuleChange, opts PlanOptions) (*sched.Graph, error) {
 		r := &sched.Request{
 			Switch: ch.Switch,
 			Op:     op,
-			FlowID: opts.FlowIDBase + uint32(i),
+			FlowID: flowIDBase + uint32(i),
 		}
 		if opts.AssignPriorities {
 			r.Priority = basePriority + uint16(prios[i])
